@@ -15,6 +15,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/audit.h"
@@ -367,18 +368,27 @@ int main(int argc, char** argv) try {
     }
   }
 
+  // The one journal commit, fed by the in-process pool and by the
+  // supervised workers alike. A pair that observed a stop mid-sweep is
+  // partial: keep its report for this process's summary but leave it out
+  // of the journal so a resumed run re-audits it in full.
   calculon::Mutex checkpoint_mutex;
-  auto write_checkpoint = [&]() {
-    // Caller holds checkpoint_mutex. Tmp-file + rename keeps the previous
-    // journal intact if this write is interrupted.
+  auto commit_pair = [&](std::size_t i, AuditReport report) {
+    pairs[i].report = std::move(report);
+    if (ctx.cancelled()) return;
+    calculon::MutexLock lock(checkpoint_mutex);
+    done[i] = 1;
+    if (checkpoint_path.empty()) return;
+    // Tmp-file + rename keeps the previous journal intact if this write is
+    // interrupted.
     calculon::json::Value cp;
     cp["format"] = kCheckpointFormat;
     cp["fingerprint"] = fingerprint;
     calculon::json::Object journal;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (done[i] != 0) {
-        journal[pairs[i].app->label + "/" + pairs[i].sys->label] =
-            ReportToJson(pairs[i].report);
+    for (std::size_t j = 0; j < pairs.size(); ++j) {
+      if (done[j] != 0) {
+        journal[pairs[j].app->label + "/" + pairs[j].sys->label] =
+            ReportToJson(pairs[j].report);
       }
     }
     cp["pairs"] = calculon::json::Value(std::move(journal));
@@ -399,7 +409,6 @@ int main(int argc, char** argv) try {
     // of killing the audit. No ThreadPool exists before the forks.
     const auto& plan = faults.plan();
     if (plan.enabled()) dist.faults_spec = plan.ToSpec();
-    dist.fallback_threads = threads;
     std::vector<calculon::dist::AuditPairSpec> specs;
     std::vector<std::size_t> orig;  // specs index -> pairs index
     for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -409,15 +418,10 @@ int main(int argc, char** argv) try {
           static_cast<std::uint64_t>(i) << 32});
       orig.push_back(i);
     }
-    (void)calculon::dist::RunAuditSupervised(
-        specs, options, dist, &ctx,
-        [&](std::uint64_t j, const AuditReport& report) {
-          const std::size_t i = orig[j];
-          pairs[i].report = report;
-          if (ctx.cancelled()) return;
-          calculon::MutexLock lock(checkpoint_mutex);
-          done[i] = 1;
-          if (!checkpoint_path.empty()) write_checkpoint();
+    calculon::dist::RunAuditSupervised(
+        specs, options, dist, ctx,
+        [&](std::uint64_t j, AuditReport report) {
+          commit_pair(orig[j], std::move(report));
         });
   } else {
     calculon::ThreadPool pool(threads);
@@ -429,15 +433,8 @@ int main(int argc, char** argv) try {
       pair_options.context_label = pair.sys->label;
       pair_options.ctx = &ctx;
       pair_options.fault_key_base = i << 32;
-      pair.report = calculon::analysis::AuditPair(
-          pair.app->value, pair.sys->value, pair_options);
-      // A pair that observed a stop mid-sweep is partial: keep its report
-      // for this process's summary but leave it out of the journal so a
-      // resumed run re-audits it in full.
-      if (ctx.cancelled()) return;
-      calculon::MutexLock lock(checkpoint_mutex);
-      done[i] = 1;
-      if (!checkpoint_path.empty()) write_checkpoint();
+      commit_pair(i, calculon::analysis::AuditPair(
+                         pair.app->value, pair.sys->value, pair_options));
     });
   }
   if (reporter.has_value()) reporter->Stop();

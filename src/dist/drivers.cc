@@ -1,62 +1,63 @@
 #include "dist/drivers.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
-#include "core/perf_model.h"
 #include "json/json.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/error.h"
-#include "util/mathutil.h"
-#include "util/strings.h"
 #include "util/threadpool.h"
 
 namespace calculon::dist {
 
 namespace {
 
-SupervisorOptions ToSupervisorOptions(const DistOptions& dist,
-                                      RunContext* ctx,
-                                      std::uint64_t first_item) {
-  SupervisorOptions options;
-  options.workers = dist.workers;
-  options.shard_size = dist.shard_size;
-  options.first_item = first_item;
-  options.max_attempts = dist.max_attempts;
-  options.backoff_base_ms = dist.backoff_base_ms;
-  options.backoff_max_ms = dist.backoff_max_ms;
-  options.hang_timeout_s = dist.hang_timeout_s;
-  options.ctx = ctx;
-  options.worker_log_dir = dist.worker_log_dir;
-  options.flight_capacity = dist.flight_capacity;
-  options.faults_spec = dist.faults_spec;
-  return options;
-}
-
-FailureRecord FailureFromJson(const json::Value& v) {
-  FailureRecord record;
-  record.item = static_cast<std::uint64_t>(v.GetInt("item", 0));
-  record.fingerprint = v.GetString("fingerprint", "");
-  record.reason = v.GetString("reason", "");
-  record.worker = static_cast<unsigned>(v.GetInt("worker", 0));
-  return record;
-}
-
-// Worker-side hard failures replay onto the parent's context so
-// failure-budget and failure-sample accounting match the in-process run.
-void ReplayFailures(RunContext* ctx, const json::Value& failures) {
-  if (ctx == nullptr) return;
-  for (const json::Value& f : failures.AsArray()) {
-    const FailureRecord record = FailureFromJson(f);
-    ctx->RecordFailure(record.item, record.fingerprint, record.reason,
-                       record.worker);
-  }
+// Runs `spec` on a supervised pool and feeds every item from `first_item`
+// on to the engine's commit in item order: `commit(result)` for an item's
+// result, `quarantine(record)` for a quarantined item. Results arrive in
+// completion order; early ones wait here until their predecessors resolve.
+// A stopped run can leave gaps; with `past_gaps` the items resolved beyond
+// the first gap are still fed, in item order, when the pool returns.
+void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
+                    std::uint64_t first_item, const DistOptions& dist,
+                    RunContext* ctx, bool past_gaps,
+                    const std::function<void(const json::Value&)>& commit,
+                    const std::function<void(FailureRecord)>& quarantine) {
+  std::map<std::uint64_t, std::variant<json::Value, FailureRecord>> pending;
+  std::uint64_t next = first_item;
+  auto release = [&](auto it) {
+    if (const auto* result = std::get_if<json::Value>(&it->second)) {
+      commit(*result);
+    } else {
+      quarantine(std::move(std::get<FailureRecord>(it->second)));
+    }
+    pending.erase(it);
+  };
+  auto drain = [&] {
+    for (auto it = pending.begin(); it != pending.end() && it->first == next;
+         it = pending.begin(), ++next) {
+      release(it);
+    }
+  };
+  SupervisorCallbacks callbacks;
+  callbacks.on_item = [&](std::uint64_t item, const json::Value& result) {
+    if (item == next) {  // in order: no need to buffer a copy
+      commit(result);
+      ++next;
+    } else {
+      pending.emplace(item, result);
+    }
+    drain();
+  };
+  callbacks.on_quarantine = [&](const FailureRecord& record) {
+    pending.emplace(record.item, record);
+    drain();
+  };
+  RunSupervised(spec, num_items, dist, callbacks, first_item, ctx);
+  while (past_gaps && !pending.empty()) release(pending.begin());
 }
 
 }  // namespace
@@ -65,116 +66,17 @@ StudyRun RunStudySupervised(const Study& study, const StudyRunOptions& options,
                             const DistOptions& dist) {
   if (!dist.active()) return study.RunResilient(options);
   CALC_TRACE_SPAN("dist", "study");
-
-  const std::vector<Execution> execs = study.Enumerate();
-  StudyRun run;
-  run.total_rows = execs.size();
-  const std::string fingerprint = study.Fingerprint();
-
-  if (options.resume) {
-    if (options.checkpoint_path.empty()) {
-      throw ConfigError("study: resume requires a checkpoint path");
-    }
-    if (std::filesystem::exists(options.checkpoint_path)) {
-      LoadStudyCheckpoint(options.checkpoint_path, fingerprint, &run);
-      if (run.csv_rows.size() > execs.size()) {
-        throw ConfigError("study: checkpoint has more rows than the sweep");
-      }
-    }
-  }
-  run.resumed_rows = run.csv_rows.size();
-
-  RunContext* const ctx = options.ctx;
-  const std::uint64_t every =
-      std::max<std::uint64_t>(1, options.checkpoint_every);
-  std::uint64_t since_checkpoint = 0;
-
+  StudyCommit commit(study, options);
   json::Value spec;
   spec["job"] = "study";
   spec["spec"] = study.ToJson();
   spec["fault_key_base"] = static_cast<std::int64_t>(options.fault_key_base);
-
-  // Results arrive in completion order; commit them in row order so the
-  // checkpoint prefix, the CSV, and the best-row decision sequence are
-  // the ones the sequential loop would have produced.
-  std::map<std::uint64_t, json::Value> arrived;
-  std::map<std::uint64_t, FailureRecord> quarantined;
-  std::uint64_t committed = run.resumed_rows;
-
-  auto commit_ready = [&] {
-    for (;;) {
-      if (const auto it = arrived.find(committed); it != arrived.end()) {
-        const json::Value& r = it->second;
-        const Execution& e = execs[committed];
-        const bool ok = r.GetBool("ok", false);
-        // Mirrors RunResilient: kBadConfig out of a well-formed row is a
-        // model bug or injected fault, charged to the failure budget.
-        if (ctx != nullptr && !ok && r.GetBool("bad_config", false)) {
-          ctx->RecordFailure(committed, StudyRowFingerprint(e),
-                             r.GetString("detail", ""));
-        }
-        if (ok) {
-          // The raw double traveled as %.17g: this comparison sees the
-          // exact value the in-process loop computed.
-          const PerSecond rate(r.at("sample_rate").AsDouble());
-          if (rate > run.best.sample_rate) {
-            run.best.found = true;
-            run.best.row = committed;
-            run.best.exec = e;
-            run.best.sample_rate = rate;
-          }
-        }
-        run.csv_rows.push_back(r.at("csv").AsString());
-        arrived.erase(it);
-      } else if (const auto qt = quarantined.find(committed);
-                 qt != quarantined.end()) {
-        const Execution& e = execs[committed];
-        run.csv_rows.push_back(StudyCsvRow(
-            e, Result<Stats>(Infeasible::kBadConfig, qt->second.reason)));
-        if (ctx != nullptr) {
-          // Keep the supervisor's evidence (worker, flight post-mortem),
-          // scoped with this row's coordinates.
-          FailureRecord record = std::move(qt->second);
-          record.item = committed;
-          record.fingerprint = StudyRowFingerprint(e);
-          ctx->RecordFailure(std::move(record));
-        }
-        quarantined.erase(qt);
-      } else {
-        break;
-      }
-      if (ctx != nullptr) ctx->RecordCompleted();
-      ++committed;
-      if (!options.checkpoint_path.empty() && ++since_checkpoint >= every) {
-        since_checkpoint = 0;
-        WriteStudyCheckpoint(options.checkpoint_path,
-                             StudyCheckpointToJson(fingerprint, run));
-      }
-    }
-  };
-
-  SupervisorCallbacks callbacks;
-  callbacks.on_item = [&](std::uint64_t item, const json::Value& result) {
-    arrived[item] = result;
-    commit_ready();
-  };
-  callbacks.on_quarantine = [&](const FailureRecord& record) {
-    quarantined[record.item] = record;
-    commit_ready();
-  };
-
-  (void)RunSupervised(spec, execs.size(),
-                      ToSupervisorOptions(dist, ctx, run.resumed_rows),
-                      callbacks);
-  commit_ready();
-
-  if (ctx != nullptr) run.status = ctx->Snapshot();
-  run.status.complete = run.csv_rows.size() == execs.size();
-  if (!options.checkpoint_path.empty()) {
-    WriteStudyCheckpoint(options.checkpoint_path,
-                         StudyCheckpointToJson(fingerprint, run));
-  }
-  return run;
+  // CSV rows and checkpoints are a contiguous prefix: nothing past a gap.
+  RunInItemOrder(
+      spec, commit.rows().size(), commit.next_row(), dist, commit.ctx(),
+      /*past_gaps=*/false, [&](const json::Value& r) { commit.Commit(StudyRowFromJson(r)); },
+      [&](FailureRecord record) { commit.Quarantine(std::move(record)); });
+  return commit.Finish();
 }
 
 SearchResult FindOptimalExecutionSupervised(const Application& app,
@@ -182,17 +84,12 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
                                             const SearchSpace& space,
                                             const SearchConfig& config,
                                             const DistOptions& dist) {
-  // The wire format ships tallies and top-k candidates, not the full-rate
-  // and Pareto collections — those collectors stay in-process.
-  if (!dist.active() || config.keep_all_rates || config.keep_pareto) {
-    ThreadPool pool(dist.fallback_threads);
+  if (!dist.active()) {
+    ThreadPool pool;
     return FindOptimalExecution(app, sys, space, config, pool);
   }
   CALC_TRACE_SPAN("dist", "exec_search");
-
-  const std::vector<Triple> triples = SearchTriples(app, sys, space, config);
-  RunContext* const ctx = config.ctx;
-
+  ExecSearch search(app, sys, space, config);
   json::Value spec;
   spec["job"] = "exec_search";
   spec["application"] = app.ToJson();
@@ -201,82 +98,26 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
   json::Value cfg;
   cfg["batch_size"] = static_cast<std::int64_t>(config.batch_size);
   cfg["top_k"] = static_cast<std::int64_t>(config.top_k);
+  cfg["keep_all_rates"] = config.keep_all_rates;
+  cfg["keep_pareto"] = config.keep_pareto;
   spec["config"] = cfg;
-
-  std::map<std::uint64_t, json::Value> arrived;
-  SupervisorCallbacks callbacks;
-  callbacks.on_item = [&](std::uint64_t item, const json::Value& result) {
-    arrived[item] = result;
-  };
-  callbacks.on_quarantine = [&](const FailureRecord& record) {
-    if (ctx != nullptr) {
-      const Triple& tr = triples[record.item];
-      FailureRecord scoped = record;
-      scoped.item = record.item << 32;
-      scoped.fingerprint =
-          StrFormat("t=%lld p=%lld d=%lld", static_cast<long long>(tr.t),
-                    static_cast<long long>(tr.p),
-                    static_cast<long long>(tr.d));
-      ctx->RecordFailure(std::move(scoped));
-    }
-  };
-
-  (void)RunSupervised(spec, triples.size(),
-                      ToSupervisorOptions(dist, ctx, 0), callbacks);
-
-  // Merge in triple order (the map iterates sorted), so tie-breaking in
-  // InsertTopK is deterministic — stronger than the in-process parallel
-  // merge, which is completion-ordered.
-  SearchResult result;
-  std::vector<std::uint64_t> rejected;
-  for (const auto& [item, r] : arrived) {
-    result.evaluated += static_cast<std::uint64_t>(r.GetInt("evaluated", 0));
-    result.feasible += static_cast<std::uint64_t>(r.GetInt("feasible", 0));
-    const json::Array& rej = r.at("rejected").AsArray();
-    if (rejected.size() < rej.size()) rejected.resize(rej.size(), 0);
-    for (std::size_t i = 0; i < rej.size(); ++i) {
-      rejected[i] += static_cast<std::uint64_t>(rej[i].AsInt());
-    }
-    ReplayFailures(ctx, r.at("failures"));
-    for (const json::Value& exec_json : r.at("best").AsArray()) {
-      Execution exec = Execution::FromJson(exec_json);
-      // Deterministic re-evaluation recovers the full Stats the worker
-      // saw; shipping only the Execution keeps the wire format small.
-      Result<Stats> stats = CalculatePerformance(app, exec, sys);
-      if (!stats.ok()) continue;  // cannot happen for a shipped candidate
-      InsertTopK(result.best, config.top_k, std::move(exec),
-                 std::move(stats).value());
-    }
-  }
-
-  // Evaluation metrics (evaluated/feasible/rejections/eval_latency) now
-  // come from the workers themselves: each instruments its sweep and the
-  // supervisor ingested the merged snapshots above. Only the culling of
-  // structurally invalid triples happens parent-side (SearchTriples runs
-  // here, never in a worker), so that counter is recorded here to match
-  // the in-process run.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  if (metrics.enabled()) {
-    metrics.GetCounter("exec_search.culled_triples")
-        ->Increment(FactorTriples(sys.num_procs()).size() - triples.size());
-  }
-  CALC_TRACE_COUNTER("exec_search.evaluated", result.evaluated);
-
-  if (ctx != nullptr) result.status = ctx->Snapshot();
-  return result;
+  // A stopped search keeps every triple that was swept, as in-process.
+  RunInItemOrder(
+      spec, search.triples().size(), 0, dist, search.ctx(),
+      /*past_gaps=*/true, [&](const json::Value& r) {
+        search.Commit(TripleSweepFromJson(r, app, sys));
+      },
+      [&](FailureRecord record) { search.Quarantine(std::move(record)); });
+  return search.Finish();
 }
 
-AuditDistResult RunAuditSupervised(
+void RunAuditSupervised(
     const std::vector<AuditPairSpec>& pairs,
     const analysis::AuditOptions& options, const DistOptions& dist,
-    RunContext* ctx,
-    const std::function<void(std::uint64_t, const analysis::AuditReport&)>&
+    RunContext& ctx,
+    const std::function<void(std::uint64_t, analysis::AuditReport)>&
         on_pair_done) {
   CALC_TRACE_SPAN("dist", "audit");
-  AuditDistResult out;
-  out.reports.resize(pairs.size());
-  out.completed.assign(pairs.size(), 0);
-
   json::Value spec;
   spec["job"] = "audit";
   json::Value opts;
@@ -300,24 +141,21 @@ AuditDistResult RunAuditSupervised(
   }
   spec["pairs"] = json::Value(std::move(pair_specs));
 
+  // Journal order does not matter (the journal is keyed by pair), so
+  // pairs commit as they arrive.
   SupervisorCallbacks callbacks;
   callbacks.on_item = [&](std::uint64_t item, const json::Value& result) {
-    out.reports[item] = analysis::ReportFromJson(result.at("report"));
-    out.completed[item] = 1;
-    ReplayFailures(ctx, result.at("failures"));
-    if (on_pair_done) on_pair_done(item, out.reports[item]);
+    for (FailureRecord& f : FailuresFromJson(result.at("failures"))) {
+      ctx.RecordFailure(std::move(f));
+    }
+    on_pair_done(item, analysis::ReportFromJson(result.at("report")));
   };
   callbacks.on_quarantine = [&](const FailureRecord& record) {
-    if (ctx != nullptr) {
-      FailureRecord scoped = record;
-      scoped.fingerprint = pairs[record.item].context_label;
-      ctx->RecordFailure(std::move(scoped));
-    }
+    FailureRecord scoped = record;
+    scoped.fingerprint = pairs[record.item].context_label;
+    ctx.RecordFailure(std::move(scoped));
   };
-
-  out.supervisor = RunSupervised(spec, pairs.size(),
-                                 ToSupervisorOptions(dist, ctx, 0), callbacks);
-  return out;
+  RunSupervised(spec, pairs.size(), dist, callbacks, 0, &ctx);
 }
 
 }  // namespace calculon::dist

@@ -1,28 +1,32 @@
 // Supervised front ends for the three sweep engines: the parent-side
 // drivers that ship a job spec to a worker pool (dist/supervisor.h) and
-// merge the streamed results back into the engines' native result types.
+// feed the streamed results to the engine's own commit.
 //
 // Contract: for items untouched by process-level faults, a supervised run
-// produces bit-identical output to the in-process engine. The drivers get
-// this by (a) evaluating every item with the engine's own single-item
-// evaluator inside the worker, (b) shipping doubles as %.17g JSON
-// (lossless), and (c) committing results in item order through a reorder
-// buffer, so checkpoints, CSV rows, and best-candidate selection replay
-// the exact decision sequence of the sequential loop. Quarantined items
-// surface as FailureRecords on the caller's RunContext — the run degrades
-// (exit code 3 at the CLI) instead of dying.
+// produces bit-identical output to the in-process engine. Each engine has
+// one item evaluator and one commit, and the in-process loop and these
+// drivers are two ways of feeding that commit: (a) the worker evaluates
+// every item with the engine's evaluator (dist/jobs.h), (b) doubles travel
+// as %.17g JSON (lossless), and (c) study rows and search triples reach
+// StudyCommit / ExecSearch::Commit in item order, so checkpoints, CSV
+// rows, best-candidate selection, collected rates and Pareto fronts, and
+// the completed-item and failure counts replay the sequential loop's.
+// Quarantined items are charged as FailureRecords on the run's status,
+// whether or not the caller passed a RunContext — the run degrades (exit
+// code 3 at the CLI) instead of dying.
 //
-// Every driver falls back to its in-process engine when dist is inactive
-// (workers == 0, fork unavailable, or a collector the wire format does not
-// carry), so callers always pass through one code path.
+// The study and exec-search drivers run the in-process engine when dist is
+// inactive (workers == 0 or fork unavailable), so callers always pass
+// through one entry point; every search collector (keep_all_rates,
+// keep_pareto) travels over the wire.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "analysis/audit.h"
+#include "dist/jobs.h"
 #include "dist/supervisor.h"
 #include "hw/system.h"
 #include "models/application.h"
@@ -32,73 +36,31 @@
 
 namespace calculon::dist {
 
-struct DistOptions {
-  int workers = 0;  // 0: run in-process
-  std::uint64_t shard_size = 16;
-  int max_attempts = 3;
-  std::int64_t backoff_base_ms = 10;
-  std::int64_t backoff_max_ms = 2000;
-  double hang_timeout_s = 30.0;
-  // ThreadPool size for in-process fallback paths (0: hardware).
-  unsigned fallback_threads = 0;
-  // Worker stderr capture directory (see SupervisorOptions).
-  std::string worker_log_dir;
-  // Per-worker crash flight recorder capacity (see SupervisorOptions).
-  int flight_capacity = 64;
-  // FaultPlan spec forwarded to workers; the supervised engines inject
-  // inside the worker, never in the parent.
-  std::string faults_spec;
-
-  [[nodiscard]] bool active() const { return workers > 0 && ForkAvailable(); }
-};
-
 // Study::RunResilient across a supervised worker pool. Checkpoint/resume
-// uses the same file format and fingerprint guard as the in-process
-// runner, so a study may be interrupted under one mode and resumed under
-// the other. Quarantined rows appear in the CSV as infeasible rows with a
-// "quarantined ..." reason and count as failures on options.ctx.
+// is StudyCommit's, so a study may be interrupted under one mode and
+// resumed under the other. Quarantined rows appear in the CSV as
+// infeasible rows with a "quarantined ..." reason and count as failures.
 [[nodiscard]] StudyRun RunStudySupervised(const Study& study,
                                           const StudyRunOptions& options,
                                           const DistOptions& dist);
 
 // FindOptimalExecution across a supervised worker pool, one (t, p, d)
-// triple per item. Falls back in-process when dist is inactive or the
-// config requests collectors the wire format does not carry
-// (keep_all_rates, keep_pareto). Worker top-k lists merge in triple order
-// with the engine's own InsertTopK, after deterministic parent-side
-// re-evaluation of each shipped candidate.
+// triple per item, committed in triple order.
 [[nodiscard]] SearchResult FindOptimalExecutionSupervised(
     const Application& app, const System& sys, const SearchSpace& space,
     const SearchConfig& config, const DistOptions& dist);
 
-// One (application, system) audit pair, as the caller labels it.
-struct AuditPairSpec {
-  Application app;
-  System sys;
-  std::string context_label;
-  std::uint64_t fault_key_base = 0;
-};
-
-struct AuditDistResult {
-  // reports[i] corresponds to pairs[i]; valid where completed[i] != 0.
-  std::vector<analysis::AuditReport> reports;
-  std::vector<char> completed;
-  SupervisorReport supervisor;
-};
-
 // AuditPair for each pair across a supervised worker pool. Worker-side
-// failures replay onto `ctx`; a quarantined pair stays incomplete (the
-// caller's degraded-exit accounting treats it like a pair a stop
-// interrupted). `on_pair_done(i, report)` fires as each pair's report
-// commits — the caller's journaling hook, so a killed supervised audit
-// resumes with per-pair granularity. The caller handles the in-process
-// path itself (it owns the ThreadPool and checkpoint logic); call this
-// only when dist.active().
-[[nodiscard]] AuditDistResult RunAuditSupervised(
+// failures and quarantines replay onto `ctx`; a quarantined pair never
+// reaches `on_pair_done` (the caller's degraded-exit accounting treats it
+// like a pair a stop interrupted). `on_pair_done(i, report)` fires as each
+// pair's report arrives — the caller's journal commit, the same one its
+// in-process pool feeds. Call this only when dist.active().
+void RunAuditSupervised(
     const std::vector<AuditPairSpec>& pairs,
     const analysis::AuditOptions& options, const DistOptions& dist,
-    RunContext* ctx,
-    const std::function<void(std::uint64_t, const analysis::AuditReport&)>&
-        on_pair_done = nullptr);
+    RunContext& ctx,
+    const std::function<void(std::uint64_t, analysis::AuditReport)>&
+        on_pair_done);
 
 }  // namespace calculon::dist

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/audit.h"
+#include "core/perf_model.h"
 #include "runner/run_status_json.h"
 #include "runner/study.h"
 #include "search/exec_search.h"
@@ -22,10 +23,31 @@ json::Value FailuresToJson(const std::vector<FailureRecord>& failures) {
   return json::Value(std::move(arr));
 }
 
-// One study row per item. The worker evaluates with the exact
-// EvaluateStudyRow + StudyCsvRow path of Study::RunResilient, so the CSV
-// line and the raw sample-rate double it ships back are bit-identical to
-// what the in-process loop would have produced.
+json::Value ExecutionsToJson(const std::vector<SearchEntry>& entries) {
+  json::Array arr;
+  arr.reserve(entries.size());
+  for (const SearchEntry& entry : entries) arr.push_back(entry.exec.ToJson());
+  return json::Value(std::move(arr));
+}
+
+// Re-evaluates shipped executions, in order, into search entries.
+std::vector<SearchEntry> EntriesFromJson(const json::Value& v,
+                                         const Application& app,
+                                         const System& sys) {
+  std::vector<SearchEntry> entries;
+  for (const json::Value& exec_json : v.AsArray()) {
+    Execution exec = Execution::FromJson(exec_json);
+    Result<Stats> stats = CalculatePerformance(app, exec, sys);
+    if (!stats.ok()) continue;  // cannot happen for a shipped candidate
+    entries.push_back({std::move(exec), std::move(stats).value()});
+  }
+  return entries;
+}
+
+// One study row per item, evaluated by EvaluateStudyRow — the row
+// evaluator of Study::RunResilient — so the CSV line and the raw
+// sample-rate double it ships back are bit-identical to what the
+// in-process loop commits.
 class StudyJob : public Job {
  public:
   explicit StudyJob(const json::Value& spec)
@@ -43,17 +65,12 @@ class StudyJob : public Job {
   }
 
   [[nodiscard]] json::Value RunItem(std::uint64_t item) override {
-    const Execution& e = execs_[item];
-    const Result<Stats> r = EvaluateStudyRow(study_, e, FaultKey(item));
+    const StudyRowResult row =
+        EvaluateStudyRow(study_, execs_[item], FaultKey(item));
     json::Value out;
-    out["csv"] = StudyCsvRow(e, r);
-    out["ok"] = r.ok();
-    if (r.ok()) {
-      out["sample_rate"] = r.value().sample_rate.raw();
-    } else {
-      out["bad_config"] = r.reason() == Infeasible::kBadConfig;
-      out["detail"] = r.detail();
-    }
+    out["csv"] = row.csv;
+    if (row.sample_rate) out["sample_rate"] = row.sample_rate->raw();
+    if (row.bad_config) out["bad_config"] = *row.bad_config;
     return out;
   }
 
@@ -63,24 +80,31 @@ class StudyJob : public Job {
   const std::uint64_t fault_key_base_;
 };
 
-// One exec-search (t, p, d) triple per item. The worker ships back the
-// triple's tallies, its top-k executions (the parent re-evaluates them for
-// full Stats — deterministic, so re-evaluation is exact), and the
-// isolated hard failures for replay onto the parent's RunContext.
+SearchConfig SearchConfigFromJson(const json::Value& v, RunContext* ctx) {
+  SearchConfig config;
+  config.batch_size = v.GetInt("batch_size", 0);
+  config.top_k = static_cast<int>(v.GetInt("top_k", 10));
+  config.keep_all_rates = v.GetBool("keep_all_rates", false);
+  config.keep_pareto = v.GetBool("keep_pareto", false);
+  config.ctx = ctx;
+  return config;
+}
+
+// One exec-search (t, p, d) triple per item, swept by ExecSearch::Sweep
+// with fault isolation (a worker-private context that never stops: the
+// supervisor owns cancellation). Ships the triple's tallies, its top-k and
+// Pareto executions, its sample rates, and its isolated hard failures.
 class ExecSearchJob : public Job {
  public:
   explicit ExecSearchJob(const json::Value& spec)
       : app_(Application::FromJson(spec.at("application"))),
         sys_(System::FromJson(spec.at("system"))),
-        space_(SearchSpace::FromJson(spec.at("space"))) {
-    const json::Value& config = spec.at("config");
-    config_.batch_size = config.GetInt("batch_size", 0);
-    config_.top_k = static_cast<int>(config.GetInt("top_k", 10));
-    num_triples_ = SearchTriples(app_, sys_, space_, config_).size();
-  }
+        space_(SearchSpace::FromJson(spec.at("space"))),
+        config_(SearchConfigFromJson(spec.at("config"), &isolate_)),
+        search_(app_, sys_, space_, config_) {}
 
   [[nodiscard]] std::uint64_t num_items() const override {
-    return num_triples_;
+    return search_.triples().size();
   }
 
   [[nodiscard]] std::uint64_t FaultKey(std::uint64_t item) const override {
@@ -91,22 +115,16 @@ class ExecSearchJob : public Job {
   }
 
   [[nodiscard]] json::Value RunItem(std::uint64_t item) override {
-    TripleSweep sweep = SweepTriple(app_, sys_, space_, config_, item);
+    const TripleSweep sweep = search_.Sweep(item);
     json::Value out;
     out["evaluated"] = static_cast<std::int64_t>(sweep.evaluated);
     out["feasible"] = static_cast<std::int64_t>(sweep.feasible);
-    json::Array rejected;
-    rejected.reserve(sweep.rejected.size());
-    for (std::uint64_t n : sweep.rejected) {
-      rejected.emplace_back(static_cast<std::int64_t>(n));
-    }
-    out["rejected"] = json::Value(std::move(rejected));
-    json::Array best;
-    best.reserve(sweep.best.size());
-    for (const SearchEntry& entry : sweep.best) {
-      best.push_back(entry.exec.ToJson());
-    }
-    out["best"] = json::Value(std::move(best));
+    out["best"] = ExecutionsToJson(sweep.best);
+    out["pareto"] = ExecutionsToJson(sweep.pareto);
+    json::Array rates;
+    rates.reserve(sweep.rates.size());
+    for (PerSecond rate : sweep.rates) rates.emplace_back(rate.raw());
+    out["rates"] = json::Value(std::move(rates));
     out["failures"] = FailuresToJson(sweep.failures);
     return out;
   }
@@ -115,8 +133,9 @@ class ExecSearchJob : public Job {
   const Application app_;
   const System sys_;
   const SearchSpace space_;
-  SearchConfig config_;
-  std::uint64_t num_triples_ = 0;
+  RunContext isolate_;
+  const SearchConfig config_;
+  const ExecSearch search_;
 };
 
 // One (application, system) audit pair per item. The worker runs the full
@@ -134,7 +153,7 @@ class AuditJob : public Job {
     options_.max_violations =
         static_cast<int>(options.GetInt("max_violations", 16));
     for (const json::Value& p : spec.at("pairs").AsArray()) {
-      pairs_.push_back(PairSpec{
+      pairs_.push_back(AuditPairSpec{
           Application::FromJson(p.at("application")),
           System::FromJson(p.at("system")),
           p.at("context_label").AsString(),
@@ -151,7 +170,7 @@ class AuditJob : public Job {
   }
 
   [[nodiscard]] json::Value RunItem(std::uint64_t item) override {
-    const PairSpec& pair = pairs_[item];
+    const AuditPairSpec& pair = pairs_[item];
     RunContext local_ctx;
     local_ctx.set_max_failure_samples(std::numeric_limits<std::size_t>::max());
     analysis::AuditOptions options = options_;
@@ -167,14 +186,8 @@ class AuditJob : public Job {
   }
 
  private:
-  struct PairSpec {
-    Application app;
-    System sys;
-    std::string context_label;
-    std::uint64_t fault_key_base;
-  };
   analysis::AuditOptions options_;
-  std::vector<PairSpec> pairs_;
+  std::vector<AuditPairSpec> pairs_;
 };
 
 }  // namespace
@@ -185,6 +198,45 @@ std::unique_ptr<Job> MakeJob(const json::Value& spec) {
   if (kind == "exec_search") return std::make_unique<ExecSearchJob>(spec);
   if (kind == "audit") return std::make_unique<AuditJob>(spec);
   throw ConfigError("dist: unknown job kind '" + kind + "'");
+}
+
+StudyRowResult StudyRowFromJson(const json::Value& v) {
+  StudyRowResult row;
+  row.csv = v.at("csv").AsString();
+  // The raw double traveled as %.17g: the commit compares the exact value
+  // the worker computed.
+  if (v.contains("sample_rate")) {
+    row.sample_rate = PerSecond(v.at("sample_rate").AsDouble());
+  }
+  if (v.contains("bad_config")) row.bad_config = v.at("bad_config").AsString();
+  return row;
+}
+
+TripleSweep TripleSweepFromJson(const json::Value& v, const Application& app,
+                                const System& sys) {
+  TripleSweep sweep;
+  sweep.evaluated = static_cast<std::uint64_t>(v.at("evaluated").AsInt());
+  sweep.feasible = static_cast<std::uint64_t>(v.at("feasible").AsInt());
+  sweep.best = EntriesFromJson(v.at("best"), app, sys);
+  sweep.pareto = EntriesFromJson(v.at("pareto"), app, sys);
+  for (const json::Value& rate : v.at("rates").AsArray()) {
+    sweep.rates.emplace_back(rate.AsDouble());
+  }
+  sweep.failures = FailuresFromJson(v.at("failures"));
+  return sweep;
+}
+
+std::vector<FailureRecord> FailuresFromJson(const json::Value& v) {
+  std::vector<FailureRecord> failures;
+  for (const json::Value& f : v.AsArray()) {
+    FailureRecord record;
+    record.item = static_cast<std::uint64_t>(f.GetInt("item", 0));
+    record.fingerprint = f.GetString("fingerprint", "");
+    record.reason = f.GetString("reason", "");
+    record.worker = static_cast<unsigned>(f.GetInt("worker", 0));
+    failures.push_back(std::move(record));
+  }
+  return failures;
 }
 
 }  // namespace calculon::dist

@@ -3,17 +3,27 @@
 // A Job is a sweep expressed as an indexed list of independent items
 // (study rows, exec-search triples, audit pairs) that is (a) fully
 // described by one JSON spec, and (b) rebuildable from that spec to an
-// identical item list on both sides of a fork. The parent builds the job
-// to learn num_items and interpret results; each worker builds the same
-// job from the same spec and evaluates the items it is assigned. Item
-// results are themselves JSON (doubles as %.17g, lossless), so a
+// identical item list on both sides of a fork. Each worker builds the job
+// from the spec and evaluates the items it is assigned with the engine's
+// one item evaluator (EvaluateStudyRow, ExecSearch::Sweep, AuditPair).
+// Item results are JSON (doubles as %.17g, lossless); the parent decodes
+// them with the *FromJson functions below into the engine's native item
+// result and hands that to the engine's one commit (StudyCommit,
+// ExecSearch::Commit) — the same commit the in-process loop feeds, so a
 // supervised sweep merges to bit-identical output.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "hw/system.h"
 #include "json/json.h"
+#include "models/application.h"
+#include "runner/study.h"
+#include "search/exec_search.h"
+#include "util/run_context.h"
 
 namespace calculon::dist {
 
@@ -39,5 +49,27 @@ class Job {
 // "exec_search", "audit". Throws ConfigError on an unknown kind or a
 // malformed spec.
 [[nodiscard]] std::unique_ptr<Job> MakeJob(const json::Value& spec);
+
+// One "audit" item: an (application, system) pair, as the caller labels it.
+struct AuditPairSpec {
+  Application app;
+  System sys;
+  std::string context_label;
+  std::uint64_t fault_key_base = 0;
+};
+
+// A "study" item result.
+[[nodiscard]] StudyRowResult StudyRowFromJson(const json::Value& v);
+
+// An "exec_search" item result. The worker ships executions only; their
+// Stats are recomputed here by deterministic re-evaluation on (app, sys),
+// which is exact and keeps the frames small.
+[[nodiscard]] TripleSweep TripleSweepFromJson(const json::Value& v,
+                                              const Application& app,
+                                              const System& sys);
+
+// The isolated failures of an "exec_search" or "audit" item result.
+[[nodiscard]] std::vector<FailureRecord> FailuresFromJson(
+    const json::Value& v);
 
 }  // namespace calculon::dist

@@ -91,10 +91,9 @@ struct WorkerSlot {
 // Mutable loop state bundled so the helpers below stay free functions.
 struct Pool {
   const json::Value* init_frame = nullptr;
-  SupervisorOptions options;
+  DistOptions options;
   const SupervisorCallbacks* callbacks = nullptr;
   ShardTracker* tracker = nullptr;
-  SupervisorReport* report = nullptr;
 
   std::vector<WorkerSlot> slots;
   std::deque<PendingRetry> pending;
@@ -328,7 +327,6 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
   slot.flight_dropped = 0;
   slot.live_metrics = obs::MetricsSnapshot();
   slot.has_live_metrics = false;
-  ++pool.report->forked;
   PublishAlive(pool);
   if (!slot.writer->WriteFrame(*pool.init_frame)) {
     // Died before reading its first frame; the death path below picks the
@@ -361,7 +359,6 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
       // Attach the flight-recorder evidence of what the worker was doing
       // when it died; the ring itself was shipped ahead of each item.
       record.flight_path = DumpFlightPostMortem(pool, index, description);
-      pool.report->quarantined.push_back(record);
       if (pool.quarantined != nullptr) pool.quarantined->Increment();
       if (pool.callbacks->on_quarantine) pool.callbacks->on_quarantine(record);
     } else if (!pool.options.worker_log_dir.empty()) {
@@ -372,7 +369,6 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
     if (!outcome.retry.empty()) {
       pool.pending.push_back(
           PendingRetry{outcome.retry, NowMs() + outcome.backoff_ms});
-      ++pool.report->reassigned;
       if (pool.reassigned != nullptr) pool.reassigned->Increment();
     }
     slot.busy = false;
@@ -385,17 +381,16 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
 
 bool ForkAvailable() { return true; }
 
-SupervisorReport RunSupervised(const json::Value& job_spec,
-                               std::uint64_t num_items,
-                               const SupervisorOptions& options,
-                               const SupervisorCallbacks& callbacks) {
+void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
+                   const DistOptions& options,
+                   const SupervisorCallbacks& callbacks,
+                   std::uint64_t first_item, RunContext* ctx) {
   CALC_CHECK(options.workers >= 1, "need at least one worker");
-  SupervisorReport report;
   CALC_TRACE_SPAN("dist", "supervisor");
 
   ShardTrackerOptions tracker_options;
   tracker_options.num_items = num_items;
-  tracker_options.first_item = options.first_item;
+  tracker_options.first_item = first_item;
   tracker_options.shard_size = options.shard_size;
   tracker_options.max_attempts = options.max_attempts;
   tracker_options.backoff_base_ms = options.backoff_base_ms;
@@ -424,7 +419,6 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
   pool.options = options;
   pool.callbacks = &callbacks;
   pool.tracker = &tracker;
-  pool.report = &report;
   if (metrics.enabled()) {
     pool.workers_alive = metrics.GetGauge("dist.workers_alive");
     pool.restarts = metrics.GetCounter("dist.restarts");
@@ -442,7 +436,7 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
       static_cast<std::int64_t>(options.hang_timeout_s * 1000.0);
   // More workers than shards is waste; never fork what we cannot feed.
   const std::uint64_t span =
-      num_items > options.first_item ? num_items - options.first_item : 0;
+      num_items > first_item ? num_items - first_item : 0;
   const std::uint64_t max_useful =
       (span + options.shard_size - 1) / options.shard_size;
   const int worker_count = static_cast<int>(
@@ -452,7 +446,6 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
   pool.finalized_metrics.resize(pool.slots.size());
 
   std::string startup_error;
-  bool stopped = false;
   for (std::size_t i = 0; i < pool.slots.size() && !tracker.AllResolved();
        ++i) {
     if (!SpawnWorker(pool, i)) {
@@ -463,10 +456,7 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
   }
 
   while (startup_error.empty() && !tracker.AllResolved()) {
-    if (options.ctx != nullptr && options.ctx->ShouldStop()) {
-      stopped = true;
-      break;
-    }
+    if (ctx != nullptr && ctx->ShouldStop()) break;
     if (pool.consecutive_startup_failures > worker_count * 3) {
       startup_error = StrFormat(
           "%d consecutive workers died before becoming ready; "
@@ -534,7 +524,6 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
           }
           break;
         }
-        ++report.restarts;
         if (pool.restarts != nullptr) pool.restarts->Increment();
         ++idle;
       }
@@ -668,7 +657,6 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
       if (!slot.alive() || !slot.busy) continue;
       if (check - slot.last_activity_ms <= hang_timeout_ms) continue;
       ::kill(slot.pid, SIGKILL);
-      ++report.hangs_killed;
       HandleWorkerDeath(
           pool, i,
           StrFormat("hung (no activity for %.1f s; SIGKILLed, %s)",
@@ -680,8 +668,7 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
     // Aggregate ack progress (resolved() already counts the resume
     // watermark) for the ProgressReporter's rate/ETA fold.
     obs::WorkerProgress::Global().Publish(
-        tracker.resolved() - options.first_item,
-        num_items > options.first_item ? num_items - options.first_item : 0);
+        tracker.resolved() - first_item, span);
   }
 
   // Shutdown: polite exit frames first, then force.
@@ -796,17 +783,14 @@ SupervisorReport RunSupervised(const json::Value& job_spec,
   if (!startup_error.empty()) {
     throw ConfigError("dist supervisor: " + startup_error);
   }
-  report.complete = tracker.AllResolved() && !stopped;
-  return report;
 }
 
 #else  // !CALCULON_DIST_HAVE_FORK
 
 bool ForkAvailable() { return false; }
 
-SupervisorReport RunSupervised(const json::Value&, std::uint64_t,
-                               const SupervisorOptions&,
-                               const SupervisorCallbacks&) {
+void RunSupervised(const json::Value&, std::uint64_t, const DistOptions&,
+                   const SupervisorCallbacks&, std::uint64_t, RunContext*) {
   throw ConfigError(
       "dist supervisor: fork-based workers are unavailable on this "
       "platform; run in-process instead");

@@ -39,21 +39,20 @@
 
 namespace calculon::dist {
 
-struct SupervisorOptions {
-  int workers = 2;
+// True when this platform can fork supervised workers (POSIX fork + pipes).
+[[nodiscard]] bool ForkAvailable();
+
+// How a sweep fans out across supervised workers. The same struct drives
+// the supervisor below and the engine front ends in dist/drivers.h.
+struct DistOptions {
+  int workers = 0;  // 0: run in-process
   std::uint64_t shard_size = 16;
-  // Items are dispatched starting here (checkpoint-resume watermark);
-  // items below it count as already resolved.
-  std::uint64_t first_item = 0;
   // Attempts per suspect item before quarantine (>= 1).
   int max_attempts = 3;
   std::int64_t backoff_base_ms = 10;
   std::int64_t backoff_max_ms = 2000;
   // A busy worker silent for this long is declared hung and SIGKILLed.
   double hang_timeout_s = 30.0;
-  // Optional cooperative stop (cancellation / deadline / failure budget),
-  // polled every loop iteration; in-flight shards are abandoned.
-  RunContext* ctx = nullptr;
   // When non-empty, each worker's stderr goes to
   // <dir>/worker-<n>.log (appended across restarts), and flight-recorder
   // post-mortems are dumped there for every busy worker death.
@@ -63,19 +62,11 @@ struct SupervisorOptions {
   // supervisor and dumped to a post-mortem file when the worker is
   // quarantined (see docs/observability.md). 0 disables.
   int flight_capacity = 64;
-  // FaultPlan spec shipped to workers verbatim (see FaultPlan::ToSpec).
+  // FaultPlan spec shipped to workers verbatim (see FaultPlan::ToSpec);
+  // the supervised engines inject inside the worker, never in the parent.
   std::string faults_spec;
-};
 
-struct SupervisorReport {
-  std::uint64_t forked = 0;        // processes forked, incl. replacements
-  std::uint64_t restarts = 0;      // replacement workers after death/hang
-  std::uint64_t reassigned = 0;    // shard re-dispatches
-  std::uint64_t hangs_killed = 0;  // workers SIGKILLed by the hang timeout
-  // One record per quarantined poison item; `reason` describes the final
-  // death ("quarantined after K attempts; last: signal 11 (SIGSEGV)").
-  std::vector<FailureRecord> quarantined;
-  bool complete = false;  // every item resolved (acked or quarantined)
+  [[nodiscard]] bool active() const { return workers > 0 && ForkAvailable(); }
 };
 
 struct SupervisorCallbacks {
@@ -86,15 +77,16 @@ struct SupervisorCallbacks {
   std::function<void(const FailureRecord& record)> on_quarantine;
 };
 
-// True when this platform can fork supervised workers (POSIX fork + pipes).
-[[nodiscard]] bool ForkAvailable();
-
-// Runs `job_spec` (dist/jobs.h) for items [options.first_item, num_items)
-// across a supervised worker pool. Blocks until every item is resolved,
-// the RunContext stops the run, or worker startup fails repeatedly
+// Runs `job_spec` (dist/jobs.h) for items [first_item, num_items) across
+// a supervised worker pool; items below `first_item` (a checkpoint-resume
+// watermark) count as already resolved. Blocks until every item is
+// resolved, `ctx` (optional cooperative stop: cancellation / deadline /
+// failure budget, polled every loop iteration; in-flight shards are
+// abandoned) stops the run, or worker startup fails repeatedly
 // (ConfigError — e.g. the job spec itself crashes every worker).
-[[nodiscard]] SupervisorReport RunSupervised(
-    const json::Value& job_spec, std::uint64_t num_items,
-    const SupervisorOptions& options, const SupervisorCallbacks& callbacks);
+void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
+                   const DistOptions& options,
+                   const SupervisorCallbacks& callbacks,
+                   std::uint64_t first_item = 0, RunContext* ctx = nullptr);
 
 }  // namespace calculon::dist

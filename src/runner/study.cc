@@ -1,9 +1,11 @@
 #include "runner/study.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <sstream>
+#include <utility>
 
 #include "hw/presets.h"
 #include "models/presets.h"
@@ -83,6 +85,19 @@ std::uint64_t Fnv1a(std::uint64_t h, const std::string& s) {
 
 constexpr const char* kCheckpointFormat = "calculon-study-checkpoint-v1";
 
+// Compact configuration coordinates for failure records and quarantine
+// reports.
+std::string StudyRowFingerprint(const Execution& e) {
+  return StrFormat("t=%lld p=%lld d=%lld mb=%lld batch=%lld il=%lld rc=%s",
+                   static_cast<long long>(e.tensor_par),
+                   static_cast<long long>(e.pipeline_par),
+                   static_cast<long long>(e.data_par),
+                   static_cast<long long>(e.microbatch),
+                   static_cast<long long>(e.batch_size),
+                   static_cast<long long>(e.pp_interleaving),
+                   ToString(e.recompute));
+}
+
 }  // namespace
 
 // Atomic checkpoint write (unique temp + fsync + rename inside
@@ -152,17 +167,6 @@ void LoadStudyCheckpoint(const std::string& path,
     run->best.sample_rate = PerSecond(best.at("sample_rate").AsDouble());
     run->best.exec = Execution::FromJson(best.at("execution"));
   }
-}
-
-std::string StudyRowFingerprint(const Execution& e) {
-  return StrFormat("t=%lld p=%lld d=%lld mb=%lld batch=%lld il=%lld rc=%s",
-                   static_cast<long long>(e.tensor_par),
-                   static_cast<long long>(e.pipeline_par),
-                   static_cast<long long>(e.data_par),
-                   static_cast<long long>(e.microbatch),
-                   static_cast<long long>(e.batch_size),
-                   static_cast<long long>(e.pp_interleaving),
-                   ToString(e.recompute));
 }
 
 Study Study::FromJson(const json::Value& spec) {
@@ -290,77 +294,107 @@ std::string Study::Fingerprint() const {
   return StrFormat("%016llx", static_cast<unsigned long long>(h));
 }
 
-Result<Stats> EvaluateStudyRow(const Study& study, const Execution& exec,
-                               std::uint64_t fault_key) {
+StudyRowResult EvaluateStudyRow(const Study& study, const Execution& exec,
+                                std::uint64_t fault_key) {
   auto& faults = testing::FaultInjector::Global();
-  try {
-    if (faults.enabled() && faults.MaybeInject(fault_key)) {
-      return {Infeasible::kBadConfig, "injected fault"};
+  const Result<Stats> r = [&]() -> Result<Stats> {
+    try {
+      if (faults.enabled() && faults.MaybeInject(fault_key)) {
+        return {Infeasible::kBadConfig, "injected fault"};
+      }
+      return CalculatePerformance(study.application, exec, study.system);
+    } catch (const std::exception& ex) {
+      return {Infeasible::kBadConfig, ex.what()};
     }
-    return CalculatePerformance(study.application, exec, study.system);
-  } catch (const std::exception& ex) {
-    return {Infeasible::kBadConfig, ex.what()};
+  }();
+  StudyRowResult row;
+  row.csv = StudyCsvRow(exec, r);
+  if (r.ok()) {
+    row.sample_rate = r.value().sample_rate;
+  } else if (r.reason() == Infeasible::kBadConfig) {
+    row.bad_config = r.detail();
   }
+  return row;
 }
 
-StudyRun Study::RunResilient(const StudyRunOptions& options) const {
-  CALC_TRACE_SPAN("runner", "study");
-  const std::vector<Execution> execs = Enumerate();
-  StudyRun run;
-  run.total_rows = execs.size();
-  const std::string fingerprint = Fingerprint();
-
+StudyCommit::StudyCommit(const Study& study, const StudyRunOptions& options)
+    : execs_(study.Enumerate()),
+      fingerprint_(study.Fingerprint()),
+      checkpoint_path_(options.checkpoint_path),
+      checkpoint_every_(std::max<std::uint64_t>(1, options.checkpoint_every)),
+      ctx_(options.ctx != nullptr ? options.ctx : &local_ctx_) {
+  run_.total_rows = execs_.size();
   if (options.resume) {
-    if (options.checkpoint_path.empty()) {
+    if (checkpoint_path_.empty()) {
       throw ConfigError("study: resume requires a checkpoint path");
     }
-    if (std::filesystem::exists(options.checkpoint_path)) {
-      LoadStudyCheckpoint(options.checkpoint_path, fingerprint, &run);
-      if (run.csv_rows.size() > execs.size()) {
+    if (std::filesystem::exists(checkpoint_path_)) {
+      LoadStudyCheckpoint(checkpoint_path_, fingerprint_, &run_);
+      if (run_.csv_rows.size() > execs_.size()) {
         throw ConfigError("study: checkpoint has more rows than the sweep");
       }
     }
   }
-  run.resumed_rows = run.csv_rows.size();
+  run_.resumed_rows = run_.csv_rows.size();
+}
 
-  RunContext* const ctx = options.ctx;
-  std::uint64_t since_checkpoint = 0;
-  const std::uint64_t every = std::max<std::uint64_t>(1,
-                                                      options.checkpoint_every);
-  for (std::uint64_t i = run.resumed_rows; i < execs.size(); ++i) {
-    if (ctx != nullptr && ctx->ShouldStop()) break;
-    const Execution& e = execs[i];
-    Result<Stats> result = EvaluateStudyRow(*this, e,
-                                            options.fault_key_base + i);
-    // kBadConfig out of a well-formed row is a model bug (or an injected
-    // fault), not a property of the configuration: count it against the
-    // failure budget. Ordinary infeasibility reasons are expected rows.
-    if (ctx != nullptr && !result.ok() &&
-        result.reason() == Infeasible::kBadConfig) {
-      ctx->RecordFailure(i, StudyRowFingerprint(e), result.detail());
-    }
-    if (result.ok() && result.value().sample_rate > run.best.sample_rate) {
-      run.best.found = true;
-      run.best.row = i;
-      run.best.exec = e;
-      run.best.sample_rate = result.value().sample_rate;
-    }
-    run.csv_rows.push_back(StudyCsvRow(e, result));
-    if (ctx != nullptr) ctx->RecordCompleted();
-    if (!options.checkpoint_path.empty() && ++since_checkpoint >= every) {
-      since_checkpoint = 0;
-      WriteStudyCheckpoint(options.checkpoint_path,
-                          StudyCheckpointToJson(fingerprint, run));
-    }
+void StudyCommit::Commit(StudyRowResult row) {
+  const std::uint64_t i = next_row();
+  const Execution& e = execs_[i];
+  // kBadConfig out of a well-formed row is a model bug (or an injected
+  // fault), not a property of the configuration: count it against the
+  // failure budget. Ordinary infeasibility reasons are expected rows.
+  if (row.bad_config) {
+    ctx_->RecordFailure(i, StudyRowFingerprint(e), std::move(*row.bad_config));
   }
+  if (row.sample_rate && *row.sample_rate > run_.best.sample_rate) {
+    run_.best.found = true;
+    run_.best.row = i;
+    run_.best.exec = e;
+    run_.best.sample_rate = *row.sample_rate;
+  }
+  run_.csv_rows.push_back(std::move(row.csv));
+  ctx_->RecordCompleted();
+  if (!checkpoint_path_.empty() && ++since_checkpoint_ >= checkpoint_every_) {
+    since_checkpoint_ = 0;
+    WriteStudyCheckpoint(checkpoint_path_,
+                         StudyCheckpointToJson(fingerprint_, run_));
+  }
+}
 
-  if (ctx != nullptr) run.status = ctx->Snapshot();
-  run.status.complete = run.csv_rows.size() == execs.size();
-  if (!options.checkpoint_path.empty()) {
-    WriteStudyCheckpoint(options.checkpoint_path,
-                        StudyCheckpointToJson(fingerprint, run));
+void StudyCommit::Quarantine(FailureRecord record) {
+  const Execution& e = execs_[next_row()];
+  StudyRowResult row;
+  row.csv =
+      StudyCsvRow(e, Result<Stats>(Infeasible::kBadConfig, record.reason));
+  // Keep the supervisor's evidence (worker, flight post-mortem), scoped
+  // with this row's coordinates.
+  record.item = next_row();
+  record.fingerprint = StudyRowFingerprint(e);
+  ctx_->RecordFailure(std::move(record));
+  Commit(std::move(row));
+}
+
+StudyRun StudyCommit::Finish() {
+  run_.status = ctx_->Snapshot();
+  run_.status.complete = run_.csv_rows.size() == execs_.size();
+  if (!checkpoint_path_.empty()) {
+    WriteStudyCheckpoint(checkpoint_path_,
+                         StudyCheckpointToJson(fingerprint_, run_));
   }
-  return run;
+  return std::move(run_);
+}
+
+StudyRun Study::RunResilient(const StudyRunOptions& options) const {
+  CALC_TRACE_SPAN("runner", "study");
+  StudyCommit commit(*this, options);
+  const std::vector<Execution>& execs = commit.rows();
+  for (std::uint64_t i = commit.next_row(); i < execs.size(); ++i) {
+    if (commit.ctx()->ShouldStop()) break;
+    commit.Commit(
+        EvaluateStudyRow(*this, execs[i], options.fault_key_base + i));
+  }
+  return commit.Finish();
 }
 
 std::string StudyCsvHeader() {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,22 +128,64 @@ struct Study {
   [[nodiscard]] StudyRun RunResilient(const StudyRunOptions& options = {}) const;
 };
 
+// One evaluated study row, as the commit consumes it and a dist worker
+// ships it back.
+struct StudyRowResult {
+  std::string csv;                       // the row's CSV data line
+  std::optional<PerSecond> sample_rate;  // feasible rows
+  // kBadConfig out of a well-formed row (a model bug or an injected
+  // fault): the detail charged to the failure budget.
+  std::optional<std::string> bad_config;
+};
+
 // Evaluates one enumerated row with the fault-isolation discipline of
 // RunResilient: an injected error-fault or any thrown exception becomes an
-// Infeasible::kBadConfig Result instead of propagating. This is the single
-// row evaluator shared by the in-process loop and the dist worker, which
-// is what makes their outputs bit-identical.
-[[nodiscard]] Result<Stats> EvaluateStudyRow(const Study& study,
-                                             const Execution& exec,
-                                             std::uint64_t fault_key);
+// Infeasible::kBadConfig row instead of propagating. The single row
+// evaluator of the in-process loop and the dist worker.
+[[nodiscard]] StudyRowResult EvaluateStudyRow(const Study& study,
+                                              const Execution& exec,
+                                              std::uint64_t fault_key);
 
-// Compact configuration coordinates for failure records and quarantine
-// reports ("t=.. p=.. d=.. mb=.. batch=.. il=.. rc=..").
-[[nodiscard]] std::string StudyRowFingerprint(const Execution& exec);
+// The in-order commit of a resilient study run, shared by
+// Study::RunResilient (fed by its own loop) and dist::RunStudySupervised
+// (fed by worker results): resume, best row, failure charge, checkpoint
+// cadence and status live here once.
+class StudyCommit {
+ public:
+  // Enumerates the study and, with options.resume, restores the
+  // checkpoint (ConfigError on a mismatched or oversized one).
+  StudyCommit(const Study& study, const StudyRunOptions& options);
 
-// Study checkpoint persistence, shared by RunResilient and the supervised
-// dist driver so both produce interchangeable checkpoint files (same
-// format marker, same fingerprint guard, same atomic-write discipline).
+  [[nodiscard]] const std::vector<Execution>& rows() const { return execs_; }
+  // The row the next Commit() fills; the resume watermark before any.
+  [[nodiscard]] std::uint64_t next_row() const {
+    return run_.csv_rows.size();
+  }
+  // options.ctx, or a private context when the caller passed none, so the
+  // returned status counts rows, failures and quarantines either way.
+  [[nodiscard]] RunContext* ctx() { return ctx_; }
+
+  // Commits row next_row().
+  void Commit(StudyRowResult row);
+  // Commits row next_row(), whose worker was quarantined, as an
+  // infeasible "quarantined ..." row and records `record` as its failure.
+  void Quarantine(FailureRecord record);
+  // Final status and checkpoint.
+  [[nodiscard]] StudyRun Finish();
+
+ private:
+  const std::vector<Execution> execs_;
+  const std::string fingerprint_;
+  const std::string checkpoint_path_;
+  const std::uint64_t checkpoint_every_;
+  RunContext local_ctx_;
+  RunContext* const ctx_;
+  StudyRun run_;
+  std::uint64_t since_checkpoint_ = 0;
+};
+
+// Study checkpoint persistence (format marker, fingerprint guard, atomic
+// writes), used by StudyCommit.
 void WriteStudyCheckpoint(const std::string& path, const json::Value& value);
 [[nodiscard]] json::Value StudyCheckpointToJson(const std::string& fingerprint,
                                                 const StudyRun& run);

@@ -1,9 +1,10 @@
 #include "search/exec_search.h"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <limits>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -153,39 +154,15 @@ namespace {
 // One slot per Infeasible enumerator (kNone..kBadConfig).
 constexpr std::size_t kNumInfeasible =
     static_cast<std::size_t>(Infeasible::kBadConfig) + 1;
-using RejectionTally = std::array<std::uint64_t, kNumInfeasible>;
 
-struct LocalState {
-  std::vector<SearchEntry> best;
-  std::uint64_t evaluated = 0;
-  std::uint64_t feasible = 0;
-  RejectionTally rejected{};
-  std::vector<PerSecond> rates;
-  ParetoFront pareto;
-};
-
-// Publishes per-reason rejection tallies as metrics counters, e.g.
-// "exec_search.rejected.insufficient_memory_capacity". Tallies stay in
-// per-triple local arrays during the sweep (no hot atomics); this runs once
-// per search.
-void PublishRejections(const char* prefix, const RejectionTally& rejected) {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  if (!metrics.enabled()) return;
-  for (std::size_t i = 1; i < kNumInfeasible; ++i) {  // skip kNone
-    if (rejected[i] == 0) continue;
-    const std::string name =
-        std::string(prefix) + ".rejected." +
-        obs::MetricNameSegment(ToString(static_cast<Infeasible>(i)));
-    metrics.GetCounter(name)->Increment(rejected[i]);
-  }
+// The search's total order on candidate results: higher sample rate wins,
+// lower tier-1 memory breaks ties deterministically.
+bool Better(const Stats& a, const Stats& b) {
+  if (a.sample_rate != b.sample_rate) return a.sample_rate > b.sample_rate;
+  return a.tier1.Total() < b.tier1.Total();
 }
 
 }  // namespace
-
-bool Better(const Stats& a, const Stats& b) {
-  if (a.sample_rate != b.sample_rate) return a.sample_rate > b.sample_rate;
-  return a.tier1.Total() < b.tier1.Total();  // deterministic tie-break
-}
 
 void InsertTopK(std::vector<SearchEntry>& best, int top_k, Execution exec,
                 Stats stats) {
@@ -203,6 +180,11 @@ void InsertTopK(std::vector<SearchEntry>& best, int top_k, Execution exec,
 }
 
 namespace {
+
+std::string TripleLabel(const Triple& tr) {
+  return StrFormat("t=%lld p=%lld d=%lld", static_cast<long long>(tr.t),
+                   static_cast<long long>(tr.p), static_cast<long long>(tr.d));
+}
 
 // Compact configuration coordinates for FailureRecords: enough to replay
 // the exact evaluation that faulted.
@@ -223,150 +205,143 @@ std::string ExecFingerprint(const Execution& e) {
 
 // Evaluates one candidate with fault isolation: injected faults, exceptions
 // escaping the model, and kBadConfig hard-error Results become
-// FailureRecords on `ctx` instead of aborting the sweep. Only called when a
-// RunContext is present.
-[[nodiscard]] Result<Stats> GuardedEvaluate(const Application& app,
-                                            const Execution& e,
-                                            const System& sys,
-                                            RunContext* ctx,
-                                            std::uint64_t key) {
+// FailureRecords in `failures` instead of aborting the sweep.
+[[nodiscard]] Result<Stats> GuardedEvaluate(
+    const Application& app, const Execution& e, const System& sys,
+    std::uint64_t key, std::vector<FailureRecord>& failures) {
+  auto record = [&](std::string reason) {
+    failures.push_back({key, ExecFingerprint(e), std::move(reason),
+                        ThreadPool::CurrentWorkerId(), {}});
+  };
   auto& faults = testing::FaultInjector::Global();
   try {
     if (faults.enabled() && faults.MaybeInject(key)) {
       Result<Stats> injected(Infeasible::kBadConfig, "injected fault");
-      ctx->RecordFailure(key, ExecFingerprint(e), injected.detail(),
-                         ThreadPool::CurrentWorkerId());
+      record(injected.detail());
       return injected;
     }
     Result<Stats> r = CalculatePerformance(app, e, sys);
-    if (!r.ok() && r.reason() == Infeasible::kBadConfig) {
-      // A structurally valid configuration produced a hard error (the
-      // model's non-finite screen): a model bug, not a property of the
-      // swept configuration — record it, don't hide it among infeasibles.
-      ctx->RecordFailure(key, ExecFingerprint(e), r.detail(),
-                         ThreadPool::CurrentWorkerId());
-    }
+    // A hard error out of a structurally valid configuration (the model's
+    // non-finite screen) is a model bug, not a property of the swept
+    // configuration — record it, don't hide it among infeasibles.
+    if (!r.ok() && r.reason() == Infeasible::kBadConfig) record(r.detail());
     return r;
   } catch (const std::exception& ex) {
-    ctx->RecordFailure(key, ExecFingerprint(e), ex.what(),
-                       ThreadPool::CurrentWorkerId());
+    record(ex.what());
     return Result<Stats>(Infeasible::kBadConfig, ex.what());
   }
 }
 
-// Sweeps every candidate of one (t, p, d) triple into `local`. The single
-// evaluation-order-defining loop nest, shared by the in-process ParallelFor
-// and the dist worker (SweepTriple) so both make identical evaluations
-// with identical fault-injection keys.
+// Sweeps every candidate of one (t, p, d) triple into `out`: the single
+// evaluation-order-defining loop nest, run once per triple by
+// ExecSearch::Sweep in every execution path. Candidates evaluated before
+// a cooperative stop on config.ctx are kept — partial results survive a
+// cancelled sweep.
 void SweepTripleInto(const Application& app, const System& sys,
                      const SearchSpace& space, const SearchConfig& config,
-                     std::int64_t batch, bool has_tier2, Triple tr,
-                     std::uint64_t idx, RunContext* ctx,
-                     obs::Histogram* latency, LocalState& local) {
-    Execution e;
-    e.num_procs = sys.num_procs();
-    e.tensor_par = tr.t;
-    e.pipeline_par = tr.p;
-    e.data_par = tr.d;
-    e.batch_size = batch;
+                     Triple tr, std::uint64_t idx, obs::Histogram* latency,
+                     TripleSweep& out, ParetoFront& pareto) {
+  RunContext* const ctx = config.ctx;
+  const std::int64_t batch =
+      config.batch_size > 0 ? config.batch_size : sys.num_procs();
+  Execution e;
+  e.num_procs = sys.num_procs();
+  e.tensor_par = tr.t;
+  e.pipeline_par = tr.p;
+  e.data_par = tr.d;
+  e.batch_size = batch;
 
-    // Contextual knob lists: degenerate degrees collapse their options.
-    const bool has_tp = tr.t > 1;
-    const bool has_pp = tr.p > 1;
-    const bool has_dp = tr.d > 1;
+  // Contextual knob lists: degenerate degrees collapse their options.
+  const bool has_tp = tr.t > 1;
+  const bool has_pp = tr.p > 1;
+  const bool has_dp = tr.d > 1;
 
-    static const std::vector<SearchSpace::TpCommVariant> kNoTp = {
-        {false, false, false}};
-    static const std::vector<TpOverlap> kNoOverlap = {TpOverlap::kNone};
-    static const std::vector<bool> kFalseOnly = {false};
-    static const std::vector<bool> kTrueOnly = {true};
-    static const std::vector<SearchSpace::OffloadVariant> kNoOffload = {
-        {false, false, false}};
+  static const std::vector<SearchSpace::TpCommVariant> kNoTp = {
+      {false, false, false}};
+  static const std::vector<TpOverlap> kNoOverlap = {TpOverlap::kNone};
+  static const std::vector<bool> kFalseOnly = {false};
+  static const std::vector<bool> kTrueOnly = {true};
+  static const std::vector<SearchSpace::OffloadVariant> kNoOffload = {
+      {false, false, false}};
 
-    const auto& tp_comm = has_tp ? space.tp_comm : kNoTp;
-    const auto& tp_overlap = has_tp ? space.tp_overlap : kNoOverlap;
-    const auto& dp_overlap = has_dp ? space.dp_overlap : kFalseOnly;
-    const auto& sharding = has_dp ? space.optimizer_sharding : kFalseOnly;
-    const auto& one_f_one_b = has_pp ? space.pp_1f1b : kTrueOnly;
-    const auto& pp_rs_ag =
-        (has_pp && has_tp) ? space.pp_rs_ag : kFalseOnly;
-    const auto& offload = has_tier2 ? space.offload : kNoOffload;
+  const auto& tp_comm = has_tp ? space.tp_comm : kNoTp;
+  const auto& tp_overlap = has_tp ? space.tp_overlap : kNoOverlap;
+  const auto& dp_overlap = has_dp ? space.dp_overlap : kFalseOnly;
+  const auto& sharding = has_dp ? space.optimizer_sharding : kFalseOnly;
+  const auto& one_f_one_b = has_pp ? space.pp_1f1b : kTrueOnly;
+  const auto& pp_rs_ag = (has_pp && has_tp) ? space.pp_rs_ag : kFalseOnly;
+  const auto& offload =
+      sys.proc().mem2.present() ? space.offload : kNoOffload;
 
-    const std::int64_t bpp = CeilDiv(app.num_blocks, tr.p);
-    std::vector<std::int64_t> interleavings = {1};
-    if (space.sweep_interleaving && has_pp) {
-      interleavings = Divisors(bpp);
-    }
+  const std::int64_t bpp = CeilDiv(app.num_blocks, tr.p);
+  std::vector<std::int64_t> interleavings = {1};
+  if (space.sweep_interleaving && has_pp) {
+    interleavings = Divisors(bpp);
+  }
 
-    std::vector<std::int64_t> microbatches;
-    for (std::int64_t m : Divisors(batch / tr.d)) {
-      if (m <= space.max_microbatch) microbatches.push_back(m);
-    }
+  std::vector<std::int64_t> microbatches;
+  for (std::int64_t m : Divisors(batch / tr.d)) {
+    if (m <= space.max_microbatch) microbatches.push_back(m);
+  }
 
-    // The nest runs inside a lambda so a cooperative stop can abandon the
-    // triple's remaining candidates while keeping (and merging) everything
-    // already evaluated — partial results survive a cancelled sweep.
-    auto sweep_triple = [&] {
-    for (std::int64_t m : microbatches) {
-      e.microbatch = m;
-      for (std::int64_t il : interleavings) {
-        e.pp_interleaving = il;
-        for (Recompute rc : space.recompute) {
-          e.recompute = rc;
-          if (ctx != nullptr && ctx->ShouldStop()) return;
-          for (const auto& tpc : tp_comm) {
-            e.tp_rs_ag = tpc.tp_rs_ag;
-            e.seq_par = tpc.seq_par;
-            e.seq_par_ag_redo = tpc.ag_redo;
-            for (TpOverlap ov : tp_overlap) {
-              e.tp_overlap = ov;
-              for (bool fused : space.fused_activation) {
-                e.fused_activation = fused;
-                for (bool dpo : dp_overlap) {
-                  e.dp_overlap = dpo;
-                  for (bool sh : sharding) {
-                    e.optimizer_sharding = sh;
-                    for (bool f1b : one_f_one_b) {
-                      e.pp_1f1b = f1b;
-                      for (bool ppr : pp_rs_ag) {
-                        e.pp_rs_ag = ppr;
-                        for (const auto& off : offload) {
-                          e.weight_offload = off.weights;
-                          e.activation_offload = off.activations;
-                          e.optimizer_offload = off.optimizer;
+  for (std::int64_t m : microbatches) {
+    e.microbatch = m;
+    for (std::int64_t il : interleavings) {
+      e.pp_interleaving = il;
+      for (Recompute rc : space.recompute) {
+        e.recompute = rc;
+        if (ctx != nullptr && ctx->ShouldStop()) return;
+        for (const auto& tpc : tp_comm) {
+          e.tp_rs_ag = tpc.tp_rs_ag;
+          e.seq_par = tpc.seq_par;
+          e.seq_par_ag_redo = tpc.ag_redo;
+          for (TpOverlap ov : tp_overlap) {
+            e.tp_overlap = ov;
+            for (bool fused : space.fused_activation) {
+              e.fused_activation = fused;
+              for (bool dpo : dp_overlap) {
+                e.dp_overlap = dpo;
+                for (bool sh : sharding) {
+                  e.optimizer_sharding = sh;
+                  for (bool f1b : one_f_one_b) {
+                    e.pp_1f1b = f1b;
+                    for (bool ppr : pp_rs_ag) {
+                      e.pp_rs_ag = ppr;
+                      for (const auto& off : offload) {
+                        e.weight_offload = off.weights;
+                        e.activation_offload = off.activations;
+                        e.optimizer_offload = off.optimizer;
 
-                          ++local.evaluated;
-                          const double eval_t0 =
-                              latency != nullptr ? obs::MonotonicMicros()
-                                                 : 0.0;
-                          // Evaluation key: deterministic per configuration
-                          // regardless of thread interleaving (triple index
-                          // in the high bits, per-triple counter below).
-                          Result<Stats> r =
-                              ctx != nullptr
-                                  ? GuardedEvaluate(app, e, sys, ctx,
-                                                    (idx << 32) +
-                                                        local.evaluated)
-                                  : CalculatePerformance(app, e, sys);
-                          if (latency != nullptr) {
-                            latency->Observe(obs::MonotonicMicros() -
-                                             eval_t0);
-                          }
-                          if (!r.ok()) {
-                            ++local.rejected[static_cast<std::size_t>(
-                                r.reason())];
-                            continue;
-                          }
-                          ++local.feasible;
-                          if (config.keep_all_rates) {
-                            local.rates.push_back(r.value().sample_rate);
-                          }
-                          if (config.keep_pareto) {
-                            local.pareto.Insert({e, r.value()});
-                          }
-                          InsertTopK(local.best, config.top_k, e,
-                                     std::move(r).value());
+                        ++out.evaluated;
+                        const double eval_t0 =
+                            latency != nullptr ? obs::MonotonicMicros() : 0.0;
+                        // Evaluation key: deterministic per configuration
+                        // regardless of thread interleaving (triple index
+                        // in the high bits, per-triple counter below).
+                        Result<Stats> r =
+                            ctx != nullptr
+                                ? GuardedEvaluate(
+                                      app, e, sys,
+                                      (idx << 32) + out.evaluated,
+                                      out.failures)
+                                : CalculatePerformance(app, e, sys);
+                        if (latency != nullptr) {
+                          latency->Observe(obs::MonotonicMicros() - eval_t0);
                         }
+                        if (!r.ok()) {
+                          ++out.rejected[static_cast<std::size_t>(
+                              r.reason())];
+                          continue;
+                        }
+                        ++out.feasible;
+                        if (config.keep_all_rates) {
+                          out.rates.push_back(r.value().sample_rate);
+                        }
+                        if (config.keep_pareto) {
+                          pareto.Insert({e, r.value()});
+                        }
+                        InsertTopK(out.best, config.top_k, e,
+                                   std::move(r).value());
                       }
                     }
                   }
@@ -377,8 +352,7 @@ void SweepTripleInto(const Application& app, const System& sys,
         }
       }
     }
-    };
-    sweep_triple();
+  }
 }
 
 }  // namespace
@@ -403,51 +377,94 @@ std::vector<Triple> SearchTriples(const Application& app, const System& sys,
   return triples;
 }
 
+ExecSearch::ExecSearch(const Application& app, const System& sys,
+                       const SearchSpace& space, const SearchConfig& config)
+    : app_(app),
+      sys_(sys),
+      space_(space),
+      config_(config),
+      triples_(SearchTriples(app, sys, space, config)),
+      // Fetched once per search; the per-evaluation path is a clock read
+      // + histogram observe, and skips even those when metrics are off.
+      latency_(obs::MetricsRegistry::Global().enabled()
+                   ? obs::MetricsRegistry::Global().GetHistogram(
+                         "exec_search.eval_latency_us",
+                         obs::DefaultLatencyBoundsUs())
+                   : nullptr),
+      ctx_(config.ctx != nullptr ? config.ctx : &local_ctx_) {}
+
+TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
+  const Triple tr = triples_.at(index);
+  CALC_TRACE_SPAN("search", "triple " + TripleLabel(tr));
+  TripleSweep out;
+  out.rejected.assign(kNumInfeasible, 0);
+  ParetoFront pareto;
+  SweepTripleInto(app_, sys_, space_, config_, tr, index, latency_, out,
+                  pareto);
+  out.pareto = std::move(pareto).TakeEntries();
+
+  // The only writer of these counters, in whichever process swept the
+  // triple: a supervised worker's registry carries them to the supervisor,
+  // which sums the workers' snapshots into the same names.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  if (metrics.enabled()) {
+    metrics.GetCounter("exec_search.evaluated")->Increment(out.evaluated);
+    metrics.GetCounter("exec_search.feasible")->Increment(out.feasible);
+    for (std::size_t i = 1; i < kNumInfeasible; ++i) {  // skip kNone
+      if (out.rejected[i] == 0) continue;
+      metrics
+          .GetCounter("exec_search.rejected." +
+                      obs::MetricNameSegment(
+                          ToString(static_cast<Infeasible>(i))))
+          ->Increment(out.rejected[i]);
+    }
+  }
+  return out;
+}
+
+void ExecSearch::Commit(TripleSweep sweep) {
+  result_.evaluated += sweep.evaluated;
+  result_.feasible += sweep.feasible;
+  for (SearchEntry& entry : sweep.best) {
+    InsertTopK(result_.best, config_.top_k, std::move(entry.exec),
+               std::move(entry.stats));
+  }
+  result_.all_rates.insert(result_.all_rates.end(), sweep.rates.begin(),
+                           sweep.rates.end());
+  result_.pareto.insert(result_.pareto.end(),
+                        std::make_move_iterator(sweep.pareto.begin()),
+                        std::make_move_iterator(sweep.pareto.end()));
+  for (FailureRecord& failure : sweep.failures) {
+    ctx_->RecordFailure(std::move(failure));
+  }
+  ctx_->RecordCompleted();
+}
+
+void ExecSearch::Quarantine(FailureRecord record) {
+  record.fingerprint = TripleLabel(triples_.at(record.item));
+  record.item <<= 32;  // the triple's evaluation-key range
+  ctx_->RecordFailure(std::move(record));
+}
+
+SearchResult ExecSearch::Finish() {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  if (metrics.enabled()) {
+    metrics.GetCounter("exec_search.culled_triples")
+        ->Increment(FactorTriples(sys_.num_procs()).size() - triples_.size());
+  }
+  CALC_TRACE_COUNTER("exec_search.evaluated", result_.evaluated);
+  result_.pareto = ExtractParetoFront(std::move(result_.pareto));
+  result_.status = ctx_->Snapshot();
+  return std::move(result_);
+}
+
 TripleSweep SweepTriple(const Application& app, const System& sys,
                         const SearchSpace& space, const SearchConfig& config,
                         std::uint64_t index) {
-  const std::vector<Triple> triples = SearchTriples(app, sys, space, config);
-  if (index >= triples.size()) {
-    throw ConfigError("SweepTriple: triple index out of range");
-  }
-  const std::int64_t batch =
-      config.batch_size > 0 ? config.batch_size : sys.num_procs();
-  // A private context captures the triple's hard failures for replay onto
-  // the caller's accounting; uncapped so the replayed count is exact.
-  RunContext local_ctx;
-  local_ctx.set_max_failure_samples(
-      std::numeric_limits<std::size_t>::max());
-  LocalState local;
-  // Same instrumentation as the in-process sweep: inside a supervised
-  // worker these land in the worker's own registry/trace and travel to the
-  // supervisor as metrics_snapshot / trace_chunk frames, so the aggregated
-  // counts match the in-process run exactly.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  obs::Histogram* const latency =
-      metrics.enabled()
-          ? metrics.GetHistogram("exec_search.eval_latency_us",
-                                 obs::DefaultLatencyBoundsUs())
-          : nullptr;
-  const Triple tr = triples[index];
-  CALC_TRACE_SPAN("search", StrFormat("triple t=%lld p=%lld d=%lld",
-                                      static_cast<long long>(tr.t),
-                                      static_cast<long long>(tr.p),
-                                      static_cast<long long>(tr.d)));
-  SweepTripleInto(app, sys, space, config, batch,
-                  sys.proc().mem2.present(), tr, index,
-                  &local_ctx, latency, local);
-  if (metrics.enabled()) {
-    metrics.GetCounter("exec_search.evaluated")->Increment(local.evaluated);
-    metrics.GetCounter("exec_search.feasible")->Increment(local.feasible);
-    PublishRejections("exec_search", local.rejected);
-  }
-  TripleSweep out;
-  out.best = std::move(local.best);
-  out.evaluated = local.evaluated;
-  out.feasible = local.feasible;
-  out.rejected.assign(local.rejected.begin(), local.rejected.end());
-  out.failures = local_ctx.Snapshot().failure_samples;
-  return out;
+  RunContext isolate;
+  SearchConfig isolated = config;
+  isolated.ctx = &isolate;
+  return ExecSearch(app, sys, space, isolated).Sweep(index);
 }
 
 SearchResult FindOptimalExecution(const Application& app, const System& sys,
@@ -455,70 +472,15 @@ SearchResult FindOptimalExecution(const Application& app, const System& sys,
                                   const SearchConfig& config,
                                   ThreadPool& pool) {
   CALC_TRACE_SPAN("search", "exec_search");
-  const std::int64_t n = sys.num_procs();
-  const std::int64_t batch =
-      config.batch_size > 0 ? config.batch_size : n;
-  const bool has_tier2 = sys.proc().mem2.present();
-
-  // Candidate partitionings under the structural constraints.
-  const std::size_t all_triples = FactorTriples(n).size();
-  const std::vector<Triple> triples =
-      SearchTriples(app, sys, space, config);
-
-  SearchResult result;
-  ParetoFront pareto;
-  RejectionTally rejected{};
-  Mutex merge_mutex;
-  RunContext* const ctx = config.ctx;
-
-  // Instrument pointers are fetched once per search; the per-evaluation
-  // path is a clock read + histogram observe, and skips even those when
-  // metrics are disabled.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  obs::Histogram* const latency =
-      metrics.enabled()
-          ? metrics.GetHistogram("exec_search.eval_latency_us",
-                                 obs::DefaultLatencyBoundsUs())
-          : nullptr;
-
-  pool.ParallelFor(triples.size(), ctx, [&](std::uint64_t idx) {
-    const Triple tr = triples[idx];
-    CALC_TRACE_SPAN("search",
-                    StrFormat("triple t=%lld p=%lld d=%lld",
-                              static_cast<long long>(tr.t),
-                              static_cast<long long>(tr.p),
-                              static_cast<long long>(tr.d)));
-    LocalState local;
-    SweepTripleInto(app, sys, space, config, batch, has_tier2, tr, idx, ctx,
-                    latency, local);
-
-    MutexLock lock(merge_mutex);
-    result.evaluated += local.evaluated;
-    result.feasible += local.feasible;
-    for (std::size_t i = 0; i < kNumInfeasible; ++i) {
-      rejected[i] += local.rejected[i];
-    }
-    for (SearchEntry& entry : local.best) {
-      InsertTopK(result.best, config.top_k, std::move(entry.exec),
-                 std::move(entry.stats));
-    }
-    result.all_rates.insert(result.all_rates.end(), local.rates.begin(),
-                            local.rates.end());
-    pareto.Merge(std::move(local.pareto));
+  ExecSearch search(app, sys, space, config);
+  Mutex commit_mutex;
+  pool.ParallelFor(search.triples().size(), [&](std::uint64_t idx) {
+    if (config.ctx != nullptr && config.ctx->ShouldStop()) return;
+    TripleSweep sweep = search.Sweep(idx);
+    MutexLock lock(commit_mutex);
+    search.Commit(std::move(sweep));
   });
-
-  if (metrics.enabled()) {
-    metrics.GetCounter("exec_search.evaluated")->Increment(result.evaluated);
-    metrics.GetCounter("exec_search.feasible")->Increment(result.feasible);
-    metrics.GetCounter("exec_search.culled_triples")
-        ->Increment(all_triples - triples.size());
-    PublishRejections("exec_search", rejected);
-  }
-  CALC_TRACE_COUNTER("exec_search.evaluated", result.evaluated);
-
-  if (config.keep_pareto) result.pareto = pareto.Sorted();
-  if (ctx != nullptr) result.status = ctx->Snapshot();
-  return result;
+  return search.Finish();
 }
 
 }  // namespace calculon

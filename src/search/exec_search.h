@@ -14,6 +14,7 @@
 
 #include "core/perf_model.h"
 #include "json/json.h"
+#include "obs/metrics.h"
 #include "util/mathutil.h"
 #include "util/threadpool.h"
 #include "util/run_context.h"
@@ -88,13 +89,8 @@ struct SearchEntry {
   Stats stats;
 };
 
-// The search's total order on candidate results: higher sample rate wins,
-// lower tier-1 memory breaks ties deterministically. Exposed so the
-// supervised dist driver merges worker top-k lists with the identical
-// ordering the in-process search uses.
-[[nodiscard]] bool Better(const Stats& a, const Stats& b);
-
-// Sorted bounded insert into a top-k list ordered by Better().
+// Sorted bounded insert into a top-k list: higher sample rate first, lower
+// tier-1 memory breaking ties.
 void InsertTopK(std::vector<SearchEntry>& best, int top_k, Execution exec,
                 Stats stats);
 
@@ -110,8 +106,8 @@ struct SearchResult {
   // the Section 4.2 "minimize time or memory, as desired" trade-off.
   std::vector<SearchEntry> pareto;
   // Failure summary of the sweep: whether the whole space was enumerated,
-  // why it stopped early, and the isolated per-evaluation hard failures.
-  // Default-complete when the search ran without a RunContext.
+  // why it stopped early, the triples completed, and the isolated hard
+  // failures and quarantines — with or without a caller RunContext.
   RunStatus status;
 };
 
@@ -129,7 +125,8 @@ struct SearchConfig {
 };
 
 // Searches all execution strategies for `app` on `sys` (using
-// `sys.num_procs()` processors).
+// `sys.num_procs()` processors): an ExecSearch whose triples a ThreadPool
+// sweeps, committed in completion order.
 [[nodiscard]] SearchResult FindOptimalExecution(const Application& app,
                                                 const System& sys,
                                                 const SearchSpace& space,
@@ -146,22 +143,76 @@ struct SearchConfig {
                                                 const SearchSpace& space,
                                                 const SearchConfig& config);
 
-// Outcome of sweeping a single triple: the work unit a dist worker ships
-// back. `rejected` is indexed by Infeasible; `failures` are the isolated
-// hard failures (replayed onto the parent's RunContext so failure-budget
-// accounting is identical to the in-process sweep).
+// Outcome of sweeping a single (t, p, d) triple — the only per-triple
+// result. A ThreadPool thread produces it in-process, a supervised dist
+// worker ships it over the wire, and ExecSearch::Commit folds it into the
+// SearchResult either way. `rejected` is indexed by Infeasible; `failures`
+// are the isolated hard failures, replayed onto the run's RunContext by
+// the commit.
 struct TripleSweep {
   std::vector<SearchEntry> best;  // the triple's top-k, sorted
   std::uint64_t evaluated = 0;
   std::uint64_t feasible = 0;
   std::vector<std::uint64_t> rejected;
+  std::vector<PerSecond> rates;       // every feasible rate (keep_all_rates)
+  std::vector<SearchEntry> pareto;    // the triple's front (keep_pareto)
   std::vector<FailureRecord> failures;
 };
 
-// Sweeps triples[index] of SearchTriples(app, sys, space, config) with the
-// same evaluation order, fault-injection keys, and fault isolation as
-// FindOptimalExecution. `keep_all_rates`/`keep_pareto` are ignored here
-// (the dist driver falls back to in-process for those collectors).
+// One execution search, split into the halves every execution path
+// shares: the per-triple evaluator (Sweep) and the commit
+// (Commit/Quarantine/Finish). FindOptimalExecution feeds the commit from a
+// ThreadPool; dist::FindOptimalExecutionSupervised from worker results, in
+// triple order; a dist worker runs only Sweep. Counting, failure replay
+// and collection therefore happen once, for both paths.
+class ExecSearch {
+ public:
+  ExecSearch(const Application& app, const System& sys,
+             const SearchSpace& space, const SearchConfig& config);
+
+  // SearchTriples(): item i of the search is triples()[i].
+  [[nodiscard]] const std::vector<Triple>& triples() const {
+    return triples_;
+  }
+  // The run's accounting context: config.ctx, or a private one when the
+  // caller passed none, so the returned status counts completed triples
+  // and quarantines either way.
+  [[nodiscard]] RunContext* ctx() { return ctx_; }
+
+  // Sweeps triples()[index] and publishes its exec_search.evaluated,
+  // .feasible and .rejected.* counters. With config.ctx, polls it for a
+  // stop and isolates hard failures (exceptions, kBadConfig Results,
+  // injected faults) into the result; without, exceptions propagate.
+  // Safe to call concurrently.
+  [[nodiscard]] TripleSweep Sweep(std::uint64_t index) const;
+
+  // Folds one triple's sweep into the result, replays its failures onto
+  // ctx() and counts it as a completed item. Callers serialize commits.
+  void Commit(TripleSweep sweep);
+  // Records triple `record.item`, whose worker was quarantined, as a
+  // failure on ctx().
+  void Quarantine(FailureRecord record);
+  // Publishes exec_search.culled_triples and returns the result with its
+  // Pareto front and status.
+  [[nodiscard]] SearchResult Finish();
+
+ private:
+  const Application& app_;
+  const System& sys_;
+  const SearchSpace& space_;
+  const SearchConfig config_;
+  const std::vector<Triple> triples_;
+  obs::Histogram* const latency_;
+  RunContext local_ctx_;
+  RunContext* const ctx_;
+  // Until Finish(), result_.pareto holds every committed triple's front in
+  // commit order; reducing them in that order equals merging as they came.
+  SearchResult result_;
+};
+
+// ExecSearch(app, sys, space, config).Sweep(index) with the fault
+// isolation of a search that has a RunContext (config.ctx is not
+// consulted): the work a dist worker does for triple `index`.
 [[nodiscard]] TripleSweep SweepTriple(const Application& app,
                                       const System& sys,
                                       const SearchSpace& space,

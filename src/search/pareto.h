@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "search/exec_search.h"
@@ -37,6 +38,10 @@ class ParetoFront {
 
   // Entries sorted by ascending batch time.
   [[nodiscard]] std::vector<SearchEntry> Sorted() const;
+  // Moves the entries out in insertion order, the order Merge() replays.
+  [[nodiscard]] std::vector<SearchEntry> TakeEntries() && {
+    return std::move(entries_);
+  }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "models/application.h"
 #include "models/presets.h"
 
@@ -63,6 +65,10 @@ struct PresetCase {
   double expected_params;
   double tolerance;  // relative
 };
+
+// Test names carry the printed parameter; print the preset name rather than
+// the default byte dump, which would embed the address of `name`.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
 
 class PresetParamsTest : public ::testing::TestWithParam<PresetCase> {};
 

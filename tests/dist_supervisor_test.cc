@@ -198,7 +198,7 @@ TEST(DistSupervisor, BrokenJobSpecFailsLoudlyInsteadOfRespawningForever) {
   // instead of forking replacements until the end of time.
   json::Value bad;
   bad["job"] = "no-such-job";
-  dist::SupervisorOptions options;
+  dist::DistOptions options;
   options.workers = 2;
   options.backoff_base_ms = 1;
   options.backoff_max_ms = 4;
@@ -261,6 +261,16 @@ TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {
     }
   }
   EXPECT_EQ(tagged, supervised.evaluated);
+
+  // Both paths count one completed item per committed triple.
+  ThreadPool pool(2);
+  const SearchResult in_process_result = FindOptimalExecution(
+      app, sys, SearchSpace::MegatronBaseline(), config, pool);
+  EXPECT_EQ(supervised.status.items_completed,
+            in_process_result.status.items_completed);
+  EXPECT_EQ(supervised.status.items_completed,
+            SearchTriples(app, sys, SearchSpace::MegatronBaseline(), config)
+                .size());
 }
 
 TEST(DistSupervisor, TelemetryOnKeepsStudyOutputBitIdentical) {
@@ -352,6 +362,140 @@ TEST(DistSupervisor, QuarantineAttachesAFlightRecorderPostMortem) {
     EXPECT_EQ(as_json.at("flight_path").AsString(), record.flight_path);
   }
   std::filesystem::remove_all(log_dir);
+}
+
+// The items of an exec search whose seeded fault decision is a process
+// kind (the worker consults key item << 32 before sweeping triple item).
+std::set<std::uint64_t> ExpectedProcessFaultTriples(
+    const testing::FaultPlan& plan, std::uint64_t num_triples) {
+  testing::FaultInjector injector;
+  injector.Configure(plan);
+  std::set<std::uint64_t> items;
+  for (std::uint64_t i = 0; i < num_triples; ++i) {
+    if (testing::IsProcessFault(injector.Decide(i << 32))) items.insert(i);
+  }
+  return items;
+}
+
+TEST(DistSupervisor, ExecSearchQuarantinesReachStatusWithoutAContext) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  const Application app = presets::Megatron22B();
+  presets::SystemOptions so;
+  so.num_procs = 64;
+  const System sys = presets::A100(so);
+  const SearchSpace space = SearchSpace::MegatronBaseline();
+  SearchConfig config;  // no RunContext
+  config.batch_size = 64;
+  config.top_k = 4;
+
+  testing::FaultPlan plan;
+  plan.seed = 7;
+  plan.segv_rate = 0.3;
+  const std::uint64_t triples =
+      SearchTriples(app, sys, space, config).size();
+  const std::set<std::uint64_t> expected =
+      ExpectedProcessFaultTriples(plan, triples);
+  ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
+  ASSERT_LT(expected.size(), triples) << "seed kills everything";
+
+  ThreadPool pool(1);
+  const SearchResult reference =
+      FindOptimalExecution(app, sys, space, config, pool);
+  dist::DistOptions d = FastDist(2);
+  d.shard_size = 1;
+  d.max_attempts = 1;
+  d.faults_spec = plan.ToSpec();
+  const SearchResult supervised =
+      dist::FindOptimalExecutionSupervised(app, sys, space, config, d);
+
+  EXPECT_LT(supervised.evaluated, reference.evaluated);
+  EXPECT_EQ(supervised.status.failures, expected.size());
+  EXPECT_TRUE(supervised.status.degraded());
+  EXPECT_EQ(supervised.status.items_completed, triples - expected.size());
+  std::set<std::uint64_t> quarantined;
+  for (const FailureRecord& record : supervised.status.failure_samples) {
+    quarantined.insert(record.item >> 32);
+    EXPECT_NE(record.reason.find("quarantined"), std::string::npos)
+        << record.reason;
+    EXPECT_EQ(record.fingerprint.rfind("t=", 0), 0u) << record.fingerprint;
+  }
+  EXPECT_EQ(quarantined, expected);
+}
+
+TEST(DistSupervisor, StudyQuarantinesReachStatusWithoutAContext) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::uint64_t rows = study.Enumerate().size();
+
+  testing::FaultPlan plan;
+  plan.seed = 7;
+  plan.segv_rate = 0.3;
+  const std::set<std::uint64_t> expected =
+      ExpectedProcessFaultItems(plan, rows);
+  ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
+  ASSERT_LT(expected.size(), rows) << "seed kills everything";
+
+  dist::DistOptions d = FastDist(2);
+  d.shard_size = 1;
+  d.max_attempts = 1;
+  d.faults_spec = plan.ToSpec();
+  const StudyRun run =
+      dist::RunStudySupervised(study, StudyRunOptions{}, d);  // no ctx
+
+  ASSERT_EQ(run.csv_rows.size(), rows);
+  EXPECT_TRUE(run.status.complete);
+  EXPECT_TRUE(run.status.degraded());
+  EXPECT_EQ(run.status.failures, expected.size());
+  EXPECT_EQ(run.status.items_completed, rows);
+  std::set<std::uint64_t> quarantined;
+  for (const FailureRecord& record : run.status.failure_samples) {
+    quarantined.insert(record.item);
+  }
+  EXPECT_EQ(quarantined, expected);
+}
+
+TEST(DistSupervisor, SupervisedCollectorsMatchInProcessExactly) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  // keep_all_rates and keep_pareto travel over the wire: the supervised
+  // search, committed in triple order, must equal the one-thread
+  // in-process search, committed in the same order, bit for bit.
+  const Application app = presets::Megatron22B();
+  presets::SystemOptions so;
+  so.num_procs = 64;
+  const System sys = presets::A100(so);
+  const SearchSpace space = SearchSpace::SequenceParallel();
+  SearchConfig config;
+  config.batch_size = 64;
+  config.top_k = 8;
+  config.keep_all_rates = true;
+  config.keep_pareto = true;
+
+  ThreadPool pool(1);
+  const SearchResult reference =
+      FindOptimalExecution(app, sys, space, config, pool);
+  const SearchResult supervised = dist::FindOptimalExecutionSupervised(
+      app, sys, space, config, FastDist(2));
+
+  auto dump = [](const std::vector<SearchEntry>& entries) {
+    std::vector<std::string> out;
+    for (const SearchEntry& e : entries) {
+      // %.17g JSON: equal strings mean equal double bit patterns.
+      out.push_back(e.exec.ToJson().Dump() + e.stats.ToJson().Dump());
+    }
+    return out;
+  };
+  ASSERT_FALSE(reference.best.empty());
+  ASSERT_FALSE(reference.pareto.empty());
+  EXPECT_EQ(dump(supervised.best), dump(reference.best));
+  EXPECT_EQ(dump(supervised.pareto), dump(reference.pareto));
+  ASSERT_EQ(supervised.all_rates.size(), reference.all_rates.size());
+  for (std::size_t i = 0; i < reference.all_rates.size(); ++i) {
+    EXPECT_EQ(supervised.all_rates[i].raw(), reference.all_rates[i].raw())
+        << "rate " << i;
+  }
+  EXPECT_EQ(supervised.evaluated, reference.evaluated);
+  EXPECT_EQ(supervised.feasible, reference.feasible);
+  EXPECT_EQ(supervised.all_rates.size(), supervised.feasible);
 }
 
 TEST(DistSupervisor, ZeroWorkersFallsBackInProcess) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "hw/network.h"
 
@@ -135,6 +136,12 @@ struct CollectiveCase {
   Collective op;
   std::int64_t members;
 };
+
+// Test names carry the printed parameter; the default byte dump would
+// include the uninitialised padding after `op`.
+void PrintTo(const CollectiveCase& c, std::ostream* os) {
+  *os << ToString(c.op) << '_' << c.members;
+}
 
 class NetworkGrowthTest : public ::testing::TestWithParam<CollectiveCase> {};
 

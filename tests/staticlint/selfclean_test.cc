@@ -12,6 +12,7 @@
 #include "staticlint/engine.h"
 #include "staticlint/lexer.h"
 #include "staticlint/rules.h"
+#include "staticlint/symbol_graph.h"
 
 namespace calculon::staticlint {
 namespace {
@@ -53,6 +54,25 @@ TEST(SelfCleanTest, RepositoryLintsCleanUnderShippedPolicy) {
   // The shipped baseline is the target state: empty.
   EXPECT_TRUE(baseline.entries.empty())
       << "baseline has grandfathered entries; fix or justify in-code";
+}
+
+TEST(SelfCleanTest, EveryConfiguredFunctionNameExistsInTheTree) {
+  // The call-graph rules find their roots by name and go quiet when no
+  // function matches, so a renamed root would switch a rule off while the
+  // tree still lints clean. Pin every configured name to a real function.
+  const SymbolGraph graph = SymbolGraph::Build(RepoTree());
+  const ProjectConfig config = ProjectConfig::Default();
+  std::vector<std::string> names(config.hot_path_roots.begin(),
+                                 config.hot_path_roots.end());
+  names.insert(names.end(), config.eval_functions.begin(),
+               config.eval_functions.end());
+  names.insert(names.end(), config.fork_child_entry.begin(),
+               config.fork_child_entry.end());
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    EXPECT_FALSE(graph.Lookup(name).empty())
+        << name << " names no function in the tree";
+  }
 }
 
 TEST(SelfCleanTest, SeededViolationIsDetected) {

@@ -2,6 +2,8 @@
 // Selene validation points and the qualitative claims of Sections 4-6.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/perf_model.h"
 #include "hw/presets.h"
 #include "models/presets.h"
@@ -18,6 +20,10 @@ struct ValidationCase {
   double selene;     // measured batch time (s), paper Table 2
   double tolerance;  // relative tolerance for this reproduction
 };
+
+// Test names carry the printed parameter; print the case name rather than
+// the default byte dump, which would embed the addresses of `name` and `app`.
+void PrintTo(const ValidationCase& c, std::ostream* os) { *os << c.name; }
 
 class Table2Test : public ::testing::TestWithParam<ValidationCase> {};
 
@@ -67,10 +73,7 @@ INSTANTIATE_TEST_SUITE_P(
         ValidationCase{"530B_seqsel", "turing_530b", 280, 8, 35, 1, 280, 1,
                        true, 37.83, 0.15},
         ValidationCase{"1T_seqsel", "megatron_1t", 512, 8, 64, 1, 512, 1,
-                       true, 71.49, 0.15}),
-    [](const auto& param_info) {
-      return std::string(param_info.param.name);
-    });
+                       true, 71.49, 0.15}));
 
 // Section 4.1: over-emphasizing any one parallelism mode degrades
 // Megatron-1T performance relative to a balanced split.
