@@ -110,10 +110,13 @@ fi
 # --- calculon-lint ------------------------------------------------------
 # The project lint engine (src/staticlint/, docs/correctness.md §6) owns
 # the project-aware checks that used to live here as greps: the layering
-# DAG, discarded Result<T>, the Quantity::raw() boundary, the raw-double
-# dimensional scan of src/hw and src/core headers, banned patterns, and
-# header hygiene. It exits non-zero on any finding not in the checked-in
-# baseline (.calculon-lint-baseline, which is kept empty).
+# DAG, the Quantity::raw() boundary, the raw-double dimensional scan of
+# src/hw and src/core headers, banned patterns, and header hygiene, plus
+# the fork-safety / cancellation / hot-path call-graph rules. It does not
+# check the CALC_* lock annotations (Clang -Wthread-safety in CI does) or
+# discarded Result<T> values (the compiler does, via [[nodiscard]]). It
+# exits non-zero on any finding not in the checked-in baseline
+# (.calculon-lint-baseline, which is kept empty).
 #
 # In --changed mode the whole tree is still loaded (cross-file rules need
 # it) but only findings in the changed files are reported, via --only.

@@ -111,14 +111,14 @@ class ProgressReporter {
   // ctx_/options_/start_ are set in the constructor before the reporting
   // thread launches and read-only afterwards.
   const RunContext* ctx_;
-  ProgressOptions options_;  // lint-ok(unannotated-shared): set before launch
+  ProgressOptions options_;  // set before launch
   std::chrono::steady_clock::time_point
-      start_;  // lint-ok(unannotated-shared): set before launch
+      start_;  // set before launch
   Mutex mutex_;
   CondVar cv_;
   bool stop_requested_ CALC_GUARDED_BY(mutex_) = false;
   bool stopped_ CALC_GUARDED_BY(mutex_) = false;
-  std::thread thread_;  // lint-ok(unannotated-shared): ctor/Stop only
+  std::thread thread_;  // ctor/Stop only
 };
 
 }  // namespace calculon::obs

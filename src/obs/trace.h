@@ -155,7 +155,7 @@ class TraceRecorder {
     std::vector<TraceEvent> events CALC_GUARDED_BY(mutex);
     // Written once (under the registry lock) before the buffer is published
     // to other threads, read-only after.
-    int tid = 0;  // lint-ok(unannotated-shared): set before publication
+    int tid = 0;  // set before publication
     std::uint64_t dropped CALC_GUARDED_BY(mutex) = 0;
   };
 

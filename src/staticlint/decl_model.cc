@@ -15,70 +15,22 @@ namespace {
   return sig.IsIdent(i) && StartsWith(sig[i].text, "CALC_");
 }
 
-// One parsed CALC_* occurrence: the macro name, its top-level-comma-split
-// arguments, and the index just past it (past the closing ')' when the
-// macro has an argument list, past the identifier otherwise).
-struct Annotation {
-  std::string macro;
-  std::vector<std::string> args;
-  int line = 0;
-  std::size_t next = 0;
-};
-
-[[nodiscard]] Annotation ParseAnnotation(const SigTokens& sig,
+// Index just past the CALC_* annotation at sig[i]: past the closing ')'
+// when the macro has an argument list, past the identifier otherwise.
+[[nodiscard]] std::size_t SkipAnnotation(const SigTokens& sig,
                                          std::size_t i) {
-  Annotation a;
-  a.macro = std::string(sig[i].text);
-  a.line = sig[i].line;
-  a.next = i + 1;
   if (sig.Is(i + 1, "(")) {
     std::size_t close = FindMatching(sig, i + 1);
-    if (close != kNpos) {
-      a.args = SplitArgs(sig, i + 2, close);
-      a.next = close + 1;
-    }
+    if (close != kNpos) return close + 1;
   }
-  return a;
-}
-
-// Applies one annotation to a field declaration.
-void ApplyFieldAnnotation(const Annotation& a, FieldDecl* field) {
-  if (a.macro == "CALC_GUARDED_BY" || a.macro == "CALC_PT_GUARDED_BY") {
-    if (!a.args.empty()) field->guarded_by = a.args.front();
-  } else if (a.macro == "CALC_ACQUIRED_BEFORE") {
-    field->acquired_before.insert(field->acquired_before.end(),
-                                  a.args.begin(), a.args.end());
-  } else if (a.macro == "CALC_ACQUIRED_AFTER") {
-    field->acquired_after.insert(field->acquired_after.end(), a.args.begin(),
-                                 a.args.end());
-  }
-}
-
-// Applies one annotation to a method declaration.
-void ApplyMethodAnnotation(const Annotation& a, MethodDecl* method) {
-  if (a.macro == "CALC_REQUIRES") {
-    method->requires_held.insert(method->requires_held.end(), a.args.begin(),
-                                 a.args.end());
-  } else if (a.macro == "CALC_ACQUIRE" || a.macro == "CALC_TRY_ACQUIRE") {
-    method->acquires.insert(method->acquires.end(), a.args.begin(),
-                            a.args.end());
-  } else if (a.macro == "CALC_RELEASE") {
-    method->releases.insert(method->releases.end(), a.args.begin(),
-                            a.args.end());
-  } else if (a.macro == "CALC_EXCLUDES") {
-    method->excludes.insert(method->excludes.end(), a.args.begin(),
-                            a.args.end());
-  } else if (a.macro == "CALC_NO_THREAD_SAFETY_ANALYSIS") {
-    method->no_analysis = true;
-  }
+  return i + 1;
 }
 
 // The parser. Holds the model being built so nested classes and
 // out-of-line definitions land in the same collections.
 class Parser {
  public:
-  Parser(FileDeclModel* model, const DeclModelOptions& options)
-      : model_(model), sig_(model->sig), options_(options) {}
+  explicit Parser(FileDeclModel* model) : model_(model), sig_(model->sig) {}
 
   void Run() {
     std::size_t i = 0;
@@ -140,19 +92,13 @@ class Parser {
   // ClassDecl when it has a body) and returns the index past it.
   std::size_t ParseClassAt(std::size_t i) {
     ClassDecl cls;
-    cls.line = sig_[i].line;
     std::size_t j = i + 1;
 
     // Attributes between the keyword and the name: CALC_CAPABILITY("..."),
     // alignas(...), [[...]].
     while (j < sig_.size()) {
       if (IsCalcAnnotation(sig_, j)) {
-        Annotation a = ParseAnnotation(sig_, j);
-        if (a.macro == "CALC_CAPABILITY" ||
-            a.macro == "CALC_SCOPED_CAPABILITY") {
-          cls.is_capability = true;
-        }
-        j = a.next;
+        j = SkipAnnotation(sig_, j);
         continue;
       }
       if (sig_.Is(j, "alignas") && sig_.Is(j + 1, "(")) {
@@ -246,11 +192,11 @@ class Parser {
     }
   }
 
-  // Parses one member declaration starting at k; appends a FieldDecl or
-  // MethodDecl to `cls` when recognized. Returns the index past the member.
+  // Parses one member declaration starting at k; appends a MethodDecl to
+  // `cls` when it is one (data members are skipped). Returns the index past
+  // the member.
   std::size_t ParseMemberDecl(ClassDecl* cls, std::size_t k,
                               std::size_t end) {
-    FieldDecl field;
     std::size_t name_idx = kNpos;
     bool after_annotation = false;
     std::size_t p = k;
@@ -261,25 +207,12 @@ class Parser {
 
       if (tok.kind == TokKind::kIdent) {
         if (StartsWith(t, "CALC_")) {
-          Annotation a = ParseAnnotation(sig_, p);
-          ApplyFieldAnnotation(a, &field);
           after_annotation = true;
-          p = a.next;
+          p = SkipAnnotation(sig_, p);
           continue;
         }
         if (t == "operator") {
           return ParseOperatorMethod(cls, p, end);
-        }
-        if (t == "static") field.is_static = true;
-        if (t == "const" || t == "constexpr") field.is_const = true;
-        if (options_.mutex_types.count(std::string(t)) != 0) {
-          field.is_mutex = true;
-        }
-        if (options_.condvar_types.count(std::string(t)) != 0) {
-          field.is_condvar = true;
-        }
-        if (t == "atomic" || StartsWith(t, "atomic_")) {
-          field.is_atomic = true;
         }
         if (!after_annotation) name_idx = p;
         ++p;
@@ -305,41 +238,21 @@ class Parser {
       if (t == "{") {
         // Brace initializer: the field ends after it.
         p = SkipBracket(p);
-        FinishField(cls, &field, name_idx);
         return sig_.Is(p, ";") ? p + 1 : p;
       }
-      if (t == "=") {
-        std::size_t next = SkipToSemicolon(p + 1, end);
-        FinishField(cls, &field, name_idx);
-        return next;
-      }
-      if (t == ";") {
-        FinishField(cls, &field, name_idx);
-        return p + 1;
-      }
+      if (t == "=") return SkipToSemicolon(p + 1, end);
+      if (t == ";") return p + 1;
       if (t == ",") {
-        // Multiple declarators: finish this one, keep the flags.
-        FinishField(cls, &field, name_idx);
-        field.guarded_by.clear();
-        field.acquired_before.clear();
-        field.acquired_after.clear();
+        // Multiple declarators: the next one starts fresh.
         name_idx = kNpos;
         after_annotation = false;
         ++p;
         continue;
       }
-      if (t == "&") field.is_reference = true;
       if (t == "}") return p;  // ran off the scope: malformed, stop
-      ++p;  // ~, *, ::, etc.
+      ++p;  // ~, *, &, ::, etc.
     }
     return end;
-  }
-
-  void FinishField(ClassDecl* cls, FieldDecl* field, std::size_t name_idx) {
-    if (name_idx == kNpos) return;
-    field->name = std::string(sig_[name_idx].text);
-    field->line = sig_[name_idx].line;
-    cls->fields.push_back(std::move(*field));
   }
 
   // `operator` member: builds the method name from the operator tokens and
@@ -373,8 +286,6 @@ class Parser {
     MethodDecl method;
     method.name = std::string(sig_[name_idx].text);
     method.line = sig_[name_idx].line;
-    method.is_dtor = name_idx > 0 && sig_.Is(name_idx - 1, "~");
-    method.is_ctor = !method.is_dtor && method.name == cls->name;
     std::size_t next = ParseMethodTail(&method, lparen, end);
     if (next == kNpos) return SkipToSemicolon(lparen, end);
     cls->methods.push_back(std::move(method));
@@ -404,9 +315,7 @@ class Parser {
         continue;
       }
       if (IsCalcAnnotation(sig_, p)) {
-        Annotation a = ParseAnnotation(sig_, p);
-        ApplyMethodAnnotation(a, method);
-        p = a.next;
+        p = SkipAnnotation(sig_, p);
         continue;
       }
       if (sig_.Is(p, "->")) {
@@ -478,18 +387,12 @@ class Parser {
   std::size_t TryParseOutOfLine(std::size_t i) {
     if (i == 0 || !sig_.IsIdent(i - 1)) return kNpos;
     std::size_t j = i + 1;
-    bool dtor = false;
-    if (sig_.Is(j, "~")) {
-      dtor = true;
-      ++j;
-    }
+    if (sig_.Is(j, "~")) ++j;
     if (!sig_.IsIdent(j) || !sig_.Is(j + 1, "(")) return kNpos;
 
     MethodDecl method;
     method.name = std::string(sig_[j].text);
     method.line = sig_[j].line;
-    method.is_dtor = dtor;
-    method.is_ctor = sig_[i - 1].text == sig_[j].text && !dtor;
     std::size_t next = ParseMethodTail(&method, j + 1, sig_.size());
     if (next == kNpos || method.body_begin == kNpos) {
       return kNpos;  // declaration or a plain qualified call
@@ -503,83 +406,14 @@ class Parser {
 
   FileDeclModel* model_;
   const SigTokens& sig_;
-  const DeclModelOptions& options_;
 };
 
 }  // namespace
 
-const FieldDecl* ClassDecl::FindField(const std::string& field) const {
-  for (const FieldDecl& f : fields) {
-    if (f.name == field) return &f;
-  }
-  return nullptr;
-}
-
-const MethodDecl* ClassDecl::FindMethod(const std::string& method) const {
-  for (const MethodDecl& m : methods) {
-    if (m.name == method) return &m;
-  }
-  return nullptr;
-}
-
-bool ClassDecl::HasAnnotations() const {
-  if (is_capability) return true;
-  for (const FieldDecl& f : fields) {
-    if (!f.guarded_by.empty() || !f.acquired_before.empty() ||
-        !f.acquired_after.empty()) {
-      return true;
-    }
-  }
-  for (const MethodDecl& m : methods) {
-    if (m.no_analysis || !m.requires_held.empty() || !m.acquires.empty() ||
-        !m.releases.empty() || !m.excludes.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ClassDecl::HasMutexField() const {
-  for (const FieldDecl& f : fields) {
-    if (f.is_mutex) return true;
-  }
-  return false;
-}
-
-FileDeclModel BuildFileDeclModel(const SourceFile& file,
-                                 const DeclModelOptions& options) {
+FileDeclModel BuildFileDeclModel(const SourceFile& file) {
   FileDeclModel model(file);
-  Parser(&model, options).Run();
+  Parser(&model).Run();
   return model;
-}
-
-std::string JoinTokens(const SigTokens& sig, std::size_t begin,
-                       std::size_t end) {
-  std::string out;
-  for (std::size_t i = begin; i < end && i < sig.size(); ++i) {
-    out += std::string(sig[i].text);
-  }
-  return out;
-}
-
-std::vector<std::string> SplitArgs(const SigTokens& sig, std::size_t begin,
-                                   std::size_t end) {
-  std::vector<std::string> args;
-  std::string current;
-  int depth = 0;
-  for (std::size_t i = begin; i < end && i < sig.size(); ++i) {
-    std::string_view t = sig[i].text;
-    if (t == "(" || t == "[" || t == "{" || t == "<") ++depth;
-    if (t == ")" || t == "]" || t == "}" || t == ">") --depth;
-    if (t == "," && depth == 0) {
-      if (!current.empty()) args.push_back(std::move(current));
-      current.clear();
-      continue;
-    }
-    current += std::string(t);
-  }
-  if (!current.empty()) args.push_back(std::move(current));
-  return args;
 }
 
 }  // namespace calculon::staticlint

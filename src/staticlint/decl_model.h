@@ -1,22 +1,19 @@
-// Declaration/scope model for the thread-safety rules (rule_threads.cc).
+// Declaration/scope model for the symbol graph (symbol_graph.h).
 //
 // A lightweight, deliberately conservative parse of class/struct
-// declarations built on top of the token lexer: for each class, its fields
-// (with type flags and CALC_GUARDED_BY / CALC_ACQUIRED_BEFORE annotations)
-// and its methods (with CALC_REQUIRES / CALC_ACQUIRE / CALC_RELEASE /
-// CALC_EXCLUDES annotations and brace-matched body ranges). Out-of-line
+// declarations built on top of the token lexer: for each class, its name
+// and its methods (with brace-matched body ranges). Out-of-line
 // `Class::Method(...) { ... }` definitions are recorded with the class name
-// so the rules can attach them to a class declared in another file (the
-// header carries the annotations, the .cc carries the body).
+// so the symbol graph can attach them to a class declared in another file
+// (the header declares the method, the .cc carries the body).
 //
 // The model is not a C++ parser. It aims to be exactly good enough for the
-// annotation discipline in this codebase: when a construct is ambiguous the
-// parser skips it rather than guessing, so the rules err toward silence,
-// never toward false alarms (docs/correctness.md §6).
+// declarations in this codebase: when a construct is ambiguous the parser
+// skips it rather than guessing, so the rules err toward silence, never
+// toward false alarms (docs/correctness.md §6).
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -25,32 +22,10 @@
 
 namespace calculon::staticlint {
 
-// One field (data member) of a class.
-struct FieldDecl {
-  std::string name;
-  int line = 0;
-  bool is_mutex = false;      // declared type names a mutex (config set)
-  bool is_atomic = false;     // std::atomic<...>
-  bool is_const = false;      // const-qualified (includes constexpr)
-  bool is_static = false;
-  bool is_reference = false;  // T& member
-  bool is_condvar = false;    // condition variable / CondVar
-  std::string guarded_by;     // CALC_GUARDED_BY / CALC_PT_GUARDED_BY arg
-  std::vector<std::string> acquired_before;  // CALC_ACQUIRED_BEFORE args
-  std::vector<std::string> acquired_after;   // CALC_ACQUIRED_AFTER args
-};
-
 // One method of a class, or an out-of-line method definition.
 struct MethodDecl {
   std::string name;
   int line = 0;
-  bool is_ctor = false;
-  bool is_dtor = false;
-  bool no_analysis = false;  // CALC_NO_THREAD_SAFETY_ANALYSIS
-  std::vector<std::string> requires_held;  // CALC_REQUIRES args
-  std::vector<std::string> acquires;       // CALC_ACQUIRE args
-  std::vector<std::string> releases;       // CALC_RELEASE args
-  std::vector<std::string> excludes;       // CALC_EXCLUDES args
   // Body as a SigTokens index range: body_begin is the '{', body_end the
   // matching '}'. kNpos when declaration-only ( ;, = default, = delete).
   std::size_t body_begin = kNpos;
@@ -59,62 +34,25 @@ struct MethodDecl {
 
 struct ClassDecl {
   std::string name;
-  int line = 0;
-  bool is_capability = false;  // CALC_CAPABILITY / CALC_SCOPED_CAPABILITY
-  std::vector<FieldDecl> fields;
   std::vector<MethodDecl> methods;
-
-  [[nodiscard]] const FieldDecl* FindField(const std::string& field) const;
-  [[nodiscard]] const MethodDecl* FindMethod(const std::string& method) const;
-  // Any CALC_* annotation anywhere on the class, its fields, or its
-  // methods: the opt-in signal that the thread-safety rules apply.
-  [[nodiscard]] bool HasAnnotations() const;
-  [[nodiscard]] bool HasMutexField() const;
 };
 
-// An out-of-line `Class::Method(...) { ... }` definition. The MethodDecl
-// carries only what the definition site shows (name, body, any repeated
-// annotations); the class's declaration holds the authoritative
-// annotations.
+// An out-of-line `Class::Method(...) { ... }` definition.
 struct OutOfLineDef {
   std::string class_name;
   MethodDecl method;
 };
 
-// Everything the thread rules need from one file. `sig` views the file's
+// Everything the symbol graph needs from one file. `sig` views the file's
 // token storage, so the SourceFile must outlive the model.
 struct FileDeclModel {
-  explicit FileDeclModel(const SourceFile& f) : file(&f), sig(f) {}
+  explicit FileDeclModel(const SourceFile& f) : sig(f) {}
 
-  const SourceFile* file;
   SigTokens sig;
   std::vector<ClassDecl> classes;
   std::vector<OutOfLineDef> out_of_line;
 };
 
-// Type-name sets used to classify fields; the thread rules fill these from
-// ProjectConfig (kept as plain sets here so the model layer stays
-// independent of the rule registry).
-struct DeclModelOptions {
-  // Last identifier of a field's type spelling that marks it a mutex.
-  std::set<std::string> mutex_types = {"Mutex", "mutex", "shared_mutex",
-                                       "recursive_mutex", "timed_mutex"};
-  std::set<std::string> condvar_types = {"CondVar", "condition_variable",
-                                         "condition_variable_any"};
-};
-
-[[nodiscard]] FileDeclModel BuildFileDeclModel(
-    const SourceFile& file, const DeclModelOptions& options = {});
-
-// Joins a token range [begin, end) into a canonical expression string:
-// token texts concatenated with no spaces ("job->mutex", "std::defer_lock").
-[[nodiscard]] std::string JoinTokens(const SigTokens& sig, std::size_t begin,
-                                     std::size_t end);
-
-// Splits a macro argument list (the SigTokens range strictly inside the
-// parentheses) at top-level commas into canonical expression strings.
-[[nodiscard]] std::vector<std::string> SplitArgs(const SigTokens& sig,
-                                                 std::size_t begin,
-                                                 std::size_t end);
+[[nodiscard]] FileDeclModel BuildFileDeclModel(const SourceFile& file);
 
 }  // namespace calculon::staticlint

@@ -36,7 +36,7 @@ std::vector<SourceFile> LoadTree(const std::string& repo_root,
   std::sort(rel_paths.begin(), rel_paths.end());
 
   // Load by sorted index, so the output order (and everything downstream:
-  // rule iteration, lock-order DFS, SARIF) is identical at any job count.
+  // rule iteration, include-cycle DFS, SARIF) is identical at any job count.
   if (options.jobs > 1 && rel_paths.size() > 1) {
     std::vector<SourceFile> files(rel_paths.size());
     const std::size_t workers = std::min<std::size_t>(

@@ -1,6 +1,6 @@
-// Generic graph traversal shared by the include-cycle rule, the lock-order
-// rule, and the call-graph rules: a three-color DFS over a string-keyed
-// adjacency list (cycles) and over an int-indexed one (reachability).
+// Generic graph traversal shared by the include-cycle rule and the
+// call-graph rules: a three-color DFS over a string-keyed adjacency list
+// (cycles) and over an int-indexed one (reachability).
 #pragma once
 
 #include <algorithm>

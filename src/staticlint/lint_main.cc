@@ -39,7 +39,7 @@ struct CliOptions {
   std::set<std::string> rules;
   // Report only findings in these repo-relative paths (empty: all). The
   // whole tree is still loaded and analyzed -- cross-file rules (layering,
-  // guard bindings) need it -- only the report is restricted. This is what
+  // the call graph) need it -- only the report is restricted. This is what
   // scripts/lint.sh --changed uses for fast pre-push feedback.
   std::set<std::string> only_paths;
   // With --only: also report findings in every transitive includer of the
@@ -63,8 +63,10 @@ void PrintUsage() {
       "                     [--list-rules] [--update-baseline] [--verbose]\n"
       "\n"
       "Project-aware static analysis for the calculon repository: layering\n"
-      "DAG, Result<T> discipline, Quantity::raw() boundaries, banned\n"
-      "patterns, header hygiene. Exit 0 = clean, 1 = findings, 2 = error.\n";
+      "DAG, Quantity::raw() boundaries, banned patterns, header hygiene,\n"
+      "and call-graph rules (fork-safety, cancellation-poll, hot-path-alloc,\n"
+      "dead-function). Exit 0 = clean, 1 = findings, 2 = error (including\n"
+      "an unknown --rules id).\n";
 }
 
 [[nodiscard]] bool ParseArgs(int argc, char** argv, CliOptions* out) {

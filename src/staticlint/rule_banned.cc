@@ -22,7 +22,66 @@ namespace {
   return d;
 }
 
+// The name declared when toks[type_idx, after_type) is the return type of
+// a function-shaped declaration (`T name(`, `T A::name(`, `T operator+(`);
+// empty for parameters, template heads and expressions.
+[[nodiscard]] std::string DeclaredFunctionName(const SigTokens& toks,
+                                               std::size_t type_idx,
+                                               std::size_t after_type) {
+  std::size_t j = after_type;
+  if (!toks.IsIdent(j)) return {};
+  while (toks.Is(j + 1, "::") && toks.IsIdent(j + 2)) j += 2;
+  std::string name(toks[j].text);
+  if (name == "operator") {
+    while (j + 1 < toks.size() && !toks.Is(j + 1, "(")) {
+      name += std::string(toks[j + 1].text);
+      ++j;
+    }
+  }
+  if (!toks.Is(j + 1, "(")) return {};
+
+  // Rule out parameter declarations ("void f(Bytes b)") and template heads
+  // ("template <class Bytes>"): the token before the type must not be a
+  // list context.
+  if (type_idx > 0) {
+    std::string_view prev = toks[type_idx - 1].text;
+    if (prev == "(" || prev == "," || prev == "<" || prev == "class" ||
+        prev == "struct" || prev == "typename" || prev == "return" ||
+        prev == "new" || prev == "." || prev == "->" || prev == "::") {
+      return {};
+    }
+  }
+  if (FindMatching(toks, j + 1) == kNpos) return {};
+  return name;
+}
+
 }  // namespace
+
+DeclIndex BuildDeclIndex(const std::vector<SourceFile>& files,
+                         const ProjectConfig& config) {
+  DeclIndex index;
+  for (const SourceFile& file : files) {
+    if (config.IsExempt(file.path)) continue;
+    SigTokens toks(file);
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+      if (!toks.IsIdent(i)) continue;
+      std::string_view t = toks[i].text;
+      std::size_t after_type = i + 1;
+      if (t == "Quantity" && toks.Is(i + 1, "<")) {
+        // Templated form: Quantity<...> name(.
+        std::size_t close = FindMatching(toks, i + 1);
+        if (close == kNpos) continue;
+        after_type = close + 1;
+      } else if (t != "Quantity" &&
+                 config.quantity_types.count(std::string(t)) == 0) {
+        continue;
+      }
+      std::string name = DeclaredFunctionName(toks, i, after_type);
+      if (!name.empty()) index.quantity_returning.insert(std::move(name));
+    }
+  }
+  return index;
+}
 
 void CheckQuantityVarargs(const std::vector<SourceFile>& files,
                           const ProjectConfig& config,

@@ -6,6 +6,7 @@
 #include <iterator>
 
 #include "staticlint/match.h"
+#include "util/error.h"
 #include "util/threadpool.h"
 
 namespace calculon::staticlint {
@@ -113,16 +114,6 @@ const std::vector<Rule>& Registry() {
         "Break the cycle with a forward declaration or by splitting the "
         "header."},
        &CheckIncludeCycles},
-      {{"missing-nodiscard",
-        "Result<T>/Quantity-returning declaration lacks [[nodiscard]]",
-        "Add [[nodiscard]] to the declaration; discarding such a value is "
-        "always a bug."},
-       &CheckMissingNodiscard},
-      {{"discarded-result",
-        "call discards a Result<T> return value",
-        "Consume the Result (check ok()/reason()) or suppress with "
-        "// lint-ok(discarded-result): why."},
-       &CheckDiscardedResult},
       {{"raw-boundary",
         "Quantity::raw() outside a serialization/report boundary",
         "Keep model arithmetic typed; annotate intentional escapes with "
@@ -157,31 +148,6 @@ const std::vector<Rule>& Registry() {
         "header uses a std:: symbol without including its header",
         "Headers include what they use; add the missing <...> include."},
        &CheckSelfContainedHeader},
-      {{"guarded-field",
-        "CALC_GUARDED_BY field accessed without its lock held",
-        "Take the guard (MutexLock lock(m)) around the access, annotate "
-        "the enclosing method with CALC_REQUIRES(m), or justify the "
-        "publication discipline with // lint-ok(guarded-field): why."},
-       &CheckGuardedField},
-      {{"requires-held",
-        "call violates a CALC_REQUIRES / CALC_EXCLUDES lock contract",
-        "Hold the required lock at the call site (or release an excluded "
-        "one); suppress a false positive with "
-        "// lint-ok(requires-held): why."},
-       &CheckRequiresHeld},
-      {{"lock-order",
-        "lock acquisition order forms a cycle (potential deadlock)",
-        "Acquire the locks in one global order everywhere and declare it "
-        "with CALC_ACQUIRED_BEFORE / CALC_ACQUIRED_AFTER on the mutex "
-        "fields."},
-       &CheckLockOrder},
-      {{"unannotated-shared",
-        "annotated class mixes a mutex with undisciplined fields",
-        "Every non-const, non-atomic field of a class that owns a mutex "
-        "and uses CALC_* annotations needs CALC_GUARDED_BY(m) or a "
-        "same-line // lint-ok(unannotated-shared): why stating its "
-        "publication discipline."},
-       &CheckUnannotatedShared},
       {{"fork-safety",
         "fork() child region reaches a non-async-signal-safe operation",
         "Between fork() and the worker-loop entry only async-signal-safe "
@@ -208,34 +174,6 @@ const std::vector<Rule>& Registry() {
         "CLI/example/bench roots or anywhere else in the tree; delete it "
         "or wire it up."},
        &CheckDeadFunction},
-      {{"raw-taint",
-        "Quantity::raw() value flows into a different-dimension factory "
-        "or escapes through a double return",
-        "Keep the value typed (the quantity operators cover the "
-        "dimensional algebra) or annotate an intentional raw-space "
-        "conversion with // unit-ok: why on the sink statement."},
-       &CheckRawTaint},
-      {{"unchecked-result",
-        "path reaches .value() on a Result<T>/optional without a "
-        "dominating ok()/has_value() check",
-        "Guard the unwrap with if (r.ok()) / CALC_CHECK(r.ok()), use "
-        "value_or(), or suppress a reviewed site with "
-        "// lint-ok(unchecked-result): why."},
-       &CheckUncheckedResult},
-      {{"use-after-move",
-        "local is read again after std::move on some path without a "
-        "reassignment",
-        "Reassign the variable before reuse (moved-from objects are "
-        "valid but unspecified), or suppress an intentional "
-        "reuse-after-reset with // lint-ok(use-after-move): why."},
-       &CheckUseAfterMove},
-      {{"hot-loop-alloc",
-        "loop that evaluates the performance model allocates or locks "
-        "per iteration",
-        "Informational (SARIF note): hoist the allocation/lock out of "
-        "the evaluation loop or reuse a buffer (ROADMAP item 2 targets "
-        ">=10x evals/sec; per-iteration mallocs are the usual ceiling)."},
-       &CheckHotLoopAlloc},
   };
   return kRules;
 }
@@ -249,6 +187,20 @@ std::vector<RuleInfo> RuleCatalog() {
 
 LintResult RunLint(const std::vector<SourceFile>& files,
                    const ProjectConfig& config, const LintOptions& options) {
+  // A filter id that names no rule would otherwise run nothing and report
+  // a clean tree.
+  std::string unknown;
+  for (const std::string& id : options.rule_filter) {
+    const bool known =
+        std::any_of(Registry().begin(), Registry().end(),
+                    [&](const Rule& rule) { return rule.info.id == id; });
+    if (!known) unknown += (unknown.empty() ? "" : ", ") + id;
+  }
+  if (!unknown.empty()) {
+    throw ConfigError("unknown rule id(s): " + unknown +
+                      " (see --list-rules)");
+  }
+
   std::vector<const Rule*> selected;
   for (const Rule& rule : Registry()) {
     if (!options.rule_filter.empty() &&

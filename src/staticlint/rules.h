@@ -54,16 +54,13 @@ struct ProjectConfig {
       "vprintf",  "vfprintf",   "vsnprintf",        "CALC_CHECK",
       "CALC_DCHECK"};
 
-  // Thread-safety rules: type names recognized as mutexes (the last
-  // identifier of the field's type spelling), and RAII lock-holder types
-  // whose construction acquires its mutex arguments.
-  std::set<std::string> mutex_types = {"Mutex", "mutex", "shared_mutex",
-                                       "recursive_mutex", "timed_mutex"};
+  // --- Call-graph rules (rule_callgraph.cc) ---
+
+  // RAII lock-holder types whose construction acquires a mutex (a lock
+  // acquisition event for fork-safety and hot-path-alloc).
   std::set<std::string> lock_types = {"MutexLock", "lock_guard",
                                       "unique_lock", "scoped_lock",
                                       "shared_lock"};
-
-  // --- Call-graph rules (rule_callgraph.cc) ---
 
   // fork-safety: names that are not async-signal-safe and must not appear
   // (directly or through resolved calls) on the child side of ::fork()
@@ -96,56 +93,6 @@ struct ProjectConfig {
       "system",   "popen",   "sleep",  "usleep", "nanosleep", "ifstream",
       "ofstream", "fstream", "sleep_for"};
 
-  // --- Dataflow rules (rule_dataflow.cc) ---
-
-  // Quantity factory/constructor name -> the dimension it produces; the
-  // raw-taint rule flags a raw() value of one dimension flowing into a
-  // factory of another (mirrors the helpers in src/util/quantity.h).
-  std::map<std::string, std::string> quantity_factories = {
-      {"Bytes", "Bytes"},
-      {"KiB", "Bytes"},
-      {"MiB", "Bytes"},
-      {"GiB", "Bytes"},
-      {"TiB", "Bytes"},
-      {"MB", "Bytes"},
-      {"GB", "Bytes"},
-      {"TB", "Bytes"},
-      {"Seconds", "Seconds"},
-      {"Milliseconds", "Seconds"},
-      {"Microseconds", "Seconds"},
-      {"Nanoseconds", "Seconds"},
-      {"Flops", "Flops"},
-      {"GFlop", "Flops"},
-      {"TFlop", "Flops"},
-      {"BytesPerSecond", "BytesPerSecond"},
-      {"MBps", "BytesPerSecond"},
-      {"GBps", "BytesPerSecond"},
-      {"TBps", "BytesPerSecond"},
-      {"FlopsPerSecond", "FlopsPerSecond"},
-      {"GFLOPS", "FlopsPerSecond"},
-      {"TFLOPS", "FlopsPerSecond"},
-      {"PerSecond", "PerSecond"},
-  };
-  // Files where cross-dimension raw arithmetic is the point: the quantity
-  // algebra itself and the unit formatter.
-  std::vector<std::string> taint_exempt_prefixes = {"src/util/quantity.h",
-                                                    "src/util/units."};
-
-  // unchecked-result: how a Result<T>/std::optional is checked, unwrapped,
-  // and which accessors never throw.
-  std::set<std::string> result_check_methods = {"ok", "has_value"};
-  std::set<std::string> result_unwrap_methods = {"value"};
-  std::set<std::string> result_safe_methods = {"value_or", "reason",
-                                               "detail", "error"};
-  // Assertion macros whose success dominates the rest of the function.
-  std::set<std::string> check_macros = {"CALC_CHECK", "CALC_DCHECK",
-                                        "assert", "ASSERT_TRUE",
-                                        "EXPECT_TRUE"};
-
-  // use-after-move: method calls that re-establish a moved-from object.
-  std::set<std::string> reinit_methods = {"clear", "reset", "assign",
-                                          "emplace", "resize"};
-
   [[nodiscard]] static ProjectConfig Default();
 
   [[nodiscard]] bool InLayerRoot(const std::string& path) const;
@@ -169,7 +116,8 @@ struct Rule {
 [[nodiscard]] std::vector<RuleInfo> RuleCatalog();
 
 struct LintOptions {
-  // Run only these rule ids (empty = all).
+  // Run only these rule ids (empty = all). RunLint throws ConfigError
+  // when one of them names no registered rule.
   std::set<std::string> rule_filter;
   // Worker threads for rule execution (1 = serial). Rules are pure
   // functions over the tree, so they parallelize trivially; findings are
@@ -203,12 +151,6 @@ void CheckLayering(const std::vector<SourceFile>& files,
 void CheckIncludeCycles(const std::vector<SourceFile>& files,
                         const ProjectConfig& config,
                         std::vector<Diagnostic>* out);
-void CheckMissingNodiscard(const std::vector<SourceFile>& files,
-                           const ProjectConfig& config,
-                           std::vector<Diagnostic>* out);
-void CheckDiscardedResult(const std::vector<SourceFile>& files,
-                          const ProjectConfig& config,
-                          std::vector<Diagnostic>* out);
 void CheckRawBoundary(const std::vector<SourceFile>& files,
                       const ProjectConfig& config,
                       std::vector<Diagnostic>* out);
@@ -230,18 +172,6 @@ void CheckPragmaOnce(const std::vector<SourceFile>& files,
 void CheckSelfContainedHeader(const std::vector<SourceFile>& files,
                               const ProjectConfig& config,
                               std::vector<Diagnostic>* out);
-void CheckGuardedField(const std::vector<SourceFile>& files,
-                       const ProjectConfig& config,
-                       std::vector<Diagnostic>* out);
-void CheckRequiresHeld(const std::vector<SourceFile>& files,
-                       const ProjectConfig& config,
-                       std::vector<Diagnostic>* out);
-void CheckLockOrder(const std::vector<SourceFile>& files,
-                    const ProjectConfig& config,
-                    std::vector<Diagnostic>* out);
-void CheckUnannotatedShared(const std::vector<SourceFile>& files,
-                            const ProjectConfig& config,
-                            std::vector<Diagnostic>* out);
 void CheckForkSafety(const std::vector<SourceFile>& files,
                      const ProjectConfig& config,
                      std::vector<Diagnostic>* out);
@@ -254,24 +184,11 @@ void CheckHotPathAlloc(const std::vector<SourceFile>& files,
 void CheckDeadFunction(const std::vector<SourceFile>& files,
                        const ProjectConfig& config,
                        std::vector<Diagnostic>* out);
-void CheckRawTaint(const std::vector<SourceFile>& files,
-                   const ProjectConfig& config,
-                   std::vector<Diagnostic>* out);
-void CheckUncheckedResult(const std::vector<SourceFile>& files,
-                          const ProjectConfig& config,
-                          std::vector<Diagnostic>* out);
-void CheckUseAfterMove(const std::vector<SourceFile>& files,
-                       const ProjectConfig& config,
-                       std::vector<Diagnostic>* out);
-void CheckHotLoopAlloc(const std::vector<SourceFile>& files,
-                       const ProjectConfig& config,
-                       std::vector<Diagnostic>* out);
 
-// Shared by the result/quantity rules and exposed for tests: the names of
-// functions whose declared return type is Result<...> (or a quantity type),
-// collected from every file in the tree.
+// Used by the quantity-varargs rule and exposed for tests: the names of
+// functions whose declared return type is a quantity type, collected from
+// every file in the tree.
 struct DeclIndex {
-  std::set<std::string> result_returning;
   std::set<std::string> quantity_returning;
 };
 [[nodiscard]] DeclIndex BuildDeclIndex(const std::vector<SourceFile>& files,

@@ -71,8 +71,8 @@ struct FunctionSym {
 };
 
 // Name sets the body scanner classifies events with; rules fill these from
-// ProjectConfig (kept independent of the rule registry, like
-// DeclModelOptions).
+// ProjectConfig (kept as plain sets so the graph stays independent of the
+// rule registry).
 struct SymbolGraphOptions {
   // Callees that allocate (beyond the `new` keyword, detected directly).
   std::set<std::string> alloc_calls = {"malloc",      "calloc",

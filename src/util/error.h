@@ -35,9 +35,10 @@ enum class Infeasible {
 [[nodiscard]] Infeasible InfeasibleFromString(const std::string& s);
 
 // Minimal expected-like result: either a value or an Infeasible reason with
-// an optional human-readable detail string.
+// an optional human-readable detail string. The class is [[nodiscard]]:
+// with -Werror=unused-result, dropping a returned Result does not compile.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : data_(std::move(value)) {}  // NOLINT: implicit by design
   Result(Infeasible reason, std::string detail = {})

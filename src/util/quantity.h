@@ -14,10 +14,11 @@
 //   Bytes < Flops          -> compile error
 //
 // Construction from a raw double is explicit, and `.raw()` is the only way
-// back out. Policy (enforced by scripts/lint.sh and tests/compile_fail/,
-// see docs/correctness.md): raw doubles enter at the JSON-parse boundary,
-// exit at the report-format / JSON-serialize boundary, and everything in
-// between stays typed.
+// back out. The class is [[nodiscard]], so a computed quantity cannot be
+// silently dropped (-Werror=unused-result). Policy (enforced by
+// calculon-lint and tests/compile_fail/, see docs/correctness.md): raw
+// doubles enter at the JSON-parse boundary, exit at the report-format /
+// JSON-serialize boundary, and everything in between stays typed.
 #pragma once
 
 #include <cmath>
@@ -25,7 +26,7 @@
 namespace calculon {
 
 template <int ByteExp, int SecondExp, int FlopExp>
-class Quantity {
+class [[nodiscard]] Quantity {
   static_assert(ByteExp != 0 || SecondExp != 0 || FlopExp != 0,
                 "dimensionless quantities are plain double");
 

@@ -156,16 +156,16 @@ class RunContext {
   // run (the "set before" contract in the section comment above); the
   // deadline is published by the has_deadline_ release store.
   std::chrono::steady_clock::time_point
-      deadline_{};  // lint-ok(unannotated-shared): published via has_deadline_
+      deadline_{};  // published via has_deadline_
   std::chrono::steady_clock::time_point
-      start_steady_{};  // lint-ok(unannotated-shared): set in ctor only
+      start_steady_{};  // set in ctor only
   std::chrono::system_clock::time_point
-      start_system_{};  // lint-ok(unannotated-shared): set in ctor only
+      start_system_{};  // set in ctor only
 
   // A failure budget of 0 means unlimited.
-  std::uint64_t failure_budget_ = 0;  // lint-ok(unannotated-shared): config
-  std::size_t max_samples_ = 32;      // lint-ok(unannotated-shared): config
-  bool watch_signals_ = false;        // lint-ok(unannotated-shared): config
+  std::uint64_t failure_budget_ = 0;  // config
+  std::size_t max_samples_ = 32;      // config
+  bool watch_signals_ = false;        // config
 
   mutable Mutex mutex_;
   std::vector<FailureRecord> samples_ CALC_GUARDED_BY(mutex_);

@@ -6,8 +6,8 @@
 // annotations, so Clang's -Wthread-safety cannot see a std::lock_guard
 // acquire anything — every CALC_GUARDED_BY field would falsely warn. A
 // calculon::Mutex is a real capability and a MutexLock a scoped
-// acquisition, so both Clang and calculon-lint's thread-safety rules
-// (docs/correctness.md §6) can follow the lock discipline. Zero overhead:
+// acquisition, so Clang's capability analysis (docs/correctness.md §6)
+// can follow the lock discipline. Zero overhead:
 // each wrapper is exactly its std counterpart plus attributes.
 #pragma once
 

@@ -2,31 +2,25 @@
 //
 // The CALC_* macros declare the lock discipline of a class in its own
 // source: which mutex guards which field, which methods require or acquire
-// which locks, and the partial order mutexes must be taken in. Two
-// analyzers consume them:
+// which locks, and the partial order mutexes must be taken in.
 //
-//   * calculon-lint's thread-safety rules (src/staticlint/decl_model.h,
-//     rule_threads.cc) parse the annotations straight out of the unpreprocessed
-//     token stream, so they are enforced on every build regardless of
-//     compiler;
-//   * Clang expands them to its native capability-analysis attributes, so
-//     -Wthread-safety (wired into the asan-ubsan CI job) double-checks the
-//     same declarations with a flow-sensitive analysis.
-//
-// Under GCC (which has no capability analysis) the macros expand to
-// nothing; they remain visible to calculon-lint either way because the
-// lint engine lexes raw source, not preprocessor output.
+// Clang is the only checker. It expands the macros to its native
+// capability-analysis attributes, and -Wthread-safety checks the
+// declarations with a flow-sensitive analysis; the CI asan-ubsan jobs build
+// with Clang and -Werror, so a violation fails CI. GCC has no capability
+// analysis: there the macros expand to nothing and a GCC build does not
+// check them. Races and lock-order inversions that actually happen are
+// caught at run time by the CI tsan job (halt_on_error=1).
 //
 // The annotated mutex types these attach to live in util/sync.h
-// (calculon::Mutex / MutexLock / CondVar); std::mutex members work with
-// calculon-lint but are invisible to Clang's analysis, because libstdc++
-// carries no capability attributes.
+// (calculon::Mutex / MutexLock / CondVar); std::mutex members are invisible
+// to Clang's analysis, because libstdc++ carries no capability attributes.
 #pragma once
 
 #if defined(__clang__) && !defined(CALCULON_NO_THREAD_SAFETY_ANALYSIS)
 #define CALC_TSA_ATTR_(x) __attribute__((x))
 #else
-#define CALC_TSA_ATTR_(x)  // no-op: still parsed by calculon-lint
+#define CALC_TSA_ATTR_(x)  // no-op: no capability analysis
 #endif
 
 // On a type: instances are capabilities (lockable). The argument is the
@@ -61,8 +55,8 @@
 #define CALC_EXCLUDES(...) CALC_TSA_ATTR_(locks_excluded(__VA_ARGS__))
 
 // On a mutex member: this mutex is always acquired before / after the
-// listed mutexes. The lint lock-order rule builds its partial order (and
-// its deadlock-cycle detection) from these edges.
+// listed mutexes. Clang checks these edges only under
+// -Wthread-safety-beta; the tree declares none today.
 #define CALC_ACQUIRED_BEFORE(...) CALC_TSA_ATTR_(acquired_before(__VA_ARGS__))
 #define CALC_ACQUIRED_AFTER(...) CALC_TSA_ATTR_(acquired_after(__VA_ARGS__))
 

@@ -75,7 +75,7 @@ class ThreadPool {
   static void PublishQueueDepth(std::size_t depth);
 
   // Filled in the constructor, joined in the destructor, immutable between.
-  std::vector<std::thread> workers_;  // lint-ok(unannotated-shared): ctor/dtor
+  std::vector<std::thread> workers_;  // ctor/dtor
   Mutex mutex_;
   CondVar cv_;
   std::queue<std::function<void()>> tasks_ CALC_GUARDED_BY(mutex_);

@@ -116,6 +116,13 @@ TEST_F(FaultInjectionTest, MaybeInjectCountsEveryInjectionExactly) {
       case FaultAction::kError: ++predicted_errors; break;
       case FaultAction::kDelay: ++predicted_delays; break;
       case FaultAction::kNone: break;
+      // The plan configures no process-level kinds.
+      case FaultAction::kAbort:
+      case FaultAction::kSegv:
+      case FaultAction::kHang:
+      case FaultAction::kExit0:
+        ADD_FAILURE() << "unexpected process fault for key " << key;
+        break;
     }
   }
   ASSERT_GT(predicted_throws, 0u);

@@ -1,5 +1,5 @@
-// Declaration-model tests: the conservative class/field/method parse that
-// feeds the thread-safety rules (src/staticlint/decl_model.h).
+// Declaration-model tests: the conservative class/method parse that feeds
+// the symbol graph (src/staticlint/decl_model.h).
 #include "staticlint/decl_model.h"
 
 #include <gtest/gtest.h>
@@ -11,34 +11,11 @@
 namespace calculon::staticlint {
 namespace {
 
-TEST(DeclModelTest, ParsesFieldFlagsAndGuards) {
-  SourceFile f = MakeSourceFile(
-      "src/a/x.h",
-      "#pragma once\n"
-      "class Counter {\n"
-      " private:\n"
-      "  mutable Mutex mu_;\n"
-      "  CondVar cv_;\n"
-      "  std::atomic<bool> on_{false};\n"
-      "  const int limit_ = 3;\n"
-      "  static int shared_total;\n"
-      "  std::vector<int>& sink_;\n"
-      "  int count_ CALC_GUARDED_BY(mu_) = 0;\n"
-      "};\n");
-  FileDeclModel m = BuildFileDeclModel(f);
-  ASSERT_EQ(m.classes.size(), 1u);
-  const ClassDecl& cls = m.classes[0];
-  EXPECT_EQ(cls.name, "Counter");
-  ASSERT_EQ(cls.fields.size(), 7u);
-  EXPECT_TRUE(cls.FindField("mu_")->is_mutex);
-  EXPECT_TRUE(cls.FindField("cv_")->is_condvar);
-  EXPECT_TRUE(cls.FindField("on_")->is_atomic);
-  EXPECT_TRUE(cls.FindField("limit_")->is_const);
-  EXPECT_TRUE(cls.FindField("shared_total")->is_static);
-  EXPECT_TRUE(cls.FindField("sink_")->is_reference);
-  EXPECT_EQ(cls.FindField("count_")->guarded_by, "mu_");
-  EXPECT_TRUE(cls.HasMutexField());
-  EXPECT_TRUE(cls.HasAnnotations());
+const MethodDecl* FindMethod(const ClassDecl& cls, const std::string& name) {
+  for (const MethodDecl& m : cls.methods) {
+    if (m.name == name) return &m;
+  }
+  return nullptr;
 }
 
 TEST(DeclModelTest, ParsesMethodAnnotationsAndBodies) {
@@ -59,18 +36,14 @@ TEST(DeclModelTest, ParsesMethodAnnotationsAndBodies) {
   ASSERT_EQ(m.classes.size(), 1u);
   const ClassDecl& cls = m.classes[0];
   ASSERT_EQ(cls.methods.size(), 5u);
-  const MethodDecl* locked = cls.FindMethod("BumpLocked");
+  const MethodDecl* locked = FindMethod(cls, "BumpLocked");
   ASSERT_NE(locked, nullptr);
-  EXPECT_EQ(locked->requires_held, std::vector<std::string>{"mu_"});
+  EXPECT_EQ(locked->line, 3);
   EXPECT_EQ(locked->body_begin, kNpos);  // declaration only
-  const MethodDecl* flush = cls.FindMethod("Flush");
-  EXPECT_EQ(flush->excludes, std::vector<std::string>{"mu_"});
+  const MethodDecl* flush = FindMethod(cls, "Flush");
+  ASSERT_NE(flush, nullptr);
   EXPECT_NE(flush->body_begin, kNpos);  // inline body captured
-  EXPECT_EQ(cls.FindMethod("Take")->acquires,
-            std::vector<std::string>{"mu_"});
-  EXPECT_EQ(cls.FindMethod("Drop")->releases,
-            std::vector<std::string>{"mu_"});
-  EXPECT_TRUE(cls.FindMethod("Raw")->no_analysis);
+  EXPECT_NE(FindMethod(cls, "Raw")->body_begin, kNpos);
 }
 
 TEST(DeclModelTest, CapabilityClassAndCtorDtor) {
@@ -87,13 +60,14 @@ TEST(DeclModelTest, CapabilityClassAndCtorDtor) {
   FileDeclModel m = BuildFileDeclModel(f);
   ASSERT_EQ(m.classes.size(), 1u);
   const ClassDecl& cls = m.classes[0];
-  EXPECT_TRUE(cls.is_capability);
+  EXPECT_EQ(cls.name, "Mutex");  // the annotation before the name is skipped
   ASSERT_EQ(cls.methods.size(), 3u);
-  EXPECT_TRUE(cls.methods[0].is_ctor);
-  EXPECT_FALSE(cls.methods[0].is_dtor);
-  EXPECT_TRUE(cls.methods[1].is_dtor);
-  EXPECT_FALSE(cls.methods[1].is_ctor);
-  EXPECT_TRUE(cls.FindMethod("Lock")->acquires.empty());
+  EXPECT_EQ(cls.methods[0].name, "Mutex");
+  EXPECT_EQ(cls.methods[0].body_begin, kNpos);  // = default
+  EXPECT_EQ(cls.methods[1].name, "Mutex");      // the destructor
+  EXPECT_NE(cls.methods[1].body_begin, kNpos);
+  EXPECT_EQ(cls.methods[2].name, "Lock");
+  EXPECT_NE(cls.methods[2].body_begin, kNpos);
 }
 
 TEST(DeclModelTest, NestedClassIsModeledSeparately) {
@@ -110,10 +84,7 @@ TEST(DeclModelTest, NestedClassIsModeledSeparately) {
   ASSERT_EQ(m.classes.size(), 2u);
   // The nested class is appended first (parsed before Outer closes).
   EXPECT_EQ(m.classes[0].name, "Inner");
-  EXPECT_EQ(m.classes[0].FindField("events")->guarded_by, "mutex");
   EXPECT_EQ(m.classes[1].name, "Outer");
-  ASSERT_EQ(m.classes[1].fields.size(), 1u);
-  EXPECT_EQ(m.classes[1].fields[0].name, "own_");
 }
 
 TEST(DeclModelTest, OutOfLineDefinitionsAndCallsAreDistinguished) {
@@ -128,8 +99,10 @@ TEST(DeclModelTest, OutOfLineDefinitionsAndCallsAreDistinguished) {
   EXPECT_EQ(m.out_of_line[0].class_name, "Foo");
   EXPECT_EQ(m.out_of_line[0].method.name, "Get");
   EXPECT_NE(m.out_of_line[0].method.body_begin, kNpos);
-  EXPECT_TRUE(m.out_of_line[1].method.is_ctor);
-  EXPECT_TRUE(m.out_of_line[2].method.is_dtor);
+  EXPECT_EQ(m.out_of_line[1].method.name, "Foo");  // ctor past its init list
+  EXPECT_NE(m.out_of_line[1].method.body_begin, kNpos);
+  EXPECT_EQ(m.out_of_line[2].method.name, "Foo");  // the destructor
+  EXPECT_EQ(m.out_of_line[2].method.line, 3);
 }
 
 TEST(DeclModelTest, SkipsForwardDeclsEnumsAndTemplateParams) {
@@ -144,34 +117,7 @@ TEST(DeclModelTest, SkipsForwardDeclsEnumsAndTemplateParams) {
   FileDeclModel m = BuildFileDeclModel(f);
   ASSERT_EQ(m.classes.size(), 1u);  // no phantom class for Fwd, Color, or T
   EXPECT_EQ(m.classes[0].name, "Box");
-  ASSERT_EQ(m.classes[0].fields.size(), 1u);
-  EXPECT_EQ(m.classes[0].fields[0].name, "value_");
-}
-
-TEST(DeclModelTest, AcquiredBeforeOrdering) {
-  SourceFile f = MakeSourceFile(
-      "src/a/x.h",
-      "class Bank {\n"
-      "  Mutex fine_ CALC_ACQUIRED_AFTER(coarse_);\n"
-      "  Mutex coarse_ CALC_ACQUIRED_BEFORE(fine_);\n"
-      "};\n");
-  FileDeclModel m = BuildFileDeclModel(f);
-  ASSERT_EQ(m.classes.size(), 1u);
-  EXPECT_EQ(m.classes[0].FindField("fine_")->acquired_after,
-            std::vector<std::string>{"coarse_"});
-  EXPECT_EQ(m.classes[0].FindField("coarse_")->acquired_before,
-            std::vector<std::string>{"fine_"});
-}
-
-TEST(DeclModelTest, JoinAndSplitHelpers) {
-  SourceFile f = MakeSourceFile("src/a/x.h", "(job->mutex, std::defer_lock)");
-  SigTokens sig(f);
-  // Tokens: ( job -> mutex , std :: defer_lock )
-  auto args = SplitArgs(sig, 1, sig.size() - 1);
-  ASSERT_EQ(args.size(), 2u);
-  EXPECT_EQ(args[0], "job->mutex");
-  EXPECT_EQ(args[1], "std::defer_lock");
-  EXPECT_EQ(JoinTokens(sig, 1, 4), "job->mutex");
+  EXPECT_TRUE(m.classes[0].methods.empty());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "staticlint/lexer.h"
+#include "util/error.h"
 
 namespace calculon::staticlint {
 namespace {
@@ -35,96 +36,6 @@ std::vector<SourceFile> One(const std::string& path,
   std::vector<SourceFile> files;
   files.push_back(MakeSourceFile(path, text));
   return files;
-}
-
-// ---------------------------------------------------------------- nodiscard
-
-TEST(MissingNodiscardTest, FlagsResultReturningHeaderDecl) {
-  auto files = One("src/a/api.h",
-                   "#pragma once\n"
-                   "Result<int> Load(const std::string& path);\n");
-  auto out = RunRule(CheckMissingNodiscard, files, TestConfig());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].rule, "missing-nodiscard");
-  EXPECT_EQ(out[0].line, 2);
-}
-
-TEST(MissingNodiscardTest, AcceptsAnnotatedDecl) {
-  auto files = One("src/a/api.h",
-                   "#pragma once\n"
-                   "[[nodiscard]] Result<int> Load(const std::string& p);\n");
-  EXPECT_TRUE(RunRule(CheckMissingNodiscard, files, TestConfig()).empty());
-}
-
-TEST(MissingNodiscardTest, FlagsQuantityReturningDecl) {
-  auto files = One("src/a/api.h",
-                   "#pragma once\n"
-                   "Seconds TransferTime(Bytes bytes);\n");
-  auto out = RunRule(CheckMissingNodiscard, files, TestConfig());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].rule, "missing-nodiscard");
-}
-
-TEST(MissingNodiscardTest, IgnoresParametersAndReturns) {
-  // `Bytes b` as a parameter and `return Bytes(0.0)` are not declarations.
-  auto files = One("src/a/impl.h",
-                   "#pragma once\n"
-                   "[[nodiscard]] Seconds F(Bytes input);\n"
-                   "inline double G() { return 1.0; }\n");
-  EXPECT_TRUE(RunRule(CheckMissingNodiscard, files, TestConfig()).empty());
-}
-
-// ---------------------------------------------------------- discarded result
-
-TEST(DiscardedResultTest, FlagsIgnoredResultCall) {
-  auto files = One("src/a/use.cc",
-                   "#include \"a/api.h\"\n"
-                   "Result<int> Load(const std::string& path);\n"
-                   "void f() {\n"
-                   "  Load(\"x\");\n"
-                   "}\n");
-  auto out = RunRule(CheckDiscardedResult, files, TestConfig());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].rule, "discarded-result");
-  EXPECT_EQ(out[0].line, 4);
-}
-
-TEST(DiscardedResultTest, AcceptsConsumedResult) {
-  auto files = One("src/a/use.cc",
-                   "Result<int> Load(const std::string& path);\n"
-                   "void f() {\n"
-                   "  auto r = Load(\"x\");\n"
-                   "  if (!Load(\"y\").ok()) return;\n"
-                   "}\n");
-  EXPECT_TRUE(RunRule(CheckDiscardedResult, files, TestConfig()).empty());
-}
-
-TEST(DiscardedResultTest, MemberCallThroughObjectIsFlagged) {
-  auto files = One("src/a/use.cc",
-                   "Result<int> Validate();\n"
-                   "void f(Thing& t) {\n"
-                   "  t.Validate();\n"
-                   "}\n");
-  auto out = RunRule(CheckDiscardedResult, files, TestConfig());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].line, 3);
-}
-
-TEST(DiscardedResultTest, AmbiguousNameIsNotFlagged) {
-  // A second declaration of the same name with a non-Result return type
-  // makes the name ambiguous; the rule must stay quiet rather than guess.
-  std::vector<SourceFile> files;
-  files.push_back(MakeSourceFile("src/a/one.h",
-                                 "#pragma once\n"
-                                 "[[nodiscard]] Result<int> Validate();\n"));
-  files.push_back(MakeSourceFile("src/a/two.h",
-                                 "#pragma once\n"
-                                 "void Validate();\n"));
-  files.push_back(MakeSourceFile("src/a/use.cc",
-                                 "void f(App& app) {\n"
-                                 "  app.Validate();\n"
-                                 "}\n"));
-  EXPECT_TRUE(RunRule(CheckDiscardedResult, files, TestConfig()).empty());
 }
 
 // -------------------------------------------------------------- raw boundary
@@ -381,9 +292,26 @@ TEST(RunLintTest, LintOkSuppressesOnSameLine) {
   }
 }
 
-TEST(RunLintTest, RegistryHasTwentyThreeRulesWithUniqueIds) {
+TEST(RunLintTest, RejectsUnknownRuleIds) {
+  // A filter naming no rule would run nothing and report a clean tree.
+  auto files = One("src/a/alloc.cc",
+                   "void f() { auto* p = new int(1); }\n");
+  LintOptions options;
+  options.rule_filter = {"naked-new", "no-such-rule", "guarded-field"};
+  try {
+    (void)RunLint(files, TestConfig(), options);
+    FAIL() << "unknown rule ids were accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no-such-rule"), std::string::npos) << what;
+    EXPECT_NE(what.find("guarded-field"), std::string::npos) << what;
+    EXPECT_EQ(what.find("naked-new"), std::string::npos) << what;
+  }
+}
+
+TEST(RunLintTest, RegistryHasThirteenRulesWithUniqueIds) {
   const auto& rules = Registry();
-  EXPECT_EQ(rules.size(), 23u);
+  EXPECT_EQ(rules.size(), 13u);
   std::set<std::string> ids;
   for (const Rule& r : rules) {
     EXPECT_TRUE(ids.insert(r.info.id).second) << "duplicate " << r.info.id;
@@ -393,16 +321,15 @@ TEST(RunLintTest, RegistryHasTwentyThreeRulesWithUniqueIds) {
   EXPECT_EQ(RuleCatalog().size(), rules.size());
 }
 
-TEST(DeclIndexTest, CollectsResultAndQuantityReturningNames) {
+TEST(DeclIndexTest, CollectsQuantityReturningNames) {
   auto files = One("src/a/api.h",
                    "#pragma once\n"
                    "[[nodiscard]] Result<int> Load(const std::string& p);\n"
                    "[[nodiscard]] Seconds Elapsed();\n"
                    "void Plain();\n");
   DeclIndex index = BuildDeclIndex(files, TestConfig());
-  EXPECT_EQ(index.result_returning.count("Load"), 1u);
   EXPECT_EQ(index.quantity_returning.count("Elapsed"), 1u);
-  EXPECT_EQ(index.result_returning.count("Plain"), 0u);
+  EXPECT_EQ(index.quantity_returning.count("Load"), 0u);
   EXPECT_EQ(index.quantity_returning.count("Plain"), 0u);
 }
 
