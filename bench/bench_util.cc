@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "json/json.h"
-#include "obs/metrics.h"
-
 namespace calculon::bench {
 
 std::vector<std::int64_t> ScalingSizes() {
@@ -48,45 +45,6 @@ std::vector<ScalingPoint> SweepAndPrint(const Application& app,
   }
   std::printf("%s\n", table.ToString().c_str());
   return points;
-}
-
-void EnableMetrics() { obs::MetricsRegistry::Global().Enable(); }
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-void WriteMetricsSnapshot(const std::string& name, double elapsed_s) {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  json::Value snapshot{json::Object{}};
-  snapshot["bench"] = name;
-  snapshot["elapsed_seconds"] = elapsed_s;
-
-  // Headline numbers, derived from the instruments the sweep engines fill
-  // in (see docs/observability.md for the inventory).
-  const std::uint64_t evaluated =
-      metrics.GetCounter("exec_search.evaluated")->value();
-  snapshot["evaluations"] = static_cast<std::int64_t>(evaluated);
-  snapshot["evals_per_sec"] =
-      elapsed_s > 0.0 ? static_cast<double>(evaluated) / elapsed_s : 0.0;
-  obs::Histogram* latency = metrics.GetHistogram(
-      "exec_search.eval_latency_us", obs::DefaultLatencyBoundsUs());
-  json::Value lat{json::Object{}};
-  lat["count"] = static_cast<std::int64_t>(latency->count());
-  lat["p50_us"] = latency->Quantile(0.50);
-  lat["p95_us"] = latency->Quantile(0.95);
-  lat["p99_us"] = latency->Quantile(0.99);
-  snapshot["eval_latency_us"] = lat;
-
-  snapshot["metrics"] = metrics.ToJson();
-  const std::string path = "BENCH_" + name + ".json";
-  json::WriteFile(path, snapshot);
-  std::printf("metrics snapshot: %s (%.0f evals/s, p50 %.2fus)\n",
-              path.c_str(),
-              snapshot.at("evals_per_sec").AsDouble(),
-              lat.at("p50_us").AsDouble());
 }
 
 }  // namespace calculon::bench

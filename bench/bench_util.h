@@ -6,7 +6,6 @@
 // EXPERIMENTS.md) and CALCULON_THREADS=N to size the thread pool.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -87,19 +86,5 @@ std::vector<ScalingPoint> SweepAndPrint(const Application& app,
                                         const SearchSpace& space,
                                         const std::vector<std::int64_t>& sizes,
                                         ThreadPool& pool);
-
-// --- Harness observability ---
-//
-// EnableMetrics() switches the global obs::MetricsRegistry on so the sweep
-// engines record evaluation latency and rejection tallies during the bench
-// run. WriteMetricsSnapshot("fig06", elapsed_s) then writes
-// BENCH_fig06.json into the working directory: the full registry dump plus
-// the headline derived numbers (evals/sec, p50/p95/p99 eval latency) that
-// EXPERIMENTS.md tracks across machines.
-void EnableMetrics();
-void WriteMetricsSnapshot(const std::string& name, double elapsed_s);
-
-// Seconds since `start` on the monotonic clock, for WriteMetricsSnapshot.
-double SecondsSince(std::chrono::steady_clock::time_point start);
 
 }  // namespace calculon::bench

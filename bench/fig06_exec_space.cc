@@ -6,7 +6,6 @@
 // (~18%), only ~30 configurations (<0.002%) within 10% of the best, and
 // ~10 within 5%. (Sample rates up to ~1090/s imply an H100-class system.)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -17,8 +16,6 @@
 
 int main() {
   using namespace calculon;
-  bench::EnableMetrics();
-  const auto bench_start = std::chrono::steady_clock::now();
   ThreadPool pool(bench::Threads());
   const Application app = presets::Gpt3_175B();
   presets::SystemOptions o;
@@ -96,6 +93,5 @@ int main() {
               static_cast<unsigned long long>(within5));
   std::printf("\nbest strategy: %s\n",
               bench::StrategyLabel(r.best.front().exec).c_str());
-  bench::WriteMetricsSnapshot("fig06", bench::SecondsSince(bench_start));
   return 0;
 }

@@ -6,7 +6,6 @@
 //
 // Default grid: a coarse envelope plus a dense multiples-of-8 window with
 // the reduced optimization space of bench_util.h.
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -16,8 +15,6 @@
 
 int main() {
   using namespace calculon;
-  bench::EnableMetrics();
-  const auto bench_start = std::chrono::steady_clock::now();
   ThreadPool pool(bench::Threads());
   const auto sizes = bench::ScalingSizes();
   presets::SystemOptions o;
@@ -35,6 +32,5 @@ int main() {
       "paper reference: the envelope rises with size but top-performer\n"
       "variability grows; Turing-NLG (105 blocks) maps worst; some sizes\n"
       "cannot run the larger models at all (zero relative performance).\n");
-  bench::WriteMetricsSnapshot("fig07", bench::SecondsSince(bench_start));
   return 0;
 }

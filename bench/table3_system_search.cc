@@ -2,7 +2,6 @@
 // (HBM3 {20,40,80,120} GiB x DDR5 {none,256,512,1024} GiB) under a $125M
 // budget, evaluated for GPT-3 175B, Turing-NLG 530B and Megatron-1T:
 // GPUs used, sample rate, and performance per million dollars.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -12,8 +11,6 @@
 
 int main() {
   using namespace calculon;
-  bench::EnableMetrics();
-  const auto bench_start = std::chrono::steady_clock::now();
   ThreadPool pool(bench::Threads());
   const std::vector<SystemDesign> designs = Table3Designs();
 
@@ -63,6 +60,5 @@ int main() {
       "wins; the 20 GiB HBM3 + 256 GiB DDR5 design is the top performer for\n"
       "all three LLMs (offloading keeps active HBM usage under ~20 GiB\n"
       "while affording the second-largest GPU count).\n");
-  bench::WriteMetricsSnapshot("table3", bench::SecondsSince(bench_start));
   return 0;
 }

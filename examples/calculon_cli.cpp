@@ -40,15 +40,15 @@
 //   --metrics FILE       export tool metrics (latency histograms,
 //                        rejection counters) as JSON
 //   --progress[=SECS]    periodic progress lines on stderr (default 2s)
-// Exit codes: 0 complete, 1 infeasible/error, 2 usage,
-//             3 degraded (stopped early or isolated failures).
+// Exit codes: 0 complete, 1 infeasible/error, 2 usage (unknown flag,
+//             missing or malformed value), 3 degraded (stopped early or
+//             isolated failures).
 //
 //   calculon_cli presets [dir]
 //       List the built-in application/system presets; with a directory,
 //       export them all as JSON specification files.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -67,6 +67,7 @@
 #include "search/exec_search.h"
 #include "testing/fault_injection.h"
 #include "util/run_context.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -104,50 +105,48 @@ struct ResilienceArgs {
   }
 };
 
+// Malformed or out-of-range values and unknown flags throw UsageError.
 ResilienceArgs ParseResilienceArgs(int argc, char** argv) {
   ResilienceArgs args;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw ConfigError(arg + " needs a value");
+      if (i + 1 >= argc) throw UsageError(arg + " needs a value");
       return argv[++i];
     };
+    auto next_int = [&](long long min) {
+      const long long n = ParseIntFlag(arg, next());
+      if (n < min) {
+        throw UsageError(StrFormat("%s must be >= %lld", arg.c_str(), min));
+      }
+      return n;
+    };
     if (arg == "--deadline") {
-      args.deadline_s = std::stod(next());
-      if (args.deadline_s <= 0.0) throw ConfigError("--deadline must be > 0");
+      args.deadline_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--failure-budget") {
-      args.failure_budget = std::stoll(next());
+      args.failure_budget = ParseIntFlag(arg, next());
     } else if (arg == "--faults") {
       args.faults_spec = next();
     } else if (arg == "--checkpoint") {
       args.checkpoint_path = next();
     } else if (arg == "--checkpoint-every") {
-      args.checkpoint_every = std::stoll(next());
-      if (args.checkpoint_every <= 0) {
-        throw ConfigError("--checkpoint-every must be > 0");
-      }
+      args.checkpoint_every = next_int(1);
     } else if (arg == "--resume") {
       args.resume = true;
     } else if (arg == "--procs") {
-      args.procs = std::stoll(next());
-      if (args.procs <= 0) throw ConfigError("--procs must be > 0");
+      args.procs = next_int(1);
     } else if (arg == "--workers") {
-      args.workers = std::stoll(next());
-      if (args.workers < 0) throw ConfigError("--workers must be >= 0");
+      args.workers = next_int(0);
     } else if (arg == "--shard-size") {
-      args.shard_size = std::stoll(next());
-      if (args.shard_size <= 0) throw ConfigError("--shard-size must be > 0");
+      args.shard_size = next_int(1);
     } else if (arg == "--hang-timeout") {
-      args.hang_timeout_s = std::stod(next());
-      if (args.hang_timeout_s <= 0.0) {
-        throw ConfigError("--hang-timeout must be > 0");
-      }
+      args.hang_timeout_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--worker-logs") {
       args.worker_log_dir = next();
     } else if (args.obs.Consume(arg, next)) {
       // observability flags: --trace / --metrics / --progress
     } else if (arg.rfind("--", 0) == 0) {
-      throw ConfigError("unknown option " + arg);
+      throw UsageError("unknown option " + arg);
     } else {
       args.positional.push_back(arg);
     }
@@ -251,21 +250,23 @@ int RunOptimalExecution(int argc, char** argv) {
   ConfigureContext(args, &ctx);
   args.obs.Activate();
   SearchConfig config;
-  config.batch_size = std::atoll(args.positional[2].c_str());
+  config.batch_size = ParseIntFlag("<batch>", args.positional[2]);
   config.top_k = 1;
   config.ctx = &ctx;
+  const SearchSpace space = SearchSpace::AllWithOffload();
   std::optional<obs::ProgressReporter> reporter;
   if (args.obs.progress) {
     obs::ProgressOptions popts;
     popts.interval_s = args.obs.progress_interval_s;
-    popts.label = "exec_search";  // total (triples) is internal: rate-only
+    popts.total = SearchTriples(app, sys, space, config).size();
+    popts.label = "exec_search";
     reporter.emplace(&ctx, popts);
   }
   // The supervised driver forks before any ThreadPool exists in this
   // process (its in-process fallback builds one internally), keeping the
   // fork sites single-threaded.
   const SearchResult r = dist::FindOptimalExecutionSupervised(
-      app, sys, SearchSpace::AllWithOffload(), config, args.Dist());
+      app, sys, space, config, args.Dist());
   if (reporter.has_value()) reporter->Stop();
   args.obs.Finish();
   std::printf("searched %llu strategies, %llu feasible\n",
@@ -399,6 +400,9 @@ int main(int argc, char** argv) {
     if (cmd == "layers") return RunLayers(argc, argv);
     if (cmd == "study") return RunStudy(argc, argv);
     if (cmd == "presets") return RunPresets(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -9,7 +9,8 @@
 # must carry at least three distinct pid lanes (supervisor + 2 workers)
 # with process_name metadata and worker-side model/search spans, and the
 # aggregated metrics must count exactly as many evaluations as the
-# in-process run.
+# in-process run. In both phases the last progress line must read
+# "<n>/<n> (100.0%)": every triple of a known total committed.
 #
 # usage: scripts/traced_smoke.sh [build-dir]    # default: ./build
 set -u -o pipefail
@@ -20,6 +21,19 @@ if [[ ! -x "$CLI" ]]; then
   echo "traced_smoke: $CLI not found (build first)" >&2
   exit 1
 fi
+
+# Requires the last [exec_search] progress line in $1 to be "<n>/<n> (100.0%)".
+check_final_progress() {
+  local last
+  last="$(grep '^\[exec_search\]' "$1" | tail -n 1)"
+  if [[ ! "$last" =~ ^\[exec_search\]\ ([0-9]+)/([0-9]+)\ \(100\.0%\) ]] ||
+     [[ "${BASH_REMATCH[1]}" != "${BASH_REMATCH[2]}" ]]; then
+    echo "traced_smoke: final progress line is not n/n (100.0%): '$last'" >&2
+    cat "$1" >&2
+    exit 1
+  fi
+  echo "progress OK: $last"
+}
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/calculon_traced_smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
@@ -73,23 +87,20 @@ print(f"metrics OK: {counters['exec_search.evaluated']} evaluated, "
 EOF
 [[ $? -eq 0 ]] || { echo "traced_smoke: metrics validation failed" >&2; exit 1; }
 
-if ! grep -q "\[exec_search\]" "$WORK/progress.log"; then
-  echo "traced_smoke: no progress lines on stderr" >&2
-  cat "$WORK/progress.log" >&2
-  exit 1
-fi
+check_final_progress "$WORK/progress.log"
 
 WTRACE="$WORK/trace_workers.json"
 WMETRICS="$WORK/metrics_workers.json"
 
 echo "== traced supervised exec search (--workers 2)"
 "$CLI" llm-optimal-execution gpt3_175b h100_80g 4096 --procs 64 \
-    --workers 2 --trace "$WTRACE" --metrics "$WMETRICS" \
-    > "$WORK/search_workers.log" 2>&1 || {
+    --workers 2 --trace "$WTRACE" --metrics "$WMETRICS" --progress=1 \
+    > "$WORK/search_workers.log" 2> "$WORK/progress_workers.log" || {
   echo "traced_smoke: supervised search failed" >&2
-  cat "$WORK/search_workers.log" >&2
+  cat "$WORK/search_workers.log" "$WORK/progress_workers.log" >&2
   exit 1
 }
+check_final_progress "$WORK/progress_workers.log"
 
 echo "== validating $WTRACE (merged per-process lanes)"
 python3 - "$WTRACE" <<'EOF'

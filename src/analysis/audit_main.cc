@@ -13,7 +13,6 @@
 #include <exception>
 #include <filesystem>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +38,8 @@ using calculon::System;
 using calculon::analysis::AuditOptions;
 using calculon::analysis::AuditReport;
 using calculon::analysis::AuditViolation;
+using calculon::ParseIntFlag;
+using calculon::ParseSecondsFlag;
 
 void PrintUsage() {
   std::fprintf(
@@ -161,18 +162,6 @@ int main(int argc, char** argv) try {
       }
       return argv[++i];
     };
-    auto parse_int = [&](const std::string& value) -> long long {
-      try {
-        std::size_t used = 0;
-        const long long n = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return n;
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "calculon-audit: %s expects an integer, got %s\n",
-                     arg.c_str(), value.c_str());
-        std::exit(2);
-      }
-    };
     if (arg == "--apps") {
       want_apps = SplitCsv(next());
     } else if (arg == "--systems") {
@@ -181,57 +170,35 @@ int main(int argc, char** argv) try {
       config_dir = next();
     } else if (arg == "--procs") {
       for (const std::string& n : SplitCsv(next())) {
-        options.proc_counts.push_back(parse_int(n));
+        options.proc_counts.push_back(ParseIntFlag(arg, n));
       }
     } else if (arg == "--max-splits") {
-      options.max_splits = static_cast<int>(parse_int(next()));
+      options.max_splits = static_cast<int>(ParseIntFlag(arg, next()));
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(parse_int(next()));
+      threads = static_cast<unsigned>(ParseIntFlag(arg, next()));
     } else if (arg == "--workers") {
-      dist.workers = static_cast<int>(parse_int(next()));
+      dist.workers = static_cast<int>(ParseIntFlag(arg, next()));
       if (dist.workers < 0) {
         std::fprintf(stderr, "calculon-audit: --workers must be >= 0\n");
         return 2;
       }
     } else if (arg == "--shard-size") {
-      const long long n = parse_int(next());
+      const long long n = ParseIntFlag(arg, next());
       if (n <= 0) {
         std::fprintf(stderr, "calculon-audit: --shard-size must be > 0\n");
         return 2;
       }
       dist.shard_size = static_cast<std::uint64_t>(n);
     } else if (arg == "--hang-timeout") {
-      try {
-        std::size_t used = 0;
-        const std::string value = next();
-        dist.hang_timeout_s = std::stod(value, &used);
-        if (used != value.size() || dist.hang_timeout_s <= 0.0) {
-          throw std::invalid_argument(value);
-        }
-      } catch (const std::exception&) {
-        std::fprintf(stderr,
-                     "calculon-audit: --hang-timeout expects seconds > 0\n");
-        return 2;
-      }
+      dist.hang_timeout_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--worker-logs") {
       dist.worker_log_dir = next();
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--deadline") {
-      try {
-        std::size_t used = 0;
-        const std::string value = next();
-        deadline_s = std::stod(value, &used);
-        if (used != value.size() || deadline_s <= 0.0) {
-          throw std::invalid_argument(value);
-        }
-      } catch (const std::exception&) {
-        std::fprintf(stderr,
-                     "calculon-audit: --deadline expects seconds > 0\n");
-        return 2;
-      }
+      deadline_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--failure-budget") {
-      failure_budget = parse_int(next());
+      failure_budget = ParseIntFlag(arg, next());
     } else if (arg == "--faults") {
       faults_spec = next();
     } else if (arg == "--checkpoint") {
@@ -418,6 +385,8 @@ int main(int argc, char** argv) try {
           static_cast<std::uint64_t>(i) << 32});
       orig.push_back(i);
     }
+    // The in-process pool counts journal-restored pairs as completed too.
+    ctx.RecordCompleted(pairs.size() - specs.size());
     calculon::dist::RunAuditSupervised(
         specs, options, dist, ctx,
         [&](std::uint64_t j, AuditReport report) {

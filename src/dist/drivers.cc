@@ -142,13 +142,15 @@ void RunAuditSupervised(
   spec["pairs"] = json::Value(std::move(pair_specs));
 
   // Journal order does not matter (the journal is keyed by pair), so
-  // pairs commit as they arrive.
+  // pairs commit as they arrive, each counted once as the in-process pool
+  // counts it.
   SupervisorCallbacks callbacks;
   callbacks.on_item = [&](std::uint64_t item, const json::Value& result) {
     for (FailureRecord& f : FailuresFromJson(result.at("failures"))) {
       ctx.RecordFailure(std::move(f));
     }
     on_pair_done(item, analysis::ReportFromJson(result.at("report")));
+    ctx.RecordCompleted();
   };
   callbacks.on_quarantine = [&](const FailureRecord& record) {
     FailureRecord scoped = record;

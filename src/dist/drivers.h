@@ -51,9 +51,10 @@ namespace calculon::dist {
     const SearchConfig& config, const DistOptions& dist);
 
 // AuditPair for each pair across a supervised worker pool. Worker-side
-// failures and quarantines replay onto `ctx`; a quarantined pair never
-// reaches `on_pair_done` (the caller's degraded-exit accounting treats it
-// like a pair a stop interrupted). `on_pair_done(i, report)` fires as each
+// failures and quarantines replay onto `ctx`, and each pair that reaches
+// `on_pair_done` counts one completed item on it; a quarantined pair never
+// does (the caller's degraded-exit accounting treats it like a pair a
+// stop interrupted). `on_pair_done(i, report)` fires as each
 // pair's report arrives — the caller's journal commit, the same one its
 // in-process pool feeds. Call this only when dist.active().
 void RunAuditSupervised(

@@ -1,6 +1,7 @@
 #include "dist/supervisor.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <ctime>
@@ -20,7 +21,6 @@
 #include "dist/worker.h"
 #include "json/json.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/error.h"
@@ -35,6 +35,21 @@
 #endif
 
 namespace calculon::dist {
+
+json::Value InitFrame(const json::Value& job_spec,
+                      const std::string& faults_spec) {
+  const obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  json::Value telemetry;
+  telemetry["metrics"] = obs::MetricsRegistry::Global().enabled();
+  telemetry["trace"] = recorder.enabled();
+  telemetry["trace_start_ns"] = recorder.start_ns();
+  json::Value frame;
+  frame["type"] = "init";
+  frame["job"] = job_spec;
+  frame["faults"] = faults_spec;
+  frame["telemetry"] = telemetry;
+  return frame;
+}
 
 #if defined(CALCULON_DIST_HAVE_FORK)
 
@@ -52,10 +67,20 @@ struct PendingRetry {
   std::int64_t ready_at_ms = 0;
 };
 
-// Bound on the supervisor-side flight mirror per worker: the worker's own
-// ring already bounds what it ships per flush, this additionally caps the
-// accumulated history the supervisor keeps.
-constexpr std::size_t kFlightMirrorCap = 256;
+// One protocol exchange with a worker, for its post-mortem: `ready`
+// (received), `shard_begin` (dispatched), `item_done` (ack received) or
+// `shard_done` (received). `item` is the shard's begin for the shard
+// events, the acked item for item_done and kNoItem for ready; `ms` is the
+// NowMs() reading the loop took for last_activity_ms.
+constexpr std::uint64_t kNoItem = ~std::uint64_t{0};
+struct SlotEvent {
+  const char* label = "";
+  std::uint64_t item = kNoItem;
+  std::int64_t ms = 0;
+};
+
+// Per-slot post-mortem ring size: the last 64 exchanges are kept.
+constexpr std::size_t kSlotEventCapacity = 64;
 
 struct WorkerSlot {
   pid_t pid = -1;  // -1: no live process in this slot
@@ -75,17 +100,22 @@ struct WorkerSlot {
   // Trace timestamp of the last shard dispatch (supervisor timeline), for
   // the handoff span recorded when shard_done arrives. 0 = not tracing.
   double dispatch_ts_us = 0.0;
-  // Flight-recorder mirror: the worker's recent activity markers, shipped
-  // ahead of each item evaluation; dumped on quarantine (bounded, oldest
-  // evicted first).
-  std::deque<json::Value> flight;
-  std::uint64_t flight_dropped = 0;
+  // The supervisor's own record of this incarnation's last exchanges,
+  // rendered to a post-mortem file only when the worker dies. `events` is
+  // a ring indexed by event_count % kSlotEventCapacity.
+  std::array<SlotEvent, kSlotEventCapacity> events;
+  std::uint64_t event_count = 0;  // appended since spawn
   // Last cumulative metrics snapshot from this incarnation; folded into
   // the per-slot total when the incarnation ends.
   obs::MetricsSnapshot live_metrics;
   bool has_live_metrics = false;
 
   [[nodiscard]] bool alive() const { return pid != -1; }
+
+  void Record(const char* label, std::uint64_t item = kNoItem) {
+    events[event_count++ % kSlotEventCapacity] =
+        SlotEvent{label, item, last_activity_ms};
+  }
 };
 
 // Mutable loop state bundled so the helpers below stay free functions.
@@ -171,15 +201,15 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
   slot.has_live_metrics = false;
 }
 
-// Dumps the slot's flight mirror to a post-mortem JSON file (see
+// Dumps the slot's event ring to a post-mortem JSON file (see
 // docs/observability.md for the format) in worker_log_dir, or the system
 // temp directory when no log dir is configured. Returns the path, or ""
 // when there was no evidence or the write failed — post-mortems are
 // best-effort; a dump failure must never take down the supervisor.
 [[nodiscard]] std::string DumpFlightPostMortem(
     Pool& pool, std::size_t index, const std::string& description) {
-  WorkerSlot& slot = pool.slots[index];
-  if (slot.flight.empty() && slot.flight_dropped == 0) return "";
+  const WorkerSlot& slot = pool.slots[index];
+  if (slot.event_count == 0) return "";
   std::string dir = pool.options.worker_log_dir;
   try {
     if (dir.empty()) {
@@ -200,9 +230,26 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
       shard["end"] = static_cast<std::int64_t>(slot.shard.end);
       doc["shard"] = shard;
       doc["acked"] = static_cast<std::int64_t>(slot.acked);
+      // The item ShardTracker blames: the first one never acked.
+      doc["suspect"] =
+          static_cast<std::int64_t>(slot.shard.begin + slot.acked);
     }
-    doc["mirror_dropped"] = static_cast<std::int64_t>(slot.flight_dropped);
-    json::Array events(slot.flight.begin(), slot.flight.end());
+    const std::int64_t now = NowMs();
+    const std::uint64_t kept =
+        std::min<std::uint64_t>(slot.event_count, kSlotEventCapacity);
+    json::Array events;
+    for (std::uint64_t seq = slot.event_count - kept; seq < slot.event_count;
+         ++seq) {
+      const SlotEvent& e = slot.events[seq % kSlotEventCapacity];
+      json::Value event;
+      event["seq"] = static_cast<std::int64_t>(seq);
+      event["label"] = e.label;
+      if (e.item != kNoItem) {
+        event["item"] = static_cast<std::int64_t>(e.item);
+      }
+      event["ago_ms"] = now - e.ms;
+      events.push_back(std::move(event));
+    }
     doc["events"] = json::Value(std::move(events));
     json::WriteFile(path, doc);
     return path;
@@ -235,18 +282,6 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
       recorder.AddExternalDropped(
           static_cast<std::uint64_t>(frame.GetInt("dropped", 0)));
     }
-    return true;
-  }
-  if (type == "flight") {
-    for (const json::Value& event : frame.at("events").AsArray()) {
-      if (slot.flight.size() >= kFlightMirrorCap) {
-        slot.flight.pop_front();
-        ++slot.flight_dropped;
-      }
-      slot.flight.push_back(event);
-    }
-    slot.flight_dropped +=
-        static_cast<std::uint64_t>(frame.GetInt("dropped", 0));
     return true;
   }
   return false;
@@ -319,12 +354,11 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
   slot.busy = false;
   slot.acked = 0;
   slot.last_activity_ms = NowMs();
-  // Fresh incarnation: new trace lane, empty flight mirror (the previous
+  // Fresh incarnation: new trace lane, empty event ring (the previous
   // incarnation's evidence was dumped by its death handler).
   slot.last_pid = pid;
   slot.dispatch_ts_us = 0.0;
-  slot.flight.clear();
-  slot.flight_dropped = 0;
+  slot.event_count = 0;
   slot.live_metrics = obs::MetricsSnapshot();
   slot.has_live_metrics = false;
   PublishAlive(pool);
@@ -356,8 +390,8 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
       record.reason = StrFormat("quarantined after %d attempts; last: %s",
                                 outcome.attempt, description.c_str());
       record.worker = static_cast<unsigned>(index);
-      // Attach the flight-recorder evidence of what the worker was doing
-      // when it died; the ring itself was shipped ahead of each item.
+      // Attach the supervisor's record of what the worker was doing when
+      // it died.
       record.flight_path = DumpFlightPostMortem(pool, index, description);
       if (pool.quarantined != nullptr) pool.quarantined->Increment();
       if (pool.callbacks->on_quarantine) pool.callbacks->on_quarantine(record);
@@ -400,20 +434,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
 
-  json::Value init_frame;
-  init_frame["type"] = "init";
-  init_frame["job"] = job_spec;
-  init_frame["faults"] = options.faults_spec;
-  // Telemetry the workers should produce, mirroring this process's own
-  // obs state. trace_start_ns aligns worker timestamps to the supervisor
-  // timeline (the steady clock is shared across fork()).
-  json::Value telemetry;
-  telemetry["metrics"] = metrics.enabled();
-  telemetry["trace"] = recorder.enabled();
-  telemetry["trace_start_ns"] = recorder.start_ns();
-  telemetry["flight_capacity"] =
-      static_cast<std::int64_t>(std::max(options.flight_capacity, 0));
-  init_frame["telemetry"] = telemetry;
+  const json::Value init_frame = InitFrame(job_spec, options.faults_spec);
   Pool pool;
   pool.init_frame = &init_frame;
   pool.options = options;
@@ -492,6 +513,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
       slot.shard = shard;
       slot.acked = 0;
       slot.last_activity_ms = now;
+      slot.Record("shard_begin", shard.begin);
       slot.dispatch_ts_us = recorder.enabled() ? recorder.NowMicros() : 0.0;
       if (!slot.writer->WriteFrame(frame)) {
         // Dead before the dispatch reached it; fold into the normal death
@@ -584,6 +606,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
             slot.last_activity_ms = NowMs();
             if (type == "ready") {
               slot.ready = true;
+              slot.Record("ready");
               pool.consecutive_startup_failures = 0;
             } else if (type == "item") {
               const auto index =
@@ -597,8 +620,10 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
               }
               tracker.OnItemDone(index);
               ++slot.acked;
+              slot.Record("item_done", index);
             } else if (type == "shard_done") {
               slot.busy = false;
+              slot.Record("shard_done", slot.shard.begin);
               // Handoff span on the supervisor timeline: dispatch to
               // completion of this shard, labelled with the worker's lane.
               if (recorder.enabled() && slot.dispatch_ts_us > 0.0) {
@@ -664,11 +689,6 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
                         1000.0,
                     ReapWorker(slot).c_str()));
     }
-
-    // Aggregate ack progress (resolved() already counts the resume
-    // watermark) for the ProgressReporter's rate/ETA fold.
-    obs::WorkerProgress::Global().Publish(
-        tracker.resolved() - first_item, span);
   }
 
   // Shutdown: polite exit frames first, then force.
@@ -778,7 +798,6 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
     }
     if (!aggregate.empty()) metrics.Ingest(aggregate, "");
   }
-  obs::WorkerProgress::Global().Reset();
 
   if (!startup_error.empty()) {
     throw ConfigError("dist supervisor: " + startup_error);

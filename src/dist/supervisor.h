@@ -23,6 +23,10 @@
 // fault decision is a process kind — which is what makes "the quarantine
 // list equals the injected process faults" a testable property.
 //
+// Post-mortems come from the frames the supervisor already handles: each
+// slot keeps a fixed ring of its last exchanges, rendered with the suspect
+// to the file FailureRecord::flight_path names when a busy worker dies.
+//
 // The supervisor itself is single-threaded; results reach the driver via
 // callbacks on the supervising thread, in arrival order (the drivers in
 // dist/drivers.h reorder into item order to preserve the bit-identical
@@ -42,6 +46,12 @@ namespace calculon::dist {
 // True when this platform can fork supervised workers (POSIX fork + pipes).
 [[nodiscard]] bool ForkAvailable();
 
+// The init frame RunSupervised sends each worker (dist/worker.h). Its
+// "telemetry" object mirrors this process's obs state, so workers record
+// exactly when the supervisor does.
+[[nodiscard]] json::Value InitFrame(const json::Value& job_spec,
+                                    const std::string& faults_spec);
+
 // How a sweep fans out across supervised workers. The same struct drives
 // the supervisor below and the engine front ends in dist/drivers.h.
 struct DistOptions {
@@ -54,14 +64,9 @@ struct DistOptions {
   // A busy worker silent for this long is declared hung and SIGKILLed.
   double hang_timeout_s = 30.0;
   // When non-empty, each worker's stderr goes to
-  // <dir>/worker-<n>.log (appended across restarts), and flight-recorder
-  // post-mortems are dumped there for every busy worker death.
+  // <dir>/worker-<n>.log (appended across restarts), and post-mortems are
+  // dumped there for every busy worker death.
   std::string worker_log_dir;
-  // Capacity of each worker's crash flight recorder — the bounded ring of
-  // recent spans/instants kept even when tracing is off, mirrored by the
-  // supervisor and dumped to a post-mortem file when the worker is
-  // quarantined (see docs/observability.md). 0 disables.
-  int flight_capacity = 64;
   // FaultPlan spec shipped to workers verbatim (see FaultPlan::ToSpec);
   // the supervised engines inject inside the worker, never in the parent.
   std::string faults_spec;

@@ -1,6 +1,5 @@
 #include "dist/worker.h"
 
-#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -11,7 +10,6 @@
 #include "dist/jobs.h"
 #include "dist/wire.h"
 #include "json/json.h"
-#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "testing/fault_injection.h"
@@ -21,9 +19,10 @@ namespace calculon::dist {
 namespace {
 
 // Configures the worker-side telemetry from the init frame's "telemetry"
-// object. Tracing aligns onto the supervisor's timeline: the steady clock
-// is shared across fork(), so adopting the parent recorder's start_ns
-// makes worker timestamps land on the same axis as supervisor events.
+// object (see InitFrame in dist/supervisor.h). Tracing aligns onto the
+// supervisor's timeline: the steady clock is shared across fork(), so
+// adopting the parent recorder's start_ns makes worker timestamps land on
+// the same axis as supervisor events.
 void ConfigureTelemetry(const json::Value& frame) {
   if (!frame.contains("telemetry")) return;
   const json::Value& telemetry = frame.at("telemetry");
@@ -36,26 +35,6 @@ void ConfigureTelemetry(const json::Value& frame) {
     const std::int64_t start_ns = telemetry.GetInt("trace_start_ns", 0);
     if (start_ns != 0) recorder.AlignStart(start_ns);
   }
-  const auto flight_capacity =
-      static_cast<std::size_t>(telemetry.GetInt("flight_capacity", 0));
-  if (flight_capacity > 0) {
-    obs::FlightRecorder::Global().Enable(flight_capacity);
-  }
-}
-
-// Ships undrained flight-ring entries. Called before each item evaluation
-// so the supervisor's mirror holds this worker's last actions even when
-// the very next step kills the process (crash, hang-SIGKILL).
-[[nodiscard]] bool FlushFlight(FrameWriter& writer) {
-  obs::FlightRecorder& flight = obs::FlightRecorder::Global();
-  if (!flight.enabled()) return true;
-  obs::FlightRecorder::Drained drained = flight.DrainNew();
-  if (drained.events.empty() && drained.dropped == 0) return true;
-  json::Value frame;
-  frame["type"] = "flight";
-  frame["events"] = json::Value(std::move(drained.events));
-  frame["dropped"] = static_cast<std::int64_t>(drained.dropped);
-  return writer.WriteFrame(frame);
 }
 
 // Ships the cumulative metrics snapshot and any buffered trace events.
@@ -81,13 +60,12 @@ void ConfigureTelemetry(const json::Value& frame) {
       if (!writer.WriteFrame(frame)) return false;
     }
   }
-  return FlushFlight(writer);
+  return true;
 }
 
 int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
   std::unique_ptr<Job> job;
   auto& faults = testing::FaultInjector::Global();
-  auto& flight = obs::FlightRecorder::Global();
   json::Value frame;
   while (reader.ReadFrameBlocking(&frame)) {
     const std::string type = frame.GetString("type", "");
@@ -96,7 +74,6 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
           testing::FaultPlan::FromSpec(frame.GetString("faults", "")));
       ConfigureTelemetry(frame);
       job = MakeJob(frame.at("job"));
-      flight.RecordInstant("ready");
       json::Value ready;
       ready["type"] = "ready";
       if (!writer.WriteFrame(ready)) return 1;
@@ -104,26 +81,17 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
       if (job == nullptr) return 1;  // shard before init: corrupt parent
       const auto begin = static_cast<std::uint64_t>(frame.at("begin").AsInt());
       const auto end = static_cast<std::uint64_t>(frame.at("end").AsInt());
-      flight.RecordInstant("shard_begin", begin);
       for (std::uint64_t i = begin; i < end && i < job->num_items(); ++i) {
-        // Flight evidence must reach the supervisor BEFORE the fault
-        // decision / evaluation that may kill this process: record the
-        // item marker, then flush, then evaluate.
-        flight.RecordInstant("item_begin", i);
-        if (!FlushFlight(writer)) return 1;
         // The process-level fault decision fires before the evaluation:
         // an aborted/hung item never acks, so the supervisor's suspect is
         // exactly this item, on every retry.
         faults.MaybeInjectProcess(job->FaultKey(i));
-        const double t0 = obs::MonotonicMicros();
         json::Value item;
         item["type"] = "item";
         item["index"] = static_cast<std::int64_t>(i);
         item["result"] = job->RunItem(i);
-        flight.RecordSpan("item_done", i, t0, obs::MonotonicMicros() - t0);
         if (!writer.WriteFrame(item)) return 1;
       }
-      flight.RecordInstant("shard_done", begin);
       if (!SendTelemetry(writer)) return 1;
       json::Value done;
       done["type"] = "shard_done";

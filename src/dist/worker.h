@@ -12,16 +12,16 @@
 //   worker -> parent   {"type":"shard_done", "begin":B, "end":E}
 //   parent -> worker   {"type":"exit"}
 //
-// Interleaved with the result stream, a worker may send purely
+// Before each shard_done and on exit, a worker may send purely
 // observational telemetry frames (enabled via the init frame's
 // "telemetry" object, see docs/observability.md):
 //
 //   {"type":"metrics_snapshot", "metrics":{...}}   cumulative registry
 //   {"type":"trace_chunk", "events":[...], "dropped":D}
-//   {"type":"flight", "events":[...], "dropped":D}  crash flight recorder
 //
 // The supervisor never feeds these into its reorder buffers, so outputs
-// stay bit-identical with telemetry on.
+// stay bit-identical with telemetry on. With both off, a shard of n items
+// costs exactly n + 1 frames: one per item plus shard_done.
 //
 // Items are evaluated and acked strictly in order within a shard, which
 // is what lets the supervisor identify the *suspect* (first un-acked

@@ -1,34 +1,14 @@
 #include "obs/cli_options.h"
 
-#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/error.h"
 #include "util/strings.h"
 
 namespace calculon::obs {
-
-namespace {
-
-double ParseInterval(const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double secs = std::stod(value, &used);
-    if (used != value.size() || secs <= 0.0) {
-      throw std::invalid_argument(value);
-    }
-    return secs;
-  } catch (const std::exception&) {
-    throw ConfigError("--progress expects seconds > 0, got '" + value + "'");
-  }
-}
-
-}  // namespace
 
 bool ObsCliOptions::Consume(const std::string& arg,
                             const std::function<std::string()>& next) {
@@ -44,7 +24,7 @@ bool ObsCliOptions::Consume(const std::string& arg,
     progress = true;
   } else if (StartsWith(arg, "--progress=")) {
     progress = true;
-    progress_interval_s = ParseInterval(arg.substr(11));
+    progress_interval_s = ParseSecondsFlag("--progress", arg.substr(11));
   } else {
     return false;
   }

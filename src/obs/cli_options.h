@@ -21,7 +21,7 @@ struct ObsCliOptions {
 
   // Returns true when `arg` is an observability flag (and consumes its
   // value, calling `next` for the space-separated forms). Throws
-  // ConfigError on a malformed --progress interval.
+  // UsageError on a malformed --progress interval.
   bool Consume(const std::string& arg,
                const std::function<std::string()>& next);
 

@@ -4,7 +4,7 @@
 // histograms describing the tool's own behavior: evaluation latency,
 // feasible/infeasible/culled candidate counts by rejection reason, thread-
 // pool queue depth, checkpoint writes, injected faults. Exported as JSON
-// (for `--metrics=<file>` and the bench BENCH_*.json snapshots) and as an
+// (for `--metrics=<file>` and the perfbench per-layer probes) and as an
 // ASCII table (see docs/observability.md for the metric inventory).
 //
 // Instruments are cheap lock-free atomics; the registry mutex is taken

@@ -1,6 +1,5 @@
 #include "obs/progress.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -9,11 +8,6 @@
 #include "util/strings.h"
 
 namespace calculon::obs {
-
-WorkerProgress& WorkerProgress::Global() {
-  static WorkerProgress global;
-  return global;
-}
 
 ProgressReporter::ProgressReporter(const RunContext* ctx,
                                    ProgressOptions options)
@@ -70,18 +64,11 @@ void ProgressReporter::Loop() {
 }
 
 void ProgressReporter::EmitLine(double elapsed_s) {
-  std::uint64_t completed = ctx_->items_completed();
-  std::uint64_t total = options_.total;
-  const WorkerProgress& workers = WorkerProgress::Global();
-  if (workers.active()) {
-    // Supervised runs: the context's counters only advance when the
-    // supervisor merges acks, so take the larger of the two views.
-    completed = std::max(completed, workers.acked());
-    if (total == 0) total = workers.total();
-  }
+  const std::uint64_t completed = ctx_->items_completed();
   const std::uint64_t failures = ctx_->failures();
   const std::string line =
-      FormatLine(options_.label, completed, total, failures, elapsed_s);
+      FormatLine(options_.label, completed, options_.total, failures,
+                 elapsed_s);
   std::fprintf(options_.out, "%s\n", line.c_str());
   std::fflush(options_.out);
   if (options_.emit_trace_counters) {

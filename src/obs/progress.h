@@ -9,10 +9,11 @@
 //
 // The reporter only *reads* the context's atomic counters; it never
 // influences the sweep, so model outputs stay bit-identical with progress
-// reporting on.
+// reporting on. Supervised runs (dist/drivers.h) count an item on the
+// same context when the supervisor commits its result, so one reporter
+// covers both modes.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,46 +32,6 @@ struct ProgressOptions {
   std::string label = "run";  // line prefix, e.g. "exec_search"
   std::FILE* out = nullptr;   // destination; nullptr = stderr
   bool emit_trace_counters = true;
-};
-
-// Aggregate worker acknowledgement progress, published by the dist
-// supervisor's poll loop. In a supervised run the RunContext's counters
-// only advance when the supervisor merges a worker's acks, so the
-// ProgressReporter folds this feed in (max of the two views) to show the
-// true aggregate rate/ETA across every worker. All fields are relaxed
-// atomics — a torn read across two fields costs one slightly stale
-// progress line, nothing more.
-class WorkerProgress {
- public:
-  [[nodiscard]] static WorkerProgress& Global();
-
-  // Called by the supervisor each poll iteration. Marks the feed active.
-  void Publish(std::uint64_t acked, std::uint64_t total) {
-    acked_.store(acked, std::memory_order_relaxed);
-    total_.store(total, std::memory_order_relaxed);
-    active_.store(true, std::memory_order_relaxed);
-  }
-  // Deactivates the feed (end of the supervised phase).
-  void Reset() {
-    active_.store(false, std::memory_order_relaxed);
-    acked_.store(0, std::memory_order_relaxed);
-    total_.store(0, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool active() const {
-    return active_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t acked() const {
-    return acked_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total() const {
-    return total_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> active_{false};
-  std::atomic<std::uint64_t> acked_{0};
-  std::atomic<std::uint64_t> total_{0};
 };
 
 class ProgressReporter {

@@ -367,7 +367,7 @@ void StudyCommit::Quarantine(FailureRecord record) {
   StudyRowResult row;
   row.csv =
       StudyCsvRow(e, Result<Stats>(Infeasible::kBadConfig, record.reason));
-  // Keep the supervisor's evidence (worker, flight post-mortem), scoped
+  // Keep the supervisor's evidence (worker, post-mortem path), scoped
   // with this row's coordinates.
   record.item = next_row();
   record.fingerprint = StudyRowFingerprint(e);

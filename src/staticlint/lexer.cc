@@ -296,6 +296,41 @@ std::vector<Token> Lex(std::string_view text) {
   return out;
 }
 
+SourceFile::SourceFile(const SourceFile& other)
+    : path(other.path), text(other.text), tokens(other.tokens) {
+  RebaseTokens(other.text.data());
+}
+
+SourceFile::SourceFile(SourceFile&& other) noexcept
+    : path(std::move(other.path)), tokens(std::move(other.tokens)) {
+  const char* old_text = other.text.data();
+  text = std::move(other.text);
+  RebaseTokens(old_text);
+}
+
+SourceFile& SourceFile::operator=(const SourceFile& other) {
+  if (this != &other) *this = SourceFile(other);
+  return *this;
+}
+
+SourceFile& SourceFile::operator=(SourceFile&& other) noexcept {
+  if (this == &other) return *this;
+  path = std::move(other.path);
+  tokens = std::move(other.tokens);
+  const char* old_text = other.text.data();
+  text = std::move(other.text);
+  RebaseTokens(old_text);
+  return *this;
+}
+
+void SourceFile::RebaseTokens(const char* old_text) {
+  if (old_text == text.data()) return;
+  for (Token& tok : tokens) {
+    const auto offset = static_cast<std::size_t>(tok.text.data() - old_text);
+    tok.text = std::string_view(text).substr(offset, tok.text.size());
+  }
+}
+
 SourceFile MakeSourceFile(std::string path, std::string text) {
   SourceFile f;
   f.path = std::move(path);

@@ -25,7 +25,8 @@ enum class TokKind {
 [[nodiscard]] const char* ToString(TokKind kind);
 
 // One lexed token. `text` views into the owning SourceFile's `text` buffer,
-// so tokens are only valid while the SourceFile is alive.
+// so tokens are only valid while the SourceFile is alive (SourceFile
+// re-points them when it is copied or moved).
 struct Token {
   TokKind kind = TokKind::kPunct;
   std::string_view text;
@@ -40,9 +41,22 @@ struct SourceFile {
   std::string text;
   std::vector<Token> tokens;
 
+  SourceFile() = default;
+  // A copied string, and a moved one short enough for the small-string
+  // buffer, changes address: these re-point every token at the new text.
+  SourceFile(const SourceFile& other);
+  SourceFile(SourceFile&& other) noexcept;
+  SourceFile& operator=(const SourceFile& other);
+  SourceFile& operator=(SourceFile&& other) noexcept;
+  ~SourceFile() = default;
+
   [[nodiscard]] bool is_header() const {
     return path.size() > 2 && path.compare(path.size() - 2, 2, ".h") == 0;
   }
+
+ private:
+  // Re-points tokens that viewed into a buffer at `old_text`.
+  void RebaseTokens(const char* old_text);
 };
 
 // The parsed payload of a kDirective token, produced by ParseDirective.

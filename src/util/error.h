@@ -96,4 +96,11 @@ class ConfigError : public std::runtime_error {
   explicit ConfigError(const std::string& what) : std::runtime_error(what) {}
 };
 
+// A malformed command line (unknown flag, missing or malformed value).
+// The CLIs exit 2 on it (docs/robustness.md §5).
+class UsageError : public ConfigError {
+ public:
+  using ConfigError::ConfigError;
+};
+
 }  // namespace calculon

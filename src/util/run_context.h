@@ -46,8 +46,9 @@ struct FailureRecord {
   std::string fingerprint;   // configuration coordinates, when known
   std::string reason;        // exception what() / Result detail
   unsigned worker = 0;       // claiming pool participant (0 = caller)
-  // Flight-recorder post-mortem file for a quarantined supervised worker
-  // (see docs/observability.md); empty when none was captured.
+  // Post-mortem file the dist supervisor wrote from its record of the
+  // quarantined worker's last exchanges (see docs/observability.md §7);
+  // empty when none was captured.
   std::string flight_path;
 };
 

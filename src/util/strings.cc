@@ -2,6 +2,9 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <exception>
+
+#include "util/error.h"
 
 namespace calculon {
 
@@ -51,6 +54,26 @@ std::string StrFormat(const char* fmt, ...) {
   if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   va_end(args_copy);
   return out;
+}
+
+long long ParseIntFlag(const std::string& flag, const std::string& value) {
+  try {
+    std::size_t used = 0;
+    const long long n = std::stoll(value, &used);
+    if (used == value.size()) return n;
+  } catch (const std::exception&) {
+  }
+  throw UsageError(flag + " expects an integer, got '" + value + "'");
+}
+
+double ParseSecondsFlag(const std::string& flag, const std::string& value) {
+  try {
+    std::size_t used = 0;
+    const double secs = std::stod(value, &used);
+    if (used == value.size() && secs > 0.0) return secs;
+  } catch (const std::exception&) {
+  }
+  throw UsageError(flag + " expects seconds > 0, got '" + value + "'");
 }
 
 }  // namespace calculon

@@ -16,4 +16,13 @@ namespace calculon {
 [[nodiscard]] std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+// Whole-string parsers for command-line flag values, shared by
+// calculon_cli and calculon-audit: "2x", "" or "abc" throw UsageError
+// (util/error.h) naming `flag`, never a silently parsed prefix.
+[[nodiscard]] long long ParseIntFlag(const std::string& flag,
+                                     const std::string& value);
+// Seconds; a value <= 0 is a UsageError too.
+[[nodiscard]] double ParseSecondsFlag(const std::string& flag,
+                                      const std::string& value);
+
 }  // namespace calculon

@@ -6,14 +6,20 @@
 // These tests fork; they are skipped on platforms without fork support.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "analysis/audit.h"
 #include "dist/drivers.h"
 #include "dist/supervisor.h"
+#include "dist/wire.h"
+#include "dist/worker.h"
 #include "hw/presets.h"
 #include "models/presets.h"
 #include "obs/metrics.h"
@@ -335,7 +341,6 @@ TEST(DistSupervisor, QuarantineAttachesAFlightRecorderPostMortem) {
   dist::DistOptions d = FastDist(2);
   d.faults_spec = plan.ToSpec();
   d.worker_log_dir = log_dir;
-  d.flight_capacity = 32;
   (void)dist::RunStudySupervised(study, options, d);
 
   const RunStatus status = ctx.Snapshot();
@@ -347,16 +352,23 @@ TEST(DistSupervisor, QuarantineAttachesAFlightRecorderPostMortem) {
     const json::Value doc = json::ParseFile(record.flight_path);
     EXPECT_GE(doc.at("pid").AsInt(), 1);
     EXPECT_FALSE(doc.at("description").AsString().empty());
-    // The worker flushed its ring before evaluating the poison item, so
-    // the mirror holds its last actions — at minimum that item's begin
-    // marker.
+    // The supervisor blames the first un-acked item of the dead worker's
+    // shard, and its record holds the dispatch of that shard.
+    EXPECT_EQ(doc.at("suspect").AsInt(),
+              static_cast<std::int64_t>(record.item));
+    const std::int64_t shard_begin = doc.at("shard").at("begin").AsInt();
+    EXPECT_LE(shard_begin, doc.at("suspect").AsInt());
+    EXPECT_GT(doc.at("shard").at("end").AsInt(), doc.at("suspect").AsInt());
     const json::Array& events = doc.at("events").AsArray();
     ASSERT_FALSE(events.empty());
-    bool saw_item_begin = false;
+    bool saw_shard_begin = false;
     for (const json::Value& e : events) {
-      if (e.at("label").AsString() == "item_begin") saw_item_begin = true;
+      if (e.at("label").AsString() == "shard_begin" &&
+          e.at("item").AsInt() == shard_begin) {
+        saw_shard_begin = true;
+      }
     }
-    EXPECT_TRUE(saw_item_begin);
+    EXPECT_TRUE(saw_shard_begin);
     // The failure surfaces in the run-status JSON too.
     const json::Value as_json = ToJson(record);
     EXPECT_EQ(as_json.at("flight_path").AsString(), record.flight_path);
@@ -496,6 +508,81 @@ TEST(DistSupervisor, SupervisedCollectorsMatchInProcessExactly) {
   EXPECT_EQ(supervised.evaluated, reference.evaluated);
   EXPECT_EQ(supervised.feasible, reference.feasible);
   EXPECT_EQ(supervised.all_rates.size(), supervised.feasible);
+}
+
+TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerItem) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
+  ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::uint64_t n = study.Enumerate().size();
+  json::Value spec;
+  spec["job"] = "study";
+  spec["spec"] = study.ToJson();
+  spec["fault_key_base"] = 0;
+
+  int cmd[2];  // test writes commands, worker reads
+  int res[2];  // worker writes frames, test reads
+  ASSERT_EQ(::pipe(cmd), 0);
+  ASSERT_EQ(::pipe(res), 0);
+  const pid_t pid = ::fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    ::close(cmd[1]);
+    ::close(res[0]);
+    ::_exit(dist::WorkerMain(cmd[0], res[1]));
+  }
+  ::close(cmd[0]);
+  ::close(res[1]);
+  json::Value shard;
+  shard["type"] = "shard";
+  shard["begin"] = 0;
+  shard["end"] = static_cast<std::int64_t>(n);
+  json::Value exit_frame;
+  exit_frame["type"] = "exit";
+  dist::FrameWriter writer(cmd[1]);
+  EXPECT_TRUE(writer.WriteFrame(dist::InitFrame(spec, "")));
+  EXPECT_TRUE(writer.WriteFrame(shard));
+  EXPECT_TRUE(writer.WriteFrame(exit_frame));
+  ::close(cmd[1]);
+
+  std::vector<std::string> types;
+  dist::FrameReader reader(res[0]);
+  json::Value frame;
+  while (reader.ReadFrameBlocking(&frame)) {
+    types.push_back(frame.GetString("type", ""));
+  }
+  ::close(res[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  // With metrics and trace off, the result stream is all there is.
+  std::vector<std::string> expected = {"ready"};
+  expected.insert(expected.end(), n, "item");
+  expected.push_back("shard_done");
+  EXPECT_EQ(types, expected);
+}
+
+TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  std::vector<dist::AuditPairSpec> pairs;
+  for (const char* system : {"a100_80g", "h100_80g"}) {
+    pairs.push_back(dist::AuditPairSpec{presets::Megatron22B(),
+                                        presets::SystemByName(system), system,
+                                        pairs.size() << 32});
+  }
+  analysis::AuditOptions options;
+  options.proc_counts = {8, 16};
+  options.max_splits = 4;
+  RunContext ctx;
+  std::uint64_t done = 0;
+  dist::RunAuditSupervised(pairs, options, FastDist(2), ctx,
+                           [&](std::uint64_t, analysis::AuditReport) {
+                             ++done;
+                           });
+  EXPECT_EQ(done, pairs.size());
+  EXPECT_EQ(ctx.items_completed(), pairs.size());
 }
 
 TEST(DistSupervisor, ZeroWorkersFallsBackInProcess) {

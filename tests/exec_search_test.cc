@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "hw/presets.h"
 #include "models/presets.h"
+#include "obs/metrics.h"
 #include "search/exec_search.h"
 #include "util/units.h"
 
@@ -157,6 +162,47 @@ TEST(ExecSearch, TopKBoundsResultCount) {
       FindOptimalExecution(presets::Megatron22B(), MakeSystem(32),
                            SearchSpace::AllOptimizations(), config, pool);
   EXPECT_LE(r.best.size(), 2u);
+}
+
+// The rejection counters are functions of the workload, not the machine:
+// the default Fig. 6 sweep (GPT-3 175B on 4,096 H100, as fig06_exec_space
+// runs it) counts exactly these, on however many threads the pool has.
+TEST(ExecSearch, Fig6SweepCountsEveryRejectionReasonExactly) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  const obs::MetricsSnapshot saved = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Enable();
+
+  presets::SystemOptions o;
+  o.num_procs = 4096;
+  SearchSpace space = SearchSpace::AllOptimizations();
+  space.tp_overlap = {TpOverlap::kNone, TpOverlap::kRing};
+  space.pp_rs_ag = {false};
+  SearchConfig config;
+  config.batch_size = 4096;
+  ThreadPool pool;
+  const SearchResult r = FindOptimalExecution(
+      presets::Gpt3_175B(), presets::H100(o), space, config, pool);
+  std::map<std::string, std::uint64_t> counters = metrics.Snapshot().counters;
+
+  metrics.Reset();
+  metrics.Ingest(saved, "");
+  if (!was_enabled) metrics.Disable();
+
+  EXPECT_EQ(r.evaluated, 208200u);
+  EXPECT_EQ(r.feasible, 68062u);
+  std::erase_if(counters, [](const auto& kv) {
+    return kv.first.rfind("exec_search.", 0) != 0;
+  });
+  const std::map<std::string, std::uint64_t> expected = {
+      {"exec_search.culled_triples", 49},
+      {"exec_search.evaluated", 208200},
+      {"exec_search.feasible", 68062},
+      {"exec_search.rejected.dp_microbatch_does_not_divide_batch", 60024},
+      {"exec_search.rejected.insufficient_memory_capacity", 80114},
+  };
+  EXPECT_EQ(counters, expected);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Tests for the cross-process telemetry building blocks (src/obs): the
 // mergeable metrics snapshots (empty-merge identity, the loud
 // bucket-layout check, merge-order stability of quantiles, the JSON wire
-// round-trip, registry Ingest with and without a worker prefix), the
-// trace recorder's chunk export and external per-process lanes, and the
-// crash flight recorder's bounded ring.
+// round-trip, registry Ingest with and without a worker prefix), and the
+// trace recorder's chunk export and external per-process lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "json/json.h"
-#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
@@ -255,91 +253,6 @@ TEST(TraceRecorder, ExternalDroppedCountsFoldIntoTotal) {
   recorder.AddExternalDropped(2);
   EXPECT_EQ(recorder.dropped(), 9u);
   recorder.Stop();
-}
-
-TEST(FlightRecorder, DisabledRecorderIsANoOp) {
-  FlightRecorder& flight = FlightRecorder::Global();
-  flight.Enable(0);  // 0 disables
-  flight.RecordInstant("ignored");
-  EXPECT_FALSE(flight.enabled());
-  EXPECT_EQ(flight.DrainNew().events.size(), 0u);
-}
-
-TEST(FlightRecorder, RingKeepsTheMostRecentEntries) {
-  FlightRecorder& flight = FlightRecorder::Global();
-  flight.Enable(4);
-  for (int i = 0; i < 6; ++i) {
-    flight.RecordInstant("item_begin", static_cast<std::uint64_t>(i));
-  }
-  const json::Value doc = flight.ToJson();
-  const json::Array& events = doc.AsArray();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest first; entries 0 and 1 were overwritten.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].at("item").AsInt(), static_cast<std::int64_t>(i + 2));
-    EXPECT_EQ(events[i].at("label").AsString(), "item_begin");
-  }
-  flight.Enable(0);
-}
-
-TEST(FlightRecorder, DrainNewReturnsOnlyTheDeltaAndCountsOverwrites) {
-  FlightRecorder& flight = FlightRecorder::Global();
-  flight.Enable(3);
-  flight.RecordInstant("a");
-  flight.RecordInstant("b");
-  FlightRecorder::Drained first = flight.DrainNew();
-  ASSERT_EQ(first.events.size(), 2u);
-  EXPECT_EQ(first.dropped, 0u);
-  EXPECT_EQ(first.events[0].at("label").AsString(), "a");
-
-  // Nothing new: the watermark holds.
-  EXPECT_EQ(flight.DrainNew().events.size(), 0u);
-
-  // Overflow the ring before draining: 4 new entries into 3 slots means
-  // one undrained entry was overwritten and must be reported as dropped.
-  flight.RecordSpan("c", 7, 10.0, 2.0);
-  flight.RecordInstant("d");
-  flight.RecordInstant("e");
-  flight.RecordInstant("f");
-  FlightRecorder::Drained second = flight.DrainNew();
-  ASSERT_EQ(second.events.size(), 3u);
-  EXPECT_EQ(second.dropped, 1u);
-  EXPECT_EQ(second.events[0].at("label").AsString(), "d");
-  EXPECT_EQ(second.events[2].at("label").AsString(), "f");
-  flight.Enable(0);
-}
-
-TEST(FlightRecorder, SpanEventsCarryItemAndDuration) {
-  FlightRecorder& flight = FlightRecorder::Global();
-  flight.Enable(4);
-  flight.RecordSpan("item_done", 11, 100.0, 25.0);
-  flight.RecordInstant("shard_done");
-  const json::Value doc = flight.ToJson();
-  const json::Array& events = doc.AsArray();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].at("label").AsString(), "item_done");
-  EXPECT_EQ(events[0].at("item").AsInt(), 11);
-  EXPECT_DOUBLE_EQ(events[0].at("ts_us").AsDouble(), 100.0);
-  EXPECT_DOUBLE_EQ(events[0].at("dur_us").AsDouble(), 25.0);
-  EXPECT_GT(events[0].at("seq").AsInt(), 0);
-  // Instants carry neither an item (kNoItem) nor a duration.
-  EXPECT_FALSE(events[1].AsObject().contains("item"));
-  EXPECT_FALSE(events[1].AsObject().contains("dur_us"));
-  flight.Enable(0);
-}
-
-TEST(FlightRecorder, LongLabelsAreTruncatedNotRejected) {
-  FlightRecorder& flight = FlightRecorder::Global();
-  flight.Enable(2);
-  const std::string longer(100, 'x');
-  flight.RecordInstant(longer.c_str());
-  const json::Value doc = flight.ToJson();
-  const json::Array& events = doc.AsArray();
-  ASSERT_EQ(events.size(), 1u);
-  const std::string label = events[0].at("label").AsString();
-  EXPECT_EQ(label.size(), FlightRecorder::kLabelCapacity - 1);
-  EXPECT_EQ(label, std::string(FlightRecorder::kLabelCapacity - 1, 'x'));
-  flight.Enable(0);
 }
 
 }  // namespace
