@@ -137,11 +137,11 @@ std::string ExecContext(const Application& app, const std::string& sys_label,
       }
       return CalculatePerformance(app, exec, sys);
     } catch (const testing::InjectedFault& ex) {
-      return {Infeasible::kBadConfig, ex.what()};
+      return {Infeasible::kBadConfig, std::string(ex.what())};
     } catch (const std::exception& ex) {
       audit->set_context(ExecContext(app, sys_label, exec));
       audit->Check(false, "evaluation-throws", ex.what());
-      return {Infeasible::kBadConfig, ex.what()};
+      return {Infeasible::kBadConfig, std::string(ex.what())};
     }
   }();
   if (res.ok()) {

@@ -4,8 +4,6 @@
 
 #include "core/block.h"
 #include "util/mathutil.h"
-#include "util/strings.h"
-#include "util/units.h"
 
 namespace calculon {
 namespace {
@@ -69,7 +67,7 @@ Result<InferenceStats> CalculateInference(const Application& app,
   Execution e = exec;
   e.microbatch = config.batch;
   e.batch_size = config.batch * e.data_par;
-  if (auto v = e.Validate(app); !v.ok()) return R(v.reason(), v.detail());
+  if (auto v = e.Validate(app); !v.ok()) return v.error().Restated();
 
   const Processor& proc = sys.proc();
   const std::int64_t t = e.tensor_par;
@@ -157,9 +155,8 @@ Result<InferenceStats> CalculateInference(const Application& app,
   stats.tier1.activations = stats.kv_cache_bytes + Bytes(working_raw);
   if (stats.tier1.Total() > proc.mem1.capacity()) {
     return R(Infeasible::kMemoryCapacity,
-             StrFormat("needs %s, capacity %s",
-                       FormatBytes(stats.tier1.Total()).c_str(),
-                       FormatBytes(proc.mem1.capacity()).c_str()));
+             ErrorDetail("needs %s, capacity %s", stats.tier1.Total(),
+                         proc.mem1.capacity()));
   }
   return R(std::move(stats));
 }

@@ -7,10 +7,8 @@
 #include "core/offload.h"
 #include "core/pipeline.h"
 #include "obs/trace.h"
-#include "util/check.h"
 #include "util/mathutil.h"
 #include "util/strings.h"
-#include "util/units.h"
 
 namespace calculon {
 namespace {
@@ -33,18 +31,62 @@ struct CommCost {
   Seconds exposed;  // time blocking computation (incl. throttling)
 };
 
-// Cost of a list of TP collectives with a given hidden fraction. Hidden
-// communication still consumes `processor_fraction` of the compute it
-// overlaps with, which we account as exposed throttle time.
-CommCost TpCommCost(const std::vector<CommOp>& ops, const Network& net,
-                    std::int64_t members, double hide_fraction) {
-  CommCost cost;
+// Busy time of a list of TP collectives.
+Seconds TpCommTotal(const std::vector<CommOp>& ops, const Network& net,
+                    std::int64_t members) {
+  Seconds total;
   for (const CommOp& op : ops) {
-    cost.total += net.CollectiveTime(op.op, members, op.bytes);
+    total += net.CollectiveTime(op.op, members, op.bytes);
   }
-  const Seconds hidden = cost.total * hide_fraction;
-  cost.exposed = (cost.total - hidden) + hidden * net.processor_fraction();
-  return cost;
+  return total;
+}
+
+// Cost of TP collectives of busy time `total` with a given hidden
+// fraction. Hidden communication still consumes `processor_fraction` of
+// the compute it overlaps with, which we account as exposed throttle time.
+CommCost TpCommCost(Seconds total, const Network& net, double hide_fraction) {
+  const Seconds hidden = total * hide_fraction;
+  return {total, (total - hidden) + hidden * net.processor_fraction()};
+}
+
+// Tier-1 (HBM) usage. `off` holds the offload model's HBM working sets
+// for the offloaded tensor kinds; without offload it is never read, so
+// the check needs no timing work.
+MemoryBreakdown Tier1Memory(const Execution& exec, const BlockCosts& block,
+                            const OffloadResult& off, double nblocks,
+                            double in_flight, double shard) {
+  MemoryBreakdown m1;
+  const Bytes vocab_weight_bytes = Bytes(
+      block.vocab_params * static_cast<double>(exec.datatype_bytes));
+  // fp32 gradient accumulation: under the sharded (distributed) optimizer
+  // the reduce-scatter lands each rank's shard directly, so the persistent
+  // buffer divides by d; one block's worth of freshly produced gradients
+  // stays resident as a transient buffer.
+  const Bytes wgrad_local =
+      block.weight_grads * nblocks / shard +
+      (exec.training ? block.weight_grads : Bytes(0.0));
+  m1.weights = (exec.weight_offload ? off.hbm_weights
+                                    : block.weights * nblocks) +
+               vocab_weight_bytes;
+  m1.weight_grads = exec.weight_offload
+                        ? off.hbm_weight_grads + block.weight_grads
+                        : wgrad_local;
+  if (exec.activation_offload) {
+    m1.activations = off.hbm_acts;
+  } else {
+    m1.activations = block.ActStored(exec.recompute) * nblocks * in_flight;
+  }
+  // Working set of the block currently being (re)computed: its full
+  // activation footprint exists transiently even under recomputation.
+  m1.activations += block.act_stored_none;
+  m1.act_grads = block.act_grad_working;
+  m1.optimizer = exec.optimizer_offload ? off.hbm_optimizer
+                                        : block.optimizer * nblocks / shard;
+  if (exec.training && block.vocab_params > 0.0) {
+    m1.weight_grads += Bytes(block.vocab_params * 4.0 / shard);
+    m1.optimizer += Bytes(block.vocab_params * 12.0 / shard);
+  }
+  return m1;
 }
 
 // The model's output contract: every reported time and byte count is a
@@ -106,138 +148,83 @@ Flops ModelFlopsPerSample(const Application& app, bool training) {
   return Flops(per_block * static_cast<double>(app.num_blocks) + vocab);
 }
 
-Result<Stats> CalculatePerformance(const Application& app,
-                                   const Execution& exec, const System& sys) {
-  using R = Result<Stats>;
+Bytes BlockCosts::ActStored(Recompute mode) const {
+  switch (mode) {
+    case Recompute::kNone: return act_stored_none;
+    case Recompute::kAttnOnly: return act_stored_attn;
+    case Recompute::kFull: return act_stored_full;
+  }
+  return act_stored_none;
+}
+
+ModelPhases::ModelPhases() {
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  traced_ = rec.enabled() && rec.SampleDetail();
+  t0_us_ = traced_ ? rec.NowMicros() : 0.0;
+}
+
+void ModelPhases::End(const char* phase) {
+  if (!traced_) return;
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  const double now = rec.NowMicros();
+  rec.RecordComplete("model", phase, t0_us_, now - t0_us_);
+  t0_us_ = now;
+}
+
+Result<Placement> PlaceExecution(const Application& app,
+                                 const Execution& exec, const System& sys) {
+  using R = Result<Placement>;
   if (exec.num_procs != sys.num_procs()) {
     return R(Infeasible::kBadPartition,
              "execution proc count != system proc count");
   }
-  if (auto v = exec.Validate(app); !v.ok()) {
-    return R(v.reason(), v.detail());
-  }
-
-  // Sampled model-phase breakdown: 1 of every detail_period evaluations
-  // (TraceRecorder::SampleDetail) records coarse spans for its compute /
-  // communication / memory phases, so sweep traces show where model time
-  // goes without recording millions of sub-microsecond spans. An early
-  // (infeasible) return just ends the sampled evaluation's span sequence.
-  obs::TraceRecorder& trace_rec = obs::TraceRecorder::Global();
-  const bool traced = trace_rec.enabled() && trace_rec.SampleDetail();
-  double phase_t0 = traced ? trace_rec.NowMicros() : 0.0;
-  auto end_phase = [&](const char* name) {
-    if (!traced) return;
-    const double now = trace_rec.NowMicros();
-    trace_rec.RecordComplete("model", name, phase_t0, now - phase_t0);
-    phase_t0 = now;
-  };
-
-  const Processor& proc = sys.proc();
-  const std::int64_t t = exec.tensor_par;
-  const std::int64_t p = exec.pipeline_par;
-  const std::int64_t d = exec.data_par;
-  const std::int64_t nm = exec.MicrobatchesPerPipeline();
-  const std::int64_t interleave = exec.pp_interleaving;
-  // Uneven block division: the bottleneck stage owns the ceiling share and
-  // sets the pipeline rhythm (this is the root of the efficiency cliffs of
-  // Section 5.2).
-  const std::int64_t bpp = CeilDiv(app.num_blocks, p);
-
-  // Network placement: communicators are nested TP (innermost), PP, DP.
-  const Network* tp_net = sys.NetworkForSpan(t);
-  const Network* pp_net =
-      sys.NetworkForSpan(std::min<std::int64_t>(t * p, sys.num_procs()));
-  const Network* dp_net = sys.NetworkForSpan(sys.num_procs());
-  if (tp_net == nullptr || pp_net == nullptr || dp_net == nullptr) {
+  if (auto v = exec.Validate(app); !v.ok()) return v.error().Restated();
+  // Communicators are nested TP (innermost), PP, DP.
+  Placement placement;
+  placement.tp_net = sys.NetworkForSpan(exec.tensor_par);
+  placement.pp_net = sys.NetworkForSpan(std::min<std::int64_t>(
+      exec.tensor_par * exec.pipeline_par, sys.num_procs()));
+  placement.dp_net = sys.NetworkForSpan(sys.num_procs());
+  if (placement.tp_net == nullptr || placement.pp_net == nullptr ||
+      placement.dp_net == nullptr) {
     return R(Infeasible::kNetworkSize, "no network covers a communicator");
   }
+  return placement;
+}
 
+BlockCosts EvaluateBlock(const Application& app, const Execution& exec,
+                         const Processor& proc, const Network& tp_net) {
   const BlockModel block = BuildBlock(app, exec);
+  const std::int64_t t = exec.tensor_par;
+  BlockCosts c;
 
   // --- Per-block compute time ---
-  Seconds fw_block;
-  Seconds bw_block;
   for (const Layer& l : block.layers) {
-    fw_block += proc.OpTime(l.kind, l.fw_flops, l.fw_bytes);
-    bw_block += proc.OpTime(l.kind, l.bw_flops, l.bw_bytes);
+    c.fw += proc.OpTime(l.kind, l.fw_flops, l.fw_bytes);
+    c.bw += proc.OpTime(l.kind, l.bw_flops, l.bw_bytes);
   }
-
-  // Recomputation work during backward.
-  Seconds recompute_block;
-  if (exec.recompute == Recompute::kFull) {
-    recompute_block = fw_block;
-  } else if (exec.recompute == Recompute::kAttnOnly) {
-    for (std::size_t idx : block.attn_recompute_layers) {
-      const Layer& l = block.layers[idx];
-      recompute_block += proc.OpTime(l.kind, l.fw_flops, l.fw_bytes);
-    }
+  for (std::size_t idx : block.attn_recompute_layers) {
+    const Layer& l = block.layers[idx];
+    c.attn_recompute += proc.OpTime(l.kind, l.fw_flops, l.fw_bytes);
   }
-
-  end_phase("compute");
 
   // --- Tensor-parallel communication per block ---
-  const double hide = TpHideFraction(exec.tp_overlap);
-  const CommCost tp_fw = TpCommCost(block.tp_fw, *tp_net, t, hide);
-  const CommCost tp_bw = TpCommCost(block.tp_bw, *tp_net, t, hide);
-  const CommCost tp_bw_extra =
-      TpCommCost(block.tp_bw_extra, *tp_net, t, hide);
-  // Full recomputation repeats the forward TP communication.
-  const CommCost tp_recompute =
-      exec.recompute == Recompute::kFull ? tp_fw : CommCost{};
-
-  // --- Pipeline point-to-point per microbatch ---
-  // In the steady 1F1B state a stage receives the next microbatch while
-  // computing the current one, so a boundary transfer hides behind the
-  // chunk's compute; only the excess is exposed (plus the processor share
-  // the NIC steals while overlapped).
-  CommCost pp_ub;
-  if (p > 1) {
-    const std::int64_t bpc = CeilDiv(bpp, interleave);  // blocks per chunk
-    const Seconds xfer = pp_net->CollectiveTime(Collective::kPointToPoint, 2,
-                                                block.pp_output_bytes);
-    const double chunks = static_cast<double>(interleave);
-    const Seconds fw_window = static_cast<double>(bpc) * fw_block;
-    const Seconds bw_window =
-        static_cast<double>(bpc) * (bw_block + recompute_block);
-    auto exposed_xfer = [&](Seconds window) {
-      const Seconds hidden = std::min(xfer, window);
-      return (xfer - hidden) + hidden * pp_net->processor_fraction();
-    };
-    pp_ub.total = 2.0 * chunks * xfer;  // one send per chunk per pass
-    pp_ub.exposed = chunks * (exposed_xfer(fw_window) + exposed_xfer(bw_window));
-    // RS before the send and AG after the receive, on the TP network, when
-    // the residual stream is not already sequence-sharded. These serialize
-    // with the boundary.
-    if (exec.pp_rs_ag && !exec.seq_par) {
-      const Bytes full = block.pp_output_bytes * static_cast<double>(t);
-      const Seconds rs_ag =
-          2.0 * chunks *
-          (tp_net->CollectiveTime(Collective::kReduceScatter, t, full) +
-           tp_net->CollectiveTime(Collective::kAllGather, t, full));
-      pp_ub.total += rs_ag;
-      pp_ub.exposed += rs_ag;
-    }
+  c.tp_fw = TpCommTotal(block.tp_fw, tp_net, t);
+  c.tp_bw = TpCommTotal(block.tp_bw, tp_net, t);
+  c.tp_bw_extra = TpCommTotal(block.tp_bw_extra, tp_net, t);
+  // RS before the PP send and AG after the receive, on the TP network,
+  // when the residual stream is not already sequence-sharded.
+  if (exec.pp_rs_ag && !exec.seq_par) {
+    const Bytes full = block.pp_output_bytes * static_cast<double>(t);
+    c.pp_rs_ag = tp_net.CollectiveTime(Collective::kReduceScatter, t, full) +
+                 tp_net.CollectiveTime(Collective::kAllGather, t, full);
   }
-
-  // --- Per-microbatch totals across the bottleneck stage's blocks ---
-  const double nblocks = static_cast<double>(bpp);
-  const Seconds fw_ub = nblocks * fw_block;
-  const Seconds bw_ub = nblocks * bw_block;
-  const Seconds recompute_ub = nblocks * recompute_block;
-  const Seconds tp_exposed_ub =
-      nblocks * (tp_fw.exposed + tp_bw.exposed + tp_bw_extra.exposed +
-                 tp_recompute.exposed);
-  const Seconds tp_total_ub =
-      nblocks *
-      (tp_fw.total + tp_bw.total + tp_bw_extra.total + tp_recompute.total);
 
   // --- Edge-stage vocabulary work (optional; vocab_size == 0 skips) ---
   // The first stage gathers embeddings, the last stage projects onto the
   // vocabulary and computes the loss softmax. The pipeline rhythm is set by
   // its slowest stage; folding both into the bottleneck stage is the
   // conservative approximation.
-  Seconds vocab_ub;
-  double vocab_params = 0.0;
   if (app.vocab_size > 0) {
     const double b = static_cast<double>(exec.microbatch);
     const double s = static_cast<double>(app.seq_size);
@@ -265,31 +252,125 @@ Result<Stats> CalculatePerformance(const Application& app,
     const Seconds gather =
         proc.OpTime(ComputeKind::kVector, Flops(b * s * h),
                     Bytes(dtb * b * s * h));
-    vocab_ub = proj_fw + proj_bw + soft * (exec.training ? 2.0 : 1.0) +
-               gather * (exec.training ? 2.0 : 1.0);
-    vocab_params =
+    c.vocab = proj_fw + proj_bw + soft * (exec.training ? 2.0 : 1.0) +
+              gather * (exec.training ? 2.0 : 1.0);
+    c.vocab_params =
         static_cast<double>(app.EmbeddingParameters()) /
         static_cast<double>(t);
   }
 
-  const Seconds per_ub = fw_ub + bw_ub + recompute_ub + tp_exposed_ub +
-                         pp_ub.exposed + vocab_ub;
+  c.weights = block.WeightBytes();
+  c.weight_grads = block.WeightGradBytes();
+  c.optimizer = block.OptimizerBytes();
+  c.act_stored_none = block.ActStoredBytes(Recompute::kNone);
+  c.act_stored_attn = block.ActStoredBytes(Recompute::kAttnOnly);
+  c.act_stored_full = block.ActStoredBytes(Recompute::kFull);
+  c.params = block.WeightParams();
+  c.pp_output = block.pp_output_bytes;
+  c.act_grad_working = block.act_grad_working_bytes;
+  return c;
+}
 
+Result<Stats> EvaluateCandidate(const Application& app,
+                                const Execution& exec, const System& sys,
+                                const Placement& placement,
+                                const BlockCosts& block,
+                                ModelPhases& phases) {
+  using R = Result<Stats>;
+  const Processor& proc = sys.proc();
+  const Network& tp_net = *placement.tp_net;
+  const Network& pp_net = *placement.pp_net;
+  const Network& dp_net = *placement.dp_net;
+  const std::int64_t p = exec.pipeline_par;
+  const std::int64_t d = exec.data_par;
+  const std::int64_t nm = exec.MicrobatchesPerPipeline();
+  const std::int64_t interleave = exec.pp_interleaving;
+  // Uneven block division: the bottleneck stage owns the ceiling share and
+  // sets the pipeline rhythm (this is the root of the efficiency cliffs of
+  // Section 5.2).
+  const std::int64_t bpp = CeilDiv(app.num_blocks, p);
+  const double nblocks = static_cast<double>(bpp);
   const PipelineShape shape{p, interleave, nm, exec.pp_1f1b};
-  const Seconds bubble = PipelineBubbleTime(shape, per_ub);
   const double in_flight = exec.training ? InFlightMicrobatches(shape) : 1.0;
+  const double shard = exec.optimizer_sharding ? static_cast<double>(d) : 1.0;
+
+  // --- Tier-1 memory, first when nothing is offloaded ---
+  // Without offload no tier-1 term depends on time, so a candidate that
+  // does not fit is rejected before any timing work.
+  Stats stats;
+  OffloadResult off;
+  if (!exec.any_offload()) {
+    stats.tier1 = Tier1Memory(exec, block, off, nblocks, in_flight, shard);
+    phases.End("memory");
+    if (stats.tier1.Total() > proc.mem1.capacity()) {
+      return R(Infeasible::kMemoryCapacity,
+               ErrorDetail("needs %s, capacity %s", stats.tier1.Total(),
+                           proc.mem1.capacity()));
+    }
+  } else if (!proc.mem2.present()) {
+    return R(Infeasible::kOffloadCapacity, "no tier-2 memory in system");
+  }
+
+  // --- Compute and tensor-parallel communication per block ---
+  Seconds recompute_block;  // recomputation work during backward
+  if (exec.recompute == Recompute::kFull) {
+    recompute_block = block.fw;
+  } else if (exec.recompute == Recompute::kAttnOnly) {
+    recompute_block = block.attn_recompute;
+  }
+  const double hide = TpHideFraction(exec.tp_overlap);
+  const CommCost tp_fw = TpCommCost(block.tp_fw, tp_net, hide);
+  const CommCost tp_bw = TpCommCost(block.tp_bw, tp_net, hide);
+  const CommCost tp_bw_extra = TpCommCost(block.tp_bw_extra, tp_net, hide);
+  // Full recomputation repeats the forward TP communication.
+  const CommCost tp_recompute =
+      exec.recompute == Recompute::kFull ? tp_fw : CommCost{};
+
+  // --- Pipeline point-to-point per microbatch ---
+  // In the steady 1F1B state a stage receives the next microbatch while
+  // computing the current one, so a boundary transfer hides behind the
+  // chunk's compute; only the excess is exposed (plus the processor share
+  // the NIC steals while overlapped).
+  CommCost pp_ub;
+  if (p > 1) {
+    const std::int64_t bpc = CeilDiv(bpp, interleave);  // blocks per chunk
+    const Seconds xfer = pp_net.CollectiveTime(Collective::kPointToPoint, 2,
+                                               block.pp_output);
+    const double chunks = static_cast<double>(interleave);
+    const Seconds fw_window = static_cast<double>(bpc) * block.fw;
+    const Seconds bw_window =
+        static_cast<double>(bpc) * (block.bw + recompute_block);
+    auto exposed_xfer = [&](Seconds window) {
+      const Seconds hidden = std::min(xfer, window);
+      return (xfer - hidden) + hidden * pp_net.processor_fraction();
+    };
+    pp_ub.total = 2.0 * chunks * xfer;  // one send per chunk per pass
+    pp_ub.exposed = chunks * (exposed_xfer(fw_window) + exposed_xfer(bw_window));
+    // The RS + AG around each send serialize with the boundary.
+    if (exec.pp_rs_ag && !exec.seq_par) {
+      const Seconds rs_ag = 2.0 * chunks * block.pp_rs_ag;
+      pp_ub.total += rs_ag;
+      pp_ub.exposed += rs_ag;
+    }
+  }
+
+  // --- Per-microbatch totals across the bottleneck stage's blocks ---
+  const Seconds fw_ub = nblocks * block.fw;
+  const Seconds bw_ub = nblocks * block.bw;
+  const Seconds recompute_ub = nblocks * recompute_block;
+  const Seconds tp_exposed_ub =
+      nblocks * (tp_fw.exposed + tp_bw.exposed + tp_bw_extra.exposed +
+                 tp_recompute.exposed);
+  const Seconds tp_total_ub =
+      nblocks *
+      (tp_fw.total + tp_bw.total + tp_bw_extra.total + tp_recompute.total);
+
+  const Seconds per_ub = fw_ub + bw_ub + recompute_ub + tp_exposed_ub +
+                         pp_ub.exposed + block.vocab;
+  const Seconds bubble = PipelineBubbleTime(shape, per_ub);
 
   // --- Optimizer step ---
-  const double params_local = block.WeightParams() * nblocks + vocab_params;
-  const double shard = exec.optimizer_sharding ? static_cast<double>(d) : 1.0;
-  // fp32 gradient accumulation: under the sharded (distributed) optimizer
-  // the reduce-scatter lands each rank's shard directly, so the persistent
-  // buffer divides by d; one block's worth of freshly produced gradients
-  // stays resident as a transient buffer.
-  const Bytes wgrad_block = block.WeightGradBytes();
-  const Bytes wgrad_local =
-      wgrad_block * nblocks / shard +
-      (exec.training ? wgrad_block : Bytes(0.0));
+  const double params_local = block.params * nblocks + block.vocab_params;
   const double upd_params = params_local / shard;
   Seconds optim_time;
   if (exec.training && params_local > 0.0) {
@@ -310,13 +391,13 @@ Result<Stats> CalculatePerformance(const Application& app,
     Seconds overlappable;  // can hide behind the last backward pass
     Seconds post_step;     // must wait for the optimizer (sharded AG)
     if (exec.optimizer_sharding) {
-      overlappable = dp_net->CollectiveTime(Collective::kReduceScatter, d,
-                                            grad_bytes);
+      overlappable = dp_net.CollectiveTime(Collective::kReduceScatter, d,
+                                           grad_bytes);
       post_step =
-          dp_net->CollectiveTime(Collective::kAllGather, d, grad_bytes);
+          dp_net.CollectiveTime(Collective::kAllGather, d, grad_bytes);
     } else {
       overlappable =
-          dp_net->CollectiveTime(Collective::kAllReduce, d, grad_bytes);
+          dp_net.CollectiveTime(Collective::kAllReduce, d, grad_bytes);
     }
     dp_total = overlappable + post_step;
     if (exec.dp_overlap) {
@@ -329,40 +410,36 @@ Result<Stats> CalculatePerformance(const Application& app,
       const Seconds bw_window = (bw_ub + recompute_ub) * gfrac;
       const Seconds hidden_rs = std::min(overlappable * gfrac, bw_window);
       dp_exposed = (overlappable - hidden_rs) +
-                   hidden_rs * dp_net->processor_fraction();
+                   hidden_rs * dp_net.processor_fraction();
       // The sharded optimizer's weight all-gather cannot overlap the
       // optimizer step itself, but layer k's gathered weights are only
       // needed when the next batch's forward reaches it.
       const Seconds fw_window = fw_ub * gfrac;
       const Seconds hidden_ag = std::min(post_step * gfrac, fw_window);
       dp_exposed += (post_step - hidden_ag) +
-                    hidden_ag * dp_net->processor_fraction();
+                    hidden_ag * dp_net.processor_fraction();
     } else {
       dp_exposed = dp_total;
     }
   }
 
-  end_phase("communication");
+  phases.End("communication");
 
-  // --- Offloading ---
-  OffloadResult off;
+  // --- Offloading, then the tier-1 memory it leaves ---
   if (exec.any_offload()) {
-    if (!proc.mem2.present()) {
-      return R(Infeasible::kOffloadCapacity, "no tier-2 memory in system");
-    }
     OffloadInputs in;
     in.weights = exec.weight_offload;
     in.activations = exec.activation_offload;
     in.optimizer = exec.optimizer_offload;
-    in.weight_block = block.WeightBytes();
-    in.weight_grad_block = wgrad_block / shard;
-    in.act_block = block.ActStoredBytes(exec.recompute);
-    in.optim_block = block.OptimizerBytes() / shard;
+    in.weight_block = block.weights;
+    in.weight_grad_block = block.weight_grads / shard;
+    in.act_block = block.ActStored(exec.recompute);
+    in.optim_block = block.optimizer / shard;
     in.blocks_per_proc = bpp;
     in.microbatches = nm;
     in.act_in_flight = in_flight;
-    in.fw_block_time = fw_block + tp_fw.exposed;
-    in.bw_block_time = bw_block + recompute_block + tp_bw.exposed;
+    in.fw_block_time = block.fw + tp_fw.exposed;
+    in.bw_block_time = block.bw + recompute_block + tp_bw.exposed;
     in.fw_phase_total =
         static_cast<double>(nm) * (fw_ub + tp_exposed_ub / 2.0);
     in.bw_phase_total =
@@ -371,60 +448,27 @@ Result<Stats> CalculatePerformance(const Application& app,
     off = ComputeOffload(in, proc.mem2);
     if (off.Tier2Total() > proc.mem2.capacity()) {
       return R(Infeasible::kOffloadCapacity,
-               StrFormat("needs %s tier-2, capacity %s",
-                         FormatBytes(off.Tier2Total()).c_str(),
-                         FormatBytes(proc.mem2.capacity()).c_str()));
+               ErrorDetail("needs %s tier-2, capacity %s", off.Tier2Total(),
+                           proc.mem2.capacity()));
     }
+    phases.End("offload");
+    stats.tier1 = Tier1Memory(exec, block, off, nblocks, in_flight, shard);
+    if (stats.tier1.Total() > proc.mem1.capacity()) {
+      return R(Infeasible::kMemoryCapacity,
+               ErrorDetail("needs %s, capacity %s", stats.tier1.Total(),
+                           proc.mem1.capacity()));
+    }
+    phases.End("memory");
   }
-
-  end_phase("offload");
-
-  // --- Tier-1 memory accounting ---
-  Stats stats;
-  MemoryBreakdown& m1 = stats.tier1;
-  const Bytes act_block_stored = block.ActStoredBytes(exec.recompute);
-  const Bytes vocab_weight_bytes =
-      Bytes(vocab_params * static_cast<double>(exec.datatype_bytes));
-  m1.weights = (exec.weight_offload ? off.hbm_weights
-                                    : block.WeightBytes() * nblocks) +
-               vocab_weight_bytes;
-  m1.weight_grads =
-      exec.weight_offload ? off.hbm_weight_grads + wgrad_block : wgrad_local;
-  if (exec.activation_offload) {
-    m1.activations = off.hbm_acts;
-  } else {
-    m1.activations = act_block_stored * nblocks * in_flight;
-  }
-  // Working set of the block currently being (re)computed: its full
-  // activation footprint exists transiently even under recomputation.
-  m1.activations += block.ActStoredBytes(Recompute::kNone);
-  m1.act_grads = block.act_grad_working_bytes;
-  m1.optimizer = exec.optimizer_offload ? off.hbm_optimizer
-                                        : block.OptimizerBytes() * nblocks /
-                                              shard;
-  if (exec.training && vocab_params > 0.0) {
-    m1.weight_grads += Bytes(vocab_params * 4.0 / shard);
-    m1.optimizer += Bytes(vocab_params * 12.0 / shard);
-  }
-
-  if (m1.Total() > proc.mem1.capacity()) {
-    return R(Infeasible::kMemoryCapacity,
-             StrFormat("needs %s, capacity %s",
-                       FormatBytes(m1.Total()).c_str(),
-                       FormatBytes(proc.mem1.capacity()).c_str()));
-  }
-
   stats.tier2.weights = off.tier2_weights;
   stats.tier2.activations = off.tier2_acts;
   stats.tier2.optimizer = off.tier2_optimizer;
 
-  end_phase("memory");
-
   // --- Roll-up ---
   const double fnm = static_cast<double>(nm);
   // Edge-stage vocabulary time splits roughly evenly across the passes.
-  stats.time.fw_pass = fnm * (fw_ub + vocab_ub / 2.0);
-  stats.time.bw_pass = fnm * (bw_ub + vocab_ub / 2.0);
+  stats.time.fw_pass = fnm * (fw_ub + block.vocab / 2.0);
+  stats.time.bw_pass = fnm * (bw_ub + block.vocab / 2.0);
   stats.time.fw_recompute = fnm * recompute_ub;
   stats.time.tp_comm = fnm * tp_exposed_ub;
   stats.time.pp_comm = fnm * pp_ub.exposed;
@@ -456,8 +500,19 @@ Result<Stats> CalculatePerformance(const Application& app,
   stats.mfu = useful / (stats.batch_time *
                         static_cast<double>(sys.num_procs()) *
                         proc.matrix.peak_flops());
-  end_phase("rollup");
+  phases.End("rollup");
   return R(std::move(stats));
+}
+
+Result<Stats> CalculatePerformance(const Application& app,
+                                   const Execution& exec, const System& sys) {
+  const Result<Placement> placement = PlaceExecution(app, exec, sys);
+  if (!placement.ok()) return placement.error();
+  ModelPhases phases;
+  const BlockCosts block =
+      EvaluateBlock(app, exec, sys.proc(), *placement.value().tp_net);
+  phases.End("block");
+  return EvaluateCandidate(app, exec, sys, placement.value(), block, phases);
 }
 
 }  // namespace calculon

@@ -1,6 +1,6 @@
 #include "models/execution.h"
 
-#include "util/strings.h"
+#include "util/mathutil.h"
 
 namespace calculon {
 
@@ -41,20 +41,22 @@ Result<std::monostate> Execution::Validate(const Application& app) const {
   if (num_procs < 1 || tensor_par < 1 || pipeline_par < 1 || data_par < 1) {
     return R(Infeasible::kBadPartition, "degrees must be >= 1");
   }
-  if (tensor_par * pipeline_par * data_par != num_procs) {
+  // The degrees come from untrusted JSON: a product that overflows cannot
+  // equal the (representable) processor count.
+  std::int64_t procs = 0;
+  if (!CheckedMul(tensor_par, pipeline_par, &procs) ||
+      !CheckedMul(procs, data_par, &procs)) {
+    return R(Infeasible::kBadPartition, "t*p*d overflows int64");
+  }
+  if (procs != num_procs) {
     return R(Infeasible::kBadPartition,
-             StrFormat("t*p*d = %lld != %lld procs",
-                       static_cast<long long>(tensor_par * pipeline_par *
-                                              data_par),
-                       static_cast<long long>(num_procs)));
+             ErrorDetail("t*p*d = %lld != %lld procs", procs, num_procs));
   }
   // TP shards attention heads and the MLP inner width (Table 1: range
   // 1..attn).
   if (tensor_par > app.attn_heads || app.attn_heads % tensor_par != 0) {
     return R(Infeasible::kIndivisibleHeads,
-             StrFormat("t=%lld vs %lld heads",
-                       static_cast<long long>(tensor_par),
-                       static_cast<long long>(app.attn_heads)));
+             ErrorDetail("t=%lld vs %lld heads", tensor_par, app.attn_heads));
   }
   if (app.feedforward % tensor_par != 0) {
     return R(Infeasible::kIndivisibleHeads, "t does not divide feedforward");
@@ -78,7 +80,9 @@ Result<std::monostate> Execution::Validate(const Application& app) const {
   if (batch_size < 1 || microbatch < 1) {
     return R(Infeasible::kIndivisibleBatch, "batch/microbatch must be >= 1");
   }
-  if (batch_size % (data_par * microbatch) != 0) {
+  // An overflowing d*m exceeds the batch, so it cannot divide it either.
+  std::int64_t dm = 0;
+  if (!CheckedMul(data_par, microbatch, &dm) || batch_size % dm != 0) {
     return R(Infeasible::kIndivisibleBatch, "d*m does not divide batch");
   }
   const std::int64_t nm = MicrobatchesPerPipeline();

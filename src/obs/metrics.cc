@@ -124,6 +124,23 @@ std::vector<double> DefaultLatencyBoundsUs() {
   return Histogram::ExponentialBounds(0.25, 2.0, 24);
 }
 
+HistogramSnapshot HistogramSnapshot::WithLayout(std::vector<double> bounds) {
+  HistogramSnapshot s;
+  s.bucket_counts.assign(bounds.size() + 1, 0);
+  s.bounds = std::move(bounds);
+  return s;
+}
+
+void HistogramSnapshot::Observe(double value) {
+  // The lower_bound index by a scan from the smallest bound: evaluation
+  // latencies sit in the first few buckets, where the scan stops.
+  std::size_t index = 0;
+  while (index < bounds.size() && bounds[index] < value) ++index;
+  ++bucket_counts[index];
+  ++count;
+  sum += value;
+}
+
 void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
   if (other.empty()) return;
   if (empty()) {

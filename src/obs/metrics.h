@@ -9,9 +9,10 @@
 //
 // Instruments are cheap lock-free atomics; the registry mutex is taken
 // only on instrument lookup and export. Sweep engines fetch instrument
-// pointers once per sweep and keep the per-evaluation path to a handful of
-// relaxed atomic operations — and skip even those when the registry is
-// disabled (the default), so runs without --metrics pay nothing.
+// pointers once per sweep and keep shared atomics off the per-evaluation
+// path (a plain HistogramSnapshot per sweep, merged once) — and skip even
+// that when the registry is disabled (the default), so runs without
+// --metrics pay nothing.
 #pragma once
 
 #include <atomic>
@@ -125,6 +126,13 @@ struct HistogramSnapshot {
 
   // No observations and no bucket layout (the merge identity element).
   [[nodiscard]] bool empty() const { return count == 0 && bounds.empty(); }
+
+  // No observations over `bounds`' bucket layout: a single-threaded
+  // accumulator for Observe, folded into a live histogram with
+  // Histogram::MergeFrom.
+  [[nodiscard]] static HistogramSnapshot WithLayout(std::vector<double> bounds);
+  // Histogram::Observe with plain, non-atomic counts.
+  void Observe(double value);
 
   // Adds `other` into this snapshot. Merging an empty snapshot (either
   // direction) is the identity; otherwise the bucket layouts must be

@@ -304,7 +304,7 @@ StudyRowResult EvaluateStudyRow(const Study& study, const Execution& exec,
       }
       return CalculatePerformance(study.application, exec, study.system);
     } catch (const std::exception& ex) {
-      return {Infeasible::kBadConfig, ex.what()};
+      return {Infeasible::kBadConfig, std::string(ex.what())};
     }
   }();
   StudyRowResult row;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -203,12 +204,31 @@ std::string ExecFingerprint(const Execution& e) {
       e.any_offload() ? " offload" : "");
 }
 
+// One candidate through the model's stages, reusing `block` — the block
+// stage of the candidate's (microbatch, TP-comm variant, fused, pp_rs_ag)
+// position — and building it on first use after a candidate there passes
+// validation. Equal to CalculatePerformance(app, e, sys).
+[[nodiscard]] Result<Stats> EvaluateStaged(const Application& app,
+                                           const Execution& e,
+                                           const System& sys,
+                                           std::optional<BlockCosts>& block) {
+  const Result<Placement> placement = PlaceExecution(app, e, sys);
+  if (!placement.ok()) return placement.error();
+  ModelPhases phases;
+  if (!block.has_value()) {
+    block = EvaluateBlock(app, e, sys.proc(), *placement.value().tp_net);
+    phases.End("block");
+  }
+  return EvaluateCandidate(app, e, sys, placement.value(), *block, phases);
+}
+
 // Evaluates one candidate with fault isolation: injected faults, exceptions
 // escaping the model, and kBadConfig hard-error Results become
 // FailureRecords in `failures` instead of aborting the sweep.
 [[nodiscard]] Result<Stats> GuardedEvaluate(
     const Application& app, const Execution& e, const System& sys,
-    std::uint64_t key, std::vector<FailureRecord>& failures) {
+    std::optional<BlockCosts>& block, std::uint64_t key,
+    std::vector<FailureRecord>& failures) {
   auto record = [&](std::string reason) {
     failures.push_back({key, ExecFingerprint(e), std::move(reason),
                         ThreadPool::CurrentWorkerId(), {}});
@@ -220,7 +240,7 @@ std::string ExecFingerprint(const Execution& e) {
       record(injected.detail());
       return injected;
     }
-    Result<Stats> r = CalculatePerformance(app, e, sys);
+    Result<Stats> r = EvaluateStaged(app, e, sys, block);
     // A hard error out of a structurally valid configuration (the model's
     // non-finite screen) is a model bug, not a property of the swept
     // configuration — record it, don't hide it among infeasibles.
@@ -228,7 +248,7 @@ std::string ExecFingerprint(const Execution& e) {
     return r;
   } catch (const std::exception& ex) {
     record(ex.what());
-    return Result<Stats>(Infeasible::kBadConfig, ex.what());
+    return Result<Stats>(Infeasible::kBadConfig, std::string(ex.what()));
   }
 }
 
@@ -236,11 +256,14 @@ std::string ExecFingerprint(const Execution& e) {
 // evaluation-order-defining loop nest, run once per triple by
 // ExecSearch::Sweep in every execution path. Candidates evaluated before
 // a cooperative stop on config.ctx are kept — partial results survive a
-// cancelled sweep.
+// cancelled sweep. With `latency`, each candidate's time (back-to-back
+// clock reads: its evaluation plus the previous candidate's bookkeeping)
+// is observed into it.
 void SweepTripleInto(const Application& app, const System& sys,
                      const SearchSpace& space, const SearchConfig& config,
-                     Triple tr, std::uint64_t idx, obs::Histogram* latency,
-                     TripleSweep& out, ParetoFront& pareto) {
+                     Triple tr, std::uint64_t idx,
+                     obs::HistogramSnapshot* latency, TripleSweep& out,
+                     ParetoFront& pareto) {
   RunContext* const ctx = config.ctx;
   const std::int64_t batch =
       config.batch_size > 0 ? config.batch_size : sys.num_procs();
@@ -266,6 +289,7 @@ void SweepTripleInto(const Application& app, const System& sys,
 
   const auto& tp_comm = has_tp ? space.tp_comm : kNoTp;
   const auto& tp_overlap = has_tp ? space.tp_overlap : kNoOverlap;
+  const auto& fused_activation = space.fused_activation;
   const auto& dp_overlap = has_dp ? space.dp_overlap : kFalseOnly;
   const auto& sharding = has_dp ? space.optimizer_sharding : kFalseOnly;
   const auto& one_f_one_b = has_pp ? space.pp_1f1b : kTrueOnly;
@@ -284,49 +308,61 @@ void SweepTripleInto(const Application& app, const System& sys,
     if (m <= space.max_microbatch) microbatches.push_back(m);
   }
 
+  // The block stages of the current microbatch, one per (TP-comm variant,
+  // fused, pp_rs_ag) position: nothing else the block stage reads changes
+  // inside a microbatch.
+  std::vector<std::optional<BlockCosts>> blocks(
+      tp_comm.size() * fused_activation.size() * pp_rs_ag.size());
+  double last_us = latency != nullptr ? obs::MonotonicMicros() : 0.0;
+
   for (std::int64_t m : microbatches) {
     e.microbatch = m;
+    std::fill(blocks.begin(), blocks.end(), std::nullopt);
     for (std::int64_t il : interleavings) {
       e.pp_interleaving = il;
       for (Recompute rc : space.recompute) {
         e.recompute = rc;
         if (ctx != nullptr && ctx->ShouldStop()) return;
-        for (const auto& tpc : tp_comm) {
-          e.tp_rs_ag = tpc.tp_rs_ag;
-          e.seq_par = tpc.seq_par;
-          e.seq_par_ag_redo = tpc.ag_redo;
+        for (std::size_t ti = 0; ti < tp_comm.size(); ++ti) {
+          e.tp_rs_ag = tp_comm[ti].tp_rs_ag;
+          e.seq_par = tp_comm[ti].seq_par;
+          e.seq_par_ag_redo = tp_comm[ti].ag_redo;
           for (TpOverlap ov : tp_overlap) {
             e.tp_overlap = ov;
-            for (bool fused : space.fused_activation) {
-              e.fused_activation = fused;
+            for (std::size_t fi = 0; fi < fused_activation.size(); ++fi) {
+              e.fused_activation = fused_activation[fi];
               for (bool dpo : dp_overlap) {
                 e.dp_overlap = dpo;
                 for (bool sh : sharding) {
                   e.optimizer_sharding = sh;
                   for (bool f1b : one_f_one_b) {
                     e.pp_1f1b = f1b;
-                    for (bool ppr : pp_rs_ag) {
-                      e.pp_rs_ag = ppr;
+                    for (std::size_t pi = 0; pi < pp_rs_ag.size(); ++pi) {
+                      e.pp_rs_ag = pp_rs_ag[pi];
+                      std::optional<BlockCosts>& block =
+                          blocks[(ti * fused_activation.size() + fi) *
+                                     pp_rs_ag.size() +
+                                 pi];
                       for (const auto& off : offload) {
                         e.weight_offload = off.weights;
                         e.activation_offload = off.activations;
                         e.optimizer_offload = off.optimizer;
 
                         ++out.evaluated;
-                        const double eval_t0 =
-                            latency != nullptr ? obs::MonotonicMicros() : 0.0;
                         // Evaluation key: deterministic per configuration
                         // regardless of thread interleaving (triple index
                         // in the high bits, per-triple counter below).
                         Result<Stats> r =
                             ctx != nullptr
                                 ? GuardedEvaluate(
-                                      app, e, sys,
+                                      app, e, sys, block,
                                       (idx << 32) + out.evaluated,
                                       out.failures)
-                                : CalculatePerformance(app, e, sys);
+                                : EvaluateStaged(app, e, sys, block);
                         if (latency != nullptr) {
-                          latency->Observe(obs::MonotonicMicros() - eval_t0);
+                          const double now_us = obs::MonotonicMicros();
+                          latency->Observe(now_us - last_us);
+                          last_us = now_us;
                         }
                         if (!r.ok()) {
                           ++out.rejected[static_cast<std::size_t>(
@@ -384,8 +420,9 @@ ExecSearch::ExecSearch(const Application& app, const System& sys,
       space_(space),
       config_(config),
       triples_(SearchTriples(app, sys, space, config)),
-      // Fetched once per search; the per-evaluation path is a clock read
-      // + histogram observe, and skips even those when metrics are off.
+      // Fetched once per search; a sweep observes into a local copy of its
+      // layout and merges it once per triple, and skips even the clock
+      // reads when metrics are off.
       latency_(obs::MetricsRegistry::Global().enabled()
                    ? obs::MetricsRegistry::Global().GetHistogram(
                          "exec_search.eval_latency_us",
@@ -399,8 +436,15 @@ TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
   TripleSweep out;
   out.rejected.assign(kNumInfeasible, 0);
   ParetoFront pareto;
-  SweepTripleInto(app_, sys_, space_, config_, tr, index, latency_, out,
-                  pareto);
+  // exec_search.eval_latency_us: observed into a plain per-sweep copy and
+  // merged once, so evaluations never contend on the shared histogram.
+  obs::HistogramSnapshot latency;
+  if (latency_ != nullptr) {
+    latency = obs::HistogramSnapshot::WithLayout(latency_->bounds());
+  }
+  SweepTripleInto(app_, sys_, space_, config_, tr, index,
+                  latency_ != nullptr ? &latency : nullptr, out, pareto);
+  if (latency_ != nullptr) latency_->MergeFrom(latency);
   out.pareto = std::move(pareto).TakeEntries();
 
   // The only writer of these counters, in whichever process swept the

@@ -81,7 +81,7 @@ Result<std::vector<SensitivityEntry>> AnalyzeSensitivity(
   CALC_TRACE_SPAN("search", "sensitivity");
   if (step <= 0.0) return R(Infeasible::kBadConfig, "step must be > 0");
   const auto baseline = CalculatePerformance(app, exec, sys);
-  if (!baseline.ok()) return R(baseline.reason(), baseline.detail());
+  if (!baseline.ok()) return baseline.error().Restated();
   const PerSecond base_rate = baseline.value().sample_rate;
 
   const Resource all[] = {

@@ -76,7 +76,11 @@ struct ProjectConfig {
   // evaluation function must also reach a poll call.
   std::vector<std::string> cancel_scope_prefixes = {
       "src/search/", "src/runner/", "src/analysis/"};
-  std::set<std::string> eval_functions = {"CalculatePerformance"};
+  // The model's one-shot entry point and the stage entry points a sweep
+  // calls directly (core/perf_model.h).
+  std::set<std::string> eval_functions = {"CalculatePerformance",
+                                          "PlaceExecution", "EvaluateBlock",
+                                          "EvaluateCandidate"};
   std::set<std::string> cancel_poll_calls = {"ShouldStop", "Cancelled",
                                              "cancelled", "CheckDeadline"};
 

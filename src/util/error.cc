@@ -1,5 +1,8 @@
 #include "util/error.h"
 
+#include "util/strings.h"
+#include "util/units.h"
+
 namespace calculon {
 
 const char* ToString(Infeasible reason) {
@@ -16,6 +19,30 @@ const char* ToString(Infeasible reason) {
     case Infeasible::kBadConfig: return "bad configuration";
   }
   return "unknown";
+}
+
+std::string ErrorDetail::Text() const {
+  if (format_ == nullptr) return text_;
+  switch (operands_) {
+    case Operands::kNone: return format_;
+    case Operands::kInts: return StrFormat(format_, ints_[0], ints_[1]);
+    case Operands::kBytes:
+      return StrFormat(format_, FormatBytes(bytes_[0]).c_str(),
+                       FormatBytes(bytes_[1]).c_str());
+  }
+  return format_;
+}
+
+std::string InfeasibleError::Text() const {
+  std::string s;
+  for (int i = 0; i < restated; ++i) {
+    s += ToString(reason);
+    s += ": ";
+  }
+  s += ToString(reason);
+  const std::string text = detail.Text();
+  if (!text.empty()) s += ": " + text;
+  return s;
 }
 
 Infeasible InfeasibleFromString(const std::string& s) {

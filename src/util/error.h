@@ -5,10 +5,13 @@
 // the model reports them through a cheap status value instead of exceptions.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
+
+#include "util/quantity.h"
 
 namespace calculon {
 
@@ -34,15 +37,71 @@ enum class Infeasible {
 // failure records) round-trip losslessly.
 [[nodiscard]] Infeasible InfeasibleFromString(const std::string& s);
 
-// Minimal expected-like result: either a value or an Infeasible reason with
-// an optional human-readable detail string. The class is [[nodiscard]]:
-// with -Werror=unused-result, dropping a returned Result does not compile.
+// The explanation of an infeasible Result, kept as a format literal and its
+// typed operands until read: a sweep rejects most of the candidates it
+// evaluates and reads the explanation of almost none. Literals are kept by
+// pointer, so only arrays (string literals) are accepted; text computed at
+// the error site is passed as a std::string.
+class ErrorDetail {
+ public:
+  ErrorDetail() = default;
+  template <std::size_t N>
+  ErrorDetail(const char (&literal)[N])  // NOLINT: implicit by design
+      : format_(literal) {}
+  ErrorDetail(std::string text)  // NOLINT: implicit by design
+      : text_(std::move(text)) {}
+  // A printf format with two integer operands ("%lld").
+  template <std::size_t N>
+  ErrorDetail(const char (&format)[N], long long a, long long b)
+      : format_(format), operands_(Operands::kInts), ints_{a, b} {}
+  // A printf format with two "%s" operands, byte counts printed by
+  // FormatBytes (util/units.h).
+  template <std::size_t N>
+  ErrorDetail(const char (&format)[N], Bytes a, Bytes b)
+      : format_(format), operands_(Operands::kBytes), bytes_{a, b} {}
+
+  // Formats the explanation ("" for none).
+  [[nodiscard]] std::string Text() const;
+
+ private:
+  enum class Operands : unsigned char { kNone, kInts, kBytes };
+  const char* format_ = nullptr;
+  std::string text_;
+  Operands operands_ = Operands::kNone;
+  long long ints_[2] = {0, 0};
+  Bytes bytes_[2];
+};
+
+// Why a Result holds no value: the reason and its unformatted explanation.
+struct InfeasibleError {
+  Infeasible reason = Infeasible::kNone;
+  ErrorDetail detail;
+  // How many callers forwarded this error as `Result(reason, detail())`,
+  // each putting the reason in front once more; Text() repeats it so.
+  int restated = 0;
+
+  // This error as such a forwarding caller reports it.
+  [[nodiscard]] InfeasibleError Restated() const {
+    InfeasibleError e = *this;
+    ++e.restated;
+    return e;
+  }
+  // "reason[: detail]", after `restated` "reason: " prefixes.
+  [[nodiscard]] std::string Text() const;
+};
+
+// Minimal expected-like result: either a value or an InfeasibleError. The
+// class is [[nodiscard]]: with -Werror=unused-result, dropping a returned
+// Result does not compile.
 template <typename T>
 class [[nodiscard]] Result {
  public:
   Result(T value) : data_(std::move(value)) {}  // NOLINT: implicit by design
-  Result(Infeasible reason, std::string detail = {})
-      : data_(Error{reason, std::move(detail)}) {}
+  Result(Infeasible reason, ErrorDetail detail = {})
+      : data_(InfeasibleError{reason, std::move(detail)}) {}
+  // Forwards another Result's error (Result<U>::error()) unformatted.
+  Result(InfeasibleError error)  // NOLINT: implicit by design
+      : data_(std::move(error)) {}
 
   [[nodiscard]] bool ok() const { return std::holds_alternative<T>(data_); }
   explicit operator bool() const { return ok(); }
@@ -71,22 +130,19 @@ class [[nodiscard]] Result {
   }
 
   [[nodiscard]] Infeasible reason() const {
-    return ok() ? Infeasible::kNone : std::get<Error>(data_).reason;
+    return ok() ? Infeasible::kNone : std::get<InfeasibleError>(data_).reason;
   }
+  [[nodiscard]] const InfeasibleError& error() const {
+    if (ok()) throw std::logic_error("Result::error() on a value");
+    return std::get<InfeasibleError>(data_);
+  }
+  // The explanation, formatted on each call: "reason[: detail]".
   [[nodiscard]] std::string detail() const {
-    if (ok()) return {};
-    const Error& e = std::get<Error>(data_);
-    std::string s = ToString(e.reason);
-    if (!e.detail.empty()) s += ": " + e.detail;
-    return s;
+    return ok() ? std::string() : std::get<InfeasibleError>(data_).Text();
   }
 
  private:
-  struct Error {
-    Infeasible reason;
-    std::string detail;
-  };
-  std::variant<T, Error> data_;
+  std::variant<T, InfeasibleError> data_;
 };
 
 // Thrown for programmer/config errors that are not part of the modeled

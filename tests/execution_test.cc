@@ -29,6 +29,20 @@ TEST(Execution, PartitionMustMultiplyToProcs) {
   EXPECT_EQ(e.Validate(app).reason(), Infeasible::kBadPartition);
   e.data_par = 0;
   EXPECT_EQ(e.Validate(app).reason(), Infeasible::kBadPartition);
+  // Products of untrusted degrees that overflow int64, one of which wraps
+  // to exactly the processor count: 4096 * (2^52 + 1) = 2^64 + 4096.
+  e = BaseExec();
+  e.tensor_par = 4096;
+  e.pipeline_par = (std::int64_t{1} << 52) + 1;
+  e.data_par = 1;
+  EXPECT_EQ(e.Validate(app).reason(), Infeasible::kBadPartition);
+  e.tensor_par = std::int64_t{1} << 32;
+  e.pipeline_par = std::int64_t{1} << 32;
+  EXPECT_EQ(e.Validate(app).reason(), Infeasible::kBadPartition);
+  e.tensor_par = 8;
+  e.pipeline_par = std::int64_t{1} << 40;
+  e.data_par = std::int64_t{1} << 40;
+  EXPECT_EQ(e.Validate(app).reason(), Infeasible::kBadPartition);
 }
 
 TEST(Execution, TensorParMustDivideHeads) {
@@ -85,6 +99,15 @@ TEST(Execution, BatchDivisibility) {
   EXPECT_EQ(e.Validate(app).reason(), Infeasible::kIndivisibleBatch);
   e.batch_size = 4096;
   e.microbatch = 3;  // 4096 not divisible by 24
+  EXPECT_EQ(e.Validate(app).reason(), Infeasible::kIndivisibleBatch);
+  // d*m = 2^64 overflows int64 (and would wrap to a zero divisor).
+  e = BaseExec();
+  e.num_procs = std::int64_t{1} << 32;
+  e.tensor_par = 1;
+  e.pipeline_par = 1;
+  e.data_par = std::int64_t{1} << 32;
+  e.batch_size = 64;
+  e.microbatch = std::int64_t{1} << 32;
   EXPECT_EQ(e.Validate(app).reason(), Infeasible::kIndivisibleBatch);
 }
 

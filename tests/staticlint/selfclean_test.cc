@@ -3,7 +3,10 @@
 // enforce), and the SARIF serialization must be a well-formed document.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "json/json.h"
@@ -91,6 +94,44 @@ TEST(SelfCleanTest, SeededViolationIsDetected) {
   }
   EXPECT_TRUE(saw_cout);
   EXPECT_TRUE(saw_guard);
+}
+
+TEST(SelfCleanTest, SweepLoopWithoutItsPollIsFlagged) {
+  // cancellation-poll finds evaluation loops through calls that reach
+  // eval_functions. The exec-search sweep calls the model's stage
+  // functions, not CalculatePerformance, so only their configured names
+  // keep the rule on it: drop the sweep's ShouldStop poll from the real
+  // source and the sweep loop must be flagged.
+  const std::string path = "src/search/exec_search.cc";
+  const std::string poll = "if (ctx != nullptr && ctx->ShouldStop()) return;";
+  const std::string loop = "for (std::int64_t m : microbatches) {";
+  std::vector<SourceFile> files = RepoTree();
+  int loop_line = 0;
+  for (SourceFile& f : files) {
+    if (f.path != path) continue;
+    std::string text = f.text;
+    const std::size_t at = text.find(poll);
+    ASSERT_NE(at, std::string::npos) << "the sweep's poll is not in " << path;
+    text.erase(at, poll.size());
+    const std::size_t loop_at = text.find(loop);
+    ASSERT_NE(loop_at, std::string::npos)
+        << "the sweep loop is not in " << path;
+    loop_line = 1 + static_cast<int>(std::count(
+                        text.begin(),
+                        text.begin() + static_cast<std::ptrdiff_t>(loop_at),
+                        '\n'));
+    f = MakeSourceFile(path, std::move(text));
+  }
+  ASSERT_GT(loop_line, 0) << path << " is not in the tree";
+
+  LintOptions options;
+  options.rule_filter = {"cancellation-poll"};
+  const LintResult result = RunLint(files, ProjectConfig::Default(), options);
+  std::vector<int> lines;
+  for (const Diagnostic& d : result.findings) {
+    if (d.path == path) lines.push_back(d.line);
+  }
+  EXPECT_EQ(lines, std::vector<int>{loop_line});
 }
 
 TEST(SarifTest, DocumentIsWellFormed) {
