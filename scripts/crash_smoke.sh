@@ -7,7 +7,10 @@
 #   2. quarantined rows appear for the poison items and nothing else —
 #      every surviving row is byte-identical to the fault-free reference,
 #   3. the same seed reproduces the same output byte-for-byte,
-#   4. worker stderr logs are captured for the post-mortem.
+#   4. blame is exact: a run with one item per shard, where the first
+#      un-acked item is the culprit by construction, writes the same
+#      CSV byte-for-byte,
+#   5. worker stderr logs are captured for the post-mortem.
 #
 # usage: scripts/crash_smoke.sh [build-dir]    # default: ./build
 # Worker logs are copied to $CRASH_SMOKE_OUT (if set) for CI artifacts.
@@ -41,7 +44,7 @@ cat > "$WORK/study.json" <<'EOF'
 }
 EOF
 FAULTS="seed=42,abort=0.05,segv=0.05,hang=0.02,hang_s=60"
-DIST_FLAGS=(--workers 3 --shard-size 4 --hang-timeout 2)
+DIST_FLAGS=(--workers 3 --hang-timeout 2)
 
 echo "== fault-free reference (in-process)"
 "$CLI" study "$WORK/study.json" "$WORK/ref.csv" > "$WORK/ref.log" || {
@@ -49,9 +52,10 @@ echo "== fault-free reference (in-process)"
 
 echo "== supervised run under injected process faults"
 run_faulted() {
-  local out="$1" log="$2"
+  local out="$1" log="$2" shard_size="$3"
   "$CLI" study "$WORK/study.json" "$out" "${DIST_FLAGS[@]}" \
-      --faults "$FAULTS" --worker-logs "$WORK/worker-logs" > "$log" 2>&1
+      --shard-size "$shard_size" --faults "$FAULTS" \
+      --worker-logs "$WORK/worker-logs" > "$log" 2>&1
   local status=$?
   if [[ "$status" -ne 3 ]]; then
     echo "crash_smoke: expected exit 3 (degraded) from the faulted run," \
@@ -61,7 +65,7 @@ run_faulted() {
   fi
 }
 mkdir -p "$WORK/worker-logs"
-run_faulted "$WORK/faulted.csv" "$WORK/faulted.log" || exit 1
+run_faulted "$WORK/faulted.csv" "$WORK/faulted.log" 4 || exit 1
 
 QUARANTINED=$(grep -c 'quarantined' "$WORK/faulted.csv")
 if [[ "$QUARANTINED" -lt 1 ]]; then
@@ -89,10 +93,22 @@ if ! awk 'NR==FNR { ref[FNR]=$0; next }
 fi
 
 echo "== same seed reproduces the same output"
-run_faulted "$WORK/faulted2.csv" "$WORK/faulted2.log" || exit 1
+run_faulted "$WORK/faulted2.csv" "$WORK/faulted2.log" 4 || exit 1
 if ! cmp -s "$WORK/faulted.csv" "$WORK/faulted2.csv"; then
   echo "crash_smoke: same-seed reruns differ" >&2
   diff "$WORK/faulted.csv" "$WORK/faulted2.csv" | head -20 >&2
+  exit 1
+fi
+
+echo "== one item per shard quarantines exactly the same rows"
+# A worker writes a fresh shard's results in batches, so its death cannot
+# name the culprit; only retries, which ack item by item, may blame. With
+# one item per shard every suspect is exact by construction, so any
+# wrongly blamed row of the shard-size-4 run shows up as a difference.
+run_faulted "$WORK/exact.csv" "$WORK/exact.log" 1 || exit 1
+if ! cmp -s "$WORK/faulted.csv" "$WORK/exact.csv"; then
+  echo "crash_smoke: shard sizes 4 and 1 blame different rows" >&2
+  diff "$WORK/exact.csv" "$WORK/faulted.csv" | head -20 >&2
   exit 1
 fi
 
@@ -107,4 +123,4 @@ if [[ -n "${CRASH_SMOKE_OUT:-}" ]]; then
 fi
 
 echo "crash_smoke: OK ($QUARANTINED poison row(s) quarantined," \
-     "survivors byte-identical, reruns reproducible)"
+     "survivors byte-identical, reruns reproducible, blame exact)"

@@ -42,15 +42,21 @@ ShardTracker::FailureOutcome ShardTracker::OnShardFailure(
     return outcome;
   }
   outcome.suspect = std::max(shard.begin, acked_up_to);
+  if (!shard.ack_each) {
+    // Coalesced: the worker may have died on any item from the suspect
+    // on. Blame nobody and find out at once, one ack per item.
+    outcome.retry = ShardRange{outcome.suspect, shard.end, true};
+    return outcome;
+  }
   outcome.attempt = ++attempts_[outcome.suspect];
   if (outcome.attempt >= options_.max_attempts) {
     outcome.quarantined = true;
     quarantined_.insert(outcome.suspect);
     ++resolved_;  // quarantined counts as resolved: the sweep terminates
-    outcome.retry = ShardRange{outcome.suspect + 1, shard.end};
+    outcome.retry = ShardRange{outcome.suspect + 1, shard.end, true};
     outcome.backoff_ms = 0;  // the poison item is gone; no need to wait
   } else {
-    outcome.retry = ShardRange{outcome.suspect, shard.end};
+    outcome.retry = ShardRange{outcome.suspect, shard.end, true};
     outcome.backoff_ms = BackoffDelayMs(
         outcome.attempt, options_.backoff_base_ms, options_.backoff_max_ms);
   }

@@ -7,13 +7,19 @@
 // nonetheless mutex-guarded (and annotated) because progress reporters
 // may sample it from another thread.
 //
-// Failure model: workers stream per-item acks in order within a shard, so
-// when a worker dies the *suspect* is the first un-acked item of its
-// shard — the item it was evaluating. The suspect's attempt count
-// increments; after max_attempts the item is quarantined (a poison
-// candidate: deterministic process faults re-fire on every retry, so
-// retrying forever would never converge) and the remainder of the shard
-// is re-dispatched. Quarantined items count as resolved, which guarantees
+// Failure model: workers ack items in order within a shard. A fresh shard
+// is *coalesced*: the worker writes its acks in batches, so when it dies
+// it may have finished items past the first un-acked one. Such a failure
+// charges nobody; the un-acked rest is re-dispatched at once as an
+// *ack_each* shard, whose worker writes every ack as the item finishes.
+// When an ack_each shard's worker dies, the *suspect* is its first
+// un-acked item — exactly the item it was evaluating. The suspect's
+// attempt count increments and the rest retries after a backoff; after
+// max_attempts the item is quarantined (a poison candidate: deterministic
+// process faults re-fire on every retry, so retrying forever would never
+// converge) and the remainder of the shard is re-dispatched. An item is
+// thus quarantined only after failures in which it was exactly the first
+// un-acked item. Quarantined items count as resolved, which guarantees
 // the sweep always terminates.
 #pragma once
 
@@ -31,6 +37,8 @@ namespace calculon::dist {
 struct ShardRange {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
+  // A retry: the worker acks every item as it finishes (see above).
+  bool ack_each = false;
 
   [[nodiscard]] bool empty() const { return begin >= end; }
 };
@@ -63,14 +71,16 @@ class ShardTracker {
   struct FailureOutcome {
     bool quarantined = false;    // the suspect hit max_attempts
     std::uint64_t suspect = 0;   // first un-acked item of the shard
-    int attempt = 0;             // its attempt count so far
+    // The suspect's attempt count so far; 0 when nobody was charged (a
+    // coalesced shard).
+    int attempt = 0;
     std::int64_t backoff_ms = 0; // delay before `retry` (0 on quarantine)
     ShardRange retry;            // what to re-dispatch (may be empty)
   };
 
   // The worker owning `shard` died or hung after acking items
-  // [shard.begin, acked_up_to). Returns the retry decision; quarantined
-  // items are marked resolved here.
+  // [shard.begin, acked_up_to). Returns the retry decision, always an
+  // ack_each shard; quarantined items are marked resolved here.
   [[nodiscard]] FailureOutcome OnShardFailure(ShardRange shard,
                                               std::uint64_t acked_up_to)
       CALC_EXCLUDES(mutex_);

@@ -230,9 +230,12 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
       shard["end"] = static_cast<std::int64_t>(slot.shard.end);
       doc["shard"] = shard;
       doc["acked"] = static_cast<std::int64_t>(slot.acked);
-      // The item ShardTracker blames: the first one never acked.
-      doc["suspect"] =
-          static_cast<std::int64_t>(slot.shard.begin + slot.acked);
+      // The item ShardTracker blames: the first one never acked. A
+      // coalesced shard's worker may have died past it, so it names none.
+      if (slot.shard.ack_each) {
+        doc["suspect"] =
+            static_cast<std::int64_t>(slot.shard.begin + slot.acked);
+      }
     }
     const std::int64_t now = NowMs();
     const std::uint64_t kept =
@@ -509,6 +512,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
       frame["type"] = "shard";
       frame["begin"] = static_cast<std::int64_t>(shard.begin);
       frame["end"] = static_cast<std::int64_t>(shard.end);
+      if (shard.ack_each) frame["ack_each"] = true;
       slot.busy = true;
       slot.shard = shard;
       slot.acked = 0;

@@ -10,22 +10,27 @@
 //   * death  — EOF on the result pipe, classified via waitpid (exit code
 //              or terminating signal, e.g. an injected SIGSEGV/SIGABRT),
 //   * hangs  — a busy worker that has streamed nothing for longer than
-//              hang_timeout_s is SIGKILLed (per-item activity is the
-//              heartbeat: workers ack every item as it completes),
+//              hang_timeout_s is SIGKILLed (writes are the heartbeat: a
+//              busy worker writes its finished items at least every 1 ms,
+//              and a retried shard's worker acks each item as it
+//              completes),
 //
-// and reassigns the failed shard after a deterministic exponential
-// backoff. The *suspect* — the first un-acked item of the dead worker's
-// shard — carries the blame; after max_attempts the suspect is
-// quarantined (reported to the driver as a FailureRecord-shaped event,
-// the sweep continues degraded) and the rest of the shard is re-dispatched
-// immediately. Deterministic seeded process faults re-fire on every retry
-// of the same item, so a faulted run quarantines exactly the items whose
-// fault decision is a process kind — which is what makes "the quarantine
-// list equals the injected process faults" a testable property.
+// and reassigns the failed shard. A fresh shard's failure blames nobody
+// and its rest is retried at once, acking item by item; a retried shard's
+// *suspect* — its first un-acked item — carries the blame and the rest is
+// retried after a deterministic exponential backoff (dist/shard_tracker.h).
+// After max_attempts the suspect is quarantined (reported to the driver as
+// a FailureRecord-shaped event, the sweep continues degraded) and the rest
+// of the shard is re-dispatched immediately. Deterministic seeded process
+// faults re-fire on every retry of the same item, so a faulted run
+// quarantines exactly the items whose fault decision is a process kind —
+// which is what makes "the quarantine list equals the injected process
+// faults" a testable property.
 //
 // Post-mortems come from the frames the supervisor already handles: each
-// slot keeps a fixed ring of its last exchanges, rendered with the suspect
-// to the file FailureRecord::flight_path names when a busy worker dies.
+// slot keeps a fixed ring of its last exchanges, rendered (with the
+// suspect, on a retried shard) to the file FailureRecord::flight_path
+// names when a busy worker dies.
 //
 // The supervisor itself is single-threaded; results reach the driver via
 // callbacks on the supervising thread, in arrival order (the drivers in

@@ -3,28 +3,41 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <string_view>
 
 namespace calculon::dist {
 
 bool FrameWriter::WriteFrame(const json::Value& value) {
-  std::string line = value.Dump(0);
-  line.push_back('\n');
-  const char* data = line.data();
-  std::size_t left = line.size();
+  QueueFrame(value);
+  return Flush();
+}
+
+void FrameWriter::QueueFrame(const json::Value& value) {
+  queued_ += value.Dump(0);
+  queued_ += '\n';
+}
+
+bool FrameWriter::Flush() {
+  const char* data = queued_.data();
+  std::size_t left = queued_.size();
   while (left > 0) {
     const ssize_t n = ::write(fd_, data, left);
     if (n < 0) {
       if (errno == EINTR) continue;
+      queued_.clear();
       return false;  // EPIPE et al.: the peer is gone
     }
     data += n;
     left -= static_cast<std::size_t>(n);
   }
+  queued_.clear();
   return true;
 }
 
 FrameReader::FillStatus FrameReader::Fill() {
-  char chunk[4096];
+  buffer_.erase(0, consumed_);
+  consumed_ = 0;
+  char chunk[65536];  // a pipe's default capacity
   const ssize_t n = ::read(fd_, chunk, sizeof chunk);
   if (n > 0) {
     buffer_.append(chunk, static_cast<std::size_t>(n));
@@ -41,10 +54,11 @@ FrameReader::FillStatus FrameReader::Fill() {
 }
 
 bool FrameReader::NextFrame(json::Value* out) {
-  const std::size_t nl = buffer_.find('\n');
+  const std::size_t nl = buffer_.find('\n', consumed_);
   if (nl == std::string::npos) return false;
-  const std::string line = buffer_.substr(0, nl);
-  buffer_.erase(0, nl + 1);
+  const std::string_view line =
+      std::string_view(buffer_).substr(consumed_, nl - consumed_);
+  consumed_ = nl + 1;
   *out = json::Parse(line);
   return true;
 }

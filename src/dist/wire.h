@@ -12,6 +12,7 @@
 // tell "finished and closed" from "died mid-message".
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "json/json.h"
@@ -19,18 +20,28 @@
 namespace calculon::dist {
 
 // Writes frames to a file descriptor with blocking writes. Not owning;
-// the caller closes the fd.
+// the caller closes the fd. Frames can be queued and then written
+// together, so a worker sends a shard's results in one write().
 class FrameWriter {
  public:
   explicit FrameWriter(int fd) : fd_(fd) {}
 
-  // Serializes and writes one frame. Returns false when the peer is gone
-  // (EPIPE / write error) — the caller treats that as a dead peer, never
-  // as a crash (the supervisor runs with SIGPIPE ignored).
+  // Serializes one frame and writes it, after any queued ones, in one
+  // write(). Returns false when the peer is gone (EPIPE / write error) —
+  // the caller treats that as a dead peer, never as a crash (the
+  // supervisor runs with SIGPIPE ignored).
   [[nodiscard]] bool WriteFrame(const json::Value& value);
+
+  // Serializes one frame onto the queue without writing anything.
+  void QueueFrame(const json::Value& value);
+
+  // Writes the queued frames, if any, in one write(). Returns false when
+  // the peer is gone.
+  [[nodiscard]] bool Flush();
 
  private:
   int fd_;
+  std::string queued_;
 };
 
 // Incremental frame reader. Usable both non-blocking (the supervisor's
@@ -56,7 +67,9 @@ class FrameReader {
 
   // After Fill() returned kEof: the stream ended mid-line, i.e. the
   // writer died partway through a message.
-  [[nodiscard]] bool truncated() const { return eof_ && !buffer_.empty(); }
+  [[nodiscard]] bool truncated() const {
+    return eof_ && consumed_ < buffer_.size();
+  }
   [[nodiscard]] bool eof() const { return eof_; }
 
   // Blocking convenience for the worker loop: fills until a frame is
@@ -65,7 +78,11 @@ class FrameReader {
 
  private:
   int fd_;
+  // Bytes read so far; the frames before `consumed_` have been popped.
+  // Fill() drops them before it appends, so popping a frame copies
+  // nothing.
   std::string buffer_;
+  std::size_t consumed_ = 0;
   bool eof_ = false;
 };
 

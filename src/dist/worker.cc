@@ -1,5 +1,6 @@
 #include "dist/worker.h"
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -17,6 +18,12 @@
 namespace calculon::dist {
 
 namespace {
+
+// A worker writes the results it has queued at least this often, so a
+// slow item acks as it finishes and a busy worker is never silent for
+// longer than one item plus this interval (the supervisor's hang timeout
+// is its heartbeat deadline).
+constexpr std::chrono::milliseconds kFlushInterval{1};
 
 // Configures the worker-side telemetry from the init frame's "telemetry"
 // object (see InitFrame in dist/supervisor.h). Tracing aligns onto the
@@ -37,17 +44,17 @@ void ConfigureTelemetry(const json::Value& frame) {
   }
 }
 
-// Ships the cumulative metrics snapshot and any buffered trace events.
+// Queues the cumulative metrics snapshot and any buffered trace events.
 // Called from quiescent points (before shard_done, before exit). All
 // telemetry frames are purely observational — the supervisor's reorder
 // buffers never see them, preserving bit-identical outputs.
-[[nodiscard]] bool SendTelemetry(FrameWriter& writer) {
+void QueueTelemetry(FrameWriter& writer) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   if (metrics.enabled()) {
     json::Value frame;
     frame["type"] = "metrics_snapshot";
     frame["metrics"] = metrics.Snapshot().ToJson();
-    if (!writer.WriteFrame(frame)) return false;
+    writer.QueueFrame(frame);
   }
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   if (recorder.enabled()) {
@@ -57,10 +64,9 @@ void ConfigureTelemetry(const json::Value& frame) {
       frame["type"] = "trace_chunk";
       frame["events"] = json::Value(std::move(chunk.events));
       frame["dropped"] = static_cast<std::int64_t>(chunk.dropped);
-      if (!writer.WriteFrame(frame)) return false;
+      writer.QueueFrame(frame);
     }
   }
-  return true;
 }
 
 int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
@@ -81,18 +87,25 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
       if (job == nullptr) return 1;  // shard before init: corrupt parent
       const auto begin = static_cast<std::uint64_t>(frame.at("begin").AsInt());
       const auto end = static_cast<std::uint64_t>(frame.at("end").AsInt());
+      const bool ack_each = frame.GetBool("ack_each", false);
+      auto last_write = std::chrono::steady_clock::now();
       for (std::uint64_t i = begin; i < end && i < job->num_items(); ++i) {
         // The process-level fault decision fires before the evaluation:
-        // an aborted/hung item never acks, so the supervisor's suspect is
-        // exactly this item, on every retry.
+        // an aborted/hung item never acks, so on a retried (ack_each)
+        // shard the supervisor's suspect is exactly this item.
         faults.MaybeInjectProcess(job->FaultKey(i));
         json::Value item;
         item["type"] = "item";
         item["index"] = static_cast<std::int64_t>(i);
         item["result"] = job->RunItem(i);
-        if (!writer.WriteFrame(item)) return 1;
+        writer.QueueFrame(item);
+        const auto now = std::chrono::steady_clock::now();
+        if (ack_each || now - last_write >= kFlushInterval) {
+          if (!writer.Flush()) return 1;
+          last_write = now;
+        }
       }
-      if (!SendTelemetry(writer)) return 1;
+      QueueTelemetry(writer);
       json::Value done;
       done["type"] = "shard_done";
       done["begin"] = static_cast<std::int64_t>(begin);
@@ -101,7 +114,8 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
     } else if (type == "exit") {
       // Final cumulative telemetry; the supervisor drains the pipe to EOF
       // during shutdown, so these frames are never lost.
-      (void)SendTelemetry(writer);
+      QueueTelemetry(writer);
+      (void)writer.Flush();
       return 0;
     } else {
       return 1;  // unknown frame: corrupt parent

@@ -8,9 +8,16 @@
 //                       "telemetry":{...}}
 //   worker -> parent   {"type":"ready"}
 //   parent -> worker   {"type":"shard", "begin":B, "end":E}
+//                      (a retried shard adds "ack_each":true)
 //   worker -> parent   {"type":"item", "index":I, "result":{...}}   (per item)
 //   worker -> parent   {"type":"shard_done", "begin":B, "end":E}
 //   parent -> worker   {"type":"exit"}
+//
+// A worker queues a shard's item frames and writes them together with
+// shard_done in one write(). It writes early whenever 1 ms has passed
+// since its last write, so slow items still ack as they finish and a busy
+// worker that stays silent is hung. A retried shard ("ack_each") writes
+// every item frame as soon as the item is done.
 //
 // Before each shard_done and on exit, a worker may send purely
 // observational telemetry frames (enabled via the init frame's
@@ -23,11 +30,14 @@
 // stay bit-identical with telemetry on. With both off, a shard of n items
 // costs exactly n + 1 frames: one per item plus shard_done.
 //
-// Items are evaluated and acked strictly in order within a shard, which
-// is what lets the supervisor identify the *suspect* (first un-acked
-// item) when the worker dies. Process-level fault injection happens here:
-// MaybeInjectProcess runs before each item, so a seeded abort/segv/hang
-// deterministically takes this process down at the same item every time.
+// Items are evaluated and acked strictly in order within a shard. On an
+// ack_each shard that lets the supervisor identify the *suspect* (first
+// un-acked item) when the worker dies; on a coalesced shard the worker may
+// have finished items it had not yet written, so nobody is blamed and the
+// un-acked rest is retried ack_each. Process-level fault injection happens
+// here: MaybeInjectProcess runs before each item, so a seeded
+// abort/segv/hang deterministically takes this process down at the same
+// item every time.
 #pragma once
 
 namespace calculon::dist {

@@ -1,10 +1,12 @@
 #include "json/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "util/fileio.h"
 #include "util/strings.h"
@@ -130,9 +132,16 @@ bool operator==(const Value& a, const Value& b) {
 
 namespace {
 
-void AppendEscaped(std::string& out, const std::string& s) {
+// Appends `s` as a JSON string literal. Runs of bytes that need no escape
+// are copied in one append each.
+void AppendEscaped(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
+  std::size_t run = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -141,45 +150,46 @@ void AppendEscaped(std::string& out, const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
+// Integral values below 1e15 print as integers, everything else as %.17g
+// (lossless). The range is checked before the cast, which is undefined for
+// values an int64 cannot hold.
 void AppendNumber(std::string& out, double d) {
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::fabs(d) < 1e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
+  if (!std::isfinite(d)) {
+    throw ConfigError(
+        StrFormat("json: cannot serialize the non-finite number %g", d));
   }
+  char buf[32];  // "-1.2345678901234567e-308" is 24 characters
+  const std::to_chars_result r =
+      std::fabs(d) < 1e15 && d == std::trunc(d)
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d))
+          : std::to_chars(buf, buf + sizeof buf, d,
+                          std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+// "\n" followed by `indent * depth` spaces: the line break before a
+// container element (depth + 1) or its closing bracket (depth).
+void AppendNewline(std::string& out, int indent, int depth) {
+  out += '\n';
+  out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth),
+             ' ');
 }
 
 }  // namespace
 
 void Value::AppendTo(std::string& out, int indent, int depth) const {
-  std::string pad;
-  std::string pad_close;
-  if (indent > 0) {
-    pad.assign(1 + static_cast<std::size_t>(indent) *
-                       (static_cast<std::size_t>(depth) + 1),
-               ' ');
-    pad[0] = '\n';
-    pad_close.assign(
-        1 + static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth),
-        ' ');
-    pad_close[0] = '\n';
-  }
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
@@ -194,11 +204,15 @@ void Value::AppendTo(std::string& out, int indent, int depth) const {
       bool first = true;
       for (const Value& v : *arr_) {
         if (!first) out += ',';
-        if (indent > 0) out += pad; else if (!first) out += ' ';
+        if (indent > 0) {
+          AppendNewline(out, indent, depth + 1);
+        } else if (!first) {
+          out += ' ';
+        }
         v.AppendTo(out, indent, depth + 1);
         first = false;
       }
-      out += pad_close;
+      if (indent > 0) AppendNewline(out, indent, depth);
       out += ']';
       break;
     }
@@ -211,13 +225,17 @@ void Value::AppendTo(std::string& out, int indent, int depth) const {
       bool first = true;
       for (const auto& [k, v] : *obj_) {
         if (!first) out += ',';
-        if (indent > 0) out += pad; else if (!first) out += ' ';
+        if (indent > 0) {
+          AppendNewline(out, indent, depth + 1);
+        } else if (!first) {
+          out += ' ';
+        }
         AppendEscaped(out, k);
         out += ": ";
         v.AppendTo(out, indent, depth + 1);
         first = false;
       }
-      out += pad_close;
+      if (indent > 0) AppendNewline(out, indent, depth);
       out += '}';
       break;
     }
@@ -337,55 +355,66 @@ class Parser {
       eat_digits();
     }
     if (!has_digits) Fail("invalid number");
-    const std::string token(text_.substr(start, pos_ - start));
-    return Value(std::strtod(token.c_str(), nullptr));
+    // from_chars takes no '+'. On overflow or underflow it reports
+    // out-of-range and leaves the value alone; strtod then rounds the token
+    // to +-HUGE_VAL, zero or a subnormal, as the parser always has.
+    const char* first = text_.data() + start + (text_[start] == '+' ? 1 : 0);
+    const char* last = text_.data() + pos_;
+    double d = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, d);
+    if (r.ec != std::errc() || r.ptr != last) {
+      d = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    return Value(d);
   }
 
   std::string ParseString() {
     Expect('"');
     std::string out;
     while (true) {
-      const char c = Next();
-      if (c == '"') break;
-      if (c == '\\') {
-        const char e = Next();
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = Next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-              else Fail("invalid \\u escape");
-            }
-            // Encode the code point as UTF-8 (BMP only; surrogate pairs are
-            // passed through as replacement bytes, which spec files never use).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        ++end;
+      }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (Next() == '"') break;
+      // A backslash: one escape sequence.
+      switch (Next()) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = Next();
+            code <<= 4;
+            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
+            else Fail("invalid \\u escape");
           }
-          default: Fail("invalid escape");
+          // Encode the code point as UTF-8 (BMP only; surrogate pairs are
+          // passed through as replacement bytes, which spec files never use).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default: Fail("invalid escape");
       }
     }
     return out;

@@ -1,10 +1,10 @@
 #include "runner/study.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cstddef>
 #include <filesystem>
-#include <functional>
-#include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "hw/presets.h"
@@ -19,56 +19,65 @@
 namespace calculon {
 namespace {
 
-// Applies one named field value onto an Execution. Throws ConfigError for
-// unknown fields (catches typos in study specs loudly).
-void ApplyField(Execution& e, const std::string& name,
-                const json::Value& value) {
-  if (name == "tensor_par") { e.tensor_par = value.AsInt(); return; }
-  if (name == "pipeline_par") { e.pipeline_par = value.AsInt(); return; }
-  if (name == "data_par") { e.data_par = value.AsInt(); return; }
-  if (name == "microbatch") { e.microbatch = value.AsInt(); return; }
-  if (name == "batch_size") { e.batch_size = value.AsInt(); return; }
+// One parsed sweep value: the setter of the Execution field it names and
+// the value, with booleans and enums carried as integers.
+struct FieldValue {
+  void (*set)(Execution&, std::int64_t);
+  std::int64_t value;
+
+  void ApplyTo(Execution& e) const { set(e, value); }
+};
+
+template <auto Field>
+void SetField(Execution& e, std::int64_t v) {
+  e.*Field = static_cast<std::remove_reference_t<decltype(e.*Field)>>(v);
+}
+
+// Parses one named field value. Throws ConfigError for unknown fields
+// (catches typos in study specs loudly) and for ill-typed values.
+FieldValue ParseField(const std::string& name, const json::Value& value) {
+  using E = Execution;
+  if (name == "tensor_par") return {SetField<&E::tensor_par>, value.AsInt()};
+  if (name == "pipeline_par") {
+    return {SetField<&E::pipeline_par>, value.AsInt()};
+  }
+  if (name == "data_par") return {SetField<&E::data_par>, value.AsInt()};
+  if (name == "microbatch") return {SetField<&E::microbatch>, value.AsInt()};
+  if (name == "batch_size") return {SetField<&E::batch_size>, value.AsInt()};
   if (name == "pp_interleaving") {
-    e.pp_interleaving = value.AsInt();
-    return;
+    return {SetField<&E::pp_interleaving>, value.AsInt()};
   }
   if (name == "recompute") {
-    e.recompute = RecomputeFromString(value.AsString());
-    return;
+    return {SetField<&E::recompute>,
+            static_cast<std::int64_t>(RecomputeFromString(value.AsString()))};
   }
   if (name == "tp_overlap") {
-    e.tp_overlap = TpOverlapFromString(value.AsString());
-    return;
+    return {SetField<&E::tp_overlap>,
+            static_cast<std::int64_t>(TpOverlapFromString(value.AsString()))};
   }
-  if (name == "training") { e.training = value.AsBool(); return; }
+  if (name == "training") return {SetField<&E::training>, value.AsBool()};
   if (name == "fused_activation") {
-    e.fused_activation = value.AsBool();
-    return;
+    return {SetField<&E::fused_activation>, value.AsBool()};
   }
-  if (name == "pp_1f1b") { e.pp_1f1b = value.AsBool(); return; }
-  if (name == "pp_rs_ag") { e.pp_rs_ag = value.AsBool(); return; }
-  if (name == "tp_rs_ag") { e.tp_rs_ag = value.AsBool(); return; }
-  if (name == "seq_par") { e.seq_par = value.AsBool(); return; }
+  if (name == "pp_1f1b") return {SetField<&E::pp_1f1b>, value.AsBool()};
+  if (name == "pp_rs_ag") return {SetField<&E::pp_rs_ag>, value.AsBool()};
+  if (name == "tp_rs_ag") return {SetField<&E::tp_rs_ag>, value.AsBool()};
+  if (name == "seq_par") return {SetField<&E::seq_par>, value.AsBool()};
   if (name == "seq_par_ag_redo") {
-    e.seq_par_ag_redo = value.AsBool();
-    return;
+    return {SetField<&E::seq_par_ag_redo>, value.AsBool()};
   }
-  if (name == "dp_overlap") { e.dp_overlap = value.AsBool(); return; }
+  if (name == "dp_overlap") return {SetField<&E::dp_overlap>, value.AsBool()};
   if (name == "optimizer_sharding") {
-    e.optimizer_sharding = value.AsBool();
-    return;
+    return {SetField<&E::optimizer_sharding>, value.AsBool()};
   }
   if (name == "weight_offload") {
-    e.weight_offload = value.AsBool();
-    return;
+    return {SetField<&E::weight_offload>, value.AsBool()};
   }
   if (name == "activation_offload") {
-    e.activation_offload = value.AsBool();
-    return;
+    return {SetField<&E::activation_offload>, value.AsBool()};
   }
   if (name == "optimizer_offload") {
-    e.optimizer_offload = value.AsBool();
-    return;
+    return {SetField<&E::optimizer_offload>, value.AsBool()};
   }
   throw ConfigError("study: unknown sweep field '" + name + "'");
 }
@@ -84,6 +93,21 @@ std::uint64_t Fnv1a(std::uint64_t h, const std::string& s) {
 }
 
 constexpr const char* kCheckpointFormat = "calculon-study-checkpoint-v1";
+
+void AppendInt(std::string& out, std::int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+// printf's %.<precision>g (general) or %.<precision>f (fixed): the
+// standard defines to_chars with a format and a precision as printf with
+// the matching conversion in the "C" locale.
+void AppendDouble(std::string& out, double v, std::chars_format format,
+                  int precision) {
+  char buf[400];  // %.4f of DBL_MAX has 309 integer digits
+  out.append(buf,
+             std::to_chars(buf, buf + sizeof buf, v, format, precision).ptr);
+}
 
 // Compact configuration coordinates for failure records and quarantine
 // reports.
@@ -241,33 +265,61 @@ json::Value Study::ToJson() const {
 }
 
 std::vector<Execution> Study::Enumerate() const {
+  // Parse every axis value once, in the order a depth-first walk of the
+  // cross product first reaches it, so the first bad value raises the
+  // ConfigError it always has: the first value of each axis down to the
+  // first empty axis (the walk never passes an empty axis), then the
+  // remaining values from the deepest reached axis up.
+  const std::size_t n = axes.size();
+  std::vector<std::vector<FieldValue>> parsed(n);
+  std::size_t reached = 0;
+  for (; reached < n && !axes[reached].second.empty(); ++reached) {
+    parsed[reached].push_back(
+        ParseField(axes[reached].first, axes[reached].second[0]));
+  }
+  for (std::size_t a = reached; a-- > 0;) {
+    for (std::size_t j = 1; j < axes[a].second.size(); ++j) {
+      parsed[a].push_back(ParseField(axes[a].first, axes[a].second[j]));
+    }
+  }
+  if (reached < n) return {};  // an empty axis: no rows
+
+  // Walk the cross product as an odometer, the last axis fastest: the
+  // order of the depth-first walk.
+  std::size_t rows = 1;
+  for (const std::vector<FieldValue>& values : parsed) rows *= values.size();
   std::vector<Execution> execs;
-  std::function<void(std::size_t, Execution)> recurse =
-      [&](std::size_t axis, Execution e) {
-        if (axis == axes.size()) {
-          const std::int64_t n = system.num_procs();
-          if (auto_data_par && e.tensor_par * e.pipeline_par > 0 &&
-              n % (e.tensor_par * e.pipeline_par) == 0) {
-            e.data_par = n / (e.tensor_par * e.pipeline_par);
-          }
-          if (auto_tensor_par && e.pipeline_par * e.data_par > 0 &&
-              n % (e.pipeline_par * e.data_par) == 0) {
-            e.tensor_par = n / (e.pipeline_par * e.data_par);
-          }
-          if (auto_pipeline_par && e.tensor_par * e.data_par > 0 &&
-              n % (e.tensor_par * e.data_par) == 0) {
-            e.pipeline_par = n / (e.tensor_par * e.data_par);
-          }
-          execs.push_back(e);
-          return;
-        }
-        for (const json::Value& value : axes[axis].second) {
-          Execution next = e;
-          ApplyField(next, axes[axis].first, value);
-          recurse(axis + 1, next);
-        }
-      };
-  recurse(0, base);
+  execs.reserve(rows);
+  std::vector<std::size_t> digit(n, 0);
+  Execution e = base;
+  for (const std::vector<FieldValue>& values : parsed) values[0].ApplyTo(e);
+  const std::int64_t procs = system.num_procs();
+  for (;;) {
+    Execution& row = execs.emplace_back(e);
+    if (auto_data_par && row.tensor_par * row.pipeline_par > 0 &&
+        procs % (row.tensor_par * row.pipeline_par) == 0) {
+      row.data_par = procs / (row.tensor_par * row.pipeline_par);
+    }
+    if (auto_tensor_par && row.pipeline_par * row.data_par > 0 &&
+        procs % (row.pipeline_par * row.data_par) == 0) {
+      row.tensor_par = procs / (row.pipeline_par * row.data_par);
+    }
+    if (auto_pipeline_par && row.tensor_par * row.data_par > 0 &&
+        procs % (row.tensor_par * row.data_par) == 0) {
+      row.pipeline_par = procs / (row.tensor_par * row.data_par);
+    }
+    // Advance the deepest axis that has values left and restart every
+    // axis below it at its first value.
+    std::size_t a = n;
+    while (a > 0 && digit[a - 1] + 1 == parsed[a - 1].size()) --a;
+    if (a == 0) break;
+    ++digit[a - 1];
+    parsed[a - 1][digit[a - 1]].ApplyTo(e);
+    for (std::size_t b = a; b < n; ++b) {
+      digit[b] = 0;
+      parsed[b][0].ApplyTo(e);
+    }
+  }
   return execs;
 }
 
@@ -404,26 +456,39 @@ std::string StudyCsvHeader() {
 }
 
 std::string StudyCsvRow(const Execution& e, const Result<Stats>& result) {
-  std::ostringstream os;
-  os << e.tensor_par << ',' << e.pipeline_par << ',' << e.data_par << ','
-     << e.microbatch << ',' << e.batch_size << ',' << e.pp_interleaving
-     << ',' << ToString(e.recompute) << ',';
+  std::string row;
+  for (const std::int64_t field :
+       {e.tensor_par, e.pipeline_par, e.data_par, e.microbatch, e.batch_size,
+        e.pp_interleaving}) {
+    AppendInt(row, field);
+    row += ',';
+  }
+  row += ToString(e.recompute);
+  row += ',';
   if (result.ok()) {
     const Stats& s = result.value();
-    os << "1,," << StrFormat("%.6g", s.batch_time.raw()) << ','
-       << StrFormat("%.6g", s.sample_rate.raw()) << ','
-       << StrFormat("%.4f", s.mfu) << ','
-       << StrFormat("%.0f", s.tier1.Total().raw()) << ','
-       << StrFormat("%.0f", s.tier2.Total().raw());
+    row += "1,,";
+    AppendDouble(row, s.batch_time.raw(), std::chars_format::general, 6);
+    row += ',';
+    AppendDouble(row, s.sample_rate.raw(), std::chars_format::general, 6);
+    row += ',';
+    AppendDouble(row, s.mfu, std::chars_format::fixed, 4);
+    row += ',';
+    AppendDouble(row, s.tier1.Total().raw(), std::chars_format::fixed, 0);
+    row += ',';
+    AppendDouble(row, s.tier2.Total().raw(), std::chars_format::fixed, 0);
   } else {
-    std::string reason = result.detail();
-    for (char& c : reason) {
-      if (c == ',' || c == '\n') c = ';';
+    row += "0,";
+    const std::size_t reason = row.size();
+    row += result.detail();
+    for (auto it = row.begin() + static_cast<std::ptrdiff_t>(reason);
+         it != row.end(); ++it) {
+      if (*it == ',' || *it == '\n') *it = ';';
     }
-    os << "0," << reason << ",,,,,";
+    row += ",,,,,";
   }
-  os << '\n';
-  return os.str();
+  row += '\n';
+  return row;
 }
 
 std::string StudyCsv(const Study& study, const std::vector<StudyRow>& rows) {

@@ -1,0 +1,337 @@
+// Seeded mutation fuzzing of the two parsers that read untrusted bytes:
+// the JSON codec (spec files, checkpoint journals, worker frames) and the
+// worker frame reader. The corpus is the shipped configs plus recorded
+// study and exec-search item frames; bit flips, byte inserts and deletes,
+// truncations and splices mutate it. A fixed seed and iteration budget
+// keep the test deterministic and quick; the sanitizer jobs run it like
+// every other test.
+//
+// The contract:
+//   * json::Parse returns a value or throws ConfigError;
+//   * FrameReader, fed a byte stream in random chunk sizes, yields one
+//     frame or one ConfigError per line, reports truncated() exactly when
+//     the stream ends mid-line, and never blocks;
+//   * Parse(Dump(v)) gives back v, every double bit for bit.
+#include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "dist/jobs.h"
+#include "dist/wire.h"
+#include "hw/presets.h"
+#include "json/json.h"
+#include "models/presets.h"
+#include "runner/study.h"
+#include "search/exec_search.h"
+#include "util/error.h"
+
+namespace calculon {
+namespace {
+
+namespace fs = std::filesystem;
+
+// splitmix64: a portable, seedable generator.
+class Rng {
+ public:
+  explicit Rng(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t Next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+  // Uniform in [0, n), n > 0.
+  std::size_t Below(std::size_t n) {
+    return static_cast<std::size_t>(Next() % n);
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+// One "item" frame per result, as a worker writes it.
+void RecordItems(dist::Job& job, std::uint64_t count,
+                 std::vector<std::string>* frames) {
+  for (std::uint64_t i = 0; i < count && i < job.num_items(); ++i) {
+    json::Value item;
+    item["type"] = "item";
+    item["index"] = static_cast<std::int64_t>(i);
+    item["result"] = job.RunItem(i);
+    frames->push_back(item.Dump(0) + "\n");
+  }
+}
+
+// Study and exec-search item frames, plus the frames around them.
+std::vector<std::string> RecordedFrames() {
+  std::vector<std::string> frames = {
+      "{\"type\": \"ready\"}\n",
+      "{\"begin\": 0, \"end\": 4, \"type\": \"shard_done\"}\n",
+  };
+  json::Value study;
+  study["job"] = "study";
+  study["spec"] = Study::FromJson(json::Parse(R"({
+    "application": "megatron_22b",
+    "system": "a100_80g",
+    "num_procs": 64,
+    "base_execution": {"batch_size": 64, "recompute": "full"},
+    "sweep": {"tensor_par": [1, 8], "pipeline_par": [1, 64],
+              "data_par": "auto", "microbatch": [1, 4]}
+  })")).ToJson();
+  RecordItems(*dist::MakeJob(study), 8, &frames);
+
+  presets::SystemOptions so;
+  so.num_procs = 64;
+  json::Value search;
+  search["job"] = "exec_search";
+  search["application"] = presets::Megatron22B().ToJson();
+  search["system"] = presets::A100(so).ToJson();
+  search["space"] = SearchSpace::MegatronBaseline().ToJson();
+  json::Value config;
+  config["batch_size"] = 64;
+  config["top_k"] = 4;
+  config["keep_all_rates"] = true;
+  config["keep_pareto"] = true;
+  search["config"] = config;
+  RecordItems(*dist::MakeJob(search), 3, &frames);
+  return frames;
+}
+
+// Every config file, sorted for a stable order, then the frames.
+std::vector<std::string> Corpus(const std::vector<std::string>& frames) {
+  std::vector<fs::path> paths;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(CALCULON_CONFIG_DIR)) {
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::string> corpus;
+  for (const fs::path& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    corpus.emplace_back(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
+  }
+  corpus.insert(corpus.end(), frames.begin(), frames.end());
+  return corpus;
+}
+
+// Applies one to four random mutations to `s`; `other` donates the tail
+// of a splice.
+std::string Mutate(std::string s, const std::string& other, Rng& rng) {
+  static constexpr char kInteresting[] = "\"\\{}[],:\n0123456789.eE-+tfnu/ ";
+  const std::size_t ops = 1 + rng.Below(4);
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::size_t at = rng.Below(s.size() + 1);
+    switch (rng.Below(5)) {
+      case 0:  // bit flip
+        if (!s.empty()) {
+          s[at % s.size()] = static_cast<char>(
+              static_cast<unsigned char>(s[at % s.size()]) ^
+              (1u << rng.Below(8)));
+        }
+        break;
+      case 1:  // byte insert, half the time a structural one
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(at),
+                 rng.Below(2) == 0
+                     ? kInteresting[rng.Below(sizeof kInteresting - 1)]
+                     : static_cast<char>(rng.Below(256)));
+        break;
+      case 2:  // delete up to 8 bytes
+        s.erase(at, 1 + rng.Below(8));
+        break;
+      case 3:  // truncate
+        s.resize(at);
+        break;
+      default:  // splice: our head, the other's tail
+        s = s.substr(0, at) + other.substr(rng.Below(other.size() + 1));
+        break;
+    }
+  }
+  return s;
+}
+
+TEST(CodecFuzz, MutatedDocumentsParseOrThrowConfigError) {
+  const std::vector<std::string> corpus = Corpus(RecordedFrames());
+  ASSERT_GT(corpus.size(), 20u);
+  for (const std::string& doc : corpus) {
+    EXPECT_NO_THROW((void)json::Parse(doc));  // the seeds are valid
+  }
+  Rng rng(17);
+  std::size_t parsed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string input =
+        Mutate(corpus[rng.Below(corpus.size())],
+               corpus[rng.Below(corpus.size())], rng);
+    try {
+      (void)json::Parse(input);
+      ++parsed;
+    } catch (const ConfigError&) {
+      // the expected outcome for most mutations
+    }
+  }
+  // Some mutations (in string contents, digits) leave valid JSON: the
+  // mutator is not just producing garbage the parser rejects up front.
+  EXPECT_GT(parsed, 0u);
+}
+
+// Feeds `stream` through a non-blocking pipe in random chunk sizes.
+void CheckFrameReader(const std::string& stream, Rng& rng) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+  dist::FrameReader reader(fds[0]);
+  std::size_t lines = 0;
+  auto drain = [&] {
+    for (;;) {
+      json::Value frame;
+      try {
+        if (!reader.NextFrame(&frame)) return;
+      } catch (const ConfigError&) {
+        // a corrupt line: the supervisor kills the worker that sent it
+      }
+      ++lines;
+    }
+  };
+  for (std::size_t off = 0; off < stream.size();) {
+    // Chunks stay below the pipe's capacity, so the write cannot block.
+    const std::size_t n = std::min(stream.size() - off, 1 + rng.Below(700));
+    ASSERT_EQ(::write(fds[1], stream.data() + off, n),
+              static_cast<ssize_t>(n));
+    off += n;
+    while (reader.Fill() == dist::FrameReader::FillStatus::kData) drain();
+  }
+  ::close(fds[1]);
+  dist::FrameReader::FillStatus last;
+  while ((last = reader.Fill()) == dist::FrameReader::FillStatus::kData) {
+    drain();
+  }
+  drain();
+  ::close(fds[0]);
+  EXPECT_EQ(last, dist::FrameReader::FillStatus::kEof);
+  EXPECT_TRUE(reader.eof());
+  EXPECT_EQ(lines, static_cast<std::size_t>(
+                       std::count(stream.begin(), stream.end(), '\n')));
+  EXPECT_EQ(reader.truncated(), !stream.empty() && stream.back() != '\n');
+}
+
+TEST(CodecFuzz, FrameReaderYieldsEveryLineAndFlagsATruncatedTail) {
+  const std::vector<std::string> frames = RecordedFrames();
+  std::string recorded;
+  for (const std::string& frame : frames) recorded += frame;
+  Rng rng(23);
+  CheckFrameReader(recorded, rng);  // the unmutated stream
+  for (int i = 0; i < 1000; ++i) {
+    const std::string stream =
+        Mutate(recorded, frames[rng.Below(frames.size())], rng);
+    CheckFrameReader(stream, rng);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A finite double: a random bit pattern most of the time, an integer
+// (the serializer's other number form) otherwise. Never -0.0, which
+// prints as the integer 0.
+double RandomNumber(Rng& rng) {
+  if (rng.Below(4) == 0) {
+    return static_cast<double>(static_cast<std::int64_t>(rng.Next() >> 10) -
+                               (std::int64_t{1} << 53));
+  }
+  for (;;) {
+    const std::uint64_t bits = rng.Next();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d) && !(d == 0.0 && std::signbit(d))) return d;
+  }
+}
+
+// Bytes 0x01-0xFF: every byte the serializer escapes or passes through.
+std::string RandomString(Rng& rng) {
+  std::string s(rng.Below(24), '\0');
+  for (char& c : s) c = static_cast<char>(1 + rng.Below(255));
+  return s;
+}
+
+json::Value RandomValue(Rng& rng, int depth) {
+  switch (rng.Below(depth > 0 ? 6 : 4)) {
+    case 0: return json::Value(nullptr);
+    case 1: return json::Value(rng.Below(2) == 1);
+    case 2: return json::Value(RandomNumber(rng));
+    case 3: return json::Value(RandomString(rng));
+    case 4: {
+      json::Array array;
+      for (std::size_t n = rng.Below(6); n > 0; --n) {
+        array.push_back(RandomValue(rng, depth - 1));
+      }
+      return json::Value(std::move(array));
+    }
+    default: {
+      json::Object object;
+      for (std::size_t n = rng.Below(6); n > 0; --n) {
+        object[RandomString(rng)] = RandomValue(rng, depth - 1);
+      }
+      return json::Value(std::move(object));
+    }
+  }
+}
+
+// operator== with doubles compared bit for bit.
+bool BitIdentical(const json::Value& a, const json::Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case json::Type::kNumber: {
+      const double x = a.AsDouble();
+      const double y = b.AsDouble();
+      return std::memcmp(&x, &y, sizeof x) == 0;
+    }
+    case json::Type::kArray: {
+      const json::Array& x = a.AsArray();
+      const json::Array& y = b.AsArray();
+      return x.size() == y.size() &&
+             std::equal(x.begin(), x.end(), y.begin(), BitIdentical);
+    }
+    case json::Type::kObject: {
+      const json::Object& x = a.AsObject();
+      const json::Object& y = b.AsObject();
+      return x.size() == y.size() &&
+             std::equal(x.begin(), x.end(), y.begin(),
+                        [](const auto& p, const auto& q) {
+                          return p.first == q.first &&
+                                 BitIdentical(p.second, q.second);
+                        });
+    }
+    default:
+      return a == b;
+  }
+}
+
+TEST(CodecFuzz, DumpThenParseGivesBackEveryBit) {
+  std::string every_byte;
+  for (int c = 0x01; c <= 0xFF; ++c) every_byte += static_cast<char>(c);
+  Rng rng(31);
+  for (int i = 0; i < 3000; ++i) {
+    json::Object root;
+    root[every_byte] = json::Value(every_byte);
+    root["value"] = RandomValue(rng, 4);
+    const json::Value v(std::move(root));
+    for (const int indent : {0, 2}) {
+      const std::string text = v.Dump(indent);
+      ASSERT_TRUE(BitIdentical(json::Parse(text), v)) << text;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace calculon

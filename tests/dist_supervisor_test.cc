@@ -6,6 +6,7 @@
 // These tests fork; they are skipped on platforms without fork support.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/audit.h"
@@ -131,6 +133,47 @@ TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
   EXPECT_EQ(ctx.failures(), expected.size());
   EXPECT_TRUE(supervised.status.complete);
   EXPECT_TRUE(supervised.status.degraded());
+}
+
+TEST(DistSupervisor, CoalescedShardsQuarantineExactlyTheInjectedItems) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  // Fresh shards of 4 write their acks in batches, so a death there
+  // cannot name the item that killed the worker. Even at one attempt per
+  // item, only the items whose fault decision is a process kind may
+  // quarantine.
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::uint64_t rows = study.Enumerate().size();
+  testing::FaultPlan plan;
+  plan.seed = 42;
+  plan.abort_rate = 0.10;
+  plan.segv_rate = 0.10;
+  const std::set<std::uint64_t> expected =
+      ExpectedProcessFaultItems(plan, rows);
+  ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
+  const StudyRun reference = study.RunResilient(StudyRunOptions{});
+
+  for (const int max_attempts : {1, 2}) {
+    RunContext ctx;
+    StudyRunOptions options;
+    options.ctx = &ctx;
+    dist::DistOptions d = FastDist(3);
+    d.shard_size = 4;
+    d.max_attempts = max_attempts;
+    d.faults_spec = plan.ToSpec();
+    const StudyRun supervised = dist::RunStudySupervised(study, options, d);
+
+    std::set<std::uint64_t> quarantined;
+    ASSERT_EQ(supervised.csv_rows.size(), reference.csv_rows.size());
+    for (std::size_t i = 0; i < reference.csv_rows.size(); ++i) {
+      if (supervised.csv_rows[i] == reference.csv_rows[i]) continue;
+      quarantined.insert(i);
+      EXPECT_NE(supervised.csv_rows[i].find("quarantined"), std::string::npos)
+          << "row " << i << " differs but is not a quarantine row";
+    }
+    EXPECT_EQ(quarantined, expected) << "max_attempts " << max_attempts;
+    EXPECT_EQ(ctx.failures(), expected.size())
+        << "max_attempts " << max_attempts;
+  }
 }
 
 TEST(DistSupervisor, WorkerExitingZeroMidShardIsADeathNotASuccess) {
@@ -562,6 +605,90 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerItem) {
   expected.insert(expected.end(), n, "item");
   expected.push_back("shard_done");
   EXPECT_EQ(types, expected);
+}
+
+// Runs a study worker over [0, n) as one shard and counts the write()s
+// that reach the reader for it: the result socket keeps message
+// boundaries, so each write() arrives as one record. Returns the record
+// count after the ready frame; `frames` receives every frame type.
+std::size_t ShardWrites(const Study& study, bool ack_each,
+                        std::vector<std::string>* frames) {
+  json::Value spec;
+  spec["job"] = "study";
+  spec["spec"] = study.ToJson();
+  spec["fault_key_base"] = 0;
+  int cmd[2];  // test writes commands, worker reads
+  int res[2];  // worker writes records, test reads
+  EXPECT_EQ(::pipe(cmd), 0);
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, res), 0);
+  const pid_t pid = ::fork();
+  EXPECT_NE(pid, -1);
+  if (pid == 0) {
+    ::close(cmd[1]);
+    ::close(res[0]);
+    ::_exit(dist::WorkerMain(cmd[0], res[1]));
+  }
+  ::close(cmd[0]);
+  ::close(res[1]);
+  json::Value shard;
+  shard["type"] = "shard";
+  shard["begin"] = 0;
+  shard["end"] = static_cast<std::int64_t>(study.Enumerate().size());
+  if (ack_each) shard["ack_each"] = true;
+  json::Value exit_frame;
+  exit_frame["type"] = "exit";
+  dist::FrameWriter writer(cmd[1]);
+  EXPECT_TRUE(writer.WriteFrame(dist::InitFrame(spec, "")));
+  EXPECT_TRUE(writer.WriteFrame(shard));
+  EXPECT_TRUE(writer.WriteFrame(exit_frame));
+  ::close(cmd[1]);
+
+  std::vector<char> record(1 << 20);
+  std::string stream;
+  std::size_t records = 0;
+  for (;;) {
+    const ssize_t n = ::recv(res[0], record.data(), record.size(), 0);
+    if (n <= 0) break;
+    ++records;
+    stream.append(record.data(), static_cast<std::size_t>(n));
+  }
+  ::close(res[0]);
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = stream.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    frames->push_back(json::Parse(std::string_view(stream).substr(
+                                      start, nl - start))
+                          .GetString("type", ""));
+  }
+  EXPECT_EQ(start, stream.size()) << "a partial frame at the end";
+  return records - 1;
+}
+
+TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
+  ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::size_t n = study.Enumerate().size();
+  std::vector<std::string> expected = {"ready"};
+  expected.insert(expected.end(), n, "item");
+  expected.push_back("shard_done");
+
+  // A fresh shard: its items leave in batches (one per 1 ms at most),
+  // with shard_done riding the last one.
+  std::vector<std::string> frames;
+  const std::size_t coalesced = ShardWrites(study, false, &frames);
+  EXPECT_EQ(frames, expected);
+  EXPECT_GE(coalesced, 1u);
+  EXPECT_LT(coalesced, n);
+
+  // A retried shard: one write per item, then one for shard_done.
+  frames.clear();
+  EXPECT_EQ(ShardWrites(study, true, &frames), n + 1);
+  EXPECT_EQ(frames, expected);
 }
 
 TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {

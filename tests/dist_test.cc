@@ -167,6 +167,7 @@ TEST(ShardTracker, SuspectIsFirstUnackedItemAndBackoffGrows) {
 
   ShardRange s;
   ASSERT_TRUE(tracker.Claim(&s));
+  s.ack_each = true;  // a retried shard: its first un-acked item is exact
   // Worker acked items 0 and 1, then died on item 2.
   tracker.OnItemDone(0);
   tracker.OnItemDone(1);
@@ -194,6 +195,7 @@ TEST(ShardTracker, QuarantinesAfterMaxAttemptsAndStillTerminates) {
 
   ShardRange s;
   ASSERT_TRUE(tracker.Claim(&s));
+  s.ack_each = true;  // a retried shard: its first un-acked item is exact
   // The poison item is item 0: three straight deaths with nothing acked.
   (void)tracker.OnShardFailure(s, 0);
   (void)tracker.OnShardFailure(s, 0);
@@ -208,6 +210,42 @@ TEST(ShardTracker, QuarantinesAfterMaxAttemptsAndStillTerminates) {
   EXPECT_EQ(tracker.quarantined(), (std::vector<std::uint64_t>{0}));
   for (std::uint64_t i = 1; i < 4; ++i) tracker.OnItemDone(i);
   EXPECT_TRUE(tracker.AllResolved());  // quarantine counts as resolved
+}
+
+TEST(ShardTracker, CoalescedShardFailureChargesNoAttempt) {
+  ShardTrackerOptions options;
+  options.num_items = 8;
+  options.shard_size = 8;
+  options.max_attempts = 1;  // any charge would quarantine at once
+  options.backoff_base_ms = 10;
+  ShardTracker tracker(options);
+
+  ShardRange s;
+  ASSERT_TRUE(tracker.Claim(&s));
+  EXPECT_FALSE(s.ack_each);  // fresh shards are coalesced
+  // Items 0 and 1 were acked; the worker may have died on any of 2..7.
+  tracker.OnItemDone(0);
+  tracker.OnItemDone(1);
+  const auto coalesced = tracker.OnShardFailure(s, 2);
+  EXPECT_FALSE(coalesced.quarantined);
+  EXPECT_EQ(coalesced.attempt, 0);     // nobody charged
+  EXPECT_EQ(coalesced.backoff_ms, 0);  // retried at once
+  EXPECT_EQ(coalesced.retry.begin, 2u);
+  EXPECT_EQ(coalesced.retry.end, 8u);
+  EXPECT_TRUE(coalesced.retry.ack_each);
+  EXPECT_TRUE(tracker.quarantined().empty());
+
+  // The ack_each retry dies after acking item 2: item 3 is exactly the
+  // item it was evaluating, and is charged its first (and last) attempt.
+  tracker.OnItemDone(2);
+  const auto exact = tracker.OnShardFailure(coalesced.retry, 3);
+  EXPECT_TRUE(exact.quarantined);
+  EXPECT_EQ(exact.suspect, 3u);
+  EXPECT_EQ(exact.attempt, 1);
+  EXPECT_EQ(exact.retry.begin, 4u);
+  EXPECT_EQ(exact.retry.end, 8u);
+  EXPECT_TRUE(exact.retry.ack_each);
+  EXPECT_EQ(tracker.quarantined(), (std::vector<std::uint64_t>{3}));
 }
 
 TEST(ShardTracker, DeathBetweenShardsBlamesNobody) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "json/json.h"
 
@@ -207,6 +209,28 @@ TEST(JsonDump, RoundTripsThroughParse) {
 TEST(JsonDump, IntegersStayIntegral) {
   EXPECT_EQ(Value(4096).Dump(), "4096");
   EXPECT_EQ(Value(80.0 * 1024 * 1024 * 1024).Dump(), "85899345920");
+}
+
+TEST(JsonDump, NumbersBeyondTheIntegerRangeUsePrintfDigits) {
+  // Past the integer range the value is never cast to int64 (undefined for
+  // |d| >= 2^63) and prints as %.17g.
+  EXPECT_EQ(Value(1e300).Dump(), "1.0000000000000001e+300");
+  EXPECT_EQ(Value(-1e19).Dump(), "-1e+19");
+  EXPECT_EQ(Value(1e15).Dump(), "1000000000000000");
+  EXPECT_EQ(Value(999999999999999.0).Dump(), "999999999999999");
+  EXPECT_EQ(Value(-0.0).Dump(), "0");
+}
+
+TEST(JsonDump, NonFiniteNumbersThrow) {
+  // Parse rejects "inf" and "nan", so writing them would leave a frame or
+  // checkpoint that can never be read back.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)Value(inf).Dump(), ConfigError);
+  EXPECT_THROW((void)Value(-inf).Dump(), ConfigError);
+  EXPECT_THROW((void)Value(std::nan("")).Dump(), ConfigError);
+  Value nested;
+  nested["rates"] = Value(Array{Value(1.0), Value(inf)});
+  EXPECT_THROW((void)nested.Dump(2), ConfigError);
 }
 
 TEST(JsonDump, ObjectKeysAreSorted) {

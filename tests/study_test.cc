@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "runner/study.h"
 #include "util/strings.h"
 
@@ -85,6 +89,67 @@ TEST(Study, RejectsUnknownFieldAndDoubleAuto) {
   two_autos["sweep"].AsObject().erase("tensor_par");
   two_autos["sweep"]["tensor_par"] = "auto";
   EXPECT_THROW(Study::FromJson(two_autos), ConfigError);
+}
+
+TEST(Study, EnumeratesTheCrossProductLastAxisFastest) {
+  // Axes come in key order (microbatch, pipeline_par, tensor_par); the
+  // last varies fastest, and "auto" data_par is derived per row.
+  const std::vector<Execution> rows =
+      Study::FromJson(BasicSpec()).Enumerate();
+  ASSERT_EQ(rows.size(), 16u);
+  std::size_t i = 0;
+  for (const std::int64_t mb : {1, 4}) {
+    for (const std::int64_t p : {1, 2}) {
+      for (const std::int64_t t : {1, 2, 4, 8}) {
+        EXPECT_EQ(rows[i].microbatch, mb) << i;
+        EXPECT_EQ(rows[i].pipeline_par, p) << i;
+        EXPECT_EQ(rows[i].tensor_par, t) << i;
+        EXPECT_EQ(rows[i].data_par, 64 / (t * p)) << i;
+        EXPECT_EQ(rows[i].recompute, Recompute::kFull) << i;
+        ++i;
+      }
+    }
+  }
+}
+
+// The message of the ConfigError Enumerate() throws for `sweep`, or "" when
+// it throws nothing.
+std::string EnumerateError(const char* sweep) {
+  json::Value spec = BasicSpec();
+  spec["sweep"] = json::Parse(sweep);
+  try {
+    (void)Study::FromJson(spec).Enumerate();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Study, EnumerateRaisesTheErrorADepthFirstWalkReachesFirst) {
+  // The walk reaches every axis's first value before any second value, so
+  // the bad first value of a later axis wins over a bad second value.
+  EXPECT_NE(EnumerateError(R"({"microbatch": [1, 2.5],
+                               "tensor_par": ["x"]})")
+                .find("expected number, got string"),
+            std::string::npos);
+  EXPECT_NE(EnumerateError(R"({"microbatch": [1, 2.5],
+                               "tensor_par": [1, "x"]})")
+                .find("expected number, got string"),
+            std::string::npos);
+  // Second values are reached from the last axis up.
+  EXPECT_NE(EnumerateError(R"({"microbatch": [1, "x"],
+                               "tensor_par": [1, 2.5]})")
+                .find("2.5 is not an integer"),
+            std::string::npos);
+  // The walk never passes an empty axis: nothing after it is parsed, and
+  // there are no rows, but the values before it still are.
+  EXPECT_EQ(EnumerateError(R"({"microbatch": [], "warp_drive": [1]})"), "");
+  EXPECT_NE(EnumerateError(R"({"microbatch": [1, 2.5], "recompute": []})")
+                .find("2.5 is not an integer"),
+            std::string::npos);
+  json::Value spec = BasicSpec();
+  spec["sweep"] = json::Parse(R"({"microbatch": [], "tensor_par": [1]})");
+  EXPECT_TRUE(Study::FromJson(spec).Enumerate().empty());
 }
 
 TEST(Study, CsvHasHeaderAndOneRowPerConfig) {
