@@ -2,15 +2,16 @@
 # Observability smoke test: run a small GPT-3 exec search with --trace /
 # --metrics / --progress, then require both files to parse as JSON and to
 # carry the expected content — trace events in Chrome trace-event format,
-# a populated evaluation-latency histogram, and rejection counters (see
-# docs/observability.md).
+# a populated evaluation-latency histogram, rejection counters, and the
+# model's per-stage call counters, with fewer candidate-stage calls than
+# candidates (see docs/observability.md).
 #
 # A second phase repeats the search with --workers 2: the merged trace
 # must carry at least three distinct pid lanes (supervisor + 2 workers)
 # with process_name metadata and worker-side model/search spans, and the
-# aggregated metrics must count exactly as many evaluations as the
-# in-process run. In both phases the last progress line must read
-# "<n>/<n> (100.0%)": every triple of a known total committed.
+# aggregated metrics must count exactly as many evaluations and stage
+# calls as the in-process run. In both phases the last progress line must
+# read "<n>/<n> (100.0%)": every triple of a known total committed.
 #
 # usage: scripts/traced_smoke.sh [build-dir]    # default: ./build
 set -u -o pipefail
@@ -82,8 +83,15 @@ assert counters.get("exec_search.feasible", 0) > 0, counters
 assert any(k.startswith("exec_search.rejected.") for k in counters), counters
 hist = doc["histograms"]["exec_search.eval_latency_us"]
 assert hist["count"] > 0 and hist["p50"] > 0, hist
+stages = {k: v for k, v in counters.items()
+          if k.startswith("model.stage.") and k.endswith(".calls")}
+assert stages, f"no model.stage.*.calls counters: {sorted(counters)}"
+candidate = counters.get("model.stage.candidate.calls", 0)
+assert 0 < candidate < counters["exec_search.evaluated"], (
+    f"candidate-stage calls {candidate} not below "
+    f"{counters['exec_search.evaluated']} evaluated")
 print(f"metrics OK: {counters['exec_search.evaluated']} evaluated, "
-      f"p50 latency {hist['p50']:.2f}us")
+      f"{candidate} candidate-stage calls, p50 latency {hist['p50']:.2f}us")
 EOF
 [[ $? -eq 0 ]] || { echo "traced_smoke: metrics validation failed" >&2; exit 1; }
 
@@ -140,7 +148,14 @@ tagged = sum(v for k, v in dist["counters"].items()
              if k.startswith("dist.worker.")
              and k.endswith(".exec_search.evaluated"))
 assert tagged == b, f"per-worker tags sum {tagged} != aggregate {b}"
-print(f"supervised metrics OK: {b} evaluations, per-worker tags agree")
+def stages(doc):
+    return {k: v for k, v in doc["counters"].items()
+            if k.startswith("model.stage.")}
+assert stages(dist) == stages(inproc), (
+    f"stage calls diverged: in-process {stages(inproc)} vs "
+    f"supervised {stages(dist)}")
+print(f"supervised metrics OK: {b} evaluations, per-worker tags and "
+      f"{len(stages(dist))} stage counters agree")
 EOF
 [[ $? -eq 0 ]] || { echo "traced_smoke: supervised metrics validation failed" >&2; exit 1; }
 

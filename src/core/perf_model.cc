@@ -179,6 +179,11 @@ Result<Placement> PlaceExecution(const Application& app,
              "execution proc count != system proc count");
   }
   if (auto v = exec.Validate(app); !v.ok()) return v.error().Restated();
+  return PlaceNetworks(exec, sys);
+}
+
+Result<Placement> PlaceNetworks(const Execution& exec, const System& sys) {
+  using R = Result<Placement>;
   // Communicators are nested TP (innermost), PP, DP.
   Placement placement;
   placement.tp_net = sys.NetworkForSpan(exec.tensor_par);
@@ -193,8 +198,9 @@ Result<Placement> PlaceExecution(const Application& app,
 }
 
 BlockCosts EvaluateBlock(const Application& app, const Execution& exec,
-                         const Processor& proc, const Network& tp_net) {
+                         const Processor& proc, const Placement& placement) {
   const BlockModel block = BuildBlock(app, exec);
+  const Network& tp_net = *placement.tp_net;
   const std::int64_t t = exec.tensor_par;
   BlockCosts c;
 
@@ -268,6 +274,78 @@ BlockCosts EvaluateBlock(const Application& app, const Execution& exec,
   c.params = block.WeightParams();
   c.pp_output = block.pp_output_bytes;
   c.act_grad_working = block.act_grad_working_bytes;
+  if (exec.pipeline_par > 1) {
+    c.pp_xfer = placement.pp_net->CollectiveTime(Collective::kPointToPoint, 2,
+                                                 c.pp_output);
+  }
+  return c;
+}
+
+Result<MemoryBreakdown> CheckCapacity(const Application& app,
+                                      const Execution& exec,
+                                      const Processor& proc,
+                                      const BlockCosts& block) {
+  using R = Result<MemoryBreakdown>;
+  if (exec.any_offload()) {
+    if (!proc.mem2.present()) {
+      return R(Infeasible::kOffloadCapacity, "no tier-2 memory in system");
+    }
+    return MemoryBreakdown{};
+  }
+  const PipelineShape shape{exec.pipeline_par, exec.pp_interleaving,
+                            exec.MicrobatchesPerPipeline(), exec.pp_1f1b};
+  const MemoryBreakdown m1 = Tier1Memory(
+      exec, block, OffloadResult{},
+      static_cast<double>(CeilDiv(app.num_blocks, exec.pipeline_par)),
+      exec.training ? InFlightMicrobatches(shape) : 1.0,
+      exec.optimizer_sharding ? static_cast<double>(exec.data_par) : 1.0);
+  if (m1.Total() > proc.mem1.capacity()) {
+    return R(Infeasible::kMemoryCapacity,
+             ErrorDetail("needs %s, capacity %s", m1.Total(),
+                         proc.mem1.capacity()));
+  }
+  return m1;
+}
+
+PartitionCosts EvaluatePartition(const Application& app,
+                                 const Execution& exec, const Processor& proc,
+                                 const Placement& placement,
+                                 const BlockCosts& block) {
+  const std::int64_t d = exec.data_par;
+  const double nblocks =
+      static_cast<double>(CeilDiv(app.num_blocks, exec.pipeline_par));
+  const double shard = exec.optimizer_sharding ? static_cast<double>(d) : 1.0;
+  PartitionCosts c;
+
+  // --- Optimizer step ---
+  const double params_local = block.params * nblocks + block.vocab_params;
+  const double upd_params = params_local / shard;
+  if (exec.training && params_local > 0.0) {
+    // Adam: read weight/grad/master/moments, write weight/master/moments.
+    const double dtb = static_cast<double>(exec.datatype_bytes);
+    const double optim_bytes = upd_params * (2.0 * dtb + 28.0);
+    const double optim_flops = 8.0 * upd_params;
+    c.optim_step = proc.OpTime(ComputeKind::kVector, Flops(optim_flops),
+                               Bytes(optim_bytes));
+  }
+
+  // --- Data-parallel gradient and weight collectives ---
+  if (exec.training && d > 1) {
+    const Network& dp_net = *placement.dp_net;
+    const double dtb = static_cast<double>(exec.datatype_bytes);
+    const Bytes grad_bytes = Bytes(params_local * dtb);
+    if (exec.optimizer_sharding) {
+      c.dp_overlappable = dp_net.CollectiveTime(Collective::kReduceScatter, d,
+                                                grad_bytes);
+      c.dp_post_step =
+          dp_net.CollectiveTime(Collective::kAllGather, d, grad_bytes);
+    } else {
+      c.dp_overlappable =
+          dp_net.CollectiveTime(Collective::kAllReduce, d, grad_bytes);
+    }
+  }
+
+  c.model_flops = ModelFlopsPerSample(app, exec.training);
   return c;
 }
 
@@ -275,6 +353,8 @@ Result<Stats> EvaluateCandidate(const Application& app,
                                 const Execution& exec, const System& sys,
                                 const Placement& placement,
                                 const BlockCosts& block,
+                                const MemoryBreakdown& tier1,
+                                const PartitionCosts& partition,
                                 ModelPhases& phases) {
   using R = Result<Stats>;
   const Processor& proc = sys.proc();
@@ -294,22 +374,10 @@ Result<Stats> EvaluateCandidate(const Application& app,
   const double in_flight = exec.training ? InFlightMicrobatches(shape) : 1.0;
   const double shard = exec.optimizer_sharding ? static_cast<double>(d) : 1.0;
 
-  // --- Tier-1 memory, first when nothing is offloaded ---
-  // Without offload no tier-1 term depends on time, so a candidate that
-  // does not fit is rejected before any timing work.
+  // Without offload the capacity stage has checked tier-1 memory.
   Stats stats;
   OffloadResult off;
-  if (!exec.any_offload()) {
-    stats.tier1 = Tier1Memory(exec, block, off, nblocks, in_flight, shard);
-    phases.End("memory");
-    if (stats.tier1.Total() > proc.mem1.capacity()) {
-      return R(Infeasible::kMemoryCapacity,
-               ErrorDetail("needs %s, capacity %s", stats.tier1.Total(),
-                           proc.mem1.capacity()));
-    }
-  } else if (!proc.mem2.present()) {
-    return R(Infeasible::kOffloadCapacity, "no tier-2 memory in system");
-  }
+  if (!exec.any_offload()) stats.tier1 = tier1;
 
   // --- Compute and tensor-parallel communication per block ---
   Seconds recompute_block;  // recomputation work during backward
@@ -334,8 +402,7 @@ Result<Stats> EvaluateCandidate(const Application& app,
   CommCost pp_ub;
   if (p > 1) {
     const std::int64_t bpc = CeilDiv(bpp, interleave);  // blocks per chunk
-    const Seconds xfer = pp_net.CollectiveTime(Collective::kPointToPoint, 2,
-                                               block.pp_output);
+    const Seconds xfer = block.pp_xfer;
     const double chunks = static_cast<double>(interleave);
     const Seconds fw_window = static_cast<double>(bpc) * block.fw;
     const Seconds bw_window =
@@ -369,36 +436,14 @@ Result<Stats> EvaluateCandidate(const Application& app,
                          pp_ub.exposed + block.vocab;
   const Seconds bubble = PipelineBubbleTime(shape, per_ub);
 
-  // --- Optimizer step ---
-  const double params_local = block.params * nblocks + block.vocab_params;
-  const double upd_params = params_local / shard;
-  Seconds optim_time;
-  if (exec.training && params_local > 0.0) {
-    // Adam: read weight/grad/master/moments, write weight/master/moments.
-    const double dtb = static_cast<double>(exec.datatype_bytes);
-    const double optim_bytes = upd_params * (2.0 * dtb + 28.0);
-    const double optim_flops = 8.0 * upd_params;
-    optim_time = proc.OpTime(ComputeKind::kVector, Flops(optim_flops),
-                             Bytes(optim_bytes));
-  }
+  const Seconds optim_time = partition.optim_step;
 
   // --- Data-parallel communication ---
   Seconds dp_total;
   Seconds dp_exposed;
   if (exec.training && d > 1) {
-    const double dtb = static_cast<double>(exec.datatype_bytes);
-    const Bytes grad_bytes = Bytes(params_local * dtb);
-    Seconds overlappable;  // can hide behind the last backward pass
-    Seconds post_step;     // must wait for the optimizer (sharded AG)
-    if (exec.optimizer_sharding) {
-      overlappable = dp_net.CollectiveTime(Collective::kReduceScatter, d,
-                                           grad_bytes);
-      post_step =
-          dp_net.CollectiveTime(Collective::kAllGather, d, grad_bytes);
-    } else {
-      overlappable =
-          dp_net.CollectiveTime(Collective::kAllReduce, d, grad_bytes);
-    }
+    const Seconds overlappable = partition.dp_overlappable;
+    const Seconds post_step = partition.dp_post_step;
     dp_total = overlappable + post_step;
     if (exec.dp_overlap) {
       // Per Fig. 2(b): a layer's gradient reduction starts as soon as the
@@ -495,8 +540,7 @@ Result<Stats> EvaluateCandidate(const Application& app,
   stats.sample_rate =
       static_cast<double>(exec.batch_size) / stats.batch_time;
   const Flops useful =
-      ModelFlopsPerSample(app, exec.training) *
-      static_cast<double>(exec.batch_size);
+      partition.model_flops * static_cast<double>(exec.batch_size);
   stats.mfu = useful / (stats.batch_time *
                         static_cast<double>(sys.num_procs()) *
                         proc.matrix.peak_flops());
@@ -510,9 +554,17 @@ Result<Stats> CalculatePerformance(const Application& app,
   if (!placement.ok()) return placement.error();
   ModelPhases phases;
   const BlockCosts block =
-      EvaluateBlock(app, exec, sys.proc(), *placement.value().tp_net);
+      EvaluateBlock(app, exec, sys.proc(), placement.value());
   phases.End("block");
-  return EvaluateCandidate(app, exec, sys, placement.value(), block, phases);
+  const Result<MemoryBreakdown> tier1 =
+      CheckCapacity(app, exec, sys.proc(), block);
+  phases.End("capacity");
+  if (!tier1.ok()) return tier1.error();
+  const PartitionCosts partition =
+      EvaluatePartition(app, exec, sys.proc(), placement.value(), block);
+  phases.End("partition");
+  return EvaluateCandidate(app, exec, sys, placement.value(), block,
+                           tier1.value(), partition, phases);
 }
 
 }  // namespace calculon

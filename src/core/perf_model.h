@@ -1,18 +1,25 @@
 // The Calculon core: a single analytical calculation of time and resource
 // usage for one (application, execution, system) triple (Section 2.4).
 //
-// An evaluation runs in three stages with explicit inputs, so a sweep can
+// An evaluation runs in five stages with explicit inputs, so a sweep can
 // run each at the loop level where its inputs change:
-//   1. PlaceExecution: validation and network placement;
+//   1. PlaceExecution, placement: validation (Execution::Validate) and
+//      network placement (PlaceNetworks);
 //   2. EvaluateBlock, the block stage: one block's compute and TP
-//      communication times and its byte and parameter aggregates;
-//   3. EvaluateCandidate, the candidate stage: tier-1 memory (before any
-//      timing work when nothing is offloaded), PP, DP, optimizer, offload
-//      and the roll-up.
-// CalculatePerformance is their one-shot composition. A stage is
-// allocation-light and takes a fraction of a microsecond to a few, which
-// is what lets the search engines sweep millions of configurations
-// (Section 5).
+//      communication times, its PP boundary transfer, and its byte and
+//      parameter aggregates;
+//   3. CheckCapacity, the capacity stage: tier-1 memory when nothing is
+//      offloaded (no tier-1 term then depends on time), else that a
+//      tier-2 memory exists;
+//   4. EvaluatePartition, the partition stage: the optimizer step, the DP
+//      collectives and the model FLOPs per sample;
+//   5. EvaluateCandidate, the candidate stage: the exposed TP, PP and DP
+//      times, offload and the roll-up.
+// CalculatePerformance is their one-shot composition, in this order, so a
+// candidate that does not fit in tier-1 memory costs no timing work beyond
+// its block. A stage is allocation-light and takes a fraction of a
+// microsecond to a few, which is what lets the search engines sweep
+// millions of configurations (Section 5).
 #pragma once
 
 #include "core/stats.h"
@@ -37,11 +44,16 @@ struct Placement {
   const Network* dp_net = nullptr;
 };
 
-// Stage 1: structural validation (Execution::Validate, processor count)
-// and network placement.
+// Stage 1: the processor count, structural validation
+// (Execution::Validate) and network placement.
 [[nodiscard]] Result<Placement> PlaceExecution(const Application& app,
                                                const Execution& exec,
                                                const System& sys);
+
+// The network half of placement. Reads only tensor_par, pipeline_par and
+// the system, so a sweep places each (t, p, d) triple once.
+[[nodiscard]] Result<Placement> PlaceNetworks(const Execution& exec,
+                                              const System& sys);
 
 // One transformer block's costs on one processor, per microbatch.
 struct BlockCosts {
@@ -56,6 +68,9 @@ struct BlockCosts {
   // RS + AG of the full boundary tensor around each PP send (pp_rs_ag
   // without seq_par; zero otherwise).
   Seconds pp_rs_ag;
+  // Point-to-point transfer of pp_output on the PP network (p > 1; zero
+  // otherwise).
+  Seconds pp_xfer;
   // Edge-stage vocabulary work (zero when vocab_size == 0) and the
   // embedding parameters one processor holds.
   Seconds vocab;
@@ -77,13 +92,47 @@ struct BlockCosts {
 
 // Stage 2, the block stage. Reads only the Execution fields BuildBlock
 // reads (tensor_par, microbatch, datatype_bytes, training, tp_rs_ag,
-// seq_par, seq_par_ag_redo, fused_activation, pp_rs_ag), so one result
-// serves every candidate that shares them. `exec` must have been placed;
-// `tp_net` is its Placement::tp_net.
+// seq_par, seq_par_ag_redo, fused_activation, pp_rs_ag) and pipeline_par,
+// so one result serves every candidate of a (t, p, d) triple that shares
+// them. `placement` is the placement of `exec`.
 [[nodiscard]] BlockCosts EvaluateBlock(const Application& app,
                                        const Execution& exec,
                                        const Processor& proc,
-                                       const Network& tp_net);
+                                       const Placement& placement);
+
+// Stage 3, the capacity stage, on a block stage of `exec`. Without offload
+// it returns the tier-1 breakdown, or kMemoryCapacity when it exceeds the
+// processor's capacity; it reads the degrees, batch_size, microbatch,
+// pp_interleaving, pp_1f1b, training, recompute, optimizer_sharding and
+// datatype_bytes, and neither overlap option. With offload the tier-1
+// working sets come from the offload model, which needs the phase times,
+// so the candidate stage checks both tiers and this stage only requires a
+// tier-2 memory (kOffloadCapacity otherwise), returning an empty
+// breakdown.
+[[nodiscard]] Result<MemoryBreakdown> CheckCapacity(const Application& app,
+                                                    const Execution& exec,
+                                                    const Processor& proc,
+                                                    const BlockCosts& block);
+
+// The partition stage's results.
+struct PartitionCosts {
+  Seconds optim_step;  // the optimizer step (training)
+  // Gradient collective that can hide behind the last backward pass: RS
+  // under the sharded optimizer, AR otherwise (training, d > 1).
+  Seconds dp_overlappable;
+  // The sharded optimizer's weight AG, which waits for the step.
+  Seconds dp_post_step;
+  Flops model_flops;  // ModelFlopsPerSample(app, training)
+};
+
+// Stage 4, the partition stage. Reads the block's parameter counts,
+// pipeline_par, data_par, optimizer_sharding, training and datatype_bytes,
+// and no microbatch, recompute, overlap, 1F1B or offload option.
+[[nodiscard]] PartitionCosts EvaluatePartition(const Application& app,
+                                               const Execution& exec,
+                                               const Processor& proc,
+                                               const Placement& placement,
+                                               const BlockCosts& block);
 
 // Sampled model-phase spans (trace category "model"): 1 of every
 // detail_period evaluations (TraceRecorder::SampleDetail) records one span
@@ -101,13 +150,14 @@ class ModelPhases {
   double t0_us_;
 };
 
-// Stage 3, the candidate stage, on a placement and block stage of `exec`.
-[[nodiscard]] Result<Stats> EvaluateCandidate(const Application& app,
-                                              const Execution& exec,
-                                              const System& sys,
-                                              const Placement& placement,
-                                              const BlockCosts& block,
-                                              ModelPhases& phases);
+// Stage 5, the candidate stage, on the placement, block, capacity and
+// partition stages of `exec`. `tier1` is the capacity stage's breakdown,
+// read only when nothing is offloaded.
+[[nodiscard]] Result<Stats> EvaluateCandidate(
+    const Application& app, const Execution& exec, const System& sys,
+    const Placement& placement, const BlockCosts& block,
+    const MemoryBreakdown& tier1, const PartitionCosts& partition,
+    ModelPhases& phases);
 
 // Model FLOPs per sample (forward + backward GEMM work of the full model,
 // excluding recomputation), the numerator of MFU.

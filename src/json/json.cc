@@ -35,6 +35,9 @@ namespace {
   throw ConfigError(StrFormat("json: expected %s, got %s", ToString(want),
                               ToString(got)));
 }
+[[noreturn]] void NotAnInt64(double d, const char* why) {
+  throw ConfigError(StrFormat("json: %g is %s", d, why));
+}
 }  // namespace
 
 bool Value::AsBool() const {
@@ -49,10 +52,13 @@ double Value::AsDouble() const {
 
 std::int64_t Value::AsInt() const {
   if (type_ != Type::kNumber) TypeMismatch(Type::kNumber, type_);
-  const auto i = static_cast<std::int64_t>(num_);
-  if (static_cast<double>(i) != num_) {
-    throw ConfigError(StrFormat("json: %g is not an integer", num_));
+  // The cast is defined only for values inside int64's range, which runs
+  // from -2^63 (a double) to just below 2^63: check before casting.
+  if (!(num_ >= -0x1p63 && num_ < 0x1p63)) {
+    NotAnInt64(num_, "outside the int64 range");
   }
+  const auto i = static_cast<std::int64_t>(num_);
+  if (static_cast<double>(i) != num_) NotAnInt64(num_, "not an integer");
   return i;
 }
 

@@ -1,5 +1,7 @@
 #include "models/execution.h"
 
+#include <limits>
+
 #include "util/mathutil.h"
 
 namespace calculon {
@@ -37,6 +39,13 @@ TpOverlap TpOverlapFromString(const std::string& s) {
 }
 
 Result<std::monostate> Execution::Validate(const Application& app) const {
+  Result<std::monostate> v = ValidatePartition(app);
+  if (v.ok()) v = ValidateOptions();
+  return v;
+}
+
+Result<std::monostate> Execution::ValidatePartition(
+    const Application& app) const {
   using R = Result<std::monostate>;
   if (num_procs < 1 || tensor_par < 1 || pipeline_par < 1 || data_par < 1) {
     return R(Infeasible::kBadPartition, "degrees must be >= 1");
@@ -92,7 +101,11 @@ Result<std::monostate> Execution::Validate(const Application& app) const {
     return R(Infeasible::kIndivisibleBatch,
              "interleaving needs microbatches % p == 0");
   }
-  // Option compatibility.
+  return R(std::monostate{});
+}
+
+Result<std::monostate> Execution::ValidateOptions() const {
+  using R = Result<std::monostate>;
   if (seq_par && !tp_rs_ag) {
     return R(Infeasible::kIncompatibleOptions, "seq_par requires tp_rs_ag");
   }
@@ -160,7 +173,12 @@ Execution Execution::FromJson(const json::Value& v) {
   e.data_par = v.at("data_par").AsInt();
   e.batch_size = v.at("batch_size").AsInt();
   e.microbatch = v.GetInt("microbatch", 1);
-  e.datatype_bytes = static_cast<int>(v.GetInt("datatype_bytes", 2));
+  const std::int64_t datatype_bytes = v.GetInt("datatype_bytes", 2);
+  if (datatype_bytes < std::numeric_limits<int>::min() ||
+      datatype_bytes > std::numeric_limits<int>::max()) {
+    throw ConfigError("execution: datatype_bytes out of range");
+  }
+  e.datatype_bytes = static_cast<int>(datatype_bytes);
   e.training = v.GetBool("training", true);
   e.recompute = RecomputeFromString(v.GetString("recompute", "none"));
   e.fused_activation = v.GetBool("fused_activation", false);

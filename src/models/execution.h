@@ -79,7 +79,17 @@ struct Execution {
 
   // Structural feasibility against an application (divisibility and option
   // compatibility). Memory/network feasibility is checked by the model.
+  // ValidatePartition, then ValidateOptions: the first failing check of
+  // the two halves, in this order.
   [[nodiscard]] Result<std::monostate> Validate(const Application& app) const;
+  // The partition checks, up to the interleaving rule nm % p == 0. They
+  // read only num_procs, the degrees, batch_size, microbatch,
+  // pp_interleaving and seq_par, so a sweep decides them once per
+  // (microbatch, interleaving, TP-comm variant).
+  [[nodiscard]] Result<std::monostate> ValidatePartition(
+      const Application& app) const;
+  // The option-compatibility checks; they read no Application field.
+  [[nodiscard]] Result<std::monostate> ValidateOptions() const;
 
   [[nodiscard]] json::Value ToJson() const;
   [[nodiscard]] static Execution FromJson(const json::Value& v);

@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "runner/run_status_json.h"
 #include "testing/fault_injection.h"
+#include "util/mathutil.h"
 #include "util/strings.h"
 #include "util/units.h"
 
@@ -294,19 +295,23 @@ std::vector<Execution> Study::Enumerate() const {
   Execution e = base;
   for (const std::vector<FieldValue>& values : parsed) values[0].ApplyTo(e);
   const std::int64_t procs = system.num_procs();
+  // The 'auto' degree: procs over the product of the other two, when that
+  // product is positive and divides procs. The degrees come from the spec,
+  // so a product that overflows int64 derives nothing.
+  auto derive = [procs](std::int64_t a, std::int64_t b, std::int64_t* out) {
+    std::int64_t ab = 0;
+    if (CheckedMul(a, b, &ab) && ab > 0 && procs % ab == 0) *out = procs / ab;
+  };
   for (;;) {
     Execution& row = execs.emplace_back(e);
-    if (auto_data_par && row.tensor_par * row.pipeline_par > 0 &&
-        procs % (row.tensor_par * row.pipeline_par) == 0) {
-      row.data_par = procs / (row.tensor_par * row.pipeline_par);
+    if (auto_data_par) {
+      derive(row.tensor_par, row.pipeline_par, &row.data_par);
     }
-    if (auto_tensor_par && row.pipeline_par * row.data_par > 0 &&
-        procs % (row.pipeline_par * row.data_par) == 0) {
-      row.tensor_par = procs / (row.pipeline_par * row.data_par);
+    if (auto_tensor_par) {
+      derive(row.pipeline_par, row.data_par, &row.tensor_par);
     }
-    if (auto_pipeline_par && row.tensor_par * row.data_par > 0 &&
-        procs % (row.tensor_par * row.data_par) == 0) {
-      row.pipeline_par = procs / (row.tensor_par * row.data_par);
+    if (auto_pipeline_par) {
+      derive(row.tensor_par, row.data_par, &row.pipeline_par);
     }
     // Advance the deepest axis that has values left and restart every
     // axis below it at its first value.

@@ -204,52 +204,136 @@ std::string ExecFingerprint(const Execution& e) {
       e.any_offload() ? " offload" : "");
 }
 
-// One candidate through the model's stages, reusing `block` — the block
-// stage of the candidate's (microbatch, TP-comm variant, fused, pp_rs_ag)
-// position — and building it on first use after a candidate there passes
-// validation. Equal to CalculatePerformance(app, e, sys).
+// Calls of each model stage in one triple's sweep, in plain integers so
+// the candidate loop shares nothing; ExecSearch::Sweep publishes them as
+// model.stage.<name>.calls once per triple.
+struct StageCalls {
+  std::uint64_t place = 0;
+  std::uint64_t validate_partition = 0;
+  std::uint64_t validate_options = 0;
+  std::uint64_t block = 0;
+  std::uint64_t capacity = 0;
+  std::uint64_t partition = 0;
+  std::uint64_t candidate = 0;
+};
+
+// The stage results a candidate shares with its neighbours in the loop
+// nest (SweepTripleInto says which). A slot left empty is filled by the
+// first candidate that reaches its stage.
+struct SharedStages {
+  const Result<Placement>& placement;
+  const Result<std::monostate>& partition_checks;
+  std::optional<BlockCosts>& block;
+  std::optional<PartitionCosts>& partition;
+  // The tier-1 verdict without offload; null for an offload candidate,
+  // whose capacity stage runs per candidate.
+  std::optional<Result<MemoryBreakdown>>* tier1;
+};
+
+// One candidate through the model's stages, in CalculatePerformance's
+// order, reusing every stage `shared` already holds. Equal to
+// CalculatePerformance(app, e, sys) when `shared` holds e's placement and
+// partition checks and stages of candidates equal to e in what each reads.
 [[nodiscard]] Result<Stats> EvaluateStaged(const Application& app,
                                            const Execution& e,
                                            const System& sys,
-                                           std::optional<BlockCosts>& block) {
-  const Result<Placement> placement = PlaceExecution(app, e, sys);
-  if (!placement.ok()) return placement.error();
+                                           const SharedStages& shared,
+                                           StageCalls& calls) {
+  // PlaceExecution: the processor count holds by construction, then
+  // Validate's two halves, then the networks.
+  if (!shared.partition_checks.ok()) {
+    return shared.partition_checks.error().Restated();
+  }
+  ++calls.validate_options;
+  if (auto v = e.ValidateOptions(); !v.ok()) return v.error().Restated();
+  if (!shared.placement.ok()) return shared.placement.error();
+  const Placement& placement = shared.placement.value();
   ModelPhases phases;
-  if (!block.has_value()) {
-    block = EvaluateBlock(app, e, sys.proc(), *placement.value().tp_net);
+  if (!shared.block.has_value()) {
+    shared.block = EvaluateBlock(app, e, sys.proc(), placement);
+    ++calls.block;
     phases.End("block");
   }
-  return EvaluateCandidate(app, e, sys, placement.value(), *block, phases);
+  std::optional<Result<MemoryBreakdown>> own_tier1;
+  std::optional<Result<MemoryBreakdown>>& tier1 =
+      shared.tier1 != nullptr ? *shared.tier1 : own_tier1;
+  if (!tier1.has_value()) {
+    tier1 = CheckCapacity(app, e, sys.proc(), *shared.block);
+    ++calls.capacity;
+    phases.End("capacity");
+  }
+  if (!tier1->ok()) return tier1->error();
+  if (!shared.partition.has_value()) {
+    shared.partition =
+        EvaluatePartition(app, e, sys.proc(), placement, *shared.block);
+    ++calls.partition;
+    phases.End("partition");
+  }
+  ++calls.candidate;
+  return EvaluateCandidate(app, e, sys, placement, *shared.block,
+                           tier1->value(), *shared.partition, phases);
 }
 
-// Evaluates one candidate with fault isolation: injected faults, exceptions
-// escaping the model, and kBadConfig hard-error Results become
-// FailureRecords in `failures` instead of aborting the sweep.
+void AppendFailure(std::vector<FailureRecord>& failures, std::uint64_t key,
+                   const Execution& e, std::string reason) {
+  failures.push_back({key, ExecFingerprint(e), std::move(reason),
+                      ThreadPool::CurrentWorkerId(), {}});
+}
+
+// The fault guard's first half: applies the fault injected for `key`, if
+// any, and records it in `failures`. True when the candidate drew a throw
+// or error fault (a kBadConfig rejection); a delay fault only sleeps.
+// Every candidate consumes its key here, before any verdict is read, so a
+// candidate the sweep decides without evaluating draws its fault as a
+// one-shot evaluation would.
+[[nodiscard]] bool DrawFault(const Execution& e, std::uint64_t key,
+                             std::vector<FailureRecord>& failures) {
+  auto& faults = testing::FaultInjector::Global();
+  if (!faults.enabled()) return false;
+  try {
+    if (!faults.MaybeInject(key)) return false;
+    AppendFailure(failures, key, e,
+                  Result<Stats>(Infeasible::kBadConfig, "injected fault")
+                      .detail());
+  } catch (const std::exception& ex) {
+    AppendFailure(failures, key, e, ex.what());
+  }
+  return true;
+}
+
+// The fault guard's second half: evaluates one candidate with exceptions
+// escaping the model and kBadConfig hard-error Results recorded in
+// `failures` instead of aborting the sweep.
 [[nodiscard]] Result<Stats> GuardedEvaluate(
     const Application& app, const Execution& e, const System& sys,
-    std::optional<BlockCosts>& block, std::uint64_t key,
+    const SharedStages& shared, StageCalls& calls, std::uint64_t key,
     std::vector<FailureRecord>& failures) {
-  auto record = [&](std::string reason) {
-    failures.push_back({key, ExecFingerprint(e), std::move(reason),
-                        ThreadPool::CurrentWorkerId(), {}});
-  };
-  auto& faults = testing::FaultInjector::Global();
   try {
-    if (faults.enabled() && faults.MaybeInject(key)) {
-      Result<Stats> injected(Infeasible::kBadConfig, "injected fault");
-      record(injected.detail());
-      return injected;
-    }
-    Result<Stats> r = EvaluateStaged(app, e, sys, block);
+    Result<Stats> r = EvaluateStaged(app, e, sys, shared, calls);
     // A hard error out of a structurally valid configuration (the model's
     // non-finite screen) is a model bug, not a property of the swept
     // configuration — record it, don't hide it among infeasibles.
-    if (!r.ok() && r.reason() == Infeasible::kBadConfig) record(r.detail());
+    if (!r.ok() && r.reason() == Infeasible::kBadConfig) {
+      AppendFailure(failures, key, e, r.detail());
+    }
     return r;
   } catch (const std::exception& ex) {
-    record(ex.what());
+    AppendFailure(failures, key, e, ex.what());
     return Result<Stats>(Infeasible::kBadConfig, std::string(ex.what()));
   }
+}
+
+// The rejection an outer loop level already fixed for a candidate: its
+// failed partition checks, or the tier-1 rejection its overlap variants
+// share; kNone when it must be evaluated. A hard error is never shared, so
+// each candidate that meets one records its own failure.
+[[nodiscard]] Infeasible SharedVerdict(const SharedStages& shared) {
+  Infeasible reason = shared.partition_checks.reason();
+  if (reason == Infeasible::kNone && shared.tier1 != nullptr &&
+      shared.tier1->has_value()) {
+    reason = (*shared.tier1)->reason();
+  }
+  return reason == Infeasible::kBadConfig ? Infeasible::kNone : reason;
 }
 
 // Sweeps every candidate of one (t, p, d) triple into `out`: the single
@@ -259,11 +343,37 @@ std::string ExecFingerprint(const Execution& e) {
 // cancelled sweep. With `latency`, each candidate's time (back-to-back
 // clock reads: its evaluation plus the previous candidate's bookkeeping)
 // is observed into it.
+//
+// Each model stage runs at the loop level where its inputs change, and a
+// candidate whose verdict an outer level already fixed is counted with it
+// without being evaluated again:
+//   * the networks, once per triple;
+//   * Validate's partition checks, once per (microbatch, interleaving,
+//     TP-comm variant); when they fail, every candidate below shares the
+//     reason;
+//   * the block stage, once per (microbatch, TP-comm variant, fused,
+//     pp_rs_ag), and the partition stage once per block and sharding;
+//   * the tier-1 verdict of a candidate without offload, once per
+//     (microbatch, interleaving, recompute, TP-comm variant, fused,
+//     sharding, 1F1B, pp_rs_ag, offload) point, by its first overlap
+//     variant that passes validation, and shared by the point's other
+//     tp_overlap x dp_overlap variants. This is exact for three reasons:
+//     neither the capacity stage nor the block stage reads the overlap
+//     options; Validate reads them only where the sweep collapses their
+//     lists (t = 1 gives {none}, d = 1 gives {false}); and the sweep
+//     always trains, so no inference-only check reads dp_overlap. Every
+//     variant of the point therefore passes validation with the first and
+//     meets the same capacity stage.
+// A candidate without a shared verdict runs the option checks and the
+// stages no earlier candidate ran for it. Loop order, evaluation keys,
+// fault injection, the latency sample and the collectors stay per
+// candidate, so the result is the one-shot reference's bit for bit
+// (tests/search_bruteforce_test.cc).
 void SweepTripleInto(const Application& app, const System& sys,
                      const SearchSpace& space, const SearchConfig& config,
                      Triple tr, std::uint64_t idx,
                      obs::HistogramSnapshot* latency, TripleSweep& out,
-                     ParetoFront& pareto) {
+                     ParetoFront& pareto, StageCalls& calls) {
   RunContext* const ctx = config.ctx;
   const std::int64_t batch =
       config.batch_size > 0 ? config.batch_size : sys.num_procs();
@@ -308,18 +418,46 @@ void SweepTripleInto(const Application& app, const System& sys,
     if (m <= space.max_microbatch) microbatches.push_back(m);
   }
 
-  // The block stages of the current microbatch, one per (TP-comm variant,
-  // fused, pp_rs_ag) position: nothing else the block stage reads changes
-  // inside a microbatch.
-  std::vector<std::optional<BlockCosts>> blocks(
-      tp_comm.size() * fused_activation.size() * pp_rs_ag.size());
+  const Result<Placement> placement = PlaceNetworks(e, sys);
+  ++calls.place;
+  // The current (microbatch, interleaving)'s partition checks, one per
+  // TP-comm variant.
+  std::vector<Result<std::monostate>> partition_checks(
+      tp_comm.size(), Result<std::monostate>(std::monostate{}));
+  // The current microbatch's block stages, one per (TP-comm variant,
+  // fused, pp_rs_ag) position, and their partition stages, one per block
+  // and sharding.
+  const std::size_t fn = fused_activation.size();
+  const std::size_t sn = sharding.size();
+  const std::size_t bn = one_f_one_b.size();
+  const std::size_t pn = pp_rs_ag.size();
+  const std::size_t on = offload.size();
+  std::vector<std::optional<BlockCosts>> blocks(tp_comm.size() * fn * pn);
+  std::vector<std::optional<PartitionCosts>> partitions(blocks.size() * sn);
+  // The current (microbatch, interleaving, recompute, TP-comm variant)'s
+  // tier-1 verdicts, one per (fused, sharding, 1F1B, pp_rs_ag, offload)
+  // point; offload points leave theirs empty.
+  std::vector<std::optional<Result<MemoryBreakdown>>> tier1(fn * sn * bn *
+                                                            pn * on);
   double last_us = latency != nullptr ? obs::MonotonicMicros() : 0.0;
+  auto observe_latency = [&] {
+    if (latency == nullptr) return;
+    const double now_us = obs::MonotonicMicros();
+    latency->Observe(now_us - last_us);
+    last_us = now_us;
+  };
 
   for (std::int64_t m : microbatches) {
     e.microbatch = m;
     std::fill(blocks.begin(), blocks.end(), std::nullopt);
+    std::fill(partitions.begin(), partitions.end(), std::nullopt);
     for (std::int64_t il : interleavings) {
       e.pp_interleaving = il;
+      for (std::size_t ti = 0; ti < tp_comm.size(); ++ti) {
+        e.seq_par = tp_comm[ti].seq_par;
+        partition_checks[ti] = e.ValidatePartition(app);
+        ++calls.validate_partition;
+      }
       for (Recompute rc : space.recompute) {
         e.recompute = rc;
         if (ctx != nullptr && ctx->ShouldStop()) return;
@@ -327,43 +465,53 @@ void SweepTripleInto(const Application& app, const System& sys,
           e.tp_rs_ag = tp_comm[ti].tp_rs_ag;
           e.seq_par = tp_comm[ti].seq_par;
           e.seq_par_ag_redo = tp_comm[ti].ag_redo;
+          std::fill(tier1.begin(), tier1.end(), std::nullopt);
           for (TpOverlap ov : tp_overlap) {
             e.tp_overlap = ov;
-            for (std::size_t fi = 0; fi < fused_activation.size(); ++fi) {
+            for (std::size_t fi = 0; fi < fn; ++fi) {
               e.fused_activation = fused_activation[fi];
               for (bool dpo : dp_overlap) {
                 e.dp_overlap = dpo;
-                for (bool sh : sharding) {
-                  e.optimizer_sharding = sh;
-                  for (bool f1b : one_f_one_b) {
-                    e.pp_1f1b = f1b;
-                    for (std::size_t pi = 0; pi < pp_rs_ag.size(); ++pi) {
+                for (std::size_t si = 0; si < sn; ++si) {
+                  e.optimizer_sharding = sharding[si];
+                  for (std::size_t bi = 0; bi < bn; ++bi) {
+                    e.pp_1f1b = one_f_one_b[bi];
+                    for (std::size_t pi = 0; pi < pn; ++pi) {
                       e.pp_rs_ag = pp_rs_ag[pi];
-                      std::optional<BlockCosts>& block =
-                          blocks[(ti * fused_activation.size() + fi) *
-                                     pp_rs_ag.size() +
-                                 pi];
-                      for (const auto& off : offload) {
-                        e.weight_offload = off.weights;
-                        e.activation_offload = off.activations;
-                        e.optimizer_offload = off.optimizer;
+                      const std::size_t block_at = (ti * fn + fi) * pn + pi;
+                      const std::size_t point_at =
+                          (((fi * sn + si) * bn + bi) * pn + pi) * on;
+                      for (std::size_t oi = 0; oi < on; ++oi) {
+                        e.weight_offload = offload[oi].weights;
+                        e.activation_offload = offload[oi].activations;
+                        e.optimizer_offload = offload[oi].optimizer;
+                        const SharedStages shared{
+                            placement, partition_checks[ti],
+                            blocks[block_at],
+                            partitions[block_at * sn + si],
+                            e.any_offload() ? nullptr
+                                            : &tier1[point_at + oi]};
 
                         ++out.evaluated;
                         // Evaluation key: deterministic per configuration
                         // regardless of thread interleaving (triple index
                         // in the high bits, per-triple counter below).
+                        const std::uint64_t key = (idx << 32) + out.evaluated;
+                        const Infeasible decided =
+                            ctx != nullptr && DrawFault(e, key, out.failures)
+                                ? Infeasible::kBadConfig
+                                : SharedVerdict(shared);
+                        if (decided != Infeasible::kNone) {
+                          observe_latency();
+                          ++out.rejected[static_cast<std::size_t>(decided)];
+                          continue;
+                        }
                         Result<Stats> r =
                             ctx != nullptr
-                                ? GuardedEvaluate(
-                                      app, e, sys, block,
-                                      (idx << 32) + out.evaluated,
-                                      out.failures)
-                                : EvaluateStaged(app, e, sys, block);
-                        if (latency != nullptr) {
-                          const double now_us = obs::MonotonicMicros();
-                          latency->Observe(now_us - last_us);
-                          last_us = now_us;
-                        }
+                                ? GuardedEvaluate(app, e, sys, shared, calls,
+                                                  key, out.failures)
+                                : EvaluateStaged(app, e, sys, shared, calls);
+                        observe_latency();
                         if (!r.ok()) {
                           ++out.rejected[static_cast<std::size_t>(
                               r.reason())];
@@ -442,8 +590,10 @@ TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
   if (latency_ != nullptr) {
     latency = obs::HistogramSnapshot::WithLayout(latency_->bounds());
   }
+  StageCalls calls;
   SweepTripleInto(app_, sys_, space_, config_, tr, index,
-                  latency_ != nullptr ? &latency : nullptr, out, pareto);
+                  latency_ != nullptr ? &latency : nullptr, out, pareto,
+                  calls);
   if (latency_ != nullptr) latency_->MergeFrom(latency);
   out.pareto = std::move(pareto).TakeEntries();
 
@@ -461,6 +611,17 @@ TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
                       obs::MetricNameSegment(
                           ToString(static_cast<Infeasible>(i))))
           ->Increment(out.rejected[i]);
+    }
+    const std::pair<const char*, std::uint64_t> stages[] = {
+        {"model.stage.place.calls", calls.place},
+        {"model.stage.validate_partition.calls", calls.validate_partition},
+        {"model.stage.validate_options.calls", calls.validate_options},
+        {"model.stage.block.calls", calls.block},
+        {"model.stage.capacity.calls", calls.capacity},
+        {"model.stage.partition.calls", calls.partition},
+        {"model.stage.candidate.calls", calls.candidate}};
+    for (const auto& [name, count] : stages) {
+      metrics.GetCounter(name)->Increment(count);
     }
   }
   return out;

@@ -78,9 +78,10 @@ struct ProjectConfig {
       "src/search/", "src/runner/", "src/analysis/"};
   // The model's one-shot entry point and the stage entry points a sweep
   // calls directly (core/perf_model.h).
-  std::set<std::string> eval_functions = {"CalculatePerformance",
-                                          "PlaceExecution", "EvaluateBlock",
-                                          "EvaluateCandidate"};
+  std::set<std::string> eval_functions = {
+      "CalculatePerformance", "PlaceExecution", "PlaceNetworks",
+      "EvaluateBlock",        "CheckCapacity",  "EvaluatePartition",
+      "EvaluateCandidate"};
   std::set<std::string> cancel_poll_calls = {"ShouldStop", "Cancelled",
                                              "cancelled", "CheckDeadline"};
 

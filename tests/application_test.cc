@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "json/json.h"
 #include "models/application.h"
 #include "models/presets.h"
 
@@ -55,6 +56,44 @@ TEST(Application, JsonDefaultsDerivedFields) {
           "num_blocks": 24})"));
   EXPECT_EQ(app.feedforward, 4096);   // 4 * hidden
   EXPECT_EQ(app.attn_size, 64);       // hidden / heads
+}
+
+// Spec sizes are untrusted: the derived defaults and the parameter counts
+// must turn bad sizes into ConfigError, never a division by zero or a
+// signed overflow.
+TEST(Application, FromJsonChecksSizesBeforeDerivingDefaults) {
+  const auto load = [](const char* text) {
+    return Application::FromJson(json::Parse(text));
+  };
+  EXPECT_THROW((void)load(R"({"hidden": 1024, "attn_heads": 0,
+                             "seq_size": 2048, "num_blocks": 24})"),
+               ConfigError);
+  EXPECT_THROW((void)load(R"({"hidden": 0, "attn_heads": 16,
+                             "seq_size": 2048, "num_blocks": 24})"),
+               ConfigError);
+  // 4 * hidden, the default feedforward, overflows int64.
+  EXPECT_THROW((void)load(R"({"hidden": 4e18, "attn_heads": 1,
+                             "attn_size": 1, "seq_size": 2048,
+                             "num_blocks": 24})"),
+               ConfigError);
+}
+
+TEST(Application, ValidateRejectsOverflowingParameterCounts) {
+  Application app = presets::Gpt3_175B();
+  EXPECT_NO_THROW(app.Validate());
+  app.vocab_size = 1'000'000'000'000'000;  // 2 * 1e15 * 12288 overflows
+  EXPECT_THROW(app.Validate(), ConfigError);
+  app = presets::Gpt3_175B();
+  app.attn_heads = 1'000'000'000'000'000;  // h * heads * size overflows
+  EXPECT_THROW(app.Validate(), ConfigError);
+  app = presets::Gpt3_175B();
+  app.num_blocks = 1'000'000'000'000;  // the block stack overflows
+  EXPECT_THROW(app.Validate(), ConfigError);
+  // The largest counts that fit still load.
+  app = presets::Gpt3_175B();
+  app.vocab_size = 1'000'000'000'000;
+  EXPECT_NO_THROW(app.Validate());
+  EXPECT_EQ(app.EmbeddingParameters(), 2 * 1'000'000'000'000 * 12288);
 }
 
 // The presets should reproduce the headline parameter counts (~12 h^2 per

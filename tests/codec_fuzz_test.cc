@@ -1,17 +1,21 @@
-// Seeded mutation fuzzing of the two parsers that read untrusted bytes:
-// the JSON codec (spec files, checkpoint journals, worker frames) and the
-// worker frame reader. The corpus is the shipped configs plus recorded
-// study and exec-search item frames; bit flips, byte inserts and deletes,
-// truncations and splices mutate it. A fixed seed and iteration budget
-// keep the test deterministic and quick; the sanitizer jobs run it like
-// every other test.
+// Seeded mutation fuzzing of the code that reads untrusted bytes: the
+// JSON codec (spec files, checkpoint journals, worker frames), the worker
+// frame reader and the spec loaders. The corpus is the shipped configs
+// plus recorded study and exec-search item frames; bit flips, byte
+// inserts and deletes, truncations, splices and number-token swaps mutate
+// it. A fixed seed and iteration budget keep the test deterministic and
+// quick; the sanitizer jobs run it like every other test.
 //
 // The contract:
 //   * json::Parse returns a value or throws ConfigError;
 //   * FrameReader, fed a byte stream in random chunk sizes, yields one
 //     frame or one ConfigError per line, reports truncated() exactly when
 //     the stream ends mid-line, and never blocks;
-//   * Parse(Dump(v)) gives back v, every double bit for bit.
+//   * Parse(Dump(v)) gives back v, every double bit for bit;
+//   * a spec loader (Application, System, Execution, Study FromJson)
+//     returns a spec or throws ConfigError, and the model evaluates what
+//     it returns to a value or an infeasibility reason: never undefined
+//     behaviour, an abort or a hang.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -28,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/perf_model.h"
 #include "dist/jobs.h"
 #include "dist/wire.h"
 #include "hw/presets.h"
@@ -331,6 +336,168 @@ TEST(CodecFuzz, DumpThenParseGivesBackEveryBit) {
       ASSERT_TRUE(BitIdentical(json::Parse(text), v)) << text;
     }
   }
+}
+
+// --- Spec loaders -----------------------------------------------------------
+
+// Replaces one number token of `s` (outside strings and comments) with a
+// value byte flips rarely produce: zero, negatives, the edges of int32,
+// double-exact and int64 ranges, and huge and tiny magnitudes.
+std::string SwapNumber(std::string s, Rng& rng) {
+  static const char* const kValues[] = {
+      "0",    "-1",    "1e-300", "0.5",
+      "2147483648",           // 2^31
+      "9007199254740993",     // 2^53 + 1
+      "9223372036854775808",  // 2^63
+      "1e15", "1e300", "-1e300"};
+  std::vector<std::pair<std::size_t, std::size_t>> numbers;  // (at, size)
+  for (std::size_t i = 0; i < s.size();) {
+    if (s[i] == '"') {  // skip a string, escapes included
+      for (++i; i < s.size() && s[i] != '"'; ++i) {
+        if (s[i] == '\\') ++i;
+      }
+      ++i;
+    } else if (s.compare(i, 2, "//") == 0) {
+      i = s.find('\n', i);
+      if (i == std::string::npos) break;
+    } else if (s[i] == '-' || (s[i] >= '0' && s[i] <= '9')) {
+      const std::size_t end = s.find_first_not_of("0123456789+-.eE", i);
+      const std::size_t size = (end == std::string::npos ? s.size() : end) - i;
+      numbers.emplace_back(i, size);
+      i += size;
+    } else {
+      ++i;
+    }
+  }
+  if (numbers.empty()) return s;
+  const auto [at, size] = numbers[rng.Below(numbers.size())];
+  return s.replace(at, size, kValues[rng.Below(std::size(kValues))]);
+}
+
+enum class SpecKind { kApplication, kSystem, kExecution, kStudy };
+
+struct Spec {
+  SpecKind kind;
+  std::string text;
+};
+
+// configs/<kind>/*.json, sorted for a stable order, then every preset
+// application as Application::ToJson writes it (the documents that carry
+// a vocab_size).
+std::vector<Spec> SpecCorpus() {
+  const std::pair<const char*, SpecKind> dirs[] = {
+      {"applications", SpecKind::kApplication},
+      {"systems", SpecKind::kSystem},
+      {"executions", SpecKind::kExecution},
+      {"studies", SpecKind::kStudy}};
+  std::vector<Spec> corpus;
+  for (const auto& [dir, kind] : dirs) {
+    std::vector<fs::path> paths;
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(CALCULON_CONFIG_DIR) / dir)) {
+      if (entry.path().extension() == ".json") paths.push_back(entry.path());
+    }
+    std::sort(paths.begin(), paths.end());
+    for (const fs::path& path : paths) {
+      std::ifstream in(path, std::ios::binary);
+      corpus.push_back({kind, std::string(std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>())});
+    }
+  }
+  for (const std::string& name : presets::ApplicationNames()) {
+    corpus.push_back({SpecKind::kApplication,
+                      presets::ApplicationByName(name).ToJson().Dump(2)});
+  }
+  return corpus;
+}
+
+// An execution of every processor as data parallelism: valid for any
+// application, so the model reaches its block and capacity stages.
+Execution DataParallel(std::int64_t procs) {
+  Execution e;
+  e.num_procs = procs;
+  e.data_par = procs;
+  e.batch_size = procs;
+  return e;
+}
+
+// Loads `doc` as a spec of `kind` and evaluates it once against a fixed
+// partner (a Study against its own application and system, and through
+// Enumerate when it has at most 10,000 rows). Returns whether the model
+// ran; throws ConfigError for a spec the loader rejects.
+bool LoadAndEvaluate(SpecKind kind, const json::Value& doc) {
+  switch (kind) {
+    case SpecKind::kApplication: {
+      const Application app = Application::FromJson(doc);
+      (void)CalculatePerformance(app, DataParallel(64),
+                                 presets::SystemByName("a100_80g")
+                                     .WithNumProcs(64));
+      return true;
+    }
+    case SpecKind::kSystem: {
+      const System sys = System::FromJson(doc);
+      (void)CalculatePerformance(presets::Megatron22B(),
+                                 DataParallel(sys.num_procs()), sys);
+      return true;
+    }
+    case SpecKind::kExecution: {
+      const Execution exec = Execution::FromJson(doc);
+      const System sys =
+          presets::SystemByName("a100_80g").WithNumProcs(exec.num_procs);
+      (void)CalculatePerformance(presets::Gpt3_175B(), exec, sys);
+      return true;
+    }
+    case SpecKind::kStudy: {
+      const Study study = Study::FromJson(doc);
+      (void)CalculatePerformance(study.application, study.base,
+                                 study.system);
+      std::size_t rows = 1;
+      for (const auto& axis : study.axes) {
+        rows = axis.second.empty() ? 0 : rows * axis.second.size();
+        if (rows > 10'000) return true;
+      }
+      for (const Execution& e : study.Enumerate()) {
+        (void)CalculatePerformance(study.application, e, study.system);
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(CodecFuzz, MutatedSpecsLoadAndEvaluateOrThrowConfigError) {
+  const std::vector<Spec> corpus = SpecCorpus();
+  ASSERT_GE(corpus.size(), 4u);
+  for (const Spec& spec : corpus) {  // the seeds load and evaluate
+    EXPECT_TRUE(LoadAndEvaluate(spec.kind, json::Parse(spec.text)));
+  }
+  Rng rng(41);
+  int evaluated[4] = {0, 0, 0, 0};
+  for (int i = 0; i < 20000; ++i) {
+    const Spec& spec = corpus[rng.Below(corpus.size())];
+    std::string text = spec.text;
+    if (rng.Below(4) == 0) {
+      text = Mutate(text, corpus[rng.Below(corpus.size())].text, rng);
+    }
+    for (std::size_t n = 1 + rng.Below(3); n > 0; --n) {
+      text = SwapNumber(text, rng);
+    }
+    json::Value doc;
+    try {
+      doc = json::Parse(text);
+    } catch (const ConfigError&) {
+      continue;
+    }
+    try {
+      if (LoadAndEvaluate(spec.kind, doc)) {
+        ++evaluated[static_cast<int>(spec.kind)];
+      }
+    } catch (const ConfigError&) {
+      // a spec the loader rejects
+    }
+  }
+  // Every loader let some mutants through to the model.
+  for (int kind = 0; kind < 4; ++kind) EXPECT_GT(evaluated[kind], 0) << kind;
 }
 
 }  // namespace

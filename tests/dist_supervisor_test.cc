@@ -300,6 +300,18 @@ TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {
             in_process.histograms.at("exec_search.eval_latency_us").count);
   EXPECT_EQ(merged.histograms.at("exec_search.eval_latency_us").count,
             supervised.evaluated);
+  // The model's stage calls are counted per triple too, so they merge to
+  // the in-process counts exactly.
+  std::size_t stages = 0;
+  for (const auto& [name, value] : in_process.counters) {
+    if (name.rfind("model.stage.", 0) != 0) continue;
+    ++stages;
+    ASSERT_TRUE(merged.counters.contains(name)) << name;
+    EXPECT_EQ(merged.counters.at(name), value) << name;
+  }
+  EXPECT_EQ(stages, 7u);
+  EXPECT_LT(in_process.counters.at("model.stage.candidate.calls"),
+            supervised.evaluated);
   // The per-worker tagged copies exist alongside the aggregate and sum to
   // the same total.
   std::uint64_t tagged = 0;

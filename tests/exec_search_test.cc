@@ -205,5 +205,58 @@ TEST(ExecSearch, Fig6SweepCountsEveryRejectionReasonExactly) {
   EXPECT_EQ(counters, expected);
 }
 
+// The model.stage.*.calls counters of the Fig. 6 sweep on a pool of
+// `threads` threads.
+std::map<std::string, std::uint64_t> Fig6StageCalls(unsigned threads) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  const obs::MetricsSnapshot saved = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Enable();
+
+  presets::SystemOptions o;
+  o.num_procs = 4096;
+  SearchSpace space = SearchSpace::AllOptimizations();
+  space.tp_overlap = {TpOverlap::kNone, TpOverlap::kRing};
+  space.pp_rs_ag = {false};
+  SearchConfig config;
+  config.batch_size = 4096;
+  ThreadPool pool(threads);
+  const SearchResult r = FindOptimalExecution(
+      presets::Gpt3_175B(), presets::H100(o), space, config, pool);
+  std::map<std::string, std::uint64_t> counters = metrics.Snapshot().counters;
+
+  metrics.Reset();
+  metrics.Ingest(saved, "");
+  if (!was_enabled) metrics.Disable();
+
+  EXPECT_EQ(r.evaluated, 208200u);
+  std::erase_if(counters, [](const auto& kv) {
+    return kv.first.rfind("model.stage.", 0) != 0;
+  });
+  return counters;
+}
+
+// Each stage runs at the loop level where its inputs change, so the Fig. 6
+// sweep's 208,200 candidates cost exactly these stage calls, on however
+// many threads: one placement per triple (42), the partition checks per
+// (microbatch, interleaving, TP-comm variant), and the candidate stage
+// only for the 68,062 feasible candidates. The 60,024 partition rejections
+// and 59,797 of the 80,114 memory rejections are decided at an outer loop
+// level, so only 88,379 candidates reach the option checks.
+TEST(ExecSearch, Fig6SweepCountsEveryStageCallExactly) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"model.stage.block.calls", 2016},
+      {"model.stage.candidate.calls", 68062},
+      {"model.stage.capacity.calls", 37368},
+      {"model.stage.partition.calls", 2563},
+      {"model.stage.place.calls", 42},
+      {"model.stage.validate_options.calls", 88379},
+      {"model.stage.validate_partition.calls", 4395},
+  };
+  EXPECT_EQ(Fig6StageCalls(1), expected);
+  EXPECT_EQ(Fig6StageCalls(4), expected);
+}
+
 }  // namespace
 }  // namespace calculon

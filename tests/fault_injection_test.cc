@@ -2,12 +2,17 @@
 
 #include <cstdlib>
 #include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "hw/presets.h"
 #include "models/presets.h"
 #include "search/exec_search.h"
 #include "testing/fault_injection.h"
 #include "util/error.h"
+#include "util/mathutil.h"
+#include "util/units.h"
 
 namespace calculon::testing {
 namespace {
@@ -215,6 +220,206 @@ TEST_F(FaultInjectionTest, Gpt3GridFaultsAreReproducibleAcrossThreadCounts) {
   EXPECT_EQ(failures1, failures4);
   EXPECT_EQ(evaluated1, evaluated4);
   EXPECT_GT(failures1, 0u);
+}
+
+// Visits the candidates of triple `tr` in SweepTripleInto's order, as the
+// collapsed lists of a degenerate degree leave them.
+template <typename Visit>
+void ForEachCandidate(const Application& app, const System& sys,
+                      const SearchSpace& space, std::int64_t batch, Triple tr,
+                      Visit visit) {
+  const bool tp = tr.t > 1;
+  const bool pp = tr.p > 1;
+  const bool dp = tr.d > 1;
+  const std::vector<SearchSpace::TpCommVariant> tp_comm =
+      tp ? space.tp_comm : std::vector<SearchSpace::TpCommVariant>{{}};
+  const std::vector<TpOverlap> tp_overlap =
+      tp ? space.tp_overlap : std::vector<TpOverlap>{TpOverlap::kNone};
+  const std::vector<bool> dp_overlap =
+      dp ? space.dp_overlap : std::vector<bool>{false};
+  const std::vector<bool> sharding =
+      dp ? space.optimizer_sharding : std::vector<bool>{false};
+  const std::vector<bool> one_f_one_b =
+      pp ? space.pp_1f1b : std::vector<bool>{true};
+  const std::vector<bool> pp_rs_ag =
+      pp && tp ? space.pp_rs_ag : std::vector<bool>{false};
+  const std::vector<SearchSpace::OffloadVariant> offload =
+      sys.proc().mem2.present()
+          ? space.offload
+          : std::vector<SearchSpace::OffloadVariant>{{}};
+  std::vector<std::int64_t> interleavings = {1};
+  if (space.sweep_interleaving && pp) {
+    interleavings = Divisors(CeilDiv(app.num_blocks, tr.p));
+  }
+  Execution e;
+  e.num_procs = sys.num_procs();
+  e.tensor_par = tr.t;
+  e.pipeline_par = tr.p;
+  e.data_par = tr.d;
+  e.batch_size = batch;
+  for (std::int64_t m : Divisors(batch / tr.d)) {
+    if (m > space.max_microbatch) continue;
+    e.microbatch = m;
+    for (std::int64_t il : interleavings) {
+      e.pp_interleaving = il;
+      for (Recompute rc : space.recompute) {
+        e.recompute = rc;
+        for (const auto& tpc : tp_comm) {
+          e.tp_rs_ag = tpc.tp_rs_ag;
+          e.seq_par = tpc.seq_par;
+          e.seq_par_ag_redo = tpc.ag_redo;
+          for (TpOverlap ov : tp_overlap) {
+            e.tp_overlap = ov;
+            for (bool fused : space.fused_activation) {
+              e.fused_activation = fused;
+              for (bool dpo : dp_overlap) {
+                e.dp_overlap = dpo;
+                for (bool sh : sharding) {
+                  e.optimizer_sharding = sh;
+                  for (bool f1b : one_f_one_b) {
+                    e.pp_1f1b = f1b;
+                    for (bool ppr : pp_rs_ag) {
+                      e.pp_rs_ag = ppr;
+                      for (const auto& off : offload) {
+                        e.weight_offload = off.weights;
+                        e.activation_offload = off.activations;
+                        e.optimizer_offload = off.optimizer;
+                        visit(e);
+                      }
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The sweep decides two kinds of candidates without evaluating them: those
+// whose (microbatch, interleaving, TP-comm variant) fails the partition
+// checks, and the overlap variants of a point whose tier-1 verdict is
+// already a rejection. Each must still consume its fault key: a sweep with
+// a throw+error plan must record exactly the failures of a naive loop that
+// calls MaybeInject for every key, then evaluates one-shot.
+TEST_F(FaultInjectionTest, DecidedCandidatesStillConsumeTheirFaultKeys) {
+  auto& faults = FaultInjector::Global();
+  std::mt19937_64 rng(18);
+  auto below = [&](std::uint64_t n) { return rng() % n; };
+  const char* const apps[] = {"gpt3_13b", "megatron_22b", "chinchilla_70b",
+                              "gpt3_175b"};
+  std::uint64_t interleave_rule = 0;  // candidates failing nm % p
+  std::uint64_t shared_memory = 0;    // memory rejections after the first
+                                      // overlap variant of their point
+  std::uint64_t failures = 0;
+  for (int draw = 0; draw < 24; ++draw) {
+    const Application app = presets::ApplicationByName(apps[below(4)]);
+    presets::SystemOptions o;
+    o.num_procs = below(2) == 0 ? 32 : 64;
+    o.hbm_capacity = GiB(below(2) == 0 ? 24.0 : 80.0);
+    if (below(3) == 0) o.offload_capacity = GiB(512.0);
+    const System sys = presets::A100(o);
+    SearchSpace space;
+    space.recompute = {Recompute::kNone, Recompute::kFull};
+    space.tp_comm = {{false, false, false}, {true, true, false}};
+    space.tp_overlap = {TpOverlap::kNone, TpOverlap::kPipe, TpOverlap::kRing};
+    space.tp_overlap.erase(space.tp_overlap.begin() +
+                           static_cast<std::ptrdiff_t>(below(3)));
+    space.dp_overlap = {below(2) == 0, true};
+    space.dp_overlap[1] = !space.dp_overlap[0];
+    space.fused_activation = {below(2) == 0};
+    space.optimizer_sharding = {false, true};
+    space.pp_rs_ag = {false};
+    space.sweep_interleaving = true;
+    space.offload = {{}, {true, true, true}};
+    space.max_microbatch = 4;
+    SearchConfig config;
+    config.batch_size = o.num_procs * (below(2) == 0 ? 1 : 3);
+
+    // A triple that keeps both overlap lists: t, p and d all above 1.
+    const std::vector<Triple> triples = SearchTriples(app, sys, space, config);
+    std::vector<std::uint64_t> eligible;
+    for (std::uint64_t i = 0; i < triples.size(); ++i) {
+      if (triples[i].t > 1 && triples[i].p > 1 && triples[i].d > 1) {
+        eligible.push_back(i);
+      }
+    }
+    ASSERT_FALSE(eligible.empty());
+    const std::uint64_t idx = eligible[below(eligible.size())];
+    const Triple tr = triples[idx];
+
+    FaultPlan plan;
+    plan.seed = 1000 + static_cast<std::uint64_t>(draw);
+    plan.throw_rate = 0.04;
+    plan.error_rate = 0.04;
+
+    // The naive reference.
+    faults.Configure(plan);
+    std::vector<std::uint64_t> rejected(
+        static_cast<std::size_t>(Infeasible::kBadConfig) + 1, 0);
+    std::uint64_t feasible = 0;
+    std::vector<std::pair<std::uint64_t, std::string>> records;
+    std::uint64_t counter = 0;
+    ForEachCandidate(
+        app, sys, space, config.batch_size, tr, [&](const Execution& e) {
+          const std::uint64_t key = (idx << 32) + ++counter;
+          Infeasible reason = Infeasible::kNone;
+          try {
+            if (faults.MaybeInject(key)) {
+              reason = Infeasible::kBadConfig;
+              records.emplace_back(
+                  key, Result<Stats>(reason, "injected fault").detail());
+            } else {
+              const Result<Stats> r = CalculatePerformance(app, e, sys);
+              reason = r.reason();
+              if (reason == Infeasible::kBadConfig) {
+                records.emplace_back(key, r.detail());
+              }
+            }
+          } catch (const std::exception& ex) {
+            reason = Infeasible::kBadConfig;
+            records.emplace_back(key, ex.what());
+          }
+          if (reason == Infeasible::kNone) {
+            ++feasible;
+          } else {
+            ++rejected[static_cast<std::size_t>(reason)];
+          }
+          if (e.pp_interleaving > 1 &&
+              e.MicrobatchesPerPipeline() % e.pipeline_par != 0) {
+            ++interleave_rule;
+          }
+          if (reason == Infeasible::kMemoryCapacity && !e.any_offload() &&
+              (e.tp_overlap != space.tp_overlap[0] ||
+               e.dp_overlap != space.dp_overlap[0])) {
+            ++shared_memory;
+          }
+        });
+    const std::uint64_t naive_injected = faults.injected_failures();
+
+    faults.Configure(plan);
+    const TripleSweep sweep = SweepTriple(app, sys, space, config, idx);
+    const std::string where = "draw " + std::to_string(draw) + ": " +
+                              app.name + ", t=" + std::to_string(tr.t) +
+                              " p=" + std::to_string(tr.p) +
+                              " d=" + std::to_string(tr.d);
+    EXPECT_EQ(sweep.evaluated, counter) << where;
+    EXPECT_EQ(sweep.rejected, rejected) << where;
+    EXPECT_EQ(sweep.feasible, feasible) << where;
+    EXPECT_EQ(faults.injected_failures(), naive_injected) << where;
+    ASSERT_EQ(sweep.failures.size(), records.size()) << where;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(sweep.failures[i].item, records[i].first) << where;
+      EXPECT_EQ(sweep.failures[i].reason, records[i].second) << where;
+    }
+    failures += records.size();
+  }
+  // Both shared verdicts fired, and faults landed among the candidates.
+  EXPECT_GT(interleave_rule, 0u);
+  EXPECT_GT(shared_memory, 0u);
+  EXPECT_GT(failures, 0u);
 }
 
 }  // namespace

@@ -167,6 +167,20 @@ TEST(JsonValue, TypeMismatchesThrow) {
   EXPECT_THROW((void)Parse("1.5").AsInt(), ConfigError);
 }
 
+// The int64 cast is undefined outside int64's range, so the range is
+// checked first: every out-of-range number is a ConfigError.
+TEST(JsonValue, AsIntRejectsNumbersOutsideTheInt64Range) {
+  for (const char* text : {"1e300", "-1e300", "9223372036854775808",
+                           "-9223372036854777856", "1e19"}) {
+    EXPECT_THROW((void)Parse(text).AsInt(), ConfigError) << text;
+  }
+  EXPECT_EQ(Parse("-9223372036854775808").AsInt(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Parse("9223372036854774784").AsInt(), 9223372036854774784);
+  EXPECT_THROW((void)Parse("{\"size\": 1e300}").GetInt("size", 0),
+               ConfigError);
+}
+
 TEST(JsonValue, DefaultingAccessors) {
   const Value v = Parse("{\"x\": 7, \"flag\": true}");
   EXPECT_EQ(v.GetInt("x", 0), 7);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/threadpool.h"
@@ -82,11 +84,21 @@ TEST(ThreadPool, FewerItemsThanThreads) {
 TEST(ThreadPool, FirstStoredExceptionWinsAndRangeIsAbandoned) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> executed{0};
+  std::atomic<bool> thrown{false};
   const std::uint64_t n = 100000;
   try {
     pool.ParallelFor(n, [&](std::uint64_t i) {
       executed.fetch_add(1);
-      if (i == 3) throw std::runtime_error("item 3");
+      if (i == 3) {
+        thrown.store(true);
+        throw std::runtime_error("item 3");
+      }
+      // Items claimed after item 3 threw take 1 ms each, so the other
+      // threads cannot drain the range (over 30 s) while the thrower is
+      // descheduled before it stores the error and abandons the rest.
+      if (thrown.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
