@@ -16,8 +16,9 @@ int main() {
 
   SystemSearchOptions options;
   options.budget = 125e6;
-  // Default: a coarse size sweep (the best size is almost always at or
-  // near the affordable maximum); CALCULON_FULL=1 sweeps every domain.
+  // Default: a coarse size sweep; CALCULON_FULL=1 sweeps every domain.
+  // Either way the search starts at the affordable maximum and stops once
+  // a size's sample-rate ceiling proves no smaller size can win.
   options.size_step = bench::FullFidelity() ? 8 : 512;
 
   std::printf("Table 3: $125M budget, H100 HBM3 x DDR5 design sweep "

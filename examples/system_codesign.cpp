@@ -4,27 +4,33 @@
 //
 //   system_codesign [app] [budget_millions]
 //   e.g.: system_codesign megatron_1t 125
+//
+// Exits 2 on a malformed budget, or one the price model cannot count
+// (negative, non-finite, or more GPUs than an int64 holds).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "models/presets.h"
 #include "search/system_search.h"
+#include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/units.h"
 
-int main(int argc, char** argv) {
-  using namespace calculon;
-  const std::string app_name = argc > 1 ? argv[1] : "turing_530b";
-  const double budget = (argc > 2 ? std::atof(argv[2]) : 125.0) * 1e6;
+namespace {
 
+int Run(const std::string& app_name, double budget) {
+  using namespace calculon;
   const Application app = presets::ApplicationByName(app_name);
   ThreadPool pool;
 
   SystemSearchOptions options;
   options.budget = budget;
-  options.size_step = 512;  // coarse sweep; the optimum is near the max
+  // Coarse sweep. The search proves which sizes can win: it starts at the
+  // largest and stops once a size's sample-rate ceiling falls below the
+  // best rate found (docs/MODEL.md §11).
+  options.size_step = 512;
 
   SearchSpace space;
   space.tp_comm = {{false, false, false}, {true, true, true}};
@@ -64,4 +70,25 @@ int main(int argc, char** argv) {
                 FormatNumber(best->sample_rate.raw(), 0).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string app_name = argc > 1 ? argv[1] : "turing_530b";
+  double millions = 125.0;
+  if (argc > 2) {
+    char* end = nullptr;
+    millions = std::strtod(argv[2], &end);
+    if (end == argv[2] || *end != '\0') {
+      std::fprintf(stderr, "error: budget '%s' is not a number\n", argv[2]);
+      return 2;
+    }
+  }
+  try {
+    return Run(app_name, millions * 1e6);
+  } catch (const calculon::ConfigError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -148,6 +148,12 @@ Flops ModelFlopsPerSample(const Application& app, bool training) {
   return Flops(per_block * static_cast<double>(app.num_blocks) + vocab);
 }
 
+PerSecond SampleRateCeiling(const Application& app, const Processor& proc,
+                            std::int64_t num_procs, bool training) {
+  return static_cast<double>(num_procs) * proc.matrix.MaxRate() /
+         ModelFlopsPerSample(app, training);
+}
+
 Bytes BlockCosts::ActStored(Recompute mode) const {
   switch (mode) {
     case Recompute::kNone: return act_stored_none;

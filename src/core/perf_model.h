@@ -22,6 +22,8 @@
 // millions of configurations (Section 5).
 #pragma once
 
+#include <cstdint>
+
 #include "core/stats.h"
 #include "hw/system.h"
 #include "models/application.h"
@@ -163,5 +165,16 @@ class ModelPhases {
 // excluding recomputation), the numerator of MFU.
 [[nodiscard]] Flops ModelFlopsPerSample(const Application& app,
                                         bool training);
+
+// An upper bound on the sample rate of every feasible CalculatePerformance
+// result for `app` on `num_procs` processors `proc`: num_procs times the
+// matrix unit's best attainable rate (ComputeUnit::MaxRate) over
+// ModelFlopsPerSample, i.e. MFU at most the matrix curve's top efficiency
+// (proof in docs/MODEL.md §11). It reads no execution option and no batch
+// size, and grows with `num_procs`.
+[[nodiscard]] PerSecond SampleRateCeiling(const Application& app,
+                                          const Processor& proc,
+                                          std::int64_t num_procs,
+                                          bool training);
 
 }  // namespace calculon

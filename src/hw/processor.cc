@@ -25,6 +25,14 @@ Seconds ComputeUnit::FlopTime(Flops flops) const {
   return flops / rate;
 }
 
+FlopsPerSecond ComputeUnit::MaxRate() const {
+  double top = 0.0;
+  for (const EfficiencyCurve::Point& p : efficiency_.points()) {
+    top = std::max(top, p.efficiency);
+  }
+  return peak_ * top;
+}
+
 json::Value ComputeUnit::ToJson() const {
   json::Object o;
   o["flops"] = peak_.raw();  // unit-ok: JSON serialize boundary

@@ -32,6 +32,11 @@ class ComputeUnit {
   [[nodiscard]] double Efficiency(Flops flops) const {
     return efficiency_.At(flops);
   }
+  // The best rate any operation attains: peak times the highest efficiency
+  // among the curve's points. Interpolation never exceeds that point, so
+  // FlopTime(f) >= f / MaxRate() for every f (docs/MODEL.md §11). Computed
+  // on call, so building a unit costs nothing more.
+  [[nodiscard]] FlopsPerSecond MaxRate() const;
 
   [[nodiscard]] json::Value ToJson() const;
   [[nodiscard]] static ComputeUnit FromJson(const json::Value& v);

@@ -35,7 +35,17 @@ double SystemDesign::UnitPrice() const {
 }
 
 std::int64_t SystemDesign::MaxGpus(double budget) const {
-  const auto raw = static_cast<std::int64_t>(budget / UnitPrice());
+  if (!std::isfinite(budget) || budget < 0.0) {
+    throw ConfigError(StrFormat("budget $%g is not a finite amount >= 0",
+                                budget));
+  }
+  // The cast is defined only below 2^63: check before casting.
+  const double gpus = budget / UnitPrice();
+  if (!(gpus < 0x1p63)) {
+    throw ConfigError(StrFormat("budget $%g buys %g GPUs, outside int64",
+                                budget, gpus));
+  }
+  const auto raw = static_cast<std::int64_t>(gpus);
   return raw - raw % 8;
 }
 

@@ -19,7 +19,9 @@ struct SystemDesign {
   [[nodiscard]] double UnitPrice() const;
 
   // Most GPUs affordable under `budget` dollars, rounded down to a whole
-  // NVLink domain (multiples of 8, matching Table 3's "Max GPUs").
+  // NVLink domain (multiples of 8, matching Table 3's "Max GPUs"). Throws
+  // ConfigError for a negative or non-finite budget, or one that buys more
+  // GPUs than int64 counts.
   [[nodiscard]] std::int64_t MaxGpus(double budget) const;
 
   // The H100 system this design describes, with `num_procs` GPUs. HBM3 runs

@@ -31,8 +31,16 @@ struct SystemSearchEntry {
   bool feasible = false;
 };
 
-// Evaluates one design: sweeps sizes `size_step, 2*size_step, ..., max`
-// (always including max) and keeps the best performer.
+// Evaluates one design: the fastest size among max_gpus and the multiples
+// of `size_step` below it, the smallest such size on a tie. It searches
+// them largest first and stops at the first size whose SampleRateCeiling
+// is below the fastest rate found so far: every smaller size has a lower
+// ceiling, so none can win (docs/MODEL.md §11). The entry equals an
+// exhaustive sweep's bit for bit. A cancelled or deadline-stopped run
+// returns the best of the largest sizes searched before the stop. Throws
+// ConfigError for a size_step below 1 or a budget MaxGpus rejects. With
+// metrics on, it adds the sizes it searched and pruned to
+// `system_search.sizes_searched` and `.sizes_pruned`.
 [[nodiscard]] SystemSearchEntry EvaluateDesign(
     const Application& app, const SystemDesign& design,
     const SearchSpace& space, const SystemSearchOptions& options,

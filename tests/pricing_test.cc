@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "search/pricing.h"
 #include "util/units.h"
 
@@ -41,6 +43,21 @@ INSTANTIATE_TEST_SUITE_P(
         MaxGpusCase{80, 512, 3120}, MaxGpusCase{120, 512, 2496},
         MaxGpusCase{20, 1024, 2952}, MaxGpusCase{40, 1024, 2776},
         MaxGpusCase{80, 1024, 2496}, MaxGpusCase{120, 1024, 2080}));
+
+TEST(Pricing, MaxGpusRejectsBudgetsItCannotCount) {
+  const SystemDesign design{20.0, 0.0};
+  EXPECT_EQ(design.MaxGpus(0.0), 0);
+  EXPECT_EQ(design.MaxGpus(1e5), 0);  // 4 GPUs, not a whole NVLink domain
+  // 1e17 / 22,250 = 4.49e12 GPUs: large, but an int64 holds it.
+  EXPECT_EQ(design.MaxGpus(1e17), 4'494'382'022'464);
+  // Negative, non-finite, or more GPUs than an int64 counts (2^63 ~
+  // 9.2e18 GPUs is about $2e23).
+  for (double budget : {-1.0, -1e-300, 1e24, 1e300, HUGE_VAL, -HUGE_VAL,
+                        std::nan("")}) {
+    EXPECT_THROW((void)design.MaxGpus(budget), ConfigError)
+        << "budget " << budget;
+  }
+}
 
 TEST(Pricing, BuildProducesMatchingSystem) {
   const SystemDesign d{20.0, 256.0};

@@ -8,6 +8,7 @@
 #include <random>
 #include <string>
 
+#include "core/perf_model.h"
 #include "hw/presets.h"
 #include "models/presets.h"
 #include "search/exec_search.h"
@@ -208,7 +209,18 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-void AddResult(Fnv1a& digest, const Result<Stats>& r) {
+// Feeds one one-shot result of `exec` to the digest. A feasible result
+// must also stay under the sample-rate ceiling the system search prunes
+// with (docs/MODEL.md §11).
+void AddResult(Fnv1a& digest, const Application& app, const System& sys,
+               const Execution& exec, const Result<Stats>& r) {
+  if (r.ok()) {
+    EXPECT_LE(r.value().sample_rate.raw(),
+              SampleRateCeiling(app, sys.proc(), sys.num_procs(),
+                                exec.training)
+                  .raw())
+        << app.name << ": " << exec.ToJson().Dump();
+  }
   digest.Add(r.ok() ? DumpStats(r.value())
                     : std::string(ToString(r.reason())) + "|" + r.detail());
 }
@@ -285,7 +297,7 @@ TripleSweep NaiveSweep(const Application& app, const System& sys,
                         ++out.evaluated;
                         const Result<Stats> r =
                             CalculatePerformance(app, e, sys);
-                        AddResult(digest, r);
+                        AddResult(digest, app, sys, e, r);
                         if (out.evaluated % 4 == 0) {
                           // Inference, with and without the training-only
                           // options the model rejects for it.
@@ -297,7 +309,7 @@ TripleSweep NaiveSweep(const Application& app, const System& sys,
                             inf.dp_overlap = false;
                             inf.optimizer_offload = false;
                           }
-                          AddResult(digest,
+                          AddResult(digest, app, sys, inf,
                                     CalculatePerformance(app, inf, sys));
                         }
                         if (!r.ok()) {
