@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Checkpoint/resume smoke test: SIGINT-kill a real study mid-run, resume it
-# from the checkpoint, and require the final CSV to be byte-identical to an
-# uninterrupted run (see docs/robustness.md).
+# from the checkpoint, and require the final CSV and the printed best
+# configuration to be byte-identical to an uninterrupted run (see
+# docs/robustness.md).
 #
 # usage: scripts/resume_smoke.sh [build-dir]    # default: ./build
 set -u -o pipefail
@@ -35,9 +36,30 @@ cat > "$WORK/study.json" <<'EOF'
 EOF
 DELAY="seed=1,delay=1.0,delay_us=3000"
 
+# The "best configuration (row ...)" block a study run prints: its header
+# line and the execution's JSON, through the closing brace.
+best_block() {
+  sed -n '/^best configuration (row /,/^}$/p' "$1"
+}
+
+# Requires the best configuration printed in log $1 to equal the
+# reference run's.
+check_best() {
+  if [[ "$(best_block "$WORK/ref.log")" != "$(best_block "$1")" ]]; then
+    echo "resume_smoke: $2 best configuration differs from the reference" >&2
+    diff <(best_block "$WORK/ref.log") <(best_block "$1") | head -20 >&2
+    exit 1
+  fi
+}
+
 echo "== reference run (uninterrupted)"
 "$CLI" study "$WORK/study.json" "$WORK/ref.csv" > "$WORK/ref.log" || {
   echo "resume_smoke: reference run failed" >&2; exit 1; }
+if [[ -z "$(best_block "$WORK/ref.log")" ]]; then
+  echo "resume_smoke: the reference run printed no best configuration" >&2
+  cat "$WORK/ref.log" >&2
+  exit 1
+fi
 
 echo "== interrupted run (SIGINT after ~100ms)"
 "$CLI" study "$WORK/study.json" "$WORK/out.csv" \
@@ -77,8 +99,10 @@ if ! cmp -s "$WORK/ref.csv" "$WORK/out.csv"; then
   diff "$WORK/ref.csv" "$WORK/out.csv" | head -20 >&2
   exit 1
 fi
+check_best "$WORK/resumed.log" "resumed"
 
-echo "resume_smoke: OK (resumed output is byte-identical to the reference)"
+echo "resume_smoke: OK (resumed CSV and best configuration are" \
+     "byte-identical to the reference)"
 
 # -----------------------------------------------------------------------
 # Hard-kill variant: SIGKILL the supervised (--workers) run mid-study —
@@ -127,5 +151,7 @@ if ! cmp -s "$WORK/ref.csv" "$WORK/out9.csv"; then
   diff "$WORK/ref.csv" "$WORK/out9.csv" | head -20 >&2
   exit 1
 fi
+check_best "$WORK/resumed9.log" "supervised resumed"
 
-echo "resume_smoke: OK (SIGKILLed supervised run resumed byte-identical)"
+echo "resume_smoke: OK (SIGKILLed supervised run resumed byte-identical," \
+     "best configuration included)"

@@ -203,6 +203,17 @@ Result<Placement> PlaceNetworks(const Execution& exec, const System& sys) {
   return placement;
 }
 
+BlockKey BlockKey::Of(const Execution& exec) {
+  return {exec.tensor_par,      exec.pipeline_par,    exec.microbatch,
+          exec.datatype_bytes,  exec.training,        exec.tp_rs_ag,
+          exec.seq_par,         exec.seq_par_ag_redo, exec.fused_activation,
+          exec.pp_rs_ag};
+}
+
+PartitionKey PartitionKey::Of(const Execution& exec) {
+  return {BlockKey::Of(exec), exec.data_par, exec.optimizer_sharding};
+}
+
 BlockCosts EvaluateBlock(const Application& app, const Execution& exec,
                          const Processor& proc, const Placement& placement) {
   const BlockModel block = BuildBlock(app, exec);
@@ -571,6 +582,36 @@ Result<Stats> CalculatePerformance(const Application& app,
   phases.End("partition");
   return EvaluateCandidate(app, exec, sys, placement.value(), block,
                            tier1.value(), partition, phases);
+}
+
+// CalculatePerformance's composition, with the block and partition stages
+// looked up by key. A stage result enters its map only once computed, so
+// an exception leaves the table as it was.
+Result<Stats> StageTable::Evaluate(const Execution& exec) {
+  const Result<Placement> placement = PlaceExecution(app_, exec, sys_);
+  if (!placement.ok()) return placement.error();
+  ModelPhases phases;
+  const PartitionKey key = PartitionKey::Of(exec);
+  auto block = blocks_.find(key.block);
+  if (block == blocks_.end()) {
+    const BlockCosts costs =
+        EvaluateBlock(app_, exec, sys_.proc(), placement.value());
+    block = blocks_.emplace(key.block, costs).first;
+    phases.End("block");
+  }
+  const Result<MemoryBreakdown> tier1 =
+      CheckCapacity(app_, exec, sys_.proc(), block->second);
+  phases.End("capacity");
+  if (!tier1.ok()) return tier1.error();
+  auto partition = partitions_.find(key);
+  if (partition == partitions_.end()) {
+    const PartitionCosts costs = EvaluatePartition(
+        app_, exec, sys_.proc(), placement.value(), block->second);
+    partition = partitions_.emplace(key, costs).first;
+    phases.End("partition");
+  }
+  return EvaluateCandidate(app_, exec, sys_, placement.value(), block->second,
+                           tier1.value(), partition->second, phases);
 }
 
 }  // namespace calculon

@@ -19,10 +19,15 @@
 // candidate that does not fit in tier-1 memory costs no timing work beyond
 // its block. A stage is allocation-light and takes a fraction of a
 // microsecond to a few, which is what lets the search engines sweep
-// millions of configurations (Section 5).
+// millions of configurations (Section 5). StageTable is the same
+// composition for a caller whose inputs come in no fixed loop order: it
+// keeps each block and partition stage it runs, keyed by the fields the
+// stage reads (BlockKey, PartitionKey).
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <map>
 
 #include "core/stats.h"
 #include "hw/system.h"
@@ -92,11 +97,28 @@ struct BlockCosts {
   [[nodiscard]] Bytes ActStored(Recompute mode) const;
 };
 
-// Stage 2, the block stage. Reads only the Execution fields BuildBlock
-// reads (tensor_par, microbatch, datatype_bytes, training, tp_rs_ag,
-// seq_par, seq_par_ag_redo, fused_activation, pp_rs_ag) and pipeline_par,
-// so one result serves every candidate of a (t, p, d) triple that shares
-// them. `placement` is the placement of `exec`.
+// The Execution fields the block stage reads: those BuildBlock reads, and
+// pipeline_par. On one system they also fix the TP and PP networks of the
+// placement, so one block stage serves every execution with an equal key.
+struct BlockKey {
+  std::int64_t tensor_par = 0;
+  std::int64_t pipeline_par = 0;
+  std::int64_t microbatch = 0;
+  int datatype_bytes = 0;
+  bool training = false;
+  bool tp_rs_ag = false;
+  bool seq_par = false;
+  bool seq_par_ag_redo = false;
+  bool fused_activation = false;
+  bool pp_rs_ag = false;
+
+  [[nodiscard]] static BlockKey Of(const Execution& exec);
+  auto operator<=>(const BlockKey&) const = default;
+};
+
+// Stage 2, the block stage. Reads only the fields BlockKey holds, so one
+// result serves every candidate of a (t, p, d) triple that shares them.
+// `placement` is the placement of `exec`.
 [[nodiscard]] BlockCosts EvaluateBlock(const Application& app,
                                        const Execution& exec,
                                        const Processor& proc,
@@ -127,9 +149,20 @@ struct PartitionCosts {
   Flops model_flops;  // ModelFlopsPerSample(app, training)
 };
 
-// Stage 4, the partition stage. Reads the block's parameter counts,
-// pipeline_par, data_par, optimizer_sharding, training and datatype_bytes,
-// and no microbatch, recompute, overlap, 1F1B or offload option.
+// The Execution fields the partition stage reads: its block's key (the
+// block's parameter counts, pipeline_par, training, datatype_bytes), and
+// data_par and optimizer_sharding. The DP network spans the whole system.
+struct PartitionKey {
+  BlockKey block;
+  std::int64_t data_par = 0;
+  bool optimizer_sharding = false;
+
+  [[nodiscard]] static PartitionKey Of(const Execution& exec);
+  auto operator<=>(const PartitionKey&) const = default;
+};
+
+// Stage 4, the partition stage. Reads only the fields PartitionKey holds,
+// and no recompute, overlap, 1F1B or offload option.
 [[nodiscard]] PartitionCosts EvaluatePartition(const Application& app,
                                                const Execution& exec,
                                                const Processor& proc,
@@ -160,6 +193,30 @@ class ModelPhases {
     const Placement& placement, const BlockCosts& block,
     const MemoryBreakdown& tier1, const PartitionCosts& partition,
     ModelPhases& phases);
+
+// CalculatePerformance for a stream of executions on one (application,
+// system), in any order. Each evaluation runs placement, the capacity
+// stage and the candidate stage; it runs the block stage once per
+// distinct BlockKey and the partition stage once per distinct
+// PartitionKey, and keeps each result it computes. A stage reads only the
+// fields of its key, so Evaluate(exec) equals CalculatePerformance(app,
+// exec, sys) bit for bit. The table holds at most one entry per key it
+// has seen, so never more than the executions it evaluated. It is owned
+// by one loop and never shared between threads; `app` and `sys` must
+// outlive it.
+class StageTable {
+ public:
+  StageTable(const Application& app, const System& sys)
+      : app_(app), sys_(sys) {}
+
+  [[nodiscard]] Result<Stats> Evaluate(const Execution& exec);
+
+ private:
+  const Application& app_;
+  const System& sys_;
+  std::map<BlockKey, BlockCosts> blocks_;
+  std::map<PartitionKey, PartitionCosts> partitions_;
+};
 
 // Model FLOPs per sample (forward + backward GEMM work of the full model,
 // excluding recomputation), the numerator of MFU.

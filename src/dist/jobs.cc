@@ -47,7 +47,7 @@ std::vector<SearchEntry> EntriesFromJson(const json::Value& v,
 // One study row per item, evaluated by EvaluateStudyRow — the row
 // evaluator of Study::RunResilient — so the CSV line and the raw
 // sample-rate double it ships back are bit-identical to what the
-// in-process loop commits.
+// in-process loop commits. The worker's rows share one StageTable.
 class StudyJob : public Job {
  public:
   explicit StudyJob(const json::Value& spec)
@@ -66,7 +66,7 @@ class StudyJob : public Job {
 
   [[nodiscard]] json::Value RunItem(std::uint64_t item) override {
     const StudyRowResult row =
-        EvaluateStudyRow(study_, execs_[item], FaultKey(item));
+        EvaluateStudyRow(stages_, execs_[item], FaultKey(item));
     json::Value out;
     out["csv"] = row.csv;
     if (row.sample_rate) out["sample_rate"] = row.sample_rate->raw();
@@ -76,6 +76,8 @@ class StudyJob : public Job {
 
  private:
   const Study study_;
+  // Declared after study_, whose application and system it references.
+  StageTable stages_{study_.application, study_.system};
   const std::vector<Execution> execs_;
   const std::uint64_t fault_key_base_;
 };

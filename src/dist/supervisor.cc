@@ -612,19 +612,27 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
               slot.ready = true;
               slot.Record("ready");
               pool.consecutive_startup_failures = 0;
-            } else if (type == "item") {
-              const auto index =
-                  static_cast<std::uint64_t>(frame.at("index").AsInt());
-              if (!slot.busy || index != slot.shard.begin + slot.acked) {
-                corrupt = true;  // out-of-order ack: protocol violation
+            } else if (type == "items") {
+              // A run of consecutive results: it must start at the next
+              // un-acked item and end within the shard.
+              const auto first =
+                  static_cast<std::uint64_t>(frame.at("begin").AsInt());
+              const json::Array& results = frame.at("results").AsArray();
+              const std::uint64_t next = slot.shard.begin + slot.acked;
+              if (!slot.busy || results.empty() || first != next ||
+                  results.size() > slot.shard.end - next) {
+                corrupt = true;  // a misplaced run: protocol violation
                 break;
               }
-              if (pool.callbacks->on_item) {
-                pool.callbacks->on_item(index, frame.at("result"));
+              for (const json::Value& result : results) {
+                const std::uint64_t index = slot.shard.begin + slot.acked;
+                if (pool.callbacks->on_item) {
+                  pool.callbacks->on_item(index, result);
+                }
+                tracker.OnItemDone(index);
+                ++slot.acked;
+                slot.Record("item_done", index);
               }
-              tracker.OnItemDone(index);
-              ++slot.acked;
-              slot.Record("item_done", index);
             } else if (type == "shard_done") {
               slot.busy = false;
               slot.Record("shard_done", slot.shard.begin);

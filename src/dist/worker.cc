@@ -89,22 +89,33 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
       const auto end = static_cast<std::uint64_t>(frame.at("end").AsInt());
       const bool ack_each = frame.GetBool("ack_each", false);
       auto last_write = std::chrono::steady_clock::now();
+      // The results of items [run_begin, run_begin + results.size()),
+      // finished since the last write.
+      std::uint64_t run_begin = begin;
+      json::Array results;
+      auto queue_run = [&] {
+        if (results.empty()) return;
+        json::Value run;
+        run["type"] = "items";
+        run["begin"] = static_cast<std::int64_t>(run_begin);
+        run_begin += results.size();
+        run["results"] = json::Value(std::exchange(results, {}));
+        writer.QueueFrame(run);
+      };
       for (std::uint64_t i = begin; i < end && i < job->num_items(); ++i) {
         // The process-level fault decision fires before the evaluation:
         // an aborted/hung item never acks, so on a retried (ack_each)
         // shard the supervisor's suspect is exactly this item.
         faults.MaybeInjectProcess(job->FaultKey(i));
-        json::Value item;
-        item["type"] = "item";
-        item["index"] = static_cast<std::int64_t>(i);
-        item["result"] = job->RunItem(i);
-        writer.QueueFrame(item);
+        results.push_back(job->RunItem(i));
         const auto now = std::chrono::steady_clock::now();
         if (ack_each || now - last_write >= kFlushInterval) {
+          queue_run();
           if (!writer.Flush()) return 1;
           last_write = now;
         }
       }
+      queue_run();
       QueueTelemetry(writer);
       json::Value done;
       done["type"] = "shard_done";

@@ -9,15 +9,19 @@
 //   worker -> parent   {"type":"ready"}
 //   parent -> worker   {"type":"shard", "begin":B, "end":E}
 //                      (a retried shard adds "ack_each":true)
-//   worker -> parent   {"type":"item", "index":I, "result":{...}}   (per item)
+//   worker -> parent   {"type":"items", "begin":I, "results":[{...}, ...]}
+//                      (per flush: the results of items I, I+1, ...)
 //   worker -> parent   {"type":"shard_done", "begin":B, "end":E}
 //   parent -> worker   {"type":"exit"}
 //
-// A worker queues a shard's item frames and writes them together with
-// shard_done in one write(). It writes early whenever 1 ms has passed
-// since its last write, so slow items still ack as they finish and a busy
-// worker that stays silent is hung. A retried shard ("ack_each") writes
-// every item frame as soon as the item is done.
+// A worker keeps the results a shard has ready and ships them as one run
+// frame per flush: whenever 1 ms has passed since its last write, so slow
+// items still ack as they finish and a busy worker that stays silent is
+// hung, and at the end of the shard, together with shard_done in one
+// write(). A retried shard ("ack_each") flushes after every item, so its
+// runs hold one result each. The supervisor accepts a run only if it is
+// non-empty, starts at the shard's next un-acked item and ends within the
+// shard; any other run is a corrupt frame.
 //
 // Before each shard_done and on exit, a worker may send purely
 // observational telemetry frames (enabled via the init frame's
@@ -27,8 +31,8 @@
 //   {"type":"trace_chunk", "events":[...], "dropped":D}
 //
 // The supervisor never feeds these into its reorder buffers, so outputs
-// stay bit-identical with telemetry on. With both off, a shard of n items
-// costs exactly n + 1 frames: one per item plus shard_done.
+// stay bit-identical with telemetry on. With both off, a shard costs one
+// run frame per flush plus shard_done.
 //
 // Items are evaluated and acked strictly in order within a shard. On an
 // ack_each shard that lets the supervisor identify the *suspect* (first

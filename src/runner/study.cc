@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <filesystem>
 #include <type_traits>
@@ -121,6 +122,32 @@ std::string StudyRowFingerprint(const Execution& e) {
                    static_cast<long long>(e.batch_size),
                    static_cast<long long>(e.pp_interleaving),
                    ToString(e.recompute));
+}
+
+// A resumed run compares every later row against the checkpoint's best
+// and writes it to its next checkpoint, so the best must be one of the
+// completed rows, as the study enumerates it, with a rate a feasible row
+// can have. Throws ConfigError naming the checkpoint's best otherwise.
+void CheckResumedBest(const std::string& path,
+                      const std::vector<Execution>& execs,
+                      const StudyRun& run) {
+  const StudyBest& best = run.best;
+  if (!best.found) return;
+  const std::string what =
+      "study: checkpoint " + path + " is corrupt: its best";
+  if (best.row >= run.csv_rows.size()) {
+    throw ConfigError(StrFormat(
+        "%s row %llu is not one of its %zu completed rows", what.c_str(),
+        static_cast<unsigned long long>(best.row), run.csv_rows.size()));
+  }
+  if (best.exec.ToJson().Dump() != execs[best.row].ToJson().Dump()) {
+    throw ConfigError(StrFormat("%s execution is not row %llu's", what.c_str(),
+                                static_cast<unsigned long long>(best.row)));
+  }
+  const double rate = best.sample_rate.raw();
+  if (!std::isfinite(rate) || rate <= 0.0) {
+    throw ConfigError(what + " sample rate is not a finite positive number");
+  }
 }
 
 }  // namespace
@@ -351,7 +378,7 @@ std::string Study::Fingerprint() const {
   return StrFormat("%016llx", static_cast<unsigned long long>(h));
 }
 
-StudyRowResult EvaluateStudyRow(const Study& study, const Execution& exec,
+StudyRowResult EvaluateStudyRow(StageTable& stages, const Execution& exec,
                                 std::uint64_t fault_key) {
   auto& faults = testing::FaultInjector::Global();
   const Result<Stats> r = [&]() -> Result<Stats> {
@@ -359,7 +386,7 @@ StudyRowResult EvaluateStudyRow(const Study& study, const Execution& exec,
       if (faults.enabled() && faults.MaybeInject(fault_key)) {
         return {Infeasible::kBadConfig, "injected fault"};
       }
-      return CalculatePerformance(study.application, exec, study.system);
+      return stages.Evaluate(exec);
     } catch (const std::exception& ex) {
       return {Infeasible::kBadConfig, std::string(ex.what())};
     }
@@ -390,6 +417,7 @@ StudyCommit::StudyCommit(const Study& study, const StudyRunOptions& options)
       if (run_.csv_rows.size() > execs_.size()) {
         throw ConfigError("study: checkpoint has more rows than the sweep");
       }
+      CheckResumedBest(checkpoint_path_, execs_, run_);
     }
   }
   run_.resumed_rows = run_.csv_rows.size();
@@ -445,11 +473,12 @@ StudyRun StudyCommit::Finish() {
 StudyRun Study::RunResilient(const StudyRunOptions& options) const {
   CALC_TRACE_SPAN("runner", "study");
   StudyCommit commit(*this, options);
+  StageTable stages(application, system);
   const std::vector<Execution>& execs = commit.rows();
   for (std::uint64_t i = commit.next_row(); i < execs.size(); ++i) {
     if (commit.ctx()->ShouldStop()) break;
     commit.Commit(
-        EvaluateStudyRow(*this, execs[i], options.fault_key_base + i));
+        EvaluateStudyRow(stages, execs[i], options.fault_key_base + i));
   }
   return commit.Finish();
 }

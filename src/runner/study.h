@@ -105,9 +105,10 @@ struct Study {
   [[nodiscard]] json::Value ToJson() const;
 
   // Evaluates the full cross product (infeasible rows included, with their
-  // reasons). With a RunContext, polls it between rows and returns the
-  // rows completed so far when the run is stopped; RunResilient() is the
-  // fault-isolated/checkpointed variant.
+  // reasons), each row by one-shot CalculatePerformance: the reference the
+  // tests hold RunResilient() to. With a RunContext, polls it between rows
+  // and returns the rows completed so far when the run is stopped;
+  // RunResilient() is the fault-isolated/checkpointed variant.
   [[nodiscard]] std::vector<StudyRow> Run(RunContext* ctx = nullptr) const;
 
   // The cross product in deterministic enumeration order (the order Run()
@@ -124,7 +125,8 @@ struct Study {
   // instead of aborting the sweep; cancellation, deadlines and failure
   // budgets stop early with the completed prefix intact. A run resumed
   // from a checkpoint produces byte-identical CSV and best-configuration
-  // output to an uninterrupted run.
+  // output to an uninterrupted run. The rows share one StageTable, so a
+  // row costs only the stages its inputs make new.
   [[nodiscard]] StudyRun RunResilient(const StudyRunOptions& options = {}) const;
 };
 
@@ -138,11 +140,12 @@ struct StudyRowResult {
   std::optional<std::string> bad_config;
 };
 
-// Evaluates one enumerated row with the fault-isolation discipline of
-// RunResilient: an injected error-fault or any thrown exception becomes an
-// Infeasible::kBadConfig row instead of propagating. The single row
+// Evaluates one enumerated row through the caller's StageTable, bound to
+// the study's application and system, with the fault-isolation discipline
+// of RunResilient: an injected error-fault or any thrown exception becomes
+// an Infeasible::kBadConfig row instead of propagating. The single row
 // evaluator of the in-process loop and the dist worker.
-[[nodiscard]] StudyRowResult EvaluateStudyRow(const Study& study,
+[[nodiscard]] StudyRowResult EvaluateStudyRow(StageTable& stages,
                                               const Execution& exec,
                                               std::uint64_t fault_key);
 
@@ -153,7 +156,9 @@ struct StudyRowResult {
 class StudyCommit {
  public:
   // Enumerates the study and, with options.resume, restores the
-  // checkpoint (ConfigError on a mismatched or oversized one).
+  // checkpoint (ConfigError on a mismatched or oversized one, or on a best
+  // row that is not one of its completed rows as enumerated, with a finite
+  // positive rate).
   StudyCommit(const Study& study, const StudyRunOptions& options);
 
   [[nodiscard]] const std::vector<Execution>& rows() const { return execs_; }

@@ -76,12 +76,14 @@ struct ProjectConfig {
   // evaluation function must also reach a poll call.
   std::vector<std::string> cancel_scope_prefixes = {
       "src/search/", "src/runner/", "src/analysis/"};
-  // The model's one-shot entry point and the stage entry points a sweep
-  // calls directly (core/perf_model.h).
+  // The model's one-shot entry point, the stage entry points a sweep
+  // calls directly, and StageTable::Evaluate, which a study row reaches
+  // through a table reference the call graph does not resolve
+  // (core/perf_model.h).
   std::set<std::string> eval_functions = {
       "CalculatePerformance", "PlaceExecution", "PlaceNetworks",
       "EvaluateBlock",        "CheckCapacity",  "EvaluatePartition",
-      "EvaluateCandidate"};
+      "EvaluateCandidate",    "Evaluate"};
   std::set<std::string> cancel_poll_calls = {"ShouldStop", "Cancelled",
                                              "cancelled", "CheckDeadline"};
 

@@ -1,10 +1,11 @@
 // Seeded mutation fuzzing of the code that reads untrusted bytes: the
 // JSON codec (spec files, checkpoint journals, worker frames), the worker
-// frame reader and the spec loaders. The corpus is the shipped configs
-// plus recorded study and exec-search item frames; bit flips, byte
-// inserts and deletes, truncations, splices and number-token swaps mutate
-// it. A fixed seed and iteration budget keep the test deterministic and
-// quick; the sanitizer jobs run it like every other test.
+// frame reader, the spec loaders and a study resumed from its checkpoint.
+// The corpus is the shipped configs plus recorded study and exec-search
+// run frames and a partial study checkpoint; bit flips, byte inserts and
+// deletes, truncations, splices and number-token swaps mutate it. A fixed
+// seed and iteration budget keep the test deterministic and quick; the
+// sanitizer jobs run it like every other test.
 //
 // The contract:
 //   * json::Parse returns a value or throws ConfigError;
@@ -15,7 +16,9 @@
 //   * a spec loader (Application, System, Execution, Study FromJson)
 //     returns a spec or throws ConfigError, and the model evaluates what
 //     it returns to a value or an infeasibility reason: never undefined
-//     behaviour, an abort or a hang.
+//     behaviour, an abort or a hang;
+//   * a study resumed from a checkpoint throws ConfigError, or completes
+//     with a best row that exists and is the row the study enumerates.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -24,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -68,19 +72,26 @@ class Rng {
   std::uint64_t state_;
 };
 
-// One "item" frame per result, as a worker writes it.
-void RecordItems(dist::Job& job, std::uint64_t count,
-                 std::vector<std::string>* frames) {
-  for (std::uint64_t i = 0; i < count && i < job.num_items(); ++i) {
-    json::Value item;
-    item["type"] = "item";
-    item["index"] = static_cast<std::int64_t>(i);
-    item["result"] = job.RunItem(i);
-    frames->push_back(item.Dump(0) + "\n");
+// "items" frames carrying the first `count` results, as a worker writes
+// them: runs of one result (a retried shard's), two and three in turn.
+void RecordRuns(dist::Job& job, std::uint64_t count,
+                std::vector<std::string>* frames) {
+  const std::uint64_t n = std::min(count, job.num_items());
+  for (std::uint64_t begin = 0, size = 1; begin < n;
+       begin += size, size = size % 3 + 1) {
+    json::Array results;
+    for (std::uint64_t i = begin; i < std::min(begin + size, n); ++i) {
+      results.push_back(job.RunItem(i));
+    }
+    json::Value run;
+    run["type"] = "items";
+    run["begin"] = static_cast<std::int64_t>(begin);
+    run["results"] = json::Value(std::move(results));
+    frames->push_back(run.Dump(0) + "\n");
   }
 }
 
-// Study and exec-search item frames, plus the frames around them.
+// Study and exec-search run frames, plus the frames around them.
 std::vector<std::string> RecordedFrames() {
   std::vector<std::string> frames = {
       "{\"type\": \"ready\"}\n",
@@ -96,7 +107,7 @@ std::vector<std::string> RecordedFrames() {
     "sweep": {"tensor_par": [1, 8], "pipeline_par": [1, 64],
               "data_par": "auto", "microbatch": [1, 4]}
   })")).ToJson();
-  RecordItems(*dist::MakeJob(study), 8, &frames);
+  RecordRuns(*dist::MakeJob(study), 8, &frames);
 
   presets::SystemOptions so;
   so.num_procs = 64;
@@ -111,7 +122,7 @@ std::vector<std::string> RecordedFrames() {
   config["keep_all_rates"] = true;
   config["keep_pareto"] = true;
   search["config"] = config;
-  RecordItems(*dist::MakeJob(search), 3, &frames);
+  RecordRuns(*dist::MakeJob(search), 3, &frames);
   return frames;
 }
 
@@ -342,8 +353,9 @@ TEST(CodecFuzz, DumpThenParseGivesBackEveryBit) {
 
 // Replaces one number token of `s` (outside strings and comments) with a
 // value byte flips rarely produce: zero, negatives, the edges of int32,
-// double-exact and int64 ranges, and huge and tiny magnitudes.
-std::string SwapNumber(std::string s, Rng& rng) {
+// double-exact and int64 ranges, and huge and tiny magnitudes; with
+// `overflow`, also 1e999, which parses to infinity.
+std::string SwapNumber(std::string s, Rng& rng, bool overflow = false) {
   static const char* const kValues[] = {
       "0",    "-1",    "1e-300", "0.5",
       "2147483648",           // 2^31
@@ -371,7 +383,8 @@ std::string SwapNumber(std::string s, Rng& rng) {
   }
   if (numbers.empty()) return s;
   const auto [at, size] = numbers[rng.Below(numbers.size())];
-  return s.replace(at, size, kValues[rng.Below(std::size(kValues))]);
+  const std::size_t k = rng.Below(std::size(kValues) + (overflow ? 1u : 0u));
+  return s.replace(at, size, k < std::size(kValues) ? kValues[k] : "1e999");
 }
 
 enum class SpecKind { kApplication, kSystem, kExecution, kStudy };
@@ -498,6 +511,90 @@ TEST(CodecFuzz, MutatedSpecsLoadAndEvaluateOrThrowConfigError) {
   }
   // Every loader let some mutants through to the model.
   for (int kind = 0; kind < 4; ++kind) EXPECT_GT(evaluated[kind], 0) << kind;
+}
+
+// --- Checkpoint journals ----------------------------------------------------
+
+// 16 rows, whose best is among the first 8.
+json::Value CheckpointStudySpec() {
+  return json::Parse(R"({
+    "application": "megatron_22b",
+    "system": "a100_80g",
+    "num_procs": 64,
+    "base_execution": {"batch_size": 64, "recompute": "full"},
+    "sweep": {"microbatch": [1, 2], "tensor_par": [8, 4, 2, 1],
+              "pipeline_par": [1, 2], "data_par": "auto"}
+  })");
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+TEST(CodecFuzz, MutatedCheckpointsResumeOrThrowConfigError) {
+  const Study study = Study::FromJson(CheckpointStudySpec());
+  const std::vector<Execution> rows = study.Enumerate();
+  ASSERT_EQ(rows.size(), 16u);
+  const StudyRun reference = study.RunResilient();
+  ASSERT_TRUE(reference.best.found);
+  ASSERT_LT(reference.best.row, 8u);
+
+  // The checkpoint of a run stopped after 8 of its 16 rows.
+  const std::string path =
+      ::testing::TempDir() + "calculon_fuzz_checkpoint.json";
+  StudyRunOptions partial;
+  partial.checkpoint_path = path;
+  partial.checkpoint_every = 8;
+  {
+    StudyCommit commit(study, partial);
+    StageTable stages(study.application, study.system);
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      commit.Commit(EvaluateStudyRow(stages, rows[i], i));
+    }
+  }
+  const std::string recorded = ReadText(path);
+  StudyRunOptions resume;
+  resume.checkpoint_path = path;
+  resume.resume = true;
+  {
+    const StudyRun resumed = study.RunResilient(resume);  // the seed resumes
+    EXPECT_EQ(resumed.resumed_rows, 8u);
+    EXPECT_EQ(resumed.Csv(), reference.Csv());
+    EXPECT_EQ(resumed.best.row, reference.best.row);
+  }
+
+  Rng rng(53);
+  int completed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1500; ++i) {
+    std::string text = recorded;
+    if (rng.Below(4) == 0) text = Mutate(text, recorded, rng);
+    for (std::size_t n = 1 + rng.Below(3); n > 0; --n) {
+      text = SwapNumber(text, rng, /*overflow=*/true);
+    }
+    WriteText(path, text);
+    try {
+      const StudyRun run = study.RunResilient(resume);
+      ++completed;
+      if (run.best.found) {
+        ASSERT_LT(run.best.row, rows.size()) << text;
+        EXPECT_EQ(run.best.exec.ToJson().Dump(),
+                  rows[run.best.row].ToJson().Dump())
+            << text;
+      }
+    } catch (const ConfigError&) {
+      ++rejected;  // a checkpoint the resume refuses
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(completed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -19,6 +20,7 @@
 
 #include "analysis/audit.h"
 #include "dist/drivers.h"
+#include "dist/jobs.h"
 #include "dist/supervisor.h"
 #include "dist/wire.h"
 #include "dist/worker.h"
@@ -565,16 +567,51 @@ TEST(DistSupervisor, SupervisedCollectorsMatchInProcessExactly) {
   EXPECT_EQ(supervised.all_rates.size(), supervised.feasible);
 }
 
-TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerItem) {
+json::Value StudyJobSpec(const Study& study) {
+  json::Value spec;
+  spec["job"] = "study";
+  spec["spec"] = study.ToJson();
+  spec["fault_key_base"] = 0;
+  return spec;
+}
+
+// Checks a worker's answer to the shard [0, n) of the job `spec`: ready,
+// then run frames whose results are items 0 .. n-1 in order, each as the
+// job evaluates it in this process, then shard_done. Returns the run
+// sizes.
+std::vector<std::size_t> ExpectRunsCoverTheShard(
+    const json::Value& spec, const std::vector<json::Value>& frames,
+    std::uint64_t n) {
+  std::vector<std::size_t> runs;
+  EXPECT_GE(frames.size(), 2u);
+  if (frames.size() < 2) return runs;
+  EXPECT_EQ(frames.front().GetString("type", ""), "ready");
+  EXPECT_EQ(frames.back().GetString("type", ""), "shard_done");
+  const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
+  std::uint64_t next = 0;
+  for (std::size_t f = 1; f + 1 < frames.size(); ++f) {
+    const json::Value& frame = frames[f];
+    EXPECT_EQ(frame.GetString("type", ""), "items") << "frame " << f;
+    EXPECT_EQ(frame.GetInt("begin", -1), static_cast<std::int64_t>(next));
+    const json::Array& results = frame.at("results").AsArray();
+    EXPECT_FALSE(results.empty()) << "frame " << f;
+    runs.push_back(results.size());
+    for (const json::Value& result : results) {
+      EXPECT_EQ(result.Dump(), job->RunItem(next).Dump()) << "item " << next;
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, n);
+  return runs;
+}
+
+TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
   if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
   ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t n = study.Enumerate().size();
-  json::Value spec;
-  spec["job"] = "study";
-  spec["spec"] = study.ToJson();
-  spec["fault_key_base"] = 0;
+  const json::Value spec = StudyJobSpec(study);
 
   int cmd[2];  // test writes commands, worker reads
   int res[2];  // worker writes frames, test reads
@@ -601,34 +638,26 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerItem) {
   EXPECT_TRUE(writer.WriteFrame(exit_frame));
   ::close(cmd[1]);
 
-  std::vector<std::string> types;
+  std::vector<json::Value> frames;
   dist::FrameReader reader(res[0]);
   json::Value frame;
-  while (reader.ReadFrameBlocking(&frame)) {
-    types.push_back(frame.GetString("type", ""));
-  }
+  while (reader.ReadFrameBlocking(&frame)) frames.push_back(frame);
   ::close(res[0]);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 
-  // With metrics and trace off, the result stream is all there is.
-  std::vector<std::string> expected = {"ready"};
-  expected.insert(expected.end(), n, "item");
-  expected.push_back("shard_done");
-  EXPECT_EQ(types, expected);
+  // With metrics and trace off, the result stream is all there is: one
+  // run frame per flush, then shard_done.
+  ExpectRunsCoverTheShard(spec, frames, n);
 }
 
 // Runs a study worker over [0, n) as one shard and counts the write()s
 // that reach the reader for it: the result socket keeps message
 // boundaries, so each write() arrives as one record. Returns the record
-// count after the ready frame; `frames` receives every frame type.
-std::size_t ShardWrites(const Study& study, bool ack_each,
-                        std::vector<std::string>* frames) {
-  json::Value spec;
-  spec["job"] = "study";
-  spec["spec"] = study.ToJson();
-  spec["fault_key_base"] = 0;
+// count after the ready frame; `frames` receives every frame.
+std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
+                        bool ack_each, std::vector<json::Value>* frames) {
   int cmd[2];  // test writes commands, worker reads
   int res[2];  // worker writes records, test reads
   EXPECT_EQ(::pipe(cmd), 0);
@@ -645,7 +674,7 @@ std::size_t ShardWrites(const Study& study, bool ack_each,
   json::Value shard;
   shard["type"] = "shard";
   shard["begin"] = 0;
-  shard["end"] = static_cast<std::int64_t>(study.Enumerate().size());
+  shard["end"] = static_cast<std::int64_t>(n);
   if (ack_each) shard["ack_each"] = true;
   json::Value exit_frame;
   exit_frame["type"] = "exit";
@@ -659,10 +688,10 @@ std::size_t ShardWrites(const Study& study, bool ack_each,
   std::string stream;
   std::size_t records = 0;
   for (;;) {
-    const ssize_t n = ::recv(res[0], record.data(), record.size(), 0);
-    if (n <= 0) break;
+    const ssize_t got = ::recv(res[0], record.data(), record.size(), 0);
+    if (got <= 0) break;
     ++records;
-    stream.append(record.data(), static_cast<std::size_t>(n));
+    stream.append(record.data(), static_cast<std::size_t>(got));
   }
   ::close(res[0]);
   int status = 0;
@@ -671,9 +700,8 @@ std::size_t ShardWrites(const Study& study, bool ack_each,
   std::size_t start = 0;
   for (std::size_t nl; (nl = stream.find('\n', start)) != std::string::npos;
        start = nl + 1) {
-    frames->push_back(json::Parse(std::string_view(stream).substr(
-                                      start, nl - start))
-                          .GetString("type", ""));
+    frames->push_back(
+        json::Parse(std::string_view(stream).substr(start, nl - start)));
   }
   EXPECT_EQ(start, stream.size()) << "a partial frame at the end";
   return records - 1;
@@ -684,23 +712,26 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
   ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
   ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
   const Study study = Study::FromJson(SmallStudySpec());
-  const std::size_t n = study.Enumerate().size();
-  std::vector<std::string> expected = {"ready"};
-  expected.insert(expected.end(), n, "item");
-  expected.push_back("shard_done");
+  const std::uint64_t n = study.Enumerate().size();
+  const json::Value spec = StudyJobSpec(study);
 
-  // A fresh shard: its items leave in batches (one per 1 ms at most),
-  // with shard_done riding the last one.
-  std::vector<std::string> frames;
-  const std::size_t coalesced = ShardWrites(study, false, &frames);
-  EXPECT_EQ(frames, expected);
+  // A fresh shard: each write (one per 1 ms at most) carries one run of
+  // the results finished since the last, and shard_done rides the last.
+  std::vector<json::Value> frames;
+  const std::size_t coalesced = ShardWrites(spec, n, false, &frames);
+  const std::vector<std::size_t> runs =
+      ExpectRunsCoverTheShard(spec, frames, n);
   EXPECT_GE(coalesced, 1u);
   EXPECT_LT(coalesced, n);
+  EXPECT_LE(runs.size(), coalesced);
+  EXPECT_GE(runs.size() + 1, coalesced);
 
-  // A retried shard: one write per item, then one for shard_done.
+  // A retried shard: one write per item, each a run of one result, then
+  // one for shard_done.
   frames.clear();
-  EXPECT_EQ(ShardWrites(study, true, &frames), n + 1);
-  EXPECT_EQ(frames, expected);
+  EXPECT_EQ(ShardWrites(spec, n, true, &frames), n + 1);
+  EXPECT_EQ(ExpectRunsCoverTheShard(spec, frames, n),
+            std::vector<std::size_t>(n, 1));
 }
 
 TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {

@@ -11,8 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "hw/presets.h"
 #include "models/presets.h"
@@ -180,6 +182,76 @@ TEST_F(ResilienceTest, ResumeRejectsACheckpointFromADifferentStudy) {
   StudyRunOptions no_path;
   no_path.resume = true;
   EXPECT_THROW((void)study.RunResilient(no_path), ConfigError);
+
+  std::remove(path.c_str());
+}
+
+// The resumed run compares every later row with the checkpoint's best and
+// writes it to its next checkpoint, so a best that is not one of the
+// completed rows, as enumerated, with a finite positive rate, is corrupt.
+TEST_F(ResilienceTest, ResumeRejectsACorruptCheckpointBest) {
+  // 16 rows on 64 GPUs, with feasible rows among the first 8.
+  const Study study = Study::FromJson(json::Parse(R"({
+    "application": "megatron_22b",
+    "system": "a100_80g",
+    "num_procs": 64,
+    "base_execution": {"batch_size": 64, "recompute": "full"},
+    "sweep": {"microbatch": [1, 2], "tensor_par": [8, 4, 2, 1],
+              "pipeline_par": [1, 2], "data_par": "auto"}
+  })"));
+  const std::vector<Execution> rows = study.Enumerate();
+  ASSERT_EQ(rows.size(), 16u);
+  const std::string path = TempPath("study_bad_best");
+  std::remove(path.c_str());
+  // The checkpoint of a run stopped after 8 rows.
+  StudyRunOptions partial;
+  partial.checkpoint_path = path;
+  partial.checkpoint_every = 8;
+  {
+    StudyCommit commit(study, partial);
+    StageTable stages(study.application, study.system);
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      commit.Commit(EvaluateStudyRow(stages, rows[i], i));
+    }
+  }
+  const json::Value checkpoint = json::ParseFile(path);
+  const json::Value& best = checkpoint.at("best");
+  ASSERT_TRUE(best.GetBool("found", false));
+  const std::int64_t best_row = best.at("row").AsInt();
+  ASSERT_LT(best_row, 8);
+
+  StudyRunOptions resume;
+  resume.checkpoint_path = path;
+  resume.resume = true;
+  auto expect_rejected = [&](const std::string& text, const char* what) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << text;
+    }
+    try {
+      (void)study.RunResilient(resume);
+      ADD_FAILURE() << what << ": the resume accepted the checkpoint";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("its best"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  auto with_best = [&](const json::Value& row, const json::Value& rate) {
+    json::Value edited = checkpoint;
+    edited["best"]["row"] = row;
+    edited["best"]["sample_rate"] = rate;
+    return edited.Dump(2);
+  };
+  // 1e999 parses to infinity, which no checkpoint write can serialize.
+  std::string infinite = with_best(best_row, 7777777.5);
+  infinite.replace(infinite.find("7777777.5"), 9, "1e999");
+  expect_rejected(infinite, "an infinite rate");
+  expect_rejected(with_best(99999, 1e30), "a row past the watermark");
+  expect_rejected(with_best(-1, -5.0), "a negative row and rate");
+  json::Value moved = checkpoint;
+  moved["best"]["execution"] =
+      rows[static_cast<std::size_t>(best_row + 1) % 8].ToJson();
+  expect_rejected(moved.Dump(2), "another row's execution");
 
   std::remove(path.c_str());
 }

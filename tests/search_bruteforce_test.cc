@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/perf_model.h"
 #include "hw/presets.h"
@@ -81,9 +83,10 @@ TEST(SearchBruteForce, MatchesNaiveEnumeration) {
 // SweepTriple is the search's fast path; one-shot CalculatePerformance is
 // the reference. Over seeded random draws of (application, system,
 // sub-space, triple) the sweep must return exactly what a naive loop of
-// one-shot evaluations feeding InsertTopK returns, to the last bit. A
-// pinned digest of the one-shot results keeps the reference itself from
-// drifting.
+// one-shot evaluations feeding InsertTopK returns, to the last bit, and a
+// StageTable (the study runner's evaluator) must return each candidate's
+// one-shot result. A pinned digest of the one-shot results keeps the
+// reference itself from drifting.
 
 // Portable draws: mt19937_64's output sequence is fixed by the standard,
 // unlike the std distributions.
@@ -209,11 +212,25 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// Feeds one one-shot result of `exec` to the digest. A feasible result
-// must also stay under the sample-rate ceiling the system search prunes
-// with (docs/MODEL.md §11).
-void AddResult(Fnv1a& digest, const Application& app, const System& sys,
-               const Execution& exec, const Result<Stats>& r) {
+// A result as the digest records it: every Stats field, or the reason
+// and its detail.
+std::string ResultText(const Result<Stats>& r) {
+  return r.ok() ? DumpStats(r.value())
+                : std::string(ToString(r.reason())) + "|" + r.detail();
+}
+
+// A candidate and the text of its one-shot result.
+struct OneShot {
+  Execution exec;
+  std::string result;
+};
+
+// Feeds one one-shot result of `exec` to the digest and returns its text.
+// A feasible result must also stay under the sample-rate ceiling the
+// system search prunes with (docs/MODEL.md §11).
+std::string AddResult(Fnv1a& digest, const Application& app,
+                      const System& sys, const Execution& exec,
+                      const Result<Stats>& r) {
   if (r.ok()) {
     EXPECT_LE(r.value().sample_rate.raw(),
               SampleRateCeiling(app, sys.proc(), sys.num_procs(),
@@ -221,16 +238,21 @@ void AddResult(Fnv1a& digest, const Application& app, const System& sys,
                   .raw())
         << app.name << ": " << exec.ToJson().Dump();
   }
-  digest.Add(r.ok() ? DumpStats(r.value())
-                    : std::string(ToString(r.reason())) + "|" + r.detail());
+  std::string text = ResultText(r);
+  digest.Add(text);
+  return text;
 }
 
 // The naive reference for one triple: SweepTripleInto's loop nest written
 // out, each candidate evaluated one-shot and fed to the collectors in
 // order. Every fourth candidate also feeds the digest an inference twin.
+// `oneshots` receives every candidate the digest saw with its result, and
+// for every sixteenth candidate a twin that differs only in
+// datatype_bytes, which no sweep varies, kept out of the digest.
 TripleSweep NaiveSweep(const Application& app, const System& sys,
                        const SearchSpace& space, const SearchConfig& config,
-                       Triple tr, Fnv1a& digest) {
+                       Triple tr, Fnv1a& digest,
+                       std::vector<OneShot>* oneshots) {
   TripleSweep out;
   out.rejected.assign(static_cast<std::size_t>(Infeasible::kBadConfig) + 1,
                       0);
@@ -297,7 +319,8 @@ TripleSweep NaiveSweep(const Application& app, const System& sys,
                         ++out.evaluated;
                         const Result<Stats> r =
                             CalculatePerformance(app, e, sys);
-                        AddResult(digest, app, sys, e, r);
+                        oneshots->push_back(
+                            {e, AddResult(digest, app, sys, e, r)});
                         if (out.evaluated % 4 == 0) {
                           // Inference, with and without the training-only
                           // options the model rejects for it.
@@ -309,8 +332,18 @@ TripleSweep NaiveSweep(const Application& app, const System& sys,
                             inf.dp_overlap = false;
                             inf.optimizer_offload = false;
                           }
-                          AddResult(digest, app, sys, inf,
-                                    CalculatePerformance(app, inf, sys));
+                          oneshots->push_back(
+                              {inf, AddResult(digest, app, sys, inf,
+                                              CalculatePerformance(
+                                                  app, inf, sys))});
+                        }
+                        if (out.evaluated % 16 == 0) {
+                          Execution wide = e;
+                          wide.datatype_bytes =
+                              out.evaluated % 32 == 0 ? 4 : 1;
+                          oneshots->push_back(
+                              {wide, ResultText(CalculatePerformance(
+                                         app, wide, sys))});
                         }
                         if (!r.ok()) {
                           ++out.rejected[static_cast<std::size_t>(
@@ -392,14 +425,28 @@ TEST(SearchBruteForce, SweepTripleMatchesOneShotReferenceOnRandomDraws) {
     ++draws;
     if (sys.proc().mem2.present()) ++tier2_draws;
 
+    std::vector<OneShot> oneshots;
     const TripleSweep naive =
-        NaiveSweep(app, sys, space, config, tr, digest);
+        NaiveSweep(app, sys, space, config, tr, digest, &oneshots);
     const TripleSweep fast = SweepTriple(app, sys, space, config, index);
     const std::string where =
         "draw " + std::to_string(draws) + ": " + app.name + " on " +
         std::to_string(sys.num_procs()) + " procs, t=" +
         std::to_string(tr.t) + " p=" + std::to_string(tr.p) +
         " d=" + std::to_string(tr.d) + ", space " + space.ToJson().Dump();
+
+    // The same candidates through one StageTable, in a shuffled order, so
+    // its entries are reused across loop levels in every direction. The
+    // shuffle draws from its own generator: the draws above stay pinned.
+    Rng order(static_cast<std::uint64_t>(draws));
+    for (std::size_t i = oneshots.size(); i > 1; --i) {
+      std::swap(oneshots[i - 1], oneshots[order.Below(i)]);
+    }
+    StageTable stages(app, sys);
+    for (const OneShot& c : oneshots) {
+      ASSERT_EQ(ResultText(stages.Evaluate(c.exec)), c.result)
+          << where << ", candidate " << c.exec.ToJson().Dump();
+    }
     ASSERT_EQ(naive.evaluated, count) << where;
     ASSERT_EQ(fast.evaluated, naive.evaluated) << where;
     ASSERT_EQ(fast.feasible, naive.feasible) << where;

@@ -96,26 +96,21 @@ TEST(SelfCleanTest, SeededViolationIsDetected) {
   EXPECT_TRUE(saw_guard);
 }
 
-TEST(SelfCleanTest, SweepLoopWithoutItsPollIsFlagged) {
-  // cancellation-poll finds evaluation loops through calls that reach
-  // eval_functions. The exec-search sweep calls the model's stage
-  // functions, not CalculatePerformance, so only their configured names
-  // keep the rule on it: drop the sweep's ShouldStop poll from the real
-  // source and the sweep loop must be flagged.
-  const std::string path = "src/search/exec_search.cc";
-  const std::string poll = "if (ctx != nullptr && ctx->ShouldStop()) return;";
-  const std::string loop = "for (std::int64_t m : microbatches) {";
+// Drops `poll` from the real source at `path` and expects cancellation-poll
+// to flag exactly the loop that starts with `loop`.
+void ExpectLoopFlaggedWithoutItsPoll(const std::string& path,
+                                     const std::string& poll,
+                                     const std::string& loop) {
   std::vector<SourceFile> files = RepoTree();
   int loop_line = 0;
   for (SourceFile& f : files) {
     if (f.path != path) continue;
     std::string text = f.text;
     const std::size_t at = text.find(poll);
-    ASSERT_NE(at, std::string::npos) << "the sweep's poll is not in " << path;
+    ASSERT_NE(at, std::string::npos) << "the loop's poll is not in " << path;
     text.erase(at, poll.size());
     const std::size_t loop_at = text.find(loop);
-    ASSERT_NE(loop_at, std::string::npos)
-        << "the sweep loop is not in " << path;
+    ASSERT_NE(loop_at, std::string::npos) << "the loop is not in " << path;
     loop_line = 1 + static_cast<int>(std::count(
                         text.begin(),
                         text.begin() + static_cast<std::ptrdiff_t>(loop_at),
@@ -132,6 +127,27 @@ TEST(SelfCleanTest, SweepLoopWithoutItsPollIsFlagged) {
     if (d.path == path) lines.push_back(d.line);
   }
   EXPECT_EQ(lines, std::vector<int>{loop_line});
+}
+
+TEST(SelfCleanTest, SweepLoopWithoutItsPollIsFlagged) {
+  // cancellation-poll finds evaluation loops through calls that reach
+  // eval_functions. The exec-search sweep calls the model's stage
+  // functions, not CalculatePerformance, so only their configured names
+  // keep the rule on it: drop the sweep's ShouldStop poll from the real
+  // source and the sweep loop must be flagged.
+  ExpectLoopFlaggedWithoutItsPoll(
+      "src/search/exec_search.cc",
+      "if (ctx != nullptr && ctx->ShouldStop()) return;",
+      "for (std::int64_t m : microbatches) {");
+}
+
+TEST(SelfCleanTest, StudyLoopWithoutItsPollIsFlagged) {
+  // A study row reaches the model through StageTable::Evaluate on a table
+  // reference, which the call graph does not resolve; its configured name
+  // keeps the rule on the study loop.
+  ExpectLoopFlaggedWithoutItsPoll(
+      "src/runner/study.cc", "if (commit.ctx()->ShouldStop()) break;",
+      "for (std::uint64_t i = commit.next_row(); i < execs.size(); ++i) {");
 }
 
 TEST(SarifTest, DocumentIsWellFormed) {

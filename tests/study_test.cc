@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "dist/drivers.h"
+#include "hw/presets.h"
+#include "models/presets.h"
 #include "runner/study.h"
 #include "util/strings.h"
+#include "util/units.h"
 
 namespace calculon {
 namespace {
@@ -177,6 +184,200 @@ TEST(Study, DefaultsWithoutBaseExecution) {
   const auto rows = Study::FromJson(spec).Run();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].exec.batch_size, 16);  // defaults to num_procs
+}
+
+// --- Random studies ---------------------------------------------------------
+//
+// RunResilient evaluates its rows through one StageTable, in the order the
+// study enumerates them; Run() evaluates each row one-shot. Over seeded
+// random studies the two must give the same CSV, byte for byte, and the
+// same best row with a bit-equal rate, in process and under supervision.
+
+// Portable draws: mt19937_64's output sequence is fixed by the standard.
+class Rng {
+ public:
+  explicit Rng(std::uint64_t seed) : gen_(seed) {}
+  std::uint64_t Below(std::uint64_t n) { return gen_() % n; }
+  bool Coin() { return Below(2) == 1; }
+  template <typename T>
+  T Pick(std::initializer_list<T> items) {
+    return *(items.begin() + Below(items.size()));
+  }
+
+ private:
+  std::mt19937_64 gen_;
+};
+
+// The fields a study sweeps.
+constexpr const char* kSweepFields[] = {
+    "tensor_par",         "pipeline_par",       "data_par",
+    "microbatch",         "batch_size",         "pp_interleaving",
+    "recompute",          "tp_overlap",         "training",
+    "fused_activation",   "pp_1f1b",            "pp_rs_ag",
+    "tp_rs_ag",           "seq_par",            "seq_par_ag_redo",
+    "dp_overlap",         "optimizer_sharding", "weight_offload",
+    "activation_offload", "optimizer_offload"};
+
+// One to three values of `field`, repeats allowed.
+json::Value RandomAxis(const std::string& field, std::int64_t procs,
+                       Rng& rng) {
+  json::Array values(1 + rng.Below(3));
+  for (json::Value& v : values) {
+    if (field == "tensor_par" || field == "pipeline_par" ||
+        field == "data_par") {
+      v = rng.Pick<std::int64_t>({1, 2, 4, 8});
+    } else if (field == "microbatch") {
+      v = rng.Pick<std::int64_t>({1, 2, 4});
+    } else if (field == "batch_size") {
+      v = procs * rng.Pick<std::int64_t>({1, 2, 4});
+    } else if (field == "pp_interleaving") {
+      v = rng.Pick<std::int64_t>({1, 2, 3});
+    } else if (field == "recompute") {
+      v = rng.Pick<const char*>({"none", "attn", "full"});
+    } else if (field == "tp_overlap") {
+      v = rng.Pick<const char*>({"none", "pipe", "ring"});
+    } else {
+      v = rng.Below(3) == 0;  // an option on is more often ruled out
+    }
+  }
+  return json::Value(std::move(values));
+}
+
+System RandomStudySystem(Rng& rng, bool tier2) {
+  presets::SystemOptions o;
+  o.num_procs = rng.Pick<std::int64_t>({8, 16, 32, 64});
+  o.hbm_capacity = GiB(rng.Pick<double>({40.0, 80.0}));
+  if (tier2) {
+    o.offload_capacity = GiB(rng.Pick<double>({64.0, 512.0}));
+    o.offload_bandwidth = BytesPerSecond(rng.Pick<double>({25e9, 100e9}));
+  }
+  return rng.Coin() ? presets::A100(o) : presets::H100(o);
+}
+
+// A study of `app` on a random system: a base execution whose degrees
+// cover the processors and whose options are random, a random subset of
+// the sweepable fields (at most `max_rows` rows), and sometimes one
+// "auto" parallelism axis.
+json::Value RandomStudySpec(const std::string& app, bool tier2,
+                            std::uint64_t max_rows, Rng& rng) {
+  const System sys = RandomStudySystem(rng, tier2);
+  const std::int64_t procs = sys.num_procs();
+  json::Value base;
+  const std::int64_t t = rng.Pick<std::int64_t>({1, 2, 4, 8});
+  const std::int64_t p = rng.Pick<std::int64_t>({1, 2, 4});
+  base["tensor_par"] = t;
+  base["pipeline_par"] = p;
+  base["data_par"] = procs / (t * p);
+  base["batch_size"] = procs * rng.Pick<std::int64_t>({1, 2, 4});
+  base["microbatch"] = rng.Pick<std::int64_t>({1, 2});
+  // Options the base degrees allow, mostly: a swept field may still
+  // pair them with degrees or options that rule them out.
+  const bool training = rng.Below(5) != 0;
+  base["training"] = training;
+  base["recompute"] =
+      training ? rng.Pick<const char*>({"none", "attn", "full"}) : "none";
+  const std::uint64_t tp_comm = t > 1 ? rng.Below(4) : 0;
+  base["tp_rs_ag"] = tp_comm > 0;
+  base["seq_par"] = tp_comm > 1;
+  base["seq_par_ag_redo"] = tp_comm > 2;
+  base["tp_overlap"] =
+      t > 1 ? rng.Pick<const char*>({"none", "pipe", "ring"}) : "none";
+  base["fused_activation"] = rng.Coin();
+  base["pp_1f1b"] = rng.Coin();
+  base["pp_rs_ag"] = t > 1 && p > 1 && rng.Coin();
+  const bool dp = training && procs / (t * p) > 1;
+  base["dp_overlap"] = dp && rng.Coin();
+  base["optimizer_sharding"] = dp && rng.Coin();
+  base["weight_offload"] = tier2 && rng.Below(3) == 0;
+  base["activation_offload"] = tier2 && rng.Below(3) == 0;
+  base["optimizer_offload"] = tier2 && training && rng.Below(3) == 0;
+
+  json::Value sweep = json::Value(json::Object{});
+  std::uint64_t rows = 1;
+  for (const char* field : kSweepFields) {
+    if (rng.Below(3) != 0) continue;
+    const json::Value axis = RandomAxis(field, procs, rng);
+    if (rows * axis.AsArray().size() > max_rows) continue;
+    rows *= axis.AsArray().size();
+    sweep[field] = axis;
+  }
+  if (rng.Below(4) != 0) {
+    const char* derived =
+        rng.Pick<const char*>({"tensor_par", "pipeline_par", "data_par"});
+    sweep[derived] = "auto";
+  }
+  json::Value spec;
+  spec["application"] = app;
+  spec["system"] = sys.ToJson();
+  spec["base_execution"] = base;
+  spec["sweep"] = sweep;
+  return spec;
+}
+
+TEST(Study, RandomStudiesThroughTheStageTableMatchTheOneShotRunner) {
+  const std::vector<std::string> apps = presets::ApplicationNames();
+  ASSERT_EQ(apps.size(), 11u);
+  Rng rng(20261017);
+  std::uint64_t rows = 0;
+  std::uint64_t feasible = 0;
+  int supervised = 0;
+  for (int draw = 0; draw < 660; ++draw) {
+    const bool tier2 = draw % 2 == 1;
+    const json::Value spec = RandomStudySpec(
+        apps[static_cast<std::size_t>(draw / 2) % apps.size()], tier2, 2000,
+        rng);
+    const Study study = Study::FromJson(spec);
+    const std::string where =
+        "draw " + std::to_string(draw) + ": " + spec.Dump();
+    const std::vector<StudyRow> reference = study.Run();
+    const StudyRun run = study.RunResilient();
+    ASSERT_EQ(run.Csv(), StudyCsv(study, reference)) << where;
+
+    // The best row of the one-shot rows: ties keep the earliest.
+    bool found = false;
+    std::uint64_t best_row = 0;
+    double best_rate = 0.0;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      if (!reference[i].result.ok()) continue;
+      ++feasible;
+      const double rate = reference[i].result.value().sample_rate.raw();
+      if (rate > best_rate) {
+        found = true;
+        best_row = i;
+        best_rate = rate;
+      }
+    }
+    rows += reference.size();
+    ASSERT_EQ(run.best.found, found) << where;
+    if (found) {
+      EXPECT_EQ(run.best.row, best_row) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(run.best.sample_rate.raw()),
+                std::bit_cast<std::uint64_t>(best_rate))
+          << where;
+    }
+
+    if (draw % 31 != 7 || !dist::ForkAvailable()) continue;
+    for (const std::uint64_t shard_size :
+         {std::uint64_t{1}, std::uint64_t{7}}) {
+      dist::DistOptions d;
+      d.workers = 2;
+      d.shard_size = shard_size;
+      const StudyRun sup = dist::RunStudySupervised(study, {}, d);
+      ++supervised;
+      ASSERT_EQ(sup.Csv(), run.Csv()) << where << ", shard " << shard_size;
+      EXPECT_EQ(sup.best.found, run.best.found) << where;
+      EXPECT_EQ(sup.best.row, run.best.row) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sup.best.sample_rate.raw()),
+                std::bit_cast<std::uint64_t>(run.best.sample_rate.raw()))
+          << where;
+    }
+  }
+  // Enough rows reach the candidate stage to exercise the table.
+  EXPECT_GT(rows, 50'000u);
+  EXPECT_GT(feasible, 2'000u);
+  if (dist::ForkAvailable()) {
+    EXPECT_GE(supervised, 8);
+  }
 }
 
 }  // namespace
