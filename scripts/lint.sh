@@ -111,10 +111,12 @@ fi
 # The project lint engine (src/staticlint/, docs/correctness.md §6) owns
 # the project-aware checks that used to live here as greps: the layering
 # DAG, the Quantity::raw() boundary, the raw-double dimensional scan of
-# src/hw and src/core headers, banned patterns, and header hygiene, plus
-# the fork-safety / cancellation / hot-path call-graph rules. It does not
-# check the CALC_* lock annotations (Clang -Wthread-safety in CI does) or
-# discarded Result<T> values (the compiler does, via [[nodiscard]]). It
+# src/hw and src/core headers, banned patterns (including calls in a
+# fork() child), and header hygiene. It does not check the CALC_* lock
+# annotations (Clang -Wthread-safety in CI does), discarded Result<T>
+# values (the compiler does, via [[nodiscard]]), cancellation polls or
+# sweep allocations (ctest does, in cancellation_test and
+# sweep_alloc_test). It
 # exits non-zero on any finding not in the checked-in baseline
 # (.calculon-lint-baseline, which is kept empty).
 #

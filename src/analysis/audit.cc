@@ -354,7 +354,7 @@ void AuditBundle(const Application& app, const System& sys,
   std::optional<Stats> by_mode[3];
   Execution exec_of[3];
   // The outer sweep polls RunContext between bundles; this trio is bounded.
-  for (int i = 0; i < 3; ++i) {  // lint-ok(cancellation-poll): bounded trio
+  for (int i = 0; i < 3; ++i) {  // a bounded trio: no poll
     Execution e = base;
     e.recompute = modes[i];
     exec_of[i] = e;

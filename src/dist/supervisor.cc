@@ -305,13 +305,15 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
   // Anything that formats or allocates happens before the fork: between
   // fork() and _exit() the child may only use async-signal-safe calls
   // (another of the parent's threads could hold the heap or stdio lock at
-  // the instant of the fork, and the child would deadlock on it).
+  // the instant of the fork, and the child would deadlock on it). The
+  // fork-safety lint rule holds the child block to ::-qualified calls.
   std::string log_path;
   if (!pool.options.worker_log_dir.empty()) {
     log_path =
         StrFormat("%s/worker-%d.log", pool.options.worker_log_dir.c_str(),
                   static_cast<int>(index));
   }
+  const char* const log_file = log_path.empty() ? nullptr : log_path.c_str();
   const pid_t pid = ::fork();
   if (pid == -1) {
     ::close(cmd[0]);
@@ -330,9 +332,8 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
       if (other.cmd_fd != -1) ::close(other.cmd_fd);
       if (other.res_fd != -1) ::close(other.res_fd);
     }
-    if (!log_path.empty()) {
-      const int log_fd =
-          ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (log_file != nullptr) {
+      const int log_fd = ::open(log_file, O_WRONLY | O_CREAT | O_APPEND, 0644);
       if (log_fd != -1) {
         ::dup2(log_fd, 2);
         ::close(log_fd);

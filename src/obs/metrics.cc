@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <new>
 #include <utility>
 
@@ -40,6 +41,26 @@ namespace {
   return bounds.empty() ? 0.0 : bounds.back();
 }
 
+// The bucket-layout rule every histogram obeys, whether built here or
+// decoded from a worker's snapshot.
+[[nodiscard]] bool StrictlyAscending(const std::vector<double>& bounds) {
+  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+    if (!(bounds[i] < bounds[i + 1])) return false;
+  }
+  return true;
+}
+
+// A number a snapshot may carry. Dump() refuses non-finite numbers, so no
+// worker can have written one, and a registry holding one could not be
+// exported.
+[[nodiscard]] double FiniteNumber(const json::Value& v, const char* what) {
+  const double x = v.AsDouble();
+  if (!std::isfinite(x)) {
+    throw ConfigError(StrFormat("metrics snapshot: %s is not finite", what));
+  }
+  return x;
+}
+
 // The installed ThreadPool hook: a counter track in the trace and a gauge
 // in the metrics registry. Both sinks check their own enabled state, so
 // the hook can stay installed once either subsystem has been turned on.
@@ -62,10 +83,8 @@ Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
       buckets_(
           std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1)) {
-  for (std::size_t i = 0; i + 1 < bounds_.size(); ++i) {
-    if (bounds_[i] >= bounds_[i + 1]) {
-      throw ConfigError("Histogram bounds must be strictly ascending");
-    }
+  if (!StrictlyAscending(bounds_)) {
+    throw ConfigError("Histogram bounds must be strictly ascending");
   }
 }
 
@@ -187,9 +206,9 @@ HistogramSnapshot HistogramSnapshot::FromJson(const json::Value& v) {
   }
   HistogramSnapshot snapshot;
   snapshot.count = static_cast<std::uint64_t>(v.at("count").AsInt());
-  snapshot.sum = v.at("sum").AsDouble();
+  snapshot.sum = FiniteNumber(v.at("sum"), "a histogram sum");
   for (const json::Value& bound : v.at("bounds").AsArray()) {
-    snapshot.bounds.push_back(bound.AsDouble());
+    snapshot.bounds.push_back(FiniteNumber(bound, "a histogram bound"));
   }
   for (const json::Value& n : v.at("bucket_counts").AsArray()) {
     snapshot.bucket_counts.push_back(static_cast<std::uint64_t>(n.AsInt()));
@@ -198,6 +217,10 @@ HistogramSnapshot HistogramSnapshot::FromJson(const json::Value& v) {
     throw ConfigError(
         "HistogramSnapshot::FromJson: bucket_counts must have bounds + 1 "
         "entries (the last is the overflow bucket)");
+  }
+  if (!StrictlyAscending(snapshot.bounds)) {
+    throw ConfigError(
+        "HistogramSnapshot::FromJson: bounds must be strictly ascending");
   }
   return snapshot;
 }
@@ -239,7 +262,7 @@ MetricsSnapshot MetricsSnapshot::FromJson(const json::Value& v) {
     snapshot.counters[name] = static_cast<std::uint64_t>(value.AsInt());
   }
   for (const auto& [name, value] : v.at("gauges").AsObject()) {
-    snapshot.gauges[name] = value.AsDouble();
+    snapshot.gauges[name] = FiniteNumber(value, "a gauge");
   }
   for (const auto& [name, value] : v.at("histograms").AsObject()) {
     snapshot.histograms[name] = HistogramSnapshot::FromJson(value);
@@ -274,9 +297,15 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds) {
   MutexLock lock(mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(std::move(bounds));
-  return slot.get();
+  auto it = histograms_.find(name);
+  if (it == histograms_.end()) {
+    // Built before it is inserted: bounds the constructor rejects leave
+    // no empty slot behind.
+    it = histograms_
+             .emplace(name, std::make_unique<Histogram>(std::move(bounds)))
+             .first;
+  }
+  return it->second.get();
 }
 
 json::Value MetricsRegistry::ToJson() const { return Snapshot().ToJson(); }

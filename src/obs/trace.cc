@@ -124,10 +124,10 @@ TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
     return static_cast<ThreadBuffer*>(tls_cache.buffer);
   }
   auto buffer =
-      std::make_shared<ThreadBuffer>();  // lint-ok(hot-path-alloc): once
+      std::make_shared<ThreadBuffer>();  // allocated once
                                          // per thread per epoch (TLS miss)
   {
-    MutexLock lock(registry_mutex_);  // lint-ok(hot-path-alloc): TLS miss
+    MutexLock lock(registry_mutex_);  // locked on a TLS miss
                                       // only, amortized to zero
     buffer->tid = next_tid_++;
     buffers_.push_back(buffer);
@@ -138,7 +138,7 @@ TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
 
 void TraceRecorder::Append(TraceEvent event) {
   ThreadBuffer* buffer = BufferForThisThread();
-  MutexLock lock(buffer->mutex);  // lint-ok(hot-path-alloc): uncontended
+  MutexLock lock(buffer->mutex);  // an uncontended
                                   // per-thread lock; only when tracing is on
   if (buffer->events.size() >=
       max_events_per_thread_.load(std::memory_order_relaxed)) {

@@ -55,16 +55,6 @@ namespace {
 
 }  // namespace
 
-const char* ToString(Severity severity) {
-  switch (severity) {
-    case Severity::kError:
-      return "error";
-    case Severity::kNote:
-      return "note";
-  }
-  return "?";
-}
-
 std::uint64_t Fingerprint(const Diagnostic& d) {
   std::uint64_t h = 14695981039346656037ULL;
   h = Fnv1a(h, d.rule);
@@ -98,8 +88,7 @@ std::string FormatHuman(const Diagnostic& d) {
 }
 
 std::string FormatGitHub(const Diagnostic& d) {
-  std::string out = d.severity == Severity::kNote ? "::notice" : "::error";
-  out += " file=" + GithubEscape(d.path, true);
+  std::string out = "::error file=" + GithubEscape(d.path, true);
   if (d.line > 0) {
     out += ",line=" + std::to_string(d.line);
     if (d.col > 0) out += ",col=" + std::to_string(d.col);
@@ -128,7 +117,7 @@ json::Value ToSarif(const std::vector<RuleInfo>& rules,
   for (const Diagnostic& d : findings) {
     json::Object result;
     result["ruleId"] = d.rule;
-    result["level"] = d.severity == Severity::kNote ? "note" : "error";
+    result["level"] = "error";
     json::Object message;
     message["text"] = d.message;
     result["message"] = json::Value(message);

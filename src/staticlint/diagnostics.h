@@ -19,13 +19,6 @@ struct RuleInfo {
   std::string help;        // how to fix / how to suppress
 };
 
-// Finding severity. kError findings fail the run (exit code, baseline,
-// CI); kNote findings are informational (SARIF "note"), used by advisory
-// rules like dead-function where a false positive must not break a build.
-enum class Severity { kError, kNote };
-
-[[nodiscard]] const char* ToString(Severity severity);
-
 struct Diagnostic {
   std::string rule;     // RuleInfo::id
   std::string path;     // repository-relative
@@ -33,7 +26,6 @@ struct Diagnostic {
   int col = 0;          // 1-based; 0 = unknown
   std::string message;  // specific finding text
   std::string excerpt;  // the offending source line, trimmed (may be empty)
-  Severity severity = Severity::kError;
 };
 
 // Stable fingerprint used by the baseline: rule, path, and the *content* of
@@ -47,7 +39,7 @@ struct Diagnostic {
 
 // GitHub Actions workflow-command form, one line:
 //   ::error file=src/a.cc,line=12,col=3,title=calculon-lint/rule::message
-// so CI findings surface inline on the PR diff (kNote maps to ::notice).
+// so CI findings surface inline on the PR diff.
 [[nodiscard]] std::string FormatGitHub(const Diagnostic& d);
 
 // Full SARIF 2.1.0 document for the run.

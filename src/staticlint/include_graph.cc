@@ -2,10 +2,55 @@
 
 #include <algorithm>
 #include <cstddef>
-
-#include "staticlint/graph.h"
+#include <functional>
 
 namespace calculon::staticlint {
+
+namespace {
+
+// Every cycle reachable by back edges of a three-color DFS over
+// `adjacency`, as a node list [a, b, ..., a]. Deterministic order (roots
+// and neighbors are visited in the order they appear). Each back edge
+// reports one cycle; overlapping cycles are reported individually.
+[[nodiscard]] std::vector<std::vector<std::string>> FindGraphCycles(
+    const std::map<std::string, std::vector<std::string>>& adjacency) {
+  enum class Color { kWhite, kGray, kBlack };
+  std::map<std::string, Color> color;
+  std::vector<std::vector<std::string>> cycles;
+
+  std::vector<std::string> stack;  // current DFS path
+  std::function<void(const std::string&)> visit =
+      [&](const std::string& node) {
+        color[node] = Color::kGray;
+        stack.push_back(node);
+        auto it = adjacency.find(node);
+        if (it != adjacency.end()) {
+          for (const std::string& next : it->second) {
+            Color c = color.count(next) ? color[next] : Color::kWhite;
+            if (c == Color::kGray) {
+              // Back edge: the cycle is the stack suffix from `next`.
+              auto begin = std::find(stack.begin(), stack.end(), next);
+              std::vector<std::string> cycle(begin, stack.end());
+              cycle.push_back(next);
+              cycles.push_back(std::move(cycle));
+            } else if (c == Color::kWhite) {
+              visit(next);
+            }
+          }
+        }
+        stack.pop_back();
+        color[node] = Color::kBlack;
+      };
+
+  for (const auto& [node, unused] : adjacency) {
+    (void)unused;
+    Color c = color.count(node) ? color[node] : Color::kWhite;
+    if (c == Color::kWhite) visit(node);
+  }
+  return cycles;
+}
+
+}  // namespace
 
 IncludeGraph IncludeGraph::Build(const std::vector<SourceFile>& files,
                                  const std::string& include_root) {
@@ -62,7 +107,7 @@ std::set<std::string> IncludeGraph::ExpandWithIncluders(
 
 std::vector<std::vector<std::string>> IncludeGraph::FindCycles() const {
   // A .cc is never an include target, so cycles can only run through
-  // headers; the generic DFS handles the whole adjacency either way.
+  // headers; the DFS handles the whole adjacency either way.
   return FindGraphCycles(adjacency_);
 }
 

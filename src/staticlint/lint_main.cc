@@ -6,8 +6,7 @@
 //                 [--timing FILE] [--timing-baseline FILE] [--list-rules]
 //                 [--update-baseline]
 //
-// Exit codes: 0 clean, 1 non-baselined error findings (notes never fail),
-// 2 usage/config error.
+// Exit codes: 0 clean, 1 non-baselined findings, 2 usage/config error.
 // See docs/correctness.md §6 for the rule catalog and the baseline format.
 #include <algorithm>
 #include <cstdio>
@@ -39,8 +38,9 @@ struct CliOptions {
   std::set<std::string> rules;
   // Report only findings in these repo-relative paths (empty: all). The
   // whole tree is still loaded and analyzed -- cross-file rules (layering,
-  // the call graph) need it -- only the report is restricted. This is what
-  // scripts/lint.sh --changed uses for fast pre-push feedback.
+  // include cycles, quantity-varargs) need it -- only the report is
+  // restricted. This is what scripts/lint.sh --changed uses for fast
+  // pre-push feedback.
   std::set<std::string> only_paths;
   // With --only: also report findings in every transitive includer of the
   // listed files, so editing a header re-checks the .cc files it can break.
@@ -63,10 +63,10 @@ void PrintUsage() {
       "                     [--list-rules] [--update-baseline] [--verbose]\n"
       "\n"
       "Project-aware static analysis for the calculon repository: layering\n"
-      "DAG, Quantity::raw() boundaries, banned patterns, header hygiene,\n"
-      "and call-graph rules (fork-safety, cancellation-poll, hot-path-alloc,\n"
-      "dead-function). Exit 0 = clean, 1 = findings, 2 = error (including\n"
-      "an unknown --rules id).\n";
+      "DAG, Quantity::raw() boundaries, banned patterns (including calls in\n"
+      "a fork() child that are not ::-qualified system calls) and header\n"
+      "hygiene. Exit 0 = clean, 1 = findings, 2 = error (including an\n"
+      "unknown --rules id).\n";
 }
 
 [[nodiscard]] bool ParseArgs(int argc, char** argv, CliOptions* out) {
@@ -182,15 +182,9 @@ int main(int argc, char** argv) {
                                     ? cli.root + "/.calculon-lint-baseline"
                                     : cli.baseline_path;
     if (cli.update_baseline) {
-      // Notes are advisory and never fail a run, so they never need a
-      // baseline entry.
-      std::vector<Diagnostic> errors;
-      for (const Diagnostic& d : result.findings) {
-        if (d.severity == Severity::kError) errors.push_back(d);
-      }
       std::ofstream out(baseline_path, std::ios::binary);
-      out << RenderBaseline(errors, RuleCatalog());
-      std::cout << "calculon-lint: wrote " << errors.size()
+      out << RenderBaseline(result.findings, RuleCatalog());
+      std::cout << "calculon-lint: wrote " << result.findings.size()
                 << " entries to " << baseline_path << "\n";
       return 0;
     }
@@ -215,16 +209,13 @@ int main(int argc, char** argv) {
                                 ToSarif(RuleCatalog(), app.fresh), 2);
     }
 
-    std::size_t error_count = 0;
     for (const Diagnostic& d : app.fresh) {
-      if (d.severity == Severity::kError) ++error_count;
       if (cli.format == "github") {
         std::cout << FormatGitHub(d) << "\n";
       } else {
         std::cout << FormatHuman(d) << "\n";
       }
     }
-    const std::size_t note_count = app.fresh.size() - error_count;
     if (cli.verbose) {
       for (const Diagnostic& d : app.suppressed) {
         std::cout << "suppressed (baseline): " << FormatHuman(d) << "\n";
@@ -274,8 +265,7 @@ int main(int argc, char** argv) {
     }
 
     std::cout << "calculon-lint: " << files.size() << " files, "
-              << error_count << " finding(s)";
-    if (note_count > 0) std::cout << ", " << note_count << " note(s)";
+              << app.fresh.size() << " finding(s)";
     if (!app.suppressed.empty()) {
       std::cout << ", " << app.suppressed.size() << " baselined";
     }
@@ -284,7 +274,7 @@ int main(int argc, char** argv) {
                 << (app.stale.size() == 1 ? "y" : "ies");
     }
     std::cout << "\n";
-    return (error_count == 0 && !timing_failed) ? 0 : 1;
+    return (app.fresh.empty() && !timing_failed) ? 0 : 1;
   } catch (const calculon::ConfigError& e) {
     std::cerr << "calculon-lint: " << e.what() << "\n";
     return 2;

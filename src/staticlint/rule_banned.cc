@@ -1,7 +1,9 @@
 // Banned-pattern rules: dimensional quantities through varargs sinks
-// (undefined behavior), naked new expressions, and std::cout in library
-// code.
+// (undefined behavior), naked new expressions, std::cout in library code,
+// and calls in a fork() child that are not ::-qualified system calls.
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "staticlint/match.h"
 #include "staticlint/rules.h"
@@ -183,6 +185,69 @@ void CheckStdCout(const std::vector<SourceFile>& files,
         out->push_back(At(file, toks[i], "std-cout",
                           "std::cout in library code; report through "
                           "return values or an std::ostream& parameter"));
+      }
+    }
+  }
+}
+
+// The child side of ::fork() is a copy of a multi-threaded process: a lock
+// another parent thread held at the fork (the heap's, stdio's, a
+// calculon::Mutex) stays held in the child forever. So the `pid == 0`
+// block after the fork may only make ::-qualified system calls, plus
+// WorkerMain(...) as the argument of ::_exit, which hands over to the
+// worker loop. Member calls, formatting and allocation are rejected where
+// they are written; what a system call does is not checked.
+void CheckForkSafety(const std::vector<SourceFile>& files,
+                     const ProjectConfig& config,
+                     std::vector<Diagnostic>* out) {
+  static const std::set<std::string_view> kNotCalls = {
+      "if", "for", "while", "switch", "return", "sizeof"};
+  for (const SourceFile& file : files) {
+    if (config.IsExempt(file.path) || !config.InLayerRoot(file.path)) {
+      continue;
+    }
+    SigTokens toks(file);
+    for (std::size_t i = 1; i < toks.size(); ++i) {
+      if (!toks.Is(i - 1, "::") || !toks.Is(i, "fork")) continue;
+      // The child block: the first `if (pid == 0) {` in the fork's own
+      // block (the lexer splits `==`).
+      std::size_t open = kNpos;
+      int depth = 0;
+      for (std::size_t j = i + 1;
+           open == kNpos && depth >= 0 && j < toks.size(); ++j) {
+        depth += toks.Is(j, "{") ? 1 : toks.Is(j, "}") ? -1 : 0;
+        if (depth == 0 && toks.Is(j, "if") && toks.Is(j + 1, "(") &&
+            toks.IsIdent(j + 2) && toks.Is(j + 3, "=") && toks.Is(j + 4, "=") &&
+            toks.Is(j + 5, "0") && toks.Is(j + 6, ")") && toks.Is(j + 7, "{")) {
+          open = j + 7;
+        }
+      }
+      const std::size_t end = open == kNpos ? kNpos : FindMatching(toks, open);
+      if (end == kNpos) {
+        out->push_back(At(file, toks[i], "fork-safety",
+                          "fork() has no `if (pid == 0) {...}` child block "
+                          "in its own block, so its child cannot be checked"));
+        continue;
+      }
+      for (std::size_t j = open + 1; j < end; ++j) {
+        if (!toks.IsIdent(j) || !toks.Is(j + 1, "(") ||
+            kNotCalls.count(toks[j].text) > 0) {
+          continue;
+        }
+        // `::name(`, with no namespace or class before the `::`.
+        const bool syscall = toks.Is(j - 1, "::") && !toks.IsIdent(j - 2) &&
+                             !toks.Is(j - 2, ">");
+        const bool worker_entry = toks[j].text == "WorkerMain" &&
+                                  toks.Is(j - 1, "(") &&
+                                  toks.Is(j - 2, "_exit") &&
+                                  toks.Is(j - 3, "::");
+        if (syscall || worker_entry) continue;
+        out->push_back(At(
+            file, toks[j], "fork-safety",
+            "fork() child (forked on line " + std::to_string(toks[i].line) +
+                ") calls " + std::string(toks[j].text) +
+                "(), which is not a ::-qualified system call; hoist it "
+                "above the fork"));
       }
     }
   }

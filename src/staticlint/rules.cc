@@ -149,31 +149,12 @@ const std::vector<Rule>& Registry() {
         "Headers include what they use; add the missing <...> include."},
        &CheckSelfContainedHeader},
       {{"fork-safety",
-        "fork() child region reaches a non-async-signal-safe operation",
-        "Between fork() and the worker-loop entry only async-signal-safe "
-        "calls are allowed: hoist formatting/allocation before the fork, "
-        "or move the work past the worker entry point."},
+        "fork() child block makes a call that is not a ::-qualified "
+        "system call",
+        "Between fork() and ::_exit(WorkerMain(...)) the child may only "
+        "make async-signal-safe system calls, written ::name(...): hoist "
+        "formatting, allocation and member calls above the fork."},
        &CheckForkSafety},
-      {{"cancellation-poll",
-        "evaluation loop never polls RunContext for cancellation",
-        "Loops that call the performance model must check "
-        "RunContext::ShouldStop() (or a deadline) each iteration so "
-        "sweeps stay interruptible; suppress a false positive with "
-        "// lint-ok(cancellation-poll): why."},
-       &CheckCancellationPoll},
-      {{"hot-path-alloc",
-        "per-candidate sweep path allocates or blocks on I/O",
-        "The exec-search inner loop runs millions of times; keep "
-        "allocation and file I/O out of functions reachable from it, or "
-        "annotate a measured-and-accepted site with "
-        "// lint-ok(hot-path-alloc): why."},
-       &CheckHotPathAlloc},
-      {{"dead-function",
-        "exported free function unreachable from any entry point",
-        "Informational (SARIF note): the function is not referenced from "
-        "CLI/example/bench roots or anywhere else in the tree; delete it "
-        "or wire it up."},
-       &CheckDeadFunction},
   };
   return kRules;
 }

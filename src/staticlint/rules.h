@@ -54,52 +54,6 @@ struct ProjectConfig {
       "vprintf",  "vfprintf",   "vsnprintf",        "CALC_CHECK",
       "CALC_DCHECK"};
 
-  // --- Call-graph rules (rule_callgraph.cc) ---
-
-  // RAII lock-holder types whose construction acquires a mutex (a lock
-  // acquisition event for fork-safety and hot-path-alloc).
-  std::set<std::string> lock_types = {"MutexLock", "lock_guard",
-                                      "unique_lock", "scoped_lock",
-                                      "shared_lock"};
-
-  // fork-safety: names that are not async-signal-safe and must not appear
-  // (directly or through resolved calls) on the child side of ::fork()
-  // before the worker-loop entry.
-  std::set<std::string> fork_unsafe_calls = {
-      "StrFormat", "printf", "fprintf", "puts",   "fputs",
-      "exit",      "fopen",  "malloc",  "free",   "strsignal"};
-  // Call names that end the child-side analysis region: the worker loop
-  // establishes its own arena/discipline, so traversal stops there.
-  std::set<std::string> fork_child_entry = {"WorkerMain"};
-
-  // cancellation-poll: loops in these layers that transitively reach an
-  // evaluation function must also reach a poll call.
-  std::vector<std::string> cancel_scope_prefixes = {
-      "src/search/", "src/runner/", "src/analysis/"};
-  // The model's one-shot entry point, the stage entry points a sweep
-  // calls directly, and StageTable::Evaluate, which a study row reaches
-  // through a table reference the call graph does not resolve
-  // (core/perf_model.h).
-  std::set<std::string> eval_functions = {
-      "CalculatePerformance", "PlaceExecution", "PlaceNetworks",
-      "EvaluateBlock",        "CheckCapacity",  "EvaluatePartition",
-      "EvaluateCandidate",    "Evaluate"};
-  std::set<std::string> cancel_poll_calls = {"ShouldStop", "Cancelled",
-                                             "cancelled", "CheckDeadline"};
-
-  // hot-path-alloc: functions reachable from these roots may not allocate
-  // or block on I/O.
-  std::set<std::string> hot_path_roots = {"SweepTripleInto"};
-  // Callees counted as heap allocation / blocking I/O by the body scanner
-  // (`new` is detected directly).
-  std::set<std::string> alloc_calls = {"malloc",      "calloc",
-                                       "realloc",     "strdup",
-                                       "make_unique", "make_shared"};
-  std::set<std::string> blocking_io_calls = {
-      "fopen",    "fread",   "fwrite", "fgets",  "fscanf",    "getline",
-      "system",   "popen",   "sleep",  "usleep", "nanosleep", "ifstream",
-      "ofstream", "fstream", "sleep_for"};
-
   [[nodiscard]] static ProjectConfig Default();
 
   [[nodiscard]] bool InLayerRoot(const std::string& path) const;
@@ -182,15 +136,6 @@ void CheckSelfContainedHeader(const std::vector<SourceFile>& files,
 void CheckForkSafety(const std::vector<SourceFile>& files,
                      const ProjectConfig& config,
                      std::vector<Diagnostic>* out);
-void CheckCancellationPoll(const std::vector<SourceFile>& files,
-                           const ProjectConfig& config,
-                           std::vector<Diagnostic>* out);
-void CheckHotPathAlloc(const std::vector<SourceFile>& files,
-                       const ProjectConfig& config,
-                       std::vector<Diagnostic>* out);
-void CheckDeadFunction(const std::vector<SourceFile>& files,
-                       const ProjectConfig& config,
-                       std::vector<Diagnostic>* out);
 
 // Used by the quantity-varargs rule and exposed for tests: the names of
 // functions whose declared return type is a quantity type, collected from

@@ -15,10 +15,6 @@ namespace calculon {
   return (a + b - 1) / b;
 }
 
-[[nodiscard]] constexpr bool IsPowerOfTwo(std::int64_t v) {
-  return v > 0 && (v & (v - 1)) == 0;
-}
-
 // All positive divisors of n, ascending. n must be >= 1.
 [[nodiscard]] std::vector<std::int64_t> Divisors(std::int64_t n);
 

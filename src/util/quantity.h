@@ -171,7 +171,6 @@ using PerSecond = Quantity<0, -1, 0>;
 [[nodiscard]] constexpr Bytes TiB(double n) {
   return Bytes(n * 1099511627776.0);
 }
-[[nodiscard]] constexpr Bytes MB(double n) { return Bytes(n * 1e6); }
 [[nodiscard]] constexpr Bytes GB(double n) { return Bytes(n * 1e9); }
 [[nodiscard]] constexpr Bytes TB(double n) { return Bytes(n * 1e12); }
 
@@ -181,13 +180,7 @@ using PerSecond = Quantity<0, -1, 0>;
 [[nodiscard]] constexpr Seconds Microseconds(double n) {
   return Seconds(n * 1e-6);
 }
-[[nodiscard]] constexpr Seconds Nanoseconds(double n) {
-  return Seconds(n * 1e-9);
-}
 
-[[nodiscard]] constexpr BytesPerSecond MBps(double n) {
-  return BytesPerSecond(n * 1e6);
-}
 [[nodiscard]] constexpr BytesPerSecond GBps(double n) {
   return BytesPerSecond(n * 1e9);
 }
@@ -196,9 +189,6 @@ using PerSecond = Quantity<0, -1, 0>;
 }
 
 // Rates are written FLOPS (per second), counts GFlop/TFlop.
-[[nodiscard]] constexpr FlopsPerSecond GFLOPS(double n) {
-  return FlopsPerSecond(n * 1e9);
-}
 [[nodiscard]] constexpr FlopsPerSecond TFLOPS(double n) {
   return FlopsPerSecond(n * 1e12);
 }

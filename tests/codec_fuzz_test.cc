@@ -1,8 +1,9 @@
 // Seeded mutation fuzzing of the code that reads untrusted bytes: the
 // JSON codec (spec files, checkpoint journals, worker frames), the worker
-// frame reader, the spec loaders and a study resumed from its checkpoint.
-// The corpus is the shipped configs plus recorded study and exec-search
-// run frames and a partial study checkpoint; bit flips, byte inserts and
+// frame reader, the spec loaders, a study resumed from its checkpoint and
+// the supervisor's metrics registry. The corpus is the shipped configs
+// plus recorded study and exec-search run frames, a partial study
+// checkpoint and a worker's metrics snapshot; bit flips, byte inserts and
 // deletes, truncations, splices and number-token swaps mutate it. A fixed
 // seed and iteration budget keep the test deterministic and quick; the
 // sanitizer jobs run it like every other test.
@@ -18,7 +19,9 @@
 //     it returns to a value or an infeasibility reason: never undefined
 //     behaviour, an abort or a hang;
 //   * a study resumed from a checkpoint throws ConfigError, or completes
-//     with a best row that exists and is the row the study enumerates.
+//     with a best row that exists and is the row the study enumerates;
+//   * a worker's metrics snapshot decodes and folds into the supervisor's
+//     registry, or throws ConfigError, and the registry stays usable.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -42,6 +45,7 @@
 #include "hw/presets.h"
 #include "json/json.h"
 #include "models/presets.h"
+#include "obs/metrics.h"
 #include "runner/study.h"
 #include "search/exec_search.h"
 #include "util/error.h"
@@ -594,6 +598,95 @@ TEST(CodecFuzz, MutatedCheckpointsResumeOrThrowConfigError) {
   }
   std::remove(path.c_str());
   EXPECT_GT(completed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// --- Metrics snapshots ------------------------------------------------------
+
+// The cumulative registry a supervised exec-search worker ships in its
+// metrics_snapshot frame: counters, gauges and a latency histogram.
+std::string RecordedMetricsSnapshot() {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  const obs::MetricsSnapshot saved = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Enable();
+  presets::SystemOptions so;
+  so.num_procs = 64;
+  SearchConfig config;
+  config.batch_size = 64;
+  ThreadPool pool(1);
+  (void)FindOptimalExecution(presets::Megatron22B(), presets::A100(so),
+                             SearchSpace::MegatronBaseline(), config, pool);
+  metrics.GetGauge("progress.fraction")->Set(0.5);
+  const std::string text = metrics.Snapshot().ToJson().Dump(0);
+  metrics.Reset();
+  metrics.Ingest(saved, "");
+  if (!was_enabled) metrics.Disable();
+  return text;
+}
+
+// Snapshot(), ToJson() and ToTable() of a registry that just ingested, or
+// failed to ingest, a snapshot.
+void ExpectUsable(const obs::MetricsRegistry& registry) {
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_NO_THROW((void)registry.ToJson().Dump());
+  EXPECT_FALSE(registry.ToTable().empty());
+  for (const auto& [name, h] : snapshot.histograms) {
+    EXPECT_EQ(h.bucket_counts.size(), h.bounds.size() + 1) << name;
+  }
+}
+
+TEST(CodecFuzz, MutatedMetricsSnapshotsIngestOrThrowConfigError) {
+  const std::string recorded = RecordedMetricsSnapshot();
+  const obs::MetricsSnapshot seed =
+      obs::MetricsSnapshot::FromJson(json::Parse(recorded));
+  ASSERT_FALSE(seed.counters.empty());
+  ASSERT_FALSE(seed.gauges.empty());
+  ASSERT_FALSE(seed.histograms.empty());
+
+  // Bounds the Histogram constructor rejects are rejected at decode, so a
+  // worker's bad frame takes the corrupt-frame path; the registry that
+  // is handed them anyway throws without leaving an empty instrument.
+  json::Value descending = json::Parse(recorded);
+  json::Value& first =
+      descending["histograms"][seed.histograms.begin()->first];
+  first["bounds"] =
+      json::Value(json::Array{json::Value(2.0), json::Value(1.0)});
+  first["bucket_counts"] =
+      json::Value(json::Array{json::Value(0), json::Value(1), json::Value(0)});
+  EXPECT_THROW((void)obs::MetricsSnapshot::FromJson(descending), ConfigError);
+  obs::MetricsSnapshot bad;
+  bad.histograms["h"].bounds = {2.0, 1.0};
+  bad.histograms["h"].bucket_counts = {0, 1, 0};
+  bad.histograms["h"].count = 1;
+  obs::MetricsRegistry direct;
+  EXPECT_THROW(direct.Ingest(bad, ""), ConfigError);
+  EXPECT_TRUE(direct.Snapshot().histograms.empty());
+  ExpectUsable(direct);
+
+  // The supervisor's registry accumulates every worker's snapshot, under
+  // the aggregate names and under a per-worker prefix.
+  obs::MetricsRegistry registry;
+  Rng rng(67);
+  int ingested = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = recorded;
+    if (rng.Below(4) == 0) text = Mutate(text, recorded, rng);
+    for (std::size_t n = 1 + rng.Below(3); n > 0; --n) {
+      text = SwapNumber(text, rng, /*overflow=*/true);
+    }
+    try {
+      registry.Ingest(obs::MetricsSnapshot::FromJson(json::Parse(text)),
+                      rng.Below(2) == 0 ? "" : "dist.worker.1.");
+      ++ingested;
+    } catch (const ConfigError&) {
+      ++rejected;  // a snapshot the decoder or the registry refuses
+    }
+    ExpectUsable(registry);
+  }
+  EXPECT_GT(ingested, 0);
   EXPECT_GT(rejected, 0);
 }
 

@@ -347,6 +347,8 @@ TEST_F(ResilienceTest, SystemSearchReportsCompleteAndCancelledRuns) {
       options, pool);
   EXPECT_FALSE(stopped.status.complete);
   EXPECT_EQ(stopped.status.stop_reason, StopReason::kCancelled);
+  // A cancelled run evaluates no design: the search polls before each.
+  EXPECT_TRUE(stopped.entries.empty());
 }
 
 }  // namespace

@@ -219,9 +219,9 @@ TEST(LexerTest, ParseInclude) {
   EXPECT_FALSE(not_include.valid);
 }
 
-// --- Edge cases the call-graph resolver (symbol_graph.cc) leans on: a
-// number lexed as two tokens or a raw string lexed as punctuation would
-// desynchronize its token-pattern matching.
+// --- Edge cases every rule leans on: a number lexed as two tokens or a
+// raw string lexed as punctuation would desynchronize token-pattern
+// matching.
 
 TEST(LexerTest, DigitSeparatorsStayOneNumberToken) {
   std::string src = "std::int64_t n = 1'000'000; double d = 0x1.8p3;";

@@ -255,6 +255,146 @@ TEST(SelfContainedHeaderTest, AcceptsAnyListedProvider) {
   EXPECT_TRUE(RunRule(CheckSelfContainedHeader, files, TestConfig()).empty());
 }
 
+// --------------------------------------------------------------- fork-safety
+
+constexpr const char kForkChildFormats[] =
+    "int WorkerMain(int in, int out);\n"
+    "bool Spawn() {\n"
+    "  const pid_t pid = ::fork();\n"
+    "  if (pid == -1) return false;\n"
+    "  if (pid == 0) {\n"
+    "    const std::string path = StrFormat(\"w-%d.log\", 1);\n"
+    "    ::_exit(WorkerMain(0, 1));\n"
+    "  }\n"
+    "  return true;\n"
+    "}\n";
+
+TEST(ForkSafetyTest, FlagsFormattingInChildRegion) {
+  auto files = One("src/dist/spawn.cc", kForkChildFormats);
+  auto out = RunRule(CheckForkSafety, files, TestConfig());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rule, "fork-safety");
+  EXPECT_EQ(out[0].line, 6);
+  EXPECT_NE(out[0].message.find("StrFormat"), std::string::npos);
+  EXPECT_NE(out[0].message.find("line 3"), std::string::npos);
+}
+
+TEST(ForkSafetyTest, FingerprintIsContentStable) {
+  auto files = One("src/dist/spawn.cc", kForkChildFormats);
+  auto out = RunRule(CheckForkSafety, files, TestConfig());
+  ASSERT_EQ(out.size(), 1u);
+  const std::string fp = FingerprintHex(out[0]);
+
+  // Unrelated lines above shift every line number; the fingerprint holds.
+  auto shifted = One("src/dist/spawn.cc",
+                     "// comment\n// comment\n\n" +
+                         std::string(kForkChildFormats));
+  auto out2 = RunRule(CheckForkSafety, shifted, TestConfig());
+  ASSERT_EQ(out2.size(), 1u);
+  EXPECT_NE(out2[0].line, out[0].line);
+  EXPECT_EQ(FingerprintHex(out2[0]), fp);
+}
+
+TEST(ForkSafetyTest, FlagsTransitiveViolationThroughResolvedCall) {
+  // The rule does not follow calls: a project helper is rejected at its
+  // call site, whatever it does, so an allocation behind it cannot hide.
+  auto files = One("src/dist/spawn.cc",
+                   "void Prepare() { auto* p = new int(1); }\n"
+                   "bool Spawn() {\n"
+                   "  const pid_t pid = ::fork();\n"
+                   "  if (pid == 0) {\n"
+                   "    Prepare();\n"
+                   "    ::_exit(0);\n"
+                   "  }\n"
+                   "  return true;\n"
+                   "}\n");
+  auto out = RunRule(CheckForkSafety, files, TestConfig());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].line, 5);
+  EXPECT_NE(out[0].message.find("Prepare"), std::string::npos);
+}
+
+TEST(ForkSafetyTest, AcceptsAsyncSignalSafeChild) {
+  // The supervisor's pattern: loops, conditions and field reads around
+  // ::-qualified system calls, then ::_exit(WorkerMain(...)). The parent
+  // side after the child block is not checked.
+  auto files = One("src/dist/spawn.cc",
+                   "int WorkerMain(int in, int out) { return 0; }\n"
+                   "bool Spawn(const Pool& pool, const char* log) {\n"
+                   "  const pid_t pid = ::fork();\n"
+                   "  if (pid == -1) {\n"
+                   "    Report(StrFormat(\"fork failed\"));\n"
+                   "    return false;\n"
+                   "  }\n"
+                   "  if (pid == 0) {\n"
+                   "    for (const Slot& other : pool.slots) {\n"
+                   "      if (other.fd != -1) ::close(other.fd);\n"
+                   "    }\n"
+                   "    if (log != nullptr) {\n"
+                   "      const int fd = ::open(log, O_WRONLY, 0644);\n"
+                   "      ::dup2(fd, 2);\n"
+                   "    }\n"
+                   "    ::_exit(WorkerMain(0, 1));\n"
+                   "  }\n"
+                   "  Register(pid, StrFormat(\"%d\", pid));\n"
+                   "  return true;\n"
+                   "}\n");
+  EXPECT_TRUE(RunRule(CheckForkSafety, files, TestConfig()).empty());
+}
+
+TEST(ForkSafetyTest, WorkerEntryIsATraversalBoundary) {
+  // WorkerMain itself allocates (it is allowed to: it sets up the worker
+  // loop); the child block handing over to it stays clean.
+  auto files = One("src/dist/spawn.cc",
+                   "int WorkerMain(int in, int out) {\n"
+                   "  auto* arena = new char[1024];\n"
+                   "  return arena[0];\n"
+                   "}\n"
+                   "bool Spawn() {\n"
+                   "  const pid_t pid = ::fork();\n"
+                   "  if (pid == 0) { ::_exit(WorkerMain(0, 1)); }\n"
+                   "  return true;\n"
+                   "}\n");
+  EXPECT_TRUE(RunRule(CheckForkSafety, files, TestConfig()).empty());
+}
+
+TEST(ForkSafetyTest, FlagsMemberNamespacedAndBareWorkerCalls) {
+  // Only a leading `::` marks a system call, and WorkerMain is allowed
+  // only as the argument of ::_exit.
+  auto files = One("src/dist/spawn.cc",
+                   "bool Spawn(const std::string& log) {\n"
+                   "  const pid_t pid = ::fork();\n"
+                   "  if (pid == 0) {\n"
+                   "    ::open(log.c_str(), 0);\n"
+                   "    const auto n = std::strlen(\"x\");\n"
+                   "    WorkerMain(0, 1);\n"
+                   "    ::_exit(0);\n"
+                   "  }\n"
+                   "  return true;\n"
+                   "}\n");
+  auto out = RunRule(CheckForkSafety, files, TestConfig());
+  std::vector<int> lines;
+  for (const Diagnostic& d : out) lines.push_back(d.line);
+  EXPECT_EQ(lines, (std::vector<int>{4, 5, 6}));
+}
+
+TEST(ForkSafetyTest, ForkWithoutAChildBlockIsFlagged) {
+  // A child side the rule cannot find is a finding, not a pass.
+  auto files = One("src/dist/spawn.cc",
+                   "bool Spawn() {\n"
+                   "  const pid_t pid = ::fork();\n"
+                   "  if (pid != 0) return pid > 0;\n"
+                   "  Child();\n"
+                   "}\n"
+                   "void Later(int x) {\n"
+                   "  if (x == 0) { Log(); }\n"
+                   "}\n");
+  auto out = RunRule(CheckForkSafety, files, TestConfig());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].line, 2);
+  EXPECT_NE(out[0].message.find("no `if (pid == 0)"), std::string::npos);
+}
+
 // ------------------------------------------------------------ engine / RunLint
 
 TEST(RunLintTest, SortsFindingsAndAppliesRuleFilter) {
@@ -263,14 +403,10 @@ TEST(RunLintTest, SortsFindingsAndAppliesRuleFilter) {
   files.push_back(MakeSourceFile("src/a/aaa.cc",
                                  "void f() { auto* p = new int(1); }\n"));
   LintResult all = RunLint(files, TestConfig());
-  // naked-new + pragma-once errors, plus a dead-function note on f().
-  ASSERT_EQ(all.findings.size(), 3u);
+  // naked-new in aaa.cc, pragma-once in zzz.h.
+  ASSERT_EQ(all.findings.size(), 2u);
   EXPECT_EQ(all.findings[0].path, "src/a/aaa.cc");  // sorted by path
-  int notes = 0;
-  for (const Diagnostic& d : all.findings) {
-    if (d.severity == Severity::kNote) ++notes;
-  }
-  EXPECT_EQ(notes, 1);
+  EXPECT_EQ(all.findings[1].path, "src/a/zzz.h");
 
   LintOptions only_new;
   only_new.rule_filter = {"naked-new"};
@@ -284,12 +420,32 @@ TEST(RunLintTest, LintOkSuppressesOnSameLine) {
                    "void f() {\n"
                    "  auto* p = new int(1);  // lint-ok(naked-new): arena\n"
                    "}\n");
-  LintResult r = RunLint(files, TestConfig());
-  // The naked-new is suppressed; only the advisory dead-function note on
-  // the otherwise-unreferenced f() remains.
-  for (const Diagnostic& d : r.findings) {
-    EXPECT_EQ(d.severity, Severity::kNote) << d.rule;
+  EXPECT_EQ(RunRule(CheckNakedNew, files, TestConfig()).size(), 1u);
+  EXPECT_TRUE(RunLint(files, TestConfig()).findings.empty());
+}
+
+TEST(RunLintTest, ParallelRunMatchesSerialAndTimesEachRule) {
+  std::vector<SourceFile> files;
+  files.push_back(MakeSourceFile("src/a/zzz.h", "int x;\n"));
+  files.push_back(MakeSourceFile("src/a/aaa.cc",
+                                 "void f() { auto* p = new int(1); }\n"));
+  files.push_back(MakeSourceFile("src/a/cout.cc",
+                                 "void g() { std::cout << 1; }\n"));
+  LintOptions parallel;
+  parallel.jobs = 4;
+  const LintResult serial = RunLint(files, TestConfig());
+  const LintResult fanned = RunLint(files, TestConfig(), parallel);
+  ASSERT_EQ(fanned.findings.size(), 3u);
+  ASSERT_EQ(serial.findings.size(), fanned.findings.size());
+  for (std::size_t i = 0; i < serial.findings.size(); ++i) {
+    EXPECT_EQ(FormatHuman(serial.findings[i]), FormatHuman(fanned.findings[i]));
   }
+  // One wall time per rule, in registry order, for the latency gate.
+  ASSERT_EQ(fanned.timings.size(), Registry().size());
+  for (std::size_t i = 0; i < Registry().size(); ++i) {
+    EXPECT_EQ(fanned.timings[i].rule, Registry()[i].info.id);
+  }
+  EXPECT_GT(fanned.total_seconds, 0.0);
 }
 
 TEST(RunLintTest, RejectsUnknownRuleIds) {
@@ -309,9 +465,9 @@ TEST(RunLintTest, RejectsUnknownRuleIds) {
   }
 }
 
-TEST(RunLintTest, RegistryHasThirteenRulesWithUniqueIds) {
+TEST(RunLintTest, RegistryHasTenRulesWithUniqueIds) {
   const auto& rules = Registry();
-  EXPECT_EQ(rules.size(), 13u);
+  EXPECT_EQ(rules.size(), 10u);
   std::set<std::string> ids;
   for (const Rule& r : rules) {
     EXPECT_TRUE(ids.insert(r.info.id).second) << "duplicate " << r.info.id;

@@ -131,14 +131,6 @@ TEST(MathUtil, CeilDiv) {
   EXPECT_EQ(CeilDiv(5, 5), 1);
 }
 
-TEST(MathUtil, IsPowerOfTwo) {
-  EXPECT_TRUE(IsPowerOfTwo(1));
-  EXPECT_TRUE(IsPowerOfTwo(4096));
-  EXPECT_FALSE(IsPowerOfTwo(0));
-  EXPECT_FALSE(IsPowerOfTwo(96));
-  EXPECT_FALSE(IsPowerOfTwo(-8));
-}
-
 TEST(MathUtil, DivisorsAreSortedAndComplete) {
   EXPECT_EQ(Divisors(1), (std::vector<std::int64_t>{1}));
   EXPECT_EQ(Divisors(12), (std::vector<std::int64_t>{1, 2, 3, 4, 6, 12}));
