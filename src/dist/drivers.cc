@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -17,20 +18,25 @@ namespace {
 
 // Runs `spec` on a supervised pool and feeds every item from `first_item`
 // on to the engine's commit in item order: `commit(result)` for an item's
-// result, `quarantine(record)` for a quarantined item. Results arrive in
-// completion order; early ones wait here until their predecessors resolve.
-// A stopped run can leave gaps; with `past_gaps` the items resolved beyond
-// the first gap are still fed, in item order, when the pool returns.
+// result, `quarantine(record)` for a quarantined item. `decode` turns each
+// result line into the engine's item result as it arrives, so a line that
+// does not decode is charged to the worker that sent it. Results arrive in
+// completion order; early ones wait here, decoded, until their
+// predecessors resolve. A stopped run can leave gaps; with `past_gaps` the
+// items resolved beyond the first gap are still fed, in item order, when
+// the pool returns.
+template <typename Item>
 void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
                     std::uint64_t first_item, const DistOptions& dist,
                     RunContext* ctx, bool past_gaps,
-                    const std::function<void(const json::Value&)>& commit,
+                    const std::function<Item(std::string_view)>& decode,
+                    const std::function<void(Item)>& commit,
                     const std::function<void(FailureRecord)>& quarantine) {
-  std::map<std::uint64_t, std::variant<json::Value, FailureRecord>> pending;
+  std::map<std::uint64_t, std::variant<Item, FailureRecord>> pending;
   std::uint64_t next = first_item;
   auto release = [&](auto it) {
-    if (const auto* result = std::get_if<json::Value>(&it->second)) {
-      commit(*result);
+    if (auto* result = std::get_if<Item>(&it->second)) {
+      commit(std::move(*result));
     } else {
       quarantine(std::move(std::get<FailureRecord>(it->second)));
     }
@@ -43,12 +49,13 @@ void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
     }
   };
   SupervisorCallbacks callbacks;
-  callbacks.on_item = [&](std::uint64_t item, const json::Value& result) {
-    if (item == next) {  // in order: no need to buffer a copy
-      commit(result);
+  callbacks.on_item = [&](std::uint64_t item, std::string_view line) {
+    Item result = decode(line);
+    if (item == next) {  // in order: no need to buffer it
+      commit(std::move(result));
       ++next;
     } else {
-      pending.emplace(item, result);
+      pending.emplace(item, std::move(result));
     }
     drain();
   };
@@ -72,9 +79,10 @@ StudyRun RunStudySupervised(const Study& study, const StudyRunOptions& options,
   spec["spec"] = study.ToJson();
   spec["fault_key_base"] = static_cast<std::int64_t>(options.fault_key_base);
   // CSV rows and checkpoints are a contiguous prefix: nothing past a gap.
-  RunInItemOrder(
+  RunInItemOrder<StudyRowResult>(
       spec, commit.rows().size(), commit.next_row(), dist, commit.ctx(),
-      /*past_gaps=*/false, [&](const json::Value& r) { commit.Commit(StudyRowFromJson(r)); },
+      /*past_gaps=*/false, StudyRowFromLine,
+      [&](StudyRowResult row) { commit.Commit(std::move(row)); },
       [&](FailureRecord record) { commit.Quarantine(std::move(record)); });
   return commit.Finish();
 }
@@ -102,11 +110,13 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
   cfg["keep_pareto"] = config.keep_pareto;
   spec["config"] = cfg;
   // A stopped search keeps every triple that was swept, as in-process.
-  RunInItemOrder(
+  RunInItemOrder<TripleSweep>(
       spec, search.triples().size(), 0, dist, search.ctx(),
-      /*past_gaps=*/true, [&](const json::Value& r) {
-        search.Commit(TripleSweepFromJson(r, app, sys));
+      /*past_gaps=*/true,
+      [&](std::string_view line) {
+        return TripleSweepFromJson(json::Parse(line), app, sys);
       },
+      [&](TripleSweep sweep) { search.Commit(std::move(sweep)); },
       [&](FailureRecord record) { search.Quarantine(std::move(record)); });
   return search.Finish();
 }
@@ -145,7 +155,8 @@ void RunAuditSupervised(
   // pairs commit as they arrive, each counted once as the in-process pool
   // counts it.
   SupervisorCallbacks callbacks;
-  callbacks.on_item = [&](std::uint64_t item, const json::Value& result) {
+  callbacks.on_item = [&](std::uint64_t item, std::string_view line) {
+    const json::Value result = json::Parse(line);
     for (FailureRecord& f : FailuresFromJson(result.at("failures"))) {
       ctx.RecordFailure(std::move(f));
     }

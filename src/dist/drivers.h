@@ -7,7 +7,7 @@
 // one item evaluator and one commit, and the in-process loop and these
 // drivers are two ways of feeding that commit: (a) the worker evaluates
 // every item with the engine's evaluator (dist/jobs.h), (b) doubles travel
-// as %.17g JSON (lossless), and (c) study rows and search triples reach
+// as %.17g text (lossless), and (c) study rows and search triples reach
 // StudyCommit / ExecSearch::Commit in item order, so checkpoints, CSV
 // rows, best-candidate selection, collected rates and Pareto fronts, and
 // the completed-item and failure counts replay the sequential loop's.

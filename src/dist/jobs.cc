@@ -1,7 +1,10 @@
 #include "dist/jobs.h"
 
+#include <charconv>
+#include <cmath>
 #include <limits>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -45,9 +48,9 @@ std::vector<SearchEntry> EntriesFromJson(const json::Value& v,
 }
 
 // One study row per item, evaluated by EvaluateStudyRow — the row
-// evaluator of Study::RunResilient — so the CSV line and the raw
-// sample-rate double it ships back are bit-identical to what the
-// in-process loop commits. The worker's rows share one StageTable.
+// evaluator of Study::RunResilient — and shipped as StudyRowToLine text,
+// so the CSV line and the raw sample-rate double are bit-identical to what
+// the in-process loop commits. The worker's rows share one StageTable.
 class StudyJob : public Job {
  public:
   explicit StudyJob(const json::Value& spec)
@@ -64,14 +67,9 @@ class StudyJob : public Job {
     return fault_key_base_ + item;
   }
 
-  [[nodiscard]] json::Value RunItem(std::uint64_t item) override {
-    const StudyRowResult row =
-        EvaluateStudyRow(stages_, execs_[item], FaultKey(item));
-    json::Value out;
-    out["csv"] = row.csv;
-    if (row.sample_rate) out["sample_rate"] = row.sample_rate->raw();
-    if (row.bad_config) out["bad_config"] = *row.bad_config;
-    return out;
+  [[nodiscard]] std::string RunItem(std::uint64_t item) override {
+    return StudyRowToLine(
+        EvaluateStudyRow(stages_, execs_[item], FaultKey(item)));
   }
 
  private:
@@ -116,7 +114,7 @@ class ExecSearchJob : public Job {
     return item << 32;
   }
 
-  [[nodiscard]] json::Value RunItem(std::uint64_t item) override {
+  [[nodiscard]] std::string RunItem(std::uint64_t item) override {
     const TripleSweep sweep = search_.Sweep(item);
     json::Value out;
     out["evaluated"] = static_cast<std::int64_t>(sweep.evaluated);
@@ -128,7 +126,7 @@ class ExecSearchJob : public Job {
     for (PerSecond rate : sweep.rates) rates.emplace_back(rate.raw());
     out["rates"] = json::Value(std::move(rates));
     out["failures"] = FailuresToJson(sweep.failures);
-    return out;
+    return out.Dump();
   }
 
  private:
@@ -171,7 +169,7 @@ class AuditJob : public Job {
     return pairs_[item].fault_key_base;
   }
 
-  [[nodiscard]] json::Value RunItem(std::uint64_t item) override {
+  [[nodiscard]] std::string RunItem(std::uint64_t item) override {
     const AuditPairSpec& pair = pairs_[item];
     RunContext local_ctx;
     local_ctx.set_max_failure_samples(std::numeric_limits<std::size_t>::max());
@@ -184,7 +182,7 @@ class AuditJob : public Job {
     json::Value out;
     out["report"] = analysis::ReportToJson(report);
     out["failures"] = FailuresToJson(local_ctx.Snapshot().failure_samples);
-    return out;
+    return out.Dump();
   }
 
  private:
@@ -202,15 +200,64 @@ std::unique_ptr<Job> MakeJob(const json::Value& spec) {
   throw ConfigError("dist: unknown job kind '" + kind + "'");
 }
 
-StudyRowResult StudyRowFromJson(const json::Value& v) {
-  StudyRowResult row;
-  row.csv = v.at("csv").AsString();
-  // The raw double traveled as %.17g: the commit compares the exact value
-  // the worker computed.
-  if (v.contains("sample_rate")) {
-    row.sample_rate = PerSecond(v.at("sample_rate").AsDouble());
+std::string StudyRowToLine(const StudyRowResult& row) {
+  std::string line;
+  line.reserve(row.csv.size() + 32);
+  if (row.sample_rate) {
+    // %.17g: the commit compares the exact value the worker computed.
+    char buf[32];  // "-1.2345678901234567e-308" is 24 characters
+    line.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                   row.sample_rate->raw(),
+                                   std::chars_format::general, 17)
+                         .ptr);
   }
-  if (v.contains("bad_config")) row.bad_config = v.at("bad_config").AsString();
+  line += '\t';
+  if (row.bad_config) json::AppendEscaped(line, *row.bad_config);
+  line += '\t';
+  line.append(row.csv, 0, row.csv.size() - (row.csv.ends_with('\n') ? 1 : 0));
+  return line;
+}
+
+StudyRowResult StudyRowFromLine(std::string_view line) {
+  const std::size_t rate_end = line.find('\t');
+  const std::size_t bad_end = rate_end == std::string_view::npos
+                                  ? rate_end
+                                  : line.find('\t', rate_end + 1);
+  if (bad_end == std::string_view::npos || bad_end + 1 == line.size()) {
+    throw ConfigError(
+        "dist: a study line needs a rate, a bad-config and a CSV field");
+  }
+  StudyRowResult row;
+  const std::string_view rate = line.substr(0, rate_end);
+  if (!rate.empty()) {
+    const char* const last = rate.data() + rate.size();
+    double value = 0.0;
+    const std::from_chars_result r = std::from_chars(rate.data(), last, value);
+    if (r.ec != std::errc() || r.ptr != last || !std::isfinite(value) ||
+        value <= 0.0) {
+      throw ConfigError(
+          "dist: a study line's rate is not a finite positive number");
+    }
+    row.sample_rate = PerSecond(value);
+  }
+  const std::string_view bad =
+      line.substr(rate_end + 1, bad_end - rate_end - 1);
+  if (!bad.empty()) {
+    // One JSON string exactly as StudyRowToLine escapes it, and nothing
+    // more: the canonical rendering must give back the field.
+    const json::Value detail = json::Parse(bad);
+    std::string canonical;
+    if (detail.is_string()) json::AppendEscaped(canonical, detail.AsString());
+    if (canonical != bad) {
+      throw ConfigError(
+          "dist: a study line's bad-config field is not one JSON string");
+    }
+    row.bad_config = detail.AsString();
+  }
+  const std::string_view csv = line.substr(bad_end + 1);
+  row.csv.reserve(csv.size() + 1);
+  row.csv.append(csv);
+  row.csv += '\n';
   return row;
 }
 

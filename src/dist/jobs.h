@@ -6,16 +6,20 @@
 // identical item list on both sides of a fork. Each worker builds the job
 // from the spec and evaluates the items it is assigned with the engine's
 // one item evaluator (EvaluateStudyRow, ExecSearch::Sweep, AuditPair).
-// Item results are JSON (doubles as %.17g, lossless); the parent decodes
-// them with the *FromJson functions below into the engine's native item
-// result and hands that to the engine's one commit (StudyCommit,
-// ExecSearch::Commit) — the same commit the in-process loop feeds, so a
-// supervised sweep merges to bit-identical output.
+// An item result is one line of text, with doubles written losslessly
+// (%.17g): a study row is the StudyRowToLine text below, an exec-search
+// triple or audit pair a compact JSON object. The parent decodes a line
+// with StudyRowFromLine, or json::Parse and the *FromJson functions, into
+// the engine's native item result and hands that to the engine's one
+// commit (StudyCommit, ExecSearch::Commit) — the same commit the
+// in-process loop feeds, so a supervised sweep merges to bit-identical
+// output.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hw/system.h"
@@ -38,10 +42,10 @@ class Job {
   // a seeded process fault re-fires on every retry of the same item.
   [[nodiscard]] virtual std::uint64_t FaultKey(std::uint64_t item) const = 0;
 
-  // Evaluates one item. Per-item model failures are isolated inside the
-  // result (never thrown): a throw out of RunItem means the job itself is
-  // broken and takes the worker down.
-  [[nodiscard]] virtual json::Value RunItem(std::uint64_t item) = 0;
+  // Evaluates one item into its result line (no '\n'). Per-item model
+  // failures are isolated inside the result (never thrown): a throw out of
+  // RunItem means the job itself is broken and takes the worker down.
+  [[nodiscard]] virtual std::string RunItem(std::uint64_t item) = 0;
 };
 
 // Builds the job described by `spec`, a {"job": "<kind>", ...} object as
@@ -58,8 +62,18 @@ struct AuditPairSpec {
   std::uint64_t fault_key_base = 0;
 };
 
-// A "study" item result.
-[[nodiscard]] StudyRowResult StudyRowFromJson(const json::Value& v);
+// A "study" item result as one line of three tab-separated fields: the
+// exact sample rate (%.17g; empty for an infeasible row), the bad-config
+// detail as a JSON string literal (empty when there is none), then the
+// CSV data line without its '\n'. The CSV line comes last because it may
+// hold tabs; it holds no '\n' (StudyCsvRow maps those in reasons to ';').
+[[nodiscard]] std::string StudyRowToLine(const StudyRowResult& row);
+
+// The inverse of StudyRowToLine. Throws ConfigError on a missing field, a
+// rate that is not a finite positive number written out in full, or
+// bad-config text that is not exactly one JSON string as StudyRowToLine
+// writes it.
+[[nodiscard]] StudyRowResult StudyRowFromLine(std::string_view line);
 
 // An "exec_search" item result. The worker ships executions only; their
 // Stats are recomputed here by deterministic re-evaluation on (app, sys),

@@ -11,8 +11,10 @@
 #include <deque>
 #include <exception>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -140,9 +142,18 @@ struct Pool {
   // Per-slot telemetry folded across worker incarnations; ingested into
   // the global registry (tagged and aggregated) at the end of the run.
   std::vector<obs::MetricsSnapshot> finalized_metrics;
+  // The bucket layout of every histogram name an accepted snapshot held.
+  // Snapshots that disagree with it (or with the registry) are rejected on
+  // arrival, so the merges after the loop cannot throw.
+  std::map<std::string, std::vector<double>> histogram_layouts;
   // Sequence number for post-mortem file names (a run may dump several).
   int flight_dump_seq = 0;
 };
+
+// The registry prefix that tags slot `index`'s worker instruments.
+[[nodiscard]] std::string SlotPrefix(std::size_t index) {
+  return StrFormat("dist.worker.%d.", static_cast<int>(index));
+}
 
 [[nodiscard]] int CountAlive(const Pool& pool) {
   int n = 0;
@@ -261,17 +272,50 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
   }
 }
 
+// Throws ConfigError unless every histogram of slot `index`'s `snapshot`
+// has the bucket layout this run already holds under its name: that of an
+// earlier accepted snapshot, else that of the registry's histogram it will
+// be ingested into (aggregated, and tagged with the slot). Records the
+// layouts of an accepted snapshot.
+void CheckHistogramLayouts(Pool& pool, std::size_t index,
+                           const obs::MetricsSnapshot& snapshot) {
+  const obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const std::string prefix = SlotPrefix(index);
+  for (const auto& [name, histogram] : snapshot.histograms) {
+    if (histogram.empty()) continue;  // merges as the identity
+    const auto seen = pool.histogram_layouts.find(name);
+    const bool fits =
+        (seen != pool.histogram_layouts.end()
+             ? seen->second == histogram.bounds
+             : metrics.HistogramFits(name, histogram.bounds)) &&
+        metrics.HistogramFits(prefix + name, histogram.bounds);
+    if (!fits) {
+      throw ConfigError("dist: a worker's histogram '" + name +
+                        "' has a bucket layout this run holds differently");
+    }
+  }
+  for (const auto& [name, histogram] : snapshot.histograms) {
+    if (!histogram.empty()) {
+      pool.histogram_layouts.try_emplace(name, histogram.bounds);
+    }
+  }
+}
+
 // Telemetry frames interleaved with the result stream. Purely
 // observational: they never touch the shard tracker or the driver
 // callbacks, which is what keeps supervised outputs bit-identical with
-// telemetry on. Returns false for frame types it does not know.
+// telemetry on. Returns false for frame types it does not know; throws
+// ConfigError on a malformed one.
 [[nodiscard]] bool HandleTelemetryFrame(Pool& pool, std::size_t index,
                                         const std::string& type,
                                         const json::Value& frame) {
   WorkerSlot& slot = pool.slots[index];
   if (type == "metrics_snapshot") {
+    obs::MetricsSnapshot snapshot =
+        obs::MetricsSnapshot::FromJson(frame.at("metrics"));
+    CheckHistogramLayouts(pool, index, snapshot);
     // Cumulative per incarnation: replace, don't merge.
-    slot.live_metrics = obs::MetricsSnapshot::FromJson(frame.at("metrics"));
+    slot.live_metrics = std::move(snapshot);
     slot.has_live_metrics = true;
     return true;
   }
@@ -604,9 +648,27 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
       for (;;) {
         const FrameReader::FillStatus status = slot.reader->Fill();
         json::Value frame;
+        std::string_view lines;
         bool corrupt = false;
         try {
-          while (slot.reader->NextFrame(&frame)) {
+          for (;;) {
+            if (slot.reader->NextLines(&lines)) {
+              // A whole run, checked at its header: one result per line.
+              slot.last_activity_ms = NowMs();
+              for (std::size_t at = 0; at < lines.size();) {
+                const std::size_t nl = lines.find('\n', at);
+                const std::uint64_t index = slot.shard.begin + slot.acked;
+                if (pool.callbacks->on_item) {
+                  pool.callbacks->on_item(index, lines.substr(at, nl - at));
+                }
+                tracker.OnItemDone(index);
+                ++slot.acked;
+                slot.Record("item_done", index);
+                at = nl + 1;
+              }
+              continue;
+            }
+            if (!slot.reader->NextFrame(&frame)) break;
             const std::string type = frame.GetString("type", "");
             slot.last_activity_ms = NowMs();
             if (type == "ready") {
@@ -614,26 +676,19 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
               slot.Record("ready");
               pool.consecutive_startup_failures = 0;
             } else if (type == "items") {
-              // A run of consecutive results: it must start at the next
-              // un-acked item and end within the shard.
-              const auto first =
-                  static_cast<std::uint64_t>(frame.at("begin").AsInt());
-              const json::Array& results = frame.at("results").AsArray();
+              // A run header: `count` result lines follow. The run must
+              // be non-empty, start at the next un-acked item and end
+              // within the shard.
+              const std::int64_t first = frame.at("begin").AsInt();
+              const std::int64_t count = frame.at("count").AsInt();
               const std::uint64_t next = slot.shard.begin + slot.acked;
-              if (!slot.busy || results.empty() || first != next ||
-                  results.size() > slot.shard.end - next) {
+              if (!slot.busy || count <= 0 ||
+                  static_cast<std::uint64_t>(first) != next ||
+                  static_cast<std::uint64_t>(count) > slot.shard.end - next) {
                 corrupt = true;  // a misplaced run: protocol violation
                 break;
               }
-              for (const json::Value& result : results) {
-                const std::uint64_t index = slot.shard.begin + slot.acked;
-                if (pool.callbacks->on_item) {
-                  pool.callbacks->on_item(index, result);
-                }
-                tracker.OnItemDone(index);
-                ++slot.acked;
-                slot.Record("item_done", index);
-              }
+              slot.reader->ExpectLines(static_cast<std::uint64_t>(count));
             } else if (type == "shard_done") {
               slot.busy = false;
               slot.Record("shard_done", slot.shard.begin);
@@ -741,12 +796,21 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
       for (;;) {
         const FrameReader::FillStatus status = slot.reader->Fill();
         json::Value frame;
+        std::string_view skipped;
         try {
-          while (slot.reader->NextFrame(&frame)) {
-            // Only telemetry matters now; stray result frames from an
-            // abandoned shard are discarded (their items stay unresolved).
-            (void)HandleTelemetryFrame(pool, i,
-                                       frame.GetString("type", ""), frame);
+          for (;;) {
+            // Only telemetry matters now; the runs of an abandoned shard
+            // are skipped unread (their items stay unresolved).
+            if (slot.reader->NextLines(&skipped)) continue;
+            if (!slot.reader->NextFrame(&frame)) break;
+            const std::string type = frame.GetString("type", "");
+            if (type == "items") {
+              const std::int64_t count = frame.at("count").AsInt();
+              if (count <= 0) throw ConfigError("dist: an empty run");
+              slot.reader->ExpectLines(static_cast<std::uint64_t>(count));
+            } else {
+              (void)HandleTelemetryFrame(pool, i, type, frame);
+            }
           }
         } catch (const ConfigError&) {
           closed = true;  // corrupt tail during shutdown: stop reading
@@ -798,15 +862,16 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
   // Ingest the workers' telemetry into the global registry: once per slot
   // under a dist.worker.N. tag, and once merged into the shared names so
   // e.g. exec_search.eval_latency aggregates across every worker exactly
-  // as the in-process run would have populated it.
+  // as the in-process run would have populated it. Every histogram layout
+  // was checked on arrival (CheckHistogramLayouts), so none of these
+  // merges throws.
   if (metrics.enabled()) {
     obs::MetricsSnapshot aggregate;
     for (std::size_t i = 0; i < pool.slots.size(); ++i) {
       FinalizeSlotMetrics(pool, i);
       const obs::MetricsSnapshot& per_slot = pool.finalized_metrics[i];
       if (per_slot.empty()) continue;
-      metrics.Ingest(per_slot,
-                     StrFormat("dist.worker.%d.", static_cast<int>(i)));
+      metrics.Ingest(per_slot, SlotPrefix(i));
       aggregate.Merge(per_slot);
     }
     if (!aggregate.empty()) metrics.Ingest(aggregate, "");

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "json/json.h"
@@ -80,9 +81,12 @@ struct DistOptions {
 };
 
 struct SupervisorCallbacks {
-  // One item's result, in ARRIVAL order (not item order). Never invoked
-  // twice for the same item.
-  std::function<void(std::uint64_t item, const json::Value& result)> on_item;
+  // One item's result line (Job::RunItem's text, no '\n'), in ARRIVAL
+  // order (not item order); the view lasts for the call. Never invoked
+  // twice for the same item. A ConfigError out of it (a line that does not
+  // decode) is the sending worker's corrupt frame: it is killed and the
+  // run's remaining items are retried.
+  std::function<void(std::uint64_t item, std::string_view result)> on_item;
   // A quarantined item: no result will ever arrive for it.
   std::function<void(const FailureRecord& record)> on_quarantine;
 };

@@ -17,6 +17,8 @@ void FrameWriter::QueueFrame(const json::Value& value) {
   queued_ += '\n';
 }
 
+void FrameWriter::QueueLines(std::string_view lines) { queued_ += lines; }
+
 bool FrameWriter::Flush() {
   const char* data = queued_.data();
   std::size_t left = queued_.size();
@@ -54,12 +56,27 @@ FrameReader::FillStatus FrameReader::Fill() {
 }
 
 bool FrameReader::NextFrame(json::Value* out) {
+  if (expected_ > 0) return false;
   const std::size_t nl = buffer_.find('\n', consumed_);
   if (nl == std::string::npos) return false;
   const std::string_view line =
       std::string_view(buffer_).substr(consumed_, nl - consumed_);
   consumed_ = nl + 1;
   *out = json::Parse(line);
+  return true;
+}
+
+bool FrameReader::NextLines(std::string_view* lines) {
+  if (expected_ == 0) return false;
+  std::size_t end = consumed_;
+  for (std::uint64_t i = 0; i < expected_; ++i) {
+    const std::size_t nl = buffer_.find('\n', end);
+    if (nl == std::string::npos) return false;
+    end = nl + 1;
+  }
+  *lines = std::string_view(buffer_).substr(consumed_, end - consumed_);
+  consumed_ = end;
+  expected_ = 0;
   return true;
 }
 

@@ -5,15 +5,21 @@
 // indent 0 and the JSON grammar escapes newlines inside strings) followed
 // by '\n'. Doubles travel as %.17g, so numeric results round-trip
 // losslessly — the property the bit-identical merge guarantee rests on.
+// A frame may announce raw lines that follow it (a run of item results,
+// dist/worker.h): the reader hands those over as text, unparsed, and only
+// once every announced line is buffered.
 //
 // Framing failure modes are first-class: a worker that dies mid-write
-// leaves a dangling partial line, which the reader reports as truncation
-// (distinct from a clean EOF at a frame boundary) so the supervisor can
-// tell "finished and closed" from "died mid-message".
+// leaves a dangling partial line or a run short of its announced lines,
+// which the reader reports as truncation (distinct from a clean EOF at a
+// frame boundary) so the supervisor can tell "finished and closed" from
+// "died mid-message".
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "json/json.h"
 
@@ -34,6 +40,10 @@ class FrameWriter {
 
   // Serializes one frame onto the queue without writing anything.
   void QueueFrame(const json::Value& value);
+
+  // Queues `lines`, raw '\n'-terminated lines, as they are: the lines a
+  // frame queued just before announced.
+  void QueueLines(std::string_view lines);
 
   // Writes the queued frames, if any, in one write(). Returns false when
   // the peer is gone.
@@ -63,12 +73,23 @@ class FrameReader {
 
   // Pops the next complete frame, if one is buffered. Throws ConfigError
   // on a malformed frame (the caller treats that as a corrupt peer).
+  // Pops nothing while announced lines are outstanding.
   [[nodiscard]] bool NextFrame(json::Value* out);
 
-  // After Fill() returned kEof: the stream ended mid-line, i.e. the
-  // writer died partway through a message.
+  // Announces that the next `count` lines are the raw lines of the frame
+  // just popped. The caller checks `count` first: the reader buffers
+  // whatever it announces.
+  void ExpectLines(std::uint64_t count) { expected_ = count; }
+
+  // Pops the announced lines once all of them are buffered: `lines` views
+  // them, each ending in '\n', until the next Fill(). False while some are
+  // still to come, and when none are announced.
+  [[nodiscard]] bool NextLines(std::string_view* lines);
+
+  // After Fill() returned kEof: the stream ended mid-line or short of the
+  // announced lines, i.e. the writer died partway through a message.
   [[nodiscard]] bool truncated() const {
-    return eof_ && consumed_ < buffer_.size();
+    return eof_ && (consumed_ < buffer_.size() || expected_ > 0);
   }
   [[nodiscard]] bool eof() const { return eof_; }
 
@@ -84,6 +105,7 @@ class FrameReader {
   std::string buffer_;
   std::size_t consumed_ = 0;
   bool eof_ = false;
+  std::uint64_t expected_ = 0;  // announced lines not yet popped
 };
 
 }  // namespace calculon::dist

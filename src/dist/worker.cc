@@ -89,25 +89,31 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
       const auto end = static_cast<std::uint64_t>(frame.at("end").AsInt());
       const bool ack_each = frame.GetBool("ack_each", false);
       auto last_write = std::chrono::steady_clock::now();
-      // The results of items [run_begin, run_begin + results.size()),
-      // finished since the last write.
+      // The result lines of items [run_begin, run_begin + run_count),
+      // finished since the last write, each ending in '\n'.
       std::uint64_t run_begin = begin;
-      json::Array results;
+      std::uint64_t run_count = 0;
+      std::string run_lines;
       auto queue_run = [&] {
-        if (results.empty()) return;
-        json::Value run;
-        run["type"] = "items";
-        run["begin"] = static_cast<std::int64_t>(run_begin);
-        run_begin += results.size();
-        run["results"] = json::Value(std::exchange(results, {}));
-        writer.QueueFrame(run);
+        if (run_count == 0) return;
+        json::Value header;
+        header["type"] = "items";
+        header["begin"] = static_cast<std::int64_t>(run_begin);
+        header["count"] = static_cast<std::int64_t>(run_count);
+        writer.QueueFrame(header);
+        writer.QueueLines(run_lines);
+        run_begin += run_count;
+        run_count = 0;
+        run_lines.clear();
       };
       for (std::uint64_t i = begin; i < end && i < job->num_items(); ++i) {
         // The process-level fault decision fires before the evaluation:
         // an aborted/hung item never acks, so on a retried (ack_each)
         // shard the supervisor's suspect is exactly this item.
         faults.MaybeInjectProcess(job->FaultKey(i));
-        results.push_back(job->RunItem(i));
+        run_lines += job->RunItem(i);
+        run_lines += '\n';
+        ++run_count;
         const auto now = std::chrono::steady_clock::now();
         if (ack_each || now - last_write >= kFlushInterval) {
           queue_run();

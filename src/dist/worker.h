@@ -9,19 +9,22 @@
 //   worker -> parent   {"type":"ready"}
 //   parent -> worker   {"type":"shard", "begin":B, "end":E}
 //                      (a retried shard adds "ack_each":true)
-//   worker -> parent   {"type":"items", "begin":I, "results":[{...}, ...]}
-//                      (per flush: the results of items I, I+1, ...)
+//   worker -> parent   {"type":"items", "begin":I, "count":N}
+//                      followed by N raw lines: the results of items
+//                      I, I+1, ..., one Job::RunItem line each (per flush)
 //   worker -> parent   {"type":"shard_done", "begin":B, "end":E}
 //   parent -> worker   {"type":"exit"}
 //
 // A worker keeps the results a shard has ready and ships them as one run
-// frame per flush: whenever 1 ms has passed since its last write, so slow
-// items still ack as they finish and a busy worker that stays silent is
-// hung, and at the end of the shard, together with shard_done in one
-// write(). A retried shard ("ack_each") flushes after every item, so its
-// runs hold one result each. The supervisor accepts a run only if it is
-// non-empty, starts at the shard's next un-acked item and ends within the
-// shard; any other run is a corrupt frame.
+// per flush: whenever 1 ms has passed since its last write, so slow items
+// still ack as they finish and a busy worker that stays silent is hung,
+// and at the end of the shard, together with shard_done in one write(). A
+// retried shard ("ack_each") flushes after every item, so its runs hold
+// one result each. The supervisor checks a run's header before it reads
+// any line: the run must be non-empty, start at the shard's next un-acked
+// item and end within the shard, or the header is a corrupt frame. It
+// takes the run only once all N lines are buffered, so a run cut short by
+// the worker's death acks nothing.
 //
 // Before each shard_done and on exit, a worker may send purely
 // observational telemetry frames (enabled via the init frame's
@@ -32,7 +35,7 @@
 //
 // The supervisor never feeds these into its reorder buffers, so outputs
 // stay bit-identical with telemetry on. With both off, a shard costs one
-// run frame per flush plus shard_done.
+// run per flush plus shard_done.
 //
 // Items are evaluated and acked strictly in order within a shard. On an
 // ack_each shard that lets the supervisor identify the *suspect* (first

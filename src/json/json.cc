@@ -136,10 +136,7 @@ bool operator==(const Value& a, const Value& b) {
   return false;
 }
 
-namespace {
-
-// Appends `s` as a JSON string literal. Runs of bytes that need no escape
-// are copied in one append each.
+// Runs of bytes that need no escape are copied in one append each.
 void AppendEscaped(std::string& out, std::string_view s) {
   out += '"';
   std::size_t run = 0;  // start of the pending run of plain bytes
@@ -167,6 +164,8 @@ void AppendEscaped(std::string& out, std::string_view s) {
   out.append(s.data() + run, s.size() - run);
   out += '"';
 }
+
+namespace {
 
 // Integral values below 1e15 print as integers, everything else as %.17g
 // (lossless). The range is checked before the cast, which is undefined for

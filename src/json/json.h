@@ -93,6 +93,10 @@ class Value {
   std::shared_ptr<Object> obj_;
 };
 
+// Appends `s` as a JSON string literal, exactly as Dump renders a string
+// value: '"', '\\', control bytes and nothing else escaped.
+void AppendEscaped(std::string& out, std::string_view s);
+
 // Parses a complete JSON document. Throws ConfigError with a line/column
 // message on malformed input.
 [[nodiscard]] Value Parse(std::string_view text);

@@ -308,6 +308,13 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return it->second.get();
 }
 
+bool MetricsRegistry::HistogramFits(const std::string& name,
+                                    const std::vector<double>& bounds) const {
+  MutexLock lock(mutex_);
+  const auto it = histograms_.find(name);
+  return it == histograms_.end() || it->second->bounds() == bounds;
+}
+
 json::Value MetricsRegistry::ToJson() const { return Snapshot().ToJson(); }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

@@ -200,6 +200,11 @@ class MetricsRegistry {
   [[nodiscard]] Histogram* GetHistogram(const std::string& name,
                                         std::vector<double> bounds)
       CALC_EXCLUDES(mutex_);
+  // True when there is no histogram `name` or its bounds are `bounds`:
+  // Ingest can fold a snapshot histogram of that layout into it.
+  [[nodiscard]] bool HistogramFits(const std::string& name,
+                                   const std::vector<double>& bounds) const
+      CALC_EXCLUDES(mutex_);
 
   // {"counters": {...}, "gauges": {...}, "histograms": {name: {"count",
   // "sum", "bounds", "bucket_counts", "p50", "p95", "p99"}}}. Keys are

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -14,6 +15,8 @@
 #include "obs/trace.h"
 #include "runner/run_status_json.h"
 #include "testing/fault_injection.h"
+#include "util/check.h"
+#include "util/fileio.h"
 #include "util/mathutil.h"
 #include "util/strings.h"
 #include "util/units.h"
@@ -96,6 +99,11 @@ std::uint64_t Fnv1a(std::uint64_t h, const std::string& s) {
 
 constexpr const char* kCheckpointFormat = "calculon-study-checkpoint-v1";
 
+// How Dump(2) renders the checkpoint's csv_rows array, a key of the
+// top-level object: empty, and the separator before each element.
+constexpr std::string_view kEmptyCheckpointRows = "\n  \"csv_rows\": []";
+constexpr std::string_view kCheckpointRowSeparator = ",\n    ";
+
 void AppendInt(std::string& out, std::int64_t v) {
   char buf[24];
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
@@ -150,31 +158,26 @@ void CheckResumedBest(const std::string& path,
   }
 }
 
-}  // namespace
-
 // Atomic checkpoint write (unique temp + fsync + rename inside
-// json::WriteFile → WriteFileAtomic): a crash mid-write — even SIGKILL —
-// leaves the previous checkpoint intact because the rename is the commit
-// point.
-void WriteStudyCheckpoint(const std::string& path, const json::Value& value) {
+// WriteFileAtomic): a crash mid-write — even SIGKILL — leaves the previous
+// checkpoint intact because the rename is the commit point.
+void WriteCheckpointText(const std::string& path, const std::string& text) {
   CALC_TRACE_SPAN("io", "checkpoint_write");
-  json::WriteFile(path, value);
+  WriteFileAtomic(path, text);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   if (metrics.enabled()) {
     metrics.GetCounter("study.checkpoint_writes")->Increment();
   }
 }
 
-json::Value StudyCheckpointToJson(const std::string& fingerprint,
-                                  const StudyRun& run) {
+// The checkpoint document of `run`, with `rows` as its csv_rows array.
+json::Value CheckpointDocument(const std::string& fingerprint,
+                               const StudyRun& run, json::Array rows) {
   json::Object obj;
   obj["format"] = kCheckpointFormat;
   obj["fingerprint"] = fingerprint;
   obj["completed"] = static_cast<std::int64_t>(run.csv_rows.size());
   obj["total_rows"] = static_cast<std::int64_t>(run.total_rows);
-  json::Array rows;
-  rows.reserve(run.csv_rows.size());
-  for (const std::string& row : run.csv_rows) rows.emplace_back(row);
   obj["csv_rows"] = json::Value(std::move(rows));
   json::Object best;
   best["found"] = run.best.found;
@@ -187,6 +190,20 @@ json::Value StudyCheckpointToJson(const std::string& fingerprint,
   obj["best"] = json::Value(std::move(best));
   obj["status"] = ToJson(run.status);
   return json::Value(std::move(obj));
+}
+
+}  // namespace
+
+void WriteStudyCheckpoint(const std::string& path, const json::Value& value) {
+  WriteCheckpointText(path, value.Dump(2) + '\n');
+}
+
+json::Value StudyCheckpointToJson(const std::string& fingerprint,
+                                  const StudyRun& run) {
+  json::Array rows;
+  rows.reserve(run.csv_rows.size());
+  for (const std::string& row : run.csv_rows) rows.emplace_back(row);
+  return CheckpointDocument(fingerprint, run, std::move(rows));
 }
 
 // Restores csv_rows and best from a checkpoint; throws ConfigError on a
@@ -421,6 +438,38 @@ StudyCommit::StudyCommit(const Study& study, const StudyRunOptions& options)
     }
   }
   run_.resumed_rows = run_.csv_rows.size();
+  if (!checkpoint_path_.empty()) {
+    for (const std::string& csv : run_.csv_rows) AppendCheckpointRow(csv);
+  }
+}
+
+void StudyCommit::AppendCheckpointRow(std::string_view csv) {
+  checkpoint_rows_ += kCheckpointRowSeparator;
+  json::AppendEscaped(checkpoint_rows_, csv);
+}
+
+void StudyCommit::WriteCheckpoint() const {
+  // The rest of the document, dumped with an empty csv_rows array, which
+  // the rows' text then fills: StudyCheckpointToJson(fingerprint_,
+  // run_).Dump(2) + "\n", byte for byte.
+  const std::string rest = CheckpointDocument(fingerprint_, run_, {}).Dump(2);
+  if (checkpoint_rows_.empty()) {
+    WriteCheckpointText(checkpoint_path_, rest + '\n');
+    return;
+  }
+  const std::size_t empty_rows = rest.find(kEmptyCheckpointRows);
+  CALC_CHECK(empty_rows != std::string::npos,
+             "study checkpoint without its csv_rows key");
+  // Where the array's ']' sits.
+  const std::size_t close = empty_rows + kEmptyCheckpointRows.size() - 1;
+  std::string text;
+  text.reserve(rest.size() + checkpoint_rows_.size() + 4);
+  text.append(rest, 0, close);
+  text.append(checkpoint_rows_, 1);  // the first element has no ','
+  text += "\n  ";
+  text.append(rest, close);
+  text += '\n';
+  WriteCheckpointText(checkpoint_path_, text);
 }
 
 void StudyCommit::Commit(StudyRowResult row) {
@@ -440,10 +489,11 @@ void StudyCommit::Commit(StudyRowResult row) {
   }
   run_.csv_rows.push_back(std::move(row.csv));
   ctx_->RecordCompleted();
-  if (!checkpoint_path_.empty() && ++since_checkpoint_ >= checkpoint_every_) {
+  if (checkpoint_path_.empty()) return;
+  AppendCheckpointRow(run_.csv_rows.back());
+  if (++since_checkpoint_ >= checkpoint_every_) {
     since_checkpoint_ = 0;
-    WriteStudyCheckpoint(checkpoint_path_,
-                         StudyCheckpointToJson(fingerprint_, run_));
+    WriteCheckpoint();
   }
 }
 
@@ -463,10 +513,7 @@ void StudyCommit::Quarantine(FailureRecord record) {
 StudyRun StudyCommit::Finish() {
   run_.status = ctx_->Snapshot();
   run_.status.complete = run_.csv_rows.size() == execs_.size();
-  if (!checkpoint_path_.empty()) {
-    WriteStudyCheckpoint(checkpoint_path_,
-                         StudyCheckpointToJson(fingerprint_, run_));
-  }
+  if (!checkpoint_path_.empty()) WriteCheckpoint();
   return std::move(run_);
 }
 

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -152,7 +153,9 @@ struct StudyRowResult {
 // The in-order commit of a resilient study run, shared by
 // Study::RunResilient (fed by its own loop) and dist::RunStudySupervised
 // (fed by worker results): resume, best row, failure charge, checkpoint
-// cadence and status live here once.
+// cadence and status live here once. Each committed row is JSON-escaped
+// into the checkpoint's text once, so a checkpoint write copies the rows
+// instead of rendering them again.
 class StudyCommit {
  public:
   // Enumerates the study and, with options.resume, restores the
@@ -179,6 +182,11 @@ class StudyCommit {
   [[nodiscard]] StudyRun Finish();
 
  private:
+  void AppendCheckpointRow(std::string_view csv);
+  // Writes StudyCheckpointToJson(fingerprint_, run_), as
+  // WriteStudyCheckpoint would, from checkpoint_rows_.
+  void WriteCheckpoint() const;
+
   const std::vector<Execution> execs_;
   const std::string fingerprint_;
   const std::string checkpoint_path_;
@@ -187,10 +195,14 @@ class StudyCommit {
   RunContext* const ctx_;
   StudyRun run_;
   std::uint64_t since_checkpoint_ = 0;
+  // With a checkpoint path: the elements of the checkpoint's csv_rows
+  // array as Dump(2) renders them, each after its ",\n    " separator.
+  std::string checkpoint_rows_;
 };
 
 // Study checkpoint persistence (format marker, fingerprint guard, atomic
-// writes), used by StudyCommit.
+// writes). StudyCommit writes the bytes WriteStudyCheckpoint(path,
+// StudyCheckpointToJson(fingerprint, run)) would.
 void WriteStudyCheckpoint(const std::string& path, const json::Value& value);
 [[nodiscard]] json::Value StudyCheckpointToJson(const std::string& fingerprint,
                                                 const StudyRun& run);

@@ -169,6 +169,14 @@ class ExecSearch {
  public:
   ExecSearch(const Application& app, const System& sys,
              const SearchSpace& space, const SearchConfig& config);
+  // The search keeps references to `app`, `sys` and `space`, so none of
+  // them may be a temporary.
+  ExecSearch(Application&&, const System&, const SearchSpace&,
+             const SearchConfig&) = delete;
+  ExecSearch(const Application&, System&&, const SearchSpace&,
+             const SearchConfig&) = delete;
+  ExecSearch(const Application&, const System&, SearchSpace&&,
+             const SearchConfig&) = delete;
 
   // SearchTriples(): item i of the search is triples()[i].
   [[nodiscard]] const std::vector<Triple>& triples() const {

@@ -1,18 +1,22 @@
 // Seeded mutation fuzzing of the code that reads untrusted bytes: the
 // JSON codec (spec files, checkpoint journals, worker frames), the worker
-// frame reader, the spec loaders, a study resumed from its checkpoint and
-// the supervisor's metrics registry. The corpus is the shipped configs
-// plus recorded study and exec-search run frames, a partial study
-// checkpoint and a worker's metrics snapshot; bit flips, byte inserts and
-// deletes, truncations, splices and number-token swaps mutate it. A fixed
-// seed and iteration budget keep the test deterministic and quick; the
-// sanitizer jobs run it like every other test.
+// frame reader, the study result line decoder, the spec loaders, a study
+// resumed from its checkpoint and the supervisor's metrics registry. The
+// corpus is the shipped configs plus recorded study and exec-search runs
+// (a header frame and its result lines), a partial study checkpoint and a
+// worker's metrics snapshot; bit flips, byte inserts and deletes,
+// truncations, splices and number-token swaps mutate it. A fixed seed and
+// iteration budget keep the test deterministic and quick; the sanitizer
+// jobs run it like every other test.
 //
 // The contract:
 //   * json::Parse returns a value or throws ConfigError;
-//   * FrameReader, fed a byte stream in random chunk sizes, yields one
-//     frame or one ConfigError per line, reports truncated() exactly when
-//     the stream ends mid-line, and never blocks;
+//   * FrameReader, fed a byte stream in random chunk sizes, yields the
+//     frames, ConfigErrors and whole runs the complete stream splits into,
+//     reports truncated() exactly when the stream ends mid-line or short
+//     of a run's announced lines, and never blocks;
+//   * StudyRowFromLine returns a row whose rate is finite and positive, or
+//     absent, or throws ConfigError;
 //   * Parse(Dump(v)) gives back v, every double bit for bit;
 //   * a spec loader (Application, System, Execution, Study FromJson)
 //     returns a spec or throws ConfigError, and the model evaluates what
@@ -36,7 +40,9 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/perf_model.h"
@@ -76,31 +82,50 @@ class Rng {
   std::uint64_t state_;
 };
 
-// "items" frames carrying the first `count` results, as a worker writes
+// What a study worker and an exec-search worker write, recorded.
+struct Recording {
+  // One entry per frame as it travels: a run is its header together with
+  // its result lines.
+  std::vector<std::string> wire;
+  // Every line of `wire` that is a JSON document: the frames, the run
+  // headers and the exec-search results.
+  std::vector<std::string> documents;
+  // The study result lines, without their '\n'.
+  std::vector<std::string> study_lines;
+};
+
+// The runs carrying the first `count` results of `job`, as a worker writes
 // them: runs of one result (a retried shard's), two and three in turn.
+// Each result line also goes to `results`.
 void RecordRuns(dist::Job& job, std::uint64_t count,
-                std::vector<std::string>* frames) {
+                std::vector<std::string>* results, Recording* recording) {
   const std::uint64_t n = std::min(count, job.num_items());
   for (std::uint64_t begin = 0, size = 1; begin < n;
        begin += size, size = size % 3 + 1) {
-    json::Array results;
-    for (std::uint64_t i = begin; i < std::min(begin + size, n); ++i) {
-      results.push_back(job.RunItem(i));
+    const std::uint64_t end = std::min(begin + size, n);
+    json::Value header;
+    header["type"] = "items";
+    header["begin"] = static_cast<std::int64_t>(begin);
+    header["count"] = static_cast<std::int64_t>(end - begin);
+    std::string run = header.Dump(0) + "\n";
+    recording->documents.push_back(run);
+    for (std::uint64_t i = begin; i < end; ++i) {
+      results->push_back(job.RunItem(i));
+      run += results->back() + "\n";
     }
-    json::Value run;
-    run["type"] = "items";
-    run["begin"] = static_cast<std::int64_t>(begin);
-    run["results"] = json::Value(std::move(results));
-    frames->push_back(run.Dump(0) + "\n");
+    recording->wire.push_back(std::move(run));
   }
 }
 
-// Study and exec-search run frames, plus the frames around them.
-std::vector<std::string> RecordedFrames() {
-  std::vector<std::string> frames = {
-      "{\"type\": \"ready\"}\n",
-      "{\"begin\": 0, \"end\": 4, \"type\": \"shard_done\"}\n",
-  };
+// Study and exec-search runs, plus the frames around them.
+Recording RecordedFrames() {
+  Recording recording;
+  for (const char* frame :
+       {"{\"type\": \"ready\"}\n",
+        "{\"begin\": 0, \"end\": 4, \"type\": \"shard_done\"}\n"}) {
+    recording.wire.emplace_back(frame);
+    recording.documents.emplace_back(frame);
+  }
   json::Value study;
   study["job"] = "study";
   study["spec"] = Study::FromJson(json::Parse(R"({
@@ -111,7 +136,7 @@ std::vector<std::string> RecordedFrames() {
     "sweep": {"tensor_par": [1, 8], "pipeline_par": [1, 64],
               "data_par": "auto", "microbatch": [1, 4]}
   })")).ToJson();
-  RecordRuns(*dist::MakeJob(study), 8, &frames);
+  RecordRuns(*dist::MakeJob(study), 8, &recording.study_lines, &recording);
 
   presets::SystemOptions so;
   so.num_procs = 64;
@@ -126,8 +151,8 @@ std::vector<std::string> RecordedFrames() {
   config["keep_all_rates"] = true;
   config["keep_pareto"] = true;
   search["config"] = config;
-  RecordRuns(*dist::MakeJob(search), 3, &frames);
-  return frames;
+  RecordRuns(*dist::MakeJob(search), 3, &recording.documents, &recording);
+  return recording;
 }
 
 // Every config file, sorted for a stable order, then the frames.
@@ -184,7 +209,7 @@ std::string Mutate(std::string s, const std::string& other, Rng& rng) {
 }
 
 TEST(CodecFuzz, MutatedDocumentsParseOrThrowConfigError) {
-  const std::vector<std::string> corpus = Corpus(RecordedFrames());
+  const std::vector<std::string> corpus = Corpus(RecordedFrames().documents);
   ASSERT_GT(corpus.size(), 20u);
   for (const std::string& doc : corpus) {
     EXPECT_NO_THROW((void)json::Parse(doc));  // the seeds are valid
@@ -207,22 +232,96 @@ TEST(CodecFuzz, MutatedDocumentsParseOrThrowConfigError) {
   EXPECT_GT(parsed, 0u);
 }
 
-// Feeds `stream` through a non-blocking pipe in random chunk sizes.
+// The lines a frame announces: the count of a run header within a
+// shard-sized bound (the supervisor checks a header against its shard
+// before it announces anything), else none.
+std::uint64_t AnnouncedLines(const json::Value& frame) {
+  if (!frame.contains("type") || !frame.contains("count")) return 0;
+  const json::Value& type = frame.at("type");
+  const json::Value& count = frame.at("count");
+  if (!type.is_string() || type.AsString() != "items" || !count.is_number()) {
+    return 0;
+  }
+  const double n = count.AsDouble();
+  return n >= 1 && n <= 64 && n == std::floor(n) ? static_cast<std::uint64_t>(n)
+                                                 : 0;
+}
+
+// What reading a stream yields: frames, ConfigErrors, whole runs and the
+// lines in them, and whether it ended truncated.
+struct ReadOutcome {
+  std::size_t frames = 0;
+  std::size_t errors = 0;
+  std::size_t runs = 0;
+  std::size_t run_lines = 0;
+  bool truncated = false;
+
+  bool operator==(const ReadOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ReadOutcome& o) {
+  return os << o.frames << " frames, " << o.errors << " errors, " << o.runs
+            << " runs of " << o.run_lines << " lines"
+            << (o.truncated ? ", truncated" : "");
+}
+
+// The reference: `stream` split whole into lines, each a frame (or a
+// ConfigError) unless it belongs to the run a frame announced.
+ReadOutcome SplitStream(std::string_view stream) {
+  ReadOutcome out;
+  std::uint64_t run_size = 0;  // the lines the open run announced
+  std::uint64_t run_have = 0;  // how many of them the stream holds so far
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = stream.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    if (run_have < run_size) {
+      if (++run_have == run_size) {
+        ++out.runs;
+        out.run_lines += run_size;
+        run_size = 0;
+        run_have = 0;
+      }
+      continue;
+    }
+    try {
+      const json::Value frame = json::Parse(stream.substr(start, nl - start));
+      ++out.frames;
+      run_size = AnnouncedLines(frame);
+    } catch (const ConfigError&) {
+      ++out.errors;
+    }
+  }
+  out.truncated = start < stream.size() || run_size > 0;
+  return out;
+}
+
+// Feeds `stream` through a non-blocking pipe in random chunk sizes and
+// reads it as the supervisor does.
 void CheckFrameReader(const std::string& stream, Rng& rng) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
   dist::FrameReader reader(fds[0]);
-  std::size_t lines = 0;
+  ReadOutcome got;
   auto drain = [&] {
     for (;;) {
+      std::string_view lines;
+      if (reader.NextLines(&lines)) {
+        ++got.runs;
+        got.run_lines += static_cast<std::size_t>(
+            std::count(lines.begin(), lines.end(), '\n'));
+        continue;
+      }
       json::Value frame;
       try {
         if (!reader.NextFrame(&frame)) return;
       } catch (const ConfigError&) {
         // a corrupt line: the supervisor kills the worker that sent it
+        ++got.errors;
+        continue;
       }
-      ++lines;
+      ++got.frames;
+      if (const std::uint64_t n = AnnouncedLines(frame)) reader.ExpectLines(n);
     }
   };
   for (std::size_t off = 0; off < stream.size();) {
@@ -242,17 +341,36 @@ void CheckFrameReader(const std::string& stream, Rng& rng) {
   ::close(fds[0]);
   EXPECT_EQ(last, dist::FrameReader::FillStatus::kEof);
   EXPECT_TRUE(reader.eof());
-  EXPECT_EQ(lines, static_cast<std::size_t>(
-                       std::count(stream.begin(), stream.end(), '\n')));
-  EXPECT_EQ(reader.truncated(), !stream.empty() && stream.back() != '\n');
+  got.truncated = reader.truncated();
+  EXPECT_EQ(got, SplitStream(stream));
 }
 
 TEST(CodecFuzz, FrameReaderYieldsEveryLineAndFlagsATruncatedTail) {
-  const std::vector<std::string> frames = RecordedFrames();
+  const std::vector<std::string> frames = RecordedFrames().wire;
   std::string recorded;
   for (const std::string& frame : frames) recorded += frame;
   Rng rng(23);
   CheckFrameReader(recorded, rng);  // the unmutated stream
+  const ReadOutcome whole = SplitStream(recorded);
+  EXPECT_FALSE(whole.truncated);
+  EXPECT_GT(whole.runs, 4u);
+
+  // Cut inside a run of three lines, from just after its header to just
+  // before its last '\n': every cut is a truncation, and the run is never
+  // taken.
+  const std::size_t run_at = recorded.find("\"count\": 3");
+  ASSERT_NE(run_at, std::string::npos);
+  const std::size_t header_end = recorded.find('\n', run_at) + 1;
+  std::size_t run_end = header_end;
+  for (int line = 0; line < 3; ++line) {
+    run_end = recorded.find('\n', run_end) + 1;
+  }
+  for (std::size_t cut = header_end; cut < run_end; ++cut) {
+    const std::string stream = recorded.substr(0, cut);
+    CheckFrameReader(stream, rng);
+    EXPECT_TRUE(SplitStream(stream).truncated) << "cut at " << cut;
+  }
+
   for (int i = 0; i < 1000; ++i) {
     const std::string stream =
         Mutate(recorded, frames[rng.Below(frames.size())], rng);
@@ -687,6 +805,90 @@ TEST(CodecFuzz, MutatedMetricsSnapshotsIngestOrThrowConfigError) {
     ExpectUsable(registry);
   }
   EXPECT_GT(ingested, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// --- Study result lines -----------------------------------------------------
+
+// Replaces tab-separated field `field` (0: rate, 1: bad-config) of `line`
+// with `value`; a line without that field is returned as it is.
+std::string ReplaceField(std::string line, int field, std::string_view value) {
+  std::size_t begin = 0;
+  for (int f = 0; f < field; ++f) {
+    begin = line.find('\t', begin);
+    if (begin == std::string::npos) return line;
+    ++begin;
+  }
+  const std::size_t end = line.find('\t', begin);
+  if (end == std::string::npos) return line;
+  return line.replace(begin, end - begin, value);
+}
+
+TEST(CodecFuzz, MutatedStudyLinesDecodeOrThrowConfigError) {
+  std::vector<std::string> corpus = RecordedFrames().study_lines;
+  ASSERT_FALSE(corpus.empty());
+  // Bad-config rows, whose detail is free text.
+  const Study study = Study::FromJson(CheckpointStudySpec());
+  const Execution exec = study.Enumerate().front();
+  for (const char* detail :
+       {"injected fault", "quote \" back\\slash",
+        "tab\tnew\nline \x01\x1f\x7f end", "a, comma", ""}) {
+    StudyRowResult row;
+    row.csv = StudyCsvRow(
+        exec, Result<Stats>(Infeasible::kBadConfig, std::string(detail)));
+    row.bad_config = detail;
+    corpus.push_back(dist::StudyRowToLine(row));
+  }
+  bool feasible = false;
+  for (const std::string& line : corpus) {
+    // The seeds decode and encode back to themselves.
+    const StudyRowResult row = dist::StudyRowFromLine(line);
+    EXPECT_EQ(dist::StudyRowToLine(row), line);
+    feasible = feasible || row.sample_rate.has_value();
+  }
+  ASSERT_TRUE(feasible);
+
+  static const char* const kBadRates[] = {"inf", "nan",    "-1",  "0",
+                                          "1e999", "0x1p3", "1.5x"};
+  Rng rng(71);
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const std::string& seed = corpus[rng.Below(corpus.size())];
+    std::string line;
+    bool must_throw = true;
+    switch (rng.Below(4)) {
+      case 0:
+        line = ReplaceField(seed, 0,
+                            kBadRates[rng.Below(std::size(kBadRates))]);
+        break;
+      case 1: {  // drop one of the two tabs
+        const std::size_t first = seed.find('\t');
+        line = seed;
+        line.erase(rng.Below(2) == 0 ? first : seed.find('\t', first + 1), 1);
+        break;
+      }
+      case 2:  // an unterminated JSON string as the bad-config field
+        line = ReplaceField(seed, 1, rng.Below(2) == 0 ? "\"open" : "\"");
+        break;
+      default:
+        line = Mutate(seed, corpus[rng.Below(corpus.size())], rng);
+        must_throw = false;
+        break;
+    }
+    try {
+      const StudyRowResult row = dist::StudyRowFromLine(line);
+      ++decoded;
+      EXPECT_FALSE(must_throw) << line;
+      if (row.sample_rate) {
+        EXPECT_TRUE(std::isfinite(row.sample_rate->raw())) << line;
+        EXPECT_GT(row.sample_rate->raw(), 0.0) << line;
+      }
+    } catch (const ConfigError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
 }
 

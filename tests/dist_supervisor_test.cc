@@ -10,12 +10,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/audit.h"
@@ -336,6 +338,95 @@ TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {
                 .size());
 }
 
+TEST(DistSupervisor, WorkerHistogramOfAnotherLayoutIsACorruptFrame) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  // The supervisor's registry already holds the latency histogram with
+  // other bounds than the workers', so their snapshots cannot be merged.
+  // Each is rejected on arrival as a corrupt frame (its worker dies with
+  // its shard acked), and the search returns its results instead of
+  // throwing from the merge after them.
+  const Application app = presets::Megatron22B();
+  presets::SystemOptions so;
+  so.num_procs = 64;
+  const System sys = presets::A100(so);
+  const SearchSpace space = SearchSpace::MegatronBaseline();
+  SearchConfig config;
+  config.batch_size = 64;
+  config.top_k = 4;
+  ThreadPool pool(1);
+  const SearchResult reference =
+      FindOptimalExecution(app, sys, space, config, pool);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  metrics.Enable();
+  (void)metrics.GetHistogram("exec_search.eval_latency_us", {1.0, 2.0});
+  SearchResult supervised;
+  EXPECT_NO_THROW(supervised = dist::FindOptimalExecutionSupervised(
+                      app, sys, space, config, FastDist(2)));
+  const obs::MetricsSnapshot after = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Disable();
+
+  auto dump = [](const std::vector<SearchEntry>& entries) {
+    std::vector<std::string> out;
+    for (const SearchEntry& e : entries) {
+      out.push_back(e.exec.ToJson().Dump() + e.stats.ToJson().Dump());
+    }
+    return out;
+  };
+  ASSERT_FALSE(reference.best.empty());
+  EXPECT_EQ(dump(supervised.best), dump(reference.best));
+  EXPECT_EQ(supervised.evaluated, reference.evaluated);
+  EXPECT_EQ(supervised.feasible, reference.feasible);
+  EXPECT_EQ(supervised.status.items_completed,
+            reference.status.items_completed);
+  EXPECT_EQ(after.histograms.at("exec_search.eval_latency_us").bounds,
+            (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(DistSupervisor, ShutdownDrainSkipsAnAbandonedRunToReachTheTelemetry) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  // One worker takes the whole study as one shard, each row delayed 10 ms,
+  // so it writes one run per row. The run is cancelled once a row is
+  // committed: the worker's later runs arrive only in the shutdown drain,
+  // ahead of its first metrics snapshots (at the end of the shard and on
+  // exit), which the drain reaches only by skipping the runs' lines.
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::uint64_t n = study.Enumerate().size();
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  metrics.Enable();
+  dist::DistOptions d = FastDist(1);
+  d.shard_size = n;
+  d.faults_spec = "seed=1,delay=1.0,delay_us=10000";
+  RunContext ctx;
+  StudyRunOptions options;
+  options.ctx = &ctx;
+  std::thread canceller([&ctx] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ctx.items_completed() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ctx.Cancel();
+  });
+  const StudyRun run = dist::RunStudySupervised(study, options, d);
+  canceller.join();
+  const obs::MetricsSnapshot merged = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Disable();
+
+  EXPECT_FALSE(run.status.complete);
+  EXPECT_GE(run.csv_rows.size(), 1u);
+  EXPECT_LT(run.csv_rows.size(), n);
+  // The worker's snapshots count every row it evaluated: the whole shard.
+  const std::string delays = "dist.worker.0.faults.injected.delay";
+  ASSERT_TRUE(merged.counters.contains(delays));
+  EXPECT_EQ(merged.counters.at(delays), n);
+}
+
 TEST(DistSupervisor, TelemetryOnKeepsStudyOutputBitIdentical) {
   if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Study study = Study::FromJson(SmallStudySpec());
@@ -575,29 +666,61 @@ json::Value StudyJobSpec(const Study& study) {
   return spec;
 }
 
+// One frame of a worker's answer; a run header carries the raw result
+// lines that followed it.
+struct WireFrame {
+  json::Value frame;
+  std::vector<std::string> lines;
+};
+
+// Splits a worker's answer into its frames: each line is a JSON frame,
+// except the `count` lines after an "items" header, which are its run.
+std::vector<WireFrame> ParseWorkerStream(std::string_view stream) {
+  std::vector<WireFrame> frames;
+  std::size_t start = 0;
+  std::int64_t run_left = 0;
+  for (std::size_t nl; (nl = stream.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    const std::string_view line = stream.substr(start, nl - start);
+    if (run_left > 0) {
+      frames.back().lines.emplace_back(line);
+      --run_left;
+      continue;
+    }
+    frames.push_back({json::Parse(line), {}});
+    if (frames.back().frame.GetString("type", "") == "items") {
+      run_left = frames.back().frame.at("count").AsInt();
+    }
+  }
+  EXPECT_EQ(start, stream.size()) << "a partial line at the end";
+  EXPECT_EQ(run_left, 0) << "a run short of its lines at the end";
+  return frames;
+}
+
 // Checks a worker's answer to the shard [0, n) of the job `spec`: ready,
-// then run frames whose results are items 0 .. n-1 in order, each as the
-// job evaluates it in this process, then shard_done. Returns the run
-// sizes.
+// then runs whose lines are the results of items 0 .. n-1 in order, each
+// as the job evaluates it in this process, then shard_done. Returns the
+// run sizes.
 std::vector<std::size_t> ExpectRunsCoverTheShard(
-    const json::Value& spec, const std::vector<json::Value>& frames,
+    const json::Value& spec, const std::vector<WireFrame>& frames,
     std::uint64_t n) {
   std::vector<std::size_t> runs;
   EXPECT_GE(frames.size(), 2u);
   if (frames.size() < 2) return runs;
-  EXPECT_EQ(frames.front().GetString("type", ""), "ready");
-  EXPECT_EQ(frames.back().GetString("type", ""), "shard_done");
+  EXPECT_EQ(frames.front().frame.GetString("type", ""), "ready");
+  EXPECT_EQ(frames.back().frame.GetString("type", ""), "shard_done");
   const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
   std::uint64_t next = 0;
   for (std::size_t f = 1; f + 1 < frames.size(); ++f) {
-    const json::Value& frame = frames[f];
-    EXPECT_EQ(frame.GetString("type", ""), "items") << "frame " << f;
-    EXPECT_EQ(frame.GetInt("begin", -1), static_cast<std::int64_t>(next));
-    const json::Array& results = frame.at("results").AsArray();
-    EXPECT_FALSE(results.empty()) << "frame " << f;
-    runs.push_back(results.size());
-    for (const json::Value& result : results) {
-      EXPECT_EQ(result.Dump(), job->RunItem(next).Dump()) << "item " << next;
+    const WireFrame& run = frames[f];
+    EXPECT_EQ(run.frame.GetString("type", ""), "items") << "frame " << f;
+    EXPECT_EQ(run.frame.GetInt("begin", -1), static_cast<std::int64_t>(next));
+    EXPECT_EQ(run.frame.GetInt("count", -1),
+              static_cast<std::int64_t>(run.lines.size()));
+    EXPECT_FALSE(run.lines.empty()) << "frame " << f;
+    runs.push_back(run.lines.size());
+    for (const std::string& line : run.lines) {
+      EXPECT_EQ(line, job->RunItem(next)) << "item " << next;
       ++next;
     }
   }
@@ -638,18 +761,19 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
   EXPECT_TRUE(writer.WriteFrame(exit_frame));
   ::close(cmd[1]);
 
-  std::vector<json::Value> frames;
-  dist::FrameReader reader(res[0]);
-  json::Value frame;
-  while (reader.ReadFrameBlocking(&frame)) frames.push_back(frame);
+  std::string stream;
+  char chunk[4096];
+  for (ssize_t got; (got = ::read(res[0], chunk, sizeof chunk)) > 0;) {
+    stream.append(chunk, static_cast<std::size_t>(got));
+  }
   ::close(res[0]);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 
   // With metrics and trace off, the result stream is all there is: one
-  // run frame per flush, then shard_done.
-  ExpectRunsCoverTheShard(spec, frames, n);
+  // run per flush, then shard_done.
+  ExpectRunsCoverTheShard(spec, ParseWorkerStream(stream), n);
 }
 
 // Runs a study worker over [0, n) as one shard and counts the write()s
@@ -657,7 +781,7 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
 // boundaries, so each write() arrives as one record. Returns the record
 // count after the ready frame; `frames` receives every frame.
 std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
-                        bool ack_each, std::vector<json::Value>* frames) {
+                        bool ack_each, std::vector<WireFrame>* frames) {
   int cmd[2];  // test writes commands, worker reads
   int res[2];  // worker writes records, test reads
   EXPECT_EQ(::pipe(cmd), 0);
@@ -697,13 +821,7 @@ std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
   int status = 0;
   EXPECT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  std::size_t start = 0;
-  for (std::size_t nl; (nl = stream.find('\n', start)) != std::string::npos;
-       start = nl + 1) {
-    frames->push_back(
-        json::Parse(std::string_view(stream).substr(start, nl - start)));
-  }
-  EXPECT_EQ(start, stream.size()) << "a partial frame at the end";
+  *frames = ParseWorkerStream(stream);
   return records - 1;
 }
 
@@ -717,7 +835,7 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
 
   // A fresh shard: each write (one per 1 ms at most) carries one run of
   // the results finished since the last, and shard_done rides the last.
-  std::vector<json::Value> frames;
+  std::vector<WireFrame> frames;
   const std::size_t coalesced = ShardWrites(spec, n, false, &frames);
   const std::vector<std::size_t> runs =
       ExpectRunsCoverTheShard(spec, frames, n);

@@ -3,11 +3,13 @@
 // tracker's retry/quarantine accounting.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/backoff.h"
@@ -85,6 +87,43 @@ TEST(Wire, MalformedFrameThrows) {
   }
   json::Value out;
   EXPECT_THROW((void)reader.NextFrame(&out), ConfigError);
+}
+
+TEST(Wire, ARunIsTakenOnlyOnceAllItsLinesAreBuffered) {
+  Pipe p;
+  ASSERT_EQ(::fcntl(p.fds[0], F_SETFL, O_NONBLOCK), 0);
+  FrameWriter writer(p.fds[1]);
+  json::Value header;
+  header["type"] = "items";
+  header["count"] = 2;
+  writer.QueueFrame(header);
+  writer.QueueLines("1.5\t\tfirst\n{\"not\": ");  // the second line is cut
+  ASSERT_TRUE(writer.Flush());
+
+  FrameReader reader(p.fds[0]);
+  ASSERT_EQ(reader.Fill(), FrameReader::FillStatus::kData);
+  json::Value out;
+  ASSERT_TRUE(reader.NextFrame(&out));
+  EXPECT_EQ(out.GetInt("count", 0), 2);
+  reader.ExpectLines(2);
+  std::string_view lines;
+  EXPECT_FALSE(reader.NextLines(&lines));  // one of two lines so far
+  EXPECT_FALSE(reader.NextFrame(&out));    // the lines are not frames
+
+  writer.QueueLines("a frame\"}\n");
+  writer.QueueFrame(header);
+  ASSERT_TRUE(writer.Flush());
+  p.CloseWrite();
+  ASSERT_EQ(reader.Fill(), FrameReader::FillStatus::kData);
+  ASSERT_TRUE(reader.NextLines(&lines));
+  EXPECT_EQ(lines, "1.5\t\tfirst\n{\"not\": a frame\"}\n");
+  EXPECT_FALSE(reader.NextLines(&lines));  // nothing announced
+  ASSERT_TRUE(reader.NextFrame(&out));     // the next header
+  reader.ExpectLines(2);
+  EXPECT_EQ(reader.Fill(), FrameReader::FillStatus::kEof);
+  EXPECT_FALSE(reader.NextLines(&lines));
+  // The stream ended at a line boundary, but short of the run's lines.
+  EXPECT_TRUE(reader.truncated());
 }
 
 TEST(Wire, WriteToClosedPipeReportsDeadPeerNotCrash) {

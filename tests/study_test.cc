@@ -2,7 +2,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -378,6 +381,95 @@ TEST(Study, RandomStudiesThroughTheStageTableMatchTheOneShotRunner) {
   if (dist::ForkAvailable()) {
     EXPECT_GE(supervised, 8);
   }
+}
+
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// StudyCommit writes each checkpoint from its rows' escaped text instead of
+// rendering StudyCheckpointToJson; at every write the file must hold that
+// rendering byte for byte. Rows come from EvaluateStudyRow, with bad-config
+// rows and quarantines whose free text needs every kind of JSON escape.
+TEST(Study, EveryCheckpointWriteIsTheReferenceRendering) {
+  const Study study = Study::FromJson(BasicSpec());
+  const std::vector<Execution> rows = study.Enumerate();
+  ASSERT_EQ(rows.size(), 16u);
+  const std::string fingerprint = study.Fingerprint();
+  const std::string path =
+      ::testing::TempDir() + "calculon_checkpoint_bytes.json";
+  const std::string nasty =
+      "bad \"quote\" back\\slash\ttab\nnewline\r\x01\x02\x1f\x7f, end";
+
+  // Row i through the commit, and the same row into `mirror`, the run the
+  // commit holds: every 5th row is a bad-config row, every 7th quarantined.
+  StageTable stages(study.application, study.system);
+  auto commit_row = [&](StudyCommit& commit, StudyRun& mirror,
+                        std::uint64_t i) {
+    const std::string detail = nasty + " " + std::to_string(i);
+    if (i % 7 == 3) {
+      FailureRecord record;
+      record.reason = detail;
+      commit.Quarantine(record);
+      mirror.csv_rows.push_back(StudyCsvRow(
+          rows[i], Result<Stats>(Infeasible::kBadConfig, detail)));
+      return;
+    }
+    StudyRowResult row = EvaluateStudyRow(stages, rows[i], i);
+    if (i % 5 == 1) {
+      row.csv = StudyCsvRow(rows[i],
+                            Result<Stats>(Infeasible::kBadConfig, detail));
+      row.sample_rate.reset();
+      row.bad_config = detail;
+    }
+    if (row.sample_rate && *row.sample_rate > mirror.best.sample_rate) {
+      mirror.best = StudyBest{true, i, rows[i], *row.sample_rate};
+    }
+    mirror.csv_rows.push_back(row.csv);
+    commit.Commit(std::move(row));
+  };
+  auto reference = [&](const StudyRun& run) {
+    return StudyCheckpointToJson(fingerprint, run).Dump(2) + "\n";
+  };
+
+  for (const std::uint64_t every : {1, 3, 64}) {
+    for (const bool resumed : {false, true}) {
+      SCOPED_TRACE(StrFormat("checkpoint_every %llu%s",
+                             static_cast<unsigned long long>(every),
+                             resumed ? ", resumed" : ""));
+      std::remove(path.c_str());
+      StudyRunOptions options;
+      options.checkpoint_path = path;
+      options.checkpoint_every = every;
+      StudyRun mirror;
+      mirror.total_rows = rows.size();
+      std::uint64_t first = 0;
+      if (resumed) {
+        // A run stopped after 9 rows, resumed from its final checkpoint.
+        StudyCommit stopped(study, options);
+        for (; first < 9; ++first) commit_row(stopped, mirror, first);
+        const StudyRun partial = stopped.Finish();
+        ASSERT_EQ(ReadText(path), reference(partial));
+        options.resume = true;
+      }
+      StudyCommit commit(study, options);
+      std::uint64_t writes = 0;
+      for (std::uint64_t i = first; i < rows.size(); ++i) {
+        commit_row(commit, mirror, i);
+        if ((i - first + 1) % every == 0) {
+          ++writes;
+          ASSERT_EQ(ReadText(path), reference(mirror)) << "after row " << i;
+        }
+      }
+      EXPECT_EQ(writes, (rows.size() - first) / every);
+      const StudyRun done = commit.Finish();
+      EXPECT_EQ(done.csv_rows, mirror.csv_rows);
+      EXPECT_EQ(ReadText(path), reference(done));
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
