@@ -10,7 +10,9 @@
 #   4. blame is exact: a run with one item per shard, where the first
 #      un-acked item is the culprit by construction, writes the same
 #      CSV byte-for-byte,
-#   5. worker stderr logs are captured for the post-mortem.
+#   5. worker stderr logs are captured for the post-mortem,
+#   6. a checkpoint that cannot be written stops the pool and fails the
+#      run as in process, with no worker blamed (no post-mortem).
 #
 # usage: scripts/crash_smoke.sh [build-dir]    # default: ./build
 # Worker logs are copied to $CRASH_SMOKE_OUT (if set) for CI artifacts.
@@ -112,6 +114,43 @@ if ! cmp -s "$WORK/faulted.csv" "$WORK/exact.csv"; then
   exit 1
 fi
 
+echo "== a checkpoint that cannot be written fails the run, blaming no worker"
+# The commit's failure is the engine's, not the worker's whose row it was
+# committing: the supervised run must stop with the in-process error, and
+# kill no worker for it.
+"$CLI" study "$WORK/study.json" "$WORK/ckfail0.csv" --workers 0 \
+    --checkpoint-every 7 --checkpoint "$WORK/missing/ck.json" \
+    > /dev/null 2> "$WORK/ckfail0.err"
+# The in-process error up to the temp file's pid.
+CKFAIL_ERROR=$(sed -n 's/\(\.tmp\.\)[0-9].*/\1/p' "$WORK/ckfail0.err")
+if [[ -z "$CKFAIL_ERROR" ]]; then
+  echo "crash_smoke: the in-process run did not fail at its checkpoint" >&2
+  cat "$WORK/ckfail0.err" >&2
+  exit 1
+fi
+mkdir -p "$WORK/ckfail-logs"
+"$CLI" study "$WORK/study.json" "$WORK/ckfail.csv" --workers 3 \
+    --checkpoint-every 7 --checkpoint "$WORK/missing/ck.json" \
+    --worker-logs "$WORK/ckfail-logs" > /dev/null 2> "$WORK/ckfail.err"
+CKFAIL_STATUS=$?
+if [[ "$CKFAIL_STATUS" -ne 1 ]]; then
+  echo "crash_smoke: expected exit 1 from the failing checkpoint," \
+       "got $CKFAIL_STATUS" >&2
+  cat "$WORK/ckfail.err" >&2
+  exit 1
+fi
+if ! grep -qF -- "$CKFAIL_ERROR" "$WORK/ckfail.err"; then
+  echo "crash_smoke: the supervised run did not fail with the in-process" \
+       "error ($CKFAIL_ERROR)" >&2
+  cat "$WORK/ckfail.err" >&2
+  exit 1
+fi
+if ls "$WORK/ckfail-logs"/flight-*.json >/dev/null 2>&1; then
+  echo "crash_smoke: a worker was blamed for the failing checkpoint:" >&2
+  ls "$WORK/ckfail-logs" >&2
+  exit 1
+fi
+
 if ! ls "$WORK/worker-logs"/worker-*.log >/dev/null 2>&1; then
   echo "crash_smoke: no worker logs captured" >&2
   exit 1
@@ -123,4 +162,5 @@ if [[ -n "${CRASH_SMOKE_OUT:-}" ]]; then
 fi
 
 echo "crash_smoke: OK ($QUARANTINED poison row(s) quarantined," \
-     "survivors byte-identical, reruns reproducible, blame exact)"
+     "survivors byte-identical, reruns reproducible, blame exact," \
+     "commit failures blame no worker)"

@@ -1,7 +1,9 @@
 #include "dist/drivers.h"
 
 #include <cstdint>
+#include <exception>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -20,11 +22,12 @@ namespace {
 // on to the engine's commit in item order: `commit(result)` for an item's
 // result, `quarantine(record)` for a quarantined item. `decode` turns each
 // result line into the engine's item result as it arrives, so a line that
-// does not decode is charged to the worker that sent it. Results arrive in
-// completion order; early ones wait here, decoded, until their
-// predecessors resolve. A stopped run can leave gaps; with `past_gaps` the
-// items resolved beyond the first gap are still fed, in item order, when
-// the pool returns.
+// does not decode (a ConfigError out of `decode`) is charged to the worker
+// that sent it. A commit that throws is the engine's own failure: it stops
+// the pool and propagates, as in process. Results arrive in completion
+// order; early ones wait here, decoded, until their predecessors resolve.
+// A stopped run can leave gaps; with `past_gaps` the items resolved beyond
+// the first gap are still fed, in item order, when the pool returns.
 template <typename Item>
 void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
                     std::uint64_t first_item, const DistOptions& dist,
@@ -50,14 +53,20 @@ void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
   };
   SupervisorCallbacks callbacks;
   callbacks.on_item = [&](std::uint64_t item, std::string_view line) {
-    Item result = decode(line);
+    std::optional<Item> result;
+    try {
+      result.emplace(decode(line));
+    } catch (const ConfigError&) {
+      return false;
+    }
     if (item == next) {  // in order: no need to buffer it
-      commit(std::move(result));
+      commit(std::move(*result));
       ++next;
     } else {
-      pending.emplace(item, std::move(result));
+      pending.emplace(item, std::move(*result));
     }
     drain();
+    return true;
   };
   callbacks.on_quarantine = [&](const FailureRecord& record) {
     pending.emplace(record.item, record);
@@ -153,15 +162,27 @@ void RunAuditSupervised(
 
   // Journal order does not matter (the journal is keyed by pair), so
   // pairs commit as they arrive, each counted once as the in-process pool
-  // counts it.
+  // counts it: a commit that throws is that pair's failure, recorded as
+  // the pool records it, and the audit goes on.
   SupervisorCallbacks callbacks;
   callbacks.on_item = [&](std::uint64_t item, std::string_view line) {
-    const json::Value result = json::Parse(line);
-    for (FailureRecord& f : FailuresFromJson(result.at("failures"))) {
-      ctx.RecordFailure(std::move(f));
+    std::vector<FailureRecord> failures;
+    analysis::AuditReport report;
+    try {
+      const json::Value result = json::Parse(line);
+      failures = FailuresFromJson(result.at("failures"));
+      report = analysis::ReportFromJson(result.at("report"));
+    } catch (const ConfigError&) {
+      return false;
     }
-    on_pair_done(item, analysis::ReportFromJson(result.at("report")));
-    ctx.RecordCompleted();
+    for (FailureRecord& f : failures) ctx.RecordFailure(std::move(f));
+    try {
+      on_pair_done(item, std::move(report));
+      ctx.RecordCompleted();
+    } catch (const std::exception& e) {
+      ctx.RecordFailure(item, /*fingerprint=*/{}, e.what(), /*worker=*/0);
+    }
+    return true;
   };
   callbacks.on_quarantine = [&](const FailureRecord& record) {
     FailureRecord scoped = record;

@@ -134,6 +134,9 @@ struct Pool {
   // is broken and retrying forever would fork-bomb the host.
   int consecutive_startup_failures = 0;
 
+  // The first exception out of a callback (RunCallback).
+  std::exception_ptr engine_error;
+
   obs::Gauge* workers_alive = nullptr;
   obs::Counter* restarts = nullptr;
   obs::Counter* reassigned = nullptr;
@@ -418,6 +421,20 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   return true;
 }
 
+// Runs one of the callbacks. An exception out of one is the engine's
+// failure, not a worker's: it is kept, no later callback runs, and the
+// main loop stops at its next check and rethrows it once the pool is shut
+// down.
+template <typename Call>
+void RunCallback(Pool& pool, const Call& call) {
+  if (pool.engine_error) return;
+  try {
+    call();
+  } catch (...) {
+    pool.engine_error = std::current_exception();
+  }
+}
+
 // `description` explains how the worker ended ("killed by signal 11
 // (Segmentation fault)", "hung ..."), used verbatim in quarantine records.
 void HandleWorkerDeath(Pool& pool, std::size_t index,
@@ -442,7 +459,9 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
       // it died.
       record.flight_path = DumpFlightPostMortem(pool, index, description);
       if (pool.quarantined != nullptr) pool.quarantined->Increment();
-      if (pool.callbacks->on_quarantine) pool.callbacks->on_quarantine(record);
+      if (pool.callbacks->on_quarantine) {
+        RunCallback(pool, [&] { pool.callbacks->on_quarantine(record); });
+      }
     } else if (!pool.options.worker_log_dir.empty()) {
       // Not (yet) a quarantine, but the operator asked for worker logs:
       // keep a post-mortem for every busy death alongside them.
@@ -524,7 +543,8 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
     }
   }
 
-  while (startup_error.empty() && !tracker.AllResolved()) {
+  while (startup_error.empty() && !pool.engine_error &&
+         !tracker.AllResolved()) {
     if (ctx != nullptr && ctx->ShouldStop()) break;
     if (pool.consecutive_startup_failures > worker_count * 3) {
       startup_error = StrFormat(
@@ -658,14 +678,23 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
               for (std::size_t at = 0; at < lines.size();) {
                 const std::size_t nl = lines.find('\n', at);
                 const std::uint64_t index = slot.shard.begin + slot.acked;
+                bool decoded = true;
                 if (pool.callbacks->on_item) {
-                  pool.callbacks->on_item(index, lines.substr(at, nl - at));
+                  RunCallback(pool, [&] {
+                    decoded = pool.callbacks->on_item(
+                        index, lines.substr(at, nl - at));
+                  });
+                }
+                if (!decoded) {
+                  corrupt = true;  // a line that does not decode
+                  break;
                 }
                 tracker.OnItemDone(index);
                 ++slot.acked;
                 slot.Record("item_done", index);
                 at = nl + 1;
               }
+              if (corrupt) break;
               continue;
             }
             if (!slot.reader->NextFrame(&frame)) break;
@@ -877,6 +906,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
     if (!aggregate.empty()) metrics.Ingest(aggregate, "");
   }
 
+  if (pool.engine_error) std::rethrow_exception(pool.engine_error);
   if (!startup_error.empty()) {
     throw ConfigError("dist supervisor: " + startup_error);
   }

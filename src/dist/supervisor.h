@@ -83,12 +83,17 @@ struct DistOptions {
 struct SupervisorCallbacks {
   // One item's result line (Job::RunItem's text, no '\n'), in ARRIVAL
   // order (not item order); the view lasts for the call. Never invoked
-  // twice for the same item. A ConfigError out of it (a line that does not
-  // decode) is the sending worker's corrupt frame: it is killed and the
+  // twice for the same item. Returns false when the line does not decode:
+  // that is the sending worker's corrupt frame, so it is killed and the
   // run's remaining items are retried.
-  std::function<void(std::uint64_t item, std::string_view result)> on_item;
+  std::function<bool(std::uint64_t item, std::string_view result)> on_item;
   // A quarantined item: no result will ever arrive for it.
   std::function<void(const FailureRecord& record)> on_quarantine;
+  // An exception out of either callback is the engine's own failure (a
+  // commit that cannot write its checkpoint, say), not a worker's: no
+  // callback runs after it, the pool shuts down as at the end of a run
+  // (every worker is sent "exit" and reaped; nothing is killed as a
+  // culprit or retried), and RunSupervised rethrows it.
 };
 
 // Runs `job_spec` (dist/jobs.h) for items [first_item, num_items) across

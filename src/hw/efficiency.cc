@@ -6,55 +6,76 @@
 #include "util/strings.h"
 
 namespace calculon {
+namespace {
 
-EfficiencyCurve::EfficiencyCurve(double flat) {
-  if (flat <= 0.0 || flat > 1.0) {
-    throw ConfigError(StrFormat("efficiency %g out of (0, 1]", flat));
+// Written so that NaN fails it.
+void CheckEfficiency(double efficiency) {
+  if (!(efficiency > 0.0 && efficiency <= 1.0)) {
+    throw ConfigError(StrFormat("efficiency %g out of (0, 1]", efficiency));
   }
-  points_.push_back({0.0, flat});
 }
 
-EfficiencyCurve::EfficiencyCurve(std::vector<Point> points)
-    : points_(std::move(points)) {
-  if (points_.empty()) throw ConfigError("efficiency curve needs >= 1 point");
-  double prev_size = -1.0;
-  for (const Point& p : points_) {
-    if (p.size < 0.0 || p.size <= prev_size) {
+}  // namespace
+
+EfficiencyCurve::EfficiencyCurve(double flat) {
+  CheckEfficiency(flat);
+  nodes_.push_back({{0.0, flat}, 0.0, 0.0});
+}
+
+EfficiencyCurve::EfficiencyCurve(std::vector<Point> points) {
+  if (points.empty()) throw ConfigError("efficiency curve needs >= 1 point");
+  nodes_.reserve(points.size());
+  for (const Point& p : points) {
+    if (!std::isfinite(p.size)) {
+      throw ConfigError(StrFormat("efficiency curve size %g is not finite",
+                                  p.size));
+    }
+    if (p.size < 0.0 ||
+        (!nodes_.empty() && p.size <= nodes_.back().point.size)) {
       throw ConfigError("efficiency curve sizes must be increasing");
     }
-    if (p.efficiency <= 0.0 || p.efficiency > 1.0) {
-      throw ConfigError(
-          StrFormat("efficiency %g out of (0, 1]", p.efficiency));
+    CheckEfficiency(p.efficiency);
+    Node node{p, 0.0, 0.0};
+    if (!nodes_.empty()) {
+      // The segment from the previous point to this one, in log-size space
+      // (sizes span many orders of magnitude; linear-in-log is the natural
+      // shape for saturation curves).
+      const double lo_size = std::max(nodes_.back().point.size, 1.0);
+      const double hi_size = std::max(p.size, lo_size * (1.0 + 1e-12));
+      node.log_lo = std::log(lo_size);
+      node.log_hi = std::log(hi_size);
     }
-    prev_size = p.size;
+    nodes_.push_back(node);
   }
 }
 
 double EfficiencyCurve::At(double size) const {
-  if (points_.size() == 1 || size <= points_.front().size) {
-    return points_.front().efficiency;
+  if (nodes_.size() == 1 || size <= nodes_.front().point.size) {
+    return nodes_.front().point.efficiency;
   }
-  if (size >= points_.back().size) return points_.back().efficiency;
-  // Find the segment containing `size` and interpolate in log-size space
-  // (sizes span many orders of magnitude; linear-in-log is the natural
-  // shape for saturation curves).
+  if (size >= nodes_.back().point.size) return nodes_.back().point.efficiency;
+  // Find the segment containing `size` and interpolate in log-size space.
   auto hi = std::upper_bound(
-      points_.begin(), points_.end(), size,
-      [](double s, const Point& p) { return s < p.size; });
-  auto lo = hi - 1;
-  const double lo_size = std::max(lo->size, 1.0);
-  const double hi_size = std::max(hi->size, lo_size * (1.0 + 1e-12));
-  const double f = (std::log(std::max(size, 1.0)) - std::log(lo_size)) /
-                   (std::log(hi_size) - std::log(lo_size));
+      nodes_.begin(), nodes_.end(), size,
+      [](double s, const Node& n) { return s < n.point.size; });
+  const Point& lo = (hi - 1)->point;
+  const double f = (std::log(std::max(size, 1.0)) - hi->log_lo) /
+                   (hi->log_hi - hi->log_lo);
   const double clamped = std::clamp(f, 0.0, 1.0);
-  return lo->efficiency + clamped * (hi->efficiency - lo->efficiency);
+  return lo.efficiency + clamped * (hi->point.efficiency - lo.efficiency);
+}
+
+double EfficiencyCurve::MaxEfficiency() const {
+  double top = 0.0;
+  for (const Node& n : nodes_) top = std::max(top, n.point.efficiency);
+  return top;
 }
 
 json::Value EfficiencyCurve::ToJson() const {
-  if (is_flat()) return json::Value(points_.front().efficiency);
+  if (is_flat()) return json::Value(nodes_.front().point.efficiency);
   json::Array arr;
-  for (const Point& p : points_) {
-    arr.push_back(json::Array{p.size, p.efficiency});
+  for (const Node& n : nodes_) {
+    arr.push_back(json::Array{n.point.size, n.point.efficiency});
   }
   return json::Value(std::move(arr));
 }

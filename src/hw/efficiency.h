@@ -19,20 +19,21 @@ namespace calculon {
 class EfficiencyCurve {
  public:
   struct Point {
-    double size;        // operation size (flops or bytes); >= 0
+    double size;        // operation size (flops or bytes); finite, >= 0
     double efficiency;  // fraction of peak in (0, 1]
   };
 
   // Flat efficiency, independent of size.
   explicit EfficiencyCurve(double flat = 1.0);
-  // Piecewise curve; points must have strictly increasing sizes and
+  // Piecewise curve; points must have finite, strictly increasing sizes and
   // efficiencies in (0, 1]. Sizes below the first point clamp to the first
   // efficiency; sizes above the last clamp to the last.
   explicit EfficiencyCurve(std::vector<Point> points);
 
-  // Efficiency at a given operation size. A curve is generic over what
-  // "size" measures, so the raw overload stays; the typed overloads are the
-  // entry points for dimensioned callers.
+  // Efficiency at a given operation size: one logarithm per read, since
+  // each segment's end-point logs are computed when the curve is built. A
+  // curve is generic over what "size" measures, so the raw overload stays;
+  // the typed overloads are the entry points for dimensioned callers.
   [[nodiscard]] double At(double size) const;  // unit-ok: dimension-generic
   [[nodiscard]] double At(Bytes size) const {
     return At(size.raw());  // unit-ok: adapter to the generic curve
@@ -41,14 +42,23 @@ class EfficiencyCurve {
     return At(size.raw());  // unit-ok: adapter to the generic curve
   }
 
-  [[nodiscard]] bool is_flat() const { return points_.size() == 1; }
-  [[nodiscard]] const std::vector<Point>& points() const { return points_; }
+  [[nodiscard]] bool is_flat() const { return nodes_.size() == 1; }
+  // The highest efficiency among the curve's points; no read exceeds it.
+  [[nodiscard]] double MaxEfficiency() const;
 
   [[nodiscard]] json::Value ToJson() const;
   [[nodiscard]] static EfficiencyCurve FromJson(const json::Value& v);
 
  private:
-  std::vector<Point> points_;
+  // Point i and the log terms of the segment that ends at it (unused for
+  // i = 0): the logs of its clamped end sizes, exactly the operands At
+  // would otherwise compute on every read.
+  struct Node {
+    Point point;
+    double log_lo;
+    double log_hi;
+  };
+  std::vector<Node> nodes_;
 };
 
 }  // namespace calculon

@@ -9,27 +9,36 @@ namespace {
 // Saturation curves shared by the GPU presets. The shapes follow the usual
 // published utilization behaviour (small GEMMs and short messages run far
 // below peak); the top-end values are calibrated so that the model's
-// Table 2 validation predictions land near the paper's.
-EfficiencyCurve GemmEfficiency() {
-  return EfficiencyCurve({{0.0, 0.05},
-                          {1e8, 0.20},
-                          {1e9, 0.35},
-                          {1e10, 0.55},
-                          {1e11, 0.72},
-                          {1e12, 0.78},
-                          {1e13, 0.82}});
+// Table 2 validation predictions land near the paper's. Each is built once
+// per process, so a system build copies its log terms instead of computing
+// them.
+const EfficiencyCurve& GemmEfficiency() {
+  static const EfficiencyCurve curve({{0.0, 0.05},
+                                      {1e8, 0.20},
+                                      {1e9, 0.35},
+                                      {1e10, 0.55},
+                                      {1e11, 0.72},
+                                      {1e12, 0.78},
+                                      {1e13, 0.82}});
+  return curve;
 }
 
-EfficiencyCurve VectorEfficiency() {
-  return EfficiencyCurve({{0.0, 0.10}, {1e6, 0.40}, {1e8, 0.75}, {1e9, 0.90}});
+const EfficiencyCurve& VectorEfficiency() {
+  static const EfficiencyCurve curve(
+      {{0.0, 0.10}, {1e6, 0.40}, {1e8, 0.75}, {1e9, 0.90}});
+  return curve;
 }
 
-EfficiencyCurve HbmEfficiency() {
-  return EfficiencyCurve({{0.0, 0.20}, {1e6, 0.60}, {1e8, 0.83}, {1e9, 0.90}});
+const EfficiencyCurve& HbmEfficiency() {
+  static const EfficiencyCurve curve(
+      {{0.0, 0.20}, {1e6, 0.60}, {1e8, 0.83}, {1e9, 0.90}});
+  return curve;
 }
 
-EfficiencyCurve LinkEfficiency() {
-  return EfficiencyCurve({{0.0, 0.25}, {1e6, 0.60}, {1e8, 0.85}, {1e9, 0.92}});
+const EfficiencyCurve& LinkEfficiency() {
+  static const EfficiencyCurve curve(
+      {{0.0, 0.25}, {1e6, 0.60}, {1e8, 0.85}, {1e9, 0.92}});
+  return curve;
 }
 
 System BuildGpuSystem(const std::string& name, const SystemOptions& o,

@@ -26,11 +26,7 @@ Seconds ComputeUnit::FlopTime(Flops flops) const {
 }
 
 FlopsPerSecond ComputeUnit::MaxRate() const {
-  double top = 0.0;
-  for (const EfficiencyCurve::Point& p : efficiency_.points()) {
-    top = std::max(top, p.efficiency);
-  }
-  return peak_ * top;
+  return peak_ * efficiency_.MaxEfficiency();
 }
 
 json::Value ComputeUnit::ToJson() const {

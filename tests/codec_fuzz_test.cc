@@ -615,7 +615,7 @@ TEST(CodecFuzz, MutatedSpecsLoadAndEvaluateOrThrowConfigError) {
       text = Mutate(text, corpus[rng.Below(corpus.size())].text, rng);
     }
     for (std::size_t n = 1 + rng.Below(3); n > 0; --n) {
-      text = SwapNumber(text, rng);
+      text = SwapNumber(text, rng, /*overflow=*/true);
     }
     json::Value doc;
     try {

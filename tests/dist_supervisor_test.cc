@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -871,6 +872,122 @@ TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {
                            });
   EXPECT_EQ(done, pairs.size());
   EXPECT_EQ(ctx.items_completed(), pairs.size());
+}
+
+// The names of the post-mortems under `dir`.
+std::vector<std::string> FlightFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("flight-", 0) == 0) names.push_back(name);
+  }
+  return names;
+}
+
+// A counter of the supervisor's, which it registers on every run while
+// metrics are on.
+std::uint64_t CounterOf(const obs::MetricsSnapshot& snapshot,
+                        const std::string& name) {
+  EXPECT_TRUE(snapshot.counters.contains(name)) << name;
+  return snapshot.counters.contains(name) ? snapshot.counters.at(name) : 0;
+}
+
+TEST(DistSupervisor, StudyCommitFailureStopsThePoolAndPropagates) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  // A checkpoint that cannot be written fails the study's commit. That is
+  // the engine's failure, not the worker's whose row it was committing:
+  // the pool shuts down and the error propagates, as in process.
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::string log_dir =
+      ::testing::TempDir() + "calculon_study_commit_failure";
+  std::filesystem::remove_all(log_dir);
+  std::filesystem::create_directories(log_dir);
+  StudyRunOptions options;
+  options.checkpoint_path = log_dir + "/missing/ck.json";
+  options.checkpoint_every = 3;
+  // Up to the temp file's pid, the errors of both runs read the same.
+  auto error_of = [&](const std::function<void()>& run) {
+    try {
+      run();
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      return what.substr(0, what.find(".tmp."));
+    }
+    return std::string("no ConfigError");
+  };
+  const std::string in_process =
+      error_of([&] { (void)study.RunResilient(options); });
+  ASSERT_NE(in_process.find("missing/ck.json"), std::string::npos)
+      << in_process;
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  metrics.Enable();
+  dist::DistOptions d = FastDist(2);
+  d.worker_log_dir = log_dir;
+  const std::string supervised =
+      error_of([&] { (void)dist::RunStudySupervised(study, options, d); });
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Disable();
+
+  EXPECT_EQ(supervised, in_process);
+  EXPECT_EQ(FlightFiles(log_dir), std::vector<std::string>{});
+  EXPECT_EQ(CounterOf(snapshot, "dist.restarts"), 0u);
+  EXPECT_EQ(CounterOf(snapshot, "dist.quarantined"), 0u);
+  std::filesystem::remove_all(log_dir);
+}
+
+TEST(DistSupervisor, AuditCommitFailureIsThePairsFailure) {
+  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
+  // A pair whose commit throws fails as it does in the in-process pool:
+  // its failure is recorded with the commit's message and the audit goes
+  // on. No worker is blamed, killed or re-run for it.
+  std::vector<dist::AuditPairSpec> pairs;
+  for (const char* system : {"a100_80g", "h100_80g"}) {
+    pairs.push_back(dist::AuditPairSpec{presets::Megatron22B(),
+                                        presets::SystemByName(system), system,
+                                        pairs.size() << 32});
+  }
+  analysis::AuditOptions options;
+  options.proc_counts = {8, 16};
+  options.max_splits = 4;
+  const std::string log_dir =
+      ::testing::TempDir() + "calculon_audit_commit_failure";
+  std::filesystem::remove_all(log_dir);
+  std::filesystem::create_directories(log_dir);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  metrics.Enable();
+  dist::DistOptions d = FastDist(2);
+  d.worker_log_dir = log_dir;
+  RunContext ctx;
+  std::vector<std::uint64_t> committed;
+  dist::RunAuditSupervised(pairs, options, d, ctx,
+                           [&](std::uint64_t item, analysis::AuditReport) {
+                             if (item == 0) {
+                               throw ConfigError("cannot write the journal");
+                             }
+                             committed.push_back(item);
+                           });
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Disable();
+
+  EXPECT_EQ(committed, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(ctx.items_completed(), 1u);
+  const RunStatus status = ctx.Snapshot();
+  EXPECT_EQ(status.failures, 1u);
+  ASSERT_EQ(status.failure_samples.size(), 1u);
+  EXPECT_EQ(status.failure_samples[0].item, 0u);
+  EXPECT_EQ(status.failure_samples[0].fingerprint, "");
+  EXPECT_EQ(status.failure_samples[0].reason, "cannot write the journal");
+  EXPECT_EQ(status.failure_samples[0].flight_path, "");
+  EXPECT_EQ(FlightFiles(log_dir), std::vector<std::string>{});
+  EXPECT_EQ(CounterOf(snapshot, "dist.restarts"), 0u);
+  EXPECT_EQ(CounterOf(snapshot, "dist.quarantined"), 0u);
+  std::filesystem::remove_all(log_dir);
 }
 
 TEST(DistSupervisor, ZeroWorkersFallsBackInProcess) {
