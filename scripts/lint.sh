@@ -9,13 +9,15 @@
 # GCC toolchain (CI runs it with the full LLVM toolchain installed).
 #
 # Usage:
-#   scripts/lint.sh [--fix] [--changed] [--build-dir DIR] [--jobs N] [paths...]
+#   scripts/lint.sh [--fix] [--changed] [--build-dir DIR] [paths...]
 #     --fix          let clang-tidy apply fixes and clang-format rewrite
-#     --changed      lint only files modified vs ${LINT_BASE_REF:-origin/main}
-#                    (fast pre-push loop; CI always runs the full tree)
+#     --changed      run clang-tidy and clang-format only on files modified
+#                    vs ${LINT_BASE_REF:-origin/main} (fast pre-push loop;
+#                    CI always runs the full tree)
 #     --build-dir    compile-commands location (default: build)
-#     --jobs N       worker threads for calculon-lint (default: nproc)
-#     paths          restrict to specific files (default: whole tree)
+#     paths          restrict clang-tidy and clang-format to these files
+#                    (default: whole tree)
+#   calculon-lint always runs over the whole tree.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,7 +25,6 @@ cd "$(dirname "$0")/.."
 FIX=0
 CHANGED=0
 BUILD_DIR=build
-JOBS=$(nproc 2>/dev/null || echo 1)
 PATHS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -33,12 +34,8 @@ while [[ $# -gt 0 ]]; do
       BUILD_DIR=$2
       shift
       ;;
-    --jobs)
-      JOBS=$2
-      shift
-      ;;
     -h | --help)
-      sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) PATHS+=("$1") ;;
@@ -116,29 +113,18 @@ fi
 # annotations (Clang -Wthread-safety in CI does), discarded Result<T>
 # values (the compiler does, via [[nodiscard]]), cancellation polls or
 # sweep allocations (ctest does, in cancellation_test and
-# sweep_alloc_test). It
-# exits non-zero on any finding not in the checked-in baseline
-# (.calculon-lint-baseline, which is kept empty).
-#
-# In --changed mode the whole tree is still loaded (cross-file rules need
-# it) but only findings in the changed files are reported, via --only.
-# --expand-includers widens that set along reverse include edges, so
-# editing a header also re-checks every file that includes it.
+# sweep_alloc_test). It exits non-zero on any finding; in-code
+# `// lint-ok(<rule>): why` and `// unit-ok: why` are the only
+# suppressions. It is one serial pass over the whole tree in every mode
+# (cross-file rules need all of it, and a run takes ~20 ms).
 LINT_BIN="$BUILD_DIR/src/calculon-lint"
 if [[ ! -x "$LINT_BIN" ]]; then
   echo "lint: building calculon-lint"
   cmake -B "$BUILD_DIR" -S . >/dev/null
   cmake --build "$BUILD_DIR" --target calculon-lint >/dev/null
 fi
-LINT_ARGS=(--root . --jobs "$JOBS")
-if [[ $CHANGED -eq 1 ]]; then
-  ONLY=$(printf '%s,' "${PATHS[@]}")
-  LINT_ARGS+=(--only "${ONLY%,}" --expand-includers)
-  echo "lint: calculon-lint over changed files (+ includers)"
-else
-  echo "lint: calculon-lint over src, examples and bench"
-fi
-"$LINT_BIN" "${LINT_ARGS[@]}" || STATUS=1
+echo "lint: calculon-lint over src, examples and bench"
+"$LINT_BIN" --root . || STATUS=1
 
 # --- clang-format -------------------------------------------------------
 if command -v clang-format >/dev/null 2>&1; then

@@ -102,14 +102,6 @@ bool ContainsLabel(const std::vector<Named<T>>& items,
   return false;
 }
 
-std::uint64_t Fnv1a(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 constexpr const char* kCheckpointFormat = "calculon-audit-checkpoint-v1";
 
 using calculon::analysis::ReportFromJson;
@@ -175,7 +167,12 @@ int main(int argc, char** argv) try {
     } else if (arg == "--max-splits") {
       options.max_splits = static_cast<int>(ParseIntFlag(arg, next()));
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(ParseIntFlag(arg, next()));
+      const long long n = ParseIntFlag(arg, next());
+      if (n < 0) {
+        std::fprintf(stderr, "calculon-audit: --threads must be >= 0\n");
+        return 2;
+      }
+      threads = static_cast<unsigned>(n);
     } else if (arg == "--workers") {
       dist.workers = static_cast<int>(ParseIntFlag(arg, next()));
       if (dist.workers < 0) {
@@ -301,16 +298,17 @@ int main(int argc, char** argv) try {
 
   // Fingerprint of the audit configuration; guards checkpoints against
   // replay into a different sweep.
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
+  std::uint64_t fp = calculon::kFnv1aOffsetBasis;
   for (const Pair& pair : pairs) {
-    fp = Fnv1a(fp, pair.app->label + "/" + pair.sys->label);
+    fp = calculon::Fnv1a(fp, pair.app->label + "/" + pair.sys->label);
   }
   std::string procs_desc;
   for (std::int64_t n : options.proc_counts) {
     procs_desc += std::to_string(n) + ",";
   }
-  fp = Fnv1a(fp, calculon::StrFormat("procs=%s max_splits=%d",
-                                     procs_desc.c_str(), options.max_splits));
+  fp = calculon::Fnv1a(
+      fp, calculon::StrFormat("procs=%s max_splits=%d", procs_desc.c_str(),
+                              options.max_splits));
   const std::string fingerprint =
       calculon::StrFormat("%016llx", static_cast<unsigned long long>(fp));
 

@@ -18,7 +18,6 @@ ShardTracker::ShardTracker(const ShardTrackerOptions& options)
 }
 
 bool ShardTracker::Claim(ShardRange* out) {
-  MutexLock lock(mutex_);
   if (next_ >= options_.num_items) return false;
   out->begin = next_;
   out->end = std::min(next_ + options_.shard_size, options_.num_items);
@@ -28,13 +27,11 @@ bool ShardTracker::Claim(ShardRange* out) {
 
 void ShardTracker::OnItemDone(std::uint64_t item) {
   (void)item;
-  MutexLock lock(mutex_);
   ++resolved_;
 }
 
 ShardTracker::FailureOutcome ShardTracker::OnShardFailure(
     ShardRange shard, std::uint64_t acked_up_to) {
-  MutexLock lock(mutex_);
   FailureOutcome outcome;
   if (acked_up_to >= shard.end) {
     // Every item of the shard was acked before the worker died (it fell
@@ -64,22 +61,18 @@ ShardTracker::FailureOutcome ShardTracker::OnShardFailure(
 }
 
 std::uint64_t ShardTracker::unclaimed() const {
-  MutexLock lock(mutex_);
   return options_.num_items - next_;
 }
 
 bool ShardTracker::AllResolved() const {
-  MutexLock lock(mutex_);
   return resolved_ >= options_.num_items;
 }
 
 std::uint64_t ShardTracker::resolved() const {
-  MutexLock lock(mutex_);
   return resolved_;
 }
 
 std::vector<std::uint64_t> ShardTracker::quarantined() const {
-  MutexLock lock(mutex_);
   return {quarantined_.begin(), quarantined_.end()};
 }
 

@@ -3,9 +3,8 @@
 //
 // The tracker is pure accounting — no I/O, no clocks, no processes — so
 // the retry/backoff/quarantine semantics are testable without forking
-// anything. The supervisor drives it from its event loop; the class is
-// nonetheless mutex-guarded (and annotated) because progress reporters
-// may sample it from another thread.
+// anything. The supervisor drives it from its single-threaded event loop,
+// the only place it is reached, so it owns no lock.
 //
 // Failure model: workers ack items in order within a shard. A fresh shard
 // is *coalesced*: the worker writes its acks in batches, so when it dies
@@ -27,9 +26,6 @@
 #include <map>
 #include <set>
 #include <vector>
-
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace calculon::dist {
 
@@ -62,10 +58,10 @@ class ShardTracker {
   // Claims the next never-dispatched shard. Returns false when the whole
   // range has been handed out (retries are the supervisor's re-dispatch
   // queue, not the tracker's).
-  [[nodiscard]] bool Claim(ShardRange* out) CALC_EXCLUDES(mutex_);
+  [[nodiscard]] bool Claim(ShardRange* out);
 
   // One item's result was received (acked).
-  void OnItemDone(std::uint64_t item) CALC_EXCLUDES(mutex_);
+  void OnItemDone(std::uint64_t item);
 
   // Outcome of a worker failure on a shard.
   struct FailureOutcome {
@@ -82,28 +78,25 @@ class ShardTracker {
   // [shard.begin, acked_up_to). Returns the retry decision, always an
   // ack_each shard; quarantined items are marked resolved here.
   [[nodiscard]] FailureOutcome OnShardFailure(ShardRange shard,
-                                              std::uint64_t acked_up_to)
-      CALC_EXCLUDES(mutex_);
+                                              std::uint64_t acked_up_to);
 
   // Every item acked or quarantined.
-  [[nodiscard]] bool AllResolved() const CALC_EXCLUDES(mutex_);
+  [[nodiscard]] bool AllResolved() const;
 
   // Items never yet dispatched (the remaining claimable span). Lets the
   // supervisor size its pool refill without consuming a claim.
-  [[nodiscard]] std::uint64_t unclaimed() const CALC_EXCLUDES(mutex_);
+  [[nodiscard]] std::uint64_t unclaimed() const;
 
-  [[nodiscard]] std::uint64_t resolved() const CALC_EXCLUDES(mutex_);
-  [[nodiscard]] std::vector<std::uint64_t> quarantined() const
-      CALC_EXCLUDES(mutex_);
+  [[nodiscard]] std::uint64_t resolved() const;
+  [[nodiscard]] std::vector<std::uint64_t> quarantined() const;
 
  private:
   const ShardTrackerOptions options_;
 
-  mutable Mutex mutex_;
-  std::uint64_t next_ CALC_GUARDED_BY(mutex_) = 0;  // dispatch cursor
-  std::uint64_t resolved_ CALC_GUARDED_BY(mutex_) = 0;
-  std::map<std::uint64_t, int> attempts_ CALC_GUARDED_BY(mutex_);
-  std::set<std::uint64_t> quarantined_ CALC_GUARDED_BY(mutex_);
+  std::uint64_t next_ = 0;  // dispatch cursor
+  std::uint64_t resolved_ = 0;
+  std::map<std::uint64_t, int> attempts_;
+  std::set<std::uint64_t> quarantined_;
 };
 
 }  // namespace calculon::dist

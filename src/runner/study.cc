@@ -87,16 +87,6 @@ FieldValue ParseField(const std::string& name, const json::Value& value) {
   throw ConfigError("study: unknown sweep field '" + name + "'");
 }
 
-// FNV-1a over a canonical description of the study; hex-encoded. Any edit
-// to the spec (model, system, base execution, axes) changes the value.
-std::uint64_t Fnv1a(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 constexpr const char* kCheckpointFormat = "calculon-study-checkpoint-v1";
 
 // How Dump(2) renders the checkpoint's csv_rows array, a key of the
@@ -381,8 +371,10 @@ std::vector<StudyRow> Study::Run(RunContext* ctx) const {
   return rows;
 }
 
+// FNV-1a over a canonical description of the study; hex-encoded. Any edit
+// to the spec (model, system, base execution, axes) changes the value.
 std::string Study::Fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  std::uint64_t h = kFnv1aOffsetBasis;
   h = Fnv1a(h, application.ToJson().Dump());
   h = Fnv1a(h, system.ToJson().Dump());
   h = Fnv1a(h, base.ToJson().Dump());

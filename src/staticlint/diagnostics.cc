@@ -1,28 +1,13 @@
 #include "staticlint/diagnostics.h"
 
-#include <cstddef>
 #include <cstdio>
 #include <string_view>
+
+#include "util/strings.h"
 
 namespace calculon::staticlint {
 
 namespace {
-
-// FNV-1a, the same fingerprint family the checkpoint format uses.
-[[nodiscard]] std::uint64_t Fnv1a(std::uint64_t h, std::string_view s) {
-  for (char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-[[nodiscard]] std::string Trimmed(std::string_view s) {
-  std::size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string_view::npos) return {};
-  std::size_t e = s.find_last_not_of(" \t\r\n");
-  return std::string(s.substr(b, e - b + 1));
-}
 
 // GitHub workflow-command values terminate on ',' / '::' and on newlines;
 // percent-escape per the documented convention.
@@ -56,12 +41,12 @@ namespace {
 }  // namespace
 
 std::uint64_t Fingerprint(const Diagnostic& d) {
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = kFnv1aOffsetBasis;
   h = Fnv1a(h, d.rule);
   h = Fnv1a(h, "|");
   h = Fnv1a(h, d.path);
   h = Fnv1a(h, "|");
-  h = Fnv1a(h, Trimmed(d.excerpt));
+  h = Fnv1a(h, Trim(d.excerpt));
   return h;
 }
 
@@ -79,7 +64,7 @@ std::string FormatHuman(const Diagnostic& d) {
     if (d.col > 0) out += ':' + std::to_string(d.col);
   }
   out += ": [" + d.rule + "] " + d.message;
-  std::string excerpt = Trimmed(d.excerpt);
+  std::string excerpt(Trim(d.excerpt));
   if (!excerpt.empty()) {
     if (excerpt.size() > 120) excerpt = excerpt.substr(0, 117) + "...";
     out += "\n  | " + excerpt;

@@ -28,9 +28,9 @@ struct Diagnostic {
   std::string excerpt;  // the offending source line, trimmed (may be empty)
 };
 
-// Stable fingerprint used by the baseline: rule, path, and the *content* of
-// the offending line (not its number), so unrelated edits above a
-// grandfathered finding do not invalidate the baseline entry.
+// Stable fingerprint for SARIF's partialFingerprints: rule, path, and the
+// *content* of the offending line (not its number), so code scanning keeps
+// matching a finding across unrelated edits that shift its line.
 [[nodiscard]] std::uint64_t Fingerprint(const Diagnostic& d);
 [[nodiscard]] std::string FingerprintHex(const Diagnostic& d);
 

@@ -10,21 +10,11 @@
 
 namespace calculon::staticlint {
 
-struct TreeOptions {
-  // Directories under the repo root to scan (tests/ is intentionally not a
-  // default: gtest macro bodies are not representative library code).
-  std::vector<std::string> roots = {"src", "examples", "bench"};
-  std::vector<std::string> extensions = {".h", ".cc", ".cpp"};
-  // Worker threads for reading + lexing files (1 = fully serial). The
-  // result is identical for any value: files come back path-sorted.
-  int jobs = 1;
-};
-
-// Loads every matching file under repo_root, lexed, with repo-relative
-// paths, in deterministic (sorted) order. Missing roots are skipped so the
-// tool also runs on partial checkouts.
-[[nodiscard]] std::vector<SourceFile> LoadTree(const std::string& repo_root,
-                                               const TreeOptions& options =
-                                                   TreeOptions());
+// Loads every .h, .cc and .cpp file under src/, examples/ and bench/ of
+// repo_root, lexed, with repo-relative paths, in deterministic (sorted)
+// order. tests/ is not scanned: gtest macro bodies are not representative
+// library code. Missing roots are skipped so the tool also runs on partial
+// checkouts.
+[[nodiscard]] std::vector<SourceFile> LoadTree(const std::string& repo_root);
 
 }  // namespace calculon::staticlint

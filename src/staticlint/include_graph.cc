@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <set>
 
 namespace calculon::staticlint {
 
@@ -84,25 +85,6 @@ std::string IncludeGraph::LayerOf(const std::string& path) const {
   std::size_t slash = path.find('/', begin);
   if (slash == std::string::npos) return {};
   return path.substr(begin, slash - begin);
-}
-
-std::set<std::string> IncludeGraph::ExpandWithIncluders(
-    const std::set<std::string>& paths) const {
-  std::map<std::string, std::vector<std::string>> includers;
-  for (const IncludeEdge& e : edges_) includers[e.to].push_back(e.from);
-
-  std::set<std::string> result = paths;
-  std::vector<std::string> frontier(paths.begin(), paths.end());
-  while (!frontier.empty()) {
-    const std::string path = std::move(frontier.back());
-    frontier.pop_back();
-    auto it = includers.find(path);
-    if (it == includers.end()) continue;
-    for (const std::string& from : it->second) {
-      if (result.insert(from).second) frontier.push_back(from);
-    }
-  }
-  return result;
 }
 
 std::vector<std::vector<std::string>> IncludeGraph::FindCycles() const {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -44,14 +43,6 @@ class IncludeGraph {
   // Every include cycle among headers, as a path list
   // [a.h, b.h, ..., a.h]. Deterministic order.
   [[nodiscard]] std::vector<std::vector<std::string>> FindCycles() const;
-
-  // Closes `paths` over reverse include edges: the result additionally
-  // contains every file that transitively #includes one of them, so a
-  // changed-files lint re-checks the includers a header edit can break
-  // (scripts/lint.sh --changed via calculon-lint --expand-includers).
-  // Paths outside the graph pass through unchanged.
-  [[nodiscard]] std::set<std::string> ExpandWithIncluders(
-      const std::set<std::string>& paths) const;
 
  private:
   std::string include_root_;

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
-#include <iterator>
 
 #include "staticlint/match.h"
 #include "util/error.h"
-#include "util/threadpool.h"
 
 namespace calculon::staticlint {
 
@@ -182,52 +179,28 @@ LintResult RunLint(const std::vector<SourceFile>& files,
                       " (see --list-rules)");
   }
 
-  std::vector<const Rule*> selected;
+  // Rules run in registry order; each one's wall time feeds the CI
+  // latency gate (--timing).
+  LintResult result;
+  std::vector<Diagnostic> all;
+  const auto run_start = std::chrono::steady_clock::now();
   for (const Rule& rule : Registry()) {
     if (!options.rule_filter.empty() &&
         options.rule_filter.find(rule.info.id) == options.rule_filter.end()) {
       continue;
     }
-    selected.push_back(&rule);
-  }
-
-  // Each rule writes its own bucket; buckets merge in registry order so the
-  // result is independent of scheduling. Per-rule wall time feeds the CI
-  // latency gate (--timing); under --jobs it is each rule's own clock, so
-  // the per-rule numbers stay meaningful even when the total is smaller.
-  const auto run_start = std::chrono::steady_clock::now();
-  std::vector<std::vector<Diagnostic>> buckets(selected.size());
-  std::vector<double> rule_seconds(selected.size(), 0.0);
-  auto run_one = [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
-    selected[i]->fn(files, config, &buckets[i]);
-    rule_seconds[i] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  };
-  if (options.jobs > 1 && selected.size() > 1) {
-    const std::size_t workers = std::min<std::size_t>(
-        static_cast<std::size_t>(options.jobs), selected.size());
-    ThreadPool pool(static_cast<unsigned>(workers));
-    pool.ParallelFor(selected.size(),
-                     [&](std::uint64_t i) { run_one(i); });
-  } else {
-    for (std::size_t i = 0; i < selected.size(); ++i) run_one(i);
-  }
-  std::vector<Diagnostic> all;
-  for (std::vector<Diagnostic>& bucket : buckets) {
-    all.insert(all.end(), std::make_move_iterator(bucket.begin()),
-               std::make_move_iterator(bucket.end()));
+    rule.fn(files, config, &all);
+    result.timings.push_back(
+        {rule.info.id,
+         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+             .count()});
   }
 
   // Apply generic same-line `// lint-ok(rule)` suppressions.
   std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
   for (const SourceFile& f : files) {
     suppressions[f.path] = SuppressionsByLine(f);
-  }
-  LintResult result;
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    result.timings.push_back({selected[i]->info.id, rule_seconds[i]});
   }
   result.total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

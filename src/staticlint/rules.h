@@ -80,11 +80,6 @@ struct LintOptions {
   // Run only these rule ids (empty = all). RunLint throws ConfigError
   // when one of them names no registered rule.
   std::set<std::string> rule_filter;
-  // Worker threads for rule execution (1 = serial). Rules are pure
-  // functions over the tree, so they parallelize trivially; findings are
-  // merged back in registry order and sorted, so the output is identical
-  // at any job count.
-  int jobs = 1;
 };
 
 // Wall time of one rule's run, for the CI latency gate (--timing).
@@ -100,7 +95,7 @@ struct LintResult {
 };
 
 // Runs every (selected) rule over the tree and applies inline
-// `// lint-ok(rule)` suppressions. Baseline handling is the caller's job.
+// `// lint-ok(rule)` suppressions, the only way to silence a finding.
 [[nodiscard]] LintResult RunLint(const std::vector<SourceFile>& files,
                                  const ProjectConfig& config,
                                  const LintOptions& options = {});

@@ -1,6 +1,7 @@
 // String helpers shared by the JSON parser and report printers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +12,13 @@ namespace calculon {
 [[nodiscard]] std::string_view Trim(std::string_view s);
 [[nodiscard]] std::string ToLower(std::string_view s);
 [[nodiscard]] bool StartsWith(std::string_view s, std::string_view prefix);
+
+// 64-bit FNV-1a: folds `s` into the running hash `h`; start from
+// kFnv1aOffsetBasis. Study and audit checkpoint fingerprints and
+// calculon-lint's finding fingerprints are built on it, so its values are
+// part of the on-disk formats.
+inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
+[[nodiscard]] std::uint64_t Fnv1a(std::uint64_t h, std::string_view s);
 
 // printf-style formatting into a std::string.
 [[nodiscard]] std::string StrFormat(const char* fmt, ...)

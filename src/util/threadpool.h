@@ -1,8 +1,7 @@
 // Minimal thread pool with a dynamic parallel-for, used by the search
 // engines to spread configuration evaluation across cores (the paper:
 // "a standard multi-core desktop computer is able to search the entire
-// configuration space in minutes") and by calculon-lint for parallel
-// per-file analysis.
+// configuration space in minutes").
 //
 // Lives in the util layer (the bottom of the dependency DAG) so every
 // layer may use it; queue-depth telemetry is inverted through a hook the

@@ -127,29 +127,6 @@ TEST(IncludeGraphTest, LayeringRejectsUpwardEdge) {
   EXPECT_NE(out[0].message.find("'b'"), std::string::npos);
 }
 
-TEST(IncludeGraphTest, ExpandWithIncludersClosesOverReverseEdges) {
-  // user.cc -> peer.h -> base.h; other.cc stands apart.
-  std::vector<SourceFile> files;
-  files.push_back(MakeSourceFile("src/a/base.h", "#pragma once\n"));
-  files.push_back(MakeSourceFile("src/a/peer.h",
-                                 "#pragma once\n#include \"a/base.h\"\n"));
-  files.push_back(MakeSourceFile("src/b/user.cc",
-                                 "#include \"a/peer.h\"\n"));
-  files.push_back(MakeSourceFile("src/b/other.cc", "int x;\n"));
-  IncludeGraph g = IncludeGraph::Build(files, "src");
-
-  // Editing the bottom header re-checks everything that can see it.
-  std::set<std::string> expanded = g.ExpandWithIncluders({"src/a/base.h"});
-  EXPECT_EQ(expanded, (std::set<std::string>{
-                          "src/a/base.h", "src/a/peer.h", "src/b/user.cc"}));
-
-  // A leaf .cc expands to itself; unknown paths pass through unchanged.
-  EXPECT_EQ(g.ExpandWithIncluders({"src/b/other.cc"}),
-            (std::set<std::string>{"src/b/other.cc"}));
-  EXPECT_EQ(g.ExpandWithIncluders({"docs/readme.md"}),
-            (std::set<std::string>{"docs/readme.md"}));
-}
-
 TEST(IncludeGraphTest, DefaultConfigLayerDagIsAcyclic) {
   // The checked-in policy itself must be a DAG: following any chain of
   // allowed deps never returns to the starting layer.

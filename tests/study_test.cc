@@ -45,6 +45,15 @@ TEST(Study, ParsesSpecAndSizesSystem) {
   EXPECT_EQ(study.axes.size(), 3u);  // t, p, microbatch
 }
 
+// A checkpoint records its study's fingerprint, and --resume rejects one
+// that differs: a changed value would turn every existing checkpoint into
+// a ConfigError.
+TEST(Study, FingerprintOfTheShippedSweepIsPinned) {
+  const Study study = Study::FromJson(json::ParseFile(
+      std::string(CALCULON_CONFIG_DIR) + "/studies/parallelism_sweep.json"));
+  EXPECT_EQ(study.Fingerprint(), "c84fa53c015aef3c");
+}
+
 TEST(Study, RunsFullCrossProduct) {
   const Study study = Study::FromJson(BasicSpec());
   const auto rows = study.Run();

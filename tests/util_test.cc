@@ -190,6 +190,15 @@ TEST(Strings, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
 }
 
+TEST(Strings, Fnv1aMatchesTheReferenceVectors) {
+  EXPECT_EQ(Fnv1a(kFnv1aOffsetBasis, ""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a(kFnv1aOffsetBasis, "a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a(kFnv1aOffsetBasis, "foobar"), 0x85944171f73967e8ULL);
+  // Folding in pieces is folding the concatenation.
+  EXPECT_EQ(Fnv1a(Fnv1a(kFnv1aOffsetBasis, "foo"), "bar"),
+            Fnv1a(kFnv1aOffsetBasis, "foobar"));
+}
+
 // --- table ---
 
 TEST(Table, AlignsColumnsAndCountsRows) {
