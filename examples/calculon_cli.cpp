@@ -40,6 +40,8 @@
 //   --metrics FILE       export tool metrics (latency histograms,
 //                        rejection counters) as JSON
 //   --progress[=SECS]    periodic progress lines on stderr (default 2s)
+// llm takes the observability options only; a sweep option there is a
+// usage error.
 // Exit codes: 0 complete, 1 infeasible/error, 2 usage (unknown flag,
 //             missing or malformed value), 3 degraded (stopped early or
 //             isolated failures).
@@ -51,6 +53,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,7 +109,9 @@ struct ResilienceArgs {
 };
 
 // Malformed or out-of-range values and unknown flags throw UsageError.
-ResilienceArgs ParseResilienceArgs(int argc, char** argv) {
+// Without `sweep` only the observability flags are taken: a one-shot
+// subcommand has no sweep to bound, journal, fault or fan out.
+ResilienceArgs ParseResilienceArgs(int argc, char** argv, bool sweep = true) {
   ResilienceArgs args;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -114,14 +119,25 @@ ResilienceArgs ParseResilienceArgs(int argc, char** argv) {
       if (i + 1 >= argc) throw UsageError(arg + " needs a value");
       return argv[++i];
     };
-    auto next_int = [&](long long min) {
+    // `max` is the largest value the flag's destination type holds.
+    auto next_int = [&](long long min,
+                        long long max = std::numeric_limits<long long>::max()) {
       const long long n = ParseIntFlag(arg, next());
       if (n < min) {
         throw UsageError(StrFormat("%s must be >= %lld", arg.c_str(), min));
       }
+      if (n > max) {
+        throw UsageError(StrFormat("%s must be <= %lld", arg.c_str(), max));
+      }
       return n;
     };
-    if (arg == "--deadline") {
+    if (args.obs.Consume(arg, next)) {
+      // observability flags: --trace / --metrics / --progress
+    } else if (arg.rfind("--", 0) != 0) {
+      args.positional.push_back(arg);
+    } else if (!sweep) {
+      throw UsageError(StrFormat("%s takes no %s", argv[1], arg.c_str()));
+    } else if (arg == "--deadline") {
       args.deadline_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--failure-budget") {
       args.failure_budget = ParseIntFlag(arg, next());
@@ -136,19 +152,15 @@ ResilienceArgs ParseResilienceArgs(int argc, char** argv) {
     } else if (arg == "--procs") {
       args.procs = next_int(1);
     } else if (arg == "--workers") {
-      args.workers = next_int(0);
+      args.workers = next_int(0, std::numeric_limits<int>::max());
     } else if (arg == "--shard-size") {
       args.shard_size = next_int(1);
     } else if (arg == "--hang-timeout") {
       args.hang_timeout_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--worker-logs") {
       args.worker_log_dir = next();
-    } else if (args.obs.Consume(arg, next)) {
-      // observability flags: --trace / --metrics / --progress
-    } else if (arg.rfind("--", 0) == 0) {
-      throw UsageError("unknown option " + arg);
     } else {
-      args.positional.push_back(arg);
+      throw UsageError("unknown option " + arg);
     }
   }
   return args;
@@ -202,7 +214,8 @@ System LoadSystem(const std::string& arg) {
 }
 
 int RunLlm(int argc, char** argv) {
-  const ResilienceArgs args = ParseResilienceArgs(argc, argv);
+  const ResilienceArgs args =
+      ParseResilienceArgs(argc, argv, /*sweep=*/false);
   if (args.positional.size() < 3) {
     std::fprintf(stderr,
                  "usage: calculon_cli llm <app> <system> <exec.json> "

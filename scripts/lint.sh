@@ -22,6 +22,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+usage() { sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; }
+
 FIX=0
 CHANGED=0
 BUILD_DIR=build
@@ -35,8 +37,13 @@ while [[ $# -gt 0 ]]; do
       shift
       ;;
     -h | --help)
-      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+      usage
       exit 0
+      ;;
+    -*)
+      echo "lint: unknown option $1" >&2
+      usage >&2
+      exit 2
       ;;
     *) PATHS+=("$1") ;;
   esac

@@ -12,8 +12,10 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -168,17 +170,20 @@ int main(int argc, char** argv) try {
       options.max_splits = static_cast<int>(ParseIntFlag(arg, next()));
     } else if (arg == "--threads") {
       const long long n = ParseIntFlag(arg, next());
-      if (n < 0) {
-        std::fprintf(stderr, "calculon-audit: --threads must be >= 0\n");
+      if (n < 0 || n > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr, "calculon-audit: --threads must be in [0, %u]\n",
+                     std::numeric_limits<unsigned>::max());
         return 2;
       }
       threads = static_cast<unsigned>(n);
     } else if (arg == "--workers") {
-      dist.workers = static_cast<int>(ParseIntFlag(arg, next()));
-      if (dist.workers < 0) {
-        std::fprintf(stderr, "calculon-audit: --workers must be >= 0\n");
+      const long long n = ParseIntFlag(arg, next());
+      if (n < 0 || n > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "calculon-audit: --workers must be in [0, %d]\n",
+                     std::numeric_limits<int>::max());
         return 2;
       }
+      dist.workers = static_cast<int>(n);
     } else if (arg == "--shard-size") {
       const long long n = ParseIntFlag(arg, next());
       if (n <= 0) {
@@ -391,7 +396,12 @@ int main(int argc, char** argv) try {
           commit_pair(orig[j], std::move(report));
         });
   } else {
-    calculon::ThreadPool pool(threads);
+    // At most one thread per pair; --threads 0 means one per hardware
+    // thread.
+    const unsigned wanted =
+        threads != 0 ? threads : std::thread::hardware_concurrency();
+    calculon::ThreadPool pool(
+        static_cast<unsigned>(std::min<std::uint64_t>(wanted, pairs.size())));
     pool.ParallelFor(pairs.size(), &ctx, [&](std::uint64_t i) {
       if (done[i] != 0) return;
       Pair& pair = pairs[i];

@@ -16,9 +16,9 @@
 // code 3 at the CLI) instead of dying.
 //
 // The study and exec-search drivers run the in-process engine when dist is
-// inactive (workers == 0 or fork unavailable), so callers always pass
-// through one entry point; every search collector (keep_all_rates,
-// keep_pareto) travels over the wire.
+// inactive (workers == 0), so callers always pass through one entry point;
+// every search collector (keep_all_rates, keep_pareto) travels over the
+// wire.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,14 @@
 #include "dist/supervisor.h"
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <ctime>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -28,14 +32,6 @@
 #include "util/error.h"
 #include "util/strings.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CALCULON_DIST_HAVE_FORK 1
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 namespace calculon::dist {
 
 json::Value InitFrame(const json::Value& job_spec,
@@ -52,8 +48,6 @@ json::Value InitFrame(const json::Value& job_spec,
   frame["telemetry"] = telemetry;
   return frame;
 }
-
-#if defined(CALCULON_DIST_HAVE_FORK)
 
 namespace {
 
@@ -151,6 +145,10 @@ struct Pool {
   std::map<std::string, std::vector<double>> histogram_layouts;
   // Sequence number for post-mortem file names (a run may dump several).
   int flight_dump_seq = 0;
+
+  // PollLive's poll set and its readable slots, reused across polls.
+  std::vector<struct pollfd> poll_fds;
+  std::vector<std::size_t> readable;
 };
 
 // The registry prefix that tags slot `index`'s worker instruments.
@@ -304,25 +302,60 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   }
 }
 
-// Telemetry frames interleaved with the result stream. Purely
-// observational: they never touch the shard tracker or the driver
+// Takes one control or telemetry frame from worker `index`. Returns false
+// for a frame that breaks the protocol: an unknown type, a run header
+// announcing no lines or, while the run is `live`, a run header that does
+// not start at the shard's next un-acked item and end within the shard.
+// Throws ConfigError on a malformed frame. Telemetry is purely
+// observational: it never touches the shard tracker or the driver
 // callbacks, which is what keeps supervised outputs bit-identical with
-// telemetry on. Returns false for frame types it does not know; throws
-// ConfigError on a malformed one.
-[[nodiscard]] bool HandleTelemetryFrame(Pool& pool, std::size_t index,
-                                        const std::string& type,
-                                        const json::Value& frame) {
+// telemetry on.
+[[nodiscard]] bool HandleFrame(Pool& pool, std::size_t index,
+                               const json::Value& frame, bool live) {
   WorkerSlot& slot = pool.slots[index];
-  if (type == "metrics_snapshot") {
+  const std::string type = frame.GetString("type", "");
+  slot.last_activity_ms = NowMs();
+  if (type == "items") {
+    // A run header: `count` result lines follow.
+    const std::int64_t count = frame.at("count").AsInt();
+    if (count <= 0) return false;
+    if (live) {
+      const std::int64_t first = frame.at("begin").AsInt();
+      const std::uint64_t next = slot.shard.begin + slot.acked;
+      if (!slot.busy || static_cast<std::uint64_t>(first) != next ||
+          static_cast<std::uint64_t>(count) > slot.shard.end - next) {
+        return false;
+      }
+    }
+    slot.reader->ExpectLines(static_cast<std::uint64_t>(count));
+  } else if (type == "ready") {
+    slot.ready = true;
+    slot.Record("ready");
+    pool.consecutive_startup_failures = 0;
+  } else if (type == "shard_done") {
+    slot.busy = false;
+    slot.Record("shard_done", slot.shard.begin);
+    // Handoff span on the supervisor timeline: dispatch to completion of
+    // this shard, labelled with the worker's lane.
+    obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+    if (recorder.enabled() && slot.dispatch_ts_us > 0.0) {
+      recorder.RecordComplete(
+          "dist",
+          StrFormat("shard [%llu,%llu) -> worker-%d",
+                    static_cast<unsigned long long>(slot.shard.begin),
+                    static_cast<unsigned long long>(slot.shard.end),
+                    static_cast<int>(slot.last_pid)),
+          slot.dispatch_ts_us, recorder.NowMicros() - slot.dispatch_ts_us);
+      slot.dispatch_ts_us = 0.0;
+    }
+  } else if (type == "metrics_snapshot") {
     obs::MetricsSnapshot snapshot =
         obs::MetricsSnapshot::FromJson(frame.at("metrics"));
     CheckHistogramLayouts(pool, index, snapshot);
     // Cumulative per incarnation: replace, don't merge.
     slot.live_metrics = std::move(snapshot);
     slot.has_live_metrics = true;
-    return true;
-  }
-  if (type == "trace_chunk") {
+  } else if (type == "trace_chunk") {
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
     if (recorder.enabled()) {
       recorder.AddExternalEvents(
@@ -332,13 +365,15 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
       recorder.AddExternalDropped(
           static_cast<std::uint64_t>(frame.GetInt("dropped", 0)));
     }
-    return true;
+  } else {
+    return false;
   }
-  return false;
+  return true;
 }
 
 // Forks a worker into `slot`. Returns false when the OS refuses (pipe/fork
-// exhaustion) — the caller decides whether that is fatal.
+// exhaustion) — the caller decides whether that is fatal. A spawn into a
+// slot that had an earlier incarnation counts as a restart.
 [[nodiscard]] bool SpawnWorker(Pool& pool, std::size_t index) {
   WorkerSlot& slot = pool.slots[index];
   int cmd[2];  // parent writes commands, worker reads
@@ -405,6 +440,9 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   slot.busy = false;
   slot.acked = 0;
   slot.last_activity_ms = NowMs();
+  if (slot.last_pid != -1 && pool.restarts != nullptr) {
+    pool.restarts->Increment();
+  }
   // Fresh incarnation: new trace lane, empty event ring (the previous
   // incarnation's evidence was dumped by its death handler).
   slot.last_pid = pid;
@@ -413,11 +451,9 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   slot.live_metrics = obs::MetricsSnapshot();
   slot.has_live_metrics = false;
   PublishAlive(pool);
-  if (!slot.writer->WriteFrame(*pool.init_frame)) {
-    // Died before reading its first frame; the death path below picks the
-    // EOF up on the next poll, so nothing more to do here.
-    return true;
-  }
+  // A worker that died before reading it shows up as EOF on the next poll,
+  // where the death path handles it.
+  (void)slot.writer->WriteFrame(*pool.init_frame);
   return true;
 }
 
@@ -478,9 +514,84 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
   PublishAlive(pool);
 }
 
-}  // namespace
+// Waits up to `timeout_ms` on the live workers' result pipes and leaves
+// those with something to read (data, EOF or an error) in pool.readable.
+// A signal ends the wait with none readable. Returns false when poll()
+// fails for another reason (errno says why).
+[[nodiscard]] bool PollLive(Pool& pool, std::int64_t timeout_ms) {
+  pool.poll_fds.clear();
+  pool.readable.clear();
+  for (std::size_t i = 0; i < pool.slots.size(); ++i) {
+    if (!pool.slots[i].alive()) continue;
+    pool.poll_fds.push_back({pool.slots[i].res_fd, POLLIN, 0});
+    pool.readable.push_back(i);
+  }
+  const int n_ready =
+      ::poll(pool.poll_fds.data(), static_cast<nfds_t>(pool.poll_fds.size()),
+             static_cast<int>(timeout_ms));
+  if (n_ready == -1 && errno != EINTR) return false;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; n_ready > 0 && k < pool.poll_fds.size(); ++k) {
+    if ((pool.poll_fds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      pool.readable[kept++] = pool.readable[k];
+    }
+  }
+  pool.readable.resize(kept);
+  return true;
+}
 
-bool ForkAvailable() { return true; }
+// What draining a worker's result pipe came to; the caller acts on it.
+enum class Drained {
+  kOpen,     // nothing more to read for now
+  kCorrupt,  // the worker broke the protocol
+  kEnded,    // the pipe closed (EOF or a read error)
+};
+
+// Reads what worker `index` has sent until its pipe runs dry or closes.
+// While the run is `live`, each complete run of results goes to on_item
+// and the tracker, one line per item; at shutdown the runs are skipped
+// unread (their items stay unresolved) and only the telemetry matters.
+[[nodiscard]] Drained DrainSlot(Pool& pool, std::size_t index, bool live) {
+  WorkerSlot& slot = pool.slots[index];
+  for (;;) {
+    const FrameReader::FillStatus status = slot.reader->Fill();
+    json::Value frame;
+    std::string_view lines;
+    try {
+      for (;;) {
+        if (slot.reader->NextLines(&lines)) {
+          if (!live) continue;
+          slot.last_activity_ms = NowMs();
+          for (std::size_t at = 0; at < lines.size();) {
+            const std::size_t nl = lines.find('\n', at);
+            const std::uint64_t item = slot.shard.begin + slot.acked;
+            bool decoded = true;
+            if (pool.callbacks->on_item) {
+              RunCallback(pool, [&] {
+                decoded =
+                    pool.callbacks->on_item(item, lines.substr(at, nl - at));
+              });
+            }
+            if (!decoded) return Drained::kCorrupt;
+            pool.tracker->OnItemDone(item);
+            ++slot.acked;
+            slot.Record("item_done", item);
+            at = nl + 1;
+          }
+          continue;
+        }
+        if (!slot.reader->NextFrame(&frame)) break;
+        if (!HandleFrame(pool, index, frame, live)) return Drained::kCorrupt;
+      }
+    } catch (const ConfigError&) {
+      return Drained::kCorrupt;  // a malformed frame
+    }
+    if (status == FrameReader::FillStatus::kWouldBlock) return Drained::kOpen;
+    if (status != FrameReader::FillStatus::kData) return Drained::kEnded;
+  }
+}
+
+}  // namespace
 
 void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
                    const DistOptions& options,
@@ -533,21 +644,11 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
   pool.slots.resize(static_cast<std::size_t>(worker_count));
   pool.finalized_metrics.resize(pool.slots.size());
 
-  std::string startup_error;
-  for (std::size_t i = 0; i < pool.slots.size() && !tracker.AllResolved();
-       ++i) {
-    if (!SpawnWorker(pool, i)) {
-      startup_error = StrFormat("could not fork worker %d: %s",
-                                static_cast<int>(i), std::strerror(errno));
-      break;
-    }
-  }
-
-  while (startup_error.empty() && !pool.engine_error &&
-         !tracker.AllResolved()) {
+  std::string error;
+  while (!pool.engine_error && !tracker.AllResolved()) {
     if (ctx != nullptr && ctx->ShouldStop()) break;
     if (pool.consecutive_startup_failures > worker_count * 3) {
-      startup_error = StrFormat(
+      error = StrFormat(
           "%d consecutive workers died before becoming ready; "
           "the job itself appears to crash at startup",
           pool.consecutive_startup_failures);
@@ -591,10 +692,12 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
       }
     }
 
-    // Refill empty slots while there are more dispatchable shards than
-    // idle live workers can absorb. If a busy worker dies its shard lands
-    // in `pending`, so "no dispatchable work" can only coexist with "no
-    // live workers" once everything is resolved.
+    // Spawn into empty slots while there are more dispatchable shards than
+    // idle live workers can absorb: every slot on the first pass, then the
+    // slots of dead workers. If a busy worker dies its shard lands in
+    // `pending`, so "no dispatchable work" can only coexist with "no live
+    // workers" once everything is resolved. A fork failure is fatal only
+    // when no worker is left to carry the run.
     {
       const std::uint64_t dispatchable =
           pool.pending.size() +
@@ -605,20 +708,17 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
       }
       for (std::size_t i = 0;
            i < pool.slots.size() && idle < dispatchable; ++i) {
-        WorkerSlot& slot = pool.slots[i];
-        if (slot.alive()) continue;
+        if (pool.slots[i].alive()) continue;
         if (!SpawnWorker(pool, i)) {
           if (CountAlive(pool) == 0) {
-            startup_error =
-                StrFormat("could not fork replacement worker %d: %s",
-                          static_cast<int>(i), std::strerror(errno));
+            error = StrFormat("could not fork worker %d: %s",
+                              static_cast<int>(i), std::strerror(errno));
           }
           break;
         }
-        if (pool.restarts != nullptr) pool.restarts->Increment();
         ++idle;
       }
-      if (!startup_error.empty()) break;
+      if (!error.empty()) break;
     }
 
     // Poll timeout: the earliest of (next retry due, next hang deadline),
@@ -636,137 +736,34 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
       }
     }
 
-    std::vector<struct pollfd> fds;
-    std::vector<std::size_t> fd_slot;
-    for (std::size_t i = 0; i < pool.slots.size(); ++i) {
-      if (!pool.slots[i].alive()) continue;
-      fds.push_back({pool.slots[i].res_fd, POLLIN, 0});
-      fd_slot.push_back(i);
-    }
-    if (fds.empty() && pool.pending.empty()) {
+    if (CountAlive(pool) == 0 && pool.pending.empty()) {
       // No live workers and no retry to wait out, yet not AllResolved():
       // the dispatch/refill invariant was violated. Fail loudly rather
       // than spin.
-      startup_error = "no live workers and no pending work to wait for";
+      error = "no live workers and no pending work to wait for";
       break;
     }
-    const int n_ready =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               static_cast<int>(timeout));
-    if (n_ready == -1 && errno != EINTR) {
-      startup_error = StrFormat("poll failed: %s", std::strerror(errno));
+    if (!PollLive(pool, timeout)) {
+      error = StrFormat("poll failed: %s", std::strerror(errno));
       break;
     }
 
-    // Drain readable workers.
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const std::size_t i = fd_slot[k];
+    // Drain readable workers. A closed pipe is a death, also for a worker
+    // that exited cleanly while idle: its slot is simply refilled.
+    for (const std::size_t i : pool.readable) {
       WorkerSlot& slot = pool.slots[i];
-      if (!slot.alive()) continue;  // died earlier this iteration
-      bool dead = false;
-      for (;;) {
-        const FrameReader::FillStatus status = slot.reader->Fill();
-        json::Value frame;
-        std::string_view lines;
-        bool corrupt = false;
-        try {
-          for (;;) {
-            if (slot.reader->NextLines(&lines)) {
-              // A whole run, checked at its header: one result per line.
-              slot.last_activity_ms = NowMs();
-              for (std::size_t at = 0; at < lines.size();) {
-                const std::size_t nl = lines.find('\n', at);
-                const std::uint64_t index = slot.shard.begin + slot.acked;
-                bool decoded = true;
-                if (pool.callbacks->on_item) {
-                  RunCallback(pool, [&] {
-                    decoded = pool.callbacks->on_item(
-                        index, lines.substr(at, nl - at));
-                  });
-                }
-                if (!decoded) {
-                  corrupt = true;  // a line that does not decode
-                  break;
-                }
-                tracker.OnItemDone(index);
-                ++slot.acked;
-                slot.Record("item_done", index);
-                at = nl + 1;
-              }
-              if (corrupt) break;
-              continue;
-            }
-            if (!slot.reader->NextFrame(&frame)) break;
-            const std::string type = frame.GetString("type", "");
-            slot.last_activity_ms = NowMs();
-            if (type == "ready") {
-              slot.ready = true;
-              slot.Record("ready");
-              pool.consecutive_startup_failures = 0;
-            } else if (type == "items") {
-              // A run header: `count` result lines follow. The run must
-              // be non-empty, start at the next un-acked item and end
-              // within the shard.
-              const std::int64_t first = frame.at("begin").AsInt();
-              const std::int64_t count = frame.at("count").AsInt();
-              const std::uint64_t next = slot.shard.begin + slot.acked;
-              if (!slot.busy || count <= 0 ||
-                  static_cast<std::uint64_t>(first) != next ||
-                  static_cast<std::uint64_t>(count) > slot.shard.end - next) {
-                corrupt = true;  // a misplaced run: protocol violation
-                break;
-              }
-              slot.reader->ExpectLines(static_cast<std::uint64_t>(count));
-            } else if (type == "shard_done") {
-              slot.busy = false;
-              slot.Record("shard_done", slot.shard.begin);
-              // Handoff span on the supervisor timeline: dispatch to
-              // completion of this shard, labelled with the worker's lane.
-              if (recorder.enabled() && slot.dispatch_ts_us > 0.0) {
-                recorder.RecordComplete(
-                    "dist",
-                    StrFormat("shard [%llu,%llu) -> worker-%d",
-                              static_cast<unsigned long long>(slot.shard.begin),
-                              static_cast<unsigned long long>(slot.shard.end),
-                              static_cast<int>(slot.last_pid)),
-                    slot.dispatch_ts_us,
-                    recorder.NowMicros() - slot.dispatch_ts_us);
-                slot.dispatch_ts_us = 0.0;
-              }
-            } else if (HandleTelemetryFrame(pool, i, type, frame)) {
-              // Observational only; nothing else to do.
-            } else {
-              corrupt = true;
-              break;
-            }
-          }
-        } catch (const ConfigError&) {
-          corrupt = true;  // malformed frame
-        }
-        if (corrupt) {
-          ::kill(slot.pid, SIGKILL);
-          HandleWorkerDeath(
-              pool, i,
-              StrFormat("sent a corrupt frame (%s)", ReapWorker(slot).c_str()));
-          dead = true;
-          break;
-        }
-        if (status == FrameReader::FillStatus::kWouldBlock) break;
-        if (status == FrameReader::FillStatus::kEof ||
-            status == FrameReader::FillStatus::kError) {
-          const bool truncated = slot.reader->truncated();
-          std::string description = ReapWorker(slot);
-          if (truncated) description += " mid-message";
-          HandleWorkerDeath(pool, i, description);
-          dead = true;
-          break;
-        }
+      const Drained drained = DrainSlot(pool, i, /*live=*/true);
+      if (drained == Drained::kCorrupt) {
+        ::kill(slot.pid, SIGKILL);
+        HandleWorkerDeath(
+            pool, i,
+            StrFormat("sent a corrupt frame (%s)", ReapWorker(slot).c_str()));
+      } else if (drained == Drained::kEnded) {
+        const bool truncated = slot.reader->truncated();
+        std::string description = ReapWorker(slot);
+        if (truncated) description += " mid-message";
+        HandleWorkerDeath(pool, i, description);
       }
-      if (dead) continue;
-      // A worker that closed its pipe cleanly while idle (protocol "exit"
-      // path) is handled by the EOF branch above like any other death; an
-      // idle clean death simply refills.
     }
 
     // Hang detection: a busy worker silent past the deadline is hung
@@ -788,101 +785,34 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
     }
   }
 
-  // Shutdown: polite exit frames first, then force.
+  // Shutdown: send every worker "exit", then drain the result pipes until
+  // each has closed or 2 s have passed. The drain keeps the last shard's
+  // telemetry and the exit-time snapshots, which are written after the
+  // ack that ended the loop. A worker whose pipe is still open at the
+  // deadline has not exited (exiting closes it), so it is SIGKILLed; so is
+  // one that sends a corrupt frame.
+  json::Value exit_frame;
+  exit_frame["type"] = "exit";
   for (WorkerSlot& slot : pool.slots) {
-    if (!slot.alive()) continue;
-    json::Value exit_frame;
-    exit_frame["type"] = "exit";
-    if (slot.writer != nullptr) (void)slot.writer->WriteFrame(exit_frame);
+    if (slot.alive()) (void)slot.writer->WriteFrame(exit_frame);
   }
-  // Drain the result pipes to EOF (bounded by the grace deadline) before
-  // reaping: the last shard's telemetry and the exit-time snapshots are
-  // written AFTER the final item ack that ended the main loop, so skipping
-  // this phase would lose them in the pipe.
   const std::int64_t drain_deadline = NowMs() + 2000;
-  for (;;) {
-    std::vector<struct pollfd> fds;
-    std::vector<std::size_t> fd_slot;
-    for (std::size_t i = 0; i < pool.slots.size(); ++i) {
-      if (pool.slots[i].alive() && pool.slots[i].res_fd != -1) {
-        fds.push_back({pool.slots[i].res_fd, POLLIN, 0});
-        fd_slot.push_back(i);
-      }
-    }
-    if (fds.empty()) break;
+  while (CountAlive(pool) > 0) {
     const std::int64_t left = drain_deadline - NowMs();
-    if (left <= 0) break;
-    const int n_ready =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               static_cast<int>(std::min<std::int64_t>(left, 100)));
-    if (n_ready == -1 && errno != EINTR) break;
-    if (n_ready <= 0) continue;
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const std::size_t i = fd_slot[k];
+    if (left <= 0 || !PollLive(pool, left)) break;
+    for (const std::size_t i : pool.readable) {
       WorkerSlot& slot = pool.slots[i];
-      bool closed = false;
-      for (;;) {
-        const FrameReader::FillStatus status = slot.reader->Fill();
-        json::Value frame;
-        std::string_view skipped;
-        try {
-          for (;;) {
-            // Only telemetry matters now; the runs of an abandoned shard
-            // are skipped unread (their items stay unresolved).
-            if (slot.reader->NextLines(&skipped)) continue;
-            if (!slot.reader->NextFrame(&frame)) break;
-            const std::string type = frame.GetString("type", "");
-            if (type == "items") {
-              const std::int64_t count = frame.at("count").AsInt();
-              if (count <= 0) throw ConfigError("dist: an empty run");
-              slot.reader->ExpectLines(static_cast<std::uint64_t>(count));
-            } else {
-              (void)HandleTelemetryFrame(pool, i, type, frame);
-            }
-          }
-        } catch (const ConfigError&) {
-          closed = true;  // corrupt tail during shutdown: stop reading
-          break;
-        }
-        if (status == FrameReader::FillStatus::kWouldBlock) break;
-        if (status == FrameReader::FillStatus::kEof ||
-            status == FrameReader::FillStatus::kError) {
-          closed = true;
-          break;
-        }
-      }
-      if (closed) {
-        // EOF after the exit frame: the worker is gone (or going); reap it
-        // here so the force loop below skips it.
-        FinalizeSlotMetrics(pool, i);
-        (void)ReapWorker(slot);
-        CloseSlotFds(slot);
-        PublishAlive(pool);
-      }
+      const Drained drained = DrainSlot(pool, i, /*live=*/false);
+      if (drained == Drained::kOpen) continue;
+      if (drained == Drained::kCorrupt) ::kill(slot.pid, SIGKILL);
+      (void)ReapWorker(slot);
+      CloseSlotFds(slot);
     }
   }
-  const std::int64_t grace_deadline = NowMs() + 2000;
   for (WorkerSlot& slot : pool.slots) {
     if (!slot.alive()) continue;
-    bool reaped = false;
-    while (NowMs() < grace_deadline) {
-      int status = 0;
-      const pid_t r = ::waitpid(slot.pid, &status, WNOHANG);
-      if (r == slot.pid || (r == -1 && errno != EINTR)) {
-        reaped = true;
-        break;
-      }
-      struct timespec nap {0, 10 * 1000 * 1000};  // 10 ms
-      ::nanosleep(&nap, nullptr);
-    }
-    if (!reaped) {
-      ::kill(slot.pid, SIGKILL);
-      int status = 0;
-      while (::waitpid(slot.pid, &status, 0) == -1 && errno == EINTR) {
-      }
-    }
-    slot.pid = -1;
+    ::kill(slot.pid, SIGKILL);
+    (void)ReapWorker(slot);
     CloseSlotFds(slot);
   }
   PublishAlive(pool);
@@ -907,22 +837,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
   }
 
   if (pool.engine_error) std::rethrow_exception(pool.engine_error);
-  if (!startup_error.empty()) {
-    throw ConfigError("dist supervisor: " + startup_error);
-  }
+  if (!error.empty()) throw ConfigError("dist supervisor: " + error);
 }
-
-#else  // !CALCULON_DIST_HAVE_FORK
-
-bool ForkAvailable() { return false; }
-
-void RunSupervised(const json::Value&, std::uint64_t, const DistOptions&,
-                   const SupervisorCallbacks&, std::uint64_t, RunContext*) {
-  throw ConfigError(
-      "dist supervisor: fork-based workers are unavailable on this "
-      "platform; run in-process instead");
-}
-
-#endif  // CALCULON_DIST_HAVE_FORK
 
 }  // namespace calculon::dist

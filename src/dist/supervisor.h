@@ -27,6 +27,11 @@
 // which is what makes "the quarantine list equals the injected process
 // faults" a testable property.
 //
+// At the end of a run, and when it stops, every worker is sent "exit" and
+// the result pipes are drained until each has closed or 2 s have passed
+// (the telemetry a worker sends on exit arrives there); a worker still
+// running at that deadline is SIGKILLed.
+//
 // Post-mortems come from the frames the supervisor already handles: each
 // slot keeps a fixed ring of its last exchanges, rendered (with the
 // suspect, on a retried shard) to the file FailureRecord::flight_path
@@ -48,9 +53,6 @@
 #include "util/run_context.h"
 
 namespace calculon::dist {
-
-// True when this platform can fork supervised workers (POSIX fork + pipes).
-[[nodiscard]] bool ForkAvailable();
 
 // The init frame RunSupervised sends each worker (dist/worker.h). Its
 // "telemetry" object mirrors this process's obs state, so workers record
@@ -77,7 +79,7 @@ struct DistOptions {
   // the supervised engines inject inside the worker, never in the parent.
   std::string faults_spec;
 
-  [[nodiscard]] bool active() const { return workers > 0 && ForkAvailable(); }
+  [[nodiscard]] bool active() const { return workers > 0; }
 };
 
 struct SupervisorCallbacks {

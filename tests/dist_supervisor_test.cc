@@ -2,8 +2,6 @@
 // worker pool over a small study, kill workers with seeded process-level
 // faults, and check the survivor rows are bit-identical to the in-process
 // run while the quarantine list equals exactly the injected fault set.
-//
-// These tests fork; they are skipped on platforms without fork support.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -67,21 +65,54 @@ dist::DistOptions FastDist(int workers) {
   return d;
 }
 
-// The items of the study whose seeded fault decision is a process-level
-// kind — the exact set the supervised run must quarantine.
+// The items whose seeded fault decision is a process-level kind — the
+// exact set the supervised run must quarantine. A worker consults key
+// item << shift: 0 for study rows, 32 for an exec search's triples.
 std::set<std::uint64_t> ExpectedProcessFaultItems(
-    const testing::FaultPlan& plan, std::uint64_t num_items) {
+    const testing::FaultPlan& plan, std::uint64_t num_items, int shift = 0) {
   testing::FaultInjector injector;
   injector.Configure(plan);
   std::set<std::uint64_t> items;
   for (std::uint64_t i = 0; i < num_items; ++i) {
-    if (testing::IsProcessFault(injector.Decide(i))) items.insert(i);
+    if (testing::IsProcessFault(injector.Decide(i << shift))) items.insert(i);
   }
   return items;
 }
 
+// The a100_80g preset at 64 processors, the system the searches run on.
+System A100With64Procs() {
+  presets::SystemOptions so;
+  so.num_procs = 64;
+  return presets::A100(so);
+}
+
+// Search entries as %.17g JSON text: equal strings mean equal double bit
+// patterns.
+std::vector<std::string> EntryTexts(const std::vector<SearchEntry>& entries) {
+  std::vector<std::string> out;
+  for (const SearchEntry& e : entries) {
+    out.push_back(e.exec.ToJson().Dump() + e.stats.ToJson().Dump());
+  }
+  return out;
+}
+
+// Starts a thread that cancels `ctx` once a row is committed (or after
+// 30 s) and records when in `*at`, if given.
+std::thread CancelOnceARowCommits(
+    RunContext& ctx, std::chrono::steady_clock::time_point* at = nullptr) {
+  return std::thread([&ctx, at] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ctx.items_completed() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (at != nullptr) *at = std::chrono::steady_clock::now();
+    ctx.Cancel();
+  });
+}
+
 TEST(DistSupervisor, FaultFreeStudyIsBitIdenticalToInProcess) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Study study = Study::FromJson(SmallStudySpec());
 
   const StudyRunOptions options;
@@ -100,7 +131,6 @@ TEST(DistSupervisor, FaultFreeStudyIsBitIdenticalToInProcess) {
 }
 
 TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t rows = study.Enumerate().size();
 
@@ -141,7 +171,6 @@ TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
 }
 
 TEST(DistSupervisor, CoalescedShardsQuarantineExactlyTheInjectedItems) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // Fresh shards of 4 write their acks in batches, so a death there
   // cannot name the item that killed the worker. Even at one attempt per
   // item, only the items whose fault decision is a process kind may
@@ -182,7 +211,6 @@ TEST(DistSupervisor, CoalescedShardsQuarantineExactlyTheInjectedItems) {
 }
 
 TEST(DistSupervisor, WorkerExitingZeroMidShardIsADeathNotASuccess) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t rows = study.Enumerate().size();
 
@@ -211,7 +239,6 @@ TEST(DistSupervisor, WorkerExitingZeroMidShardIsADeathNotASuccess) {
 }
 
 TEST(DistSupervisor, HungWorkerIsKilledByTheActivityTimeout) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // One poison item that hangs its worker forever (well past the test).
   const json::Value spec = json::Parse(R"({
     "application": "megatron_22b",
@@ -246,7 +273,6 @@ TEST(DistSupervisor, HungWorkerIsKilledByTheActivityTimeout) {
 }
 
 TEST(DistSupervisor, BrokenJobSpecFailsLoudlyInsteadOfRespawningForever) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // A spec MakeJob rejects kills every worker at startup; the supervisor's
   // consecutive-startup-failure cap must convert that into a ConfigError
   // instead of forking replacements until the end of time.
@@ -262,14 +288,11 @@ TEST(DistSupervisor, BrokenJobSpecFailsLoudlyInsteadOfRespawningForever) {
 }
 
 TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // Workers instrument their own sweeps and the supervisor merges the
   // shipped snapshots; the aggregated counts must equal the in-process
   // engine's to the last evaluation.
   const Application app = presets::Megatron22B();
-  presets::SystemOptions so;
-  so.num_procs = 64;
-  const System sys = presets::A100(so);
+  const System sys = A100With64Procs();
   SearchConfig config;
   config.batch_size = 64;
   config.top_k = 4;
@@ -340,16 +363,13 @@ TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {
 }
 
 TEST(DistSupervisor, WorkerHistogramOfAnotherLayoutIsACorruptFrame) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // The supervisor's registry already holds the latency histogram with
   // other bounds than the workers', so their snapshots cannot be merged.
   // Each is rejected on arrival as a corrupt frame (its worker dies with
   // its shard acked), and the search returns its results instead of
   // throwing from the merge after them.
   const Application app = presets::Megatron22B();
-  presets::SystemOptions so;
-  so.num_procs = 64;
-  const System sys = presets::A100(so);
+  const System sys = A100With64Procs();
   const SearchSpace space = SearchSpace::MegatronBaseline();
   SearchConfig config;
   config.batch_size = 64;
@@ -369,15 +389,8 @@ TEST(DistSupervisor, WorkerHistogramOfAnotherLayoutIsACorruptFrame) {
   metrics.Reset();
   metrics.Disable();
 
-  auto dump = [](const std::vector<SearchEntry>& entries) {
-    std::vector<std::string> out;
-    for (const SearchEntry& e : entries) {
-      out.push_back(e.exec.ToJson().Dump() + e.stats.ToJson().Dump());
-    }
-    return out;
-  };
   ASSERT_FALSE(reference.best.empty());
-  EXPECT_EQ(dump(supervised.best), dump(reference.best));
+  EXPECT_EQ(EntryTexts(supervised.best), EntryTexts(reference.best));
   EXPECT_EQ(supervised.evaluated, reference.evaluated);
   EXPECT_EQ(supervised.feasible, reference.feasible);
   EXPECT_EQ(supervised.status.items_completed,
@@ -387,7 +400,6 @@ TEST(DistSupervisor, WorkerHistogramOfAnotherLayoutIsACorruptFrame) {
 }
 
 TEST(DistSupervisor, ShutdownDrainSkipsAnAbandonedRunToReachTheTelemetry) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // One worker takes the whole study as one shard, each row delayed 10 ms,
   // so it writes one run per row. The run is cancelled once a row is
   // committed: the worker's later runs arrive only in the shutdown drain,
@@ -404,15 +416,7 @@ TEST(DistSupervisor, ShutdownDrainSkipsAnAbandonedRunToReachTheTelemetry) {
   RunContext ctx;
   StudyRunOptions options;
   options.ctx = &ctx;
-  std::thread canceller([&ctx] {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (ctx.items_completed() == 0 &&
-           std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    ctx.Cancel();
-  });
+  std::thread canceller = CancelOnceARowCommits(ctx);
   const StudyRun run = dist::RunStudySupervised(study, options, d);
   canceller.join();
   const obs::MetricsSnapshot merged = metrics.Snapshot();
@@ -428,8 +432,47 @@ TEST(DistSupervisor, ShutdownDrainSkipsAnAbandonedRunToReachTheTelemetry) {
   EXPECT_EQ(merged.counters.at(delays), n);
 }
 
+TEST(DistSupervisor, StopWithAHungWorkerShutsDownWithinOneDeadline) {
+  // One worker takes a shard of 4 rows: row 0 is delayed 5 ms, so its
+  // result flushes on its own, and row 1 hangs for 600 s. The run is
+  // cancelled once row 0 is committed. The hang timeout lies beyond the
+  // test, so the stop ends the hung row: the worker never reads "exit",
+  // and it is SIGKILLed at the shutdown drain's 2 s deadline.
+  testing::FaultPlan plan = testing::FaultPlan::FromSpec(
+      "delay=0.5,delay_us=5000,hang=0.5,hang_s=600");
+  testing::FaultInjector injector;
+  do {
+    injector.Configure(plan);
+  } while ((injector.Decide(0) != testing::FaultAction::kDelay ||
+            injector.Decide(1) != testing::FaultAction::kHang) &&
+           ++plan.seed < 1000);
+  ASSERT_LT(plan.seed, 1000u) << "no seed delays row 0 and hangs row 1";
+
+  const Study study = Study::FromJson(SmallStudySpec());
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  metrics.Enable();
+  dist::DistOptions d = FastDist(1);
+  d.hang_timeout_s = 30.0;
+  d.faults_spec = plan.ToSpec();
+  RunContext ctx;
+  StudyRunOptions options;
+  options.ctx = &ctx;
+  std::chrono::steady_clock::time_point cancelled;
+  std::thread canceller = CancelOnceARowCommits(ctx, &cancelled);
+  const StudyRun run = dist::RunStudySupervised(study, options, d);
+  const auto returned = std::chrono::steady_clock::now();
+  canceller.join();
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  metrics.Reset();
+  metrics.Disable();
+
+  EXPECT_LT(std::chrono::duration<double>(returned - cancelled).count(), 3.0);
+  EXPECT_FALSE(run.status.complete);
+  EXPECT_EQ(snapshot.gauges.at("dist.workers_alive"), 0.0);
+}
+
 TEST(DistSupervisor, TelemetryOnKeepsStudyOutputBitIdentical) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Study study = Study::FromJson(SmallStudySpec());
   const StudyRunOptions options;
   const StudyRun reference = study.RunResilient(options);
@@ -472,7 +515,6 @@ TEST(DistSupervisor, TelemetryOnKeepsStudyOutputBitIdentical) {
 }
 
 TEST(DistSupervisor, QuarantineAttachesAFlightRecorderPostMortem) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t rows = study.Enumerate().size();
 
@@ -525,25 +567,9 @@ TEST(DistSupervisor, QuarantineAttachesAFlightRecorderPostMortem) {
   std::filesystem::remove_all(log_dir);
 }
 
-// The items of an exec search whose seeded fault decision is a process
-// kind (the worker consults key item << 32 before sweeping triple item).
-std::set<std::uint64_t> ExpectedProcessFaultTriples(
-    const testing::FaultPlan& plan, std::uint64_t num_triples) {
-  testing::FaultInjector injector;
-  injector.Configure(plan);
-  std::set<std::uint64_t> items;
-  for (std::uint64_t i = 0; i < num_triples; ++i) {
-    if (testing::IsProcessFault(injector.Decide(i << 32))) items.insert(i);
-  }
-  return items;
-}
-
 TEST(DistSupervisor, ExecSearchQuarantinesReachStatusWithoutAContext) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Application app = presets::Megatron22B();
-  presets::SystemOptions so;
-  so.num_procs = 64;
-  const System sys = presets::A100(so);
+  const System sys = A100With64Procs();
   const SearchSpace space = SearchSpace::MegatronBaseline();
   SearchConfig config;  // no RunContext
   config.batch_size = 64;
@@ -555,7 +581,7 @@ TEST(DistSupervisor, ExecSearchQuarantinesReachStatusWithoutAContext) {
   const std::uint64_t triples =
       SearchTriples(app, sys, space, config).size();
   const std::set<std::uint64_t> expected =
-      ExpectedProcessFaultTriples(plan, triples);
+      ExpectedProcessFaultItems(plan, triples, 32);
   ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
   ASSERT_LT(expected.size(), triples) << "seed kills everything";
 
@@ -584,7 +610,6 @@ TEST(DistSupervisor, ExecSearchQuarantinesReachStatusWithoutAContext) {
 }
 
 TEST(DistSupervisor, StudyQuarantinesReachStatusWithoutAContext) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t rows = study.Enumerate().size();
 
@@ -616,14 +641,11 @@ TEST(DistSupervisor, StudyQuarantinesReachStatusWithoutAContext) {
 }
 
 TEST(DistSupervisor, SupervisedCollectorsMatchInProcessExactly) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // keep_all_rates and keep_pareto travel over the wire: the supervised
   // search, committed in triple order, must equal the one-thread
   // in-process search, committed in the same order, bit for bit.
   const Application app = presets::Megatron22B();
-  presets::SystemOptions so;
-  so.num_procs = 64;
-  const System sys = presets::A100(so);
+  const System sys = A100With64Procs();
   const SearchSpace space = SearchSpace::SequenceParallel();
   SearchConfig config;
   config.batch_size = 64;
@@ -637,18 +659,10 @@ TEST(DistSupervisor, SupervisedCollectorsMatchInProcessExactly) {
   const SearchResult supervised = dist::FindOptimalExecutionSupervised(
       app, sys, space, config, FastDist(2));
 
-  auto dump = [](const std::vector<SearchEntry>& entries) {
-    std::vector<std::string> out;
-    for (const SearchEntry& e : entries) {
-      // %.17g JSON: equal strings mean equal double bit patterns.
-      out.push_back(e.exec.ToJson().Dump() + e.stats.ToJson().Dump());
-    }
-    return out;
-  };
   ASSERT_FALSE(reference.best.empty());
   ASSERT_FALSE(reference.pareto.empty());
-  EXPECT_EQ(dump(supervised.best), dump(reference.best));
-  EXPECT_EQ(dump(supervised.pareto), dump(reference.pareto));
+  EXPECT_EQ(EntryTexts(supervised.best), EntryTexts(reference.best));
+  EXPECT_EQ(EntryTexts(supervised.pareto), EntryTexts(reference.pareto));
   ASSERT_EQ(supervised.all_rates.size(), reference.all_rates.size());
   for (std::size_t i = 0; i < reference.all_rates.size(); ++i) {
     EXPECT_EQ(supervised.all_rates[i].raw(), reference.all_rates[i].raw())
@@ -729,20 +743,12 @@ std::vector<std::size_t> ExpectRunsCoverTheShard(
   return runs;
 }
 
-TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
-  ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
-  ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
-  const Study study = Study::FromJson(SmallStudySpec());
-  const std::uint64_t n = study.Enumerate().size();
-  const json::Value spec = StudyJobSpec(study);
-
-  int cmd[2];  // test writes commands, worker reads
-  int res[2];  // worker writes frames, test reads
-  ASSERT_EQ(::pipe(cmd), 0);
-  ASSERT_EQ(::pipe(res), 0);
+// Forks a worker on the command pipe `cmd` and the result channel `res`,
+// sends it init for the job `spec`, the shard [0, n) and exit, and closes
+// every end but res[0]. Returns the fork's result.
+pid_t ForkShardWorker(const json::Value& spec, std::uint64_t n,
+                      bool ack_each, const int cmd[2], const int res[2]) {
   const pid_t pid = ::fork();
-  ASSERT_NE(pid, -1);
   if (pid == 0) {
     ::close(cmd[1]);
     ::close(res[0]);
@@ -754,6 +760,7 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
   shard["type"] = "shard";
   shard["begin"] = 0;
   shard["end"] = static_cast<std::int64_t>(n);
+  if (ack_each) shard["ack_each"] = true;
   json::Value exit_frame;
   exit_frame["type"] = "exit";
   dist::FrameWriter writer(cmd[1]);
@@ -761,6 +768,22 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
   EXPECT_TRUE(writer.WriteFrame(shard));
   EXPECT_TRUE(writer.WriteFrame(exit_frame));
   ::close(cmd[1]);
+  return pid;
+}
+
+TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
+  ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
+  ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::uint64_t n = study.Enumerate().size();
+  const json::Value spec = StudyJobSpec(study);
+
+  int cmd[2];  // test writes commands, worker reads
+  int res[2];  // worker writes frames, test reads
+  ASSERT_EQ(::pipe(cmd), 0);
+  ASSERT_EQ(::pipe(res), 0);
+  const pid_t pid = ForkShardWorker(spec, n, false, cmd, res);
+  ASSERT_NE(pid, -1);
 
   std::string stream;
   char chunk[4096];
@@ -787,27 +810,8 @@ std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
   int res[2];  // worker writes records, test reads
   EXPECT_EQ(::pipe(cmd), 0);
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, res), 0);
-  const pid_t pid = ::fork();
+  const pid_t pid = ForkShardWorker(spec, n, ack_each, cmd, res);
   EXPECT_NE(pid, -1);
-  if (pid == 0) {
-    ::close(cmd[1]);
-    ::close(res[0]);
-    ::_exit(dist::WorkerMain(cmd[0], res[1]));
-  }
-  ::close(cmd[0]);
-  ::close(res[1]);
-  json::Value shard;
-  shard["type"] = "shard";
-  shard["begin"] = 0;
-  shard["end"] = static_cast<std::int64_t>(n);
-  if (ack_each) shard["ack_each"] = true;
-  json::Value exit_frame;
-  exit_frame["type"] = "exit";
-  dist::FrameWriter writer(cmd[1]);
-  EXPECT_TRUE(writer.WriteFrame(dist::InitFrame(spec, "")));
-  EXPECT_TRUE(writer.WriteFrame(shard));
-  EXPECT_TRUE(writer.WriteFrame(exit_frame));
-  ::close(cmd[1]);
 
   std::vector<char> record(1 << 20);
   std::string stream;
@@ -827,7 +831,6 @@ std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
 }
 
 TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
   ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
   const Study study = Study::FromJson(SmallStudySpec());
@@ -854,7 +857,6 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
 }
 
 TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   std::vector<dist::AuditPairSpec> pairs;
   for (const char* system : {"a100_80g", "h100_80g"}) {
     pairs.push_back(dist::AuditPairSpec{presets::Megatron22B(),
@@ -893,7 +895,6 @@ std::uint64_t CounterOf(const obs::MetricsSnapshot& snapshot,
 }
 
 TEST(DistSupervisor, StudyCommitFailureStopsThePoolAndPropagates) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // A checkpoint that cannot be written fails the study's commit. That is
   // the engine's failure, not the worker's whose row it was committing:
   // the pool shuts down and the error propagates, as in process.
@@ -939,7 +940,6 @@ TEST(DistSupervisor, StudyCommitFailureStopsThePoolAndPropagates) {
 }
 
 TEST(DistSupervisor, AuditCommitFailureIsThePairsFailure) {
-  if (!dist::ForkAvailable()) GTEST_SKIP() << "no fork on this platform";
   // A pair whose commit throws fails as it does in the in-process pool:
   // its failure is recorded with the commit's message and the audit goes
   // on. No worker is blamed, killed or re-run for it.

@@ -368,7 +368,7 @@ TEST(Study, RandomStudiesThroughTheStageTableMatchTheOneShotRunner) {
           << where;
     }
 
-    if (draw % 31 != 7 || !dist::ForkAvailable()) continue;
+    if (draw % 31 != 7) continue;
     for (const std::uint64_t shard_size :
          {std::uint64_t{1}, std::uint64_t{7}}) {
       dist::DistOptions d;
@@ -387,9 +387,7 @@ TEST(Study, RandomStudiesThroughTheStageTableMatchTheOneShotRunner) {
   // Enough rows reach the candidate stage to exercise the table.
   EXPECT_GT(rows, 50'000u);
   EXPECT_GT(feasible, 2'000u);
-  if (dist::ForkAvailable()) {
-    EXPECT_GE(supervised, 8);
-  }
+  EXPECT_GE(supervised, 8);
 }
 
 
