@@ -40,8 +40,8 @@
 //   --metrics FILE       export tool metrics (latency histograms,
 //                        rejection counters) as JSON
 //   --progress[=SECS]    periodic progress lines on stderr (default 2s)
-// llm takes the observability options only; a sweep option there is a
-// usage error.
+// Each subcommand takes only the options it uses (llm: the observability
+// options only); any other option is a usage error that names it.
 // Exit codes: 0 complete, 1 infeasible/error, 2 usage (unknown flag,
 //             missing or malformed value), 3 degraded (stopped early or
 //             isolated failures).
@@ -49,13 +49,16 @@
 //   calculon_cli presets [dir]
 //       List the built-in application/system presets; with a directory,
 //       export them all as JSON specification files.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/layer_report.h"
@@ -108,10 +111,22 @@ struct ResilienceArgs {
   }
 };
 
-// Malformed or out-of-range values and unknown flags throw UsageError.
-// Without `sweep` only the observability flags are taken: a one-shot
-// subcommand has no sweep to bound, journal, fault or fan out.
-ResilienceArgs ParseResilienceArgs(int argc, char** argv, bool sweep = true) {
+// The flags of a sweeping subcommand: its bounds, faults and supervised
+// fan-out, plus `own`.
+std::vector<std::string_view> SweepFlags(
+    std::initializer_list<std::string_view> own) {
+  std::vector<std::string_view> flags = {
+      "--deadline",   "--failure-budget", "--faults",     "--workers",
+      "--shard-size", "--hang-timeout",   "--worker-logs"};
+  flags.insert(flags.end(), own);
+  return flags;
+}
+
+// Malformed or out-of-range values throw UsageError, and so does any flag
+// outside `takes`, the flags the subcommand uses besides the observability
+// ones: a flag a subcommand would ignore is refused, not dropped.
+ResilienceArgs ParseResilienceArgs(
+    int argc, char** argv, const std::vector<std::string_view>& takes) {
   ResilienceArgs args;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -119,48 +134,35 @@ ResilienceArgs ParseResilienceArgs(int argc, char** argv, bool sweep = true) {
       if (i + 1 >= argc) throw UsageError(arg + " needs a value");
       return argv[++i];
     };
-    // `max` is the largest value the flag's destination type holds.
-    auto next_int = [&](long long min,
-                        long long max = std::numeric_limits<long long>::max()) {
-      const long long n = ParseIntFlag(arg, next());
-      if (n < min) {
-        throw UsageError(StrFormat("%s must be >= %lld", arg.c_str(), min));
-      }
-      if (n > max) {
-        throw UsageError(StrFormat("%s must be <= %lld", arg.c_str(), max));
-      }
-      return n;
-    };
     if (args.obs.Consume(arg, next)) {
       // observability flags: --trace / --metrics / --progress
     } else if (arg.rfind("--", 0) != 0) {
       args.positional.push_back(arg);
-    } else if (!sweep) {
+    } else if (std::find(takes.begin(), takes.end(), arg) == takes.end()) {
       throw UsageError(StrFormat("%s takes no %s", argv[1], arg.c_str()));
     } else if (arg == "--deadline") {
       args.deadline_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--failure-budget") {
-      args.failure_budget = ParseIntFlag(arg, next());
+      args.failure_budget = ParseIntFlag(arg, next(), 0);
     } else if (arg == "--faults") {
       args.faults_spec = next();
     } else if (arg == "--checkpoint") {
       args.checkpoint_path = next();
     } else if (arg == "--checkpoint-every") {
-      args.checkpoint_every = next_int(1);
+      args.checkpoint_every = ParseIntFlag(arg, next(), 1);
     } else if (arg == "--resume") {
       args.resume = true;
     } else if (arg == "--procs") {
-      args.procs = next_int(1);
+      args.procs = ParseIntFlag(arg, next(), 1);
     } else if (arg == "--workers") {
-      args.workers = next_int(0, std::numeric_limits<int>::max());
+      args.workers =
+          ParseIntFlag(arg, next(), 0, std::numeric_limits<int>::max());
     } else if (arg == "--shard-size") {
-      args.shard_size = next_int(1);
+      args.shard_size = ParseIntFlag(arg, next(), 1);
     } else if (arg == "--hang-timeout") {
       args.hang_timeout_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--worker-logs") {
       args.worker_log_dir = next();
-    } else {
-      throw UsageError("unknown option " + arg);
     }
   }
   return args;
@@ -214,8 +216,7 @@ System LoadSystem(const std::string& arg) {
 }
 
 int RunLlm(int argc, char** argv) {
-  const ResilienceArgs args =
-      ParseResilienceArgs(argc, argv, /*sweep=*/false);
+  const ResilienceArgs args = ParseResilienceArgs(argc, argv, {});
   if (args.positional.size() < 3) {
     std::fprintf(stderr,
                  "usage: calculon_cli llm <app> <system> <exec.json> "
@@ -247,7 +248,8 @@ int RunLlm(int argc, char** argv) {
 }
 
 int RunOptimalExecution(int argc, char** argv) {
-  const ResilienceArgs args = ParseResilienceArgs(argc, argv);
+  const ResilienceArgs args =
+      ParseResilienceArgs(argc, argv, SweepFlags({"--procs"}));
   if (args.positional.size() < 3) {
     std::fprintf(stderr,
                  "usage: calculon_cli llm-optimal-execution <app> <system> "
@@ -322,7 +324,9 @@ int RunLayers(int argc, char** argv) {
 }
 
 int RunStudy(int argc, char** argv) {
-  const ResilienceArgs args = ParseResilienceArgs(argc, argv);
+  const ResilienceArgs args = ParseResilienceArgs(
+      argc, argv,
+      SweepFlags({"--checkpoint", "--checkpoint-every", "--resume"}));
   if (args.positional.empty()) {
     std::fprintf(stderr,
                  "usage: calculon_cli study <study.json> [out.csv] "

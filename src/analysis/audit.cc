@@ -629,10 +629,11 @@ json::Value ReportToJson(const AuditReport& report) {
 
 AuditReport ReportFromJson(const json::Value& v) {
   AuditReport report;
-  report.evaluations = static_cast<std::uint64_t>(v.at("evaluations").AsInt());
-  report.feasible = static_cast<std::uint64_t>(v.at("feasible").AsInt());
-  report.checks = static_cast<std::uint64_t>(v.at("checks").AsInt());
-  report.dropped = static_cast<std::uint64_t>(v.at("dropped").AsInt());
+  report.evaluations = json::CountIn(v.at("evaluations").AsInt(),
+                                     "evaluations");
+  report.feasible = json::CountIn(v.at("feasible").AsInt(), "feasible");
+  report.checks = json::CountIn(v.at("checks").AsInt(), "checks");
+  report.dropped = json::CountIn(v.at("dropped").AsInt(), "dropped");
   for (const json::Value& vj : v.at("violations").AsArray()) {
     report.violations.push_back(AuditViolation{vj.at("invariant").AsString(),
                                                vj.at("context").AsString(),

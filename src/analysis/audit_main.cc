@@ -15,7 +15,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "obs/cli_options.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "util/threadpool.h"
 #include "testing/fault_injection.h"
 #include "util/run_context.h"
 #include "util/strings.h"
@@ -164,33 +162,20 @@ int main(int argc, char** argv) try {
       config_dir = next();
     } else if (arg == "--procs") {
       for (const std::string& n : SplitCsv(next())) {
-        options.proc_counts.push_back(ParseIntFlag(arg, n));
+        options.proc_counts.push_back(ParseIntFlag(arg, n, 1));
       }
     } else if (arg == "--max-splits") {
-      options.max_splits = static_cast<int>(ParseIntFlag(arg, next()));
+      options.max_splits = static_cast<int>(
+          ParseIntFlag(arg, next(), 1, std::numeric_limits<int>::max()));
     } else if (arg == "--threads") {
-      const long long n = ParseIntFlag(arg, next());
-      if (n < 0 || n > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "calculon-audit: --threads must be in [0, %u]\n",
-                     std::numeric_limits<unsigned>::max());
-        return 2;
-      }
-      threads = static_cast<unsigned>(n);
+      threads = static_cast<unsigned>(
+          ParseIntFlag(arg, next(), 0, std::numeric_limits<unsigned>::max()));
     } else if (arg == "--workers") {
-      const long long n = ParseIntFlag(arg, next());
-      if (n < 0 || n > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "calculon-audit: --workers must be in [0, %d]\n",
-                     std::numeric_limits<int>::max());
-        return 2;
-      }
-      dist.workers = static_cast<int>(n);
+      dist.workers = static_cast<int>(
+          ParseIntFlag(arg, next(), 0, std::numeric_limits<int>::max()));
     } else if (arg == "--shard-size") {
-      const long long n = ParseIntFlag(arg, next());
-      if (n <= 0) {
-        std::fprintf(stderr, "calculon-audit: --shard-size must be > 0\n");
-        return 2;
-      }
-      dist.shard_size = static_cast<std::uint64_t>(n);
+      dist.shard_size =
+          static_cast<std::uint64_t>(ParseIntFlag(arg, next(), 1));
     } else if (arg == "--hang-timeout") {
       dist.hang_timeout_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--worker-logs") {
@@ -200,7 +185,7 @@ int main(int argc, char** argv) try {
     } else if (arg == "--deadline") {
       deadline_s = ParseSecondsFlag(arg, next());
     } else if (arg == "--failure-budget") {
-      failure_budget = ParseIntFlag(arg, next());
+      failure_budget = ParseIntFlag(arg, next(), 0);
     } else if (arg == "--faults") {
       faults_spec = next();
     } else if (arg == "--checkpoint") {
@@ -288,25 +273,25 @@ int main(int argc, char** argv) try {
   AuditReport total = calculon::analysis::AuditMath();
   const std::uint64_t math_checks = total.checks;
 
-  // One work item per (application, system) pair, spread across the pool.
+  // One work item per (application, system) pair, journaled under its
+  // key "application/system".
   struct Pair {
     const Named<Application>* app;
     const Named<System>* sys;
+    std::string key;
     AuditReport report;
   };
   std::vector<Pair> pairs;
   for (const Named<Application>& app : apps) {
     for (const Named<System>& sys : systems) {
-      pairs.push_back(Pair{&app, &sys, {}});
+      pairs.push_back(Pair{&app, &sys, app.label + "/" + sys.label, {}});
     }
   }
 
   // Fingerprint of the audit configuration; guards checkpoints against
   // replay into a different sweep.
   std::uint64_t fp = calculon::kFnv1aOffsetBasis;
-  for (const Pair& pair : pairs) {
-    fp = calculon::Fnv1a(fp, pair.app->label + "/" + pair.sys->label);
-  }
+  for (const Pair& pair : pairs) fp = calculon::Fnv1a(fp, pair.key);
   std::string procs_desc;
   for (std::int64_t n : options.proc_counts) {
     procs_desc += std::to_string(n) + ",";
@@ -330,18 +315,17 @@ int main(int argc, char** argv) try {
     }
     const calculon::json::Value& cp_pairs = cp.at("pairs");
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const std::string key = pairs[i].app->label + "/" + pairs[i].sys->label;
-      if (cp_pairs.contains(key)) {
-        pairs[i].report = ReportFromJson(cp_pairs.at(key));
+      if (cp_pairs.contains(pairs[i].key)) {
+        pairs[i].report = ReportFromJson(cp_pairs.at(pairs[i].key));
         done[i] = 1;
       }
     }
   }
 
-  // The one journal commit, fed by the in-process pool and by the
-  // supervised workers alike. A pair that observed a stop mid-sweep is
-  // partial: keep its report for this process's summary but leave it out
-  // of the journal so a resumed run re-audits it in full.
+  // The one journal commit, fed in process and by supervised workers
+  // alike. A pair that observed a stop mid-sweep is partial: keep its
+  // report for this process's summary but leave it out of the journal so
+  // a resumed run re-audits it in full.
   calculon::Mutex checkpoint_mutex;
   auto commit_pair = [&](std::size_t i, AuditReport report) {
     pairs[i].report = std::move(report);
@@ -356,10 +340,7 @@ int main(int argc, char** argv) try {
     cp["fingerprint"] = fingerprint;
     calculon::json::Object journal;
     for (std::size_t j = 0; j < pairs.size(); ++j) {
-      if (done[j] != 0) {
-        journal[pairs[j].app->label + "/" + pairs[j].sys->label] =
-            ReportToJson(pairs[j].report);
-      }
+      if (done[j] != 0) journal[pairs[j].key] = ReportToJson(pairs[j].report);
     }
     cp["pairs"] = calculon::json::Value(std::move(journal));
     calculon::json::WriteFile(checkpoint_path, cp);  // atomic temp + rename
@@ -373,47 +354,27 @@ int main(int argc, char** argv) try {
     popts.label = "audit";
     reporter.emplace(&ctx, popts);
   }
-  if (dist.active()) {
-    // Supervised multi-process audit: each pair runs in a forked worker,
-    // so a crash or hang inside the model quarantines that pair instead
-    // of killing the audit. No ThreadPool exists before the forks.
-    const auto& plan = faults.plan();
-    if (plan.enabled()) dist.faults_spec = plan.ToSpec();
-    std::vector<calculon::dist::AuditPairSpec> specs;
-    std::vector<std::size_t> orig;  // specs index -> pairs index
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (done[i] != 0) continue;
-      specs.push_back(calculon::dist::AuditPairSpec{
-          pairs[i].app->value, pairs[i].sys->value, pairs[i].sys->label,
-          static_cast<std::uint64_t>(i) << 32});
-      orig.push_back(i);
-    }
-    // The in-process pool counts journal-restored pairs as completed too.
-    ctx.RecordCompleted(pairs.size() - specs.size());
-    calculon::dist::RunAuditSupervised(
-        specs, options, dist, ctx,
-        [&](std::uint64_t j, AuditReport report) {
-          commit_pair(orig[j], std::move(report));
-        });
-  } else {
-    // At most one thread per pair; --threads 0 means one per hardware
-    // thread.
-    const unsigned wanted =
-        threads != 0 ? threads : std::thread::hardware_concurrency();
-    calculon::ThreadPool pool(
-        static_cast<unsigned>(std::min<std::uint64_t>(wanted, pairs.size())));
-    pool.ParallelFor(pairs.size(), &ctx, [&](std::uint64_t i) {
-      if (done[i] != 0) return;
-      Pair& pair = pairs[i];
-      CALC_TRACE_SPAN("audit", pair.app->label + "/" + pair.sys->label);
-      AuditOptions pair_options = options;
-      pair_options.context_label = pair.sys->label;
-      pair_options.ctx = &ctx;
-      pair_options.fault_key_base = i << 32;
-      commit_pair(i, calculon::analysis::AuditPair(
-                         pair.app->value, pair.sys->value, pair_options));
-    });
+  // The pairs the journal did not restore, in process or in supervised
+  // worker processes (a crash or hang inside the model then quarantines
+  // its pair instead of killing the audit). Restored pairs count as
+  // completed items.
+  const auto& plan = faults.plan();
+  if (plan.enabled()) dist.faults_spec = plan.ToSpec();
+  std::vector<calculon::dist::AuditPairSpec> specs;
+  std::vector<std::size_t> orig;  // specs index -> pairs index
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (done[i] != 0) continue;
+    specs.push_back(calculon::dist::AuditPairSpec{
+        pairs[i].app->value, pairs[i].sys->value, pairs[i].sys->label,
+        static_cast<std::uint64_t>(i) << 32});
+    orig.push_back(i);
   }
+  ctx.RecordCompleted(pairs.size() - specs.size());
+  calculon::dist::RunAuditSupervised(
+      specs, options, dist, threads, ctx,
+      [&](std::uint64_t j, AuditReport report) {
+        commit_pair(orig[j], std::move(report));
+      });
   if (reporter.has_value()) reporter->Stop();
 
   calculon::Table table(
@@ -466,12 +427,6 @@ int main(int argc, char** argv) try {
                   static_cast<unsigned long long>(record.item), record.worker,
                   record.fingerprint.c_str(), record.reason.c_str());
     }
-  }
-  if (faults.enabled()) {
-    std::printf("injected faults: %llu throws, %llu errors, %llu delays\n",
-                static_cast<unsigned long long>(faults.injected_throws()),
-                static_cast<unsigned long long>(faults.injected_errors()),
-                static_cast<unsigned long long>(faults.injected_delays()));
   }
   obs_options.Finish();
   if (!total.ok()) return 1;

@@ -1,11 +1,13 @@
 #include "dist/drivers.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -76,6 +78,23 @@ void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
   while (past_gaps && !pending.empty()) release(pending.begin());
 }
 
+using PairDone = std::function<void(std::uint64_t, analysis::AuditReport)>;
+
+// The one commit step of both audit halves: the report reaches the
+// caller's commit and counts one completed item. A commit that throws is
+// the pair's failure (charged to the committing pool participant, 0 in
+// the supervisor), and the audit goes on.
+void CommitPair(RunContext& ctx, const PairDone& on_pair_done,
+                std::uint64_t item, analysis::AuditReport report) {
+  try {
+    on_pair_done(item, std::move(report));
+    ctx.RecordCompleted();
+  } catch (const std::exception& e) {
+    ctx.RecordFailure(item, /*fingerprint=*/{}, e.what(),
+                      ThreadPool::CurrentWorkerId());
+  }
+}
+
 }  // namespace
 
 StudyRun RunStudySupervised(const Study& study, const StudyRunOptions& options,
@@ -130,12 +149,38 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
   return search.Finish();
 }
 
-void RunAuditSupervised(
-    const std::vector<AuditPairSpec>& pairs,
-    const analysis::AuditOptions& options, const DistOptions& dist,
-    RunContext& ctx,
-    const std::function<void(std::uint64_t, analysis::AuditReport)>&
-        on_pair_done) {
+void RunAuditSupervised(const std::vector<AuditPairSpec>& pairs,
+                        const analysis::AuditOptions& options,
+                        const DistOptions& dist, unsigned threads,
+                        RunContext& ctx, const PairDone& on_pair_done) {
+  if (!dist.active()) {
+    // One pool item per pair, which polls `ctx` before it starts; a pair
+    // whose AuditPair throws is that pair's failure.
+    if (pairs.empty()) return;
+    const unsigned wanted =
+        threads != 0 ? threads : std::thread::hardware_concurrency();
+    ThreadPool pool(
+        static_cast<unsigned>(std::min<std::uint64_t>(wanted, pairs.size())));
+    pool.ParallelFor(pairs.size(), [&](std::uint64_t i) {
+      if (ctx.ShouldStop()) return;
+      const AuditPairSpec& pair = pairs[i];
+      CALC_TRACE_SPAN("audit", pair.app.name + "/" + pair.context_label);
+      analysis::AuditOptions pair_options = options;
+      pair_options.context_label = pair.context_label;
+      pair_options.ctx = &ctx;
+      pair_options.fault_key_base = pair.fault_key_base;
+      analysis::AuditReport report;
+      try {
+        report = analysis::AuditPair(pair.app, pair.sys, pair_options);
+      } catch (const std::exception& e) {
+        ctx.RecordFailure(i, pair.context_label, e.what(),
+                          ThreadPool::CurrentWorkerId());
+        return;
+      }
+      CommitPair(ctx, on_pair_done, i, std::move(report));
+    });
+    return;
+  }
   CALC_TRACE_SPAN("dist", "audit");
   json::Value spec;
   spec["job"] = "audit";
@@ -160,10 +205,7 @@ void RunAuditSupervised(
   }
   spec["pairs"] = json::Value(std::move(pair_specs));
 
-  // Journal order does not matter (the journal is keyed by pair), so
-  // pairs commit as they arrive, each counted once as the in-process pool
-  // counts it: a commit that throws is that pair's failure, recorded as
-  // the pool records it, and the audit goes on.
+  // The journal is keyed by pair, so pairs commit as they arrive.
   SupervisorCallbacks callbacks;
   callbacks.on_item = [&](std::uint64_t item, std::string_view line) {
     std::vector<FailureRecord> failures;
@@ -176,12 +218,7 @@ void RunAuditSupervised(
       return false;
     }
     for (FailureRecord& f : failures) ctx.RecordFailure(std::move(f));
-    try {
-      on_pair_done(item, std::move(report));
-      ctx.RecordCompleted();
-    } catch (const std::exception& e) {
-      ctx.RecordFailure(item, /*fingerprint=*/{}, e.what(), /*worker=*/0);
-    }
+    CommitPair(ctx, on_pair_done, item, std::move(report));
     return true;
   };
   callbacks.on_quarantine = [&](const FailureRecord& record) {

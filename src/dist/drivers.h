@@ -15,10 +15,9 @@
 // whether or not the caller passed a RunContext — the run degrades (exit
 // code 3 at the CLI) instead of dying.
 //
-// The study and exec-search drivers run the in-process engine when dist is
-// inactive (workers == 0), so callers always pass through one entry point;
-// every search collector (keep_all_rates, keep_pareto) travels over the
-// wire.
+// Each driver runs the in-process engine when dist is inactive
+// (workers == 0), so callers always pass through one entry point; every
+// search collector (keep_all_rates, keep_pareto) travels over the wire.
 #pragma once
 
 #include <cstdint>
@@ -50,17 +49,21 @@ namespace calculon::dist {
     const Application& app, const System& sys, const SearchSpace& space,
     const SearchConfig& config, const DistOptions& dist);
 
-// AuditPair for each pair across a supervised worker pool. Worker-side
-// failures and quarantines replay onto `ctx`, and each pair that reaches
-// `on_pair_done` counts one completed item on it; a quarantined pair never
-// does (the caller's degraded-exit accounting treats it like a pair a
-// stop interrupted). `on_pair_done(i, report)` fires as each
-// pair's report arrives — the caller's journal commit, the same one its
-// in-process pool feeds. Call this only when dist.active().
+// AuditPair for each pair, across a supervised worker pool or, when dist
+// is inactive, in process on at most one thread per pair (`threads` 0:
+// one per hardware thread). Each report goes, as it arrives, to
+// `on_pair_done(i, report)` (the caller's journal commit; in process, on
+// the pool's threads) and counts one completed item on `ctx`; a commit
+// that throws is that pair's failure. In process each pair polls `ctx`
+// before it starts, and an AuditPair that throws is that pair's failure.
+// Worker-side failures and quarantines replay onto `ctx`. A pair whose
+// AuditPair throws, or that is quarantined, is never committed (the
+// caller's degraded-exit accounting treats it like a pair a stop
+// interrupted).
 void RunAuditSupervised(
     const std::vector<AuditPairSpec>& pairs,
     const analysis::AuditOptions& options, const DistOptions& dist,
-    RunContext& ctx,
+    unsigned threads, RunContext& ctx,
     const std::function<void(std::uint64_t, analysis::AuditReport)>&
         on_pair_done);
 

@@ -264,8 +264,8 @@ StudyRowResult StudyRowFromLine(std::string_view line) {
 TripleSweep TripleSweepFromJson(const json::Value& v, const Application& app,
                                 const System& sys) {
   TripleSweep sweep;
-  sweep.evaluated = static_cast<std::uint64_t>(v.at("evaluated").AsInt());
-  sweep.feasible = static_cast<std::uint64_t>(v.at("feasible").AsInt());
+  sweep.evaluated = json::CountIn(v.at("evaluated").AsInt(), "evaluated");
+  sweep.feasible = json::CountIn(v.at("feasible").AsInt(), "feasible");
   sweep.best = EntriesFromJson(v.at("best"), app, sys);
   sweep.pareto = EntriesFromJson(v.at("pareto"), app, sys);
   for (const json::Value& rate : v.at("rates").AsArray()) {
@@ -279,10 +279,11 @@ std::vector<FailureRecord> FailuresFromJson(const json::Value& v) {
   std::vector<FailureRecord> failures;
   for (const json::Value& f : v.AsArray()) {
     FailureRecord record;
-    record.item = static_cast<std::uint64_t>(f.GetInt("item", 0));
+    record.item = json::CountIn(f.GetInt("item", 0), "item");
     record.fingerprint = f.GetString("fingerprint", "");
     record.reason = f.GetString("reason", "");
-    record.worker = static_cast<unsigned>(f.GetInt("worker", 0));
+    record.worker = static_cast<unsigned>(json::CountIn(
+        f.GetInt("worker", 0), "worker", std::numeric_limits<unsigned>::max()));
     failures.push_back(std::move(record));
   }
   return failures;

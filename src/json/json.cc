@@ -40,6 +40,14 @@ namespace {
 }
 }  // namespace
 
+std::uint64_t CountIn(std::int64_t n, const char* field, std::uint64_t max) {
+  const auto count = static_cast<std::uint64_t>(n);
+  if (n >= 0 && count <= max) return count;
+  throw ConfigError(StrFormat("json: %s %lld is outside [0, %llu]", field,
+                              static_cast<long long>(n),
+                              static_cast<unsigned long long>(max)));
+}
+
 bool Value::AsBool() const {
   if (type_ != Type::kBool) TypeMismatch(Type::kBool, type_);
   return bool_;

@@ -93,6 +93,11 @@ class Value {
   std::shared_ptr<Object> obj_;
 };
 
+// `n`, the decoded value of `field`, as a count or index: a ConfigError
+// names the field when `n` is negative or above `max`.
+[[nodiscard]] std::uint64_t CountIn(std::int64_t n, const char* field,
+                                    std::uint64_t max = INT64_MAX);
+
 // Appends `s` as a JSON string literal, exactly as Dump renders a string
 // value: '"', '\\', control bytes and nothing else escaped.
 void AppendEscaped(std::string& out, std::string_view s);

@@ -5,11 +5,9 @@
 #include <new>
 #include <utility>
 
-#include "obs/trace.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
-#include "util/threadpool.h"
 
 namespace calculon::obs {
 namespace {
@@ -61,23 +59,7 @@ namespace {
   return x;
 }
 
-// The installed ThreadPool hook: a counter track in the trace and a gauge
-// in the metrics registry. Both sinks check their own enabled state, so
-// the hook can stay installed once either subsystem has been turned on.
-void PublishPoolQueueDepth(std::size_t depth) {
-  CALC_TRACE_COUNTER("pool.queue_depth", depth);
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  if (metrics.enabled()) {
-    metrics.GetGauge("threadpool.queue_depth")
-        ->Set(static_cast<double>(depth));
-  }
-}
-
 }  // namespace
-
-void InstallThreadPoolTelemetry() {
-  ThreadPool::SetQueueDepthHook(&PublishPoolQueueDepth);
-}
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
@@ -273,11 +255,6 @@ MetricsSnapshot MetricsSnapshot::FromJson(const json::Value& v) {
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry global;
   return global;
-}
-
-void MetricsRegistry::Enable() {
-  enabled_.store(true, std::memory_order_relaxed);
-  InstallThreadPoolTelemetry();
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

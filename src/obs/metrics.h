@@ -2,8 +2,8 @@
 //
 // A process-wide inventory of named counters, gauges, and fixed-bucket
 // histograms describing the tool's own behavior: evaluation latency,
-// feasible/infeasible/culled candidate counts by rejection reason, thread-
-// pool queue depth, checkpoint writes, injected faults. Exported as JSON
+// feasible/infeasible/culled candidate counts by rejection reason,
+// checkpoint writes, injected faults. Exported as JSON
 // (for `--metrics=<file>` and the perfbench per-layer probes) and as an
 // ASCII table (see docs/observability.md for the metric inventory).
 //
@@ -183,10 +183,8 @@ class MetricsRegistry {
   [[nodiscard]] static MetricsRegistry& Global();
 
   // Recording is opt-in (--metrics, bench harness): engines skip clock
-  // reads and instrument updates entirely when disabled. Enable() also
-  // installs the ThreadPool queue-depth hook (out-of-line so the header
-  // needs no ThreadPool dependency).
-  void Enable();
+  // reads and instrument updates entirely when disabled.
+  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
@@ -249,12 +247,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       CALC_GUARDED_BY(mutex_);
 };
-
-// Points ThreadPool's queue-depth telemetry hook at the trace recorder and
-// this metrics registry. Called by MetricsRegistry::Enable() and
-// TraceRecorder::Start(); idempotent, and the dependency inversion that
-// lets ThreadPool live in the util layer below obs.
-void InstallThreadPoolTelemetry();
 
 // "insufficient memory capacity" -> "insufficient_memory_capacity": metric
 // name segments from human-readable reason strings.

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace calculon::obs {
 
 namespace {
@@ -93,9 +91,6 @@ TraceRecorder& TraceRecorder::Global() {
 }
 
 void TraceRecorder::Start() {
-  // The hook publishes to the global recorder/registry, which check their
-  // own enabled state — safe regardless of which instance started.
-  InstallThreadPoolTelemetry();
   MutexLock lock(registry_mutex_);
   buffers_.clear();
   next_tid_ = 1;

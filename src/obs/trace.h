@@ -3,7 +3,7 @@
 // Records Chrome trace-event / Perfetto-compatible timelines of where the
 // tool's own wall-clock goes: spans around search phases and thread-pool
 // items, sampled per-evaluation model-phase breakdowns, instant markers,
-// and counter tracks (queue depth, progress). Open the emitted file in
+// and counter tracks (progress). Open the emitted file in
 // https://ui.perfetto.dev or chrome://tracing (see docs/observability.md).
 //
 // Design constraints (the model is the product; observing it must not
@@ -63,8 +63,7 @@ class TraceRecorder {
 
   // Clears previous events, re-zeroes the time origin, starts recording.
   // Must not race with threads that are actively recording: call between
-  // sweeps (Stop() is safe to call at any time). On the global recorder
-  // this also installs the ThreadPool queue-depth hook.
+  // sweeps (Stop() is safe to call at any time).
   void Start() CALC_EXCLUDES(registry_mutex_);
   void Stop();
   [[nodiscard]] bool enabled() const {

@@ -1,7 +1,7 @@
 // Deterministic, seeded fault-injection harness.
 //
-// The resilience layer (util/run_context.h, the cancellable ParallelFor,
-// checkpoint/resume) is only trustworthy if its failure paths are
+// The resilience layer (util/run_context.h, the engines' cancellation
+// polls, checkpoint/resume) is only trustworthy if its failure paths are
 // exercised on demand. This harness injects three fault kinds at
 // evaluation granularity inside the sweep drivers:
 //

@@ -64,14 +64,22 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-long long ParseIntFlag(const std::string& flag, const std::string& value) {
+long long ParseIntFlag(const std::string& flag, const std::string& value,
+                       long long min, long long max) {
+  long long n = 0;
+  std::size_t used = 0;  // stays 0 when stoll throws
   try {
-    std::size_t used = 0;
-    const long long n = std::stoll(value, &used);
-    if (used == value.size()) return n;
+    n = std::stoll(value, &used);
   } catch (const std::exception&) {
   }
-  throw UsageError(flag + " expects an integer, got '" + value + "'");
+  if (used == 0 || used != value.size()) {
+    throw UsageError(flag + " expects an integer, got '" + value + "'");
+  }
+  if (n < min || n > max) {
+    throw UsageError(StrFormat("%s must be in [%lld, %lld], got %lld",
+                               flag.c_str(), min, max, n));
+  }
+  return n;
 }
 
 double ParseSecondsFlag(const std::string& flag, const std::string& value) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,9 +27,12 @@ inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
 
 // Whole-string parsers for command-line flag values, shared by
 // calculon_cli and calculon-audit: "2x", "" or "abc" throw UsageError
-// (util/error.h) naming `flag`, never a silently parsed prefix.
-[[nodiscard]] long long ParseIntFlag(const std::string& flag,
-                                     const std::string& value);
+// (util/error.h) naming `flag`, never a silently parsed prefix. So does an
+// integer outside [min, max], never a value narrowed to its destination.
+[[nodiscard]] long long ParseIntFlag(
+    const std::string& flag, const std::string& value,
+    long long min = std::numeric_limits<long long>::min(),
+    long long max = std::numeric_limits<long long>::max());
 // Seconds; a value <= 0 is a UsageError too.
 [[nodiscard]] double ParseSecondsFlag(const std::string& flag,
                                       const std::string& value);

@@ -1,6 +1,7 @@
 #include "util/threadpool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <memory>
 
@@ -11,19 +12,13 @@ namespace {
 // (0 = caller, 1..N = pool workers); 0 outside any drain.
 thread_local unsigned tls_worker_id = 0;
 
-// Installed by the obs layer (see ThreadPool::SetQueueDepthHook); null
-// until tracing or metrics are enabled.
-std::atomic<ThreadPool::QueueDepthHook> queue_depth_hook{nullptr};
-
 // Shared state of one ParallelFor call. Owned jointly by the caller and the
 // queued helper tasks (helpers can outlive the call's scope on the queue if
 // the caller finishes draining first, so the state is reference-counted).
 struct ParallelForJob {
-  ParallelForJob(std::uint64_t count_, RunContext* ctx_)
-      : count(count_), ctx(ctx_) {}
+  explicit ParallelForJob(std::uint64_t count_) : count(count_) {}
 
   const std::uint64_t count;
-  RunContext* const ctx;  // may be null: plain (fail-fast) mode
   std::atomic<std::uint64_t> next{0};  // next unclaimed index
 
   Mutex mutex;
@@ -31,36 +26,20 @@ struct ParallelForJob {
   std::uint64_t pending CALC_GUARDED_BY(mutex) = 0;  // still draining
   std::exception_ptr error CALC_GUARDED_BY(mutex);  // first exception from fn
 
-  // Claims indices until the range is exhausted or the context asks for a
-  // stop. Without a context, an exception claims away the whole remaining
-  // range so every participant stops quickly and the first-stored exception
-  // wins deterministically per participant. With a context, exceptions are
-  // isolated into FailureRecords and draining continues (unless the failure
-  // budget trips the context's cancel token).
+  // Claims indices until the range is exhausted. An exception claims away
+  // the whole remaining range so every participant stops quickly and the
+  // first-stored exception wins deterministically per participant.
   void Drain(const std::function<void(std::uint64_t)>& fn, unsigned worker)
       CALC_EXCLUDES(mutex) {
     const unsigned prev_worker = tls_worker_id;
     tls_worker_id = worker;
     while (true) {
-      if (ctx != nullptr && ctx->ShouldStop()) break;
       const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) break;
       try {
         fn(i);
-        if (ctx != nullptr) ctx->RecordCompleted();
-      } catch (const std::exception& e) {
-        if (ctx != nullptr) {
-          ctx->RecordFailure(i, /*fingerprint=*/{}, e.what(), worker);
-        } else {
-          StoreError();
-        }
       } catch (...) {
-        if (ctx != nullptr) {
-          ctx->RecordFailure(i, /*fingerprint=*/{}, "unknown exception",
-                             worker);
-        } else {
-          StoreError();
-        }
+        StoreError();
       }
     }
     tls_worker_id = prev_worker;
@@ -100,44 +79,24 @@ ThreadPool::~ThreadPool() {
 
 unsigned ThreadPool::CurrentWorkerId() { return tls_worker_id; }
 
-void ThreadPool::SetQueueDepthHook(QueueDepthHook hook) {
-  queue_depth_hook.store(hook, std::memory_order_release);
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
-    std::size_t depth = 0;
     {
       MutexLock lock(mutex_);
       while (!stop_ && tasks_.empty()) cv_.Wait(lock);
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      depth = tasks_.size();
     }
-    PublishQueueDepth(depth);
     task();
   }
 }
 
-// Queue-depth telemetry, sampled at push/pop so the installed publisher can
-// show the burst of helper tasks per ParallelFor. Called outside the pool
-// mutex; a no-op until the obs layer installs its hook.
-void ThreadPool::PublishQueueDepth(std::size_t depth) {
-  QueueDepthHook hook = queue_depth_hook.load(std::memory_order_acquire);
-  if (hook != nullptr) hook(depth);
-}
-
 void ThreadPool::ParallelFor(std::uint64_t count,
                              const std::function<void(std::uint64_t)>& fn) {
-  ParallelFor(count, nullptr, fn);
-}
-
-void ThreadPool::ParallelFor(std::uint64_t count, RunContext* ctx,
-                             const std::function<void(std::uint64_t)>& fn) {
   if (count == 0) return;
-  auto job = std::make_shared<ParallelForJob>(count, ctx);
+  auto job = std::make_shared<ParallelForJob>(count);
 
   // Helper tasks capture `fn` and the job state by value so a task sitting
   // on the queue stays self-contained: even if it is picked up after the
@@ -154,16 +113,13 @@ void ThreadPool::ParallelFor(std::uint64_t count, RunContext* ctx,
   }
   if (helpers > 0) {
     std::function<void(std::uint64_t)> fn_copy = fn;
-    std::size_t depth = 0;
     {
       MutexLock lock(mutex_);
       for (std::uint64_t i = 0; i < helpers; ++i) {
         const unsigned worker = static_cast<unsigned>(i) + 1;
         tasks_.push([job, fn_copy, worker] { job->Drain(fn_copy, worker); });
       }
-      depth = tasks_.size();
     }
-    PublishQueueDepth(depth);
     cv_.NotifyAll();
   }
 

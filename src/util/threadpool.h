@@ -4,19 +4,16 @@
 // configuration space in minutes").
 //
 // Lives in the util layer (the bottom of the dependency DAG) so every
-// layer may use it; queue-depth telemetry is inverted through a hook the
-// obs layer installs (util may not include obs).
+// layer may use it. It only runs items: cancellation, deadlines and
+// failure isolation belong to the engines that poll their RunContext.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <queue>
 #include <thread>
 #include <vector>
 
-#include "util/run_context.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -46,32 +43,13 @@ class ThreadPool {
                    const std::function<void(std::uint64_t)>& fn)
       CALC_EXCLUDES(mutex_);
 
-  // Cancellation-aware variant (ctx == nullptr behaves exactly like the
-  // plain overload). Participants poll `ctx->ShouldStop()` between items:
-  // after a cancel / expired deadline / exhausted failure budget, in-flight
-  // items finish but no new items start. Exceptions escaping `fn` are
-  // recorded on `ctx` as FailureRecords (fault isolation) instead of
-  // propagating, so a faulted run leaves the pool fully reusable; each item
-  // that returns normally bumps `ctx`'s completed-item count.
-  void ParallelFor(std::uint64_t count, RunContext* ctx,
-                   const std::function<void(std::uint64_t)>& fn)
-      CALC_EXCLUDES(mutex_);
-
   // Participant index of the calling thread inside the ParallelFor it is
   // currently draining: 0 for the caller thread, 1..N for pool workers.
   // Used to attribute FailureRecords to workers.
   [[nodiscard]] static unsigned CurrentWorkerId();
 
-  // Telemetry inversion: util may not depend on the obs layer, so the obs
-  // layer installs the queue-depth publisher here when tracing or metrics
-  // are enabled (obs::InstallThreadPoolTelemetry). The hook must be safe
-  // to call from any pool thread; installation is idempotent.
-  using QueueDepthHook = void (*)(std::size_t depth);
-  static void SetQueueDepthHook(QueueDepthHook hook);
-
  private:
   void WorkerLoop() CALC_EXCLUDES(mutex_);
-  static void PublishQueueDepth(std::size_t depth);
 
   // Filled in the constructor, joined in the destructor, immutable between.
   std::vector<std::thread> workers_;  // ctor/dtor

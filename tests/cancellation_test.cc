@@ -1,7 +1,8 @@
 // Cooperative cancellation, one test per RunContext poll. Every engine in
-// src/search, src/runner and src/analysis that evaluates the model in a
-// loop polls ShouldStop() between items; each test below fails when its
-// poll is deleted. Three polls are covered by tests in resilience_test.cc:
+// src/search, src/runner, src/analysis and src/dist that evaluates the
+// model in a loop polls ShouldStop() between items; each test below fails
+// when its poll is deleted. Three polls are covered by tests in
+// resilience_test.cc and one in dist_supervisor_test.cc:
 //
 //   search/exec_search.cc  FindOptimalExecution, per triple
 //       ResilienceTest.PreCancelledExecSearchCompletesNoItems
@@ -9,6 +10,8 @@
 //       ResilienceTest.SystemSearchReportsCompleteAndCancelledRuns
 //   runner/study.cc  Study::RunResilient, per row
 //       ResilienceTest.StudyDeadlineStopsBeforeAnyRow
+//   dist/drivers.cc  RunAuditSupervised in process, per pair
+//       AuditInProcess.StoppedContextAuditsNoPair
 //
 // and the other nine here, each named after the loop it stops.
 #include <gtest/gtest.h>

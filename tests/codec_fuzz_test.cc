@@ -1,10 +1,11 @@
 // Seeded mutation fuzzing of the code that reads untrusted bytes: the
 // JSON codec (spec files, checkpoint journals, worker frames), the worker
-// frame reader, the study result line decoder, the spec loaders, a study
-// resumed from its checkpoint and the supervisor's metrics registry. The
-// corpus is the shipped configs plus recorded study and exec-search runs
-// (a header frame and its result lines), a partial study checkpoint and a
-// worker's metrics snapshot; bit flips, byte inserts and deletes,
+// frame reader, the study and audit result line decoders, the spec
+// loaders, a study resumed from its checkpoint and the supervisor's
+// metrics registry. The corpus is the shipped configs plus recorded study
+// and exec-search runs (a header frame and its result lines), audit result
+// lines, a partial study checkpoint and a worker's metrics snapshot; bit
+// flips, byte inserts and deletes,
 // truncations, splices and number-token swaps mutate it. A fixed seed and
 // iteration budget keep the test deterministic and quick; the sanitizer
 // jobs run it like every other test.
@@ -17,6 +18,9 @@
 //     of a run's announced lines, and never blocks;
 //   * StudyRowFromLine returns a row whose rate is finite and positive, or
 //     absent, or throws ConfigError;
+//   * an audit line (whose report is also the audit journal's entry)
+//     decodes to a report and failures whose counts and items are
+//     non-negative int64s, or throws ConfigError;
 //   * Parse(Dump(v)) gives back v, every double bit for bit;
 //   * a spec loader (Application, System, Execution, Study FromJson)
 //     returns a spec or throws ConfigError, and the model evaluates what
@@ -45,6 +49,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/audit.h"
 #include "core/perf_model.h"
 #include "dist/jobs.h"
 #include "dist/wire.h"
@@ -54,7 +59,9 @@
 #include "obs/metrics.h"
 #include "runner/study.h"
 #include "search/exec_search.h"
+#include "testing/fault_injection.h"
 #include "util/error.h"
+#include "util/run_context.h"
 
 namespace calculon {
 namespace {
@@ -884,6 +891,112 @@ TEST(CodecFuzz, MutatedStudyLinesDecodeOrThrowConfigError) {
         EXPECT_TRUE(std::isfinite(row.sample_rate->raw())) << line;
         EXPECT_GT(row.sample_rate->raw(), 0.0) << line;
       }
+    } catch (const ConfigError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// --- Audit result lines -----------------------------------------------------
+
+// The lines an audit worker writes for megatron_22b on two systems, as
+// AuditJob writes them; the second pair runs under injected error faults,
+// so its line carries failures.
+std::vector<std::string> RecordedAuditLines() {
+  json::Value spec;
+  spec["job"] = "audit";
+  json::Value options;
+  options["proc_counts"] = json::Value(json::Array{8, 16});
+  options["max_splits"] = 4;
+  spec["options"] = options;
+  json::Array pairs;
+  for (const char* system : {"a100_80g", "h100_80g"}) {
+    json::Value pair;
+    pair["application"] = presets::Megatron22B().ToJson();
+    pair["system"] = presets::SystemByName(system).ToJson();
+    pair["context_label"] = system;
+    pair["fault_key_base"] = static_cast<std::int64_t>(pairs.size()) << 32;
+    pairs.push_back(std::move(pair));
+  }
+  spec["pairs"] = json::Value(std::move(pairs));
+  const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
+  std::vector<std::string> lines = {job->RunItem(0)};
+  testing::FaultInjector& faults = testing::FaultInjector::Global();
+  faults.Configure(testing::FaultPlan::FromSpec("seed=3,error=0.2"));
+  lines.push_back(job->RunItem(1));
+  faults.Reset();
+  return lines;
+}
+
+// `line` with the number after its first `"key": ` replaced by `value`; a
+// line without that key is returned as it is.
+std::string ReplaceNumber(std::string line, const std::string& key,
+                          std::string_view value) {
+  const std::string field = "\"" + key + "\": ";
+  const std::size_t at = line.find(field);
+  if (at == std::string::npos) return line;
+  const std::size_t begin = at + field.size();
+  const std::size_t end = line.find_first_not_of("0123456789-", begin);
+  return line.replace(begin, end - begin, value);
+}
+
+// Decodes an audit line as the supervisor does.
+void DecodeAuditLine(std::string_view line, analysis::AuditReport* report,
+                     std::vector<FailureRecord>* failures) {
+  const json::Value result = json::Parse(line);
+  *failures = dist::FailuresFromJson(result.at("failures"));
+  *report = analysis::ReportFromJson(result.at("report"));
+}
+
+TEST(CodecFuzz, MutatedAuditLinesDecodeOrThrowConfigError) {
+  const std::vector<std::string> corpus = RecordedAuditLines();
+  analysis::AuditReport report;
+  std::vector<FailureRecord> failures;
+  DecodeAuditLine(corpus[0], &report, &failures);
+  ASSERT_GT(report.evaluations, 0u);
+  DecodeAuditLine(corpus[1], &report, &failures);
+  ASSERT_FALSE(failures.empty());  // the faulted pair's line
+
+  static const char* const kCounts[] = {"evaluations", "feasible", "checks",
+                                        "dropped", "item"};
+  constexpr std::uint64_t kMaxInt64 = INT64_MAX;
+  Rng rng(29);
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string& seed = corpus[rng.Below(corpus.size())];
+    std::string line;
+    bool must_throw = true;
+    switch (rng.Below(4)) {
+      case 0:  // a negative count or failure item
+        line = ReplaceNumber(seed, kCounts[rng.Below(std::size(kCounts))],
+                             rng.Below(2) == 0 ? "-1" : "-5");
+        must_throw = line != seed;
+        break;
+      case 1:  // a worker id beyond unsigned
+        line = ReplaceNumber(seed, "worker", "4294967296");
+        must_throw = line != seed;
+        break;
+      case 2:
+        line = SwapNumber(seed, rng);
+        must_throw = false;
+        break;
+      default:
+        line = Mutate(seed, corpus[rng.Below(corpus.size())], rng);
+        must_throw = false;
+        break;
+    }
+    try {
+      DecodeAuditLine(line, &report, &failures);
+      ++decoded;
+      EXPECT_FALSE(must_throw) << line;
+      for (std::uint64_t n : {report.evaluations, report.feasible,
+                              report.checks, report.dropped}) {
+        EXPECT_LE(n, kMaxInt64) << line;
+      }
+      for (const FailureRecord& f : failures) EXPECT_LE(f.item, kMaxInt64);
     } catch (const ConfigError&) {
       ++rejected;
     }

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -94,6 +95,29 @@ std::vector<std::string> EntryTexts(const std::vector<SearchEntry>& entries) {
     out.push_back(e.exec.ToJson().Dump() + e.stats.ToJson().Dump());
   }
   return out;
+}
+
+// `n` audit pairs of megatron_22b on a100_80g and h100_80g in turn, each
+// labelled with its preset and given its own fault-key range.
+std::vector<dist::AuditPairSpec> AuditPairs(std::size_t n) {
+  std::vector<dist::AuditPairSpec> pairs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const char* system = i % 2 == 0 ? "a100_80g" : "h100_80g";
+    pairs.push_back(dist::AuditPairSpec{presets::Megatron22B(),
+                                        presets::SystemByName(system), system,
+                                        pairs.size() << 32});
+  }
+  return pairs;
+}
+
+// A small audit grid; {0} makes every AuditPair throw ("system needs >= 1
+// processor").
+analysis::AuditOptions SmallAuditOptions(
+    std::vector<std::int64_t> proc_counts = {8, 16}) {
+  analysis::AuditOptions options;
+  options.proc_counts = std::move(proc_counts);
+  options.max_splits = 4;
+  return options;
 }
 
 // Starts a thread that cancels `ctx` once a row is committed (or after
@@ -857,23 +881,20 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
 }
 
 TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {
-  std::vector<dist::AuditPairSpec> pairs;
-  for (const char* system : {"a100_80g", "h100_80g"}) {
-    pairs.push_back(dist::AuditPairSpec{presets::Megatron22B(),
-                                        presets::SystemByName(system), system,
-                                        pairs.size() << 32});
+  // In process (0 workers) and supervised alike.
+  const std::vector<dist::AuditPairSpec> pairs = AuditPairs(2);
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE(workers);
+    RunContext ctx;
+    std::uint64_t done = 0;
+    dist::RunAuditSupervised(pairs, SmallAuditOptions(), FastDist(workers),
+                             /*threads=*/1, ctx,
+                             [&](std::uint64_t, analysis::AuditReport) {
+                               ++done;
+                             });
+    EXPECT_EQ(done, pairs.size());
+    EXPECT_EQ(ctx.items_completed(), pairs.size());
   }
-  analysis::AuditOptions options;
-  options.proc_counts = {8, 16};
-  options.max_splits = 4;
-  RunContext ctx;
-  std::uint64_t done = 0;
-  dist::RunAuditSupervised(pairs, options, FastDist(2), ctx,
-                           [&](std::uint64_t, analysis::AuditReport) {
-                             ++done;
-                           });
-  EXPECT_EQ(done, pairs.size());
-  EXPECT_EQ(ctx.items_completed(), pairs.size());
 }
 
 // The names of the post-mortems under `dir`.
@@ -940,54 +961,132 @@ TEST(DistSupervisor, StudyCommitFailureStopsThePoolAndPropagates) {
 }
 
 TEST(DistSupervisor, AuditCommitFailureIsThePairsFailure) {
-  // A pair whose commit throws fails as it does in the in-process pool:
-  // its failure is recorded with the commit's message and the audit goes
-  // on. No worker is blamed, killed or re-run for it.
-  std::vector<dist::AuditPairSpec> pairs;
-  for (const char* system : {"a100_80g", "h100_80g"}) {
-    pairs.push_back(dist::AuditPairSpec{presets::Megatron22B(),
-                                        presets::SystemByName(system), system,
-                                        pairs.size() << 32});
-  }
-  analysis::AuditOptions options;
-  options.proc_counts = {8, 16};
-  options.max_splits = 4;
+  // A pair whose commit throws fails alike in process (0 workers) and
+  // supervised: its failure is recorded with the commit's message and the
+  // audit goes on. No worker is blamed, killed or re-run for it.
+  const std::vector<dist::AuditPairSpec> pairs = AuditPairs(2);
   const std::string log_dir =
       ::testing::TempDir() + "calculon_audit_commit_failure";
-  std::filesystem::remove_all(log_dir);
-  std::filesystem::create_directories(log_dir);
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE(workers);
+    std::filesystem::remove_all(log_dir);
+    std::filesystem::create_directories(log_dir);
 
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.Reset();
-  metrics.Enable();
-  dist::DistOptions d = FastDist(2);
-  d.worker_log_dir = log_dir;
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+    metrics.Reset();
+    metrics.Enable();
+    dist::DistOptions d = FastDist(workers);
+    d.worker_log_dir = log_dir;
+    RunContext ctx;
+    std::vector<std::uint64_t> committed;
+    dist::RunAuditSupervised(
+        pairs, SmallAuditOptions(), d, /*threads=*/1, ctx,
+        [&](std::uint64_t item, analysis::AuditReport) {
+          if (item == 0) throw ConfigError("cannot write the journal");
+          committed.push_back(item);
+        });
+    const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+    metrics.Reset();
+    metrics.Disable();
+
+    EXPECT_EQ(committed, std::vector<std::uint64_t>{1});
+    EXPECT_EQ(ctx.items_completed(), 1u);
+    const RunStatus status = ctx.Snapshot();
+    EXPECT_EQ(status.failures, 1u);
+    ASSERT_EQ(status.failure_samples.size(), 1u);
+    EXPECT_EQ(status.failure_samples[0].item, 0u);
+    EXPECT_EQ(status.failure_samples[0].fingerprint, "");
+    EXPECT_EQ(status.failure_samples[0].reason, "cannot write the journal");
+    EXPECT_EQ(status.failure_samples[0].flight_path, "");
+    EXPECT_EQ(FlightFiles(log_dir), std::vector<std::string>{});
+    if (workers > 0) {  // the supervisor's own counters
+      EXPECT_EQ(CounterOf(snapshot, "dist.restarts"), 0u);
+      EXPECT_EQ(CounterOf(snapshot, "dist.quarantined"), 0u);
+    }
+  }
+  std::filesystem::remove_all(log_dir);
+}
+
+// --- The audit driver's in-process half (0 workers) ---
+
+TEST(AuditInProcess, StoppedContextAuditsNoPair) {
+  // Each pair polls the context before it starts. Without that poll each
+  // pair's AuditPair would see the stop, return an empty report, and that
+  // report would be committed and counted as completed.
+  const std::vector<dist::AuditPairSpec> pairs = AuditPairs(4);
+  for (StopReason reason : {StopReason::kCancelled, StopReason::kDeadline}) {
+    RunContext ctx;
+    if (reason == StopReason::kCancelled) {
+      ctx.Cancel();
+    } else {
+      ctx.SetDeadline(0.0);
+    }
+    std::atomic<int> committed{0};
+    dist::RunAuditSupervised(pairs, SmallAuditOptions(), FastDist(0),
+                             /*threads=*/2, ctx,
+                             [&](std::uint64_t, analysis::AuditReport) {
+                               ++committed;
+                             });
+    EXPECT_EQ(committed.load(), 0);
+    EXPECT_EQ(ctx.items_completed(), 0u);
+    EXPECT_EQ(ctx.stop_reason(), reason);
+  }
+}
+
+TEST(AuditInProcess, ThrowingPairsAreFailuresAndTheAuditGoesOn) {
+  const std::vector<dist::AuditPairSpec> pairs = AuditPairs(4);
   RunContext ctx;
-  std::vector<std::uint64_t> committed;
-  dist::RunAuditSupervised(pairs, options, d, ctx,
-                           [&](std::uint64_t item, analysis::AuditReport) {
-                             if (item == 0) {
-                               throw ConfigError("cannot write the journal");
-                             }
-                             committed.push_back(item);
+  std::atomic<int> committed{0};
+  dist::RunAuditSupervised(pairs, SmallAuditOptions({0}), FastDist(0),
+                           /*threads=*/2, ctx,
+                           [&](std::uint64_t, analysis::AuditReport) {
+                             ++committed;
                            });
-  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
-  metrics.Reset();
-  metrics.Disable();
-
-  EXPECT_EQ(committed, std::vector<std::uint64_t>{1});
-  EXPECT_EQ(ctx.items_completed(), 1u);
+  EXPECT_EQ(committed.load(), 0);
+  EXPECT_EQ(ctx.items_completed(), 0u);
   const RunStatus status = ctx.Snapshot();
-  EXPECT_EQ(status.failures, 1u);
-  ASSERT_EQ(status.failure_samples.size(), 1u);
-  EXPECT_EQ(status.failure_samples[0].item, 0u);
-  EXPECT_EQ(status.failure_samples[0].fingerprint, "");
-  EXPECT_EQ(status.failure_samples[0].reason, "cannot write the journal");
-  EXPECT_EQ(status.failure_samples[0].flight_path, "");
-  EXPECT_EQ(FlightFiles(log_dir), std::vector<std::string>{});
-  EXPECT_EQ(CounterOf(snapshot, "dist.restarts"), 0u);
-  EXPECT_EQ(CounterOf(snapshot, "dist.quarantined"), 0u);
-  std::filesystem::remove_all(log_dir);
+  EXPECT_TRUE(status.complete);
+  EXPECT_EQ(status.failures, pairs.size());
+  std::set<std::uint64_t> items;
+  for (const FailureRecord& record : status.failure_samples) {
+    items.insert(record.item);
+    ASSERT_LT(record.item, pairs.size());
+    EXPECT_EQ(record.fingerprint, pairs[record.item].context_label);
+    EXPECT_NE(record.reason.find(">= 1 processor"), std::string::npos)
+        << record.reason;
+  }
+  EXPECT_EQ(items, (std::set<std::uint64_t>{0, 1, 2, 3}));
+}
+
+TEST(AuditInProcess, FailureBudgetStopsAfterTheFirstThrowingPair) {
+  RunContext ctx;
+  ctx.set_failure_budget(1);
+  dist::RunAuditSupervised(AuditPairs(4), SmallAuditOptions({0}),
+                           FastDist(0), /*threads=*/1, ctx,
+                           [](std::uint64_t, analysis::AuditReport) {});
+  EXPECT_EQ(ctx.failures(), 1u);
+  EXPECT_EQ(ctx.stop_reason(), StopReason::kFailureBudget);
+  EXPECT_FALSE(ctx.Snapshot().complete);
+}
+
+// Aimed at TSan: a cancel from outside the pool while its threads audit
+// and commit pairs is an ordinary data-race-free handoff.
+TEST(AuditInProcess, ConcurrentCancellationIsClean) {
+  const std::vector<dist::AuditPairSpec> pairs = AuditPairs(16);
+  for (int round = 0; round < 3; ++round) {
+    RunContext ctx;
+    std::atomic<std::uint64_t> committed{0};
+    std::thread canceller = CancelOnceARowCommits(ctx);
+    dist::RunAuditSupervised(pairs, SmallAuditOptions(), FastDist(0),
+                             /*threads=*/4, ctx,
+                             [&](std::uint64_t, analysis::AuditReport) {
+                               ++committed;
+                             });
+    canceller.join();
+    EXPECT_TRUE(ctx.cancelled());
+    EXPECT_GE(committed.load(), 1u);
+    EXPECT_EQ(ctx.items_completed(), committed.load());
+  }
 }
 
 TEST(DistSupervisor, ZeroWorkersFallsBackInProcess) {

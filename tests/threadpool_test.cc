@@ -167,130 +167,20 @@ TEST(ThreadPool, RapidConstructDestroy) {
   }
 }
 
-// --- RunContext-aware ParallelFor ---
-
-TEST(ThreadPoolCtx, NullContextBehavesLikePlainOverload) {
-  ThreadPool pool(2);
-  std::atomic<int> n{0};
-  pool.ParallelFor(100, nullptr, [&](std::uint64_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 100);
-  EXPECT_THROW(pool.ParallelFor(10, nullptr,
-                                [](std::uint64_t) {
-                                  throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
-}
-
-TEST(ThreadPoolCtx, CancellationStopsClaimingNewItems) {
-  ThreadPool pool(4);
-  RunContext ctx;
-  std::atomic<std::uint64_t> executed{0};
-  const std::uint64_t n = 1000000;
-  pool.ParallelFor(n, &ctx, [&](std::uint64_t) {
-    if (executed.fetch_add(1) == 100) ctx.Cancel();
-  });
-  // In-flight items finish but the bulk of the range is never claimed.
-  EXPECT_LT(executed.load(), n);
-  EXPECT_EQ(ctx.items_completed(), executed.load());
-  EXPECT_TRUE(ctx.cancelled());
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kCancelled);
-  EXPECT_FALSE(ctx.Snapshot().complete);
-}
-
-TEST(ThreadPoolCtx, ExceptionsBecomeFailureRecordsNotThrows) {
-  ThreadPool pool(4);
-  RunContext ctx;
-  const std::uint64_t n = 200;
-  pool.ParallelFor(n, &ctx, [&](std::uint64_t i) {
-    if (i % 10 == 0) throw std::runtime_error("item fault");
-  });
-  EXPECT_EQ(ctx.failures(), 20u);
-  EXPECT_EQ(ctx.items_completed(), n - 20);
-  EXPECT_FALSE(ctx.cancelled());  // no budget: the sweep keeps going
-  const RunStatus status = ctx.Snapshot();
-  EXPECT_TRUE(status.complete);
-  EXPECT_TRUE(status.degraded());
-  ASSERT_FALSE(status.failure_samples.empty());
-  EXPECT_EQ(status.failure_samples.front().reason, "item fault");
-  // The pool is fully reusable after a faulted resilient run.
-  std::atomic<int> ok{0};
-  pool.ParallelFor(50, [&](std::uint64_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 50);
-}
-
-TEST(ThreadPoolCtx, FailureBudgetStopsTheSweep) {
-  ThreadPool pool(2);
-  RunContext ctx;
-  ctx.set_failure_budget(3);
-  std::atomic<std::uint64_t> executed{0};
-  const std::uint64_t n = 1000000;
-  pool.ParallelFor(n, &ctx, [&](std::uint64_t) {
-    executed.fetch_add(1);
-    throw std::runtime_error("always");
-  });
-  EXPECT_GE(ctx.failures(), 3u);
-  EXPECT_LT(executed.load(), n);
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kFailureBudget);
-}
-
-TEST(ThreadPoolCtx, WorkerIdsAttributeFailures) {
+// Participants are the caller (0) plus workers 1..size(), and the id
+// reverts to 0 once the drain is over.
+TEST(ThreadPool, WorkerIdsNameTheParticipants) {
   ThreadPool pool(3);
-  RunContext ctx;
   std::atomic<unsigned> max_id{0};
-  pool.ParallelFor(500, &ctx, [&](std::uint64_t i) {
+  pool.ParallelFor(500, [&](std::uint64_t) {
     const unsigned id = ThreadPool::CurrentWorkerId();
     unsigned seen = max_id.load();
     while (id > seen && !max_id.compare_exchange_weak(seen, id)) {
     }
-    if (i == 250) throw std::runtime_error("attributed");
   });
-  // Participants are the caller (0) plus workers 1..size().
   EXPECT_LE(max_id.load(), pool.size());
-  ASSERT_EQ(ctx.failures(), 1u);
-  EXPECT_LE(ctx.Snapshot().failure_samples.front().worker, pool.size());
   // Outside a drain the calling thread reports participant 0.
   EXPECT_EQ(ThreadPool::CurrentWorkerId(), 0u);
-}
-
-// Aimed at TSan: cancellation arriving from outside the pool while workers
-// are mid-drain must be an ordinary data-race-free handoff.
-TEST(ThreadPoolCtx, ConcurrentExternalCancellationIsClean) {
-  for (int round = 0; round < 10; ++round) {
-    ThreadPool pool(4);
-    RunContext ctx;
-    std::atomic<bool> started{false};
-    std::thread canceller([&] {
-      while (!started.load()) std::this_thread::yield();
-      ctx.Cancel();
-    });
-    std::atomic<std::uint64_t> executed{0};
-    const std::uint64_t n = 1000000;
-    pool.ParallelFor(n, &ctx, [&](std::uint64_t i) {
-      started.store(true);
-      // Enough per-item work that the canceller thread gets scheduled long
-      // before the range could drain.
-      volatile std::uint64_t sink = 0;
-      for (int k = 0; k < 200; ++k) {
-        sink = sink + i + static_cast<std::uint64_t>(k);
-      }
-      executed.fetch_add(1);
-    });
-    canceller.join();
-    EXPECT_TRUE(ctx.cancelled());
-    EXPECT_LT(executed.load(), n);
-  }
-}
-
-TEST(ThreadPoolCtx, DeadlineAlreadyExpiredRunsNothing) {
-  ThreadPool pool(2);
-  RunContext ctx;
-  ctx.SetDeadline(0.0);
-  std::atomic<int> executed{0};
-  pool.ParallelFor(1000, &ctx, [&](std::uint64_t) { executed.fetch_add(1); });
-  // Each participant may claim at most its first poll's worth of nothing:
-  // the deadline trips before any item is handed out.
-  EXPECT_EQ(executed.load(), 0);
-  EXPECT_EQ(ctx.stop_reason(), StopReason::kDeadline);
 }
 
 }  // namespace
