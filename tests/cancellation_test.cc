@@ -11,7 +11,7 @@
 //   runner/study.cc  Study::RunResilient, per row
 //       ResilienceTest.StudyDeadlineStopsBeforeAnyRow
 //   dist/drivers.cc  RunAuditSupervised in process, per pair
-//       AuditInProcess.StoppedContextAuditsNoPair
+//       AuditInProcess.CancelledContextAuditsNoPair
 //
 // and the other nine here, each named after the loop it stops.
 #include <gtest/gtest.h>

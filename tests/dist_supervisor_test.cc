@@ -1009,28 +1009,31 @@ TEST(DistSupervisor, AuditCommitFailureIsThePairsFailure) {
 
 // --- The audit driver's in-process half (0 workers) ---
 
-TEST(AuditInProcess, StoppedContextAuditsNoPair) {
-  // Each pair polls the context before it starts. Without that poll each
-  // pair's AuditPair would see the stop, return an empty report, and that
-  // report would be committed and counted as completed.
-  const std::vector<dist::AuditPairSpec> pairs = AuditPairs(4);
-  for (StopReason reason : {StopReason::kCancelled, StopReason::kDeadline}) {
-    RunContext ctx;
-    if (reason == StopReason::kCancelled) {
-      ctx.Cancel();
-    } else {
-      ctx.SetDeadline(0.0);
-    }
-    std::atomic<int> committed{0};
-    dist::RunAuditSupervised(pairs, SmallAuditOptions(), FastDist(0),
-                             /*threads=*/2, ctx,
-                             [&](std::uint64_t, analysis::AuditReport) {
-                               ++committed;
-                             });
-    EXPECT_EQ(committed.load(), 0);
-    EXPECT_EQ(ctx.items_completed(), 0u);
-    EXPECT_EQ(ctx.stop_reason(), reason);
-  }
+// Each pair polls the context before it starts. Without that poll each
+// pair's AuditPair would see the stop, return an empty report, and that
+// report would be committed and counted as completed.
+void ExpectStoppedContextAuditsNoPair(RunContext& ctx, StopReason reason) {
+  std::atomic<int> committed{0};
+  dist::RunAuditSupervised(AuditPairs(4), SmallAuditOptions(), FastDist(0),
+                           /*threads=*/2, ctx,
+                           [&](std::uint64_t, analysis::AuditReport) {
+                             ++committed;
+                           });
+  EXPECT_EQ(committed.load(), 0);
+  EXPECT_EQ(ctx.items_completed(), 0u);
+  EXPECT_EQ(ctx.stop_reason(), reason);
+}
+
+TEST(AuditInProcess, CancelledContextAuditsNoPair) {
+  RunContext ctx;
+  ctx.Cancel();
+  ExpectStoppedContextAuditsNoPair(ctx, StopReason::kCancelled);
+}
+
+TEST(AuditInProcess, ExpiredDeadlineAuditsNoPair) {
+  RunContext ctx;
+  ctx.SetDeadline(0.0);
+  ExpectStoppedContextAuditsNoPair(ctx, StopReason::kDeadline);
 }
 
 TEST(AuditInProcess, ThrowingPairsAreFailuresAndTheAuditGoesOn) {
