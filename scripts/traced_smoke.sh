@@ -11,7 +11,9 @@
 # with process_name metadata and worker-side model/search spans, and the
 # aggregated metrics must count exactly as many evaluations and stage
 # calls as the in-process run. In both phases the last progress line must
-# read "<n>/<n> (100.0%)": every triple of a known total committed.
+# read "<n>/<n> (100.0%)": every triple of a known total committed, and the
+# metrics export must have exactly the sections "counters" and
+# "histograms", each histogram's count the sum of its bucket_counts.
 #
 # usage: scripts/traced_smoke.sh [build-dir]    # default: ./build
 set -u -o pipefail
@@ -158,6 +160,21 @@ print(f"supervised metrics OK: {b} evaluations, per-worker tags and "
       f"{len(stages(dist))} stage counters agree")
 EOF
 [[ $? -eq 0 ]] || { echo "traced_smoke: supervised metrics validation failed" >&2; exit 1; }
+
+echo "== validating the export shape of both metrics files"
+python3 - "$METRICS" "$WMETRICS" <<'EOF'
+import json, sys
+for path in sys.argv[1:]:
+    doc = json.load(open(path))
+    assert sorted(doc) == ["counters", "histograms"], (
+        f"{path}: sections {sorted(doc)}")
+    for name, h in doc["histograms"].items():
+        total = sum(h["bucket_counts"])
+        assert h["count"] == total, (
+            f"{path}: {name} count {h['count']} != bucket sum {total}")
+    print(f"export shape OK: {path}, {len(doc['histograms'])} histograms")
+EOF
+[[ $? -eq 0 ]] || { echo "traced_smoke: export shape validation failed" >&2; exit 1; }
 
 # Leave the artifacts where CI can pick them up.
 if [[ -n "${TRACED_SMOKE_OUT:-}" ]]; then

@@ -27,6 +27,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "testing/fault_injection.h"
+#include "util/error.h"
 #include "util/run_context.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -71,15 +72,15 @@ void PrintUsage() {
       calculon::obs::ObsCliOptions::UsageLines());
 }
 
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > start) out.push_back(s.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+// The entries of `flag`'s comma-separated value. An empty list or entry
+// is a usage error: it would otherwise read as no filter.
+std::vector<std::string> SplitCsv(const std::string& flag,
+                                  const std::string& s) {
+  std::vector<std::string> out = calculon::Split(s, ',');
+  for (const std::string& entry : out) {
+    if (entry.empty()) {
+      throw calculon::UsageError(flag + " has an empty entry in '" + s + "'");
+    }
   }
   return out;
 }
@@ -155,13 +156,13 @@ int main(int argc, char** argv) try {
       return argv[++i];
     };
     if (arg == "--apps") {
-      want_apps = SplitCsv(next());
+      want_apps = SplitCsv(arg, next());
     } else if (arg == "--systems") {
-      want_systems = SplitCsv(next());
+      want_systems = SplitCsv(arg, next());
     } else if (arg == "--config-dir") {
       config_dir = next();
     } else if (arg == "--procs") {
-      for (const std::string& n : SplitCsv(next())) {
+      for (const std::string& n : SplitCsv(arg, next())) {
         options.proc_counts.push_back(ParseIntFlag(arg, n, 1));
       }
     } else if (arg == "--max-splits") {
@@ -426,6 +427,10 @@ int main(int argc, char** argv) try {
       std::printf("FAILURE item=%llu worker=%u %s: %s\n",
                   static_cast<unsigned long long>(record.item), record.worker,
                   record.fingerprint.c_str(), record.reason.c_str());
+      if (!record.flight_path.empty()) {
+        std::printf("  flight recorder post-mortem: %s\n",
+                    record.flight_path.c_str());
+      }
     }
   }
   obs_options.Finish();

@@ -105,7 +105,6 @@ StudyRun RunStudySupervised(const Study& study, const StudyRunOptions& options,
   json::Value spec;
   spec["job"] = "study";
   spec["spec"] = study.ToJson();
-  spec["fault_key_base"] = static_cast<std::int64_t>(options.fault_key_base);
   // CSV rows and checkpoints are a contiguous prefix: nothing past a gap.
   RunInItemOrder<StudyRowResult>(
       spec, commit.rows().size(), commit.next_row(), dist, commit.ctx(),

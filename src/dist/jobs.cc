@@ -55,16 +55,14 @@ class StudyJob : public Job {
  public:
   explicit StudyJob(const json::Value& spec)
       : study_(Study::FromJson(spec.at("spec"))),
-        execs_(study_.Enumerate()),
-        fault_key_base_(
-            static_cast<std::uint64_t>(spec.GetInt("fault_key_base", 0))) {}
+        execs_(study_.Enumerate()) {}
 
   [[nodiscard]] std::uint64_t num_items() const override {
     return execs_.size();
   }
 
   [[nodiscard]] std::uint64_t FaultKey(std::uint64_t item) const override {
-    return fault_key_base_ + item;
+    return item;
   }
 
   [[nodiscard]] std::string RunItem(std::uint64_t item) override {
@@ -77,7 +75,6 @@ class StudyJob : public Job {
   // Declared after study_, whose application and system it references.
   StageTable stages_{study_.application, study_.system};
   const std::vector<Execution> execs_;
-  const std::uint64_t fault_key_base_;
 };
 
 SearchConfig SearchConfigFromJson(const json::Value& v, RunContext* ctx) {

@@ -131,7 +131,6 @@ struct Pool {
   // The first exception out of a callback (RunCallback).
   std::exception_ptr engine_error;
 
-  obs::Gauge* workers_alive = nullptr;
   obs::Counter* restarts = nullptr;
   obs::Counter* reassigned = nullptr;
   obs::Counter* quarantined = nullptr;
@@ -160,12 +159,6 @@ struct Pool {
   int n = 0;
   for (const WorkerSlot& slot : pool.slots) n += slot.alive() ? 1 : 0;
   return n;
-}
-
-void PublishAlive(Pool& pool) {
-  if (pool.workers_alive != nullptr) {
-    pool.workers_alive->Set(static_cast<double>(CountAlive(pool)));
-  }
 }
 
 void CloseSlotFds(WorkerSlot& slot) {
@@ -450,7 +443,6 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   slot.event_count = 0;
   slot.live_metrics = obs::MetricsSnapshot();
   slot.has_live_metrics = false;
-  PublishAlive(pool);
   // A worker that died before reading it shows up as EOF on the next poll,
   // where the death path handles it.
   (void)slot.writer->WriteFrame(*pool.init_frame);
@@ -511,7 +503,6 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
     slot.busy = false;
   }
   CloseSlotFds(slot);
-  PublishAlive(pool);
 }
 
 // Waits up to `timeout_ms` on the live workers' result pipes and leaves
@@ -619,7 +610,6 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
   pool.callbacks = &callbacks;
   pool.tracker = &tracker;
   if (metrics.enabled()) {
-    pool.workers_alive = metrics.GetGauge("dist.workers_alive");
     pool.restarts = metrics.GetCounter("dist.restarts");
     pool.reassigned = metrics.GetCounter("dist.reassigned");
     pool.quarantined = metrics.GetCounter("dist.quarantined");
@@ -815,7 +805,6 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
     (void)ReapWorker(slot);
     CloseSlotFds(slot);
   }
-  PublishAlive(pool);
   ::sigaction(SIGPIPE, &saved_pipe, nullptr);
 
   // Ingest the workers' telemetry into the global registry: once per slot

@@ -71,14 +71,11 @@ void ProgressReporter::EmitLine(double elapsed_s) {
                  elapsed_s);
   std::fprintf(options_.out, "%s\n", line.c_str());
   std::fflush(options_.out);
-  if (options_.emit_trace_counters) {
-    TraceRecorder& recorder = TraceRecorder::Global();
-    if (recorder.enabled()) {
-      recorder.RecordCounter("progress.completed",
-                             static_cast<double>(completed));
-      recorder.RecordCounter("progress.failures",
-                             static_cast<double>(failures));
-    }
+  TraceRecorder& recorder = TraceRecorder::Global();
+  if (recorder.enabled()) {
+    recorder.RecordCounter("progress.completed",
+                           static_cast<double>(completed));
+    recorder.RecordCounter("progress.failures", static_cast<double>(failures));
   }
 }
 

@@ -31,7 +31,6 @@ struct ProgressOptions {
   std::uint64_t total = 0;    // total items; 0 = unknown (rate-only line)
   std::string label = "run";  // line prefix, e.g. "exec_search"
   std::FILE* out = nullptr;   // destination; nullptr = stderr
-  bool emit_trace_counters = true;
 };
 
 class ProgressReporter {

@@ -517,7 +517,7 @@ StudyRun Study::RunResilient(const StudyRunOptions& options) const {
   for (std::uint64_t i = commit.next_row(); i < execs.size(); ++i) {
     if (commit.ctx()->ShouldStop()) break;
     commit.Commit(
-        EvaluateStudyRow(stages, execs[i], options.fault_key_base + i));
+        EvaluateStudyRow(stages, execs[i], /*fault_key=*/i));
   }
   return commit.Finish();
 }

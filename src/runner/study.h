@@ -59,9 +59,6 @@ struct StudyRunOptions {
   // checkpoint's study fingerprint must match; a stale checkpoint for a
   // different spec is a ConfigError, not silent corruption.
   bool resume = false;
-  // Offset added to the per-row fault-injection key so study rows occupy a
-  // distinct key range from other sweeps in the same process.
-  std::uint64_t fault_key_base = 0;
 };
 
 // Best feasible configuration seen so far (ties keep the earliest row, so

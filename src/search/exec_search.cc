@@ -568,14 +568,9 @@ ExecSearch::ExecSearch(const Application& app, const System& sys,
       space_(space),
       config_(config),
       triples_(SearchTriples(app, sys, space, config)),
-      // Fetched once per search; a sweep observes into a local copy of its
-      // layout and merges it once per triple, and skips even the clock
-      // reads when metrics are off.
-      latency_(obs::MetricsRegistry::Global().enabled()
-                   ? obs::MetricsRegistry::Global().GetHistogram(
-                         "exec_search.eval_latency_us",
-                         obs::DefaultLatencyBoundsUs())
-                   : nullptr),
+      latency_bounds_(obs::MetricsRegistry::Global().enabled()
+                          ? obs::DefaultLatencyBoundsUs()
+                          : std::vector<double>{}),
       ctx_(config.ctx != nullptr ? config.ctx : &local_ctx_) {}
 
 TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
@@ -584,17 +579,18 @@ TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
   TripleSweep out;
   out.rejected.assign(kNumInfeasible, 0);
   ParetoFront pareto;
-  // exec_search.eval_latency_us: observed into a plain per-sweep copy and
-  // merged once, so evaluations never contend on the shared histogram.
+  // exec_search.eval_latency_us: observed into a plain per-sweep histogram
+  // and merged once, so evaluations never contend on the shared one.
+  const bool timed = !latency_bounds_.empty();
   obs::HistogramSnapshot latency;
-  if (latency_ != nullptr) {
-    latency = obs::HistogramSnapshot::WithLayout(latency_->bounds());
-  }
+  if (timed) latency = obs::HistogramSnapshot::WithLayout(latency_bounds_);
   StageCalls calls;
   SweepTripleInto(app_, sys_, space_, config_, tr, index,
-                  latency_ != nullptr ? &latency : nullptr, out, pareto,
-                  calls);
-  if (latency_ != nullptr) latency_->MergeFrom(latency);
+                  timed ? &latency : nullptr, out, pareto, calls);
+  if (timed) {
+    obs::MetricsRegistry::Global().MergeHistogram(
+        "exec_search.eval_latency_us", latency);
+  }
   out.pareto = std::move(pareto).TakeEntries();
 
   // The only writer of these counters, in whichever process swept the

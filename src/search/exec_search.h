@@ -14,7 +14,6 @@
 
 #include "core/perf_model.h"
 #include "json/json.h"
-#include "obs/metrics.h"
 #include "util/mathutil.h"
 #include "util/threadpool.h"
 #include "util/run_context.h"
@@ -187,8 +186,9 @@ class ExecSearch {
   // and quarantines either way.
   [[nodiscard]] RunContext* ctx() { return ctx_; }
 
-  // Sweeps triples()[index] and publishes its exec_search.evaluated,
-  // .feasible and .rejected.* counters. With config.ctx, polls it for a
+  // Sweeps triples()[index], publishes its exec_search.evaluated,
+  // .feasible and .rejected.* counters and merges its
+  // exec_search.eval_latency_us samples. With config.ctx, polls it for a
   // stop and isolates hard failures (exceptions, kBadConfig Results,
   // injected faults) into the result; without, exceptions propagate.
   // Safe to call concurrently.
@@ -210,7 +210,10 @@ class ExecSearch {
   const SearchSpace& space_;
   const SearchConfig config_;
   const std::vector<Triple> triples_;
-  obs::Histogram* const latency_;
+  // exec_search.eval_latency_us's bucket layout, fixed per search:
+  // DefaultLatencyBoundsUs() when metrics were on at construction, else
+  // empty, and a sweep skips even its clock reads.
+  const std::vector<double> latency_bounds_;
   RunContext local_ctx_;
   RunContext* const ctx_;
   // Until Finish(), result_.pareto holds every committed triple's front in

@@ -1,7 +1,11 @@
 #include "testing/fault_injection.h"
 
+#include <cfloat>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <thread>
 
@@ -27,14 +31,23 @@ double UnitUniform(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-double ParseRate(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double rate = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size() || rate < 0.0 || rate > 1.0) {
-    throw ConfigError("fault spec: " + key + " must be a rate in [0, 1], got " +
-                      value);
+// `value` read whole as a T in [0, max]; anything else is a ConfigError
+// saying the value of `key` must be `what`.
+template <typename T>
+T ParseValue(const std::string& key, const std::string& value, T max,
+             const char* what) {
+  T x{};
+  const char* const end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, x);
+  if (error != std::errc() || stop != end || !(x >= T{0} && x <= max)) {
+    throw ConfigError("fault spec: " + key + " must be " + what + ", got '" +
+                      value + "'");
   }
-  return rate;
+  return x;
+}
+
+double ParseRate(const std::string& key, const std::string& value) {
+  return ParseValue(key, value, 1.0, "a rate in [0, 1]");
 }
 
 }  // namespace
@@ -52,8 +65,7 @@ FaultPlan FaultPlan::FromSpec(const std::string& spec) {
     const std::string key(Trim(item.substr(0, eq)));
     const std::string value(Trim(item.substr(eq + 1)));
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(std::strtoull(value.c_str(),
-                                                           nullptr, 10));
+      plan.seed = ParseValue(key, value, UINT64_MAX, "an integer in [0, 2^64)");
     } else if (key == "throw") {
       plan.throw_rate = ParseRate(key, value);
     } else if (key == "error") {
@@ -61,7 +73,8 @@ FaultPlan FaultPlan::FromSpec(const std::string& spec) {
     } else if (key == "delay") {
       plan.delay_rate = ParseRate(key, value);
     } else if (key == "delay_us") {
-      plan.delay_us = std::atoi(value.c_str());
+      plan.delay_us =
+          ParseValue(key, value, INT_MAX, "an integer in [0, 2^31)");
     } else if (key == "abort") {
       plan.abort_rate = ParseRate(key, value);
     } else if (key == "segv") {
@@ -71,7 +84,7 @@ FaultPlan FaultPlan::FromSpec(const std::string& spec) {
     } else if (key == "exit0") {
       plan.exit0_rate = ParseRate(key, value);
     } else if (key == "hang_s") {
-      plan.hang_s = std::strtod(value.c_str(), nullptr);
+      plan.hang_s = ParseValue(key, value, DBL_MAX, "a finite number >= 0");
     } else {
       throw ConfigError("fault spec: unknown key '" + key + "'");
     }
@@ -131,9 +144,6 @@ FaultInjector& FaultInjector::Global() {
 
 void FaultInjector::Configure(const FaultPlan& plan) {
   plan_ = plan;
-  throws_.store(0, std::memory_order_relaxed);
-  errors_.store(0, std::memory_order_relaxed);
-  delays_.store(0, std::memory_order_relaxed);
   enabled_.store(plan.enabled(), std::memory_order_release);
 }
 
@@ -167,16 +177,13 @@ bool FaultInjector::MaybeInject(std::uint64_t key) {
     case FaultAction::kNone:
       return false;
     case FaultAction::kThrow:
-      throws_.fetch_add(1, std::memory_order_relaxed);
       CountInjected("throw");
       throw InjectedFault(StrFormat(
           "injected fault at key %llu", static_cast<unsigned long long>(key)));
     case FaultAction::kError:
-      errors_.fetch_add(1, std::memory_order_relaxed);
       CountInjected("error");
       return true;
     case FaultAction::kDelay:
-      delays_.fetch_add(1, std::memory_order_relaxed);
       CountInjected("delay");
       std::this_thread::sleep_for(std::chrono::microseconds(plan_.delay_us));
       return false;

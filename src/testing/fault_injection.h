@@ -25,7 +25,8 @@
 // (seed, key): it does not depend on thread count or interleaving, so a
 // seeded run injects the exact same faults every time — which is what
 // makes "the failure summary counts exactly the injected faults" a
-// testable property under all sanitizer presets.
+// testable property under all sanitizer presets. Injected faults are
+// counted once: by the faults.injected.<kind> metrics counters.
 //
 // The harness compiles into the library unconditionally but is inert (one
 // relaxed atomic load per evaluation) until Configure() is called — the
@@ -74,7 +75,9 @@ struct FaultPlan {
 
   // Parses "seed=42,throw=0.05,error=0.01,delay=0.001,delay_us=50"
   // (process kinds: "abort=0.01,segv=0.01,hang=0.005,exit0=0.01,hang_s=60").
-  // Unknown keys raise ConfigError; an empty spec is a disabled plan.
+  // An unknown key or a value out of its range raises ConfigError: rates
+  // in [0, 1], seed an integer in [0, 2^64), delay_us in [0, 2^31), hang_s
+  // finite >= 0. An empty spec is a disabled plan.
   [[nodiscard]] static FaultPlan FromSpec(const std::string& spec);
   // Reads the spec from an environment variable (disabled plan when unset).
   [[nodiscard]] static FaultPlan FromEnv(const char* var = "CALCULON_FAULTS");
@@ -104,10 +107,10 @@ class FaultInjector {
 
   FaultInjector() = default;
 
-  // Installs a plan and zeroes the counters. Not thread-safe against a
-  // running sweep — configure before the sweep starts.
+  // Installs a plan. Not thread-safe against a running sweep — configure
+  // before the sweep starts.
   void Configure(const FaultPlan& plan);
-  // Disables injection and zeroes the counters.
+  // Disables injection.
   void Reset() { Configure(FaultPlan{}); }
 
   [[nodiscard]] bool enabled() const {
@@ -121,7 +124,7 @@ class FaultInjector {
   // Applies the decision for `key`: throws InjectedFault on a throw-fault,
   // sleeps on a delay-fault (returns false), and returns true on an
   // error-fault (the caller substitutes an injected hard-error Result).
-  // Every throw/error injection increments the exact counters below.
+  // With metrics on, each increments faults.injected.<kind>.
   // Process-level decisions fall through to kNone here: an in-process
   // sweep runs them clean, which is what makes it the fault-free
   // reference for the supervised run.
@@ -136,27 +139,9 @@ class FaultInjector {
   // The installed plan (for re-serializing via FaultPlan::ToSpec()).
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  [[nodiscard]] std::uint64_t injected_throws() const {
-    return throws_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t injected_errors() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t injected_delays() const {
-    return delays_.load(std::memory_order_relaxed);
-  }
-  // Throws + errors: the number of FailureRecords a resilient sweep that
-  // evaluated every key must report.
-  [[nodiscard]] std::uint64_t injected_failures() const {
-    return injected_throws() + injected_errors();
-  }
-
  private:
   std::atomic<bool> enabled_{false};
   FaultPlan plan_;
-  std::atomic<std::uint64_t> throws_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> delays_{0};
 };
 
 }  // namespace calculon::testing

@@ -28,8 +28,10 @@
 //     behaviour, an abort or a hang;
 //   * a study resumed from a checkpoint throws ConfigError, or completes
 //     with a best row that exists and is the row the study enumerates;
-//   * a worker's metrics snapshot decodes and folds into the supervisor's
-//     registry, or throws ConfigError, and the registry stays usable.
+//   * a worker's metrics snapshot decodes, with every count in [0, 2^63)
+//     and each histogram's count its bucket sum, and folds into the
+//     supervisor's registry, or throws ConfigError, and the registry stays
+//     usable.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -729,7 +731,7 @@ TEST(CodecFuzz, MutatedCheckpointsResumeOrThrowConfigError) {
 // --- Metrics snapshots ------------------------------------------------------
 
 // The cumulative registry a supervised exec-search worker ships in its
-// metrics_snapshot frame: counters, gauges and a latency histogram.
+// metrics_snapshot frame: counters and a latency histogram.
 std::string RecordedMetricsSnapshot() {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const bool was_enabled = metrics.enabled();
@@ -743,7 +745,6 @@ std::string RecordedMetricsSnapshot() {
   ThreadPool pool(1);
   (void)FindOptimalExecution(presets::Megatron22B(), presets::A100(so),
                              SearchSpace::MegatronBaseline(), config, pool);
-  metrics.GetGauge("progress.fraction")->Set(0.5);
   const std::string text = metrics.Snapshot().ToJson().Dump(0);
   metrics.Reset();
   metrics.Ingest(saved, "");
@@ -751,14 +752,31 @@ std::string RecordedMetricsSnapshot() {
   return text;
 }
 
-// Snapshot(), ToJson() and ToTable() of a registry that just ingested, or
-// failed to ingest, a snapshot.
+// Snapshot() and ToJson() of a registry that just ingested, or failed to
+// ingest, a snapshot.
 void ExpectUsable(const obs::MetricsRegistry& registry) {
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_NO_THROW((void)registry.ToJson().Dump());
-  EXPECT_FALSE(registry.ToTable().empty());
   for (const auto& [name, h] : snapshot.histograms) {
     EXPECT_EQ(h.bucket_counts.size(), h.bounds.size() + 1) << name;
+  }
+}
+
+// A decoded snapshot's counts: each in [0, 2^63), and each histogram's
+// count the sum of its buckets.
+void ExpectCountsConsistent(const obs::MetricsSnapshot& snapshot) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 63;
+  for (const auto& [name, value] : snapshot.counters) {
+    EXPECT_LT(value, kLimit) << name;
+  }
+  for (const auto& [name, h] : snapshot.histograms) {
+    EXPECT_LT(h.count, kLimit) << name;
+    unsigned __int128 bucket_sum = 0;  // cannot overflow
+    for (const std::uint64_t n : h.bucket_counts) {
+      EXPECT_LT(n, kLimit) << name;
+      bucket_sum += n;
+    }
+    EXPECT_TRUE(bucket_sum == h.count) << name;
   }
 }
 
@@ -767,12 +785,12 @@ TEST(CodecFuzz, MutatedMetricsSnapshotsIngestOrThrowConfigError) {
   const obs::MetricsSnapshot seed =
       obs::MetricsSnapshot::FromJson(json::Parse(recorded));
   ASSERT_FALSE(seed.counters.empty());
-  ASSERT_FALSE(seed.gauges.empty());
   ASSERT_FALSE(seed.histograms.empty());
+  ExpectCountsConsistent(seed);
 
-  // Bounds the Histogram constructor rejects are rejected at decode, so a
-  // worker's bad frame takes the corrupt-frame path; the registry that
-  // is handed them anyway throws without leaving an empty instrument.
+  // Bounds the layout check rejects are rejected at decode, so a worker's
+  // bad frame takes the corrupt-frame path; the registry that is handed
+  // them anyway throws without leaving an empty instrument.
   json::Value descending = json::Parse(recorded);
   json::Value& first =
       descending["histograms"][seed.histograms.begin()->first];
@@ -803,8 +821,10 @@ TEST(CodecFuzz, MutatedMetricsSnapshotsIngestOrThrowConfigError) {
       text = SwapNumber(text, rng, /*overflow=*/true);
     }
     try {
-      registry.Ingest(obs::MetricsSnapshot::FromJson(json::Parse(text)),
-                      rng.Below(2) == 0 ? "" : "dist.worker.1.");
+      const obs::MetricsSnapshot snapshot =
+          obs::MetricsSnapshot::FromJson(json::Parse(text));
+      ExpectCountsConsistent(snapshot);
+      registry.Ingest(snapshot, rng.Below(2) == 0 ? "" : "dist.worker.1.");
       ++ingested;
     } catch (const ConfigError&) {
       ++rejected;  // a snapshot the decoder or the registry refuses

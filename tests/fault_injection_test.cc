@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <climits>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "hw/presets.h"
 #include "models/presets.h"
+#include "obs/metrics.h"
 #include "search/exec_search.h"
 #include "testing/fault_injection.h"
 #include "util/error.h"
@@ -17,10 +20,41 @@
 namespace calculon::testing {
 namespace {
 
-// Every test leaves the process-wide injector disabled.
+// Injected faults are counted by the global metrics registry, so every
+// test runs with it enabled and empty, and leaves it as it found it and
+// the process-wide injector disabled.
 class FaultInjectionTest : public ::testing::Test {
  protected:
-  void TearDown() override { FaultInjector::Global().Reset(); }
+  void SetUp() override {
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+    was_enabled_ = metrics.enabled();
+    saved_ = metrics.Snapshot();
+    metrics.Reset();
+    metrics.Enable();
+  }
+  void TearDown() override {
+    FaultInjector::Global().Reset();
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+    metrics.Reset();
+    metrics.Ingest(saved_, "");
+    if (!was_enabled_) metrics.Disable();
+  }
+
+  // faults.injected.<kind> as the registry counts it.
+  static std::uint64_t Injected(const char* kind) {
+    return obs::MetricsRegistry::Global()
+        .GetCounter(std::string("faults.injected.") + kind)
+        ->value();
+  }
+  // Throws + errors: the number of FailureRecords a resilient sweep that
+  // evaluated every key must report.
+  static std::uint64_t InjectedFailures() {
+    return Injected("throw") + Injected("error");
+  }
+
+ private:
+  bool was_enabled_ = false;
+  obs::MetricsSnapshot saved_;
 };
 
 TEST_F(FaultInjectionTest, SpecParsesAllKeys) {
@@ -46,6 +80,36 @@ TEST_F(FaultInjectionTest, MalformedSpecsThrow) {
   EXPECT_THROW((void)FaultPlan::FromSpec("throw=-0.1"), ConfigError);
   EXPECT_THROW((void)FaultPlan::FromSpec("throw=abc"), ConfigError);
   EXPECT_THROW((void)FaultPlan::FromSpec("throw=0.6,error=0.6"), ConfigError);
+}
+
+// A numeric value that does not parse whole, or lies outside its range, is
+// refused naming its key, never read as 0 or wrapped.
+TEST_F(FaultInjectionTest, MalformedNumbersThrowNamingTheKey) {
+  const char* const bad[] = {
+      "seed=abc", "seed=-1", "seed=", "seed=1x", "seed=1.5",
+      "seed=18446744073709551616",  // 2^64
+      "delay_us=abc", "delay_us=-5", "delay_us=", "delay_us=5.5",
+      "delay_us=2147483648",  // 2^31
+      "hang_s=abc", "hang_s=-1", "hang_s=", "hang_s=inf", "hang_s=nan",
+      "hang_s=1e999", "throw=", "throw=nan"};
+  for (const char* spec : bad) {
+    const std::string key(spec, std::strchr(spec, '='));
+    try {
+      (void)FaultPlan::FromSpec(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("fault spec: " + key + " ", 0), 0u)
+          << spec << ": " << what;
+    }
+  }
+  // The edges of each range are accepted.
+  const FaultPlan plan = FaultPlan::FromSpec(
+      "seed=18446744073709551615,delay_us=2147483647,hang_s=0");
+  EXPECT_EQ(plan.seed, UINT64_MAX);
+  EXPECT_EQ(plan.delay_us, INT_MAX);
+  EXPECT_EQ(plan.hang_s, 0.0);
+  EXPECT_EQ(FaultPlan::FromSpec("delay_us=0,hang_s=2.5e1").hang_s, 25.0);
 }
 
 TEST_F(FaultInjectionTest, FromEnvReadsTheVariable) {
@@ -143,26 +207,24 @@ TEST_F(FaultInjectionTest, MaybeInjectCountsEveryInjectionExactly) {
   }
   EXPECT_EQ(caught, predicted_throws);
   EXPECT_EQ(errored, predicted_errors);
-  EXPECT_EQ(injector.injected_throws(), predicted_throws);
-  EXPECT_EQ(injector.injected_errors(), predicted_errors);
-  EXPECT_EQ(injector.injected_delays(), predicted_delays);
-  EXPECT_EQ(injector.injected_failures(), predicted_throws + predicted_errors);
+  EXPECT_EQ(Injected("throw"), predicted_throws);
+  EXPECT_EQ(Injected("error"), predicted_errors);
+  EXPECT_EQ(Injected("delay"), predicted_delays);
+  EXPECT_EQ(InjectedFailures(), predicted_throws + predicted_errors);
 }
 
-TEST_F(FaultInjectionTest, ConfigureZeroesTheCounters) {
+TEST_F(FaultInjectionTest, ResetLeavesTheInjectorInert) {
   FaultPlan plan;
   plan.seed = 1;
   plan.error_rate = 1.0;
   FaultInjector injector;
   injector.Configure(plan);
   EXPECT_TRUE(injector.MaybeInject(0));
-  EXPECT_EQ(injector.injected_errors(), 1u);
-  injector.Configure(plan);
-  EXPECT_EQ(injector.injected_errors(), 0u);
+  EXPECT_EQ(Injected("error"), 1u);
   injector.Reset();
   EXPECT_FALSE(injector.enabled());
   EXPECT_FALSE(injector.MaybeInject(0));  // inert when disabled
-  EXPECT_EQ(injector.injected_errors(), 0u);
+  EXPECT_EQ(Injected("error"), 1u);       // and counts nothing more
 }
 
 // The acceptance property: a seeded ~5% fault run over the GPT-3
@@ -189,7 +251,7 @@ TEST_F(FaultInjectionTest, Gpt3GridFiveInjectedPercentCountsExactly) {
   EXPECT_TRUE(r.status.complete);  // faults are isolated, not fatal
   EXPECT_TRUE(r.status.degraded());
   EXPECT_GT(r.status.failures, 0u);
-  EXPECT_EQ(r.status.failures, faults.injected_failures());
+  EXPECT_EQ(r.status.failures, InjectedFailures());
   EXPECT_FALSE(r.status.failure_samples.empty());
   EXPECT_FALSE(r.best.empty());  // the surviving grid still yields a best
   EXPECT_GT(r.feasible, 0u);
@@ -357,6 +419,7 @@ TEST_F(FaultInjectionTest, DecidedCandidatesStillConsumeTheirFaultKeys) {
 
     // The naive reference.
     faults.Configure(plan);
+    obs::MetricsRegistry::Global().Reset();
     std::vector<std::uint64_t> rejected(
         static_cast<std::size_t>(Infeasible::kBadConfig) + 1, 0);
     std::uint64_t feasible = 0;
@@ -397,9 +460,10 @@ TEST_F(FaultInjectionTest, DecidedCandidatesStillConsumeTheirFaultKeys) {
             ++shared_memory;
           }
         });
-    const std::uint64_t naive_injected = faults.injected_failures();
+    const std::uint64_t naive_injected = InjectedFailures();
 
     faults.Configure(plan);
+    obs::MetricsRegistry::Global().Reset();
     const TripleSweep sweep = SweepTriple(app, sys, space, config, idx);
     const std::string where = "draw " + std::to_string(draw) + ": " +
                               app.name + ", t=" + std::to_string(tr.t) +
@@ -408,7 +472,7 @@ TEST_F(FaultInjectionTest, DecidedCandidatesStillConsumeTheirFaultKeys) {
     EXPECT_EQ(sweep.evaluated, counter) << where;
     EXPECT_EQ(sweep.rejected, rejected) << where;
     EXPECT_EQ(sweep.feasible, feasible) << where;
-    EXPECT_EQ(faults.injected_failures(), naive_injected) << where;
+    EXPECT_EQ(InjectedFailures(), naive_injected) << where;
     ASSERT_EQ(sweep.failures.size(), records.size()) << where;
     for (std::size_t i = 0; i < records.size(); ++i) {
       EXPECT_EQ(sweep.failures[i].item, records[i].first) << where;

@@ -1,9 +1,13 @@
 // Tests for the metrics registry (src/obs/metrics.h): bucket-boundary
-// placement and quantile interpolation are pinned to exact values, and the
-// registry's JSON export round-trips through src/json.
+// placement and quantile interpolation of HistogramSnapshot are pinned to
+// exact values, concurrent histogram merges are exact, and the registry's
+// JSON export round-trips through src/json.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -22,30 +26,23 @@ TEST(Counter, IncrementsAccumulate) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Gauge, LastWriteWins) {
-  Gauge g;
-  g.Set(1.5);
-  g.Set(-2.0);
-  EXPECT_DOUBLE_EQ(g.value(), -2.0);
-}
-
 TEST(Histogram, BucketBoundsAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 4.0});
+  HistogramSnapshot h = HistogramSnapshot::WithLayout({1.0, 2.0, 4.0});
   h.Observe(0.5);  // bucket 0: (-inf, 1]
   h.Observe(1.0);  // bucket 0: boundary value lands below
   h.Observe(1.5);  // bucket 1: (1, 2]
   h.Observe(4.0);  // bucket 2: (2, 4]
   h.Observe(4.1);  // overflow bucket
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);  // overflow
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 4.0 + 4.1);
+  EXPECT_EQ(h.bucket_counts[0], 2u);
+  EXPECT_EQ(h.bucket_counts[1], 1u);
+  EXPECT_EQ(h.bucket_counts[2], 1u);
+  EXPECT_EQ(h.bucket_counts[3], 1u);  // overflow
+  EXPECT_EQ(h.count, 5u);
+  EXPECT_DOUBLE_EQ(h.sum, 0.5 + 1.0 + 1.5 + 4.0 + 4.1);
 }
 
 TEST(Histogram, QuantileInterpolatesWithinBuckets) {
-  Histogram h({10.0, 20.0});
+  HistogramSnapshot h = HistogramSnapshot::WithLayout({10.0, 20.0});
   for (int i = 0; i < 4; ++i) h.Observe(5.0);   // bucket 0
   for (int i = 0; i < 4; ++i) h.Observe(15.0);  // bucket 1
   // n=8. q=0.25 -> rank 2 of 4 in [0,10] -> 5; q=0.5 -> rank 4 of 4 -> 10;
@@ -57,26 +54,24 @@ TEST(Histogram, QuantileInterpolatesWithinBuckets) {
 }
 
 TEST(Histogram, QuantileEdgeCases) {
-  Histogram empty({1.0});
+  const HistogramSnapshot empty = HistogramSnapshot::WithLayout({1.0});
   EXPECT_DOUBLE_EQ(empty.Quantile(0.5), 0.0);
 
   // All mass in the overflow bucket: quantiles report the last bound (the
   // histogram cannot see above it).
-  Histogram overflow({1.0, 2.0});
+  HistogramSnapshot overflow = HistogramSnapshot::WithLayout({1.0, 2.0});
   overflow.Observe(100.0);
   EXPECT_DOUBLE_EQ(overflow.Quantile(0.5), 2.0);
   EXPECT_DOUBLE_EQ(overflow.Quantile(0.99), 2.0);
 }
 
 TEST(Histogram, ExponentialBoundsAreLogSpaced) {
-  const std::vector<double> bounds = Histogram::ExponentialBounds(0.25, 2.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[0], 0.25);
-  EXPECT_DOUBLE_EQ(bounds[1], 0.5);
-  EXPECT_DOUBLE_EQ(bounds[2], 1.0);
-  EXPECT_DOUBLE_EQ(bounds[3], 2.0);
-  EXPECT_THROW(Histogram::ExponentialBounds(0.0, 2.0, 4), ConfigError);
-  EXPECT_THROW(Histogram::ExponentialBounds(1.0, 1.0, 4), ConfigError);
+  // The latency ladder bit for bit: 0.25 * 2^k for k = 0..23.
+  const std::vector<double> bounds = DefaultLatencyBoundsUs();
+  ASSERT_EQ(bounds.size(), 24u);
+  for (int k = 0; k < 24; ++k) {
+    EXPECT_EQ(bounds[static_cast<std::size_t>(k)], std::ldexp(0.25, k)) << k;
+  }
 }
 
 TEST(Histogram, DefaultLatencyLadderCoversMicrosecondsToSeconds) {
@@ -87,25 +82,46 @@ TEST(Histogram, DefaultLatencyLadderCoversMicrosecondsToSeconds) {
 }
 
 TEST(Histogram, RejectsNonAscendingBounds) {
-  EXPECT_THROW(Histogram({2.0, 1.0}), ConfigError);
-  EXPECT_THROW(Histogram({1.0, 1.0, 3.0}), ConfigError);
+  EXPECT_THROW((void)HistogramSnapshot::WithLayout({2.0, 1.0}), ConfigError);
+  EXPECT_THROW((void)HistogramSnapshot::WithLayout({1.0, 1.0, 3.0}),
+               ConfigError);
 }
 
-TEST(Histogram, ConcurrentObservationsAreExact) {
+TEST(MetricsRegistry, ConcurrentMergesAreExact) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
-  Histogram h({1.0, 2.0});
+  constexpr std::uint64_t kTotal =
+      static_cast<std::uint64_t>(kThreads) * kPerThread;
+  MetricsRegistry registry;
+  std::atomic<bool> merging{true};
+  // Snapshots taken while the merges land are never torn: each histogram
+  // is copied whole.
+  std::thread reader([&] {
+    while (merging.load()) {
+      const MetricsSnapshot snapshot = registry.Snapshot();
+      const auto it = snapshot.histograms.find("h");
+      if (it == snapshot.histograms.end()) continue;
+      ASSERT_EQ(it->second.bucket_counts[1], it->second.count);
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) h.Observe(1.5);
+    threads.emplace_back([&registry] {
+      for (int i = 0; i < kPerThread; ++i) {
+        HistogramSnapshot one = HistogramSnapshot::WithLayout({1.0, 2.0});
+        one.Observe(1.5);
+        registry.MergeHistogram("h", one);
+      }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.bucket_count(1), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(h.sum(), 1.5 * kThreads * kPerThread);
+  merging.store(false);
+  reader.join();
+  const HistogramSnapshot h = registry.Snapshot().histograms.at("h");
+  EXPECT_EQ(h.count, kTotal);
+  EXPECT_EQ(h.bucket_counts, (std::vector<std::uint64_t>{0, kTotal, 0}));
+  EXPECT_DOUBLE_EQ(h.sum, 1.5 * kThreads * kPerThread);
 }
 
 TEST(MetricsRegistry, InstrumentsAreStableByName) {
@@ -114,11 +130,21 @@ TEST(MetricsRegistry, InstrumentsAreStableByName) {
   Counter* b = registry.GetCounter("x");
   EXPECT_EQ(a, b);
   EXPECT_NE(registry.GetCounter("y"), a);
-  // Bucket bounds are fixed by the first call; later bounds are ignored.
-  Histogram* h1 = registry.GetHistogram("h", {1.0, 2.0});
-  Histogram* h2 = registry.GetHistogram("h", {5.0});
-  EXPECT_EQ(h1, h2);
-  ASSERT_EQ(h1->bounds().size(), 2u);
+  // The first merge fixes a histogram's bucket layout; a merge of another
+  // layout throws and changes nothing.
+  HistogramSnapshot first = HistogramSnapshot::WithLayout({1.0, 2.0});
+  first.Observe(1.5);
+  registry.MergeHistogram("h", first);
+  HistogramSnapshot other = HistogramSnapshot::WithLayout({5.0});
+  other.Observe(1.5);
+  EXPECT_THROW(registry.MergeHistogram("h", other), ConfigError);
+  const HistogramSnapshot h = registry.Snapshot().histograms.at("h");
+  EXPECT_EQ(h.bounds, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(h.bucket_counts, (std::vector<std::uint64_t>{0, 1, 0}));
+  EXPECT_EQ(h.count, 1u);
+  // An empty snapshot is a no-op and creates no histogram.
+  registry.MergeHistogram("none", HistogramSnapshot{});
+  EXPECT_FALSE(registry.Snapshot().histograms.contains("none"));
 }
 
 TEST(MetricsRegistry, EnableIsOptIn) {
@@ -133,14 +159,14 @@ TEST(MetricsRegistry, EnableIsOptIn) {
 TEST(MetricsRegistry, JsonExportRoundTrips) {
   MetricsRegistry registry;
   registry.GetCounter("sweeps.evaluated")->Increment(100);
-  registry.GetGauge("pool.depth")->Set(3.5);
-  Histogram* h = registry.GetHistogram("latency", {10.0, 20.0});
-  for (int i = 0; i < 4; ++i) h->Observe(5.0);
+  HistogramSnapshot latency = HistogramSnapshot::WithLayout({10.0, 20.0});
+  for (int i = 0; i < 4; ++i) latency.Observe(5.0);
+  registry.MergeHistogram("latency", latency);
 
   // Through Dump+Parse so the exported document is what a consumer reads.
   const json::Value doc = json::Parse(registry.ToJson().Dump());
+  EXPECT_EQ(doc.AsObject().size(), 2u);  // counters and histograms
   EXPECT_EQ(doc.at("counters").at("sweeps.evaluated").AsInt(), 100);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("pool.depth").AsDouble(), 3.5);
   const json::Value& lat = doc.at("histograms").at("latency");
   EXPECT_EQ(lat.at("count").AsInt(), 4);
   EXPECT_DOUBLE_EQ(lat.at("sum").AsDouble(), 20.0);
@@ -153,21 +179,9 @@ TEST(MetricsRegistry, JsonExportRoundTrips) {
 TEST(MetricsRegistry, EmptySectionsSerializeAsObjects) {
   MetricsRegistry registry;
   const json::Value doc = json::Parse(registry.ToJson().Dump());
+  EXPECT_EQ(doc.AsObject().size(), 2u);
   EXPECT_TRUE(doc.at("counters").is_object());
-  EXPECT_TRUE(doc.at("gauges").is_object());
   EXPECT_TRUE(doc.at("histograms").is_object());
-}
-
-TEST(MetricsRegistry, TableListsEveryInstrument) {
-  MetricsRegistry registry;
-  registry.GetCounter("c")->Increment(7);
-  registry.GetGauge("g")->Set(1.0);
-  (void)registry.GetHistogram("h", {1.0});
-  const std::string table = registry.ToTable();
-  EXPECT_NE(table.find("c"), std::string::npos);
-  EXPECT_NE(table.find("counter"), std::string::npos);
-  EXPECT_NE(table.find("gauge"), std::string::npos);
-  EXPECT_NE(table.find("histogram"), std::string::npos);
 }
 
 TEST(MetricsRegistry, ResetDropsInstruments) {

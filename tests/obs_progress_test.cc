@@ -63,7 +63,6 @@ TEST(ProgressReporterTest, FinalLineReflectsContextCounters) {
     options.total = 10;
     options.label = "test";
     options.out = out;
-    options.emit_trace_counters = false;
     ProgressReporter reporter(&ctx, options);
     reporter.Stop();
     reporter.Stop();  // idempotent
@@ -87,7 +86,6 @@ TEST(ProgressReporterTest, PeriodicLinesAppearWhileRunning) {
     options.interval_s = 0.01;
     options.label = "tick";
     options.out = out;
-    options.emit_trace_counters = false;
     ProgressReporter reporter(&ctx, options);
     for (int i = 0; i < 5; ++i) {
       ctx.RecordCompleted();
@@ -113,7 +111,6 @@ TEST(ProgressReporterTest, DestructorAloneEmitsFinalLine) {
     options.interval_s = 60.0;
     options.label = "dtor";
     options.out = out;
-    options.emit_trace_counters = false;
     ProgressReporter reporter(&ctx, options);
   }
   std::rewind(out);

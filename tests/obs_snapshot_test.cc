@@ -1,8 +1,9 @@
 // Tests for the cross-process telemetry building blocks (src/obs): the
 // mergeable metrics snapshots (empty-merge identity, the loud
 // bucket-layout check, merge-order stability of quantiles, the JSON wire
-// round-trip, registry Ingest with and without a worker prefix), and the
-// trace recorder's chunk export and external per-process lanes.
+// round-trip and the counts it refuses, registry Ingest with and without
+// a worker prefix), and the trace recorder's chunk export and external
+// per-process lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,20 +96,22 @@ TEST(HistogramSnapshot, JsonRoundTripPreservesStateAndChecksShape) {
   EXPECT_THROW(HistogramSnapshot::FromJson(bad), ConfigError);
 }
 
-TEST(MetricsSnapshot, MergeAddsCountersAndTakesOtherGauges) {
+TEST(MetricsSnapshot, MergeAddsCountersAndHistograms) {
   MetricsSnapshot a;
   a.counters["evaluated"] = 10;
   a.counters["feasible"] = 3;
-  a.gauges["queue_depth"] = 2.0;
+  a.histograms["lat"] = MakeHistogram({1.0}, {1, 2}, 4.0);
   MetricsSnapshot b;
   b.counters["evaluated"] = 7;
   b.counters["culled"] = 1;
-  b.gauges["queue_depth"] = 5.0;
+  b.histograms["lat"] = MakeHistogram({1.0}, {3, 0}, 1.5);
   a.Merge(b);
   EXPECT_EQ(a.counters["evaluated"], 17u);
   EXPECT_EQ(a.counters["feasible"], 3u);
   EXPECT_EQ(a.counters["culled"], 1u);
-  EXPECT_DOUBLE_EQ(a.gauges["queue_depth"], 5.0);  // last write wins
+  EXPECT_EQ(a.histograms.at("lat").bucket_counts,
+            (std::vector<std::uint64_t>{4, 2}));
+  EXPECT_EQ(a.histograms.at("lat").count, 6u);
 }
 
 TEST(MetricsSnapshot, MergeWithEmptyIsIdentity) {
@@ -130,7 +133,6 @@ TEST(MetricsSnapshot, MergeWithEmptyIsIdentity) {
 TEST(MetricsSnapshot, JsonRoundTripMatchesRegistryExportShape) {
   MetricsSnapshot s;
   s.counters["exec_search.evaluated"] = 42;
-  s.gauges["pool.queue_depth"] = 1.5;
   s.histograms["exec_search.eval_latency_us"] =
       MakeHistogram({1.0, 2.0}, {1, 2, 0}, 3.5);
 
@@ -138,7 +140,6 @@ TEST(MetricsSnapshot, JsonRoundTripMatchesRegistryExportShape) {
   const std::string wire = doc.Dump();
   const MetricsSnapshot back = MetricsSnapshot::FromJson(json::Parse(wire));
   EXPECT_EQ(back.counters, s.counters);
-  EXPECT_EQ(back.gauges, s.gauges);
   ASSERT_EQ(back.histograms.size(), 1u);
   EXPECT_EQ(back.histograms.at("exec_search.eval_latency_us").count, 3u);
   // Serialization is deterministic (sorted keys): a round-trip re-serializes
@@ -146,30 +147,69 @@ TEST(MetricsSnapshot, JsonRoundTripMatchesRegistryExportShape) {
   EXPECT_EQ(back.ToJson().Dump(), wire);
 }
 
+TEST(MetricsSnapshot, FromJsonRefusesNegativeAndInconsistentCounts) {
+  const auto decode = [](const char* text) {
+    return MetricsSnapshot::FromJson(json::Parse(text));
+  };
+  const MetricsSnapshot ok = decode(
+      R"({"counters": {"dist.restarts": 3}, "histograms": {"h": {"count": 2,)"
+      R"( "sum": 1.0, "bounds": [1.0], "bucket_counts": [1, 1]}}})");
+  EXPECT_EQ(ok.counters.at("dist.restarts"), 3u);
+  EXPECT_EQ(ok.histograms.at("h").count, 2u);
+  // A negative counter would wrap the registry's counter.
+  EXPECT_THROW((void)decode(R"({"counters": {"dist.restarts": -3},)"
+                            R"( "histograms": {}})"),
+               ConfigError);
+  // A count that is not the bucket sum, above or below it.
+  EXPECT_THROW((void)decode(R"({"counters": {}, "histograms": {"h": {)"
+                            R"("count": 7, "sum": 1.0, "bounds": [1.0],)"
+                            R"( "bucket_counts": [1, 1]}}})"),
+               ConfigError);
+  EXPECT_THROW((void)decode(R"({"counters": {}, "histograms": {"h": {)"
+                            R"("count": 1, "sum": 1.0, "bounds": [1.0],)"
+                            R"( "bucket_counts": [1, 1]}}})"),
+               ConfigError);
+  // Negative histogram counts, even ones that sum to the count.
+  EXPECT_THROW((void)decode(R"({"counters": {}, "histograms": {"h": {)"
+                            R"("count": -1, "sum": 1.0, "bounds": [1.0],)"
+                            R"( "bucket_counts": [0, -1]}}})"),
+               ConfigError);
+  EXPECT_THROW((void)decode(R"({"counters": {}, "histograms": {"h": {)"
+                            R"("count": 1, "sum": 1.0, "bounds": [1.0],)"
+                            R"( "bucket_counts": [2, -1]}}})"),
+               ConfigError);
+  // Buckets whose sum wraps around 2^64 to the count: 2 (2^63 - 2^10)
+  // + 2050 = 2^64 + 2.
+  EXPECT_THROW(
+      (void)decode(R"({"counters": {}, "histograms": {"h": {)"
+                   R"("count": 2, "sum": 1.0, "bounds": [1.0, 2.0],)"
+                   R"( "bucket_counts": [9223372036854774784,)"
+                   R"( 9223372036854774784, 2050]}}})"),
+      ConfigError);
+}
+
 TEST(MetricsRegistry, SnapshotIngestRoundTripAggregatesAndTags) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.Reset();
   registry.Enable();
   registry.GetCounter("evaluated")->Increment(5);
-  registry.GetGauge("depth")->Set(3.0);
-  Histogram* h = registry.GetHistogram("lat", {1.0, 2.0});
-  h->Observe(0.5);
-  h->Observe(1.5);
+  HistogramSnapshot h = HistogramSnapshot::WithLayout({1.0, 2.0});
+  h.Observe(0.5);
+  h.Observe(1.5);
+  registry.MergeHistogram("lat", h);
 
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("evaluated"), 5u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("depth"), 3.0);
   EXPECT_EQ(snap.histograms.at("lat").count, 2u);
 
   // Aggregate ingest (empty prefix) folds into the shared instruments...
   registry.Ingest(snap, "");
   EXPECT_EQ(registry.GetCounter("evaluated")->value(), 10u);
-  EXPECT_EQ(registry.GetHistogram("lat", {})->count(), 4u);
+  EXPECT_EQ(registry.Snapshot().histograms.at("lat").count, 4u);
   // ...and a worker prefix tags a parallel per-worker set.
   registry.Ingest(snap, "dist.worker.2.");
   EXPECT_EQ(registry.GetCounter("dist.worker.2.evaluated")->value(), 5u);
-  EXPECT_EQ(registry.GetHistogram("dist.worker.2.lat", {})->count(), 2u);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("dist.worker.2.depth")->value(), 3.0);
+  EXPECT_EQ(registry.Snapshot().histograms.at("dist.worker.2.lat").count, 2u);
 
   // Ingesting a snapshot whose layout disagrees with the live histogram is
   // a loud error, not silent skew.
