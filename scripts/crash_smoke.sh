@@ -9,7 +9,9 @@
 #   3. the same seed reproduces the same output byte-for-byte,
 #   4. blame is exact: a run with one item per shard, where the first
 #      un-acked item is the culprit by construction, writes the same
-#      CSV byte-for-byte,
+#      CSV byte-for-byte, and so does a run of 32 shards of 2, more than
+#      the 8 per worker the supervisor keeps in flight, so workers die
+#      holding shards they never started,
 #   5. worker stderr logs are captured for the post-mortem,
 #   6. a checkpoint that cannot be written stops the pool and fails the
 #      run as in process, with no worker blamed (no post-mortem).
@@ -114,6 +116,18 @@ if ! cmp -s "$WORK/faulted.csv" "$WORK/exact.csv"; then
   exit 1
 fi
 
+echo "== shards queued behind a dying worker's come back uncharged"
+# 32 shards of 2 across 3 workers: the supervisor queues up to 8 shards at
+# each worker, and a worker a fault kills holds some it never started.
+# They are re-dispatched as they were, blaming nobody, so the CSV is
+# byte-identical to the one-item-per-shard run's.
+run_faulted "$WORK/queued.csv" "$WORK/queued.log" 2 || exit 1
+if ! cmp -s "$WORK/exact.csv" "$WORK/queued.csv"; then
+  echo "crash_smoke: shard sizes 2 and 1 blame different rows" >&2
+  diff "$WORK/exact.csv" "$WORK/queued.csv" | head -20 >&2
+  exit 1
+fi
+
 echo "== a checkpoint that cannot be written fails the run, blaming no worker"
 # The commit's failure is the engine's, not the worker's whose row it was
 # committing: the supervised run must stop with the in-process error, and
@@ -163,4 +177,4 @@ fi
 
 echo "crash_smoke: OK ($QUARANTINED poison row(s) quarantined," \
      "survivors byte-identical, reruns reproducible, blame exact," \
-     "commit failures blame no worker)"
+     "queued shards uncharged, commit failures blame no worker)"

@@ -31,8 +31,8 @@ namespace {
 // A stopped run can leave gaps; with `past_gaps` the items resolved beyond
 // the first gap are still fed, in item order, when the pool returns.
 template <typename Item>
-void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
-                    std::uint64_t first_item, const DistOptions& dist,
+void RunInItemOrder(const json::Value& spec, std::uint64_t first_item,
+                    const DistOptions& dist,
                     RunContext* ctx, bool past_gaps,
                     const std::function<Item(std::string_view)>& decode,
                     const std::function<void(Item)>& commit,
@@ -74,7 +74,7 @@ void RunInItemOrder(const json::Value& spec, std::uint64_t num_items,
     pending.emplace(record.item, record);
     drain();
   };
-  RunSupervised(spec, num_items, dist, callbacks, first_item, ctx);
+  RunSupervised(spec, dist, callbacks, first_item, ctx);
   while (past_gaps && !pending.empty()) release(pending.begin());
 }
 
@@ -107,8 +107,8 @@ StudyRun RunStudySupervised(const Study& study, const StudyRunOptions& options,
   spec["spec"] = study.ToJson();
   // CSV rows and checkpoints are a contiguous prefix: nothing past a gap.
   RunInItemOrder<StudyRowResult>(
-      spec, commit.rows().size(), commit.next_row(), dist, commit.ctx(),
-      /*past_gaps=*/false, StudyRowFromLine,
+      spec, commit.next_row(), dist, commit.ctx(), /*past_gaps=*/false,
+      StudyRowFromLine,
       [&](StudyRowResult row) { commit.Commit(std::move(row)); },
       [&](FailureRecord record) { commit.Quarantine(std::move(record)); });
   return commit.Finish();
@@ -138,8 +138,7 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
   spec["config"] = cfg;
   // A stopped search keeps every triple that was swept, as in-process.
   RunInItemOrder<TripleSweep>(
-      spec, search.triples().size(), 0, dist, search.ctx(),
-      /*past_gaps=*/true,
+      spec, 0, dist, search.ctx(), /*past_gaps=*/true,
       [&](std::string_view line) {
         return TripleSweepFromJson(json::Parse(line), app, sys);
       },
@@ -225,7 +224,7 @@ void RunAuditSupervised(const std::vector<AuditPairSpec>& pairs,
     scoped.fingerprint = pairs[record.item].context_label;
     ctx.RecordFailure(std::move(scoped));
   };
-  RunSupervised(spec, pairs.size(), dist, callbacks, 0, &ctx);
+  RunSupervised(spec, dist, callbacks, 0, &ctx);
 }
 
 }  // namespace calculon::dist

@@ -50,7 +50,8 @@ std::vector<SearchEntry> EntriesFromJson(const json::Value& v,
 // One study row per item, evaluated by EvaluateStudyRow — the row
 // evaluator of Study::RunResilient — and shipped as StudyRowToLine text,
 // so the CSV line and the raw sample-rate double are bit-identical to what
-// the in-process loop commits. The worker's rows share one StageTable.
+// the in-process loop commits. A worker's rows share its copy of one
+// StageTable, which the parent, never running an item, leaves empty.
 class StudyJob : public Job {
  public:
   explicit StudyJob(const json::Value& spec)

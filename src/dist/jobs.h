@@ -1,11 +1,11 @@
 // Sweep jobs: the unit of work a supervised worker pool executes.
 //
 // A Job is a sweep expressed as an indexed list of independent items
-// (study rows, exec-search triples, audit pairs) that is (a) fully
-// described by one JSON spec, and (b) rebuildable from that spec to an
-// identical item list on both sides of a fork. Each worker builds the job
-// from the spec and evaluates the items it is assigned with the engine's
-// one item evaluator (EvaluateStudyRow, ExecSearch::Sweep, AuditPair).
+// (study rows, exec-search triples, audit pairs) that is fully described
+// by one JSON spec. The supervisor builds the job from the spec once,
+// before it forks any worker; each worker evaluates the items it is
+// assigned on its own copy with the engine's one item evaluator
+// (EvaluateStudyRow, ExecSearch::Sweep, AuditPair).
 // An item result is one line of text, with doubles written losslessly
 // (%.17g): a study row is the StudyRowToLine text below, an exec-search
 // triple or audit pair a compact JSON object. The parent decodes a line

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "dist/jobs.h"
 #include "dist/shard_tracker.h"
 #include "dist/wire.h"
 #include "dist/worker.h"
@@ -34,8 +35,7 @@
 
 namespace calculon::dist {
 
-json::Value InitFrame(const json::Value& job_spec,
-                      const std::string& faults_spec) {
+json::Value InitFrame(const std::string& faults_spec) {
   const obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   json::Value telemetry;
   telemetry["metrics"] = obs::MetricsRegistry::Global().enabled();
@@ -43,7 +43,6 @@ json::Value InitFrame(const json::Value& job_spec,
   telemetry["trace_start_ns"] = recorder.start_ns();
   json::Value frame;
   frame["type"] = "init";
-  frame["job"] = job_spec;
   frame["faults"] = faults_spec;
   frame["telemetry"] = telemetry;
   return frame;
@@ -57,7 +56,8 @@ namespace {
       .count();
 }
 
-// A shard waiting out its backoff before re-dispatch.
+// A shard waiting for re-dispatch: a retry out its backoff, or a shard a
+// failed worker held but never started (due at once).
 struct PendingRetry {
   ShardRange shard;
   std::int64_t ready_at_ms = 0;
@@ -78,6 +78,14 @@ struct SlotEvent {
 // Per-slot post-mortem ring size: the last 64 exchanges are kept.
 constexpr std::size_t kSlotEventCapacity = 64;
 
+// A shard dispatched to a worker and not yet closed by its shard_done.
+struct InFlight {
+  ShardRange shard;
+  // Trace timestamp of its dispatch (supervisor timeline), for the handoff
+  // span recorded when its shard_done arrives. 0 = not tracing.
+  double dispatch_ts_us = 0.0;
+};
+
 struct WorkerSlot {
   pid_t pid = -1;  // -1: no live process in this slot
   int cmd_fd = -1;  // parent -> worker (blocking writes; frames are tiny)
@@ -85,17 +93,16 @@ struct WorkerSlot {
   std::unique_ptr<FrameWriter> writer;
   std::unique_ptr<FrameReader> reader;
   bool ready = false;  // worker acked init; shards may be dispatched
-  bool busy = false;   // a shard is in flight
-  ShardRange shard;    // the in-flight shard (valid while busy)
-  std::uint64_t acked = 0;  // next expected item index within the shard
+  // The shards this worker holds, in dispatch order, at most
+  // kShardsInFlight: it works on the front one, and has started none of
+  // the rest (it takes them in order).
+  std::deque<InFlight> shards;
+  std::uint64_t acked = 0;  // next expected item index within the front
   std::int64_t last_activity_ms = 0;
 
   // The current incarnation's pid, surviving the reap (ReapWorker resets
   // `pid`); stamps this worker's trace lane and post-mortem files.
   pid_t last_pid = -1;
-  // Trace timestamp of the last shard dispatch (supervisor timeline), for
-  // the handoff span recorded when shard_done arrives. 0 = not tracing.
-  double dispatch_ts_us = 0.0;
   // The supervisor's own record of this incarnation's last exchanges,
   // rendered to a post-mortem file only when the worker dies. `events` is
   // a ring indexed by event_count % kSlotEventCapacity.
@@ -107,6 +114,10 @@ struct WorkerSlot {
   bool has_live_metrics = false;
 
   [[nodiscard]] bool alive() const { return pid != -1; }
+  [[nodiscard]] bool busy() const { return !shards.empty(); }
+  [[nodiscard]] const ShardRange& front() const {
+    return shards.front().shard;
+  }
 
   void Record(const char* label, std::uint64_t item = kNoItem) {
     events[event_count++ % kSlotEventCapacity] =
@@ -116,6 +127,8 @@ struct WorkerSlot {
 
 // Mutable loop state bundled so the helpers below stay free functions.
 struct Pool {
+  // The job every worker is forked with; the parent never runs an item.
+  Job* job = nullptr;
   const json::Value* init_frame = nullptr;
   DistOptions options;
   const SupervisorCallbacks* callbacks = nullptr;
@@ -229,17 +242,17 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
     doc["worker_slot"] = static_cast<std::int64_t>(index);
     doc["pid"] = static_cast<std::int64_t>(slot.last_pid);
     doc["description"] = description;
-    if (slot.busy) {
+    if (slot.busy()) {
       json::Value shard;
-      shard["begin"] = static_cast<std::int64_t>(slot.shard.begin);
-      shard["end"] = static_cast<std::int64_t>(slot.shard.end);
+      shard["begin"] = static_cast<std::int64_t>(slot.front().begin);
+      shard["end"] = static_cast<std::int64_t>(slot.front().end);
       doc["shard"] = shard;
       doc["acked"] = static_cast<std::int64_t>(slot.acked);
       // The item ShardTracker blames: the first one never acked. A
       // coalesced shard's worker may have died past it, so it names none.
-      if (slot.shard.ack_each) {
+      if (slot.front().ack_each) {
         doc["suspect"] =
-            static_cast<std::int64_t>(slot.shard.begin + slot.acked);
+            static_cast<std::int64_t>(slot.front().begin + slot.acked);
       }
     }
     const std::int64_t now = NowMs();
@@ -298,7 +311,8 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
 // Takes one control or telemetry frame from worker `index`. Returns false
 // for a frame that breaks the protocol: an unknown type, a run header
 // announcing no lines or, while the run is `live`, a run header that does
-// not start at the shard's next un-acked item and end within the shard.
+// not start at the front shard's next un-acked item and end within it, or
+// a shard_done that does not name the front shard after its last ack.
 // Throws ConfigError on a malformed frame. Telemetry is purely
 // observational: it never touches the shard tracker or the driver
 // callbacks, which is what keeps supervised outputs bit-identical with
@@ -314,9 +328,10 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
     if (count <= 0) return false;
     if (live) {
       const std::int64_t first = frame.at("begin").AsInt();
-      const std::uint64_t next = slot.shard.begin + slot.acked;
-      if (!slot.busy || static_cast<std::uint64_t>(first) != next ||
-          static_cast<std::uint64_t>(count) > slot.shard.end - next) {
+      if (!slot.busy()) return false;
+      const std::uint64_t next = slot.front().begin + slot.acked;
+      if (static_cast<std::uint64_t>(first) != next ||
+          static_cast<std::uint64_t>(count) > slot.front().end - next) {
         return false;
       }
     }
@@ -326,20 +341,30 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
     slot.Record("ready");
     pool.consecutive_startup_failures = 0;
   } else if (type == "shard_done") {
-    slot.busy = false;
-    slot.Record("shard_done", slot.shard.begin);
+    // At shutdown the runs go unread, so only a live run checks the acks.
+    if (!slot.busy()) return !live;
+    const InFlight done = slot.shards.front();
+    if (live && (frame.at("begin").AsInt() !=
+                     static_cast<std::int64_t>(done.shard.begin) ||
+                 frame.at("end").AsInt() !=
+                     static_cast<std::int64_t>(done.shard.end) ||
+                 slot.acked != done.shard.end - done.shard.begin)) {
+      return false;
+    }
+    slot.shards.pop_front();
+    slot.acked = 0;
+    slot.Record("shard_done", done.shard.begin);
     // Handoff span on the supervisor timeline: dispatch to completion of
     // this shard, labelled with the worker's lane.
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-    if (recorder.enabled() && slot.dispatch_ts_us > 0.0) {
+    if (recorder.enabled() && done.dispatch_ts_us > 0.0) {
       recorder.RecordComplete(
           "dist",
           StrFormat("shard [%llu,%llu) -> worker-%d",
-                    static_cast<unsigned long long>(slot.shard.begin),
-                    static_cast<unsigned long long>(slot.shard.end),
+                    static_cast<unsigned long long>(done.shard.begin),
+                    static_cast<unsigned long long>(done.shard.end),
                     static_cast<int>(slot.last_pid)),
-          slot.dispatch_ts_us, recorder.NowMicros() - slot.dispatch_ts_us);
-      slot.dispatch_ts_us = 0.0;
+          done.dispatch_ts_us, recorder.NowMicros() - done.dispatch_ts_us);
     }
   } else if (type == "metrics_snapshot") {
     obs::MetricsSnapshot snapshot =
@@ -417,7 +442,7 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
     // Workers die by _exit, never by unwinding back into the parent's
     // call stack (destructors of the supervisor's state must not run
     // twice).
-    ::_exit(WorkerMain(cmd[0], res[1]));
+    ::_exit(WorkerMain(*pool.job, cmd[0], res[1]));
   }
   // Parent.
   ::close(cmd[0]);
@@ -430,7 +455,7 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   slot.writer = std::make_unique<FrameWriter>(slot.cmd_fd);
   slot.reader = std::make_unique<FrameReader>(slot.res_fd);
   slot.ready = false;
-  slot.busy = false;
+  slot.shards.clear();
   slot.acked = 0;
   slot.last_activity_ms = NowMs();
   if (slot.last_pid != -1 && pool.restarts != nullptr) {
@@ -439,7 +464,6 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   // Fresh incarnation: new trace lane, empty event ring (the previous
   // incarnation's evidence was dumped by its death handler).
   slot.last_pid = pid;
-  slot.dispatch_ts_us = 0.0;
   slot.event_count = 0;
   slot.live_metrics = obs::MetricsSnapshot();
   slot.has_live_metrics = false;
@@ -473,10 +497,15 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
   if (!slot.ready) {
     ++pool.consecutive_startup_failures;
   }
-  if (slot.busy) {
-    const std::uint64_t acked_up_to = slot.shard.begin + slot.acked;
+  if (slot.busy()) {
+    // The shards behind the front were never started: they go back to the
+    // head of the queue as they were, in order, charged nothing.
+    for (std::size_t k = slot.shards.size() - 1; k > 0; --k) {
+      pool.pending.push_front(PendingRetry{slot.shards[k].shard, 0});
+    }
+    const std::uint64_t acked_up_to = slot.front().begin + slot.acked;
     const ShardTracker::FailureOutcome outcome =
-        pool.tracker->OnShardFailure(slot.shard, acked_up_to);
+        pool.tracker->OnShardFailure(slot.front(), acked_up_to);
     if (outcome.quarantined) {
       FailureRecord record;
       record.item = outcome.suspect;
@@ -500,7 +529,7 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
           PendingRetry{outcome.retry, NowMs() + outcome.backoff_ms});
       if (pool.reassigned != nullptr) pool.reassigned->Increment();
     }
-    slot.busy = false;
+    slot.shards.clear();
   }
   CloseSlotFds(slot);
 }
@@ -555,7 +584,7 @@ enum class Drained {
           slot.last_activity_ms = NowMs();
           for (std::size_t at = 0; at < lines.size();) {
             const std::size_t nl = lines.find('\n', at);
-            const std::uint64_t item = slot.shard.begin + slot.acked;
+            const std::uint64_t item = slot.front().begin + slot.acked;
             bool decoded = true;
             if (pool.callbacks->on_item) {
               RunCallback(pool, [&] {
@@ -584,13 +613,17 @@ enum class Drained {
 
 }  // namespace
 
-void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
-                   const DistOptions& options,
+void RunSupervised(const json::Value& job_spec, const DistOptions& options,
                    const SupervisorCallbacks& callbacks,
                    std::uint64_t first_item, RunContext* ctx) {
   CALC_CHECK(options.workers >= 1, "need at least one worker");
+  CALC_CHECK(options.hang_timeout_s > 0.0 && options.hang_timeout_s <= 1e9,
+             "hang_timeout_s %g is outside (0, 1e9] s", options.hang_timeout_s);
   CALC_TRACE_SPAN("dist", "supervisor");
 
+  // Built once, before the first fork: every worker runs its own copy.
+  const std::unique_ptr<Job> job = MakeJob(job_spec);
+  const std::uint64_t num_items = job->num_items();
   ShardTrackerOptions tracker_options;
   tracker_options.num_items = num_items;
   tracker_options.first_item = first_item;
@@ -603,8 +636,9 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
 
-  const json::Value init_frame = InitFrame(job_spec, options.faults_spec);
+  const json::Value init_frame = InitFrame(options.faults_spec);
   Pool pool;
+  pool.job = job.get();
   pool.init_frame = &init_frame;
   pool.options = options;
   pool.callbacks = &callbacks;
@@ -647,39 +681,61 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
 
     const std::int64_t now = NowMs();
 
-    // Dispatch: due retries first (they block completion), then fresh
-    // shards, to every ready idle worker.
+    // Dispatch, one shard per ready worker per pass, until no worker takes
+    // one. A due retry goes first (it blocks completion), and only to a
+    // worker that holds nothing; nothing is queued behind a retried shard,
+    // so its blame stays exact. Fresh shards fill each worker's window. A
+    // busy worker gets one only while at least kShardsInFlight shards per
+    // live worker are unclaimed, so a sweep of a few slow shards keeps
+    // one shard per worker and its dynamic balance. Each worker's new
+    // shards go out in one write.
+    const std::uint64_t live = static_cast<std::uint64_t>(CountAlive(pool));
+    for (bool dispatched = true; dispatched;) {
+      dispatched = false;
+      for (WorkerSlot& slot : pool.slots) {
+        if (!slot.alive() || !slot.ready ||
+            slot.shards.size() >= kShardsInFlight ||
+            (slot.busy() && slot.shards.back().shard.ack_each)) {
+          continue;
+        }
+        ShardRange shard;
+        bool have = false;
+        if (!slot.busy()) {
+          for (auto it = pool.pending.begin(); it != pool.pending.end(); ++it) {
+            if (it->ready_at_ms <= now) {
+              shard = it->shard;
+              pool.pending.erase(it);
+              have = true;
+              break;
+            }
+          }
+        }
+        if (!have && (!slot.busy() ||
+                      (tracker.unclaimed() + options.shard_size - 1) /
+                              options.shard_size >=
+                          kShardsInFlight * live)) {
+          have = tracker.Claim(&shard);
+        }
+        if (!have) continue;
+        json::Value frame;
+        frame["type"] = "shard";
+        frame["begin"] = static_cast<std::int64_t>(shard.begin);
+        frame["end"] = static_cast<std::int64_t>(shard.end);
+        if (shard.ack_each) frame["ack_each"] = true;
+        slot.writer->QueueFrame(frame);
+        slot.shards.push_back(InFlight{
+            shard, recorder.enabled() ? recorder.NowMicros() : 0.0});
+        slot.last_activity_ms = now;
+        slot.Record("shard_begin", shard.begin);
+        dispatched = true;
+      }
+    }
     for (std::size_t i = 0; i < pool.slots.size(); ++i) {
       WorkerSlot& slot = pool.slots[i];
-      if (!slot.alive() || !slot.ready || slot.busy) continue;
-      ShardRange shard;
-      bool have = false;
-      for (auto it = pool.pending.begin(); it != pool.pending.end(); ++it) {
-        if (it->ready_at_ms <= now) {
-          shard = it->shard;
-          pool.pending.erase(it);
-          have = true;
-          break;
-        }
-      }
-      if (!have) have = tracker.Claim(&shard);
-      if (!have) break;
-      json::Value frame;
-      frame["type"] = "shard";
-      frame["begin"] = static_cast<std::int64_t>(shard.begin);
-      frame["end"] = static_cast<std::int64_t>(shard.end);
-      if (shard.ack_each) frame["ack_each"] = true;
-      slot.busy = true;
-      slot.shard = shard;
-      slot.acked = 0;
-      slot.last_activity_ms = now;
-      slot.Record("shard_begin", shard.begin);
-      slot.dispatch_ts_us = recorder.enabled() ? recorder.NowMicros() : 0.0;
-      if (!slot.writer->WriteFrame(frame)) {
-        // Dead before the dispatch reached it; fold into the normal death
-        // path so the shard is retried and the slot refilled.
-        HandleWorkerDeath(pool, i, ReapWorker(slot));
-      }
+      if (!slot.alive() || slot.writer->Flush()) continue;
+      // Dead before the dispatch reached it; fold into the normal death
+      // path so its shards are retried and the slot refilled.
+      HandleWorkerDeath(pool, i, ReapWorker(slot));
     }
 
     // Spawn into empty slots while there are more dispatchable shards than
@@ -694,7 +750,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
           (tracker.unclaimed() + options.shard_size - 1) / options.shard_size;
       std::uint64_t idle = 0;
       for (const WorkerSlot& slot : pool.slots) {
-        if (slot.alive() && !slot.busy) ++idle;
+        if (slot.alive() && !slot.busy()) ++idle;
       }
       for (std::size_t i = 0;
            i < pool.slots.size() && idle < dispatchable; ++i) {
@@ -712,18 +768,23 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
     }
 
     // Poll timeout: the earliest of (next retry due, next hang deadline),
-    // capped so stop-signal polling stays responsive.
+    // capped so stop-signal polling stays responsive. A retry bounds it
+    // only while a ready worker holds nothing; until then the frame that
+    // frees one (ready, shard_done) or a death ends the poll.
     std::int64_t timeout = 100;
-    for (const PendingRetry& p : pool.pending) {
-      timeout = std::min(timeout, std::max<std::int64_t>(p.ready_at_ms - now,
-                                                         0));
-    }
+    bool retry_taker = false;
     for (const WorkerSlot& slot : pool.slots) {
-      if (slot.alive() && slot.busy) {
+      retry_taker = retry_taker || (slot.alive() && slot.ready && !slot.busy());
+      if (slot.alive() && slot.busy()) {
         const std::int64_t deadline =
             slot.last_activity_ms + hang_timeout_ms;
         timeout = std::min(timeout, std::max<std::int64_t>(deadline - now, 0));
       }
+    }
+    for (const PendingRetry& p : pool.pending) {
+      if (!retry_taker) break;
+      timeout = std::min(timeout, std::max<std::int64_t>(p.ready_at_ms - now,
+                                                         0));
     }
 
     if (CountAlive(pool) == 0 && pool.pending.empty()) {
@@ -763,7 +824,7 @@ void RunSupervised(const json::Value& job_spec, std::uint64_t num_items,
     const std::int64_t check = NowMs();
     for (std::size_t i = 0; i < pool.slots.size(); ++i) {
       WorkerSlot& slot = pool.slots[i];
-      if (!slot.alive() || !slot.busy) continue;
+      if (!slot.alive() || !slot.busy()) continue;
       if (check - slot.last_activity_ms <= hang_timeout_ms) continue;
       ::kill(slot.pid, SIGKILL);
       HandleWorkerDeath(

@@ -27,7 +27,8 @@ namespace calculon::dist {
 
 // Writes frames to a file descriptor with blocking writes. Not owning;
 // the caller closes the fd. Frames can be queued and then written
-// together, so a worker sends a shard's results in one write().
+// together, so a worker sends several shards' results, and the supervisor
+// several shards, in one write().
 class FrameWriter {
  public:
   explicit FrameWriter(int fd) : fd_(fd) {}
@@ -92,6 +93,13 @@ class FrameReader {
     return eof_ && (consumed_ < buffer_.size() || expected_ > 0);
   }
   [[nodiscard]] bool eof() const { return eof_; }
+
+  // Whether NextFrame() would pop a frame now: a complete one is buffered
+  // and no announced lines are outstanding. Makes no system call.
+  [[nodiscard]] bool HasFrame() const {
+    return expected_ == 0 &&
+           buffer_.find('\n', consumed_) != std::string::npos;
+  }
 
   // Blocking convenience for the worker loop: fills until a frame is
   // complete. Returns false on EOF (truncated or not).

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -22,7 +21,8 @@ namespace {
 // A worker writes the results it has queued at least this often, so a
 // slow item acks as it finishes and a busy worker is never silent for
 // longer than one item plus this interval (the supervisor's hang timeout
-// is its heartbeat deadline).
+// is its heartbeat deadline). Within the interval, a worker that already
+// holds its next shard keeps a finished shard's results for a later write.
 constexpr std::chrono::milliseconds kFlushInterval{1};
 
 // Configures the worker-side telemetry from the init frame's "telemetry"
@@ -45,7 +45,8 @@ void ConfigureTelemetry(const json::Value& frame) {
 }
 
 // Queues the cumulative metrics snapshot and any buffered trace events.
-// Called from quiescent points (before shard_done, before exit). All
+// Called from quiescent points (before a shard_done the worker writes at
+// once, before exit). All
 // telemetry frames are purely observational — the supervisor's reorder
 // buffers never see them, preserving bit-identical outputs.
 void QueueTelemetry(FrameWriter& writer) {
@@ -69,26 +70,35 @@ void QueueTelemetry(FrameWriter& writer) {
   }
 }
 
-int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
-  std::unique_ptr<Job> job;
+int WorkerLoop(Job& job, FrameReader& reader, FrameWriter& writer) {
   auto& faults = testing::FaultInjector::Global();
+  bool initialized = false;
+  // When the worker last wrote, or last waited for a frame with nothing
+  // queued: it writes at least every kFlushInterval while it works, across
+  // the shards it holds.
+  auto last_write = std::chrono::steady_clock::now();
   json::Value frame;
-  while (reader.ReadFrameBlocking(&frame)) {
+  for (;;) {
+    // With no frame buffered the last shard's results went out (see the
+    // end of a shard below), so nothing is queued while the read waits.
+    const bool waits = !reader.HasFrame();
+    if (!reader.ReadFrameBlocking(&frame)) break;
+    if (waits) last_write = std::chrono::steady_clock::now();
     const std::string type = frame.GetString("type", "");
     if (type == "init") {
       faults.Configure(
           testing::FaultPlan::FromSpec(frame.GetString("faults", "")));
       ConfigureTelemetry(frame);
-      job = MakeJob(frame.at("job"));
+      initialized = true;
       json::Value ready;
       ready["type"] = "ready";
       if (!writer.WriteFrame(ready)) return 1;
     } else if (type == "shard") {
-      if (job == nullptr) return 1;  // shard before init: corrupt parent
       const auto begin = static_cast<std::uint64_t>(frame.at("begin").AsInt());
       const auto end = static_cast<std::uint64_t>(frame.at("end").AsInt());
+      // Before init, or past the job's end: a corrupt parent.
+      if (!initialized || end > job.num_items()) return 1;
       const bool ack_each = frame.GetBool("ack_each", false);
-      auto last_write = std::chrono::steady_clock::now();
       // The result lines of items [run_begin, run_begin + run_count),
       // finished since the last write, each ending in '\n'.
       std::uint64_t run_begin = begin;
@@ -106,12 +116,12 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
         run_count = 0;
         run_lines.clear();
       };
-      for (std::uint64_t i = begin; i < end && i < job->num_items(); ++i) {
+      for (std::uint64_t i = begin; i < end; ++i) {
         // The process-level fault decision fires before the evaluation:
         // an aborted/hung item never acks, so on a retried (ack_each)
         // shard the supervisor's suspect is exactly this item.
-        faults.MaybeInjectProcess(job->FaultKey(i));
-        run_lines += job->RunItem(i);
+        faults.MaybeInjectProcess(job.FaultKey(i));
+        run_lines += job.RunItem(i);
         run_lines += '\n';
         ++run_count;
         const auto now = std::chrono::steady_clock::now();
@@ -122,15 +132,25 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
         }
       }
       queue_run();
-      QueueTelemetry(writer);
+      // Write now unless the next frame is already here and the last write
+      // is recent: then this shard's results ride along with the next's.
+      const auto now = std::chrono::steady_clock::now();
+      const bool write =
+          !reader.HasFrame() || now - last_write >= kFlushInterval;
+      if (write) QueueTelemetry(writer);
       json::Value done;
       done["type"] = "shard_done";
       done["begin"] = static_cast<std::int64_t>(begin);
       done["end"] = static_cast<std::int64_t>(end);
-      if (!writer.WriteFrame(done)) return 1;
+      writer.QueueFrame(done);
+      if (write) {
+        if (!writer.Flush()) return 1;
+        last_write = now;
+      }
     } else if (type == "exit") {
-      // Final cumulative telemetry; the supervisor drains the pipe to EOF
-      // during shutdown, so these frames are never lost.
+      // Whatever is queued, then the final cumulative telemetry; the
+      // supervisor drains the pipe to EOF during shutdown, so these frames
+      // are never lost.
       QueueTelemetry(writer);
       (void)writer.Flush();
       return 0;
@@ -145,7 +165,7 @@ int WorkerLoop(FrameReader& reader, FrameWriter& writer) {
 
 }  // namespace
 
-int WorkerMain(int in_fd, int out_fd) {
+int WorkerMain(Job& job, int in_fd, int out_fd) {
   // First things first: the fork inherited the parent's obs globals —
   // including mutexes in whatever state other parent threads (a progress
   // reporter, a tracing thread pool) held them at the instant of fork().
@@ -155,11 +175,11 @@ int WorkerMain(int in_fd, int out_fd) {
   FrameReader reader(in_fd);
   FrameWriter writer(out_fd);
   try {
-    return WorkerLoop(reader, writer);
+    return WorkerLoop(job, reader, writer);
   } catch (const std::exception& ex) {
-    // A throw out of the loop means the job itself is broken (malformed
-    // spec, job-construction bug) — not a per-item failure, those are
-    // isolated inside RunItem. Log and die; the supervisor sees the exit.
+    // A throw out of the loop means the job itself is broken (a RunItem
+    // bug, a malformed frame) — not a per-item failure, those are isolated
+    // inside RunItem. Log and die; the supervisor sees the exit.
     std::fprintf(stderr, "calculon worker: fatal: %s\n", ex.what());
     return 1;
   }

@@ -1,10 +1,14 @@
 // The child-process side of the supervised worker pool.
 //
 // A worker is the same binary as the supervisor — fork() without exec():
-// the child calls WorkerMain on its two pipe ends and never returns to
-// the caller's code. The protocol (NDJSON frames, see dist/wire.h):
+// the parent builds the job once (MakeJob, dist/jobs.h) before its first
+// fork, and the child calls WorkerMain on its copy of that job and its two
+// pipe ends, and never returns to the caller's code. No worker parses a
+// job spec or re-enumerates the sweep; the parent never evaluates an item,
+// so every worker, respawns included, starts from the same clean job. The
+// protocol (NDJSON frames, see dist/wire.h):
 //
-//   parent -> worker   {"type":"init", "job":{...}, "faults":"seed=...",
+//   parent -> worker   {"type":"init", "faults":"seed=...",
 //                       "telemetry":{...}}
 //   worker -> parent   {"type":"ready"}
 //   parent -> worker   {"type":"shard", "begin":B, "end":E}
@@ -15,18 +19,34 @@
 //   worker -> parent   {"type":"shard_done", "begin":B, "end":E}
 //   parent -> worker   {"type":"exit"}
 //
-// A worker keeps the results a shard has ready and ships them as one run
-// per flush: whenever 1 ms has passed since its last write, so slow items
-// still ack as they finish and a busy worker that stays silent is hung,
-// and at the end of the shard, together with shard_done in one write(). A
-// retried shard ("ack_each") flushes after every item, so its runs hold
-// one result each. The supervisor checks a run's header before it reads
-// any line: the run must be non-empty, start at the shard's next un-acked
-// item and end within the shard, or the header is a corrupt frame. It
-// takes the run only once all N lines are buffered, so a run cut short by
-// the worker's death acks nothing.
+// The supervisor keeps up to 8 shards in flight at a worker and writes the
+// shards it dispatches to a worker at once in one write(); the worker
+// takes them in order, so a shard a worker holds behind another was never
+// started. Only fresh shards are queued: a retried (ack_each) shard goes
+// to a worker that holds nothing, and nothing is queued behind it.
 //
-// Before each shard_done and on exit, a worker may send purely
+// A worker queues the results a shard has ready and ships them as one run
+// per flush. It flushes whenever 1 ms has passed since its last write (the
+// clock runs across shards), so slow items still ack as they finish and a
+// busy worker that stays silent is hung. At the end of a fresh shard it
+// queues the last run and shard_done, and writes them at once only when no
+// complete supervisor frame is already buffered (the next shard is not
+// here yet) or 1 ms has passed; otherwise they ride along with the next
+// shard's results. So a worker that holds its next shard writes the
+// finished shards together instead of once per shard, and a shard no
+// longer costs a pipe round trip. A retried shard ("ack_each") flushes
+// after every item, so its runs hold one result each. "exit" writes
+// whatever is queued first.
+//
+// The supervisor checks a run's header before it reads any line: the run
+// must be non-empty, start at the front shard's next un-acked item and end
+// within that shard, or the header is a corrupt frame. It takes the run
+// only once all N lines are buffered, so a run cut short by the worker's
+// death acks nothing. A shard_done must name the front shard and follow
+// its last ack, or it too is a corrupt frame; it closes the front shard,
+// and the next shard the worker holds becomes the front.
+//
+// When it writes a shard_done, and on exit, a worker may first send purely
 // observational telemetry frames (enabled via the init frame's
 // "telemetry" object, see docs/observability.md):
 //
@@ -47,11 +67,13 @@
 // item every time.
 #pragma once
 
+#include "dist/jobs.h"
+
 namespace calculon::dist {
 
-// Runs the worker protocol loop on the given pipe fds until an exit frame
-// or EOF. Returns the process exit code; the fork site must pass it to
-// _exit() without unwinding into the parent's code.
-[[nodiscard]] int WorkerMain(int in_fd, int out_fd);
+// Runs the worker protocol loop for `job` on the given pipe fds until an
+// exit frame or EOF. Returns the process exit code; the fork site must
+// pass it to _exit() without unwinding into the parent's code.
+[[nodiscard]] int WorkerMain(Job& job, int in_fd, int out_fd);
 
 }  // namespace calculon::dist

@@ -77,7 +77,7 @@ struct FaultPlan {
   // (process kinds: "abort=0.01,segv=0.01,hang=0.005,exit0=0.01,hang_s=60").
   // An unknown key or a value out of its range raises ConfigError: rates
   // in [0, 1], seed an integer in [0, 2^64), delay_us in [0, 2^31), hang_s
-  // finite >= 0. An empty spec is a disabled plan.
+  // in [0, 1e9] seconds. An empty spec is a disabled plan.
   [[nodiscard]] static FaultPlan FromSpec(const std::string& spec);
   // Reads the spec from an environment variable (disabled plan when unset).
   [[nodiscard]] static FaultPlan FromEnv(const char* var = "CALCULON_FAULTS");

@@ -86,10 +86,13 @@ double ParseSecondsFlag(const std::string& flag, const std::string& value) {
   try {
     std::size_t used = 0;
     const double secs = std::stod(value, &used);
-    if (used == value.size() && secs > 0.0) return secs;
+    if (used == value.size() && secs > 0.0 && secs <= 1e9) {
+      return secs;
+    }
   } catch (const std::exception&) {
   }
-  throw UsageError(flag + " expects seconds > 0, got '" + value + "'");
+  throw UsageError(flag + " expects seconds in (0, 1e9], got '" + value +
+                   "'");
 }
 
 }  // namespace calculon

@@ -33,7 +33,9 @@ inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
     const std::string& flag, const std::string& value,
     long long min = std::numeric_limits<long long>::min(),
     long long max = std::numeric_limits<long long>::max());
-// Seconds; a value <= 0 is a UsageError too.
+// Seconds in (0, 1e9]; anything else, "inf" included, is a UsageError
+// too. 1e9 s is 1e18 ns, which every clock here holds, so a deadline or
+// timeout built from the value never overflows.
 [[nodiscard]] double ParseSecondsFlag(const std::string& flag,
                                       const std::string& value);
 

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -298,18 +299,23 @@ TEST(DistSupervisor, HungWorkerIsKilledByTheActivityTimeout) {
 }
 
 TEST(DistSupervisor, BrokenJobSpecFailsLoudlyInsteadOfRespawningForever) {
-  // A spec MakeJob rejects kills every worker at startup; the supervisor's
-  // consecutive-startup-failure cap must convert that into a ConfigError
-  // instead of forking replacements until the end of time.
+  // The supervisor builds the job before it forks, so a spec MakeJob
+  // rejects fails there with MakeJob's own ConfigError, not the
+  // startup-failure cap's, and no worker is forked for it.
   json::Value bad;
   bad["job"] = "no-such-job";
   dist::DistOptions options;
   options.workers = 2;
   options.backoff_base_ms = 1;
   options.backoff_max_ms = 4;
-  EXPECT_THROW(
-      (void)dist::RunSupervised(bad, 8, options, dist::SupervisorCallbacks{}),
-      ConfigError);
+  std::string what = "no ConfigError";
+  try {
+    dist::RunSupervised(bad, options, dist::SupervisorCallbacks{});
+  } catch (const ConfigError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("unknown job kind"), std::string::npos) << what;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
 }
 
 TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {
@@ -740,27 +746,40 @@ std::vector<WireFrame> ParseWorkerStream(std::string_view stream) {
   return frames;
 }
 
-// Checks a worker's answer to the shard [0, n) of the job `spec`: ready,
-// then runs whose lines are the results of items 0 .. n-1 in order, each
-// as the job evaluates it in this process, then shard_done. Returns the
-// run sizes.
-std::vector<std::size_t> ExpectRunsCoverTheShard(
+// Checks a worker's answer to the shards [0, n) splits into at
+// `shard_size` (one shard when 0) of the job `spec`: ready, then for each
+// shard in order, runs whose lines are the results of its items in order,
+// each as the job evaluates it in this process, then its shard_done.
+// Returns the run sizes.
+std::vector<std::size_t> ExpectRunsCoverTheShards(
     const json::Value& spec, const std::vector<WireFrame>& frames,
-    std::uint64_t n) {
+    std::uint64_t n, std::uint64_t shard_size = 0) {
   std::vector<std::size_t> runs;
   EXPECT_GE(frames.size(), 2u);
   if (frames.size() < 2) return runs;
   EXPECT_EQ(frames.front().frame.GetString("type", ""), "ready");
-  EXPECT_EQ(frames.back().frame.GetString("type", ""), "shard_done");
   const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
+  const std::uint64_t step = shard_size == 0 ? n : shard_size;
   std::uint64_t next = 0;
-  for (std::size_t f = 1; f + 1 < frames.size(); ++f) {
+  std::uint64_t shard_begin = 0;
+  for (std::size_t f = 1; f < frames.size(); ++f) {
     const WireFrame& run = frames[f];
+    const std::uint64_t shard_end = std::min(shard_begin + step, n);
+    if (run.frame.GetString("type", "") == "shard_done") {
+      EXPECT_EQ(run.frame.GetInt("begin", -1),
+                static_cast<std::int64_t>(shard_begin));
+      EXPECT_EQ(run.frame.GetInt("end", -1),
+                static_cast<std::int64_t>(shard_end));
+      EXPECT_EQ(next, shard_end) << "shard_done before its last result";
+      shard_begin = shard_end;
+      continue;
+    }
     EXPECT_EQ(run.frame.GetString("type", ""), "items") << "frame " << f;
     EXPECT_EQ(run.frame.GetInt("begin", -1), static_cast<std::int64_t>(next));
     EXPECT_EQ(run.frame.GetInt("count", -1),
               static_cast<std::int64_t>(run.lines.size()));
     EXPECT_FALSE(run.lines.empty()) << "frame " << f;
+    EXPECT_LE(next + run.lines.size(), shard_end) << "a run past its shard";
     runs.push_back(run.lines.size());
     for (const std::string& line : run.lines) {
       EXPECT_EQ(line, job->RunItem(next)) << "item " << next;
@@ -768,33 +787,48 @@ std::vector<std::size_t> ExpectRunsCoverTheShard(
     }
   }
   EXPECT_EQ(next, n);
+  EXPECT_EQ(shard_begin, n) << "a shard without its shard_done";
   return runs;
 }
 
-// Forks a worker on the command pipe `cmd` and the result channel `res`,
-// sends it init for the job `spec`, the shard [0, n) and exit, and closes
-// every end but res[0]. Returns the fork's result.
+// Forks a worker for the job `spec` on the command pipe `cmd` and the
+// result channel `res`, sends it init, the shards [0, n) splits into at
+// `shard_size` and exit (all in one write when `one_write`, else one write
+// per frame), and closes every end but res[0]. Returns the fork's result.
 pid_t ForkShardWorker(const json::Value& spec, std::uint64_t n,
-                      bool ack_each, const int cmd[2], const int res[2]) {
+                      bool ack_each, const int cmd[2], const int res[2],
+                      std::uint64_t shard_size = 0, bool one_write = false) {
+  const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(cmd[1]);
     ::close(res[0]);
-    ::_exit(dist::WorkerMain(cmd[0], res[1]));
+    ::_exit(dist::WorkerMain(*job, cmd[0], res[1]));
   }
   ::close(cmd[0]);
   ::close(res[1]);
-  json::Value shard;
-  shard["type"] = "shard";
-  shard["begin"] = 0;
-  shard["end"] = static_cast<std::int64_t>(n);
-  if (ack_each) shard["ack_each"] = true;
+  dist::FrameWriter writer(cmd[1]);
+  auto send = [&](const json::Value& frame) {
+    if (one_write) {
+      writer.QueueFrame(frame);
+    } else {
+      EXPECT_TRUE(writer.WriteFrame(frame));
+    }
+  };
+  send(dist::InitFrame(""));
+  const std::uint64_t step = shard_size == 0 ? n : shard_size;
+  for (std::uint64_t begin = 0; begin < n; begin += step) {
+    json::Value shard;
+    shard["type"] = "shard";
+    shard["begin"] = static_cast<std::int64_t>(begin);
+    shard["end"] = static_cast<std::int64_t>(std::min(begin + step, n));
+    if (ack_each) shard["ack_each"] = true;
+    send(shard);
+  }
   json::Value exit_frame;
   exit_frame["type"] = "exit";
-  dist::FrameWriter writer(cmd[1]);
-  EXPECT_TRUE(writer.WriteFrame(dist::InitFrame(spec, "")));
-  EXPECT_TRUE(writer.WriteFrame(shard));
-  EXPECT_TRUE(writer.WriteFrame(exit_frame));
+  send(exit_frame);
+  EXPECT_TRUE(writer.Flush());
   ::close(cmd[1]);
   return pid;
 }
@@ -825,20 +859,23 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
 
   // With metrics and trace off, the result stream is all there is: one
   // run per flush, then shard_done.
-  ExpectRunsCoverTheShard(spec, ParseWorkerStream(stream), n);
+  ExpectRunsCoverTheShards(spec, ParseWorkerStream(stream), n);
 }
 
-// Runs a study worker over [0, n) as one shard and counts the write()s
-// that reach the reader for it: the result socket keeps message
-// boundaries, so each write() arrives as one record. Returns the record
-// count after the ready frame; `frames` receives every frame.
+// Runs a study worker over [0, n), as shards of `shard_size` (one shard
+// when 0) sent as ForkShardWorker sends them, and counts the write()s that
+// reach the reader for them: the result socket keeps message boundaries,
+// so each write() arrives as one record. Returns the record count after
+// the ready frame; `frames` receives every frame.
 std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
-                        bool ack_each, std::vector<WireFrame>* frames) {
+                        bool ack_each, std::vector<WireFrame>* frames,
+                        std::uint64_t shard_size = 0, bool one_write = false) {
   int cmd[2];  // test writes commands, worker reads
   int res[2];  // worker writes records, test reads
   EXPECT_EQ(::pipe(cmd), 0);
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, res), 0);
-  const pid_t pid = ForkShardWorker(spec, n, ack_each, cmd, res);
+  const pid_t pid =
+      ForkShardWorker(spec, n, ack_each, cmd, res, shard_size, one_write);
   EXPECT_NE(pid, -1);
 
   std::vector<char> record(1 << 20);
@@ -870,7 +907,7 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
   std::vector<WireFrame> frames;
   const std::size_t coalesced = ShardWrites(spec, n, false, &frames);
   const std::vector<std::size_t> runs =
-      ExpectRunsCoverTheShard(spec, frames, n);
+      ExpectRunsCoverTheShards(spec, frames, n);
   EXPECT_GE(coalesced, 1u);
   EXPECT_LT(coalesced, n);
   EXPECT_LE(runs.size(), coalesced);
@@ -880,8 +917,78 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
   // one for shard_done.
   frames.clear();
   EXPECT_EQ(ShardWrites(spec, n, true, &frames), n + 1);
-  EXPECT_EQ(ExpectRunsCoverTheShard(spec, frames, n),
+  EXPECT_EQ(ExpectRunsCoverTheShards(spec, frames, n),
             std::vector<std::size_t>(n, 1));
+}
+
+TEST(DistSupervisor, WorkerWritesTheShardsItHoldsInFewerWritesThanShards) {
+  ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
+  ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::uint64_t n = study.Enumerate().size();
+  const json::Value spec = StudyJobSpec(study);
+
+  // Init, 8 fresh shards of 2 rows and exit arrive in one write, as the
+  // supervisor sends a window. At the end of each shard the next frame is
+  // already buffered, so the finished shard's results wait (at most 1 ms)
+  // to go out with the later ones.
+  const std::uint64_t shard_size = 2;
+  ASSERT_EQ(n / shard_size, dist::kShardsInFlight);
+  std::vector<WireFrame> frames;
+  const std::size_t writes =
+      ShardWrites(spec, n, false, &frames, shard_size, /*one_write=*/true);
+  EXPECT_GE(writes, 1u);
+  EXPECT_LT(writes, n / shard_size);
+  // Each shard's runs, in item order, come before its own shard_done.
+  const std::vector<std::size_t> runs =
+      ExpectRunsCoverTheShards(spec, frames, n, shard_size);
+  EXPECT_GE(runs.size(), n / shard_size);
+}
+
+TEST(DistSupervisor, QueuedShardsOfADeadWorkerComeBackUncharged) {
+  // At one row per shard the study has 16 shards, at least 8 per live
+  // worker while one runs, so a worker holds queued shards behind the one
+  // a seeded fault kills it on. A worker takes its shards in order, so the
+  // queued ones never started: they come back as they were, charged
+  // nothing. Exactly the injected rows quarantine, each after its own
+  // attempts, and the run completes.
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::uint64_t rows = study.Enumerate().size();
+  testing::FaultPlan plan;
+  plan.seed = 42;
+  plan.abort_rate = 0.10;
+  plan.segv_rate = 0.10;
+  const std::set<std::uint64_t> expected =
+      ExpectedProcessFaultItems(plan, rows);
+  ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
+  ASSERT_GE(rows, dist::kShardsInFlight);
+  const StudyRun reference = study.RunResilient(StudyRunOptions{});
+
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    RunContext ctx;
+    StudyRunOptions options;
+    options.ctx = &ctx;
+    dist::DistOptions d = FastDist(workers);
+    d.shard_size = 1;
+    d.faults_spec = plan.ToSpec();
+    const StudyRun supervised = dist::RunStudySupervised(study, options, d);
+
+    std::set<std::uint64_t> quarantined;
+    ASSERT_EQ(supervised.csv_rows.size(), reference.csv_rows.size());
+    for (std::size_t i = 0; i < reference.csv_rows.size(); ++i) {
+      if (supervised.csv_rows[i] != reference.csv_rows[i]) quarantined.insert(i);
+    }
+    EXPECT_EQ(quarantined, expected);
+    const RunStatus status = ctx.Snapshot();
+    EXPECT_EQ(status.failures, expected.size());
+    for (const FailureRecord& record : status.failure_samples) {
+      EXPECT_EQ(record.reason.rfind("quarantined after 3 attempts", 0), 0u)
+          << record.reason;
+    }
+    EXPECT_TRUE(supervised.status.complete);
+    EXPECT_EQ(supervised.status.items_completed, rows);
+  }
 }
 
 TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {

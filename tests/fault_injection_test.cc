@@ -91,7 +91,8 @@ TEST_F(FaultInjectionTest, MalformedNumbersThrowNamingTheKey) {
       "delay_us=abc", "delay_us=-5", "delay_us=", "delay_us=5.5",
       "delay_us=2147483648",  // 2^31
       "hang_s=abc", "hang_s=-1", "hang_s=", "hang_s=inf", "hang_s=nan",
-      "hang_s=1e999", "throw=", "throw=nan"};
+      "hang_s=1e999", "hang_s=1e300", "hang_s=1000000000.5", "throw=",
+      "throw=nan"};
   for (const char* spec : bad) {
     const std::string key(spec, std::strchr(spec, '='));
     try {
@@ -110,6 +111,7 @@ TEST_F(FaultInjectionTest, MalformedNumbersThrowNamingTheKey) {
   EXPECT_EQ(plan.delay_us, INT_MAX);
   EXPECT_EQ(plan.hang_s, 0.0);
   EXPECT_EQ(FaultPlan::FromSpec("delay_us=0,hang_s=2.5e1").hang_s, 25.0);
+  EXPECT_EQ(FaultPlan::FromSpec("hang_s=1e9").hang_s, 1e9);
 }
 
 TEST_F(FaultInjectionTest, FromEnvReadsTheVariable) {
