@@ -32,8 +32,7 @@ namespace {
 // the first gap are still fed, in item order, when the pool returns.
 template <typename Item>
 void RunInItemOrder(const json::Value& spec, std::uint64_t first_item,
-                    const DistOptions& dist,
-                    RunContext* ctx, bool past_gaps,
+                    const DistOptions& dist, RunContext* ctx, bool past_gaps,
                     const std::function<Item(std::string_view)>& decode,
                     const std::function<void(Item)>& commit,
                     const std::function<void(FailureRecord)>& quarantine) {

@@ -617,8 +617,9 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
                    const SupervisorCallbacks& callbacks,
                    std::uint64_t first_item, RunContext* ctx) {
   CALC_CHECK(options.workers >= 1, "need at least one worker");
-  CALC_CHECK(options.hang_timeout_s > 0.0 && options.hang_timeout_s <= 1e9,
-             "hang_timeout_s %g is outside (0, 1e9] s", options.hang_timeout_s);
+  CALC_CHECK(
+      options.hang_timeout_s > 0.0 && options.hang_timeout_s <= kMaxSeconds,
+      "hang_timeout_s %g is outside (0, 1e9] s", options.hang_timeout_s);
   CALC_TRACE_SPAN("dist", "supervisor");
 
   // Built once, before the first fork: every worker runs its own copy.
@@ -632,6 +633,9 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
   tracker_options.backoff_base_ms = options.backoff_base_ms;
   tracker_options.backoff_max_ms = options.backoff_max_ms;
   ShardTracker tracker(tracker_options);
+  auto unclaimed_shards = [&] {
+    return (tracker.unclaimed() + options.shard_size - 1) / options.shard_size;
+  };
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
@@ -710,10 +714,8 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
             }
           }
         }
-        if (!have && (!slot.busy() ||
-                      (tracker.unclaimed() + options.shard_size - 1) /
-                              options.shard_size >=
-                          kShardsInFlight * live)) {
+        if (!have &&
+            (!slot.busy() || unclaimed_shards() >= kShardsInFlight * live)) {
           have = tracker.Claim(&shard);
         }
         if (!have) continue;
@@ -746,8 +748,7 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
     // when no worker is left to carry the run.
     {
       const std::uint64_t dispatchable =
-          pool.pending.size() +
-          (tracker.unclaimed() + options.shard_size - 1) / options.shard_size;
+          pool.pending.size() + unclaimed_shards();
       std::uint64_t idle = 0;
       for (const WorkerSlot& slot : pool.slots) {
         if (slot.alive() && !slot.busy()) ++idle;

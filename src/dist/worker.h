@@ -67,9 +67,9 @@
 // item every time.
 #pragma once
 
-#include "dist/jobs.h"
-
 namespace calculon::dist {
+
+class Job;  // dist/jobs.h
 
 // Runs the worker protocol loop for `job` on the given pipe fds until an
 // exit frame or EOF. Returns the process exit code; the fork site must

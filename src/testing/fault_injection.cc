@@ -83,8 +83,8 @@ FaultPlan FaultPlan::FromSpec(const std::string& spec) {
     } else if (key == "exit0") {
       plan.exit0_rate = ParseRate(key, value);
     } else if (key == "hang_s") {
-      // 1e9 s is 1e18 ns: the hang's sleep_for duration cannot overflow.
-      plan.hang_s = ParseValue(key, value, 1e9, "a number in [0, 1e9]");
+      plan.hang_s =
+          ParseValue(key, value, kMaxSeconds, "a number in [0, 1e9]");
     } else {
       throw ConfigError("fault spec: unknown key '" + key + "'");
     }

@@ -2,6 +2,7 @@
 
 #include <csignal>
 
+#include "util/check.h"
 #include "util/strings.h"
 
 namespace calculon {
@@ -55,6 +56,8 @@ RunContext::RunContext()
       start_system_(std::chrono::system_clock::now()) {}
 
 void RunContext::SetDeadline(double seconds) {
+  CALC_CHECK(seconds >= 0.0 && seconds <= kMaxSeconds,
+             "deadline %g s is outside [0, 1e9] s", seconds);
   deadline_ = std::chrono::steady_clock::now() +
               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(seconds));

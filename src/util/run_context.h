@@ -85,7 +85,8 @@ class RunContext {
 
   // --- Configuration (set before the sweep starts) ---
 
-  // Stop the run once this many wall-clock seconds have elapsed from now.
+  // Stop the run once this many wall-clock seconds have elapsed from now;
+  // `seconds` lies in [0, kMaxSeconds] (util/strings.h).
   void SetDeadline(double seconds);
   // Stop the run after `budget` recorded failures; 0 means unlimited.
   void set_failure_budget(std::uint64_t budget) { failure_budget_ = budget; }

@@ -86,7 +86,7 @@ double ParseSecondsFlag(const std::string& flag, const std::string& value) {
   try {
     std::size_t used = 0;
     const double secs = std::stod(value, &used);
-    if (used == value.size() && secs > 0.0 && secs <= 1e9) {
+    if (used == value.size() && secs > 0.0 && secs <= kMaxSeconds) {
       return secs;
     }
   } catch (const std::exception&) {

@@ -33,9 +33,12 @@ inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
     const std::string& flag, const std::string& value,
     long long min = std::numeric_limits<long long>::min(),
     long long max = std::numeric_limits<long long>::max());
-// Seconds in (0, 1e9]; anything else, "inf" included, is a UsageError
-// too. 1e9 s is 1e18 ns, which every clock here holds, so a deadline or
-// timeout built from the value never overflows.
+// The most seconds a deadline, timeout or injected hang may last: 1e9 s
+// is 1e18 ns, which every clock here holds, so nothing built from it
+// overflows.
+inline constexpr double kMaxSeconds = 1e9;
+// Seconds in (0, kMaxSeconds]; anything else, "inf" included, is a
+// UsageError too.
 [[nodiscard]] double ParseSecondsFlag(const std::string& flag,
                                       const std::string& value);
 

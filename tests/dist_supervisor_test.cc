@@ -951,7 +951,8 @@ TEST(DistSupervisor, QueuedShardsOfADeadWorkerComeBackUncharged) {
   // a seeded fault kills it on. A worker takes its shards in order, so the
   // queued ones never started: they come back as they were, charged
   // nothing. Exactly the injected rows quarantine, each after its own
-  // attempts, and the run completes.
+  // attempts (at one attempt, a queued row charged once would quarantine
+  // too), and the run completes.
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t rows = study.Enumerate().size();
   testing::FaultPlan plan;
@@ -964,30 +965,37 @@ TEST(DistSupervisor, QueuedShardsOfADeadWorkerComeBackUncharged) {
   ASSERT_GE(rows, dist::kShardsInFlight);
   const StudyRun reference = study.RunResilient(StudyRunOptions{});
 
-  for (const int workers : {1, 2}) {
-    SCOPED_TRACE(workers);
-    RunContext ctx;
-    StudyRunOptions options;
-    options.ctx = &ctx;
-    dist::DistOptions d = FastDist(workers);
-    d.shard_size = 1;
-    d.faults_spec = plan.ToSpec();
-    const StudyRun supervised = dist::RunStudySupervised(study, options, d);
+  for (const int max_attempts : {1, 3}) {
+    for (const int workers : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << workers << " workers, "
+                                        << max_attempts << " attempts");
+      RunContext ctx;
+      StudyRunOptions options;
+      options.ctx = &ctx;
+      dist::DistOptions d = FastDist(workers);
+      d.shard_size = 1;
+      d.max_attempts = max_attempts;
+      d.faults_spec = plan.ToSpec();
+      const StudyRun supervised = dist::RunStudySupervised(study, options, d);
 
-    std::set<std::uint64_t> quarantined;
-    ASSERT_EQ(supervised.csv_rows.size(), reference.csv_rows.size());
-    for (std::size_t i = 0; i < reference.csv_rows.size(); ++i) {
-      if (supervised.csv_rows[i] != reference.csv_rows[i]) quarantined.insert(i);
+      std::set<std::uint64_t> quarantined;
+      ASSERT_EQ(supervised.csv_rows.size(), reference.csv_rows.size());
+      for (std::size_t i = 0; i < reference.csv_rows.size(); ++i) {
+        if (supervised.csv_rows[i] != reference.csv_rows[i]) {
+          quarantined.insert(i);
+        }
+      }
+      EXPECT_EQ(quarantined, expected);
+      const RunStatus status = ctx.Snapshot();
+      EXPECT_EQ(status.failures, expected.size());
+      const std::string reason =
+          "quarantined after " + std::to_string(max_attempts) + " attempts";
+      for (const FailureRecord& record : status.failure_samples) {
+        EXPECT_EQ(record.reason.rfind(reason, 0), 0u) << record.reason;
+      }
+      EXPECT_TRUE(supervised.status.complete);
+      EXPECT_EQ(supervised.status.items_completed, rows);
     }
-    EXPECT_EQ(quarantined, expected);
-    const RunStatus status = ctx.Snapshot();
-    EXPECT_EQ(status.failures, expected.size());
-    for (const FailureRecord& record : status.failure_samples) {
-      EXPECT_EQ(record.reason.rfind("quarantined after 3 attempts", 0), 0u)
-          << record.reason;
-    }
-    EXPECT_TRUE(supervised.status.complete);
-    EXPECT_EQ(supervised.status.items_completed, rows);
   }
 }
 
