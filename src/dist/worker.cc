@@ -80,7 +80,9 @@ int WorkerLoop(Job& job, FrameReader& reader, FrameWriter& writer) {
   json::Value frame;
   for (;;) {
     // With no frame buffered the last shard's results went out (see the
-    // end of a shard below), so nothing is queued while the read waits.
+    // end of a shard below), so nothing is queued while the read waits. An
+    // idle worker owes no heartbeat: the interval restarts when the wait
+    // ends, or the first item after every wait would go out on its own.
     const bool waits = !reader.HasFrame();
     if (!reader.ReadFrameBlocking(&frame)) break;
     if (waits) last_write = std::chrono::steady_clock::now();
