@@ -50,14 +50,17 @@ json::Value InitFrame(const std::string& faults_spec) {
 
 namespace {
 
-[[nodiscard]] std::int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
+[[nodiscard]] std::int64_t NowUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-// A shard waiting for re-dispatch: a retry out its backoff, or a shard a
-// failed worker held but never started (due at once).
+[[nodiscard]] std::int64_t NowMs() { return NowUs() / 1000; }
+
+// A shard waiting for re-dispatch: a retry (always ack_each) out its
+// backoff, or a fresh shard a failed worker held but never started (due at
+// once).
 struct PendingRetry {
   ShardRange shard;
   std::int64_t ready_at_ms = 0;
@@ -67,7 +70,7 @@ struct PendingRetry {
 // (received), `shard_begin` (dispatched), `item_done` (ack received) or
 // `shard_done` (received). `item` is the shard's begin for the shard
 // events, the acked item for item_done and kNoItem for ready; `ms` is the
-// NowMs() reading the loop took for last_activity_ms.
+// NowMs() reading of the exchange.
 constexpr std::uint64_t kNoItem = ~std::uint64_t{0};
 struct SlotEvent {
   const char* label = "";
@@ -99,6 +102,9 @@ struct WorkerSlot {
   std::deque<InFlight> shards;
   std::uint64_t acked = 0;  // next expected item index within the front
   std::int64_t last_activity_ms = 0;
+  // When the front shard became the front: dispatched to this worker while
+  // it held nothing, or its predecessor's shard_done arrived.
+  std::int64_t front_since_us = 0;
 
   // The current incarnation's pid, surviving the reap (ReapWorker resets
   // `pid`); stamps this worker's trace lane and post-mortem files.
@@ -119,9 +125,8 @@ struct WorkerSlot {
     return shards.front().shard;
   }
 
-  void Record(const char* label, std::uint64_t item = kNoItem) {
-    events[event_count++ % kSlotEventCapacity] =
-        SlotEvent{label, item, last_activity_ms};
+  void Record(const char* label, std::uint64_t item, std::int64_t ms) {
+    events[event_count++ % kSlotEventCapacity] = SlotEvent{label, item, ms};
   }
 };
 
@@ -136,9 +141,14 @@ struct Pool {
 
   std::vector<WorkerSlot> slots;
   std::deque<PendingRetry> pending;
+  // How long workers held shards, summed, and the shards they finished in
+  // that time: the mean is what a shard costs, round trips included.
+  std::int64_t busy_us = 0;
+  std::uint64_t shards_done = 0;
   // Workers that died before acking init, with no ready worker in
-  // between: when every fork attempt dies at startup the job spec itself
-  // is broken and retrying forever would fork-bomb the host.
+  // between: when every fork attempt dies at startup (a fault spec the
+  // worker rejects, say) no worker can start, and retrying forever would
+  // fork-bomb the host.
   int consecutive_startup_failures = 0;
 
   // The first exception out of a callback (RunCallback).
@@ -321,7 +331,8 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
                                const json::Value& frame, bool live) {
   WorkerSlot& slot = pool.slots[index];
   const std::string type = frame.GetString("type", "");
-  slot.last_activity_ms = NowMs();
+  const std::int64_t now_us = NowUs();
+  slot.last_activity_ms = now_us / 1000;
   if (type == "items") {
     // A run header: `count` result lines follow.
     const std::int64_t count = frame.at("count").AsInt();
@@ -338,7 +349,7 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
     slot.reader->ExpectLines(static_cast<std::uint64_t>(count));
   } else if (type == "ready") {
     slot.ready = true;
-    slot.Record("ready");
+    slot.Record("ready", kNoItem, slot.last_activity_ms);
     pool.consecutive_startup_failures = 0;
   } else if (type == "shard_done") {
     // At shutdown the runs go unread, so only a live run checks the acks.
@@ -353,7 +364,10 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
     }
     slot.shards.pop_front();
     slot.acked = 0;
-    slot.Record("shard_done", done.shard.begin);
+    pool.busy_us += now_us - slot.front_since_us;
+    ++pool.shards_done;
+    slot.front_since_us = now_us;
+    slot.Record("shard_done", done.shard.begin, slot.last_activity_ms);
     // Handoff span on the supervisor timeline: dispatch to completion of
     // this shard, labelled with the worker's lane.
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
@@ -499,7 +513,8 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
   }
   if (slot.busy()) {
     // The shards behind the front were never started: they go back to the
-    // head of the queue as they were, in order, charged nothing.
+    // head of the queue as they were, in order, charged nothing, behind
+    // the front shard's retry (below), whose items come before theirs.
     for (std::size_t k = slot.shards.size() - 1; k > 0; --k) {
       pool.pending.push_front(PendingRetry{slot.shards[k].shard, 0});
     }
@@ -525,13 +540,50 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
       (void)DumpFlightPostMortem(pool, index, description);
     }
     if (!outcome.retry.empty()) {
-      pool.pending.push_back(
+      pool.pending.push_front(
           PendingRetry{outcome.retry, NowMs() + outcome.backoff_ms});
       if (pool.reassigned != nullptr) pool.reassigned->Increment();
     }
     slot.shards.clear();
   }
   CloseSlotFds(slot);
+}
+
+// Whether a busy worker may be given a shard to hold behind the one it
+// works on: only once the run's shards have taken less than a worker's
+// flush interval each, on average. A longer shard goes out in a write of
+// its own anyway (dist/worker.h), so queueing it would save the worker
+// only its wait for the next shard, a few percent of the shard, while
+// holding work that another worker may be free to take sooner, and a stop
+// would wait for it.
+[[nodiscard]] bool ShardsAreCheap(const Pool& pool) {
+  constexpr std::int64_t kCheapShardUs =
+      std::chrono::microseconds(kFlushInterval).count();
+  return pool.shards_done > 0 &&
+         pool.busy_us <
+             kCheapShardUs * static_cast<std::int64_t>(pool.shards_done);
+}
+
+// A retry is due: it waits for a worker that holds nothing.
+[[nodiscard]] bool RetryDue(const Pool& pool, std::int64_t now) {
+  return std::any_of(pool.pending.begin(), pool.pending.end(),
+                     [now](const PendingRetry& p) {
+                       return p.shard.ack_each && p.ready_at_ms <= now;
+                     });
+}
+
+// Takes the first due entry of `pending` that a worker may take: any for
+// a worker that holds nothing, else only a fresh shard, never a retry.
+[[nodiscard]] bool TakePending(Pool& pool, std::int64_t now, bool idle,
+                               ShardRange* out) {
+  for (auto it = pool.pending.begin(); it != pool.pending.end(); ++it) {
+    if (it->ready_at_ms <= now && (idle || !it->shard.ack_each)) {
+      *out = it->shard;
+      pool.pending.erase(it);
+      return true;
+    }
+  }
+  return false;
 }
 
 // Waits up to `timeout_ms` on the live workers' result pipes and leaves
@@ -595,7 +647,7 @@ enum class Drained {
             if (!decoded) return Drained::kCorrupt;
             pool.tracker->OnItemDone(item);
             ++slot.acked;
-            slot.Record("item_done", item);
+            slot.Record("item_done", item, slot.last_activity_ms);
             at = nl + 1;
           }
           continue;
@@ -633,9 +685,6 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
   tracker_options.backoff_base_ms = options.backoff_base_ms;
   tracker_options.backoff_max_ms = options.backoff_max_ms;
   ShardTracker tracker(tracker_options);
-  auto unclaimed_shards = [&] {
-    return (tracker.unclaimed() + options.shard_size - 1) / options.shard_size;
-  };
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
@@ -678,47 +727,38 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
     if (pool.consecutive_startup_failures > worker_count * 3) {
       error = StrFormat(
           "%d consecutive workers died before becoming ready; "
-          "the job itself appears to crash at startup",
+          "no worker can start (each says why on its stderr)",
           pool.consecutive_startup_failures);
       break;
     }
 
-    const std::int64_t now = NowMs();
+    const std::int64_t now_us = NowUs();
+    const std::int64_t now = now_us / 1000;
 
     // Dispatch, one shard per ready worker per pass, until no worker takes
-    // one. A due retry goes first (it blocks completion), and only to a
-    // worker that holds nothing; nothing is queued behind a retried shard,
-    // so its blame stays exact. Fresh shards fill each worker's window. A
-    // busy worker gets one only while at least kShardsInFlight shards per
-    // live worker are unclaimed, so a sweep of a few slow shards keeps
-    // one shard per worker and its dynamic balance. Each worker's new
-    // shards go out in one write.
-    const std::uint64_t live = static_cast<std::uint64_t>(CountAlive(pool));
+    // one. A worker takes the first due entry of `pending` it may take (a
+    // retry, or a shard a dead worker held but never started), else a
+    // fresh claim. A retry goes only to a worker that holds nothing, and
+    // nothing is queued behind it, so its blame stays exact. A busy worker
+    // is given a shard to hold only while shards are cheap
+    // (ShardsAreCheap) and no retry is due: a due retry goes to the first
+    // worker to run dry, within the kShardsInFlight shards it holds. Each
+    // worker's new shards go out in one write.
+    const bool cheap = ShardsAreCheap(pool);
     for (bool dispatched = true; dispatched;) {
       dispatched = false;
       for (WorkerSlot& slot : pool.slots) {
-        if (!slot.alive() || !slot.ready ||
-            slot.shards.size() >= kShardsInFlight ||
-            (slot.busy() && slot.shards.back().shard.ack_each)) {
+        if (!slot.alive() || !slot.ready) continue;
+        const bool idle = !slot.busy();
+        if (!idle && (!cheap || slot.shards.size() >= kShardsInFlight ||
+                      slot.shards.back().shard.ack_each ||
+                      RetryDue(pool, now))) {
           continue;
         }
         ShardRange shard;
-        bool have = false;
-        if (!slot.busy()) {
-          for (auto it = pool.pending.begin(); it != pool.pending.end(); ++it) {
-            if (it->ready_at_ms <= now) {
-              shard = it->shard;
-              pool.pending.erase(it);
-              have = true;
-              break;
-            }
-          }
+        if (!TakePending(pool, now, idle, &shard) && !tracker.Claim(&shard)) {
+          continue;
         }
-        if (!have &&
-            (!slot.busy() || unclaimed_shards() >= kShardsInFlight * live)) {
-          have = tracker.Claim(&shard);
-        }
-        if (!have) continue;
         json::Value frame;
         frame["type"] = "shard";
         frame["begin"] = static_cast<std::int64_t>(shard.begin);
@@ -727,8 +767,13 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
         slot.writer->QueueFrame(frame);
         slot.shards.push_back(InFlight{
             shard, recorder.enabled() ? recorder.NowMicros() : 0.0});
-        slot.last_activity_ms = now;
-        slot.Record("shard_begin", shard.begin);
+        if (idle) {
+          // Queueing a shard is no sign of life from the worker: only a
+          // worker that held nothing starts its hang clock here.
+          slot.last_activity_ms = now;
+          slot.front_since_us = now_us;
+        }
+        slot.Record("shard_begin", shard.begin, now);
         dispatched = true;
       }
     }
@@ -748,7 +793,8 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
     // when no worker is left to carry the run.
     {
       const std::uint64_t dispatchable =
-          pool.pending.size() + unclaimed_shards();
+          pool.pending.size() +
+          (tracker.unclaimed() + options.shard_size - 1) / options.shard_size;
       std::uint64_t idle = 0;
       for (const WorkerSlot& slot : pool.slots) {
         if (slot.alive() && !slot.busy()) ++idle;

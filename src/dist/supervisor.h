@@ -5,8 +5,9 @@
 // The supervisor builds the job once, then forks N workers from it (same
 // binary, no exec — see dist/worker.h for the wire protocol), dispatches
 // contiguous item shards over pipes, keeping up to kShardsInFlight of them
-// at each worker, and runs a single-threaded poll() event loop over the
-// worker result pipes. It detects
+// at each worker while the run's shards take less than a worker's flush
+// interval each (one at a time otherwise), and runs a single-threaded
+// poll() event loop over the worker result pipes. It detects
 //
 //   * death  — EOF on the result pipe, classified via waitpid (exit code
 //              or terminating signal, e.g. an injected SIGSEGV/SIGABRT),

@@ -18,13 +18,6 @@ namespace calculon::dist {
 
 namespace {
 
-// A worker writes the results it has queued at least this often, so a
-// slow item acks as it finishes and a busy worker is never silent for
-// longer than one item plus this interval (the supervisor's hang timeout
-// is its heartbeat deadline). Within the interval, a worker that already
-// holds its next shard keeps a finished shard's results for a later write.
-constexpr std::chrono::milliseconds kFlushInterval{1};
-
 // Configures the worker-side telemetry from the init frame's "telemetry"
 // object (see InitFrame in dist/supervisor.h). Tracing aligns onto the
 // supervisor's timeline: the steady clock is shared across fork(), so

@@ -22,8 +22,11 @@
 // The supervisor keeps up to 8 shards in flight at a worker and writes the
 // shards it dispatches to a worker at once in one write(); the worker
 // takes them in order, so a shard a worker holds behind another was never
-// started. Only fresh shards are queued: a retried (ack_each) shard goes
-// to a worker that holds nothing, and nothing is queued behind it.
+// started. It queues shards behind a busy worker only while the run's
+// shards have taken less than kFlushInterval each, on average, so a sweep
+// of slow items (audit pairs, exec-search triples) keeps one shard per
+// worker. Only fresh shards are queued: a retried (ack_each) shard goes to
+// a worker that holds nothing, and nothing is queued behind it.
 //
 // A worker queues the results a shard has ready and ships them as one run
 // per flush. It flushes whenever 1 ms has passed since its last write (the
@@ -67,9 +70,18 @@
 // item every time.
 #pragma once
 
+#include <chrono>
+
 namespace calculon::dist {
 
 class Job;  // dist/jobs.h
+
+// A worker writes the results it has queued at least this often, so a
+// slow item acks as it finishes and a busy worker is never silent for
+// longer than one item plus this interval (the supervisor's hang timeout
+// is its heartbeat deadline). Within the interval, a worker that already
+// holds its next shard keeps a finished shard's results for a later write.
+inline constexpr std::chrono::milliseconds kFlushInterval{1};
 
 // Runs the worker protocol loop for `job` on the given pipe fds until an
 // exit frame or EOF. Returns the process exit code; the fork site must

@@ -68,6 +68,14 @@ dist::DistOptions FastDist(int workers) {
   return d;
 }
 
+// The job spec RunSupervised takes for `study`.
+json::Value StudyJobSpec(const Study& study) {
+  json::Value spec;
+  spec["job"] = "study";
+  spec["spec"] = study.ToJson();
+  return spec;
+}
+
 // The items whose seeded fault decision is a process-level kind — the
 // exact set the supervised run must quarantine. A worker consults key
 // item << shift: 0 for study rows, 32 for an exec search's triples.
@@ -156,10 +164,22 @@ TEST(DistSupervisor, FaultFreeStudyIsBitIdenticalToInProcess) {
   EXPECT_FALSE(supervised.status.degraded());
 }
 
-TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
+// Runs the small study supervised under a seeded abort/segv plan with
+// `workers` workers, shards of `shard_size` and `max_attempts`, and checks
+// that exactly the injected rows quarantine, each after its own
+// max_attempts attempts, and nothing else does: deterministic faults
+// re-fire on every retry, a coalesced shard's death blames nobody, and a
+// shard a dead worker held but never started is charged nothing (at one
+// attempt, a row charged once more would quarantine too). The run is
+// degraded but completes.
+void ExpectExactlyTheInjectedRowsQuarantine(int workers,
+                                            std::uint64_t shard_size,
+                                            int max_attempts) {
+  SCOPED_TRACE(::testing::Message()
+               << workers << " workers, shard " << shard_size << ", "
+               << max_attempts << " attempts");
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t rows = study.Enumerate().size();
-
   testing::FaultPlan plan;
   plan.seed = 42;
   plan.abort_rate = 0.10;
@@ -168,18 +188,17 @@ TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
       ExpectedProcessFaultItems(plan, rows);
   ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
   ASSERT_LT(expected.size(), rows) << "seed kills everything";
-
   const StudyRun reference = study.RunResilient(StudyRunOptions{});
 
   RunContext ctx;
   StudyRunOptions options;
   options.ctx = &ctx;
-  dist::DistOptions d = FastDist(3);
+  dist::DistOptions d = FastDist(workers);
+  d.shard_size = shard_size;
+  d.max_attempts = max_attempts;
   d.faults_spec = plan.ToSpec();
   const StudyRun supervised = dist::RunStudySupervised(study, options, d);
 
-  // Deterministic faults re-fire on every retry, so every injected item
-  // quarantines — and nothing else does.
   std::set<std::uint64_t> quarantined;
   ASSERT_EQ(supervised.csv_rows.size(), reference.csv_rows.size());
   for (std::size_t i = 0; i < reference.csv_rows.size(); ++i) {
@@ -189,11 +208,21 @@ TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
         << "row " << i << " differs but is not a quarantine row";
   }
   EXPECT_EQ(quarantined, expected);
-  // Each quarantined row is one FailureRecord on the context; the run is
-  // degraded but ran to the end of the sweep.
-  EXPECT_EQ(ctx.failures(), expected.size());
+  // Each quarantined row is one FailureRecord on the context.
+  const RunStatus status = ctx.Snapshot();
+  EXPECT_EQ(status.failures, expected.size());
+  const std::string reason =
+      "quarantined after " + std::to_string(max_attempts) + " attempts";
+  for (const FailureRecord& record : status.failure_samples) {
+    EXPECT_EQ(record.reason.rfind(reason, 0), 0u) << record.reason;
+  }
   EXPECT_TRUE(supervised.status.complete);
   EXPECT_TRUE(supervised.status.degraded());
+  EXPECT_EQ(supervised.status.items_completed, rows);
+}
+
+TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
+  ExpectExactlyTheInjectedRowsQuarantine(3, 4, 3);
 }
 
 TEST(DistSupervisor, CoalescedShardsQuarantineExactlyTheInjectedItems) {
@@ -201,38 +230,8 @@ TEST(DistSupervisor, CoalescedShardsQuarantineExactlyTheInjectedItems) {
   // cannot name the item that killed the worker. Even at one attempt per
   // item, only the items whose fault decision is a process kind may
   // quarantine.
-  const Study study = Study::FromJson(SmallStudySpec());
-  const std::uint64_t rows = study.Enumerate().size();
-  testing::FaultPlan plan;
-  plan.seed = 42;
-  plan.abort_rate = 0.10;
-  plan.segv_rate = 0.10;
-  const std::set<std::uint64_t> expected =
-      ExpectedProcessFaultItems(plan, rows);
-  ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
-  const StudyRun reference = study.RunResilient(StudyRunOptions{});
-
   for (const int max_attempts : {1, 2}) {
-    RunContext ctx;
-    StudyRunOptions options;
-    options.ctx = &ctx;
-    dist::DistOptions d = FastDist(3);
-    d.shard_size = 4;
-    d.max_attempts = max_attempts;
-    d.faults_spec = plan.ToSpec();
-    const StudyRun supervised = dist::RunStudySupervised(study, options, d);
-
-    std::set<std::uint64_t> quarantined;
-    ASSERT_EQ(supervised.csv_rows.size(), reference.csv_rows.size());
-    for (std::size_t i = 0; i < reference.csv_rows.size(); ++i) {
-      if (supervised.csv_rows[i] == reference.csv_rows[i]) continue;
-      quarantined.insert(i);
-      EXPECT_NE(supervised.csv_rows[i].find("quarantined"), std::string::npos)
-          << "row " << i << " differs but is not a quarantine row";
-    }
-    EXPECT_EQ(quarantined, expected) << "max_attempts " << max_attempts;
-    EXPECT_EQ(ctx.failures(), expected.size())
-        << "max_attempts " << max_attempts;
+    ExpectExactlyTheInjectedRowsQuarantine(3, 4, max_attempts);
   }
 }
 
@@ -316,6 +315,28 @@ TEST(DistSupervisor, BrokenJobSpecFailsLoudlyInsteadOfRespawningForever) {
   }
   EXPECT_NE(what.find("unknown job kind"), std::string::npos) << what;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+}
+
+TEST(DistSupervisor, WorkersThatCannotStartHitTheStartupCap) {
+  // Each worker parses the fault spec of its init frame and dies on one it
+  // rejects, before it is ready. The supervisor gives up after a bounded
+  // number of such deaths instead of respawning forever.
+  const std::string log_dir = ::testing::TempDir() + "calculon_startup_cap";
+  dist::DistOptions options = FastDist(2);
+  options.faults_spec = "bogus=1";
+  options.worker_log_dir = log_dir;  // keeps their stderr out of the test's
+  std::string what = "no ConfigError";
+  try {
+    dist::RunSupervised(StudyJobSpec(Study::FromJson(SmallStudySpec())),
+                        options, dist::SupervisorCallbacks{});
+  } catch (const ConfigError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("consecutive workers died before becoming ready"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  std::filesystem::remove_all(log_dir);
 }
 
 TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {
@@ -708,13 +729,6 @@ TEST(DistSupervisor, SupervisedCollectorsMatchInProcessExactly) {
   EXPECT_EQ(supervised.all_rates.size(), supervised.feasible);
 }
 
-json::Value StudyJobSpec(const Study& study) {
-  json::Value spec;
-  spec["job"] = "study";
-  spec["spec"] = study.ToJson();
-  return spec;
-}
-
 // One frame of a worker's answer; a run header carries the raw result
 // lines that followed it.
 struct WireFrame {
@@ -946,57 +960,124 @@ TEST(DistSupervisor, WorkerWritesTheShardsItHoldsInFewerWritesThanShards) {
 }
 
 TEST(DistSupervisor, QueuedShardsOfADeadWorkerComeBackUncharged) {
-  // At one row per shard the study has 16 shards, at least 8 per live
-  // worker while one runs, so a worker holds queued shards behind the one
-  // a seeded fault kills it on. A worker takes its shards in order, so the
-  // queued ones never started: they come back as they were, charged
-  // nothing. Exactly the injected rows quarantine, each after its own
-  // attempts (at one attempt, a queued row charged once would quarantine
-  // too), and the run completes.
-  const Study study = Study::FromJson(SmallStudySpec());
-  const std::uint64_t rows = study.Enumerate().size();
-  testing::FaultPlan plan;
-  plan.seed = 42;
-  plan.abort_rate = 0.10;
-  plan.segv_rate = 0.10;
-  const std::set<std::uint64_t> expected =
-      ExpectedProcessFaultItems(plan, rows);
-  ASSERT_FALSE(expected.empty()) << "seed injects nothing; pick another";
-  ASSERT_GE(rows, dist::kShardsInFlight);
-  const StudyRun reference = study.RunResilient(StudyRunOptions{});
-
+  // One row per shard: cheap shards, so a busy worker holds queued ones
+  // behind the one a seeded fault kills it on. A worker takes its shards
+  // in order, so the queued ones never started and come back as they
+  // were.
   for (const int max_attempts : {1, 3}) {
     for (const int workers : {1, 2}) {
-      SCOPED_TRACE(::testing::Message() << workers << " workers, "
-                                        << max_attempts << " attempts");
-      RunContext ctx;
-      StudyRunOptions options;
-      options.ctx = &ctx;
-      dist::DistOptions d = FastDist(workers);
-      d.shard_size = 1;
-      d.max_attempts = max_attempts;
-      d.faults_spec = plan.ToSpec();
-      const StudyRun supervised = dist::RunStudySupervised(study, options, d);
-
-      std::set<std::uint64_t> quarantined;
-      ASSERT_EQ(supervised.csv_rows.size(), reference.csv_rows.size());
-      for (std::size_t i = 0; i < reference.csv_rows.size(); ++i) {
-        if (supervised.csv_rows[i] != reference.csv_rows[i]) {
-          quarantined.insert(i);
-        }
-      }
-      EXPECT_EQ(quarantined, expected);
-      const RunStatus status = ctx.Snapshot();
-      EXPECT_EQ(status.failures, expected.size());
-      const std::string reason =
-          "quarantined after " + std::to_string(max_attempts) + " attempts";
-      for (const FailureRecord& record : status.failure_samples) {
-        EXPECT_EQ(record.reason.rfind(reason, 0), 0u) << record.reason;
-      }
-      EXPECT_TRUE(supervised.status.complete);
-      EXPECT_EQ(supervised.status.items_completed, rows);
+      ExpectExactlyTheInjectedRowsQuarantine(workers, 1, max_attempts);
     }
   }
+}
+
+// 256 rows: enough that a worker works through many windows of shards.
+json::Value WideStudySpec() {
+  return json::Parse(R"({
+    "application": "megatron_22b",
+    "system": "a100_80g",
+    "num_procs": 64,
+    "base_execution": {"batch_size": 64},
+    "sweep": {
+      "tensor_par": [1, 2, 4, 8],
+      "pipeline_par": [1, 2, 4, 8],
+      "data_par": "auto",
+      "microbatch": [1, 2, 4, 8],
+      "recompute": ["none", "full"],
+      "optimizer_sharding": [false, true]
+    }
+  })");
+}
+
+TEST(DistSupervisor, ADueRetryGoesOutBeforeTheLastShards) {
+  // Shards of one row, most rows delayed 200 us: cheap enough to queue,
+  // too slow for the one worker ever to run dry while the supervisor
+  // refills its window. One early row kills it every time. Its retries
+  // (at once, then after each backoff) wait for a worker that holds
+  // nothing, so the busy worker is given no more shards while one is due:
+  // the row resolves long before the sweep's tail.
+  const json::Value spec = StudyJobSpec(Study::FromJson(WideStudySpec()));
+  const std::uint64_t rows = dist::MakeJob(spec)->num_items();
+  ASSERT_EQ(rows, 256u);
+  testing::FaultPlan plan;
+  plan.seed = 152;
+  plan.delay_rate = 0.9;
+  plan.delay_us = 200;
+  plan.segv_rate = 0.01;
+  const std::set<std::uint64_t> expected =
+      ExpectedProcessFaultItems(plan, rows);
+  ASSERT_EQ(expected.size(), 1u) << "pick another seed";
+  ASSERT_LT(*expected.begin(), rows / 8) << "pick another seed";
+
+  dist::DistOptions d = FastDist(1);
+  d.shard_size = 1;
+  d.faults_spec = plan.ToSpec();
+  std::vector<std::uint64_t> arrived;
+  std::vector<std::size_t> arrived_at_quarantine;
+  std::vector<std::uint64_t> quarantined;
+  dist::SupervisorCallbacks callbacks;
+  callbacks.on_item = [&](std::uint64_t item, std::string_view) {
+    arrived.push_back(item);
+    return true;
+  };
+  callbacks.on_quarantine = [&](const FailureRecord& record) {
+    quarantined.push_back(record.item);
+    arrived_at_quarantine.push_back(arrived.size());
+  };
+  dist::RunSupervised(spec, d, callbacks);
+
+  EXPECT_EQ(arrived.size(), rows - 1);
+  ASSERT_EQ(quarantined, std::vector<std::uint64_t>(expected.begin(),
+                                                    expected.end()));
+  EXPECT_LT(arrived_at_quarantine.front(), rows / 2);
+}
+
+TEST(DistSupervisor, SlowShardsAreNotQueuedBehindABusyWorker) {
+  // Every row before the first injected death sleeps 2 ms, so shards take
+  // longer than a worker's flush interval and the worker is only ever
+  // given the shard it works on, as a sweep of audit pairs is. Its
+  // post-mortem shows no dispatch past the shard it died on.
+  const Study study = Study::FromJson(WideStudySpec());
+  testing::FaultPlan plan;
+  plan.seed = 2;
+  plan.delay_rate = 0.9;
+  plan.delay_us = 2000;
+  plan.segv_rate = 0.1;
+  testing::FaultInjector injector;
+  injector.Configure(plan);
+  std::uint64_t first_death = 0;
+  while (injector.Decide(first_death) == testing::FaultAction::kDelay) {
+    ++first_death;
+  }
+  ASSERT_EQ(injector.Decide(first_death), testing::FaultAction::kSegv)
+      << "pick another seed";
+  ASSERT_GE(first_death, 4u) << "pick another seed";
+
+  const std::string log_dir = ::testing::TempDir() + "calculon_slow_shards";
+  std::filesystem::remove_all(log_dir);
+  RunContext ctx;
+  ctx.set_failure_budget(1);  // stop at the first quarantine
+  StudyRunOptions options;
+  options.ctx = &ctx;
+  dist::DistOptions d = FastDist(1);
+  d.shard_size = 1;
+  d.max_attempts = 1;
+  d.faults_spec = plan.ToSpec();
+  d.worker_log_dir = log_dir;
+  (void)dist::RunStudySupervised(study, options, d);
+
+  // The first post-mortem is the first death's: the fresh shard.
+  const json::Value doc = json::ParseFile(log_dir + "/flight-000-worker0.json");
+  EXPECT_EQ(doc.at("shard").at("begin").AsInt(),
+            static_cast<std::int64_t>(first_death));
+  std::int64_t last_dispatched = -1;
+  for (const json::Value& e : doc.at("events").AsArray()) {
+    if (e.at("label").AsString() == "shard_begin") {
+      last_dispatched = e.at("item").AsInt();
+    }
+  }
+  EXPECT_EQ(last_dispatched, static_cast<std::int64_t>(first_death));
+  std::filesystem::remove_all(log_dir);
 }
 
 TEST(DistSupervisor, SupervisedAuditCountsEveryCompletedPair) {
