@@ -117,8 +117,9 @@ if ! cmp -s "$WORK/faulted.csv" "$WORK/exact.csv"; then
 fi
 
 echo "== shards queued behind a dying worker's come back uncharged"
-# 32 shards of 2 across 3 workers: the supervisor queues up to 8 shards at
-# each worker, and a worker a fault kills holds some it never started.
+# 32 shards of 2 across 3 workers: study rows are cheap, so the supervisor
+# queues up to 8 shards at each worker once it has seen a few finish, and
+# a worker a fault kills holds some it never started.
 # They are re-dispatched as they were, blaming nobody, so the CSV is
 # byte-identical to the one-item-per-shard run's.
 run_faulted "$WORK/queued.csv" "$WORK/queued.log" 2 || exit 1

@@ -321,7 +321,9 @@ TEST(DistSupervisor, WorkersThatCannotStartHitTheStartupCap) {
   // Each worker parses the fault spec of its init frame and dies on one it
   // rejects, before it is ready. The supervisor gives up after a bounded
   // number of such deaths instead of respawning forever.
-  const std::string log_dir = ::testing::TempDir() + "calculon_startup_cap";
+  const std::string log_dir = ::testing::TempDir() + "calculon_startup_cap_" +
+                              std::to_string(::getpid());
+  std::filesystem::create_directories(log_dir);
   dist::DistOptions options = FastDist(2);
   options.faults_spec = "bogus=1";
   options.worker_log_dir = log_dir;  // keeps their stderr out of the test's
@@ -1053,8 +1055,10 @@ TEST(DistSupervisor, SlowShardsAreNotQueuedBehindABusyWorker) {
       << "pick another seed";
   ASSERT_GE(first_death, 4u) << "pick another seed";
 
-  const std::string log_dir = ::testing::TempDir() + "calculon_slow_shards";
+  const std::string log_dir = ::testing::TempDir() + "calculon_slow_shards_" +
+                              std::to_string(::getpid());
   std::filesystem::remove_all(log_dir);
+  std::filesystem::create_directories(log_dir);
   RunContext ctx;
   ctx.set_failure_budget(1);  // stop at the first quarantine
   StudyRunOptions options;
