@@ -214,10 +214,22 @@ PartitionKey PartitionKey::Of(const Execution& exec) {
   return {BlockKey::Of(exec), exec.data_par, exec.optimizer_sharding};
 }
 
+BlockKey BlockKey::LayersOf(const Execution& exec) {
+  BlockKey key = Of(exec);
+  key.pipeline_par = 0;
+  return key;
+}
+
 BlockCosts EvaluateBlock(const Application& app, const Execution& exec,
                          const Processor& proc, const Placement& placement) {
+  BlockCosts c = EvaluateBlockLayers(app, exec, proc, *placement.tp_net);
+  c.pp_xfer = PpTransfer(exec, c, *placement.pp_net);
+  return c;
+}
+
+BlockCosts EvaluateBlockLayers(const Application& app, const Execution& exec,
+                               const Processor& proc, const Network& tp_net) {
   const BlockModel block = BuildBlock(app, exec);
-  const Network& tp_net = *placement.tp_net;
   const std::int64_t t = exec.tensor_par;
   BlockCosts c;
 
@@ -291,11 +303,13 @@ BlockCosts EvaluateBlock(const Application& app, const Execution& exec,
   c.params = block.WeightParams();
   c.pp_output = block.pp_output_bytes;
   c.act_grad_working = block.act_grad_working_bytes;
-  if (exec.pipeline_par > 1) {
-    c.pp_xfer = placement.pp_net->CollectiveTime(Collective::kPointToPoint, 2,
-                                                 c.pp_output);
-  }
   return c;
+}
+
+Seconds PpTransfer(const Execution& exec, const BlockCosts& layers,
+                   const Network& pp_net) {
+  if (exec.pipeline_par <= 1) return Seconds(0.0);
+  return pp_net.CollectiveTime(Collective::kPointToPoint, 2, layers.pp_output);
 }
 
 Result<MemoryBreakdown> CheckCapacity(const Application& app,

@@ -7,7 +7,10 @@
 //      network placement (PlaceNetworks);
 //   2. EvaluateBlock, the block stage: one block's compute and TP
 //      communication times, its PP boundary transfer, and its byte and
-//      parameter aggregates;
+//      parameter aggregates. Everything in it but the PP transfer is
+//      independent of pipeline_par (EvaluateBlockLayers), so a search
+//      computes that half once per BlockKey::LayersOf and adds the
+//      transfer (PpTransfer) per (t, p, d) triple;
 //   3. CheckCapacity, the capacity stage: tier-1 memory when nothing is
 //      offloaded (no tier-1 term then depends on time), else that a
 //      tier-2 memory exists;
@@ -113,16 +116,37 @@ struct BlockKey {
   bool pp_rs_ag = false;
 
   [[nodiscard]] static BlockKey Of(const Execution& exec);
+  // Of(exec) with pipeline_par cleared: the fields EvaluateBlockLayers
+  // reads, equal for every p of one (t, microbatch, option) point.
+  [[nodiscard]] static BlockKey LayersOf(const Execution& exec);
   auto operator<=>(const BlockKey&) const = default;
 };
 
-// Stage 2, the block stage. Reads only the fields BlockKey holds, so one
-// result serves every candidate of a (t, p, d) triple that shares them.
-// `placement` is the placement of `exec`.
+// Stage 2, the block stage: EvaluateBlockLayers on the TP network, plus
+// PpTransfer on the PP network. Reads only the fields BlockKey holds, so
+// one result serves every candidate of a (t, p, d) triple that shares
+// them. `placement` is the placement of `exec`.
 [[nodiscard]] BlockCosts EvaluateBlock(const Application& app,
                                        const Execution& exec,
                                        const Processor& proc,
                                        const Placement& placement);
+
+// The block stage's p-independent half: everything EvaluateBlock computes
+// but pp_xfer, which it leaves zero (BuildBlock, the layers' compute
+// times, the TP collectives, the RS + AG around a PP send, the vocabulary
+// work and the aggregates). Reads only the fields BlockKey::LayersOf
+// holds, `proc` and `tp_net`, the network NetworkForSpan(tensor_par).
+[[nodiscard]] BlockCosts EvaluateBlockLayers(const Application& app,
+                                             const Execution& exec,
+                                             const Processor& proc,
+                                             const Network& tp_net);
+
+// The block stage's other half, BlockCosts::pp_xfer: the point-to-point
+// transfer of `layers.pp_output` on the PP network `pp_net` when
+// pipeline_par > 1, else zero.
+[[nodiscard]] Seconds PpTransfer(const Execution& exec,
+                                 const BlockCosts& layers,
+                                 const Network& pp_net);
 
 // Stage 3, the capacity stage, on a block stage of `exec`. Without offload
 // it returns the tier-1 breakdown, or kMemoryCapacity when it exceeds the

@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/perf_model.h"
 #include "json/json.h"
 #include "obs/trace.h"
 #include "util/threadpool.h"
@@ -135,11 +136,14 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
   cfg["keep_all_rates"] = config.keep_all_rates;
   cfg["keep_pareto"] = config.keep_pareto;
   spec["config"] = cfg;
+  // The shipped entries' Stats, re-evaluated in this one thread through
+  // one table for the whole search.
+  StageTable stages(app, sys);
   // A stopped search keeps every triple that was swept, as in-process.
   RunInItemOrder<TripleSweep>(
       spec, 0, dist, search.ctx(), /*past_gaps=*/true,
       [&](std::string_view line) {
-        return TripleSweepFromJson(json::Parse(line), app, sys);
+        return TripleSweepFromJson(json::Parse(line), stages);
       },
       [&](TripleSweep sweep) { search.Commit(std::move(sweep)); },
       [&](FailureRecord record) { search.Quarantine(std::move(record)); });

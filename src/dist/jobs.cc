@@ -35,12 +35,11 @@ json::Value ExecutionsToJson(const std::vector<SearchEntry>& entries) {
 
 // Re-evaluates shipped executions, in order, into search entries.
 std::vector<SearchEntry> EntriesFromJson(const json::Value& v,
-                                         const Application& app,
-                                         const System& sys) {
+                                         StageTable& stages) {
   std::vector<SearchEntry> entries;
   for (const json::Value& exec_json : v.AsArray()) {
     Execution exec = Execution::FromJson(exec_json);
-    Result<Stats> stats = CalculatePerformance(app, exec, sys);
+    Result<Stats> stats = stages.Evaluate(exec);
     if (!stats.ok()) continue;  // cannot happen for a shipped candidate
     entries.push_back({std::move(exec), std::move(stats).value()});
   }
@@ -259,13 +258,12 @@ StudyRowResult StudyRowFromLine(std::string_view line) {
   return row;
 }
 
-TripleSweep TripleSweepFromJson(const json::Value& v, const Application& app,
-                                const System& sys) {
+TripleSweep TripleSweepFromJson(const json::Value& v, StageTable& stages) {
   TripleSweep sweep;
   sweep.evaluated = json::CountIn(v.at("evaluated").AsInt(), "evaluated");
   sweep.feasible = json::CountIn(v.at("feasible").AsInt(), "feasible");
-  sweep.best = EntriesFromJson(v.at("best"), app, sys);
-  sweep.pareto = EntriesFromJson(v.at("pareto"), app, sys);
+  sweep.best = EntriesFromJson(v.at("best"), stages);
+  sweep.pareto = EntriesFromJson(v.at("pareto"), stages);
   for (const json::Value& rate : v.at("rates").AsArray()) {
     sweep.rates.emplace_back(rate.AsDouble());
   }

@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/perf_model.h"
 #include "hw/system.h"
 #include "json/json.h"
 #include "models/application.h"
@@ -76,11 +77,13 @@ struct AuditPairSpec {
 [[nodiscard]] StudyRowResult StudyRowFromLine(std::string_view line);
 
 // An "exec_search" item result. The worker ships executions only; their
-// Stats are recomputed here by deterministic re-evaluation on (app, sys),
-// which is exact and keeps the frames small.
+// Stats are recomputed here by deterministic re-evaluation through
+// `stages` (StageTable::Evaluate equals CalculatePerformance bit for bit),
+// which is exact and keeps the frames small. One table per search serves
+// every triple's entries, which share most of their block and partition
+// stages.
 [[nodiscard]] TripleSweep TripleSweepFromJson(const json::Value& v,
-                                              const Application& app,
-                                              const System& sys);
+                                              StageTable& stages);
 
 // The isolated failures of an "exec_search" or "audit" item result.
 [[nodiscard]] std::vector<FailureRecord> FailuresFromJson(

@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -240,11 +241,8 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
   if (slot.event_count == 0) return "";
   std::string dir = pool.options.worker_log_dir;
   try {
-    if (dir.empty()) {
-      dir = std::filesystem::temp_directory_path().string();
-    } else {
-      std::filesystem::create_directories(dir);
-    }
+    // RunSupervised made worker_log_dir before the first fork.
+    if (dir.empty()) dir = std::filesystem::temp_directory_path().string();
     const std::string path =
         StrFormat("%s/flight-%03d-worker%d.json", dir.c_str(),
                   pool.flight_dump_seq++, static_cast<int>(index));
@@ -676,6 +674,17 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
 
   // Built once, before the first fork: every worker runs its own copy.
   const std::unique_ptr<Job> job = MakeJob(job_spec);
+  // Also before the first fork: each worker opens its log in this
+  // directory, and could not create it after the fork.
+  if (!options.worker_log_dir.empty()) {
+    std::error_code error;
+    std::filesystem::create_directories(options.worker_log_dir, error);
+    if (error) {
+      throw ConfigError(StrFormat(
+          "dist supervisor: cannot create the worker log directory '%s': %s",
+          options.worker_log_dir.c_str(), error.message().c_str()));
+    }
+  }
   const std::uint64_t num_items = job->num_items();
   ShardTrackerOptions tracker_options;
   tracker_options.num_items = num_items;

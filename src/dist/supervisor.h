@@ -84,7 +84,9 @@ struct DistOptions {
   double hang_timeout_s = 30.0;
   // When non-empty, each worker's stderr goes to
   // <dir>/worker-<n>.log (appended across restarts), and post-mortems are
-  // dumped there for every busy worker death.
+  // dumped there for every busy worker death. RunSupervised creates the
+  // directory before it forks, and a directory it cannot create is a
+  // ConfigError.
   std::string worker_log_dir;
   // FaultPlan spec shipped to workers verbatim (see FaultPlan::ToSpec);
   // the supervised engines inject inside the worker, never in the parent.
@@ -110,14 +112,15 @@ struct SupervisorCallbacks {
 };
 
 // Builds the job `job_spec` describes (MakeJob, dist/jobs.h; a spec it
-// rejects throws its ConfigError here, before any fork) and runs its items
-// [first_item, job's item count) across a supervised worker pool; items
-// below `first_item` (a checkpoint-resume watermark) count as already
-// resolved. Blocks until every item is resolved, `ctx` (optional
-// cooperative stop: cancellation / deadline / failure budget, polled every
-// loop iteration; in-flight shards are abandoned) stops the run, or worker
-// startup fails repeatedly (ConfigError — workers that die before they
-// are ready).
+// rejects throws its ConfigError here, before any fork), creates
+// options.worker_log_dir (a ConfigError, also before any fork, when it
+// cannot) and runs the job's items [first_item, job's item count) across
+// a supervised worker pool; items below `first_item` (a checkpoint-resume
+// watermark) count as already resolved. Blocks until every item is
+// resolved, `ctx` (optional cooperative stop: cancellation / deadline /
+// failure budget, polled every loop iteration; in-flight shards are
+// abandoned) stops the run, or worker startup fails repeatedly
+// (ConfigError — workers that die before they are ready).
 void RunSupervised(const json::Value& job_spec, const DistOptions& options,
                    const SupervisorCallbacks& callbacks,
                    std::uint64_t first_item = 0, RunContext* ctx = nullptr);

@@ -312,15 +312,6 @@ void TraceRecorder::WriteFile(const std::string& path) const {
   json::WriteFile(path, ToJson());
 }
 
-TraceSpan::TraceSpan(const char* category, std::string name)
-    : category_(category), name_(std::move(name)) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  if (recorder.enabled()) {
-    active_ = true;
-    start_us_ = recorder.NowMicros();
-  }
-}
-
 TraceSpan::~TraceSpan() {
   if (!active_) return;
   TraceRecorder& recorder = TraceRecorder::Global();

@@ -189,12 +189,18 @@ class TraceRecorder {
 };
 
 // RAII span: records one complete event on the global recorder covering the
-// scope's lifetime. Costs one relaxed load when recording is off.
+// scope's lifetime. Costs one relaxed load when recording is off: `name`,
+// a callable returning the label, is called only when recording is on.
 class TraceSpan {
  public:
-  TraceSpan(const char* category, const char* name)
-      : TraceSpan(category, std::string(name)) {}
-  TraceSpan(const char* category, std::string name);
+  template <typename NameFn>
+  TraceSpan(const char* category, NameFn&& name) : category_(category) {
+    TraceRecorder& recorder = TraceRecorder::Global();
+    if (!recorder.enabled()) return;
+    name_ = name();
+    active_ = true;
+    start_us_ = recorder.NowMicros();
+  }
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -210,7 +216,8 @@ class TraceSpan {
 
 // Compile-out-able convenience macros (mirroring CALC_DCHECK): under
 // CALCULON_NO_OBS they expand to nothing, so instrumented hot paths carry
-// no code at all.
+// no code at all. CALC_TRACE_SPAN evaluates its `name` expression only
+// while the recorder is on, so a formatted label costs nothing otherwise.
 #ifdef CALCULON_NO_OBS
 #define CALC_TRACE_SPAN(category, name) \
   do {                                  \
@@ -226,7 +233,8 @@ class TraceSpan {
 #define CALC_TRACE_CONCAT(a, b) CALC_TRACE_CONCAT_(a, b)
 #define CALC_TRACE_SPAN(category, name)                    \
   ::calculon::obs::TraceSpan CALC_TRACE_CONCAT(            \
-      calc_trace_span_, __COUNTER__)((category), (name))
+      calc_trace_span_, __COUNTER__)(                      \
+      (category), [&]() -> std::string { return (name); })
 #define CALC_TRACE_INSTANT(category, name)                              \
   do {                                                                  \
     ::calculon::obs::TraceRecorder& calc_trace_rec_ =                   \

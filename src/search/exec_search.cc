@@ -163,6 +163,43 @@ bool Better(const Stats& a, const Stats& b) {
   return a.tier1.Total() < b.tier1.Total();
 }
 
+// The stripe of `key`: Fibonacci hashing of its fields, whose top bits
+// depend on all of them.
+std::size_t StripeOf(const BlockKey& key, std::size_t stripes) {
+  std::uint64_t h = static_cast<std::uint64_t>(key.tensor_par);
+  h = h * 1'000'003u + static_cast<std::uint64_t>(key.microbatch);
+  h = h * 64u + (static_cast<std::uint64_t>(key.tp_rs_ag) |
+                 static_cast<std::uint64_t>(key.seq_par) << 1 |
+                 static_cast<std::uint64_t>(key.seq_par_ag_redo) << 2 |
+                 static_cast<std::uint64_t>(key.fused_activation) << 3 |
+                 static_cast<std::uint64_t>(key.pp_rs_ag) << 4 |
+                 static_cast<std::uint64_t>(key.training) << 5);
+  return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15u) >> 32) % stripes;
+}
+
+// MutexLock for a stripe, which is held only for one map lookup or insert:
+// a thread that finds it held retries TryLock up to kSpins times before it
+// sleeps in Lock. Threads sweeping triples of one t meet the same keys at
+// the same moments, and at 4 threads a plain MutexLock doubled the
+// search's voluntary context switches.
+class CALC_SCOPED_CAPABILITY StripeLock {
+ public:
+  explicit StripeLock(Mutex& mutex) CALC_ACQUIRE(mutex) : mutex_(mutex) {
+    for (int spin = 0; spin < kSpins; ++spin) {
+      if (mutex_.TryLock()) return;
+    }
+    mutex_.Lock();
+  }
+  ~StripeLock() CALC_RELEASE() { mutex_.Unlock(); }
+
+  StripeLock(const StripeLock&) = delete;
+  StripeLock& operator=(const StripeLock&) = delete;
+
+ private:
+  static constexpr int kSpins = 128;
+  Mutex& mutex_;
+};
+
 }  // namespace
 
 void InsertTopK(std::vector<SearchEntry>& best, int top_k, Execution exec,
@@ -178,6 +215,22 @@ void InsertTopK(std::vector<SearchEntry>& best, int top_k, Execution exec,
                               });
   best.insert(pos, std::move(entry));
   if (static_cast<int>(best.size()) > top_k) best.pop_back();
+}
+
+BlockCosts BlockLayerTable::Get(const Application& app, const Execution& exec,
+                                const Processor& proc, const Network& tp_net) {
+  const BlockKey key = BlockKey::LayersOf(exec);
+  Stripe& stripe = stripes_[StripeOf(key, kStripes)];
+  {
+    StripeLock lock(stripe.mutex);
+    if (auto it = stripe.layers.find(key); it != stripe.layers.end()) {
+      return it->second;
+    }
+  }
+  const BlockCosts layers = EvaluateBlockLayers(app, exec, proc, tp_net);
+  StripeLock lock(stripe.mutex);
+  stripe.layers.emplace(key, layers);
+  return layers;
 }
 
 namespace {
@@ -219,8 +272,10 @@ struct StageCalls {
 
 // The stage results a candidate shares with its neighbours in the loop
 // nest (SweepTripleInto says which). A slot left empty is filled by the
-// first candidate that reaches its stage.
+// first candidate that reaches its stage; a block slot takes its layer
+// half from `layers`, which every triple of the search shares.
 struct SharedStages {
+  BlockLayerTable& layers;
   const Result<Placement>& placement;
   const Result<std::monostate>& partition_checks;
   std::optional<BlockCosts>& block;
@@ -250,7 +305,11 @@ struct SharedStages {
   const Placement& placement = shared.placement.value();
   ModelPhases phases;
   if (!shared.block.has_value()) {
-    shared.block = EvaluateBlock(app, e, sys.proc(), placement);
+    // EvaluateBlock, with its p-independent half looked up once per slot.
+    BlockCosts block =
+        shared.layers.Get(app, e, sys.proc(), *placement.tp_net);
+    block.pp_xfer = PpTransfer(e, block, *placement.pp_net);
+    shared.block = block;
     ++calls.block;
     phases.End("block");
   }
@@ -352,7 +411,10 @@ void AppendFailure(std::vector<FailureRecord>& failures, std::uint64_t key,
 //     TP-comm variant); when they fail, every candidate below shares the
 //     reason;
 //   * the block stage, once per (microbatch, TP-comm variant, fused,
-//     pp_rs_ag), and the partition stage once per block and sharding;
+//     pp_rs_ag) slot, and the partition stage once per block and
+//     sharding. A slot's p-independent half comes from `layers`, the
+//     search's table, which computes it once per distinct key for all
+//     the search's triples; only the PP transfer is the slot's own;
 //   * the tier-1 verdict of a candidate without offload, once per
 //     (microbatch, interleaving, recompute, TP-comm variant, fused,
 //     sharding, 1F1B, pp_rs_ag, offload) point, by its first overlap
@@ -372,6 +434,7 @@ void AppendFailure(std::vector<FailureRecord>& failures, std::uint64_t key,
 void SweepTripleInto(const Application& app, const System& sys,
                      const SearchSpace& space, const SearchConfig& config,
                      Triple tr, std::uint64_t idx,
+                     BlockLayerTable& layers,
                      obs::HistogramSnapshot* latency, TripleSweep& out,
                      ParetoFront& pareto, StageCalls& calls) {
   RunContext* const ctx = config.ctx;
@@ -486,7 +549,7 @@ void SweepTripleInto(const Application& app, const System& sys,
                         e.activation_offload = offload[oi].activations;
                         e.optimizer_offload = offload[oi].optimizer;
                         const SharedStages shared{
-                            placement, partition_checks[ti],
+                            layers, placement, partition_checks[ti],
                             blocks[block_at],
                             partitions[block_at * sn + si],
                             e.any_offload() ? nullptr
@@ -585,7 +648,7 @@ TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
   obs::HistogramSnapshot latency;
   if (timed) latency = obs::HistogramSnapshot::WithLayout(latency_bounds_);
   StageCalls calls;
-  SweepTripleInto(app_, sys_, space_, config_, tr, index,
+  SweepTripleInto(app_, sys_, space_, config_, tr, index, layers_,
                   timed ? &latency : nullptr, out, pareto, calls);
   if (timed) {
     obs::MetricsRegistry::Global().MergeHistogram(

@@ -7,14 +7,18 @@
 // of millions of configurations complete in minutes on a desktop.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <vector>
 
 #include "core/perf_model.h"
 #include "json/json.h"
 #include "util/mathutil.h"
+#include "util/sync.h"
+#include "util/thread_annotations.h"
 #include "util/threadpool.h"
 #include "util/run_context.h"
 
@@ -158,6 +162,33 @@ struct TripleSweep {
   std::vector<FailureRecord> failures;
 };
 
+// The block stage's p-independent half (EvaluateBlockLayers) on one
+// system, by BlockKey::LayersOf: filled lazily, and shared by every sweep
+// of one search, pool threads included, so a search computes each half
+// once per distinct key and process, where its (t, p, d) triples would
+// each compute it again. Keys spread over kStripes stripes, each a lock
+// over a map, and a lookup holds its stripe's lock only to find or to
+// insert (a thread that finds it held spins briefly before it sleeps): a
+// miss computes outside any lock and the first insert wins. So no thread
+// waits while another computes, two threads that miss on one key at once
+// both compute it (to equal bits), and a computation that throws stores
+// nothing.
+class BlockLayerTable {
+ public:
+  // The layer half of `exec` on `proc` and `tp_net`, the network
+  // NetworkForSpan(exec.tensor_par) of the table's one system.
+  [[nodiscard]] BlockCosts Get(const Application& app, const Execution& exec,
+                               const Processor& proc, const Network& tp_net);
+
+ private:
+  static constexpr std::size_t kStripes = 16;
+  struct Stripe {
+    Mutex mutex;
+    std::map<BlockKey, BlockCosts> layers CALC_GUARDED_BY(mutex);
+  };
+  std::array<Stripe, kStripes> stripes_;
+};
+
 // One execution search, split into the halves every execution path
 // shares: the per-triple evaluator (Sweep) and the commit
 // (Commit/Quarantine/Finish). FindOptimalExecution feeds the commit from a
@@ -191,7 +222,10 @@ class ExecSearch {
   // exec_search.eval_latency_us samples. With config.ctx, polls it for a
   // stop and isolates hard failures (exceptions, kBadConfig Results,
   // injected faults) into the result; without, exceptions propagate.
-  // Safe to call concurrently.
+  // Safe to call concurrently. Each block slot of the sweep looks its
+  // layer half up in the search's BlockLayerTable and adds its own PP
+  // transfer, so the result is the one a fresh search gives, whichever
+  // sweeps ran before or run beside it.
   [[nodiscard]] TripleSweep Sweep(std::uint64_t index) const;
 
   // Folds one triple's sweep into the result, replays its failures onto
@@ -216,6 +250,10 @@ class ExecSearch {
   const std::vector<double> latency_bounds_;
   RunContext local_ctx_;
   RunContext* const ctx_;
+  // Sweep's only shared state: a cache, so a const Sweep may fill it. A
+  // supervised search is built in the parent, which never sweeps, so each
+  // worker fills its own copy from empty.
+  mutable BlockLayerTable layers_;
   // Until Finish(), result_.pareto holds every committed triple's front in
   // commit order; reducing them in that order equals merging as they came.
   SearchResult result_;

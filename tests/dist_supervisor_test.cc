@@ -14,9 +14,11 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -339,6 +341,62 @@ TEST(DistSupervisor, WorkersThatCannotStartHitTheStartupCap) {
       << what;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   std::filesystem::remove_all(log_dir);
+}
+
+TEST(DistSupervisor, WorkerLogsGoToADirectoryTheSupervisorCreates) {
+  // The log directory does not exist yet. The supervisor makes it before
+  // the first fork, so the stderr of workers that cannot start lands in
+  // their logs.
+  const std::string root = ::testing::TempDir() + "calculon_new_logs_" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  const std::string log_dir = root + "/nested/logs";
+  dist::DistOptions options = FastDist(2);
+  options.faults_spec = "bogus=1";
+  options.worker_log_dir = log_dir;
+  EXPECT_THROW(dist::RunSupervised(StudyJobSpec(Study::FromJson(
+                                       SmallStudySpec())),
+                                   options, dist::SupervisorCallbacks{}),
+               ConfigError);
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  std::ifstream log(log_dir + "/worker-0.log");
+  std::stringstream text;
+  text << log.rdbuf();
+  EXPECT_NE(text.str().find("fault spec: unknown key 'bogus'"),
+            std::string::npos)
+      << "worker-0.log: '" << text.str() << "'";
+  std::filesystem::remove_all(root);
+}
+
+TEST(DistSupervisor, AWorkerLogDirectoryThatCannotBeMadeFailsBeforeAnyFork) {
+  // A path under a regular file: no directory can be made there.
+  const std::string file = ::testing::TempDir() + "calculon_log_file_" +
+                           std::to_string(::getpid());
+  std::ofstream(file) << "not a directory\n";
+  const std::string log_dir = file + "/logs";
+  dist::DistOptions options = FastDist(2);
+  options.worker_log_dir = log_dir;
+  std::uint64_t items = 0;
+  dist::SupervisorCallbacks callbacks;
+  callbacks.on_item = [&](std::uint64_t, std::string_view) {
+    ++items;
+    return true;
+  };
+  std::string what = "no ConfigError";
+  try {
+    dist::RunSupervised(StudyJobSpec(Study::FromJson(SmallStudySpec())),
+                        options, callbacks);
+  } catch (const ConfigError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("cannot create the worker log directory '" + log_dir +
+                      "'"),
+            std::string::npos)
+      << what;
+  // No worker ran: any forked worker would have sent rows.
+  EXPECT_EQ(items, 0u);
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  std::filesystem::remove(file);
 }
 
 TEST(DistSupervisor, SupervisedEvalMetricsMatchInProcessExactly) {

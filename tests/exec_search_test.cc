@@ -2,9 +2,13 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "hw/presets.h"
+#include "json/json.h"
 #include "models/presets.h"
 #include "obs/metrics.h"
 #include "search/exec_search.h"
@@ -256,6 +260,89 @@ TEST(ExecSearch, Fig6SweepCountsEveryStageCallExactly) {
   };
   EXPECT_EQ(Fig6StageCalls(1), expected);
   EXPECT_EQ(Fig6StageCalls(4), expected);
+}
+
+// A triple's sweep as text; doubles print as %.17g, so equal texts mean
+// equal bit patterns.
+std::string SweepText(const TripleSweep& sweep) {
+  json::Value v;
+  v["evaluated"] = static_cast<std::int64_t>(sweep.evaluated);
+  v["feasible"] = static_cast<std::int64_t>(sweep.feasible);
+  json::Array rejected;
+  for (std::uint64_t n : sweep.rejected) {
+    rejected.emplace_back(static_cast<std::int64_t>(n));
+  }
+  v["rejected"] = json::Value(std::move(rejected));
+  for (const auto& [name, entries] :
+       {std::pair{"best", &sweep.best}, std::pair{"pareto", &sweep.pareto}}) {
+    json::Array list;
+    for (const SearchEntry& e : *entries) {
+      list.push_back(e.exec.ToJson());
+      list.push_back(e.stats.ToJson());
+    }
+    v[name] = json::Value(std::move(list));
+  }
+  json::Array rates;
+  for (PerSecond rate : sweep.rates) rates.emplace_back(rate.raw());
+  v["rates"] = json::Value(std::move(rates));
+  v["failures"] = static_cast<std::int64_t>(sweep.failures.size());
+  return v.Dump();
+}
+
+// One search of GPT-3 175B on 4,096 H100 over the trimmed Fig. 6 space,
+// with every collector on, sweeps each triple through its one layer table
+// on a pool of `threads`; each triple must get exactly the sweep
+// SweepTriple gives it, with a table of its own. On 1 thread the triples
+// go in reverse index order, so earlier triples find what later ones
+// computed; on more, the table fills concurrently, and each sweep is kept
+// by index, so no commit order enters the comparison.
+void ExpectEachTripleGetsItsFreshSweep(unsigned threads) {
+  presets::SystemOptions o;
+  o.num_procs = 4096;
+  const Application app = presets::Gpt3_175B();
+  const System sys = presets::H100(o);
+  SearchSpace space = SearchSpace::AllOptimizations();
+  space.tp_overlap = {TpOverlap::kNone, TpOverlap::kRing};
+  space.pp_rs_ag = {false};
+  RunContext ctx;
+  SearchConfig config;
+  config.batch_size = 4096;
+  config.top_k = 20;
+  config.keep_all_rates = true;
+  config.keep_pareto = true;
+  config.ctx = &ctx;
+  const ExecSearch search(app, sys, space, config);
+  const std::size_t n = search.triples().size();
+
+  // The triples repeat t across p, so they share layer keys.
+  std::map<std::int64_t, std::set<std::int64_t>> ps_of_t;
+  for (const Triple& tr : search.triples()) ps_of_t[tr.t].insert(tr.p);
+  std::size_t ts_with_several_p = 0;
+  for (const auto& [t, ps] : ps_of_t) ts_with_several_p += ps.size() > 1;
+  EXPECT_GT(ts_with_several_p, 1u);
+
+  std::vector<std::string> shared(n);
+  if (threads == 1) {
+    for (std::size_t i = n; i-- > 0;) shared[i] = SweepText(search.Sweep(i));
+  } else {
+    ThreadPool pool(threads);
+    pool.ParallelFor(n, [&](std::uint64_t i) {
+      shared[i] = SweepText(search.Sweep(i));
+    });
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(shared[i], SweepText(SweepTriple(app, sys, space, config, i)))
+        << "triple " << i;
+  }
+}
+
+TEST(ExecSearch, SharedLayerTableGivesEachTripleItsFreshSweep) {
+  ExpectEachTripleGetsItsFreshSweep(1);
+}
+
+TEST(ExecSearch,
+     SharedLayerTableFilledByFourThreadsGivesEachTripleItsFreshSweep) {
+  ExpectEachTripleGetsItsFreshSweep(4);
 }
 
 }  // namespace

@@ -208,5 +208,30 @@ TEST(TraceRecorder, GlobalMacrosRecordOnlyWhileEnabled) {
   EXPECT_FALSE(names.count("after-stop"));
 }
 
+TEST(TraceRecorder, SpanNamesAreBuiltOnlyWhileEnabled) {
+  // A span's label may be formatted per item; with the recorder off the
+  // expression must not run at all.
+  TraceRecorder& global = TraceRecorder::Global();
+  int built = 0;
+  auto label = [&built] {
+    ++built;
+    return "lazy." + std::to_string(built);
+  };
+  { CALC_TRACE_SPAN("test", label()); }
+  EXPECT_EQ(built, 0);
+  global.Start();
+  { CALC_TRACE_SPAN("test", label()); }
+  global.Stop();
+  EXPECT_EQ(built, 1);
+  { CALC_TRACE_SPAN("test", label()); }
+  EXPECT_EQ(built, 1);
+
+  std::set<std::string> names;
+  for (const json::Value& e : RealEvents(global)) {
+    names.insert(e.at("name").AsString());
+  }
+  EXPECT_EQ(names, std::set<std::string>{"lazy.1"});
+}
+
 }  // namespace
 }  // namespace calculon::obs

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/block.h"
 #include "core/perf_model.h"
 #include "hw/presets.h"
@@ -309,6 +315,80 @@ TEST(PerfModel, UnevenBlocksCostMoreThanEvenSplit) {
 // Property sweep: every (t, p, d) split of 512 GPUs that passes validation
 // must produce a consistent Stats (positive time, breakdown summing, memory
 // components non-negative).
+// Every field of a block stage as its bit pattern.
+std::vector<std::uint64_t> BlockBits(const BlockCosts& c) {
+  std::vector<std::uint64_t> bits;
+  for (const Seconds t : {c.fw, c.bw, c.attn_recompute, c.tp_fw, c.tp_bw,
+                          c.tp_bw_extra, c.pp_rs_ag, c.pp_xfer, c.vocab}) {
+    bits.push_back(std::bit_cast<std::uint64_t>(t.raw()));
+  }
+  for (const Bytes b : {c.weights, c.weight_grads, c.optimizer,
+                        c.act_stored_none, c.act_stored_attn,
+                        c.act_stored_full, c.pp_output, c.act_grad_working}) {
+    bits.push_back(std::bit_cast<std::uint64_t>(b.raw()));
+  }
+  for (const double x : {c.vocab_params, c.params}) {
+    bits.push_back(std::bit_cast<std::uint64_t>(x));
+  }
+  return bits;
+}
+
+// A search computes the block stage's p-independent half once for every p
+// of a (t, microbatch, option) point and adds each triple's PP transfer,
+// so two things must hold bit for bit: the half does not change with p,
+// and the half plus the transfer is EvaluateBlock.
+TEST(PerfModel, BlockStageIsItsLayerHalfPlusThePpTransfer) {
+  presets::SystemOptions o;
+  o.num_procs = 4096;
+  const std::pair<Application, System> cases[] = {
+      {presets::Gpt3_175B(), presets::H100(o)},
+      {presets::Megatron1T(), presets::A100(o)}};
+  struct Variant {
+    bool tp_rs_ag, seq_par, ag_redo, fused, pp_rs_ag;
+  };
+  // The last two send the RS + AG around each PP transfer.
+  const Variant variants[] = {{false, false, false, false, false},
+                              {true, true, false, false, true},
+                              {true, true, true, true, false},
+                              {true, false, false, true, true},
+                              {false, false, false, false, true}};
+  for (const auto& [app, sys] : cases) {
+    for (const Variant& v : variants) {
+      std::vector<std::uint64_t> layers_at_p1;
+      for (const std::int64_t p : {1, 2, 8, 64}) {
+        Execution e;
+        e.num_procs = 4096;
+        e.tensor_par = 8;
+        e.pipeline_par = p;
+        e.data_par = 4096 / (8 * p);
+        e.batch_size = 4096;
+        e.microbatch = 2;
+        e.tp_rs_ag = v.tp_rs_ag;
+        e.seq_par = v.seq_par;
+        e.seq_par_ag_redo = v.ag_redo;
+        e.fused_activation = v.fused;
+        e.pp_rs_ag = v.pp_rs_ag;
+        SCOPED_TRACE(app.name + " p=" + std::to_string(p) +
+                     " pp_rs_ag=" + std::to_string(v.pp_rs_ag) +
+                     " seq_par=" + std::to_string(v.seq_par));
+        const Result<Placement> placement = PlaceNetworks(e, sys);
+        ASSERT_TRUE(placement.ok());
+        const BlockCosts block =
+            EvaluateBlock(app, e, sys.proc(), placement.value());
+        BlockCosts layers = EvaluateBlockLayers(app, e, sys.proc(),
+                                                *placement.value().tp_net);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(layers.pp_xfer.raw()), 0u);
+        if (p == 1) layers_at_p1 = BlockBits(layers);
+        EXPECT_EQ(BlockBits(layers), layers_at_p1);
+        layers.pp_xfer = PpTransfer(e, layers, *placement.value().pp_net);
+        EXPECT_EQ(BlockBits(layers), BlockBits(block));
+        EXPECT_EQ(block.pp_xfer > Seconds(0.0), p > 1);
+        EXPECT_EQ(block.pp_rs_ag > Seconds(0.0), v.pp_rs_ag && !v.seq_par);
+      }
+    }
+  }
+}
+
 class SplitConsistencyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

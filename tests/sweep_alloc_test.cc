@@ -1,11 +1,13 @@
 // Heap allocations of the execution search. Its per-candidate loop nest
 // (SweepTripleInto) runs once per candidate, hundreds of thousands of
 // times per search, so nothing in it allocates per candidate: every
-// allocation of a sweep comes from a stage that runs once per block stage
-// (BuildBlock's layer vectors) or once per triple (the triple's result,
-// its trace-span label and metric names). This binary replaces the global
-// operator new with a counting one and bounds the allocations of the
-// trimmed Fig. 6 sweep by those two counts.
+// allocation of a sweep comes from a block stage's p-independent half
+// (BuildBlock's layer vectors and the search's table entry), which the
+// search computes once per distinct key for all its triples, or from a
+// triple (the triple's result and metric names; its trace-span label only
+// while tracing). This binary replaces the global operator new with a
+// counting one and bounds the allocations of the trimmed Fig. 6 sweep by
+// its block slots and its triples.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,11 +60,14 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace calculon {
 namespace {
 
-// Allowances. At 1 thread with metrics on, the sweep below makes about
-// 14.4k allocations: 6 per block stage (12.1k of them) and about 56 for
-// each of the 42 triples it sweeps. The bound counts all 91 factor
-// triples of 4,096, culled ones included.
-constexpr std::uint64_t kPerBlockStage = 8;
+// Allowances. At 1 thread with metrics on, the sweep below fills 2,016
+// block slots and makes about 4.9k allocations: about 7 for each of the
+// 414 distinct layer keys it computes (triples of one t share their keys
+// across p) and about 50 for each of the 42 triples it sweeps. The bound,
+// 2 per block slot and 64 for each of all 91 factor triples of 4,096
+// (culled ones included), is 9,856. A sweep that computed the layers of
+// every block slot, 6 allocations each, makes about 14.4k and fails it.
+constexpr std::uint64_t kPerBlockStage = 2;
 constexpr std::uint64_t kPerTriple = 64;
 
 TEST(SweepAllocations, Fig6SweepAllocatesPerBlockStageAndPerTripleOnly) {
