@@ -3,11 +3,16 @@
 // supervised run) and the reaped workers' CPU time (RUSAGE_CHILDREN), each
 // in microseconds per row.
 //
-// Two studies, both GPT-3 175B on 4,096 h100_80g at batch 4,096:
-//   * the 92,160-row study, in process and with 1 and 3 workers at shard
-//     16, each with no checkpoint and with a checkpoint every 4,096 rows;
+// Three studies of GPT-3 175B on 4,096 processors:
+//   * on h100_80g at batch 4,096, the 92,160-row study, in process and
+//     with 1 and 3 workers at shard 16, each with no checkpoint and with a
+//     checkpoint every 4,096 rows;
 //   * its 11,520-row core (no tp_rs_ag, pp_rs_ag or pp_interleaving axis),
-//     in process with no checkpoint and with one every 64 and 4,096 rows.
+//     in process with no checkpoint and with one every 64 and 4,096 rows;
+//   * on h100_80g_offload at batch 1,024, the 8,640-row study of
+//     perfbench's study_supervised workload (its axes), in process and
+//     with 3 workers at shard 16, each with no checkpoint and with one
+//     every 4,096 rows.
 // Each line is one run, so repeat the binary to see the spread.
 #include <sys/resource.h>
 #include <unistd.h>
@@ -53,6 +58,32 @@ json::Value StudySpec(bool full) {
     sweep["pp_rs_ag"] = list({false, true});
     sweep["pp_interleaving"] = list({1, 2});
   }
+  return spec;
+}
+
+// The axes of perfbench's study_supervised studies (perfbench/src/
+// workloads.cc), at batch 1,024: 8,640 rows.
+json::Value PerfbenchStudySpec() {
+  auto list = [](std::initializer_list<json::Value> values) {
+    return json::Value(json::Array(values));
+  };
+  json::Value spec;
+  spec["application"] = "gpt3_175b";
+  spec["system"] = "h100_80g_offload";
+  spec["num_procs"] = 4096;
+  spec["base_execution"]["batch_size"] = 1024;
+  spec["base_execution"]["fused_activation"] = true;
+  json::Value& sweep = spec["sweep"];
+  sweep["tensor_par"] = list({1, 2, 4, 8});
+  sweep["pipeline_par"] = list({4, 8, 16, 32, 64});
+  sweep["data_par"] = "auto";
+  sweep["microbatch"] = list({1, 2, 4});
+  sweep["pp_interleaving"] = list({1, 2, 4});
+  sweep["recompute"] = list({"none", "attn", "full"});
+  sweep["tp_overlap"] = list({"none", "ring"});
+  sweep["dp_overlap"] = list({false, true});
+  sweep["optimizer_sharding"] = list({false, true});
+  sweep["weight_offload"] = list({false, true});
   return spec;
 }
 
@@ -125,9 +156,18 @@ int main() {
        {std::uint64_t{0}, std::uint64_t{64}, std::uint64_t{4096}}) {
     calculon::Measure(core, 0, every, checkpoint, table);
   }
+  table.AddRule();
+  const Study perfbench = Study::FromJson(calculon::PerfbenchStudySpec());
+  for (const int workers : {0, 3}) {
+    for (const std::uint64_t every : {std::uint64_t{0}, std::uint64_t{4096}}) {
+      calculon::Measure(perfbench, workers, every, checkpoint, table);
+    }
+  }
   std::printf(
-      "Study row cost: GPT-3 175B on 4,096 h100_80g, batch 4,096 (one run "
-      "per line; self CPU is the supervisor's in a supervised run)\n\n%s",
+      "Study row cost: GPT-3 175B on 4,096 processors; h100_80g at batch "
+      "4,096 (92,160 and 11,520 rows), h100_80g_offload at batch 1,024 "
+      "(8,640 rows) (one run per line; self CPU is the supervisor's in a "
+      "supervised run)\n\n%s",
       table.ToString().c_str());
   return 0;
 }

@@ -15,7 +15,6 @@
 #include <deque>
 #include <exception>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -162,10 +161,6 @@ struct Pool {
   // Per-slot telemetry folded across worker incarnations; ingested into
   // the global registry (tagged and aggregated) at the end of the run.
   std::vector<obs::MetricsSnapshot> finalized_metrics;
-  // The bucket layout of every histogram name an accepted snapshot held.
-  // Snapshots that disagree with it (or with the registry) are rejected on
-  // arrival, so the merges after the loop cannot throw.
-  std::map<std::string, std::vector<double>> histogram_layouts;
   // Sequence number for post-mortem file names (a run may dump several).
   int flight_dump_seq = 0;
 
@@ -287,33 +282,30 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
   }
 }
 
-// Throws ConfigError unless every histogram of slot `index`'s `snapshot`
-// has the bucket layout this run already holds under its name: that of an
-// earlier accepted snapshot, else that of the registry's histogram it will
-// be ingested into (aggregated, and tagged with the slot). Records the
-// layouts of an accepted snapshot.
-void CheckHistogramLayouts(Pool& pool, std::size_t index,
-                           const obs::MetricsSnapshot& snapshot) {
+// Throws ConfigError unless the end of the run could fold `snapshot` in as
+// slot `index`'s live snapshot: that fold, rehearsed on copies. Every
+// histogram must keep one bucket layout and every count must stay within
+// obs::kMaxCount, in the slot's total, in the aggregate over the slots and
+// in the registry names both are ingested under. Each accepted snapshot
+// keeps the whole fold within those bounds, so the fold cannot throw.
+void CheckSnapshotFolds(const Pool& pool, std::size_t index,
+                        const obs::MetricsSnapshot& snapshot) {
+  obs::MetricsSnapshot slot_total = pool.finalized_metrics[index];
+  slot_total.Merge(snapshot);
+  obs::MetricsSnapshot aggregate;
+  for (std::size_t i = 0; i < pool.slots.size(); ++i) {
+    if (i == index) {
+      aggregate.Merge(slot_total);
+      continue;
+    }
+    aggregate.Merge(pool.finalized_metrics[i]);
+    if (pool.slots[i].has_live_metrics) {
+      aggregate.Merge(pool.slots[i].live_metrics);
+    }
+  }
   const obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  const std::string prefix = SlotPrefix(index);
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    if (histogram.empty()) continue;  // merges as the identity
-    const auto seen = pool.histogram_layouts.find(name);
-    const bool fits =
-        (seen != pool.histogram_layouts.end()
-             ? seen->second == histogram.bounds
-             : metrics.HistogramFits(name, histogram.bounds)) &&
-        metrics.HistogramFits(prefix + name, histogram.bounds);
-    if (!fits) {
-      throw ConfigError("dist: a worker's histogram '" + name +
-                        "' has a bucket layout this run holds differently");
-    }
-  }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    if (!histogram.empty()) {
-      pool.histogram_layouts.try_emplace(name, histogram.bounds);
-    }
-  }
+  metrics.CheckIngest(slot_total, SlotPrefix(index));
+  metrics.CheckIngest(aggregate, "");
 }
 
 // Takes one control or telemetry frame from worker `index`. Returns false
@@ -381,7 +373,7 @@ void CheckHistogramLayouts(Pool& pool, std::size_t index,
   } else if (type == "metrics_snapshot") {
     obs::MetricsSnapshot snapshot =
         obs::MetricsSnapshot::FromJson(frame.at("metrics"));
-    CheckHistogramLayouts(pool, index, snapshot);
+    CheckSnapshotFolds(pool, index, snapshot);
     // Cumulative per incarnation: replace, don't merge.
     slot.live_metrics = std::move(snapshot);
     slot.has_live_metrics = true;
@@ -927,9 +919,9 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
   // Ingest the workers' telemetry into the global registry: once per slot
   // under a dist.worker.N. tag, and once merged into the shared names so
   // e.g. exec_search.eval_latency aggregates across every worker exactly
-  // as the in-process run would have populated it. Every histogram layout
-  // was checked on arrival (CheckHistogramLayouts), so none of these
-  // merges throws.
+  // as the in-process run would have populated it. Every snapshot was
+  // checked on arrival (CheckSnapshotFolds), so none of these merges
+  // throws.
   if (metrics.enabled()) {
     obs::MetricsSnapshot aggregate;
     for (std::size_t i = 0; i < pool.slots.size(); ++i) {

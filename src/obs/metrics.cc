@@ -42,6 +42,16 @@ void CheckLayout(const std::vector<double>& bounds, std::size_t buckets,
   return x;
 }
 
+// Throws ConfigError when adding `add` to `have` would pass kMaxCount.
+void CheckCountSum(std::uint64_t have, std::uint64_t add,
+                   const std::string& name) {
+  if (add > kMaxCount - have) {
+    throw ConfigError("metrics: the count of '" + name +
+                      "' would pass 2^63 - 1024, the largest an export "
+                      "holds");
+  }
+}
+
 }  // namespace
 
 std::vector<double> DefaultLatencyBoundsUs() {
@@ -72,18 +82,25 @@ void HistogramSnapshot::Observe(double value) {
   sum += value;
 }
 
-void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
+void HistogramSnapshot::CheckMerge(const HistogramSnapshot& other) const {
   if (other.empty()) return;
   CheckLayout(other.bounds, other.bucket_counts.size(),
               "HistogramSnapshot::Merge");
-  if (empty()) {
-    *this = other;
-    return;
-  }
-  if (bounds != other.bounds) {
+  if (!empty() && bounds != other.bounds) {
     throw ConfigError(
         "HistogramSnapshot::Merge: bucket layouts differ; refusing to merge "
         "(identical bounds are required for bucket-wise addition)");
+  }
+  // The buckets sum to the count, so none of their sums passes it.
+  CheckCountSum(count, other.count, "a histogram");
+}
+
+void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
+  CheckMerge(other);
+  if (other.empty()) return;
+  if (empty()) {
+    *this = other;
+    return;
   }
   for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
     bucket_counts[i] += other.bucket_counts[i];
@@ -158,6 +175,15 @@ HistogramSnapshot HistogramSnapshot::FromJson(const json::Value& v) {
 }
 
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
+  for (const auto& [name, value] : other.counters) {
+    const auto it = counters.find(name);
+    CheckCountSum(it == counters.end() ? 0 : it->second, value, name);
+  }
+  const HistogramSnapshot none;
+  for (const auto& [name, snapshot] : other.histograms) {
+    const auto it = histograms.find(name);
+    (it == histograms.end() ? none : it->second).CheckMerge(snapshot);
+  }
   for (const auto& [name, value] : other.counters) counters[name] += value;
   for (const auto& [name, snapshot] : other.histograms) {
     histograms[name].Merge(snapshot);
@@ -223,11 +249,19 @@ void MetricsRegistry::MergeHistogram(const std::string& name,
   histograms_.emplace(name, std::move(first));
 }
 
-bool MetricsRegistry::HistogramFits(const std::string& name,
-                                    const std::vector<double>& bounds) const {
+void MetricsRegistry::CheckIngest(const MetricsSnapshot& snapshot,
+                                  const std::string& prefix) const {
   MutexLock lock(mutex_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() || it->second.bounds == bounds;
+  for (const auto& [name, value] : snapshot.counters) {
+    const auto it = counters_.find(prefix + name);
+    CheckCountSum(it == counters_.end() ? 0 : it->second->value(), value,
+                  prefix + name);
+  }
+  const HistogramSnapshot none;
+  for (const auto& [name, h] : snapshot.histograms) {
+    const auto it = histograms_.find(prefix + name);
+    (it == histograms_.end() ? none : it->second).CheckMerge(h);
+  }
 }
 
 json::Value MetricsRegistry::ToJson() const { return Snapshot().ToJson(); }
@@ -244,6 +278,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::Ingest(const MetricsSnapshot& snapshot,
                              const std::string& prefix) {
+  CheckIngest(snapshot, prefix);
   for (const auto& [name, value] : snapshot.counters) {
     GetCounter(prefix + name)->Increment(value);
   }

@@ -28,6 +28,13 @@
 
 namespace calculon::obs {
 
+// The largest count a snapshot may hold. An export writes each count as a
+// JSON number, a double, and FromJson reads back only those below 2^63; the
+// largest double below 2^63 is 2^63 - 1024, so a larger count (2^63 - 1
+// included) would export as a number FromJson refuses, or as a negative
+// one. A merge or ingest that would carry a count past it is a ConfigError.
+inline constexpr std::uint64_t kMaxCount = (std::uint64_t{1} << 63) - 1024;
+
 // Monotonically increasing event count.
 class Counter {
  public:
@@ -53,7 +60,8 @@ class Counter {
 // them over the NDJSON wire (dist/worker.h, frame kind metrics_snapshot)
 // and the supervisor merges them back into its registry. Merge semantics:
 // counters add, histograms add bucket-wise and REQUIRE identical bucket
-// layouts (a mismatch is a loud ConfigError, never silent skew).
+// layouts (a mismatch is a loud ConfigError, never silent skew), and no
+// sum may pass kMaxCount (a ConfigError too, never a negative export).
 
 // One fixed-bucket histogram. `bounds` are strictly ascending inclusive
 // upper bounds; `bucket_counts` has bounds.size() + 1 entries (the last is
@@ -75,10 +83,13 @@ struct HistogramSnapshot {
 
   // Adds `other` into this snapshot. Merging an empty snapshot (either
   // direction) is the identity; otherwise `other` must have a valid bucket
-  // layout identical to this one's, or Merge throws ConfigError and
-  // changes nothing. Merging is associative and commutative on the bucket
-  // counts, so quantiles are stable under merge order.
+  // layout identical to this one's and the summed count must not pass
+  // kMaxCount, or Merge throws ConfigError and changes nothing. Merging is
+  // associative and commutative on the bucket counts, so quantiles are
+  // stable under merge order.
   void Merge(const HistogramSnapshot& other);
+  // Throws the ConfigError Merge(other) would throw, changing nothing.
+  void CheckMerge(const HistogramSnapshot& other) const;
 
   // Quantile estimate (q in [0, 1]) by linear interpolation inside the
   // bucket holding the target rank; the first bucket interpolates from 0,
@@ -102,7 +113,9 @@ struct MetricsSnapshot {
     return counters.empty() && histograms.empty();
   }
 
-  // Counters add, histograms Merge() (with the bucket-layout check).
+  // Counters add, histograms Merge() (with the bucket-layout check). A sum
+  // past kMaxCount or a layout mismatch is a ConfigError, checked before
+  // anything changes.
   void Merge(const MetricsSnapshot& other);
 
   // {"counters": {...}, "histograms": {name: HistogramSnapshot::ToJson}},
@@ -139,11 +152,6 @@ class MetricsRegistry {
   // no-op and creates no histogram.
   void MergeHistogram(const std::string& name,
                       const HistogramSnapshot& snapshot) CALC_EXCLUDES(mutex_);
-  // True when there is no histogram `name` or its bounds are `bounds`:
-  // Ingest can fold a snapshot histogram of that layout into it.
-  [[nodiscard]] bool HistogramFits(const std::string& name,
-                                   const std::vector<double>& bounds) const
-      CALC_EXCLUDES(mutex_);
 
   // Snapshot().ToJson().
   [[nodiscard]] json::Value ToJson() const CALC_EXCLUDES(mutex_);
@@ -155,10 +163,16 @@ class MetricsRegistry {
 
   // Folds a snapshot into this registry, each name prefixed with `prefix`
   // ("dist.worker.3." tags a worker's instruments; "" aggregates into the
-  // shared names). Counters increment, histograms MergeHistogram — a
-  // bucket-layout mismatch with an existing histogram is a ConfigError.
+  // shared names). Counters increment, histograms MergeHistogram. A
+  // bucket-layout mismatch with an existing histogram, or a count the fold
+  // would carry past kMaxCount, is a ConfigError, checked (CheckIngest)
+  // before anything changes.
   void Ingest(const MetricsSnapshot& snapshot, const std::string& prefix)
       CALC_EXCLUDES(mutex_);
+  // Throws the ConfigError Ingest(snapshot, prefix) would throw now,
+  // changing nothing.
+  void CheckIngest(const MetricsSnapshot& snapshot,
+                   const std::string& prefix) const CALC_EXCLUDES(mutex_);
 
   // Drops every instrument (cached counter pointers become invalid) — for
   // tests and for zeroing between bench harness phases.

@@ -150,9 +150,11 @@ struct StudyRowResult {
 // The in-order commit of a resilient study run, shared by
 // Study::RunResilient (fed by its own loop) and dist::RunStudySupervised
 // (fed by worker results): resume, best row, failure charge, checkpoint
-// cadence and status live here once. Each committed row is JSON-escaped
-// into the checkpoint's text once, so a checkpoint write copies the rows
-// instead of rendering them again.
+// cadence and status live here once. The rows and their escaped text are
+// reserved for the whole study up front. Each committed row is
+// JSON-escaped into the checkpoint's text once, and a checkpoint write
+// hands that text to WriteFileAtomic as one piece between the document's
+// head and tail, so no write renders or copies the rows again.
 class StudyCommit {
  public:
   // Enumerates the study and, with options.resume, restores the
@@ -179,6 +181,8 @@ class StudyCommit {
   [[nodiscard]] StudyRun Finish();
 
  private:
+  // Appends `csv` to checkpoint_rows_; the first call reserves the
+  // buffer for every row.
   void AppendCheckpointRow(std::string_view csv);
   // Writes StudyCheckpointToJson(fingerprint_, run_), as
   // WriteStudyCheckpoint would, from checkpoint_rows_.
@@ -212,7 +216,9 @@ void LoadStudyCheckpoint(const std::string& path,
                                    const std::vector<StudyRow>& rows);
 
 // The header line and one data line (both newline-terminated) of the study
-// CSV; StudyCsv and StudyRun::Csv are compositions of these.
+// CSV; StudyCsv and StudyRun::Csv are compositions of these. A data line is
+// built in one reserved buffer, an infeasible row's explanation appended in
+// place (InfeasibleError::AppendTo) with its ',' and '\n' made ';'.
 [[nodiscard]] std::string StudyCsvHeader();
 [[nodiscard]] std::string StudyCsvRow(const Execution& exec,
                                       const Result<Stats>& result);

@@ -1,6 +1,9 @@
 #include "util/error.h"
 
-#include "util/strings.h"
+#include <charconv>
+#include <string_view>
+
+#include "util/check.h"
 #include "util/units.h"
 
 namespace calculon {
@@ -21,27 +24,61 @@ const char* ToString(Infeasible reason) {
   return "unknown";
 }
 
-std::string ErrorDetail::Text() const {
-  if (format_ == nullptr) return text_;
-  switch (operands_) {
-    case Operands::kNone: return format_;
-    case Operands::kInts: return StrFormat(format_, ints_[0], ints_[1]);
-    case Operands::kBytes:
-      return StrFormat(format_, FormatBytes(bytes_[0]).c_str(),
-                       FormatBytes(bytes_[1]).c_str());
+void ErrorDetail::AppendTo(std::string& out) const {
+  if (format_ == nullptr) {
+    out += text_;
+    return;
   }
-  return format_;
+  if (operands_ == Operands::kNone) {
+    out += format_;
+    return;
+  }
+  // The constructors take exactly two "%lld" or two "%s" operands; "%s"
+  // prints a byte count as FormatBytes does.
+  const std::string_view conversion =
+      operands_ == Operands::kInts ? "%lld" : "%s";
+  std::string_view rest = format_;
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t at = rest.find('%');
+    const bool found = at != std::string_view::npos &&
+                       rest.compare(at, conversion.size(), conversion) == 0;
+    CALC_DCHECK(found, "ErrorDetail format '%s' needs %s for operand %d",
+                format_, conversion.data(), i);
+    if (!found) break;
+    out += rest.substr(0, at);
+    if (operands_ == Operands::kInts) {
+      char buf[24];  // "-9223372036854775808" is 20 characters
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, ints_[i]).ptr);
+    } else {
+      AppendBytes(out, bytes_[i]);
+    }
+    rest.remove_prefix(at + conversion.size());
+  }
+  CALC_DCHECK(rest.find('%') == std::string_view::npos,
+              "ErrorDetail format '%s' has a third conversion", format_);
+  out += rest;
+}
+
+std::string ErrorDetail::Text() const {
+  std::string s;
+  AppendTo(s);
+  return s;
+}
+
+void InfeasibleError::AppendTo(std::string& out) const {
+  for (int i = 0; i < restated; ++i) {
+    out += ToString(reason);
+    out += ": ";
+  }
+  out += ToString(reason);
+  if (detail.empty()) return;
+  out += ": ";
+  detail.AppendTo(out);
 }
 
 std::string InfeasibleError::Text() const {
   std::string s;
-  for (int i = 0; i < restated; ++i) {
-    s += ToString(reason);
-    s += ": ";
-  }
-  s += ToString(reason);
-  const std::string text = detail.Text();
-  if (!text.empty()) s += ": " + text;
+  AppendTo(s);
   return s;
 }
 

@@ -39,9 +39,10 @@ enum class Infeasible {
 
 // The explanation of an infeasible Result, kept as a format literal and its
 // typed operands until read: a sweep rejects most of the candidates it
-// evaluates and reads the explanation of almost none. Literals are kept by
-// pointer, so only arrays (string literals) are accepted; text computed at
-// the error site is passed as a std::string.
+// evaluates and reads the explanation of almost none, and a study writes
+// each one it reads straight into its CSV row (AppendTo). Literals are kept
+// by pointer, so only arrays (string literals) are accepted; text computed
+// at the error site is passed as a std::string.
 class ErrorDetail {
  public:
   ErrorDetail() = default;
@@ -60,8 +61,17 @@ class ErrorDetail {
   ErrorDetail(const char (&format)[N], Bytes a, Bytes b)
       : format_(format), operands_(Operands::kBytes), bytes_{a, b} {}
 
-  // Formats the explanation ("" for none).
+  // Appends the explanation to `out`: the literal or text as is, or the
+  // format with its operands in place of its two conversions, as printf
+  // would print them. The one formatter of explanations; Text() appends
+  // into an empty string.
+  void AppendTo(std::string& out) const;
+  // The explanation ("" for none).
   [[nodiscard]] std::string Text() const;
+  // Whether the explanation is "" (a format with operands never is).
+  [[nodiscard]] bool empty() const {
+    return format_ == nullptr ? text_.empty() : *format_ == '\0';
+  }
 
  private:
   enum class Operands : unsigned char { kNone, kInts, kBytes };
@@ -86,7 +96,9 @@ struct InfeasibleError {
     ++e.restated;
     return e;
   }
-  // "reason[: detail]", after `restated` "reason: " prefixes.
+  // Appends "reason[: detail]", after `restated` "reason: " prefixes.
+  void AppendTo(std::string& out) const;
+  // That text on its own.
   [[nodiscard]] std::string Text() const;
 };
 

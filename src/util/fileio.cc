@@ -22,7 +22,8 @@ namespace {
 
 }  // namespace
 
-void WriteFileAtomic(const std::string& path, const std::string& contents) {
+void WriteFileAtomic(const std::string& path,
+                     std::initializer_list<std::string_view> pieces) {
   // The temporary lives in the destination directory (rename() must not
   // cross filesystems) and carries the pid so two processes checkpointing
   // the same journal never trample each other's temp file.
@@ -31,18 +32,20 @@ void WriteFileAtomic(const std::string& path, const std::string& contents) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) ThrowIo("cannot create", tmp);
 
-  const char* data = contents.data();
-  std::size_t left = contents.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, data, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      ThrowIo("cannot write", tmp);
+  for (const std::string_view piece : pieces) {
+    const char* data = piece.data();
+    std::size_t left = piece.size();
+    while (left > 0) {
+      const ssize_t n = ::write(fd, data, left);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        ThrowIo("cannot write", tmp);
+      }
+      data += n;
+      left -= static_cast<std::size_t>(n);
     }
-    data += n;
-    left -= static_cast<std::size_t>(n);
   }
   // fsync before rename: otherwise a power loss could surface the rename
   // (metadata) without the data, i.e. a complete-looking empty file.

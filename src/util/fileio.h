@@ -9,14 +9,24 @@
 // file or the new complete file, never a torn one.
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 namespace calculon {
 
-// Writes `contents` to `path` atomically (unique temp + fsync + rename).
-// Throws ConfigError on any failure; on failure the destination is
-// untouched and the temporary is removed.
-void WriteFileAtomic(const std::string& path, const std::string& contents);
+// Writes the concatenation of `pieces` to `path` atomically (unique temp +
+// fsync + rename), so a caller that holds a document in parts (a
+// checkpoint's head, its rows and its tail) writes it without joining
+// them first. Throws ConfigError on any failure; on failure the
+// destination is untouched and the temporary is removed.
+void WriteFileAtomic(const std::string& path,
+                     std::initializer_list<std::string_view> pieces);
+// The one-piece case.
+inline void WriteFileAtomic(const std::string& path,
+                            std::string_view contents) {
+  WriteFileAtomic(path, {contents});
+}
 
 // Reads a whole file into a string. Throws ConfigError if unreadable.
 [[nodiscard]] std::string ReadFileToString(const std::string& path);

@@ -1,50 +1,65 @@
 #include "util/units.h"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace calculon {
 namespace {
 
-std::string FormatScaled(double value, double base,
-                         const std::array<const char*, 6>& suffixes,
-                         const char* unit) {
+using Suffixes = std::array<const char*, 6>;
+constexpr Suffixes kBinarySuffixes = {"", "Ki", "Mi", "Gi", "Ti", "Pi"};
+constexpr Suffixes kDecimalSuffixes = {"", "K", "M", "G", "T", "P"};
+
+// Appends `value` in the largest unit that keeps it below `base` (or in the
+// last one), as printf's "%.4g <suffix><unit>": the standard defines
+// to_chars with chars_format::general and precision 4 as %.4g in the "C"
+// locale. The one formatter of every scaled quantity.
+void AppendScaled(std::string& out, double value, double base,
+                  const Suffixes& suffixes, const char* unit) {
   double scaled = value;
   std::size_t idx = 0;
   while (std::fabs(scaled) >= base && idx + 1 < suffixes.size()) {
     scaled /= base;
     ++idx;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4g %s%s", scaled, suffixes[idx], unit);
-  return buf;
+  char buf[32];  // "-1.234e+308" is 11 characters
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, scaled,
+                                std::chars_format::general, 4)
+                      .ptr);
+  out += ' ';
+  out += suffixes[idx];
+  out += unit;
+}
+
+std::string FormatScaled(double value, double base, const Suffixes& suffixes,
+                         const char* unit) {
+  std::string out;
+  AppendScaled(out, value, base, suffixes, unit);
+  return out;
 }
 
 }  // namespace
 
 std::string FormatBytes(double bytes) {
-  static constexpr std::array<const char*, 6> kSuffixes = {"",   "Ki", "Mi",
-                                                           "Gi", "Ti", "Pi"};
-  return FormatScaled(bytes, 1024.0, kSuffixes, "B");
+  return FormatScaled(bytes, 1024.0, kBinarySuffixes, "B");
+}
+
+void AppendBytes(std::string& out, Bytes bytes) {
+  AppendScaled(out, bytes.raw(), 1024.0, kBinarySuffixes, "B");
 }
 
 std::string FormatBandwidth(double bytes_per_s) {
-  static constexpr std::array<const char*, 6> kSuffixes = {"", "K", "M",
-                                                           "G", "T", "P"};
-  return FormatScaled(bytes_per_s, 1000.0, kSuffixes, "B/s");
+  return FormatScaled(bytes_per_s, 1000.0, kDecimalSuffixes, "B/s");
 }
 
 std::string FormatFlops(double flops_per_s) {
-  static constexpr std::array<const char*, 6> kSuffixes = {"", "K", "M",
-                                                           "G", "T", "P"};
-  return FormatScaled(flops_per_s, 1000.0, kSuffixes, "flop/s");
+  return FormatScaled(flops_per_s, 1000.0, kDecimalSuffixes, "flop/s");
 }
 
 std::string FormatFlopCount(double flops) {
-  static constexpr std::array<const char*, 6> kSuffixes = {"", "K", "M",
-                                                           "G", "T", "P"};
-  return FormatScaled(flops, 1000.0, kSuffixes, "flop");
+  return FormatScaled(flops, 1000.0, kDecimalSuffixes, "flop");
 }
 
 std::string FormatTime(double seconds) {

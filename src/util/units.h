@@ -30,6 +30,9 @@ constexpr double kPeta = 1e15;
 // Formats a byte count with a binary suffix, e.g. "17.4 GiB".
 [[nodiscard]] std::string FormatBytes(double bytes);  // unit-ok: format boundary
 [[nodiscard]] std::string FormatBytes(Bytes bytes);
+// Appends FormatBytes(bytes) to `out`, for text built in place
+// (ErrorDetail::AppendTo).
+void AppendBytes(std::string& out, Bytes bytes);
 
 // Formats a bytes-per-second rate with a decimal suffix, e.g. "593 GB/s".
 [[nodiscard]] std::string FormatBandwidth(double bytes_per_s);  // unit-ok: format boundary

@@ -47,6 +47,7 @@
 #include <iterator>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -482,17 +483,10 @@ TEST(CodecFuzz, DumpThenParseGivesBackEveryBit) {
 
 // --- Spec loaders -----------------------------------------------------------
 
-// Replaces one number token of `s` (outside strings and comments) with a
-// value byte flips rarely produce: zero, negatives, the edges of int32,
-// double-exact and int64 ranges, and huge and tiny magnitudes; with
-// `overflow`, also 1e999, which parses to infinity.
-std::string SwapNumber(std::string s, Rng& rng, bool overflow = false) {
-  static const char* const kValues[] = {
-      "0",    "-1",    "1e-300", "0.5",
-      "2147483648",           // 2^31
-      "9007199254740993",     // 2^53 + 1
-      "9223372036854775808",  // 2^63
-      "1e15", "1e300", "-1e300"};
+// Replaces one number token of `s` (outside strings and comments), picked
+// by `rng`, with one of `values`, also picked by `rng`.
+std::string SwapNumberFrom(std::string s, Rng& rng,
+                           std::span<const char* const> values) {
   std::vector<std::pair<std::size_t, std::size_t>> numbers;  // (at, size)
   for (std::size_t i = 0; i < s.size();) {
     if (s[i] == '"') {  // skip a string, escapes included
@@ -514,8 +508,24 @@ std::string SwapNumber(std::string s, Rng& rng, bool overflow = false) {
   }
   if (numbers.empty()) return s;
   const auto [at, size] = numbers[rng.Below(numbers.size())];
-  const std::size_t k = rng.Below(std::size(kValues) + (overflow ? 1u : 0u));
-  return s.replace(at, size, k < std::size(kValues) ? kValues[k] : "1e999");
+  return s.replace(at, size, values[rng.Below(values.size())]);
+}
+
+// Replaces one number token of `s` (outside strings and comments) with a
+// value byte flips rarely produce: zero, negatives, the edges of int32,
+// double-exact and int64 ranges, and huge and tiny magnitudes; with
+// `overflow`, also 1e999, which parses to infinity.
+std::string SwapNumber(std::string s, Rng& rng, bool overflow = false) {
+  static const char* const kValues[] = {
+      "0",    "-1",    "1e-300", "0.5",
+      "2147483648",           // 2^31
+      "9007199254740993",     // 2^53 + 1
+      "9223372036854775808",  // 2^63
+      "1e15", "1e300", "-1e300",
+      "1e999"};               // with `overflow` only
+  return SwapNumberFrom(
+      std::move(s), rng,
+      std::span(kValues, std::size(kValues) - (overflow ? 0 : 1)));
 }
 
 enum class SpecKind { kApplication, kSystem, kExecution, kStudy };
@@ -753,10 +763,12 @@ std::string RecordedMetricsSnapshot() {
 }
 
 // Snapshot() and ToJson() of a registry that just ingested, or failed to
-// ingest, a snapshot.
+// ingest, a snapshot, and the export decodes again: no count in it has
+// passed what an export holds into a number FromJson refuses.
 void ExpectUsable(const obs::MetricsRegistry& registry) {
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_NO_THROW((void)registry.ToJson().Dump());
+  EXPECT_NO_THROW((void)obs::MetricsSnapshot::FromJson(registry.ToJson()));
   for (const auto& [name, h] : snapshot.histograms) {
     EXPECT_EQ(h.bucket_counts.size(), h.bounds.size() + 1) << name;
   }
@@ -809,30 +821,51 @@ TEST(CodecFuzz, MutatedMetricsSnapshotsIngestOrThrowConfigError) {
   ExpectUsable(direct);
 
   // The supervisor's registry accumulates every worker's snapshot, under
-  // the aggregate names and under a per-worker prefix.
+  // the aggregate names and under a per-worker prefix, and may take the
+  // same one several times. Counts that each decode can sum past what an
+  // export holds: those ingests are refused. A registry that refused one
+  // starts afresh, so the later snapshots still reach a live registry.
+  static const char* const kBigCounts[] = {
+      "4611686018427387904",   // 2^62
+      "6000000000000000000",
+      "9223372036854774784"};  // 2^63 - 1024, the largest that decodes
   obs::MetricsRegistry registry;
   Rng rng(67);
   int ingested = 0;
   int rejected = 0;
+  int refused = 0;
   for (int i = 0; i < 3000; ++i) {
     std::string text = recorded;
     if (rng.Below(4) == 0) text = Mutate(text, recorded, rng);
     for (std::size_t n = 1 + rng.Below(3); n > 0; --n) {
       text = SwapNumber(text, rng, /*overflow=*/true);
     }
+    if (rng.Below(2) == 0) text = SwapNumberFrom(text, rng, kBigCounts);
+    obs::MetricsSnapshot snapshot;
     try {
-      const obs::MetricsSnapshot snapshot =
-          obs::MetricsSnapshot::FromJson(json::Parse(text));
-      ExpectCountsConsistent(snapshot);
-      registry.Ingest(snapshot, rng.Below(2) == 0 ? "" : "dist.worker.1.");
-      ++ingested;
+      snapshot = obs::MetricsSnapshot::FromJson(json::Parse(text));
     } catch (const ConfigError&) {
-      ++rejected;  // a snapshot the decoder or the registry refuses
+      ++rejected;  // a snapshot the decoder refuses
+      continue;
     }
-    ExpectUsable(registry);
+    ExpectCountsConsistent(snapshot);
+    const std::string prefix = rng.Below(2) == 0 ? "" : "dist.worker.1.";
+    bool refused_here = false;
+    for (std::size_t n = 1 + rng.Below(3); n > 0; --n) {
+      try {
+        registry.Ingest(snapshot, prefix);
+        ++ingested;
+      } catch (const ConfigError&) {
+        ++refused;  // a snapshot the registry refuses
+        refused_here = true;
+      }
+      ExpectUsable(registry);
+    }
+    if (refused_here) registry.Reset();
   }
   EXPECT_GT(ingested, 0);
   EXPECT_GT(rejected, 0);
+  EXPECT_GT(refused, 0);
 }
 
 // --- Study result lines -----------------------------------------------------

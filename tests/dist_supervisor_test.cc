@@ -13,9 +13,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -164,6 +166,48 @@ TEST(DistSupervisor, FaultFreeStudyIsBitIdenticalToInProcess) {
   EXPECT_EQ(supervised.best.row, reference.best.row);
   EXPECT_TRUE(supervised.status.complete);
   EXPECT_FALSE(supervised.status.degraded());
+}
+
+// A checkpoint document with the status fields that time the run zeroed:
+// two runs of one study differ in nothing else.
+json::Value CheckpointWithoutTimes(const std::string& path) {
+  json::Value doc = json::ParseFile(path);
+  for (const char* field :
+       {"elapsed_seconds", "start_unix_seconds", "end_unix_seconds"}) {
+    EXPECT_TRUE(doc.at("status").contains(field)) << field;
+    doc["status"][field] = 0.0;
+  }
+  return doc;
+}
+
+TEST(DistSupervisor, SupervisedCheckpointIsTheInProcessOne) {
+  // The supervisor writes its checkpoints from the rows its commit holds,
+  // in pieces; the final one must be the in-process run's, and each the
+  // canonical rendering of its own document.
+  const Study study = Study::FromJson(SmallStudySpec());
+  const std::string dir = ::testing::TempDir();
+  StudyRunOptions in_process;
+  in_process.checkpoint_path = dir + "calculon_ckpt_in_process.json";
+  in_process.checkpoint_every = 7;
+  StudyRunOptions supervised = in_process;
+  supervised.checkpoint_path = dir + "calculon_ckpt_supervised.json";
+  std::remove(in_process.checkpoint_path.c_str());
+  std::remove(supervised.checkpoint_path.c_str());
+
+  const StudyRun reference = study.RunResilient(in_process);
+  const StudyRun run =
+      dist::RunStudySupervised(study, supervised, FastDist(2));
+  ASSERT_EQ(run.Csv(), reference.Csv());
+  ASSERT_TRUE(run.status.complete);
+
+  std::ifstream in(supervised.checkpoint_path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, json::ParseFile(supervised.checkpoint_path).Dump(2) + "\n");
+  EXPECT_EQ(CheckpointWithoutTimes(supervised.checkpoint_path).Dump(2),
+            CheckpointWithoutTimes(in_process.checkpoint_path).Dump(2));
+  std::remove(in_process.checkpoint_path.c_str());
+  std::remove(supervised.checkpoint_path.c_str());
 }
 
 // Runs the small study supervised under a seeded abort/segv plan with
@@ -510,6 +554,42 @@ TEST(DistSupervisor, WorkerHistogramOfAnotherLayoutIsACorruptFrame) {
             reference.status.items_completed);
   EXPECT_EQ(after.histograms.at("exec_search.eval_latency_us").bounds,
             (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(DistSupervisor, WorkerCountsPastTheExportLimitAreACorruptFrame) {
+  // The supervisor's registry already holds exec_search.evaluated at
+  // kMaxCount, so no worker's count of it can be added. Each snapshot is
+  // rejected on arrival as a corrupt frame, the search returns its
+  // results, and the registry still exports a document FromJson takes.
+  const Application app = presets::Megatron22B();
+  const System sys = A100With64Procs();
+  const SearchSpace space = SearchSpace::MegatronBaseline();
+  SearchConfig config;
+  config.batch_size = 64;
+  config.top_k = 4;
+  ThreadPool pool(1);
+  const SearchResult reference =
+      FindOptimalExecution(app, sys, space, config, pool);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.Reset();
+  metrics.Enable();
+  metrics.GetCounter("exec_search.evaluated")->Increment(obs::kMaxCount);
+  SearchResult supervised;
+  EXPECT_NO_THROW(supervised = dist::FindOptimalExecutionSupervised(
+                      app, sys, space, config, FastDist(2)));
+  const obs::MetricsSnapshot after = metrics.Snapshot();
+  const json::Value exported = metrics.ToJson();
+  metrics.Reset();
+  metrics.Disable();
+
+  ASSERT_FALSE(reference.best.empty());
+  EXPECT_EQ(EntryTexts(supervised.best), EntryTexts(reference.best));
+  EXPECT_EQ(supervised.evaluated, reference.evaluated);
+  EXPECT_EQ(supervised.status.items_completed,
+            reference.status.items_completed);
+  EXPECT_EQ(after.counters.at("exec_search.evaluated"), obs::kMaxCount);
+  EXPECT_NO_THROW((void)obs::MetricsSnapshot::FromJson(exported));
 }
 
 TEST(DistSupervisor, ShutdownDrainSkipsAnAbandonedRunToReachTheTelemetry) {

@@ -5,7 +5,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "runner/study.h"
 #include "util/error.h"
@@ -74,6 +76,45 @@ TEST_F(FileIoTest, StaleTempFromAKilledWriterIsIgnored) {
   WriteFileAtomic(path + ".tmp.99999", "torn garbage");
   WriteFileAtomic(path, "real checkpoint\n");
   EXPECT_EQ(ReadFileToString(path), "real checkpoint\n");
+}
+
+TEST_F(FileIoTest, PiecesWriteExactlyTheirConcatenation) {
+  const std::string path = Path("ckpt.json");
+  const std::string rows(1 << 20, 'r');  // larger than one write may take
+  WriteFileAtomic(path, {"{\"rows\": [", "", rows, "", "]}\n"});
+  EXPECT_EQ(ReadFileToString(path), "{\"rows\": [" + rows + "]}\n");
+  // A lone empty piece, and the one-piece call with nothing in it, each
+  // replace the file with an empty one.
+  WriteFileAtomic(path, {std::string_view()});
+  EXPECT_EQ(ReadFileToString(path), "");
+  WriteFileAtomic(path, "x");
+  WriteFileAtomic(path, "");
+  EXPECT_EQ(ReadFileToString(path), "");
+}
+
+// The names in the test directory.
+std::set<std::string> Entries(const fs::path& dir) {
+  std::set<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    names.insert(e.path().filename().string());
+  }
+  return names;
+}
+
+TEST_F(FileIoTest, FailedPiecesWriteLeavesNeitherDestinationNorTemporary) {
+  // Into a directory that does not exist: no temp file can be made.
+  EXPECT_THROW(
+      WriteFileAtomic(Path("no_such_dir/ckpt.json"), {"head", "rows", "tail"}),
+      ConfigError);
+  EXPECT_FALSE(fs::exists(Path("no_such_dir")));
+  EXPECT_TRUE(Entries(dir_).empty());
+  // Over a directory: the temp file is written, the rename fails, and the
+  // temp file is removed again.
+  fs::create_directories(Path("taken/inside"));
+  EXPECT_THROW(WriteFileAtomic(Path("taken"), {"head", "rows", "tail"}),
+               ConfigError);
+  EXPECT_EQ(Entries(dir_), std::set<std::string>{"taken"});
+  EXPECT_EQ(Entries(Path("taken")), std::set<std::string>{"inside"});
 }
 
 json::Value TinyStudySpec() {

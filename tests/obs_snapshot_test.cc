@@ -2,8 +2,8 @@
 // mergeable metrics snapshots (empty-merge identity, the loud
 // bucket-layout check, merge-order stability of quantiles, the JSON wire
 // round-trip and the counts it refuses, registry Ingest with and without
-// a worker prefix), and the trace recorder's chunk export and external
-// per-process lanes.
+// a worker prefix, merges and ingests refused past obs::kMaxCount), and the
+// trace recorder's chunk export and external per-process lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,6 +219,63 @@ TEST(MetricsRegistry, SnapshotIngestRoundTripAggregatesAndTags) {
 
   registry.Reset();
   registry.Disable();
+}
+
+TEST(MetricsRegistry, IngestThatWouldPassTheExportLimitThrowsAndChangesNothing) {
+  // Each snapshot decodes (6e18 < 2^63), but two of them sum past kMaxCount (2^63 - 1024):
+  // the second ingest is refused instead of exporting a negative count.
+  const MetricsSnapshot big = MetricsSnapshot::FromJson(json::Parse(
+      R"({"counters": {"exec_search.evaluated": 6000000000000000000},)"
+      R"( "histograms": {}})"));
+  MetricsRegistry registry;
+  registry.Ingest(big, "");
+  EXPECT_THROW(registry.Ingest(big, ""), ConfigError);
+  const json::Value exported = registry.ToJson();
+  EXPECT_EQ(exported.at("counters").at("exec_search.evaluated").AsInt(),
+            6000000000000000000);
+  const MetricsSnapshot round_trip = MetricsSnapshot::FromJson(exported);
+  EXPECT_EQ(round_trip.counters.at("exec_search.evaluated"),
+            6000000000000000000u);
+
+  // All or nothing: a snapshot whose counter fits but whose histogram
+  // count does not leaves the counter untouched too.
+  HistogramSnapshot h = MakeHistogram({1.0}, {kMaxCount, 0}, 1.0);
+  MetricsSnapshot with_histogram;
+  with_histogram.histograms["lat"] = h;
+  registry.Ingest(with_histogram, "");
+  MetricsSnapshot mixed;
+  mixed.counters["other"] = 1;
+  mixed.histograms["lat"] = MakeHistogram({1.0}, {1, 0}, 1.0);
+  EXPECT_THROW(registry.Ingest(mixed, ""), ConfigError);
+  EXPECT_FALSE(registry.Snapshot().counters.contains("other"));
+  EXPECT_EQ(registry.Snapshot().histograms.at("lat").count, kMaxCount);
+  // Under another prefix the same snapshot is a fresh name, and fits.
+  EXPECT_NO_THROW(registry.Ingest(mixed, "dist.worker.0."));
+}
+
+TEST(MetricsSnapshot, MergePastTheExportLimitThrowsAndChangesNothing) {
+  MetricsSnapshot a;
+  a.counters["n"] = kMaxCount - 1;
+  a.histograms["lat"] = MakeHistogram({1.0}, {kMaxCount - 2, 0}, 1.0);
+  MetricsSnapshot one;
+  one.counters["n"] = 1;
+  a.Merge(one);  // exactly kMaxCount
+  EXPECT_EQ(a.counters.at("n"), kMaxCount);
+  EXPECT_THROW(a.Merge(one), ConfigError);
+  EXPECT_EQ(a.counters.at("n"), kMaxCount);
+
+  MetricsSnapshot three;
+  three.counters["m"] = 5;
+  three.histograms["lat"] = MakeHistogram({1.0}, {1, 2}, 1.0);
+  EXPECT_THROW(a.Merge(three), ConfigError);
+  EXPECT_FALSE(a.counters.contains("m"));
+  EXPECT_EQ(a.histograms.at("lat").count, kMaxCount - 2);
+  EXPECT_NO_THROW(a.ToJson().Dump());
+
+  HistogramSnapshot h = MakeHistogram({1.0}, {kMaxCount, 0}, 1.0);
+  EXPECT_THROW(h.Merge(MakeHistogram({1.0}, {0, 1}, 2.0)), ConfigError);
+  EXPECT_EQ(h.count, kMaxCount);
+  EXPECT_EQ(h.bucket_counts, (std::vector<std::uint64_t>{kMaxCount, 0}));
 }
 
 TEST(TraceRecorder, DrainChunkMovesEventsOutExactlyOnce) {

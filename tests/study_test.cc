@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -184,6 +185,77 @@ TEST(Study, CsvHasHeaderAndOneRowPerConfig) {
     if (lines[i].find(",0,") != std::string::npos) saw_infeasible = true;
   }
   (void)saw_infeasible;  // presence depends on the space; header check above
+}
+
+// StudyCsvRow's infeasible row as it was built: the explanation formatted
+// on its own, appended, and its ',' and '\n' replaced with ';' in that
+// span only.
+std::string ComposedInfeasibleRow(const Execution& e,
+                                  const Result<Stats>& result) {
+  std::string row = StrFormat(
+      "%lld,%lld,%lld,%lld,%lld,%lld,%s,0,",
+      static_cast<long long>(e.tensor_par),
+      static_cast<long long>(e.pipeline_par),
+      static_cast<long long>(e.data_par), static_cast<long long>(e.microbatch),
+      static_cast<long long>(e.batch_size),
+      static_cast<long long>(e.pp_interleaving), ToString(e.recompute));
+  const std::size_t reason = row.size();
+  row += result.detail();
+  for (std::size_t i = reason; i < row.size(); ++i) {
+    if (row[i] == ',' || row[i] == '\n') row[i] = ';';
+  }
+  return row + ",,,,,\n";
+}
+
+TEST(Study, InfeasibleRowsAppendTheExplanationInPlace) {
+  // Every reason, forwarded 0 to 2 times, with each kind of detail: none,
+  // a literal, integer and byte operands, and free text holding ',',
+  // '\n' and quotes.
+  const Execution e = Study::FromJson(BasicSpec()).Enumerate()[5];
+  const std::string free_text = "bad, \"quoted\"\nline, end";
+  int rows = 0;
+  for (int r = 1; r <= static_cast<int>(Infeasible::kBadConfig); ++r) {
+    const auto reason = static_cast<Infeasible>(r);
+    for (int restated = 0; restated <= 2; ++restated) {
+      for (const ErrorDetail& detail :
+           {ErrorDetail(), ErrorDetail("d*m does not divide batch"),
+            ErrorDetail("t*p*d = %lld != %lld procs", 4096, -3),
+            ErrorDetail("needs %s, capacity %s", Bytes(8.1e11), GiB(80)),
+            ErrorDetail(free_text)}) {
+        const Result<Stats> result(InfeasibleError{reason, detail, restated});
+        EXPECT_EQ(StudyCsvRow(e, result), ComposedInfeasibleRow(e, result))
+            << result.detail();
+        ++rows;
+      }
+    }
+  }
+  EXPECT_EQ(rows, 9 * 3 * 5);
+
+  // The rows a study of GPT-3 175B on 4,096 offload-capable H100s rejects,
+  // for the reasons the model gives.
+  const Study study = Study::FromJson(json::Parse(R"({
+    "application": "gpt3_175b", "system": "h100_80g_offload",
+    "num_procs": 4096, "base_execution": {"batch_size": 512},
+    "sweep": {"tensor_par": [1, 8, 128], "pipeline_par": [4, 64, 128],
+              "data_par": "auto", "microbatch": [1, 4],
+              "pp_interleaving": [1, 4], "tp_rs_ag": [false, true],
+              "seq_par": [false, true], "weight_offload": [false, true]}
+  })"));
+  std::set<Infeasible> reasons;
+  for (const Execution& row : study.Enumerate()) {
+    const Result<Stats> result =
+        CalculatePerformance(study.application, row, study.system);
+    if (result.ok()) continue;
+    reasons.insert(result.reason());
+    EXPECT_EQ(StudyCsvRow(row, result), ComposedInfeasibleRow(row, result));
+  }
+  EXPECT_EQ(reasons, (std::set<Infeasible>{
+                         Infeasible::kBadPartition,
+                         Infeasible::kIndivisibleHeads,
+                         Infeasible::kIndivisibleBlocks,
+                         Infeasible::kIndivisibleBatch,
+                         Infeasible::kIncompatibleOptions,
+                         Infeasible::kMemoryCapacity}));
 }
 
 TEST(Study, DefaultsWithoutBaseExecution) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
+#include <string>
 
+#include "util/check.h"
 #include "util/error.h"
 #include "util/mathutil.h"
 #include "util/strings.h"
@@ -120,6 +126,104 @@ TEST(Units, TypedOverloadsMatchRawFormatters) {
   EXPECT_EQ(FormatFlopCount(GFlop(231.9)), "231.9 Gflop");
   EXPECT_EQ(FormatTime(Seconds(0.231)), "231 ms");
   EXPECT_EQ(FormatTime(Milliseconds(4.2e-3)), FormatTime(4.2e-6));
+}
+
+// The scaled formatters as they were written with printf: the same
+// scaling loop, then "%.4g <suffix><unit>". The to_chars formatters must
+// print every value exactly so.
+using Suffixes = std::array<const char*, 6>;
+constexpr Suffixes kIecSuffixes = {"", "Ki", "Mi", "Gi", "Ti", "Pi"};
+constexpr Suffixes kSiSuffixes = {"", "K", "M", "G", "T", "P"};
+
+std::string PrintfScaled(double value, double base, const Suffixes& suffixes,
+                         const char* unit) {
+  double scaled = value;
+  std::size_t idx = 0;
+  while (std::fabs(scaled) >= base && idx + 1 < suffixes.size()) {
+    scaled /= base;
+    ++idx;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.4g %s%s", scaled, suffixes[idx], unit);
+  return buf;
+}
+
+std::string PrintfBytes(double value) {
+  return PrintfScaled(value, 1024.0, kIecSuffixes, "B");
+}
+
+std::string Hex(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+// Every scaled formatter of `value`, raw and typed, and AppendBytes after
+// other text, against its printf reference.
+void ExpectScaledAsPrintf(double value) {
+  EXPECT_EQ(FormatBytes(value), PrintfBytes(value)) << Hex(value);
+  EXPECT_EQ(FormatBytes(Bytes(value)), PrintfBytes(value)) << Hex(value);
+  std::string appended = "needs ";
+  AppendBytes(appended, Bytes(value));
+  EXPECT_EQ(appended, "needs " + PrintfBytes(value)) << Hex(value);
+  EXPECT_EQ(FormatBandwidth(value),
+            PrintfScaled(value, 1000.0, kSiSuffixes, "B/s"))
+      << Hex(value);
+  EXPECT_EQ(FormatFlops(value),
+            PrintfScaled(value, 1000.0, kSiSuffixes, "flop/s"))
+      << Hex(value);
+  EXPECT_EQ(FormatFlopCount(value),
+            PrintfScaled(value, 1000.0, kSiSuffixes, "flop"))
+      << Hex(value);
+}
+
+// A double of random sign and mantissa in one of the 60 binades
+// [2^-5, 2^55), which span every suffix of both bases.
+double RandomScaledValue(std::mt19937_64& gen) {
+  const double mantissa =
+      1.0 + static_cast<double>(gen() >> 12) * 0x1p-52;  // [1, 2)
+  const int exponent = -5 + static_cast<int>(gen() % 60);
+  const double value = std::ldexp(mantissa, exponent);
+  return (gen() & 1) != 0 ? -value : value;
+}
+
+TEST(Units, ScaledFormattersPrintAsPrintfAtEveryBoundary) {
+  for (const double base : {1000.0, 1024.0}) {
+    double power = 1.0;
+    for (int k = 0; k <= 7; ++k, power *= base) {
+      // The suffix thresholds, and the values %.4g rounds up to the next
+      // power of ten just below them.
+      for (const double edge :
+           {power, 0.99995 * power, 0.999949 * power, 9.9995 * power,
+            999.95 * power, 1023.95 * power, 1023.949 * power}) {
+        for (const double v :
+             {edge, std::nextafter(edge, 0.0),
+              std::nextafter(edge, std::numeric_limits<double>::infinity())}) {
+          ExpectScaledAsPrintf(v);
+          ExpectScaledAsPrintf(-v);
+        }
+      }
+    }
+  }
+}
+
+TEST(Units, ScaledFormattersPrintAsPrintfAtTheEdgesOfDouble) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  for (const double v :
+       {0.0, -0.0, kDenormMin, -kDenormMin, 1e-310, -1e-310,
+        std::nextafter(kMin, 0.0), kMin, -kMin, kMax, -kMax, kInf, -kInf,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()}) {
+    ExpectScaledAsPrintf(v);
+  }
+}
+
+TEST(Units, ScaledFormattersPrintAsPrintfOnRandomValues) {
+  std::mt19937_64 gen(20261019);
+  for (int i = 0; i < 100000; ++i) ExpectScaledAsPrintf(RandomScaledValue(gen));
 }
 
 // --- mathutil ---
@@ -268,6 +372,149 @@ TEST(Error, InfeasibleStringsRoundTrip) {
     const auto reason = static_cast<Infeasible>(i);
     EXPECT_EQ(InfeasibleFromString(ToString(reason)), reason);
   }
+}
+
+// InfeasibleError::Text() as it was composed: the restated prefixes, the
+// reason, then ": " and the detail printf formatted, when there is one.
+std::string ComposedText(Infeasible reason, int restated,
+                         const std::string& detail) {
+  std::string s;
+  for (int i = 0; i < restated; ++i) {
+    s += ToString(reason);
+    s += ": ";
+  }
+  s += ToString(reason);
+  if (!detail.empty()) s += ": " + detail;
+  return s;
+}
+
+// Text(), and AppendTo after other text, of `error` against `expected`.
+void ExpectText(const InfeasibleError& error, const std::string& expected) {
+  EXPECT_EQ(error.Text(), expected);
+  std::string row = "1,2,none,0,";
+  error.AppendTo(row);
+  EXPECT_EQ(row, "1,2,none,0," + expected);
+}
+
+template <std::size_t N>
+void ExpectLiteralAsComposed(Infeasible reason, const char (&literal)[N]) {
+  SCOPED_TRACE(literal);
+  for (int restated = 0; restated <= 2; ++restated) {
+    ExpectText(InfeasibleError{reason, ErrorDetail(literal), restated},
+               ComposedText(reason, restated, literal));
+  }
+}
+
+template <std::size_t N>
+void ExpectIntsAsComposed(Infeasible reason, const char (&format)[N],
+                          std::mt19937_64& gen) {
+  SCOPED_TRACE(format);
+  constexpr long long kMin = std::numeric_limits<long long>::min();
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  for (int i = 0; i < 200; ++i) {
+    // Edges first, then draws of every magnitude and sign.
+    const long long a = i == 0 ? kMin : i == 1 ? kMax : i == 2 ? 0
+                        : static_cast<long long>(gen() >> (gen() % 64));
+    const long long b = i == 0 ? kMax : i == 1 ? -1 : i == 2 ? 0
+                        : -static_cast<long long>(gen() >> (gen() % 64));
+    char detail[256];
+    std::snprintf(detail, sizeof(detail), format, a, b);
+    for (int restated = 0; restated <= 2; ++restated) {
+      ExpectText(InfeasibleError{reason, ErrorDetail(format, a, b), restated},
+                 ComposedText(reason, restated, detail));
+    }
+  }
+}
+
+template <std::size_t N>
+void ExpectBytesAsComposed(Infeasible reason, const char (&format)[N],
+                           std::mt19937_64& gen) {
+  SCOPED_TRACE(format);
+  for (int i = 0; i < 200; ++i) {
+    const double a = i == 0 ? 0.0 : std::fabs(RandomScaledValue(gen));
+    const double b = i == 0 ? std::numeric_limits<double>::infinity()
+                            : std::fabs(RandomScaledValue(gen));
+    char detail[256];
+    std::snprintf(detail, sizeof(detail), format, PrintfBytes(a).c_str(),
+                  PrintfBytes(b).c_str());
+    for (int restated = 0; restated <= 2; ++restated) {
+      ExpectText(
+          InfeasibleError{reason, ErrorDetail(format, Bytes(a), Bytes(b)),
+                          restated},
+          ComposedText(reason, restated, detail));
+    }
+  }
+}
+
+// Every ErrorDetail the model builds (models/execution.cc,
+// core/perf_model.cc, core/inference.cc), with its reason.
+TEST(Error, EveryExplanationReadsAsItWasComposed) {
+  using I = Infeasible;
+  std::mt19937_64 gen(32);
+  ExpectIntsAsComposed(I::kBadPartition, "t*p*d = %lld != %lld procs", gen);
+  ExpectIntsAsComposed(I::kIndivisibleHeads, "t=%lld vs %lld heads", gen);
+  ExpectBytesAsComposed(I::kMemoryCapacity, "needs %s, capacity %s", gen);
+  ExpectBytesAsComposed(I::kOffloadCapacity, "needs %s tier-2, capacity %s",
+                        gen);
+  ExpectLiteralAsComposed(I::kBadPartition, "degrees must be >= 1");
+  ExpectLiteralAsComposed(I::kBadPartition, "t*p*d overflows int64");
+  ExpectLiteralAsComposed(I::kBadPartition,
+                          "execution proc count != system proc count");
+  ExpectLiteralAsComposed(I::kIndivisibleHeads,
+                          "t does not divide feedforward");
+  ExpectLiteralAsComposed(I::kIndivisibleHeads, "t does not divide sequence");
+  ExpectLiteralAsComposed(I::kIndivisibleBlocks, "p exceeds blocks");
+  ExpectLiteralAsComposed(I::kIndivisibleBlocks, "bad interleaving factor");
+  ExpectLiteralAsComposed(I::kIndivisibleBatch,
+                          "batch/microbatch must be >= 1");
+  ExpectLiteralAsComposed(I::kIndivisibleBatch, "d*m does not divide batch");
+  // A '%' in a literal without operands is text, not a conversion.
+  ExpectLiteralAsComposed(I::kIndivisibleBatch,
+                          "interleaving needs microbatches % p == 0");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions,
+                          "seq_par requires tp_rs_ag");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions,
+                          "seq_par_ag_redo requires seq_par");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions, "tp options need t > 1");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions, "dp options need d > 1");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions, "pp options need p > 1");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions, "pp_rs_ag needs t > 1");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions,
+                          "training-only option in inference mode");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions,
+                          "inference requires exec.training == false");
+  ExpectLiteralAsComposed(I::kIncompatibleOptions,
+                          "offloading is not modeled for inference");
+  ExpectLiteralAsComposed(I::kBadConfig, "datatype_bytes must be > 0");
+  ExpectLiteralAsComposed(I::kBadConfig, "bad inference config");
+  ExpectLiteralAsComposed(I::kBadConfig, "non-finite batch time");
+  ExpectLiteralAsComposed(I::kNetworkSize,
+                          "no network covers a communicator");
+  ExpectLiteralAsComposed(I::kOffloadCapacity, "no tier-2 memory in system");
+  // No detail: the reason alone, with no ": ".
+  ExpectLiteralAsComposed(I::kMemoryCapacity, "");
+  for (int restated = 0; restated <= 2; ++restated) {
+    ExpectText(InfeasibleError{I::kNetworkSize, {}, restated},
+               ComposedText(I::kNetworkSize, restated, ""));
+    // Text computed at the error site is kept as it is, '%' and all.
+    const std::string text = "non-finite or negative 100% of %s";
+    ExpectText(InfeasibleError{I::kBadConfig, ErrorDetail(text), restated},
+               ComposedText(I::kBadConfig, restated, text));
+  }
+}
+
+TEST(Error, AnotherConversionFailsItsDcheck) {
+  const ErrorDetail ints("t=%d vs %lld heads", 8LL, 96LL);
+  const ErrorDetail bytes("needs %s, capacity %s of %s", GiB(1), GiB(2));
+#ifdef NDEBUG
+  // Release: the substitution stops at a conversion it does not expect,
+  // and the rest of the format is kept as text.
+  EXPECT_EQ(ints.Text(), "t=%d vs %lld heads");
+  EXPECT_EQ(bytes.Text(), "needs 1 GiB, capacity 2 GiB of %s");
+#else
+  EXPECT_THROW((void)ints.Text(), ContractViolation);
+  EXPECT_THROW((void)bytes.Text(), ContractViolation);
+#endif
 }
 
 TEST(Error, InfeasibleFromStringRejectsUnknown) {
