@@ -32,7 +32,8 @@
 //   --workers N          run the sweep in N supervised worker processes
 //                        (crash/hang isolation: a dying worker costs a
 //                        retry, not the run; see docs/robustness.md)
-//   --shard-size N       items dispatched to a worker at a time (default 16)
+//   --shard-size N       items per shard (default 16); a worker is given one
+//                        shard at a time, or 8 while shards take under 1 ms
 //   --hang-timeout S     SIGKILL a worker silent for S seconds (default 30)
 //   --worker-logs DIR    capture worker stderr to DIR/worker-<n>.log
 // plus the observability options (see docs/observability.md):

@@ -9,9 +9,10 @@
 #   3. the same seed reproduces the same output byte-for-byte,
 #   4. blame is exact: a run with one item per shard, where the first
 #      un-acked item is the culprit by construction, writes the same
-#      CSV byte-for-byte, and so does a run of 32 shards of 2, more than
-#      the 8 per worker the supervisor keeps in flight, so workers die
-#      holding shards they never started,
+#      CSV byte-for-byte, and so does a run of 32 shards of 2, which go
+#      out 8 to a range once the rows prove cheap, so a worker dies
+#      part-way through a range and must blame exactly the rows the
+#      one-item-per-shard run blames,
 #   5. worker stderr logs are captured for the post-mortem,
 #   6. a checkpoint that cannot be written stops the pool and fails the
 #      run as in process, with no worker blamed (no post-mortem).
@@ -116,12 +117,12 @@ if ! cmp -s "$WORK/faulted.csv" "$WORK/exact.csv"; then
   exit 1
 fi
 
-echo "== shards queued behind a dying worker's come back uncharged"
-# 32 shards of 2 across 3 workers: study rows are cheap, so the supervisor
-# queues up to 8 shards at each worker once it has seen a few finish, and
-# a worker a fault kills holds some it never started.
-# They are re-dispatched as they were, blaming nobody, so the CSV is
-# byte-identical to the one-item-per-shard run's.
+echo "== a worker that dies part-way through a range blames exactly the same rows"
+# 32 shards of 2 across 3 workers: study rows are cheap, so once a few
+# shards have come back the supervisor gives each idle worker 8 of them as
+# one range, and a worker a fault kills dies part-way through one. Its
+# death blames nobody, and the rest of the range is retried item by item,
+# so the CSV is byte-identical to the one-item-per-shard run's.
 run_faulted "$WORK/queued.csv" "$WORK/queued.log" 2 || exit 1
 if ! cmp -s "$WORK/exact.csv" "$WORK/queued.csv"; then
   echo "crash_smoke: shard sizes 2 and 1 blame different rows" >&2
@@ -178,4 +179,4 @@ fi
 
 echo "crash_smoke: OK ($QUARANTINED poison row(s) quarantined," \
      "survivors byte-identical, reruns reproducible, blame exact," \
-     "queued shards uncharged, commit failures blame no worker)"
+     "mid-range deaths blame exactly, commit failures blame no worker)"

@@ -55,7 +55,9 @@ void PrintUsage() {
       "  --threads N         worker threads (default: hardware)\n"
       "  --workers N         run pairs in N supervised worker processes\n"
       "                      (crash/hang isolation; see docs/robustness.md)\n"
-      "  --shard-size N      pairs dispatched to a worker at a time\n"
+      "  --shard-size N      pairs per shard (default 1); a worker is given\n"
+      "                      one shard at a time, or 8 while shards take\n"
+      "                      under 1 ms\n"
       "  --hang-timeout S    SIGKILL a worker silent for S seconds\n"
       "  --worker-logs DIR   capture worker stderr to DIR/worker-<n>.log\n"
       "  --verbose           print a result row per (app, system) pair\n"

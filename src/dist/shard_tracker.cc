@@ -17,18 +17,21 @@ ShardTracker::ShardTracker(const ShardTrackerOptions& options)
   resolved_ = options_.first_item;
 }
 
-bool ShardTracker::Claim(ShardRange* out) {
+bool ShardTracker::Claim(std::uint64_t shards, ShardRange* out) {
+  CALC_CHECK(shards >= 1, "claim at least one shard");
   if (next_ >= options_.num_items) return false;
+  // The rest of the sweep when the range would reach past it; the test
+  // keeps shards * shard_size from overflowing.
+  const std::uint64_t left = options_.num_items - next_;
   out->begin = next_;
-  out->end = std::min(next_ + options_.shard_size, options_.num_items);
+  out->end = options_.shard_size <= left / shards
+                 ? next_ + shards * options_.shard_size
+                 : options_.num_items;
   next_ = out->end;
   return true;
 }
 
-void ShardTracker::OnItemDone(std::uint64_t item) {
-  (void)item;
-  ++resolved_;
-}
+void ShardTracker::OnItemDone() { ++resolved_; }
 
 ShardTracker::FailureOutcome ShardTracker::OnShardFailure(
     ShardRange shard, std::uint64_t acked_up_to) {

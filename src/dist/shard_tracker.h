@@ -29,7 +29,8 @@
 
 namespace calculon::dist {
 
-// A contiguous, half-open range of sweep items: the dispatch unit.
+// A contiguous, half-open range of sweep items: what a worker is given at
+// once, one or more shards.
 struct ShardRange {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
@@ -55,13 +56,14 @@ class ShardTracker {
  public:
   explicit ShardTracker(const ShardTrackerOptions& options);
 
-  // Claims the next never-dispatched shard. Returns false when the whole
-  // range has been handed out (retries are the supervisor's re-dispatch
-  // queue, not the tracker's).
-  [[nodiscard]] bool Claim(ShardRange* out);
+  // Claims the next `shards` never-dispatched shards (>= 1) as one range,
+  // shorter at the end of the sweep. Returns false when the whole sweep
+  // has been handed out (retries are the supervisor's re-dispatch queue,
+  // not the tracker's).
+  [[nodiscard]] bool Claim(std::uint64_t shards, ShardRange* out);
 
   // One item's result was received (acked).
-  void OnItemDone(std::uint64_t item);
+  void OnItemDone();
 
   // Outcome of a worker failure on a shard.
   struct FailureOutcome {

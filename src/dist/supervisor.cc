@@ -16,6 +16,7 @@
 #include <exception>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -58,9 +59,8 @@ namespace {
 
 [[nodiscard]] std::int64_t NowMs() { return NowUs() / 1000; }
 
-// A shard waiting for re-dispatch: a retry (always ack_each) out its
-// backoff, or a fresh shard a failed worker held but never started (due at
-// once).
+// A retry (always ack_each) waiting for re-dispatch: due at ready_at_ms,
+// once its backoff has passed.
 struct PendingRetry {
   ShardRange shard;
   std::int64_t ready_at_ms = 0;
@@ -81,9 +81,12 @@ struct SlotEvent {
 // Per-slot post-mortem ring size: the last 64 exchanges are kept.
 constexpr std::size_t kSlotEventCapacity = 64;
 
-// A shard dispatched to a worker and not yet closed by its shard_done.
+// The range a worker holds: dispatched and not yet closed by its
+// shard_done.
 struct InFlight {
   ShardRange shard;
+  // NowUs() at its dispatch, for the cost gate (ShardsAreCheap).
+  std::int64_t since_us = 0;
   // Trace timestamp of its dispatch (supervisor timeline), for the handoff
   // span recorded when its shard_done arrives. 0 = not tracing.
   double dispatch_ts_us = 0.0;
@@ -95,16 +98,10 @@ struct WorkerSlot {
   int res_fd = -1;  // worker -> parent (non-blocking, poll()ed)
   std::unique_ptr<FrameWriter> writer;
   std::unique_ptr<FrameReader> reader;
-  bool ready = false;  // worker acked init; shards may be dispatched
-  // The shards this worker holds, in dispatch order, at most
-  // kShardsInFlight: it works on the front one, and has started none of
-  // the rest (it takes them in order).
-  std::deque<InFlight> shards;
-  std::uint64_t acked = 0;  // next expected item index within the front
+  bool ready = false;  // worker acked init; a range may be dispatched
+  std::optional<InFlight> held;  // the one range this worker works on
+  std::uint64_t acked = 0;  // items acked from it, in order
   std::int64_t last_activity_ms = 0;
-  // When the front shard became the front: dispatched to this worker while
-  // it held nothing, or its predecessor's shard_done arrived.
-  std::int64_t front_since_us = 0;
 
   // The current incarnation's pid, surviving the reap (ReapWorker resets
   // `pid`); stamps this worker's trace lane and post-mortem files.
@@ -120,10 +117,8 @@ struct WorkerSlot {
   bool has_live_metrics = false;
 
   [[nodiscard]] bool alive() const { return pid != -1; }
-  [[nodiscard]] bool busy() const { return !shards.empty(); }
-  [[nodiscard]] const ShardRange& front() const {
-    return shards.front().shard;
-  }
+  [[nodiscard]] bool busy() const { return held.has_value(); }
+  [[nodiscard]] const ShardRange& range() const { return held->shard; }
 
   void Record(const char* label, std::uint64_t item, std::int64_t ms) {
     events[event_count++ % kSlotEventCapacity] = SlotEvent{label, item, ms};
@@ -141,10 +136,11 @@ struct Pool {
 
   std::vector<WorkerSlot> slots;
   std::deque<PendingRetry> pending;
-  // How long workers held shards, summed, and the shards they finished in
-  // that time: the mean is what a shard costs, round trips included.
+  // How long workers held ranges, summed, and the items of the ranges they
+  // finished in that time: the mean is what an item costs, round trips
+  // included.
   std::int64_t busy_us = 0;
-  std::uint64_t shards_done = 0;
+  std::uint64_t items_done = 0;
   // Workers that died before acking init, with no ready worker in
   // between: when every fork attempt dies at startup (a fault spec the
   // worker rejects, say) no worker can start, and retrying forever would
@@ -247,15 +243,15 @@ void FinalizeSlotMetrics(Pool& pool, std::size_t index) {
     doc["description"] = description;
     if (slot.busy()) {
       json::Value shard;
-      shard["begin"] = static_cast<std::int64_t>(slot.front().begin);
-      shard["end"] = static_cast<std::int64_t>(slot.front().end);
+      shard["begin"] = static_cast<std::int64_t>(slot.range().begin);
+      shard["end"] = static_cast<std::int64_t>(slot.range().end);
       doc["shard"] = shard;
       doc["acked"] = static_cast<std::int64_t>(slot.acked);
-      // The item ShardTracker blames: the first one never acked. A
-      // coalesced shard's worker may have died past it, so it names none.
-      if (slot.front().ack_each) {
+      // The item ShardTracker blames: the first one never acked. A fresh
+      // range's worker may have died past it, so it names none.
+      if (slot.range().ack_each) {
         doc["suspect"] =
-            static_cast<std::int64_t>(slot.front().begin + slot.acked);
+            static_cast<std::int64_t>(slot.range().begin + slot.acked);
       }
     }
     const std::int64_t now = NowMs();
@@ -311,8 +307,8 @@ void CheckSnapshotFolds(const Pool& pool, std::size_t index,
 // Takes one control or telemetry frame from worker `index`. Returns false
 // for a frame that breaks the protocol: an unknown type, a run header
 // announcing no lines or, while the run is `live`, a run header that does
-// not start at the front shard's next un-acked item and end within it, or
-// a shard_done that does not name the front shard after its last ack.
+// not start at the held range's next un-acked item and end within it, or
+// a shard_done that does not name the held range after its last ack.
 // Throws ConfigError on a malformed frame. Telemetry is purely
 // observational: it never touches the shard tracker or the driver
 // callbacks, which is what keeps supervised outputs bit-identical with
@@ -330,9 +326,9 @@ void CheckSnapshotFolds(const Pool& pool, std::size_t index,
     if (live) {
       const std::int64_t first = frame.at("begin").AsInt();
       if (!slot.busy()) return false;
-      const std::uint64_t next = slot.front().begin + slot.acked;
+      const std::uint64_t next = slot.range().begin + slot.acked;
       if (static_cast<std::uint64_t>(first) != next ||
-          static_cast<std::uint64_t>(count) > slot.front().end - next) {
+          static_cast<std::uint64_t>(count) > slot.range().end - next) {
         return false;
       }
     }
@@ -344,7 +340,7 @@ void CheckSnapshotFolds(const Pool& pool, std::size_t index,
   } else if (type == "shard_done") {
     // At shutdown the runs go unread, so only a live run checks the acks.
     if (!slot.busy()) return !live;
-    const InFlight done = slot.shards.front();
+    const InFlight done = *slot.held;
     if (live && (frame.at("begin").AsInt() !=
                      static_cast<std::int64_t>(done.shard.begin) ||
                  frame.at("end").AsInt() !=
@@ -352,14 +348,13 @@ void CheckSnapshotFolds(const Pool& pool, std::size_t index,
                  slot.acked != done.shard.end - done.shard.begin)) {
       return false;
     }
-    slot.shards.pop_front();
+    slot.held.reset();
     slot.acked = 0;
-    pool.busy_us += now_us - slot.front_since_us;
-    ++pool.shards_done;
-    slot.front_since_us = now_us;
+    pool.busy_us += now_us - done.since_us;
+    pool.items_done += done.shard.end - done.shard.begin;
     slot.Record("shard_done", done.shard.begin, slot.last_activity_ms);
     // Handoff span on the supervisor timeline: dispatch to completion of
-    // this shard, labelled with the worker's lane.
+    // this range, labelled with the worker's lane.
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
     if (recorder.enabled() && done.dispatch_ts_us > 0.0) {
       recorder.RecordComplete(
@@ -459,7 +454,7 @@ void CheckSnapshotFolds(const Pool& pool, std::size_t index,
   slot.writer = std::make_unique<FrameWriter>(slot.cmd_fd);
   slot.reader = std::make_unique<FrameReader>(slot.res_fd);
   slot.ready = false;
-  slot.shards.clear();
+  slot.held.reset();
   slot.acked = 0;
   slot.last_activity_ms = NowMs();
   if (slot.last_pid != -1 && pool.restarts != nullptr) {
@@ -502,15 +497,9 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
     ++pool.consecutive_startup_failures;
   }
   if (slot.busy()) {
-    // The shards behind the front were never started: they go back to the
-    // head of the queue as they were, in order, charged nothing, behind
-    // the front shard's retry (below), whose items come before theirs.
-    for (std::size_t k = slot.shards.size() - 1; k > 0; --k) {
-      pool.pending.push_front(PendingRetry{slot.shards[k].shard, 0});
-    }
-    const std::uint64_t acked_up_to = slot.front().begin + slot.acked;
+    const std::uint64_t acked_up_to = slot.range().begin + slot.acked;
     const ShardTracker::FailureOutcome outcome =
-        pool.tracker->OnShardFailure(slot.front(), acked_up_to);
+        pool.tracker->OnShardFailure(slot.range(), acked_up_to);
     if (outcome.quarantined) {
       FailureRecord record;
       record.item = outcome.suspect;
@@ -534,40 +523,33 @@ void HandleWorkerDeath(Pool& pool, std::size_t index,
           PendingRetry{outcome.retry, NowMs() + outcome.backoff_ms});
       if (pool.reassigned != nullptr) pool.reassigned->Increment();
     }
-    slot.shards.clear();
+    slot.held.reset();
   }
   CloseSlotFds(slot);
 }
 
-// Whether a busy worker may be given a shard to hold behind the one it
-// works on: only once the run's shards have taken less than a worker's
-// flush interval each, on average. A longer shard goes out in a write of
-// its own anyway (dist/worker.h), so queueing it would save the worker
-// only its wait for the next shard, a few percent of the shard, while
-// holding work that another worker may be free to take sooner, and a stop
+// Whether a worker may be given kShardsPerDispatch shards at once: only
+// once the run's items have taken less than a worker's flush interval per
+// shard_size of them, on average, so a range counts as the shards it
+// holds. A longer shard goes out in a write of its own anyway
+// (dist/worker.h), so a range of them would save the worker only its wait
+// for the next shard, a few percent of the shard, while holding work that
+// another worker may be free to take sooner, and a stop or a due retry
 // would wait for it.
 [[nodiscard]] bool ShardsAreCheap(const Pool& pool) {
-  constexpr std::int64_t kCheapShardUs =
-      std::chrono::microseconds(kFlushInterval).count();
-  return pool.shards_done > 0 &&
-         pool.busy_us <
-             kCheapShardUs * static_cast<std::int64_t>(pool.shards_done);
+  constexpr double kCheapShardUs =
+      std::chrono::duration<double, std::micro>(kFlushInterval).count();
+  return pool.items_done > 0 &&
+         static_cast<double>(pool.busy_us) *
+                 static_cast<double>(pool.options.shard_size) <
+             kCheapShardUs * static_cast<double>(pool.items_done);
 }
 
-// A retry is due: it waits for a worker that holds nothing.
-[[nodiscard]] bool RetryDue(const Pool& pool, std::int64_t now) {
-  return std::any_of(pool.pending.begin(), pool.pending.end(),
-                     [now](const PendingRetry& p) {
-                       return p.shard.ack_each && p.ready_at_ms <= now;
-                     });
-}
-
-// Takes the first due entry of `pending` that a worker may take: any for
-// a worker that holds nothing, else only a fresh shard, never a retry.
-[[nodiscard]] bool TakePending(Pool& pool, std::int64_t now, bool idle,
+// Takes the first retry out of its backoff, if any.
+[[nodiscard]] bool TakePending(Pool& pool, std::int64_t now,
                                ShardRange* out) {
   for (auto it = pool.pending.begin(); it != pool.pending.end(); ++it) {
-    if (it->ready_at_ms <= now && (idle || !it->shard.ack_each)) {
+    if (it->ready_at_ms <= now) {
       *out = it->shard;
       pool.pending.erase(it);
       return true;
@@ -626,7 +608,7 @@ enum class Drained {
           slot.last_activity_ms = NowMs();
           for (std::size_t at = 0; at < lines.size();) {
             const std::size_t nl = lines.find('\n', at);
-            const std::uint64_t item = slot.front().begin + slot.acked;
+            const std::uint64_t item = slot.range().begin + slot.acked;
             bool decoded = true;
             if (pool.callbacks->on_item) {
               RunCallback(pool, [&] {
@@ -635,7 +617,7 @@ enum class Drained {
               });
             }
             if (!decoded) return Drained::kCorrupt;
-            pool.tracker->OnItemDone(item);
+            pool.tracker->OnItemDone();
             ++slot.acked;
             slot.Record("item_done", item, slot.last_activity_ms);
             at = nl + 1;
@@ -736,59 +718,38 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
     const std::int64_t now_us = NowUs();
     const std::int64_t now = now_us / 1000;
 
-    // Dispatch, one shard per ready worker per pass, until no worker takes
-    // one. A worker takes the first due entry of `pending` it may take (a
-    // retry, or a shard a dead worker held but never started), else a
-    // fresh claim. A retry goes only to a worker that holds nothing, and
-    // nothing is queued behind it, so its blame stays exact. A busy worker
-    // is given a shard to hold only while shards are cheap
-    // (ShardsAreCheap) and no retry is due: a due retry goes to the first
-    // worker to run dry, within the kShardsInFlight shards it holds. Each
-    // worker's new shards go out in one write.
-    const bool cheap = ShardsAreCheap(pool);
-    for (bool dispatched = true; dispatched;) {
-      dispatched = false;
-      for (WorkerSlot& slot : pool.slots) {
-        if (!slot.alive() || !slot.ready) continue;
-        const bool idle = !slot.busy();
-        if (!idle && (!cheap || slot.shards.size() >= kShardsInFlight ||
-                      slot.shards.back().shard.ack_each ||
-                      RetryDue(pool, now))) {
-          continue;
-        }
-        ShardRange shard;
-        if (!TakePending(pool, now, idle, &shard) && !tracker.Claim(&shard)) {
-          continue;
-        }
-        json::Value frame;
-        frame["type"] = "shard";
-        frame["begin"] = static_cast<std::int64_t>(shard.begin);
-        frame["end"] = static_cast<std::int64_t>(shard.end);
-        if (shard.ack_each) frame["ack_each"] = true;
-        slot.writer->QueueFrame(frame);
-        slot.shards.push_back(InFlight{
-            shard, recorder.enabled() ? recorder.NowMicros() : 0.0});
-        if (idle) {
-          // Queueing a shard is no sign of life from the worker: only a
-          // worker that held nothing starts its hang clock here.
-          slot.last_activity_ms = now;
-          slot.front_since_us = now_us;
-        }
-        slot.Record("shard_begin", shard.begin, now);
-        dispatched = true;
-      }
-    }
+    // Dispatch: each ready worker that holds nothing takes the first due
+    // retry, else a fresh range of consecutive shards, kShardsPerDispatch
+    // of them while shards are cheap (ShardsAreCheap) and one otherwise. A
+    // worker holds one range at a time, so a due retry goes to the first
+    // worker to finish its range, and nothing waits behind it.
+    const std::uint64_t shards = ShardsAreCheap(pool) ? kShardsPerDispatch : 1;
     for (std::size_t i = 0; i < pool.slots.size(); ++i) {
       WorkerSlot& slot = pool.slots[i];
-      if (!slot.alive() || slot.writer->Flush()) continue;
-      // Dead before the dispatch reached it; fold into the normal death
-      // path so its shards are retried and the slot refilled.
-      HandleWorkerDeath(pool, i, ReapWorker(slot));
+      if (!slot.alive() || !slot.ready || slot.busy()) continue;
+      ShardRange range;
+      if (!TakePending(pool, now, &range) && !tracker.Claim(shards, &range)) {
+        break;
+      }
+      json::Value frame;
+      frame["type"] = "shard";
+      frame["begin"] = static_cast<std::int64_t>(range.begin);
+      frame["end"] = static_cast<std::int64_t>(range.end);
+      if (range.ack_each) frame["ack_each"] = true;
+      slot.held = InFlight{range, now_us,
+                           recorder.enabled() ? recorder.NowMicros() : 0.0};
+      slot.last_activity_ms = now;
+      slot.Record("shard_begin", range.begin, now);
+      if (!slot.writer->WriteFrame(frame)) {
+        // Dead before the dispatch reached it; fold into the normal death
+        // path so its range is retried and the slot refilled.
+        HandleWorkerDeath(pool, i, ReapWorker(slot));
+      }
     }
 
     // Spawn into empty slots while there are more dispatchable shards than
     // idle live workers can absorb: every slot on the first pass, then the
-    // slots of dead workers. If a busy worker dies its shard lands in
+    // slots of dead workers. If a busy worker dies its range lands in
     // `pending`, so "no dispatchable work" can only coexist with "no live
     // workers" once everything is resolved. A fork failure is fatal only
     // when no worker is left to carry the run.

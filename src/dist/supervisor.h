@@ -3,11 +3,12 @@
 // and poison-candidate quarantine.
 //
 // The supervisor builds the job once, then forks N workers from it (same
-// binary, no exec — see dist/worker.h for the wire protocol), dispatches
-// contiguous item shards over pipes, keeping up to kShardsInFlight of them
-// at each worker while the run's shards take less than a worker's flush
-// interval each (one at a time otherwise), and runs a single-threaded
-// poll() event loop over the worker result pipes. It detects
+// binary, no exec — see dist/worker.h for the wire protocol), gives each
+// idle worker one contiguous range of items over its pipe — the next
+// kShardsPerDispatch shards while the run's shards take less than a
+// worker's flush interval each, one shard otherwise — and runs a
+// single-threaded poll() event loop over the worker result pipes. It
+// detects
 //
 //   * death  — EOF on the result pipe, classified via waitpid (exit code
 //              or terminating signal, e.g. an injected SIGSEGV/SIGABRT),
@@ -17,16 +18,14 @@
 //              and a retried shard's worker acks each item as it
 //              completes),
 //
-// and reassigns the failed shard. A worker works on its front shard; the
-// shards it holds behind it were never started, so when it fails they go
-// back to the head of the dispatch queue as they were, uncharged. A fresh
-// shard's failure blames nobody and its rest is retried at once, acking
-// item by item; a retried shard's
-// *suspect* — its first un-acked item — carries the blame and the rest is
-// retried after a deterministic exponential backoff (dist/shard_tracker.h).
-// After max_attempts the suspect is quarantined (reported to the driver as
-// a FailureRecord-shaped event, the sweep continues degraded) and the rest
-// of the shard is re-dispatched immediately. Deterministic seeded process
+// and reassigns the failed range. A worker holds one range at a time. A
+// fresh range's failure blames nobody and its un-acked rest is retried at
+// once, acking item by item; a retried range's *suspect* — its first
+// un-acked item — carries the blame and the rest is retried after a
+// deterministic exponential backoff (dist/shard_tracker.h). After
+// max_attempts the suspect is quarantined (reported to the driver as a
+// FailureRecord-shaped event, the sweep continues degraded) and the rest
+// of the range is re-dispatched immediately. Deterministic seeded process
 // faults re-fire on every retry of the same item, so a faulted run
 // quarantines exactly the items whose fault decision is a process kind —
 // which is what makes "the quarantine list equals the injected process
@@ -38,8 +37,8 @@
 // running at that deadline is SIGKILLed.
 //
 // Post-mortems come from the frames the supervisor already handles: each
-// slot keeps a fixed ring of its last exchanges, rendered (with the front
-// shard and, on a retried shard, the suspect) to the file
+// slot keeps a fixed ring of its last exchanges, rendered (with the held
+// range and, on a retry, the suspect) to the file
 // FailureRecord::flight_path names when a busy worker dies.
 //
 // The supervisor itself is single-threaded; results reach the driver via
@@ -48,7 +47,6 @@
 // deterministic-merge guarantee).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -60,11 +58,13 @@
 
 namespace calculon::dist {
 
-// The most shards a worker holds at once: the one it works on and those
-// queued behind it. A constant, not an option: measured on a study of
-// 4 us rows at shard 16, a window of 8 saves 13% of the CPU per row, and
-// one of 32 only 1% more.
-inline constexpr std::size_t kShardsInFlight = 8;
+// The shards a worker is given at once, as one range, while shards are
+// cheap. A constant, not an option: on perfbench's study_supervised
+// (8,640 rows of a few us, 3 workers, shard 16, 4 runs each on 4 vCPUs),
+// ranges of 8 read a median 354k evaluations per CPU second, against 280k
+// for one shard per dispatch and 339k for ranges of 4; 16 read 1% more
+// and 32 1% less.
+inline constexpr std::uint64_t kShardsPerDispatch = 8;
 
 // The init frame RunSupervised sends each worker (dist/worker.h). Its
 // "telemetry" object mirrors this process's obs state, so workers record

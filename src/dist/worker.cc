@@ -38,8 +38,7 @@ void ConfigureTelemetry(const json::Value& frame) {
 }
 
 // Queues the cumulative metrics snapshot and any buffered trace events.
-// Called from quiescent points (before a shard_done the worker writes at
-// once, before exit). All
+// Called from quiescent points (before each shard_done, before exit). All
 // telemetry frames are purely observational — the supervisor's reorder
 // buffers never see them, preserving bit-identical outputs.
 void QueueTelemetry(FrameWriter& writer) {
@@ -66,19 +65,8 @@ void QueueTelemetry(FrameWriter& writer) {
 int WorkerLoop(Job& job, FrameReader& reader, FrameWriter& writer) {
   auto& faults = testing::FaultInjector::Global();
   bool initialized = false;
-  // When the worker last wrote, or last waited for a frame with nothing
-  // queued: it writes at least every kFlushInterval while it works, across
-  // the shards it holds.
-  auto last_write = std::chrono::steady_clock::now();
   json::Value frame;
-  for (;;) {
-    // With no frame buffered the last shard's results went out (see the
-    // end of a shard below), so nothing is queued while the read waits. An
-    // idle worker owes no heartbeat: the interval restarts when the wait
-    // ends, or the first item after every wait would go out on its own.
-    const bool waits = !reader.HasFrame();
-    if (!reader.ReadFrameBlocking(&frame)) break;
-    if (waits) last_write = std::chrono::steady_clock::now();
+  while (reader.ReadFrameBlocking(&frame)) {
     const std::string type = frame.GetString("type", "");
     if (type == "init") {
       faults.Configure(
@@ -94,6 +82,9 @@ int WorkerLoop(Job& job, FrameReader& reader, FrameWriter& writer) {
       // Before init, or past the job's end: a corrupt parent.
       if (!initialized || end > job.num_items()) return 1;
       const bool ack_each = frame.GetBool("ack_each", false);
+      // When the worker last wrote, or got the shard: it writes at least
+      // every kFlushInterval while it works.
+      auto last_write = std::chrono::steady_clock::now();
       // The result lines of items [run_begin, run_begin + run_count),
       // finished since the last write, each ending in '\n'.
       std::uint64_t run_begin = begin;
@@ -127,25 +118,15 @@ int WorkerLoop(Job& job, FrameReader& reader, FrameWriter& writer) {
         }
       }
       queue_run();
-      // Write now unless the next frame is already here and the last write
-      // is recent: then this shard's results ride along with the next's.
-      const auto now = std::chrono::steady_clock::now();
-      const bool write =
-          !reader.HasFrame() || now - last_write >= kFlushInterval;
-      if (write) QueueTelemetry(writer);
+      QueueTelemetry(writer);
       json::Value done;
       done["type"] = "shard_done";
       done["begin"] = static_cast<std::int64_t>(begin);
       done["end"] = static_cast<std::int64_t>(end);
-      writer.QueueFrame(done);
-      if (write) {
-        if (!writer.Flush()) return 1;
-        last_write = now;
-      }
+      if (!writer.WriteFrame(done)) return 1;
     } else if (type == "exit") {
-      // Whatever is queued, then the final cumulative telemetry; the
-      // supervisor drains the pipe to EOF during shutdown, so these frames
-      // are never lost.
+      // Final cumulative telemetry; the supervisor drains the pipe to EOF
+      // during shutdown, so these frames are never lost.
       QueueTelemetry(writer);
       (void)writer.Flush();
       return 0;

@@ -579,10 +579,9 @@ std::string StudyCsvRow(const Execution& e, const Result<Stats>& result) {
   return row;
 }
 
-std::string StudyCsv(const Study& study, const std::vector<StudyRow>& rows) {
+std::string StudyCsv(const std::vector<StudyRow>& rows) {
   std::string csv = StudyCsvHeader();
   for (const StudyRow& row : rows) csv += StudyCsvRow(row.exec, row.result);
-  (void)study;
   return csv;
 }
 

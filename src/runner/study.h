@@ -212,8 +212,7 @@ void LoadStudyCheckpoint(const std::string& path,
 
 // CSV with one row per configuration: the swept fields, feasibility, and
 // the headline statistics.
-[[nodiscard]] std::string StudyCsv(const Study& study,
-                                   const std::vector<StudyRow>& rows);
+[[nodiscard]] std::string StudyCsv(const std::vector<StudyRow>& rows);
 
 // The header line and one data line (both newline-terminated) of the study
 // CSV; StudyCsv and StudyRun::Csv are compositions of these. A data line is

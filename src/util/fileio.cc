@@ -16,8 +16,11 @@ namespace calculon {
 
 namespace {
 
-[[noreturn]] void ThrowIo(const std::string& what, const std::string& path) {
-  throw ConfigError(what + " " + path + ": " + std::strerror(errno));
+// `error` is the errno of the call that failed, read before any cleanup
+// call could overwrite it.
+[[noreturn]] void ThrowIo(const std::string& what, const std::string& path,
+                          int error) {
+  throw ConfigError(what + " " + path + ": " + std::strerror(error));
 }
 
 }  // namespace
@@ -30,7 +33,7 @@ void WriteFileAtomic(const std::string& path,
   const std::string tmp =
       StrFormat("%s.tmp.%d", path.c_str(), static_cast<int>(::getpid()));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) ThrowIo("cannot create", tmp);
+  if (fd < 0) ThrowIo("cannot create", tmp, errno);
 
   for (const std::string_view piece : pieces) {
     const char* data = piece.data();
@@ -39,23 +42,28 @@ void WriteFileAtomic(const std::string& path,
       const ssize_t n = ::write(fd, data, left);
       if (n < 0) {
         if (errno == EINTR) continue;
+        const int error = errno;
         ::close(fd);
         ::unlink(tmp.c_str());
-        ThrowIo("cannot write", tmp);
+        ThrowIo("cannot write", tmp, error);
       }
       data += n;
       left -= static_cast<std::size_t>(n);
     }
   }
   // fsync before rename: otherwise a power loss could surface the rename
-  // (metadata) without the data, i.e. a complete-looking empty file.
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
+  // (metadata) without the data, i.e. a complete-looking empty file. The
+  // descriptor is closed whether or not fsync succeeds.
+  const int sync_error = ::fsync(fd) == 0 ? 0 : errno;
+  const int close_error = ::close(fd) == 0 ? 0 : errno;
+  if (sync_error != 0 || close_error != 0) {
     ::unlink(tmp.c_str());
-    ThrowIo("cannot sync", tmp);
+    ThrowIo("cannot sync", tmp, sync_error != 0 ? sync_error : close_error);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int error = errno;
     ::unlink(tmp.c_str());
-    ThrowIo("cannot rename over", path);
+    ThrowIo("cannot rename over", path, error);
   }
 }
 

@@ -85,7 +85,7 @@ TEST(Configs, StudiesParseAndRun) {
       if (row.result.ok()) ++feasible;
     }
     EXPECT_GT(feasible, 0u) << file;
-    EXPECT_FALSE(StudyCsv(study, rows).empty()) << file;
+    EXPECT_FALSE(StudyCsv(rows).empty()) << file;
   }
 }
 

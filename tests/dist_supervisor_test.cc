@@ -214,10 +214,9 @@ TEST(DistSupervisor, SupervisedCheckpointIsTheInProcessOne) {
 // `workers` workers, shards of `shard_size` and `max_attempts`, and checks
 // that exactly the injected rows quarantine, each after its own
 // max_attempts attempts, and nothing else does: deterministic faults
-// re-fire on every retry, a coalesced shard's death blames nobody, and a
-// shard a dead worker held but never started is charged nothing (at one
-// attempt, a row charged once more would quarantine too). The run is
-// degraded but completes.
+// re-fire on every retry, and the death of a worker on a fresh range
+// blames nobody (at one attempt, a row charged once more would quarantine
+// too). The run is degraded but completes.
 void ExpectExactlyTheInjectedRowsQuarantine(int workers,
                                             std::uint64_t shard_size,
                                             int max_attempts) {
@@ -272,12 +271,24 @@ TEST(DistSupervisor, ProcessFaultsQuarantineExactlyTheInjectedItems) {
 }
 
 TEST(DistSupervisor, CoalescedShardsQuarantineExactlyTheInjectedItems) {
-  // Fresh shards of 4 write their acks in batches, so a death there
-  // cannot name the item that killed the worker. Even at one attempt per
-  // item, only the items whose fault decision is a process kind may
-  // quarantine.
+  // A fresh range writes its acks in batches, so a death there cannot
+  // name the item that killed the worker. Even at one attempt per item,
+  // only the items whose fault decision is a process kind may quarantine.
   for (const int max_attempts : {1, 2}) {
     ExpectExactlyTheInjectedRowsQuarantine(3, 4, max_attempts);
+  }
+}
+
+TEST(DistSupervisor, QueuedShardsOfADeadWorkerComeBackUncharged) {
+  // One row per shard: cheap shards, so once the rows prove cheap a
+  // worker is given 8 of them as one range and a seeded fault kills it
+  // part-way through. A worker takes a range's rows in order, so the
+  // shards after the one it died on never started and come back as they
+  // were.
+  for (const int max_attempts : {1, 3}) {
+    for (const int workers : {1, 2}) {
+      ExpectExactlyTheInjectedRowsQuarantine(workers, 1, max_attempts);
+    }
   }
 }
 
@@ -900,40 +911,30 @@ std::vector<WireFrame> ParseWorkerStream(std::string_view stream) {
   return frames;
 }
 
-// Checks a worker's answer to the shards [0, n) splits into at
-// `shard_size` (one shard when 0) of the job `spec`: ready, then for each
-// shard in order, runs whose lines are the results of its items in order,
-// each as the job evaluates it in this process, then its shard_done.
+// Checks a worker's answer to the shard [0, n) of the job `spec`: ready,
+// then runs whose lines are the results of items 0, 1, ..., n - 1 in
+// order, each as the job evaluates it in this process, then shard_done.
 // Returns the run sizes.
-std::vector<std::size_t> ExpectRunsCoverTheShards(
+std::vector<std::size_t> ExpectRunsCoverTheShard(
     const json::Value& spec, const std::vector<WireFrame>& frames,
-    std::uint64_t n, std::uint64_t shard_size = 0) {
+    std::uint64_t n) {
   std::vector<std::size_t> runs;
   EXPECT_GE(frames.size(), 2u);
   if (frames.size() < 2) return runs;
   EXPECT_EQ(frames.front().frame.GetString("type", ""), "ready");
+  const json::Value& done = frames.back().frame;
+  EXPECT_EQ(done.GetString("type", ""), "shard_done");
+  EXPECT_EQ(done.GetInt("begin", -1), 0);
+  EXPECT_EQ(done.GetInt("end", -1), static_cast<std::int64_t>(n));
   const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
-  const std::uint64_t step = shard_size == 0 ? n : shard_size;
   std::uint64_t next = 0;
-  std::uint64_t shard_begin = 0;
-  for (std::size_t f = 1; f < frames.size(); ++f) {
+  for (std::size_t f = 1; f + 1 < frames.size(); ++f) {
     const WireFrame& run = frames[f];
-    const std::uint64_t shard_end = std::min(shard_begin + step, n);
-    if (run.frame.GetString("type", "") == "shard_done") {
-      EXPECT_EQ(run.frame.GetInt("begin", -1),
-                static_cast<std::int64_t>(shard_begin));
-      EXPECT_EQ(run.frame.GetInt("end", -1),
-                static_cast<std::int64_t>(shard_end));
-      EXPECT_EQ(next, shard_end) << "shard_done before its last result";
-      shard_begin = shard_end;
-      continue;
-    }
     EXPECT_EQ(run.frame.GetString("type", ""), "items") << "frame " << f;
     EXPECT_EQ(run.frame.GetInt("begin", -1), static_cast<std::int64_t>(next));
     EXPECT_EQ(run.frame.GetInt("count", -1),
               static_cast<std::int64_t>(run.lines.size()));
     EXPECT_FALSE(run.lines.empty()) << "frame " << f;
-    EXPECT_LE(next + run.lines.size(), shard_end) << "a run past its shard";
     runs.push_back(run.lines.size());
     for (const std::string& line : run.lines) {
       EXPECT_EQ(line, job->RunItem(next)) << "item " << next;
@@ -941,17 +942,14 @@ std::vector<std::size_t> ExpectRunsCoverTheShards(
     }
   }
   EXPECT_EQ(next, n);
-  EXPECT_EQ(shard_begin, n) << "a shard without its shard_done";
   return runs;
 }
 
 // Forks a worker for the job `spec` on the command pipe `cmd` and the
-// result channel `res`, sends it init, the shards [0, n) splits into at
-// `shard_size` and exit (all in one write when `one_write`, else one write
-// per frame), and closes every end but res[0]. Returns the fork's result.
+// result channel `res`, sends it init, the shard [0, n) and exit, and
+// closes every end but res[0]. Returns the fork's result.
 pid_t ForkShardWorker(const json::Value& spec, std::uint64_t n,
-                      bool ack_each, const int cmd[2], const int res[2],
-                      std::uint64_t shard_size = 0, bool one_write = false) {
+                      bool ack_each, const int cmd[2], const int res[2]) {
   const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
   const pid_t pid = ::fork();
   if (pid == 0) {
@@ -962,27 +960,16 @@ pid_t ForkShardWorker(const json::Value& spec, std::uint64_t n,
   ::close(cmd[0]);
   ::close(res[1]);
   dist::FrameWriter writer(cmd[1]);
-  auto send = [&](const json::Value& frame) {
-    if (one_write) {
-      writer.QueueFrame(frame);
-    } else {
-      EXPECT_TRUE(writer.WriteFrame(frame));
-    }
-  };
-  send(dist::InitFrame(""));
-  const std::uint64_t step = shard_size == 0 ? n : shard_size;
-  for (std::uint64_t begin = 0; begin < n; begin += step) {
-    json::Value shard;
-    shard["type"] = "shard";
-    shard["begin"] = static_cast<std::int64_t>(begin);
-    shard["end"] = static_cast<std::int64_t>(std::min(begin + step, n));
-    if (ack_each) shard["ack_each"] = true;
-    send(shard);
-  }
+  EXPECT_TRUE(writer.WriteFrame(dist::InitFrame("")));
+  json::Value shard;
+  shard["type"] = "shard";
+  shard["begin"] = 0;
+  shard["end"] = static_cast<std::int64_t>(n);
+  if (ack_each) shard["ack_each"] = true;
+  EXPECT_TRUE(writer.WriteFrame(shard));
   json::Value exit_frame;
   exit_frame["type"] = "exit";
-  send(exit_frame);
-  EXPECT_TRUE(writer.Flush());
+  EXPECT_TRUE(writer.WriteFrame(exit_frame));
   ::close(cmd[1]);
   return pid;
 }
@@ -1013,23 +1000,20 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
 
   // With metrics and trace off, the result stream is all there is: one
   // run per flush, then shard_done.
-  ExpectRunsCoverTheShards(spec, ParseWorkerStream(stream), n);
+  ExpectRunsCoverTheShard(spec, ParseWorkerStream(stream), n);
 }
 
-// Runs a study worker over [0, n), as shards of `shard_size` (one shard
-// when 0) sent as ForkShardWorker sends them, and counts the write()s that
-// reach the reader for them: the result socket keeps message boundaries,
-// so each write() arrives as one record. Returns the record count after
-// the ready frame; `frames` receives every frame.
+// Runs a study worker over the shard [0, n) and counts the write()s that
+// reach the reader for it: the result socket keeps message boundaries, so
+// each write() arrives as one record. Returns the record count after the
+// ready frame; `frames` receives every frame.
 std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
-                        bool ack_each, std::vector<WireFrame>* frames,
-                        std::uint64_t shard_size = 0, bool one_write = false) {
+                        bool ack_each, std::vector<WireFrame>* frames) {
   int cmd[2];  // test writes commands, worker reads
   int res[2];  // worker writes records, test reads
   EXPECT_EQ(::pipe(cmd), 0);
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, res), 0);
-  const pid_t pid =
-      ForkShardWorker(spec, n, ack_each, cmd, res, shard_size, one_write);
+  const pid_t pid = ForkShardWorker(spec, n, ack_each, cmd, res);
   EXPECT_NE(pid, -1);
 
   std::vector<char> record(1 << 20);
@@ -1061,7 +1045,7 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
   std::vector<WireFrame> frames;
   const std::size_t coalesced = ShardWrites(spec, n, false, &frames);
   const std::vector<std::size_t> runs =
-      ExpectRunsCoverTheShards(spec, frames, n);
+      ExpectRunsCoverTheShard(spec, frames, n);
   EXPECT_GE(coalesced, 1u);
   EXPECT_LT(coalesced, n);
   EXPECT_LE(runs.size(), coalesced);
@@ -1071,47 +1055,11 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
   // one for shard_done.
   frames.clear();
   EXPECT_EQ(ShardWrites(spec, n, true, &frames), n + 1);
-  EXPECT_EQ(ExpectRunsCoverTheShards(spec, frames, n),
+  EXPECT_EQ(ExpectRunsCoverTheShard(spec, frames, n),
             std::vector<std::size_t>(n, 1));
 }
 
-TEST(DistSupervisor, WorkerWritesTheShardsItHoldsInFewerWritesThanShards) {
-  ASSERT_FALSE(obs::MetricsRegistry::Global().enabled());
-  ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
-  const Study study = Study::FromJson(SmallStudySpec());
-  const std::uint64_t n = study.Enumerate().size();
-  const json::Value spec = StudyJobSpec(study);
-
-  // Init, 8 fresh shards of 2 rows and exit arrive in one write, as the
-  // supervisor sends a window. At the end of each shard the next frame is
-  // already buffered, so the finished shard's results wait (at most 1 ms)
-  // to go out with the later ones.
-  const std::uint64_t shard_size = 2;
-  ASSERT_EQ(n / shard_size, dist::kShardsInFlight);
-  std::vector<WireFrame> frames;
-  const std::size_t writes =
-      ShardWrites(spec, n, false, &frames, shard_size, /*one_write=*/true);
-  EXPECT_GE(writes, 1u);
-  EXPECT_LT(writes, n / shard_size);
-  // Each shard's runs, in item order, come before its own shard_done.
-  const std::vector<std::size_t> runs =
-      ExpectRunsCoverTheShards(spec, frames, n, shard_size);
-  EXPECT_GE(runs.size(), n / shard_size);
-}
-
-TEST(DistSupervisor, QueuedShardsOfADeadWorkerComeBackUncharged) {
-  // One row per shard: cheap shards, so a busy worker holds queued ones
-  // behind the one a seeded fault kills it on. A worker takes its shards
-  // in order, so the queued ones never started and come back as they
-  // were.
-  for (const int max_attempts : {1, 3}) {
-    for (const int workers : {1, 2}) {
-      ExpectExactlyTheInjectedRowsQuarantine(workers, 1, max_attempts);
-    }
-  }
-}
-
-// 256 rows: enough that a worker works through many windows of shards.
+// 256 rows: enough that a worker works through many ranges of shards.
 json::Value WideStudySpec() {
   return json::Parse(R"({
     "application": "megatron_22b",
@@ -1130,11 +1078,10 @@ json::Value WideStudySpec() {
 }
 
 TEST(DistSupervisor, ADueRetryGoesOutBeforeTheLastShards) {
-  // Shards of one row, most rows delayed 200 us: cheap enough to queue,
-  // too slow for the one worker ever to run dry while the supervisor
-  // refills its window. One early row kills it every time. Its retries
-  // (at once, then after each backoff) wait for a worker that holds
-  // nothing, so the busy worker is given no more shards while one is due:
+  // Shards of one row, most rows delayed 200 us: cheap enough to go out
+  // 8 to a range. One early row kills the one worker every time. Its
+  // retries (at once, then after each backoff) wait for the worker to
+  // finish the range it holds, and then go out before any fresh range:
   // the row resolves long before the sweep's tail.
   const json::Value spec = StudyJobSpec(Study::FromJson(WideStudySpec()));
   const std::uint64_t rows = dist::MakeJob(spec)->num_items();
@@ -1172,11 +1119,11 @@ TEST(DistSupervisor, ADueRetryGoesOutBeforeTheLastShards) {
   EXPECT_LT(arrived_at_quarantine.front(), rows / 2);
 }
 
-TEST(DistSupervisor, SlowShardsAreNotQueuedBehindABusyWorker) {
+TEST(DistSupervisor, SlowShardsGoOutOneAtATime) {
   // Every row before the first injected death sleeps 2 ms, so shards take
-  // longer than a worker's flush interval and the worker is only ever
-  // given the shard it works on, as a sweep of audit pairs is. Its
-  // post-mortem shows no dispatch past the shard it died on.
+  // longer than a worker's flush interval and the worker is given one
+  // shard at a time, as a sweep of audit pairs is. Its post-mortem shows a
+  // range of one shard and no dispatch past the shard it died on.
   const Study study = Study::FromJson(WideStudySpec());
   testing::FaultPlan plan;
   plan.seed = 2;
@@ -1212,6 +1159,8 @@ TEST(DistSupervisor, SlowShardsAreNotQueuedBehindABusyWorker) {
   const json::Value doc = json::ParseFile(log_dir + "/flight-000-worker0.json");
   EXPECT_EQ(doc.at("shard").at("begin").AsInt(),
             static_cast<std::int64_t>(first_death));
+  EXPECT_EQ(doc.at("shard").at("end").AsInt(),
+            static_cast<std::int64_t>(first_death + 1));
   std::int64_t last_dispatched = -1;
   for (const json::Value& e : doc.at("events").AsArray()) {
     if (e.at("label").AsString() == "shard_begin") {
@@ -1219,6 +1168,55 @@ TEST(DistSupervisor, SlowShardsAreNotQueuedBehindABusyWorker) {
     }
   }
   EXPECT_EQ(last_dispatched, static_cast<std::int64_t>(first_death));
+  std::filesystem::remove_all(log_dir);
+}
+
+TEST(DistSupervisor, CheapShardsGoOutEightToARange) {
+  // Rows of a few us in shards of 2: once the first shard is back, shards
+  // are cheap, and the worker is given kShardsPerDispatch of them at once,
+  // as one range. The seeded death comes long after that, so its
+  // post-mortem names a whole range, and no suspect: the worker may have
+  // died past its first un-acked row.
+  const Study study = Study::FromJson(WideStudySpec());
+  const std::uint64_t rows = study.Enumerate().size();
+  const std::uint64_t shard_size = 2;
+  const std::uint64_t range = dist::kShardsPerDispatch * shard_size;
+  testing::FaultPlan plan;
+  plan.seed = 15;
+  plan.segv_rate = 0.01;
+  const std::set<std::uint64_t> expected =
+      ExpectedProcessFaultItems(plan, rows);
+  ASSERT_EQ(expected.size(), 1u) << "pick another seed";
+  const std::uint64_t death = *expected.begin();
+  // Several ranges come back before it, and the range it lies in is whole.
+  ASSERT_GE(death, 4 * range) << "pick another seed";
+  ASSERT_LE(death + range, rows) << "pick another seed";
+
+  const std::string log_dir = ::testing::TempDir() + "calculon_cheap_range_" +
+                              std::to_string(::getpid());
+  std::filesystem::remove_all(log_dir);
+  std::filesystem::create_directories(log_dir);
+  RunContext ctx;
+  StudyRunOptions options;
+  options.ctx = &ctx;
+  dist::DistOptions d = FastDist(1);
+  d.shard_size = shard_size;
+  d.faults_spec = plan.ToSpec();
+  d.worker_log_dir = log_dir;
+  (void)dist::RunStudySupervised(study, options, d);
+
+  // The first post-mortem is the first death's: the fresh range.
+  const json::Value doc = json::ParseFile(log_dir + "/flight-000-worker0.json");
+  const std::int64_t begin = doc.at("shard").at("begin").AsInt();
+  const std::int64_t end = doc.at("shard").at("end").AsInt();
+  EXPECT_EQ(end - begin, static_cast<std::int64_t>(range));
+  EXPECT_LE(begin, static_cast<std::int64_t>(death));
+  EXPECT_GT(end, static_cast<std::int64_t>(death));
+  EXPECT_FALSE(doc.contains("suspect"));
+  // Its retries, one ack at a time, blame exactly the seeded row.
+  const RunStatus status = ctx.Snapshot();
+  ASSERT_EQ(status.failure_samples.size(), 1u);
+  EXPECT_EQ(status.failure_samples.front().item, death);
   std::filesystem::remove_all(log_dir);
 }
 

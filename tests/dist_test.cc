@@ -164,17 +164,43 @@ TEST(ShardTracker, ClaimsContiguousShardsThenRunsDry) {
   ShardTracker tracker(options);
 
   ShardRange s;
-  ASSERT_TRUE(tracker.Claim(&s));
+  ASSERT_TRUE(tracker.Claim(1, &s));
   EXPECT_EQ(s.begin, 0u);
   EXPECT_EQ(s.end, 4u);
-  ASSERT_TRUE(tracker.Claim(&s));
+  ASSERT_TRUE(tracker.Claim(1, &s));
   EXPECT_EQ(s.begin, 4u);
   EXPECT_EQ(s.end, 8u);
-  ASSERT_TRUE(tracker.Claim(&s));
+  ASSERT_TRUE(tracker.Claim(1, &s));
   EXPECT_EQ(s.begin, 8u);
   EXPECT_EQ(s.end, 10u);  // final shard is short
-  EXPECT_FALSE(tracker.Claim(&s));
+  EXPECT_FALSE(tracker.Claim(1, &s));
   EXPECT_EQ(tracker.unclaimed(), 0u);
+}
+
+TEST(ShardTracker, ClaimsSeveralShardsAsOneRange) {
+  ShardTrackerOptions options;
+  options.num_items = 21;
+  options.first_item = 1;
+  options.shard_size = 4;
+  ShardTracker tracker(options);
+
+  ShardRange s;
+  ASSERT_TRUE(tracker.Claim(3, &s));
+  EXPECT_EQ(s.begin, 1u);
+  EXPECT_EQ(s.end, 13u);
+  EXPECT_FALSE(s.ack_each);
+  ASSERT_TRUE(tracker.Claim(3, &s));
+  EXPECT_EQ(s.begin, 13u);
+  EXPECT_EQ(s.end, 21u);  // the rest of the sweep: two shards
+  EXPECT_FALSE(tracker.Claim(3, &s));
+
+  // A range that would reach past the end of the item space.
+  options.first_item = 0;
+  options.shard_size = std::uint64_t{1} << 62;
+  ShardTracker huge(options);
+  ASSERT_TRUE(huge.Claim(8, &s));
+  EXPECT_EQ(s.begin, 0u);
+  EXPECT_EQ(s.end, 21u);
 }
 
 TEST(ShardTracker, FirstItemIsTheResumeWatermark) {
@@ -187,11 +213,11 @@ TEST(ShardTracker, FirstItemIsTheResumeWatermark) {
   EXPECT_EQ(tracker.resolved(), 6u);  // below the watermark: already done
   EXPECT_EQ(tracker.unclaimed(), 4u);
   ShardRange s;
-  ASSERT_TRUE(tracker.Claim(&s));
+  ASSERT_TRUE(tracker.Claim(1, &s));
   EXPECT_EQ(s.begin, 6u);
   EXPECT_EQ(s.end, 10u);
-  EXPECT_FALSE(tracker.Claim(&s));
-  for (std::uint64_t i = 6; i < 10; ++i) tracker.OnItemDone(i);
+  EXPECT_FALSE(tracker.Claim(1, &s));
+  for (std::uint64_t i = 6; i < 10; ++i) tracker.OnItemDone();
   EXPECT_TRUE(tracker.AllResolved());
 }
 
@@ -205,11 +231,11 @@ TEST(ShardTracker, SuspectIsFirstUnackedItemAndBackoffGrows) {
   ShardTracker tracker(options);
 
   ShardRange s;
-  ASSERT_TRUE(tracker.Claim(&s));
+  ASSERT_TRUE(tracker.Claim(1, &s));
   s.ack_each = true;  // a retried shard: its first un-acked item is exact
   // Worker acked items 0 and 1, then died on item 2.
-  tracker.OnItemDone(0);
-  tracker.OnItemDone(1);
+  tracker.OnItemDone();
+  tracker.OnItemDone();
   auto first = tracker.OnShardFailure(s, 2);
   EXPECT_FALSE(first.quarantined);
   EXPECT_EQ(first.suspect, 2u);
@@ -233,7 +259,7 @@ TEST(ShardTracker, QuarantinesAfterMaxAttemptsAndStillTerminates) {
   ShardTracker tracker(options);
 
   ShardRange s;
-  ASSERT_TRUE(tracker.Claim(&s));
+  ASSERT_TRUE(tracker.Claim(1, &s));
   s.ack_each = true;  // a retried shard: its first un-acked item is exact
   // The poison item is item 0: three straight deaths with nothing acked.
   (void)tracker.OnShardFailure(s, 0);
@@ -247,7 +273,7 @@ TEST(ShardTracker, QuarantinesAfterMaxAttemptsAndStillTerminates) {
   EXPECT_EQ(last.retry.end, 4u);
 
   EXPECT_EQ(tracker.quarantined(), (std::vector<std::uint64_t>{0}));
-  for (std::uint64_t i = 1; i < 4; ++i) tracker.OnItemDone(i);
+  for (std::uint64_t i = 1; i < 4; ++i) tracker.OnItemDone();
   EXPECT_TRUE(tracker.AllResolved());  // quarantine counts as resolved
 }
 
@@ -260,11 +286,11 @@ TEST(ShardTracker, CoalescedShardFailureChargesNoAttempt) {
   ShardTracker tracker(options);
 
   ShardRange s;
-  ASSERT_TRUE(tracker.Claim(&s));
+  ASSERT_TRUE(tracker.Claim(1, &s));
   EXPECT_FALSE(s.ack_each);  // fresh shards are coalesced
   // Items 0 and 1 were acked; the worker may have died on any of 2..7.
-  tracker.OnItemDone(0);
-  tracker.OnItemDone(1);
+  tracker.OnItemDone();
+  tracker.OnItemDone();
   const auto coalesced = tracker.OnShardFailure(s, 2);
   EXPECT_FALSE(coalesced.quarantined);
   EXPECT_EQ(coalesced.attempt, 0);     // nobody charged
@@ -276,7 +302,7 @@ TEST(ShardTracker, CoalescedShardFailureChargesNoAttempt) {
 
   // The ack_each retry dies after acking item 2: item 3 is exactly the
   // item it was evaluating, and is charged its first (and last) attempt.
-  tracker.OnItemDone(2);
+  tracker.OnItemDone();
   const auto exact = tracker.OnShardFailure(coalesced.retry, 3);
   EXPECT_TRUE(exact.quarantined);
   EXPECT_EQ(exact.suspect, 3u);
@@ -294,8 +320,8 @@ TEST(ShardTracker, DeathBetweenShardsBlamesNobody) {
   ShardTracker tracker(options);
 
   ShardRange s;
-  ASSERT_TRUE(tracker.Claim(&s));
-  for (std::uint64_t i = 0; i < 4; ++i) tracker.OnItemDone(i);
+  ASSERT_TRUE(tracker.Claim(1, &s));
+  for (std::uint64_t i = 0; i < 4; ++i) tracker.OnItemDone();
   // Every item acked before the death: nothing to retry.
   auto outcome = tracker.OnShardFailure(s, 4);
   EXPECT_FALSE(outcome.quarantined);

@@ -3,6 +3,12 @@
 // checkpoint write.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -115,6 +121,35 @@ TEST_F(FileIoTest, FailedPiecesWriteLeavesNeitherDestinationNorTemporary) {
                ConfigError);
   EXPECT_EQ(Entries(dir_), std::set<std::string>{"taken"});
   EXPECT_EQ(Entries(Path("taken")), std::set<std::string>{"inside"});
+}
+
+TEST_F(FileIoTest, FailedSyncClosesTheTemporaryAndNamesItsError) {
+  // A FIFO where the temp file goes: the open and the write succeed (a
+  // reader holds the other end), and fsync fails with EINVAL, as a FIFO
+  // cannot be synced. The temp file's descriptor is closed all the same:
+  // the lowest free descriptor is the same before and after.
+  const std::string path = Path("ckpt.json");
+  WriteFileAtomic(path, "good\n");
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<int>(::getpid()));
+  ASSERT_EQ(::mkfifo(tmp.c_str(), 0644), 0);
+  const int reader = ::open(tmp.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_NE(reader, -1);
+  const int free_before = ::dup(reader);
+  ::close(free_before);
+  try {
+    WriteFileAtomic(path, "bad\n");
+    ADD_FAILURE() << "a FIFO was synced";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cannot sync " + tmp + ": " + std::strerror(EINVAL));
+  }
+  const int free_after = ::dup(reader);
+  ::close(free_after);
+  ::close(reader);
+  EXPECT_EQ(free_after, free_before) << "the temp file's descriptor leaked";
+  EXPECT_EQ(ReadFileToString(path), "good\n");
+  EXPECT_EQ(Entries(dir_), std::set<std::string>{"ckpt.json"});
 }
 
 json::Value TinyStudySpec() {

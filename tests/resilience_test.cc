@@ -82,7 +82,7 @@ TEST_F(ResilienceTest, ResilientRunMatchesThePlainRunner) {
   EXPECT_FALSE(run.status.degraded());
   EXPECT_EQ(run.total_rows, 48u);
   EXPECT_EQ(run.resumed_rows, 0u);
-  EXPECT_EQ(run.Csv(), StudyCsv(study, study.Run()));
+  EXPECT_EQ(run.Csv(), StudyCsv(study.Run()));
   EXPECT_TRUE(run.best.found);
 }
 

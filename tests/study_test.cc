@@ -175,7 +175,7 @@ TEST(Study, EnumerateRaisesTheErrorADepthFirstWalkReachesFirst) {
 TEST(Study, CsvHasHeaderAndOneRowPerConfig) {
   const Study study = Study::FromJson(BasicSpec());
   const auto rows = study.Run();
-  const std::string csv = StudyCsv(study, rows);
+  const std::string csv = StudyCsv(rows);
   const auto lines = Split(Trim(csv), '\n');
   EXPECT_EQ(lines.size(), rows.size() + 1);
   EXPECT_TRUE(StartsWith(lines[0], "tensor_par,pipeline_par"));
@@ -415,7 +415,7 @@ TEST(Study, RandomStudiesThroughTheStageTableMatchTheOneShotRunner) {
         "draw " + std::to_string(draw) + ": " + spec.Dump();
     const std::vector<StudyRow> reference = study.Run();
     const StudyRun run = study.RunResilient();
-    ASSERT_EQ(run.Csv(), StudyCsv(study, reference)) << where;
+    ASSERT_EQ(run.Csv(), StudyCsv(reference)) << where;
 
     // The best row of the one-shot rows: ties keep the earliest.
     bool found = false;
