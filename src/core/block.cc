@@ -71,6 +71,15 @@ double BlockModel::WeightParams() const {
   return params;
 }
 
+Bytes PpOutputBytes(const Application& app, const Execution& exec) {
+  const double b = static_cast<double>(exec.microbatch);
+  const double s = static_cast<double>(app.seq_size);
+  const double h = static_cast<double>(app.hidden);
+  const double t = static_cast<double>(exec.tensor_par);
+  const double pp_shard = (exec.seq_par || exec.pp_rs_ag) ? t : 1.0;
+  return Bytes(exec.datatype_bytes * b * s * h / pp_shard);
+}
+
 BlockModel BuildBlock(const Application& app, const Execution& exec) {
   // The caller contract: exec already validated against app (divisibility,
   // option compatibility). These are the shards BuildBlock divides by.
@@ -101,6 +110,21 @@ BlockModel BuildBlock(const Application& app, const Execution& exec) {
   BlockModel block;
   auto& L = block.layers;
   L.reserve(16);
+  block.attn_recompute_layers.reserve(3);
+  // Under fused_activation, fuses the element-wise layer just added (see
+  // Fuse). The residual adds keep their stash; the other fused layers are
+  // Flash-style: the sequence-squared attention tensors, dropout masks and
+  // the GeLU input are regenerated inside the fused backward kernels
+  // instead of being stashed.
+  auto fuse_last = [&](bool drop_stash) {
+    if (exec.fused_activation) Fuse(L.back(), drop_stash);
+  };
+  // Marks the layer just added as one that attention-only recomputation
+  // re-executes in backward: Q*K^T, softmax and the attention dropout
+  // (from the stashed Q/K/V).
+  auto recompute_last = [&] {
+    block.attn_recompute_layers.push_back(L.size() - 1);
+  };
 
   const double resid_elems = b * (s / sp) * h;  // sharded residual stream
 
@@ -120,25 +144,33 @@ BlockModel BuildBlock(const Application& app, const Execution& exec) {
   L.push_back(MakeBatchMatmul("attn_qkt", b * a / t, {s, e, s}, dt, train,
                               3.0 * b * s * attn_width / t,
                               /*attn_stash=*/false));
+  recompute_last();
   const double score_elems = b * (a / t) * s * s;
   L.push_back(MakeVector("attn_softmax",
                          {score_elems, kSoftmaxFlops, 1.0, 1.0}, dt, train,
                          Bytes(dt * score_elems), /*attn_stash=*/true));
+  fuse_last(/*drop_stash=*/true);
+  recompute_last();
   // Dropout keeps a 1-byte mask per element.
   L.push_back(MakeVector("attn_dropout",
                          {score_elems, kDropoutFlops, 1.0, 1.0}, dt, train,
                          Bytes(1.0 * score_elems), /*attn_stash=*/true));
+  fuse_last(/*drop_stash=*/true);
+  recompute_last();
   // Scores * V; stashes its score input (softmax-dropout output).
   L.push_back(MakeBatchMatmul("attn_av", b * a / t, {s, s, e}, dt, train,
                               score_elems, /*attn_stash=*/true));
+  fuse_last(/*drop_stash=*/true);
   L.push_back(MakeLinear("attn_proj", {b * s, attn_width / t, h}, dt,
                          /*bias=*/true, train, b * s * attn_width / t));
   L.push_back(MakeVector("attn_out_drop",
                          {resid_elems, kDropoutFlops, 1.0, 1.0}, dt, train,
                          Bytes(1.0 * resid_elems)));
+  fuse_last(/*drop_stash=*/true);
   L.push_back(MakeVector("attn_residual",
                          {resid_elems, kResidualFlops, 2.0, 1.0}, dt, train,
                          Bytes(0.0)));
+  fuse_last(/*drop_stash=*/false);
 
   // --- MLP half ---
   L.push_back(MakeVector("mlp_norm", {resid_elems, kLayerNormFlops, 1.0, 1.0},
@@ -149,39 +181,17 @@ BlockModel BuildBlock(const Application& app, const Execution& exec) {
   const double gelu_elems = b * s * f / t;
   L.push_back(MakeVector("mlp_gelu", {gelu_elems, kGeluFlops, 1.0, 1.0}, dt,
                          train, Bytes(dt * gelu_elems)));
+  fuse_last(/*drop_stash=*/true);
   L.push_back(MakeLinear("mlp_fc2", {b * s, f / t, h}, dt, /*bias=*/true,
                          train, b * s * f / t));
   L.push_back(MakeVector("mlp_dropout",
                          {resid_elems, kDropoutFlops, 1.0, 1.0}, dt, train,
                          Bytes(1.0 * resid_elems)));
+  fuse_last(/*drop_stash=*/true);
   L.push_back(MakeVector("mlp_residual",
                          {resid_elems, kResidualFlops, 2.0, 1.0}, dt, train,
                          Bytes(0.0)));
-
-  if (exec.fused_activation) {
-    for (Layer& layer : L) {
-      if (layer.name == "attn_residual" || layer.name == "mlp_residual") {
-        Fuse(layer, /*drop_stash=*/false);
-      } else if (layer.name == "attn_softmax" ||
-                 layer.name == "attn_dropout" || layer.name == "attn_av" ||
-                 layer.name == "attn_out_drop" ||
-                 layer.name == "mlp_dropout" || layer.name == "mlp_gelu") {
-        // Flash-style fusion: the sequence-squared attention tensors,
-        // dropout masks and the GeLU input are regenerated inside the fused
-        // backward kernels instead of being stashed.
-        Fuse(layer, /*drop_stash=*/true);
-      }
-    }
-  }
-
-  // Layers re-executed in backward under attention-only recomputation:
-  // Q*K^T, softmax and the attention dropout (from the stashed Q/K/V).
-  for (std::size_t i = 0; i < L.size(); ++i) {
-    if (L[i].name == "attn_qkt" || L[i].name == "attn_softmax" ||
-        L[i].name == "attn_dropout") {
-      block.attn_recompute_layers.push_back(i);
-    }
-  }
+  fuse_last(/*drop_stash=*/false);
 
   // --- Tensor-parallel communication ---
   const Bytes tp_bytes = Bytes(dt * b * s * h);
@@ -212,10 +222,7 @@ BlockModel BuildBlock(const Application& app, const Execution& exec) {
   }
 
   block.block_input_bytes = Bytes(dt * b * s * h / sp);
-  // The tensor crossing a pipeline boundary: sharded when the residual
-  // stream is sequence-parallel or when PP applies RS before the p2p send.
-  const double pp_shard = (exec.seq_par || exec.pp_rs_ag) ? t : 1.0;
-  block.pp_output_bytes = Bytes(dt * b * s * h / pp_shard);
+  block.pp_output_bytes = PpOutputBytes(app, exec);
 
   // Transient gradient working set: the largest simultaneous gradient
   // tensors (MLP inner, residual stream, attention scores).

@@ -57,6 +57,13 @@ struct BlockModel {
   [[nodiscard]] double WeightParams() const;  // learnable parameter count
 };
 
+// The activation tensor crossing a pipeline-stage boundary, per
+// microbatch (BlockModel::pp_output_bytes): sharded over the TP group when
+// the residual stream is sequence-parallel or when PP applies RS before
+// the point-to-point send (pp_rs_ag).
+[[nodiscard]] Bytes PpOutputBytes(const Application& app,
+                                  const Execution& exec);
+
 // Constructs the block model. `exec` must already satisfy
 // `exec.Validate(app)`.
 [[nodiscard]] BlockModel BuildBlock(const Application& app,

@@ -20,13 +20,13 @@ void AttachWeights(Layer& layer, double params, int dt, bool training) {
 
 }  // namespace
 
-Layer MakeLinear(std::string name, const GemmShape& shape, int dt, bool bias,
+Layer MakeLinear(const char* name, const GemmShape& shape, int dt, bool bias,
                  bool training, double stored_input_elems) {
   const double m = shape.m;
   const double k = shape.k;
   const double n = shape.n;
   Layer layer;
-  layer.name = std::move(name);
+  layer.name = name;
   layer.kind = ComputeKind::kMatrix;
   const double gemm = 2.0 * m * k * n;
   layer.fw_flops = Flops(gemm + (bias ? m * n : 0.0));
@@ -43,14 +43,14 @@ Layer MakeLinear(std::string name, const GemmShape& shape, int dt, bool bias,
   return layer;
 }
 
-Layer MakeBatchMatmul(std::string name, double batches, const GemmShape& shape,
+Layer MakeBatchMatmul(const char* name, double batches, const GemmShape& shape,
                       int dt, bool training, double stored_elems,
                       bool attn_stash) {
   const double m = shape.m;
   const double k = shape.k;
   const double n = shape.n;
   Layer layer;
-  layer.name = std::move(name);
+  layer.name = name;
   layer.kind = ComputeKind::kMatrix;
   const double gemm = 2.0 * batches * m * k * n;
   layer.fw_flops = Flops(gemm);
@@ -64,12 +64,12 @@ Layer MakeBatchMatmul(std::string name, double batches, const GemmShape& shape,
   return layer;
 }
 
-Layer MakeVector(std::string name, const VectorShape& shape, int dt,
+Layer MakeVector(const char* name, const VectorShape& shape, int dt,
                  bool training, Bytes stored_bytes, bool attn_stash,
                  double weight_elems) {
   const double elems = shape.elems;
   Layer layer;
-  layer.name = std::move(name);
+  layer.name = name;
   layer.kind = ComputeKind::kVector;
   layer.fw_flops = Flops(elems * shape.flops_per_elem);
   layer.fw_bytes = Bytes(dt * elems * (shape.tensors_in + shape.tensors_out));

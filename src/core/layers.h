@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "hw/processor.h"
@@ -16,7 +15,7 @@
 namespace calculon {
 
 struct Layer {
-  std::string name;
+  const char* name = "";  // a string literal
   ComputeKind kind = ComputeKind::kMatrix;
 
   // Per-microbatch compute and tier-1 traffic.
@@ -59,19 +58,19 @@ struct VectorShape {
 
 // GEMM computing (M x K) * (K x N). Stores its input (M*K elements) unless
 // `stored_input_elems` overrides it (sequence-parallel sharded stash).
-[[nodiscard]] Layer MakeLinear(std::string name, const GemmShape& shape,
+[[nodiscard]] Layer MakeLinear(const char* name, const GemmShape& shape,
                                int dt, bool bias, bool training,
                                double stored_input_elems = -1.0);
 
 // Batched GEMM: `batches` independent (M x K) * (K x N) products. Weights
 // are activations here (no learnable state). `stored_elems` is the stash.
-[[nodiscard]] Layer MakeBatchMatmul(std::string name, double batches,
+[[nodiscard]] Layer MakeBatchMatmul(const char* name, double batches,
                                     const GemmShape& shape, int dt,
                                     bool training, double stored_elems,
                                     bool attn_stash);
 
 // Element-wise / normalization layer over `shape.elems` elements.
-[[nodiscard]] Layer MakeVector(std::string name, const VectorShape& shape,
+[[nodiscard]] Layer MakeVector(const char* name, const VectorShape& shape,
                                int dt, bool training, Bytes stored_bytes,
                                bool attn_stash = false,
                                double weight_elems = 0.0);

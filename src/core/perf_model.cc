@@ -217,13 +217,14 @@ PartitionKey PartitionKey::Of(const Execution& exec) {
 BlockKey BlockKey::LayersOf(const Execution& exec) {
   BlockKey key = Of(exec);
   key.pipeline_par = 0;
+  key.pp_rs_ag = false;
   return key;
 }
 
 BlockCosts EvaluateBlock(const Application& app, const Execution& exec,
                          const Processor& proc, const Placement& placement) {
   BlockCosts c = EvaluateBlockLayers(app, exec, proc, *placement.tp_net);
-  c.pp_xfer = PpTransfer(exec, c, *placement.pp_net);
+  AddPpBoundary(app, exec, placement, c);
   return c;
 }
 
@@ -247,13 +248,6 @@ BlockCosts EvaluateBlockLayers(const Application& app, const Execution& exec,
   c.tp_fw = TpCommTotal(block.tp_fw, tp_net, t);
   c.tp_bw = TpCommTotal(block.tp_bw, tp_net, t);
   c.tp_bw_extra = TpCommTotal(block.tp_bw_extra, tp_net, t);
-  // RS before the PP send and AG after the receive, on the TP network,
-  // when the residual stream is not already sequence-sharded.
-  if (exec.pp_rs_ag && !exec.seq_par) {
-    const Bytes full = block.pp_output_bytes * static_cast<double>(t);
-    c.pp_rs_ag = tp_net.CollectiveTime(Collective::kReduceScatter, t, full) +
-                 tp_net.CollectiveTime(Collective::kAllGather, t, full);
-  }
 
   // --- Edge-stage vocabulary work (optional; vocab_size == 0 skips) ---
   // The first stage gathers embeddings, the last stage projects onto the
@@ -301,15 +295,27 @@ BlockCosts EvaluateBlockLayers(const Application& app, const Execution& exec,
   c.act_stored_attn = block.ActStoredBytes(Recompute::kAttnOnly);
   c.act_stored_full = block.ActStoredBytes(Recompute::kFull);
   c.params = block.WeightParams();
-  c.pp_output = block.pp_output_bytes;
   c.act_grad_working = block.act_grad_working_bytes;
   return c;
 }
 
-Seconds PpTransfer(const Execution& exec, const BlockCosts& layers,
-                   const Network& pp_net) {
-  if (exec.pipeline_par <= 1) return Seconds(0.0);
-  return pp_net.CollectiveTime(Collective::kPointToPoint, 2, layers.pp_output);
+void AddPpBoundary(const Application& app, const Execution& exec,
+                   const Placement& placement, BlockCosts& block) {
+  block.pp_output = PpOutputBytes(app, exec);
+  // RS before the PP send and AG after the receive, on the TP network,
+  // when the residual stream is not already sequence-sharded.
+  if (exec.pp_rs_ag && !exec.seq_par) {
+    const std::int64_t t = exec.tensor_par;
+    const Network& tp_net = *placement.tp_net;
+    const Bytes full = block.pp_output * static_cast<double>(t);
+    block.pp_rs_ag =
+        tp_net.CollectiveTime(Collective::kReduceScatter, t, full) +
+        tp_net.CollectiveTime(Collective::kAllGather, t, full);
+  }
+  if (exec.pipeline_par > 1) {
+    block.pp_xfer = placement.pp_net->CollectiveTime(Collective::kPointToPoint,
+                                                     2, block.pp_output);
+  }
 }
 
 Result<MemoryBreakdown> CheckCapacity(const Application& app,

@@ -6,11 +6,11 @@
 //   1. PlaceExecution, placement: validation (Execution::Validate) and
 //      network placement (PlaceNetworks);
 //   2. EvaluateBlock, the block stage: one block's compute and TP
-//      communication times, its PP boundary transfer, and its byte and
-//      parameter aggregates. Everything in it but the PP transfer is
-//      independent of pipeline_par (EvaluateBlockLayers), so a search
+//      communication times, its PP boundary, and its byte and parameter
+//      aggregates. Everything in it but the PP boundary is independent of
+//      pipeline_par and pp_rs_ag (EvaluateBlockLayers), so a search
 //      computes that half once per BlockKey::LayersOf and adds the
-//      transfer (PpTransfer) per (t, p, d) triple;
+//      boundary (AddPpBoundary) per block slot;
 //   3. CheckCapacity, the capacity stage: tier-1 memory when nothing is
 //      offloaded (no tier-1 term then depends on time), else that a
 //      tier-2 memory exists;
@@ -75,8 +75,9 @@ struct BlockCosts {
   Seconds tp_fw;
   Seconds tp_bw;
   Seconds tp_bw_extra;  // seq-par all-gather redo
-  // RS + AG of the full boundary tensor around each PP send (pp_rs_ag
-  // without seq_par; zero otherwise).
+  // The PP boundary (AddPpBoundary). RS + AG of the full boundary tensor
+  // around each PP send, on the TP network (pp_rs_ag without seq_par; zero
+  // otherwise).
   Seconds pp_rs_ag;
   // Point-to-point transfer of pp_output on the PP network (p > 1; zero
   // otherwise).
@@ -94,7 +95,7 @@ struct BlockCosts {
   Bytes act_stored_attn;
   Bytes act_stored_full;
   double params = 0.0;
-  Bytes pp_output;
+  Bytes pp_output;  // PpOutputBytes, set with the PP boundary
   Bytes act_grad_working;
 
   [[nodiscard]] Bytes ActStored(Recompute mode) const;
@@ -116,37 +117,41 @@ struct BlockKey {
   bool pp_rs_ag = false;
 
   [[nodiscard]] static BlockKey Of(const Execution& exec);
-  // Of(exec) with pipeline_par cleared: the fields EvaluateBlockLayers
-  // reads, equal for every p of one (t, microbatch, option) point.
+  // Of(exec) with pipeline_par and pp_rs_ag cleared: the fields
+  // EvaluateBlockLayers reads, equal for every p and both pp_rs_ag of one
+  // (t, microbatch, TP-comm variant, fused) point.
   [[nodiscard]] static BlockKey LayersOf(const Execution& exec);
   auto operator<=>(const BlockKey&) const = default;
 };
 
-// Stage 2, the block stage: EvaluateBlockLayers on the TP network, plus
-// PpTransfer on the PP network. Reads only the fields BlockKey holds, so
-// one result serves every candidate of a (t, p, d) triple that shares
-// them. `placement` is the placement of `exec`.
+// Stage 2, the block stage: EvaluateBlockLayers on the TP network, then
+// AddPpBoundary. Reads only the fields BlockKey holds, so one result
+// serves every candidate of a (t, p, d) triple that shares them.
+// `placement` is the placement of `exec`.
 [[nodiscard]] BlockCosts EvaluateBlock(const Application& app,
                                        const Execution& exec,
                                        const Processor& proc,
                                        const Placement& placement);
 
-// The block stage's p-independent half: everything EvaluateBlock computes
-// but pp_xfer, which it leaves zero (BuildBlock, the layers' compute
-// times, the TP collectives, the RS + AG around a PP send, the vocabulary
-// work and the aggregates). Reads only the fields BlockKey::LayersOf
-// holds, `proc` and `tp_net`, the network NetworkForSpan(tensor_par).
+// The block stage's layer half: everything EvaluateBlock computes but the
+// PP boundary (pp_output, pp_rs_ag and pp_xfer), which it leaves zero:
+// BuildBlock, the layers' compute times, the TP collectives, the
+// vocabulary work and the aggregates. Reads only the fields
+// BlockKey::LayersOf holds, `proc` and `tp_net`, the network
+// NetworkForSpan(tensor_par).
 [[nodiscard]] BlockCosts EvaluateBlockLayers(const Application& app,
                                              const Execution& exec,
                                              const Processor& proc,
                                              const Network& tp_net);
 
-// The block stage's other half, BlockCosts::pp_xfer: the point-to-point
-// transfer of `layers.pp_output` on the PP network `pp_net` when
-// pipeline_par > 1, else zero.
-[[nodiscard]] Seconds PpTransfer(const Execution& exec,
-                                 const BlockCosts& layers,
-                                 const Network& pp_net);
+// The block stage's other half, the PP boundary, added to `block`, a layer
+// half of `exec`: pp_output (PpOutputBytes, the expression BuildBlock
+// uses), the RS + AG of the full boundary tensor on the TP network around
+// each PP send when pp_rs_ag without seq_par, and the point-to-point
+// transfer of pp_output on the PP network when pipeline_par > 1.
+// `placement` is the placement of `exec`.
+void AddPpBoundary(const Application& app, const Execution& exec,
+                   const Placement& placement, BlockCosts& block);
 
 // Stage 3, the capacity stage, on a block stage of `exec`. Without offload
 // it returns the tier-1 breakdown, or kMemoryCapacity when it exceeds the
@@ -232,6 +237,10 @@ class StageTable {
  public:
   StageTable(const Application& app, const System& sys)
       : app_(app), sys_(sys) {}
+  // The table keeps references to `app` and `sys`, so neither may be a
+  // temporary.
+  StageTable(Application&&, const System&) = delete;
+  StageTable(const Application&, System&&) = delete;
 
   [[nodiscard]] Result<Stats> Evaluate(const Execution& exec);
 

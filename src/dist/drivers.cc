@@ -143,7 +143,7 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
   RunInItemOrder<TripleSweep>(
       spec, 0, dist, search.ctx(), /*past_gaps=*/true,
       [&](std::string_view line) {
-        return TripleSweepFromJson(json::Parse(line), stages);
+        return TripleSweepFromJson(json::Parse(line), config.top_k, stages);
       },
       [&](TripleSweep sweep) { search.Commit(std::move(sweep)); },
       [&](FailureRecord record) { search.Quarantine(std::move(record)); });

@@ -33,14 +33,19 @@ json::Value ExecutionsToJson(const std::vector<SearchEntry>& entries) {
   return json::Value(std::move(arr));
 }
 
-// Re-evaluates shipped executions, in order, into search entries.
+// Re-evaluates shipped executions, in order, into search entries. A
+// worker ships feasible candidates only, so one that does not evaluate
+// marks a corrupt line.
 std::vector<SearchEntry> EntriesFromJson(const json::Value& v,
                                          StageTable& stages) {
   std::vector<SearchEntry> entries;
   for (const json::Value& exec_json : v.AsArray()) {
     Execution exec = Execution::FromJson(exec_json);
     Result<Stats> stats = stages.Evaluate(exec);
-    if (!stats.ok()) continue;  // cannot happen for a shipped candidate
+    if (!stats.ok()) {
+      throw ConfigError("dist: a shipped execution does not evaluate: " +
+                        stats.detail());
+    }
     entries.push_back({std::move(exec), std::move(stats).value()});
   }
   return entries;
@@ -80,7 +85,8 @@ class StudyJob : public Job {
 SearchConfig SearchConfigFromJson(const json::Value& v, RunContext* ctx) {
   SearchConfig config;
   config.batch_size = v.GetInt("batch_size", 0);
-  config.top_k = static_cast<int>(v.GetInt("top_k", 10));
+  config.top_k = static_cast<int>(json::CountIn(
+      v.GetInt("top_k", 10), "top_k", std::numeric_limits<int>::max()));
   config.keep_all_rates = v.GetBool("keep_all_rates", false);
   config.keep_pareto = v.GetBool("keep_pareto", false);
   config.ctx = ctx;
@@ -258,11 +264,18 @@ StudyRowResult StudyRowFromLine(std::string_view line) {
   return row;
 }
 
-TripleSweep TripleSweepFromJson(const json::Value& v, StageTable& stages) {
+TripleSweep TripleSweepFromJson(const json::Value& v, int top_k,
+                                StageTable& stages) {
   TripleSweep sweep;
   sweep.evaluated = json::CountIn(v.at("evaluated").AsInt(), "evaluated");
   sweep.feasible = json::CountIn(v.at("feasible").AsInt(), "feasible");
   sweep.best = EntriesFromJson(v.at("best"), stages);
+  // ExecSearch::Commit merges top-k lists.
+  if (!IsTopKList(sweep.best, top_k)) {
+    throw ConfigError(
+        "dist: an exec-search line's best list is out of order or longer "
+        "than top_k");
+  }
   sweep.pareto = EntriesFromJson(v.at("pareto"), stages);
   for (const json::Value& rate : v.at("rates").AsArray()) {
     sweep.rates.emplace_back(rate.AsDouble());

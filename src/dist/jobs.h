@@ -81,9 +81,12 @@ struct AuditPairSpec {
 // `stages` (StageTable::Evaluate equals CalculatePerformance bit for bit),
 // which is exact and keeps the frames small. One table per search serves
 // every triple's entries, which share most of their block and partition
-// stages.
+// stages. Throws ConfigError when a shipped execution does not evaluate
+// (a worker ships feasible ones only) and when the best list is not a
+// top-k list of `top_k` (IsTopKList), which ExecSearch::Commit's merge
+// cannot take.
 [[nodiscard]] TripleSweep TripleSweepFromJson(const json::Value& v,
-                                              StageTable& stages);
+                                              int top_k, StageTable& stages);
 
 // The isolated failures of an "exec_search" or "audit" item result.
 [[nodiscard]] std::vector<FailureRecord> FailuresFromJson(

@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "search/pareto.h"
 #include "testing/fault_injection.h"
+#include "util/check.h"
 #include "util/mathutil.h"
 #include "util/strings.h"
 
@@ -156,24 +157,16 @@ namespace {
 constexpr std::size_t kNumInfeasible =
     static_cast<std::size_t>(Infeasible::kBadConfig) + 1;
 
-// The search's total order on candidate results: higher sample rate wins,
-// lower tier-1 memory breaks ties deterministically.
-bool Better(const Stats& a, const Stats& b) {
-  if (a.sample_rate != b.sample_rate) return a.sample_rate > b.sample_rate;
-  return a.tier1.Total() < b.tier1.Total();
-}
-
-// The stripe of `key`: Fibonacci hashing of its fields, whose top bits
-// depend on all of them.
+// The stripe of `key`, a BlockKey::LayersOf: Fibonacci hashing of the
+// fields such a key varies in, whose top bits depend on all of them.
 std::size_t StripeOf(const BlockKey& key, std::size_t stripes) {
   std::uint64_t h = static_cast<std::uint64_t>(key.tensor_par);
   h = h * 1'000'003u + static_cast<std::uint64_t>(key.microbatch);
-  h = h * 64u + (static_cast<std::uint64_t>(key.tp_rs_ag) |
+  h = h * 32u + (static_cast<std::uint64_t>(key.tp_rs_ag) |
                  static_cast<std::uint64_t>(key.seq_par) << 1 |
                  static_cast<std::uint64_t>(key.seq_par_ag_redo) << 2 |
                  static_cast<std::uint64_t>(key.fused_activation) << 3 |
-                 static_cast<std::uint64_t>(key.pp_rs_ag) << 4 |
-                 static_cast<std::uint64_t>(key.training) << 5);
+                 static_cast<std::uint64_t>(key.training) << 4);
   return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15u) >> 32) % stripes;
 }
 
@@ -202,19 +195,83 @@ class CALC_SCOPED_CAPABILITY StripeLock {
 
 }  // namespace
 
-void InsertTopK(std::vector<SearchEntry>& best, int top_k, Execution exec,
-                Stats stats) {
+bool RanksBefore(const Stats& a, const Stats& b) {
+  if (a.sample_rate != b.sample_rate) return a.sample_rate > b.sample_rate;
+  return a.tier1.Total() < b.tier1.Total();
+}
+
+void InsertTopK(std::vector<SearchEntry>& best, int top_k,
+                const Execution& exec, const Stats& stats) {
+  if (top_k <= 0) return;
   if (static_cast<int>(best.size()) == top_k &&
-      !Better(stats, best.back().stats)) {
+      !RanksBefore(stats, best.back().stats)) {
     return;
   }
-  SearchEntry entry{std::move(exec), std::move(stats)};
-  auto pos = std::upper_bound(best.begin(), best.end(), entry,
-                              [](const SearchEntry& a, const SearchEntry& b) {
-                                return Better(a.stats, b.stats);
+  auto pos = std::upper_bound(best.begin(), best.end(), stats,
+                              [](const Stats& a, const SearchEntry& b) {
+                                return RanksBefore(a, b.stats);
                               });
-  best.insert(pos, std::move(entry));
+  best.insert(pos, SearchEntry{exec, stats});
   if (static_cast<int>(best.size()) > top_k) best.pop_back();
+}
+
+bool IsTopKList(const std::vector<SearchEntry>& best, int top_k) {
+  return best.size() <= static_cast<std::size_t>(std::max(top_k, 0)) &&
+         std::is_sorted(best.begin(), best.end(),
+                        [](const SearchEntry& a, const SearchEntry& b) {
+                          return RanksBefore(a.stats, b.stats);
+                        });
+}
+
+TopK::TopK(int top_k)
+    : k_(top_k > 0 ? static_cast<std::size_t>(top_k) : 0) {}
+
+void TopK::Offer(const Execution& exec, const Stats& stats) {
+  const bool full = order_.size() == k_;
+  if (full && (k_ == 0 || !RanksBefore(stats, slots_[order_.back()].stats))) {
+    return;
+  }
+  // After every held entry the candidate does not rank before; when full,
+  // before the last, which it evicts.
+  const auto pos = std::upper_bound(
+      order_.begin(), order_.end(), stats,
+      [this](const Stats& a, std::uint32_t slot) {
+        return RanksBefore(a, slots_[slot].stats);
+      });
+  if (full) {
+    const std::uint32_t slot = order_.back();
+    slots_[slot] = {exec, stats};
+    std::move_backward(pos, order_.end() - 1, order_.end());
+    *pos = slot;
+  } else {
+    order_.insert(pos, static_cast<std::uint32_t>(slots_.size()));
+    slots_.push_back({exec, stats});
+  }
+}
+
+std::vector<SearchEntry> TopK::Take() && {
+  std::vector<SearchEntry> best;
+  best.reserve(order_.size());
+  for (std::uint32_t slot : order_) best.push_back(slots_[slot]);
+  return best;
+}
+
+std::vector<SearchEntry> MergeTopK(std::vector<SearchEntry> committed,
+                                   std::vector<SearchEntry> sweep,
+                                   int top_k) {
+  const std::size_t k = top_k > 0 ? static_cast<std::size_t>(top_k) : 0;
+  std::vector<SearchEntry> merged;
+  merged.reserve(std::min(k, committed.size() + sweep.size()));
+  auto a = committed.begin();
+  auto b = sweep.begin();
+  while (merged.size() < k && (a != committed.end() || b != sweep.end())) {
+    // A sweep entry goes first only when it ranks before the committed one.
+    const bool from_sweep = b != sweep.end() &&
+                            (a == committed.end() ||
+                             RanksBefore(b->stats, a->stats));
+    merged.push_back(from_sweep ? *b++ : *a++);
+  }
+  return merged;
 }
 
 BlockCosts BlockLayerTable::Get(const Application& app, const Execution& exec,
@@ -305,10 +362,10 @@ struct SharedStages {
   const Placement& placement = shared.placement.value();
   ModelPhases phases;
   if (!shared.block.has_value()) {
-    // EvaluateBlock, with its p-independent half looked up once per slot.
+    // EvaluateBlock, with its layer half looked up once per slot.
     BlockCosts block =
         shared.layers.Get(app, e, sys.proc(), *placement.tp_net);
-    block.pp_xfer = PpTransfer(e, block, *placement.pp_net);
+    AddPpBoundary(app, e, placement, block);
     shared.block = block;
     ++calls.block;
     phases.End("block");
@@ -395,7 +452,8 @@ void AppendFailure(std::vector<FailureRecord>& failures, std::uint64_t key,
   return reason == Infeasible::kBadConfig ? Infeasible::kNone : reason;
 }
 
-// Sweeps every candidate of one (t, p, d) triple into `out`: the single
+// Sweeps every candidate of one (t, p, d) triple into `out`, its top-k
+// into `best` and its front into `pareto`: the single
 // evaluation-order-defining loop nest, run once per triple by
 // ExecSearch::Sweep in every execution path. Candidates evaluated before
 // a cooperative stop on config.ctx are kept — partial results survive a
@@ -412,9 +470,10 @@ void AppendFailure(std::vector<FailureRecord>& failures, std::uint64_t key,
 //     reason;
 //   * the block stage, once per (microbatch, TP-comm variant, fused,
 //     pp_rs_ag) slot, and the partition stage once per block and
-//     sharding. A slot's p-independent half comes from `layers`, the
-//     search's table, which computes it once per distinct key for all
-//     the search's triples; only the PP transfer is the slot's own;
+//     sharding. A slot's layer half comes from `layers`, the search's
+//     table, which computes it once per distinct key for all the search's
+//     triples and both pp_rs_ag variants; only the PP boundary is the
+//     slot's own;
 //   * the tier-1 verdict of a candidate without offload, once per
 //     (microbatch, interleaving, recompute, TP-comm variant, fused,
 //     sharding, 1F1B, pp_rs_ag, offload) point, by its first overlap
@@ -436,7 +495,7 @@ void SweepTripleInto(const Application& app, const System& sys,
                      Triple tr, std::uint64_t idx,
                      BlockLayerTable& layers,
                      obs::HistogramSnapshot* latency, TripleSweep& out,
-                     ParetoFront& pareto, StageCalls& calls) {
+                     TopK& best, ParetoFront& pareto, StageCalls& calls) {
   RunContext* const ctx = config.ctx;
   const std::int64_t batch =
       config.batch_size > 0 ? config.batch_size : sys.num_procs();
@@ -587,8 +646,7 @@ void SweepTripleInto(const Application& app, const System& sys,
                         if (config.keep_pareto) {
                           pareto.Insert({e, r.value()});
                         }
-                        InsertTopK(out.best, config.top_k, e,
-                                   std::move(r).value());
+                        best.Offer(e, r.value());
                       }
                     }
                   }
@@ -634,7 +692,12 @@ ExecSearch::ExecSearch(const Application& app, const System& sys,
       latency_bounds_(obs::MetricsRegistry::Global().enabled()
                           ? obs::DefaultLatencyBoundsUs()
                           : std::vector<double>{}),
-      ctx_(config.ctx != nullptr ? config.ctx : &local_ctx_) {}
+      ctx_(config.ctx != nullptr ? config.ctx : &local_ctx_) {
+  if (config.top_k < 0) {
+    throw ConfigError(StrFormat("exec search: top_k %d is negative",
+                                config.top_k));
+  }
+}
 
 TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
   const Triple tr = triples_.at(index);
@@ -648,8 +711,10 @@ TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
   obs::HistogramSnapshot latency;
   if (timed) latency = obs::HistogramSnapshot::WithLayout(latency_bounds_);
   StageCalls calls;
+  TopK best(config_.top_k);
   SweepTripleInto(app_, sys_, space_, config_, tr, index, layers_,
-                  timed ? &latency : nullptr, out, pareto, calls);
+                  timed ? &latency : nullptr, out, best, pareto, calls);
+  out.best = std::move(best).Take();
   if (timed) {
     obs::MetricsRegistry::Global().MergeHistogram(
         "exec_search.eval_latency_us", latency);
@@ -689,10 +754,11 @@ TripleSweep ExecSearch::Sweep(std::uint64_t index) const {
 void ExecSearch::Commit(TripleSweep sweep) {
   result_.evaluated += sweep.evaluated;
   result_.feasible += sweep.feasible;
-  for (SearchEntry& entry : sweep.best) {
-    InsertTopK(result_.best, config_.top_k, std::move(entry.exec),
-               std::move(entry.stats));
-  }
+  CALC_DCHECK(IsTopKList(sweep.best, config_.top_k),
+              "a triple's best list is out of order or past top_k=%d",
+              config_.top_k);
+  result_.best = MergeTopK(std::move(result_.best), std::move(sweep.best),
+                           config_.top_k);
   result_.all_rates.insert(result_.all_rates.end(), sweep.rates.begin(),
                            sweep.rates.end());
   result_.pareto.insert(result_.pareto.end(),

@@ -3,8 +3,8 @@
 // Exhaustively enumerates execution strategies — the (t, p, d) split,
 // micro-batch size, and every optimization knob of Table 1 — evaluates each
 // with the analytical model, and returns the top performers. Evaluation is
-// spread over a thread pool; each candidate costs microseconds, so spaces
-// of millions of configurations complete in minutes on a desktop.
+// spread over a thread pool; a candidate costs about 40 ns on one thread,
+// so spaces of millions of configurations complete in seconds.
 #pragma once
 
 #include <array>
@@ -92,10 +92,50 @@ struct SearchEntry {
   Stats stats;
 };
 
-// Sorted bounded insert into a top-k list: higher sample rate first, lower
-// tier-1 memory breaking ties.
-void InsertTopK(std::vector<SearchEntry>& best, int top_k, Execution exec,
-                Stats stats);
+// The search's order on results: true when `a` ranks before `b`, by
+// higher sample rate, then lower tier-1 memory. Two results neither ranks
+// before the other tie.
+[[nodiscard]] bool RanksBefore(const Stats& a, const Stats& b);
+
+// The reference top-k semantics, which TopK and MergeTopK reproduce: a
+// sorted bounded insert into `best`, after every entry the new one does
+// not rank before (so on ties the earlier entry stays first), keeping at
+// most `top_k` entries (none when top_k <= 0).
+void InsertTopK(std::vector<SearchEntry>& best, int top_k,
+                const Execution& exec, const Stats& stats);
+
+// Whether `best` is a top-k list: at most `top_k` long (empty when
+// top_k <= 0) and in RanksBefore order.
+[[nodiscard]] bool IsTopKList(const std::vector<SearchEntry>& best,
+                              int top_k);
+
+// A triple's top-k list, offered one candidate at a time: the list
+// InsertTopK of each candidate in turn builds, at a fraction of its cost.
+// A candidate is compared with the current k-th entry by reference before
+// anything is copied; an admitted one is copied once, into a new slot or
+// the slot of the entry it evicts, and only 4-byte slot indices are kept
+// in order. Storage grows with the entries held, never to top_k up front,
+// since a caller may ask for a large top_k.
+class TopK {
+ public:
+  explicit TopK(int top_k);  // keeps nothing when top_k <= 0
+
+  void Offer(const Execution& exec, const Stats& stats);
+  // The entries in RanksBefore order.
+  [[nodiscard]] std::vector<SearchEntry> Take() &&;
+
+ private:
+  std::size_t k_;
+  std::vector<SearchEntry> slots_;
+  std::vector<std::uint32_t> order_;  // slot indices, best first
+};
+
+// Two top-k lists (IsTopKList) merged stably, `committed` first on ties,
+// and cut at top_k: the list InsertTopK of each of `sweep`'s entries in
+// turn into `committed` builds.
+[[nodiscard]] std::vector<SearchEntry> MergeTopK(
+    std::vector<SearchEntry> committed, std::vector<SearchEntry> sweep,
+    int top_k);
 
 struct SearchResult {
   std::vector<SearchEntry> best;  // sorted by descending sample rate
@@ -116,7 +156,7 @@ struct SearchResult {
 
 struct SearchConfig {
   std::int64_t batch_size = 0;  // 0: default to num_procs samples
-  int top_k = 10;
+  int top_k = 10;  // 0 keeps no entries; a negative value is a ConfigError
   bool keep_all_rates = false;
   bool keep_pareto = false;
   // Optional resilience context. When set, the sweep observes cancellation/
@@ -153,7 +193,7 @@ struct SearchConfig {
 // are the isolated hard failures, replayed onto the run's RunContext by
 // the commit.
 struct TripleSweep {
-  std::vector<SearchEntry> best;  // the triple's top-k, sorted
+  std::vector<SearchEntry> best;  // the triple's top-k (IsTopKList)
   std::uint64_t evaluated = 0;
   std::uint64_t feasible = 0;
   std::vector<std::uint64_t> rejected;
@@ -162,10 +202,11 @@ struct TripleSweep {
   std::vector<FailureRecord> failures;
 };
 
-// The block stage's p-independent half (EvaluateBlockLayers) on one
-// system, by BlockKey::LayersOf: filled lazily, and shared by every sweep
-// of one search, pool threads included, so a search computes each half
-// once per distinct key and process, where its (t, p, d) triples would
+// The block stage's layer half (EvaluateBlockLayers) on one system, by
+// BlockKey::LayersOf, the block key without pipeline_par and pp_rs_ag:
+// filled lazily, and shared by every sweep of one search, pool threads
+// included, so a search computes each half once per distinct key and
+// process, where its (t, p, d) triples and both pp_rs_ag variants would
 // each compute it again. Keys spread over kStripes stripes, each a lock
 // over a map, and a lookup holds its stripe's lock only to find or to
 // insert (a thread that finds it held spins briefly before it sleeps): a
@@ -197,6 +238,7 @@ class BlockLayerTable {
 // and collection therefore happen once, for both paths.
 class ExecSearch {
  public:
+  // Throws ConfigError when config.top_k is negative.
   ExecSearch(const Application& app, const System& sys,
              const SearchSpace& space, const SearchConfig& config);
   // The search keeps references to `app`, `sys` and `space`, so none of
@@ -224,12 +266,16 @@ class ExecSearch {
   // injected faults) into the result; without, exceptions propagate.
   // Safe to call concurrently. Each block slot of the sweep looks its
   // layer half up in the search's BlockLayerTable and adds its own PP
-  // transfer, so the result is the one a fresh search gives, whichever
-  // sweeps ran before or run beside it.
+  // boundary (AddPpBoundary), so the result is the one a fresh search
+  // gives, whichever sweeps ran before or run beside it. The triple's
+  // top-k comes from a TopK collector.
   [[nodiscard]] TripleSweep Sweep(std::uint64_t index) const;
 
   // Folds one triple's sweep into the result, replays its failures onto
-  // ctx() and counts it as a completed item. Callers serialize commits.
+  // ctx() and counts it as a completed item. The top-k lists merge
+  // (MergeTopK), so sweep.best must be a top-k list of config.top_k (a
+  // supervised search's decoder refuses any other). Callers serialize
+  // commits.
   void Commit(TripleSweep sweep);
   // Records triple `record.item`, whose worker was quarantined, as a
   // failure on ctx().

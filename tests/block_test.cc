@@ -213,11 +213,11 @@ TEST(Block, AttnRecomputeLayersAreTheAttentionInternals) {
   const Application app = presets::Gpt3_175B();
   const BlockModel block = BuildBlock(app, MakeExec(8));
   ASSERT_EQ(block.attn_recompute_layers.size(), 3u);
-  EXPECT_EQ(block.layers[block.attn_recompute_layers[0]].name, "attn_qkt");
-  EXPECT_EQ(block.layers[block.attn_recompute_layers[1]].name,
-            "attn_softmax");
-  EXPECT_EQ(block.layers[block.attn_recompute_layers[2]].name,
-            "attn_dropout");
+  EXPECT_STREQ(block.layers[block.attn_recompute_layers[0]].name, "attn_qkt");
+  EXPECT_STREQ(block.layers[block.attn_recompute_layers[1]].name,
+               "attn_softmax");
+  EXPECT_STREQ(block.layers[block.attn_recompute_layers[2]].name,
+               "attn_dropout");
 }
 
 TEST(Block, InferenceCarriesNoTrainingState) {

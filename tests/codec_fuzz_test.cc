@@ -1,6 +1,6 @@
 // Seeded mutation fuzzing of the code that reads untrusted bytes: the
 // JSON codec (spec files, checkpoint journals, worker frames), the worker
-// frame reader, the study and audit result line decoders, the spec
+// frame reader, the study, exec-search and audit result line decoders, the spec
 // loaders, a study resumed from its checkpoint and the supervisor's
 // metrics registry. The corpus is the shipped configs plus recorded study
 // and exec-search runs (a header frame and its result lines), audit result
@@ -18,6 +18,10 @@
 //     of a run's announced lines, and never blocks;
 //   * StudyRowFromLine returns a row whose rate is finite and positive, or
 //     absent, or throws ConfigError;
+//   * an exec-search line decodes to a sweep whose best list is a top-k
+//     list (IsTopKList), or throws ConfigError: a best list out of order
+//     or longer than top_k, and an entry that does not evaluate, are
+//     refused;
 //   * an audit line (whose report is also the audit journal's entry)
 //     decodes to a report and failures whose counts and items are
 //     non-negative int64s, or throws ConfigError;
@@ -127,6 +131,26 @@ void RecordRuns(dist::Job& job, std::uint64_t count,
   }
 }
 
+// An exec-search job: megatron_22b on 64 A100 over the Megatron baseline
+// space at batch 64, top 4, every collector on.
+constexpr int kSearchTopK = 4;
+json::Value ExecSearchJobSpec() {
+  presets::SystemOptions so;
+  so.num_procs = 64;
+  json::Value search;
+  search["job"] = "exec_search";
+  search["application"] = presets::Megatron22B().ToJson();
+  search["system"] = presets::A100(so).ToJson();
+  search["space"] = SearchSpace::MegatronBaseline().ToJson();
+  json::Value config;
+  config["batch_size"] = 64;
+  config["top_k"] = kSearchTopK;
+  config["keep_all_rates"] = true;
+  config["keep_pareto"] = true;
+  search["config"] = config;
+  return search;
+}
+
 // Study and exec-search runs, plus the frames around them.
 Recording RecordedFrames() {
   Recording recording;
@@ -147,21 +171,8 @@ Recording RecordedFrames() {
               "data_par": "auto", "microbatch": [1, 4]}
   })")).ToJson();
   RecordRuns(*dist::MakeJob(study), 8, &recording.study_lines, &recording);
-
-  presets::SystemOptions so;
-  so.num_procs = 64;
-  json::Value search;
-  search["job"] = "exec_search";
-  search["application"] = presets::Megatron22B().ToJson();
-  search["system"] = presets::A100(so).ToJson();
-  search["space"] = SearchSpace::MegatronBaseline().ToJson();
-  json::Value config;
-  config["batch_size"] = 64;
-  config["top_k"] = 4;
-  config["keep_all_rates"] = true;
-  config["keep_pareto"] = true;
-  search["config"] = config;
-  RecordRuns(*dist::MakeJob(search), 3, &recording.documents, &recording);
+  RecordRuns(*dist::MakeJob(ExecSearchJobSpec()), 3, &recording.documents,
+             &recording);
   return recording;
 }
 
@@ -1056,6 +1067,174 @@ TEST(CodecFuzz, MutatedAuditLinesDecodeOrThrowConfigError) {
   }
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// --- Exec-search result lines -----------------------------------------------
+
+// The result lines of every triple of ExecSearchJobSpec(), as its worker
+// writes them.
+std::vector<std::string> RecordedSearchLines() {
+  const std::unique_ptr<dist::Job> job = dist::MakeJob(ExecSearchJobSpec());
+  std::vector<std::string> lines;
+  for (std::uint64_t i = 0; i < job->num_items(); ++i) {
+    lines.push_back(job->RunItem(i));
+  }
+  return lines;
+}
+
+// `line` with its best list replaced by `best`.
+std::string WithBest(const std::string& line, json::Array best) {
+  json::Value v = json::Parse(line);
+  v["best"] = json::Value(std::move(best));
+  return v.Dump(0);
+}
+
+// Decodes an exec-search line as FindOptimalExecutionSupervised does.
+TripleSweep DecodeSearchLine(const std::string& line, StageTable& stages) {
+  return dist::TripleSweepFromJson(json::Parse(line), kSearchTopK, stages);
+}
+
+// ExecSearch::Commit merges sorted lists of at most top_k entries, so the
+// decoder refuses the two ways a worker's list can break that: entries
+// out of order, and more of them than top_k.
+TEST(CodecFuzz, ExecSearchBestListsOutOfOrderOrPastTopKAreRefused) {
+  const json::Value spec = ExecSearchJobSpec();
+  const Application app = Application::FromJson(spec.at("application"));
+  const System sys = System::FromJson(spec.at("system"));
+  StageTable stages(app, sys);
+  int refused_long = 0;
+  int refused_order = 0;
+  for (const std::string& line : RecordedSearchLines()) {
+    const TripleSweep sweep = DecodeSearchLine(line, stages);
+    ASSERT_TRUE(IsTopKList(sweep.best, kSearchTopK)) << line;
+    const json::Array best = json::Parse(line).at("best").AsArray();
+    if (best.empty()) continue;
+    // The last entry repeated: ties stay in order, so only the length can
+    // be wrong.
+    json::Array repeated = best;
+    while (repeated.size() < static_cast<std::size_t>(kSearchTopK)) {
+      repeated.push_back(best.back());
+    }
+    EXPECT_EQ(DecodeSearchLine(WithBest(line, repeated), stages).best.size(),
+              repeated.size());
+    repeated.push_back(best.back());
+    EXPECT_THROW((void)DecodeSearchLine(WithBest(line, repeated), stages),
+                 ConfigError);
+    // Past top_k by entries that do not evaluate.
+    json::Value infeasible = json::Parse(best.back().Dump());
+    infeasible["tensor_par"] = 3;
+    json::Array padded = best;
+    while (padded.size() <= static_cast<std::size_t>(kSearchTopK)) {
+      padded.push_back(infeasible);
+    }
+    EXPECT_THROW((void)DecodeSearchLine(WithBest(line, padded), stages),
+                 ConfigError);
+    // An entry that does not evaluate is no candidate a worker ships.
+    json::Array replaced = best;
+    replaced.back() = infeasible;
+    EXPECT_THROW((void)DecodeSearchLine(WithBest(line, replaced), stages),
+                 ConfigError);
+    ++refused_long;
+    for (std::size_t i = 1; i < best.size(); ++i) {
+      if (!RanksBefore(sweep.best[i - 1].stats, sweep.best[i].stats)) {
+        continue;  // a tie: swapped, still in order
+      }
+      json::Array swapped = best;
+      std::swap(swapped[i - 1], swapped[i]);
+      EXPECT_THROW((void)DecodeSearchLine(WithBest(line, swapped), stages),
+                   ConfigError);
+      ++refused_order;
+    }
+  }
+  EXPECT_GT(refused_long, 0);
+  EXPECT_GT(refused_order, 0);
+}
+
+TEST(CodecFuzz, MutatedExecSearchLinesDecodeOrThrowConfigError) {
+  const std::vector<std::string> corpus = RecordedSearchLines();
+  ASSERT_FALSE(corpus.empty());
+  const json::Value spec = ExecSearchJobSpec();
+  const Application app = Application::FromJson(spec.at("application"));
+  const System sys = System::FromJson(spec.at("system"));
+  StageTable stages(app, sys);
+  // Each seed's decoded best list, to tell which swaps break the order.
+  std::vector<std::vector<SearchEntry>> seed_best;
+  for (const std::string& line : corpus) {
+    seed_best.push_back(DecodeSearchLine(line, stages).best);
+  }
+  Rng rng(34);
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::size_t pick = rng.Below(corpus.size());
+    const std::string& seed = corpus[pick];
+    const std::vector<SearchEntry>& sorted = seed_best[pick];
+    const json::Array best = json::Parse(seed).at("best").AsArray();
+    std::string line;
+    bool must_throw = false;
+    switch (rng.Below(4)) {
+      case 0:  // two entries swapped: refused unless they tie
+        if (best.size() >= 2) {
+          const std::size_t a = rng.Below(best.size());
+          const std::size_t b = rng.Below(best.size());
+          json::Array swapped = best;
+          std::swap(swapped[a], swapped[b]);
+          line = WithBest(seed, std::move(swapped));
+          must_throw =
+              RanksBefore(sorted[std::min(a, b)].stats,
+                          sorted[std::max(a, b)].stats);
+        } else {
+          line = seed;
+        }
+        break;
+      case 1:  // entries of the list repeated past top_k
+        if (!best.empty()) {
+          json::Array longer = best;
+          const std::size_t extra = 1 + rng.Below(3);
+          while (longer.size() < kSearchTopK + extra) {
+            longer.push_back(best[rng.Below(best.size())]);
+          }
+          line = WithBest(seed, std::move(longer));
+          must_throw = true;
+        } else {
+          line = seed;
+        }
+        break;
+      case 2:
+        line = SwapNumber(seed, rng);
+        break;
+      default:
+        line = Mutate(seed, corpus[rng.Below(corpus.size())], rng);
+        break;
+    }
+    try {
+      const TripleSweep sweep = DecodeSearchLine(line, stages);
+      ++decoded;
+      EXPECT_FALSE(must_throw) << line;
+      EXPECT_TRUE(IsTopKList(sweep.best, kSearchTopK)) << line;
+    } catch (const ConfigError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// top_k travels to a worker as a JSON number; one outside [0, 2^31 - 1]
+// is refused, not truncated (2^32 used to read as 0).
+TEST(CodecFuzz, ExecSearchJobRefusesATopKOutsideInt) {
+  json::Value spec = ExecSearchJobSpec();
+  for (const std::int64_t top_k :
+       {std::int64_t{-1}, std::int64_t{1} << 31, std::int64_t{1} << 32,
+        std::int64_t{1} << 53}) {
+    spec["config"]["top_k"] = top_k;
+    EXPECT_THROW((void)dist::MakeJob(spec), ConfigError) << top_k;
+  }
+  for (const std::int64_t top_k :
+       {std::int64_t{0}, (std::int64_t{1} << 31) - 1}) {
+    spec["config"]["top_k"] = top_k;
+    EXPECT_NO_THROW((void)dist::MakeJob(spec)) << top_k;
+  }
 }
 
 }  // namespace

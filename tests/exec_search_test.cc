@@ -12,6 +12,7 @@
 #include "models/presets.h"
 #include "obs/metrics.h"
 #include "search/exec_search.h"
+#include "util/error.h"
 #include "util/units.h"
 
 namespace calculon {
@@ -166,6 +167,46 @@ TEST(ExecSearch, TopKBoundsResultCount) {
       FindOptimalExecution(presets::Megatron22B(), MakeSystem(32),
                            SearchSpace::AllOptimizations(), config, pool);
   EXPECT_LE(r.best.size(), 2u);
+}
+
+// top_k = 0 asks for counts and collectors without a list: the search
+// keeps no entry, and counts, rates and the Pareto front are the ones a
+// search with a list gets.
+TEST(ExecSearch, TopKZeroKeepsNoEntriesAndCountsExactly) {
+  presets::SystemOptions o;
+  o.num_procs = 16;
+  const Application app = presets::Gpt3_6p7B();
+  const System sys = presets::H100(o);
+  const SearchSpace space = SearchSpace::AllOptimizations();
+  ThreadPool pool(2);
+  SearchConfig config;
+  config.keep_all_rates = true;
+  config.keep_pareto = true;
+  const SearchResult listed =
+      FindOptimalExecution(app, sys, space, config, pool);
+  config.top_k = 0;
+  const SearchResult unlisted =
+      FindOptimalExecution(app, sys, space, config, pool);
+  ASSERT_GT(listed.feasible, 0u);
+  ASSERT_FALSE(listed.best.empty());
+  EXPECT_TRUE(unlisted.best.empty());
+  EXPECT_EQ(unlisted.evaluated, listed.evaluated);
+  EXPECT_EQ(unlisted.feasible, listed.feasible);
+  EXPECT_EQ(unlisted.all_rates.size(), listed.all_rates.size());
+  EXPECT_EQ(unlisted.pareto.size(), listed.pareto.size());
+  EXPECT_FALSE(unlisted.status.degraded());
+}
+
+TEST(ExecSearch, NegativeTopKIsAConfigError) {
+  const Application app = presets::Megatron22B();
+  const System sys = MakeSystem(32);
+  const SearchSpace space = SearchSpace::MegatronBaseline();
+  SearchConfig config;
+  config.top_k = -1;
+  EXPECT_THROW(ExecSearch(app, sys, space, config), ConfigError);
+  ThreadPool pool(1);
+  EXPECT_THROW((void)FindOptimalExecution(app, sys, space, config, pool),
+               ConfigError);
 }
 
 // The rejection counters are functions of the workload, not the machine:

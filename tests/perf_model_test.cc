@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -333,10 +334,11 @@ std::vector<std::uint64_t> BlockBits(const BlockCosts& c) {
   return bits;
 }
 
-// A search computes the block stage's p-independent half once for every p
-// of a (t, microbatch, option) point and adds each triple's PP transfer,
-// so two things must hold bit for bit: the half does not change with p,
-// and the half plus the transfer is EvaluateBlock.
+// A search computes the block stage's layer half once for every p and
+// both pp_rs_ag of a (t, microbatch, TP-comm variant, fused) point and adds
+// each slot's PP boundary, so two things must hold bit for bit: the half
+// changes with neither p nor pp_rs_ag and holds no boundary term, and the
+// half plus the boundary step is EvaluateBlock.
 TEST(PerfModel, BlockStageIsItsLayerHalfPlusThePpTransfer) {
   presets::SystemOptions o;
   o.num_procs = 4096;
@@ -344,49 +346,101 @@ TEST(PerfModel, BlockStageIsItsLayerHalfPlusThePpTransfer) {
       {presets::Gpt3_175B(), presets::H100(o)},
       {presets::Megatron1T(), presets::A100(o)}};
   struct Variant {
-    bool tp_rs_ag, seq_par, ag_redo, fused, pp_rs_ag;
+    bool tp_rs_ag, seq_par, ag_redo, fused;
   };
-  // The last two send the RS + AG around each PP transfer.
-  const Variant variants[] = {{false, false, false, false, false},
-                              {true, true, false, false, true},
-                              {true, true, true, true, false},
-                              {true, false, false, true, true},
-                              {false, false, false, false, true}};
+  const Variant variants[] = {{false, false, false, false},
+                              {true, false, false, true},
+                              {true, true, false, false},
+                              {true, true, true, true}};
   for (const auto& [app, sys] : cases) {
     for (const Variant& v : variants) {
-      std::vector<std::uint64_t> layers_at_p1;
-      for (const std::int64_t p : {1, 2, 8, 64}) {
-        Execution e;
-        e.num_procs = 4096;
-        e.tensor_par = 8;
-        e.pipeline_par = p;
-        e.data_par = 4096 / (8 * p);
-        e.batch_size = 4096;
-        e.microbatch = 2;
-        e.tp_rs_ag = v.tp_rs_ag;
-        e.seq_par = v.seq_par;
-        e.seq_par_ag_redo = v.ag_redo;
-        e.fused_activation = v.fused;
-        e.pp_rs_ag = v.pp_rs_ag;
-        SCOPED_TRACE(app.name + " p=" + std::to_string(p) +
-                     " pp_rs_ag=" + std::to_string(v.pp_rs_ag) +
-                     " seq_par=" + std::to_string(v.seq_par));
-        const Result<Placement> placement = PlaceNetworks(e, sys);
-        ASSERT_TRUE(placement.ok());
-        const BlockCosts block =
-            EvaluateBlock(app, e, sys.proc(), placement.value());
-        BlockCosts layers = EvaluateBlockLayers(app, e, sys.proc(),
-                                                *placement.value().tp_net);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(layers.pp_xfer.raw()), 0u);
-        if (p == 1) layers_at_p1 = BlockBits(layers);
-        EXPECT_EQ(BlockBits(layers), layers_at_p1);
-        layers.pp_xfer = PpTransfer(e, layers, *placement.value().pp_net);
-        EXPECT_EQ(BlockBits(layers), BlockBits(block));
-        EXPECT_EQ(block.pp_xfer > Seconds(0.0), p > 1);
-        EXPECT_EQ(block.pp_rs_ag > Seconds(0.0), v.pp_rs_ag && !v.seq_par);
+      std::vector<std::uint64_t> first_layers;
+      for (const bool pp_rs_ag : {false, true}) {
+        for (const std::int64_t p : {1, 2, 8, 64}) {
+          Execution e;
+          e.num_procs = 4096;
+          e.tensor_par = 8;
+          e.pipeline_par = p;
+          e.data_par = 4096 / (8 * p);
+          e.batch_size = 4096;
+          e.microbatch = 2;
+          e.tp_rs_ag = v.tp_rs_ag;
+          e.seq_par = v.seq_par;
+          e.seq_par_ag_redo = v.ag_redo;
+          e.fused_activation = v.fused;
+          e.pp_rs_ag = pp_rs_ag;
+          SCOPED_TRACE(app.name + " p=" + std::to_string(p) +
+                       " pp_rs_ag=" + std::to_string(pp_rs_ag) +
+                       " seq_par=" + std::to_string(v.seq_par));
+          const Result<Placement> placement = PlaceNetworks(e, sys);
+          ASSERT_TRUE(placement.ok());
+          const BlockCosts block =
+              EvaluateBlock(app, e, sys.proc(), placement.value());
+          BlockCosts layers = EvaluateBlockLayers(app, e, sys.proc(),
+                                                  *placement.value().tp_net);
+          for (const double boundary :
+               {layers.pp_output.raw(), layers.pp_rs_ag.raw(),
+                layers.pp_xfer.raw()}) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(boundary), 0u);
+          }
+          if (first_layers.empty()) first_layers = BlockBits(layers);
+          EXPECT_EQ(BlockBits(layers), first_layers);
+          AddPpBoundary(app, e, placement.value(), layers);
+          EXPECT_EQ(BlockBits(layers), BlockBits(block));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(block.pp_output.raw()),
+                    std::bit_cast<std::uint64_t>(
+                        BuildBlock(app, e).pp_output_bytes.raw()));
+          EXPECT_EQ(block.pp_xfer > Seconds(0.0), p > 1);
+          EXPECT_EQ(block.pp_rs_ag > Seconds(0.0), pp_rs_ag && !v.seq_par);
+        }
       }
     }
   }
+}
+
+// The layer half is keyed without pp_rs_ag, so it must not read it: every
+// field is bit-equal with pp_rs_ag false and true, on all 11 presets at
+// random t, microbatch, TP-comm variant and fused.
+TEST(PerfModel, LayerHalfIsEqualForBothPpRsAgVariants) {
+  presets::SystemOptions o;
+  o.num_procs = 4096;
+  const System sys = presets::H100(o);
+  std::mt19937_64 rng(34);
+  const std::vector<std::string> names = presets::ApplicationNames();
+  ASSERT_EQ(names.size(), 11u);
+  int compared = 0;
+  for (const std::string& name : names) {
+    const Application app = presets::ApplicationByName(name);
+    std::vector<std::int64_t> ts;
+    for (std::int64_t t = 1; t <= 64; t *= 2) {
+      if (app.attn_heads % t == 0 && app.feedforward % t == 0) ts.push_back(t);
+    }
+    for (int draw = 0; draw < 24; ++draw) {
+      Execution e;
+      e.num_procs = 4096;
+      e.tensor_par = ts[rng() % ts.size()];
+      e.pipeline_par = 1 + static_cast<std::int64_t>(rng() % 8);
+      e.microbatch = 1 + static_cast<std::int64_t>(rng() % 8);
+      const std::uint64_t variant = rng() % 4;  // the sweep's TP-comm list
+      e.tp_rs_ag = variant > 0;
+      e.seq_par = variant > 1;
+      e.seq_par_ag_redo = variant > 2;
+      e.fused_activation = rng() % 2 == 1;
+      SCOPED_TRACE(name + ": " + e.ToJson().Dump());
+      const Network* tp_net = sys.NetworkForSpan(e.tensor_par);
+      ASSERT_NE(tp_net, nullptr);
+      e.pp_rs_ag = false;
+      const BlockCosts without = EvaluateBlockLayers(app, e, sys.proc(),
+                                                     *tp_net);
+      const BlockKey key = BlockKey::LayersOf(e);
+      e.pp_rs_ag = true;
+      EXPECT_EQ(BlockBits(EvaluateBlockLayers(app, e, sys.proc(), *tp_net)),
+                BlockBits(without));
+      EXPECT_EQ(BlockKey::LayersOf(e), key);
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 11 * 24);
 }
 
 class SplitConsistencyTest

@@ -476,5 +476,113 @@ TEST(SearchBruteForce, SweepTripleMatchesOneShotReferenceOnRandomDraws) {
       << candidates << " candidates";
 }
 
+// --- Top-k collection ------------------------------------------------------
+//
+// InsertTopK is the reference semantics of the search's top-k lists. A
+// triple's list comes from a TopK collector and the search's from
+// MergeTopK of the committed list and each triple's, so both must give
+// the list sequential InsertTopK gives, ties included.
+
+// `n` entries with heavy ties: a rate of 4 values and a tier-1 total of 3,
+// each entry told apart by its microbatch, which is its index.
+std::vector<SearchEntry> TiedStream(Rng& rng, std::size_t n) {
+  std::vector<SearchEntry> stream(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    stream[i].exec.microbatch = static_cast<std::int64_t>(i);
+    stream[i].stats.sample_rate =
+        PerSecond(1.0 + static_cast<double>(rng.Below(4)));
+    stream[i].stats.tier1.weights =
+        Bytes(1.0 + static_cast<double>(rng.Below(3)));
+  }
+  return stream;
+}
+
+std::vector<std::int64_t> Ids(const std::vector<SearchEntry>& list) {
+  std::vector<std::int64_t> ids;
+  for (const SearchEntry& e : list) ids.push_back(e.exec.microbatch);
+  return ids;
+}
+
+TEST(SearchBruteForce, TopKCollectorAndMergeMatchSequentialInsertTopK) {
+  Rng rng(34);
+  int cases = 0;
+  int full = 0;
+  for (const int k : {0, 1, 2, 7, 100}) {
+    for (int c = 0; c < 4000; ++c) {
+      const std::vector<SearchEntry> stream = TiedStream(rng, rng.Below(401));
+      std::vector<SearchEntry> reference;
+      TopK collector(k);
+      for (const SearchEntry& e : stream) {
+        InsertTopK(reference, k, e.exec, e.stats);
+        collector.Offer(e.exec, e.stats);
+      }
+      ASSERT_TRUE(IsTopKList(reference, k));
+      ASSERT_EQ(Ids(std::move(collector).Take()), Ids(reference))
+          << "k=" << k << ", case " << c;
+      // The stream split at a random cut: a committed list, then a
+      // triple's.
+      const std::size_t cut = rng.Below(stream.size() + 1);
+      std::vector<SearchEntry> committed;
+      TopK triple(k);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        if (i < cut) {
+          InsertTopK(committed, k, stream[i].exec, stream[i].stats);
+        } else {
+          triple.Offer(stream[i].exec, stream[i].stats);
+        }
+      }
+      ASSERT_EQ(Ids(MergeTopK(std::move(committed), std::move(triple).Take(),
+                              k)),
+                Ids(reference))
+          << "k=" << k << ", case " << c << ", cut " << cut;
+      full += k > 0 && reference.size() == static_cast<std::size_t>(k);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 20000);
+  EXPECT_GT(full, 10000);  // most lists filled up and then evicted
+}
+
+// Whole SweepTriple results against the naive reference at the top_k
+// the benchmark and Fig. 6 use, where most lists are full and the
+// collector evicts.
+TEST(SearchBruteForce, SweepTripleKeepsTheReferencesTop100) {
+  const std::vector<std::string> apps = presets::ApplicationNames();
+  Rng rng(34);
+  std::uint64_t candidates = 0;
+  int draws = 0;
+  int full = 0;
+  while (candidates < 40'000) {
+    const Application app = presets::ApplicationByName(
+        apps[static_cast<std::size_t>(draws) % apps.size()]);
+    const System sys = RandomSystem(rng);
+    const SearchSpace space = RandomSpace(rng);
+    SearchConfig config;
+    config.batch_size = sys.num_procs() * rng.Pick<std::int64_t>({1, 2, 3});
+    config.top_k = 100;
+    const std::vector<Triple> triples =
+        SearchTriples(app, sys, space, config);
+    if (triples.empty()) continue;
+    const std::uint64_t index = rng.Below(triples.size());
+    const std::uint64_t count = CandidateCount(
+        app, sys, space, config.batch_size, triples[index]);
+    if (count > 6000) continue;
+    ++draws;
+    Fnv1a digest;
+    std::vector<OneShot> oneshots;
+    const TripleSweep naive = NaiveSweep(app, sys, space, config,
+                                         triples[index], digest, &oneshots);
+    const TripleSweep fast = SweepTriple(app, sys, space, config, index);
+    const std::string where = "draw " + std::to_string(draws) + ": " +
+                              app.name + ", triple " + std::to_string(index) +
+                              ", space " + space.ToJson().Dump();
+    ASSERT_EQ(fast.feasible, naive.feasible) << where;
+    ASSERT_EQ(DumpEntries(fast.best), DumpEntries(naive.best)) << where;
+    full += naive.best.size() == 100;
+    candidates += count;
+  }
+  EXPECT_GT(full, 0);
+}
+
 }  // namespace
 }  // namespace calculon

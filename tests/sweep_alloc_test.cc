@@ -61,12 +61,12 @@ namespace calculon {
 namespace {
 
 // Allowances. At 1 thread with metrics on, the sweep below fills 2,016
-// block slots and makes about 4.9k allocations: about 7 for each of the
+// block slots and makes about 4.2k allocations: about 5 for each of the
 // 414 distinct layer keys it computes (triples of one t share their keys
 // across p) and about 50 for each of the 42 triples it sweeps. The bound,
 // 2 per block slot and 64 for each of all 91 factor triples of 4,096
 // (culled ones included), is 9,856. A sweep that computed the layers of
-// every block slot, 6 allocations each, makes about 14.4k and fails it.
+// every block slot, 4 allocations each, makes about 10.5k and fails it.
 constexpr std::uint64_t kPerBlockStage = 2;
 constexpr std::uint64_t kPerTriple = 64;
 
