@@ -4,14 +4,16 @@
 // untrimmed over the Table 1 space without offload, on one thread.
 //
 //   * Search CPU per candidate at top_k 100 with every sample rate kept
-//     (the benchmark's configuration) and at top_k 1 without rates. The
-//     difference is what collecting the top 100 and the rates costs.
+//     (the benchmark's configuration), at top_k 1 without rates, and at
+//     top_k 1 without rates but with the Pareto front kept. The
+//     differences from the second are what collecting the top 100 and
+//     the rates, and the front, cost.
 //   * Layer halves per answer: the distinct BlockKey::LayersOf keys of the
 //     block slots the sweep's loop nest visits, each of which the search's
 //     layer table computes once.
 //
 // The timed rows are the median, minimum and maximum of 7 rounds over the
-// pool, the two configurations alternating; repeat the binary to see the
+// pool, the three configurations alternating; repeat the binary to see the
 // spread.
 #include <time.h>
 
@@ -108,13 +110,15 @@ struct Round {
 };
 
 Round RunRound(const std::vector<Answer>& answers, const SearchSpace& space,
-               int top_k, bool keep_rates, ThreadPool& pool) {
+               int top_k, bool keep_rates, bool keep_pareto,
+               ThreadPool& pool) {
   Round round;
   for (const Answer& a : answers) {
     RunContext ctx;
     SearchConfig config;
     config.top_k = top_k;
     config.keep_all_rates = keep_rates;
+    config.keep_pareto = keep_pareto;
     config.ctx = &ctx;
     const double t0 = ProcessCpuSeconds();
     const SearchResult r =
@@ -173,27 +177,34 @@ int main() {
                                       per_answer)});
 
   ThreadPool pool(1);
-  (void)RunRound(answers, space, 100, true, pool);  // warm-up
+  (void)RunRound(answers, space, 100, true, false, pool);  // warm-up
   std::vector<Round> listed;
   std::vector<Round> bare;
+  std::vector<Round> fronted;
   for (int round = 0; round < kRounds; ++round) {
-    listed.push_back(RunRound(answers, space, 100, true, pool));
-    bare.push_back(RunRound(answers, space, 1, false, pool));
+    listed.push_back(RunRound(answers, space, 100, true, false, pool));
+    bare.push_back(RunRound(answers, space, 1, false, false, pool));
+    fronted.push_back(RunRound(answers, space, 1, false, true, pool));
   }
   const std::vector<double> listed_ns = SortedNs(listed);
   const std::vector<double> bare_ns = SortedNs(bare);
+  const std::vector<double> fronted_ns = SortedNs(fronted);
   const std::size_t mid = kRounds / 2;
   Table cpu({"configuration", "search CPU ns/candidate: median",
              "min", "max"});
   for (const auto& [name, ns] :
        {std::pair{"top_k 100, every rate kept", &listed_ns},
-        std::pair{"top_k 1, no rates", &bare_ns}}) {
+        std::pair{"top_k 1, no rates", &bare_ns},
+        std::pair{"top_k 1, no rates, Pareto front kept", &fronted_ns}}) {
     cpu.AddRow({name, StrFormat("%.1f", (*ns)[mid]),
                 StrFormat("%.1f", ns->front()),
                 StrFormat("%.1f", ns->back())});
   }
-  cpu.AddRow({"difference", StrFormat("%.1f", listed_ns[mid] - bare_ns[mid]),
-              "", ""});
+  cpu.AddRule();
+  cpu.AddRow({"top 100 and rates: first - second",
+              StrFormat("%.1f", listed_ns[mid] - bare_ns[mid]), "", ""});
+  cpu.AddRow({"Pareto front: third - second",
+              StrFormat("%.1f", fronted_ns[mid] - bare_ns[mid]), "", ""});
 
   std::printf(
       "Exec-search cost around the model stages: perfbench's exec_search "

@@ -5,8 +5,8 @@
 //       out.json, also dump the statistics as JSON.
 //
 //   calculon_cli llm-optimal-execution <app.json> <system.json> <batch>
-//       Exhaustively search the execution space and print the best
-//       strategy.
+//       Exhaustively search the execution space at <batch> samples (at
+//       least 1) and print the best strategy.
 //
 //   calculon_cli layers <app> <system> <exec.json>
 //       Print the per-layer cost breakdown of one transformer block.
@@ -259,14 +259,14 @@ int RunOptimalExecution(int argc, char** argv) {
                  "[--metrics FILE] [--progress[=SECS]]\n");
     return 2;
   }
+  SearchConfig config;
+  config.batch_size = ParseIntFlag("<batch>", args.positional[2], 1);
   const Application app = LoadApp(args.positional[0]);
   System sys = LoadSystem(args.positional[1]);
   if (args.procs > 0) sys = sys.WithNumProcs(args.procs);
   RunContext ctx;
   ConfigureContext(args, &ctx);
   args.obs.Activate();
-  SearchConfig config;
-  config.batch_size = ParseIntFlag("<batch>", args.positional[2]);
   config.top_k = 1;
   config.ctx = &ctx;
   const SearchSpace space = SearchSpace::AllWithOffload();

@@ -21,7 +21,7 @@ namespace calculon::dist {
 
 namespace {
 
-// Runs `spec` on a supervised pool and feeds every item from `first_item`
+// Runs `job` on a supervised pool and feeds every item from `first_item`
 // on to the engine's commit in item order: `commit(result)` for an item's
 // result, `quarantine(record)` for a quarantined item. `decode` turns each
 // result line into the engine's item result as it arrives, so a line that
@@ -32,7 +32,7 @@ namespace {
 // A stopped run can leave gaps; with `past_gaps` the items resolved beyond
 // the first gap are still fed, in item order, when the pool returns.
 template <typename Item>
-void RunInItemOrder(const json::Value& spec, std::uint64_t first_item,
+void RunInItemOrder(Job& job, std::uint64_t first_item,
                     const DistOptions& dist, RunContext* ctx, bool past_gaps,
                     const std::function<Item(std::string_view)>& decode,
                     const std::function<void(Item)>& commit,
@@ -74,7 +74,7 @@ void RunInItemOrder(const json::Value& spec, std::uint64_t first_item,
     pending.emplace(record.item, record);
     drain();
   };
-  RunSupervised(spec, dist, callbacks, first_item, ctx);
+  RunSupervised(job, dist, callbacks, first_item, ctx);
   while (past_gaps && !pending.empty()) release(pending.begin());
 }
 
@@ -102,13 +102,11 @@ StudyRun RunStudySupervised(const Study& study, const StudyRunOptions& options,
   if (!dist.active()) return study.RunResilient(options);
   CALC_TRACE_SPAN("dist", "study");
   StudyCommit commit(study, options);
-  json::Value spec;
-  spec["job"] = "study";
-  spec["spec"] = study.ToJson();
   // CSV rows and checkpoints are a contiguous prefix: nothing past a gap.
+  // The job, and the rows it enumerated, die before Finish.
   RunInItemOrder<StudyRowResult>(
-      spec, commit.next_row(), dist, commit.ctx(), /*past_gaps=*/false,
-      StudyRowFromLine,
+      *MakeStudyJob(study), commit.next_row(), dist, commit.ctx(),
+      /*past_gaps=*/false, StudyRowFromLine,
       [&](StudyRowResult row) { commit.Commit(std::move(row)); },
       [&](FailureRecord record) { commit.Quarantine(std::move(record)); });
   return commit.Finish();
@@ -125,23 +123,13 @@ SearchResult FindOptimalExecutionSupervised(const Application& app,
   }
   CALC_TRACE_SPAN("dist", "exec_search");
   ExecSearch search(app, sys, space, config);
-  json::Value spec;
-  spec["job"] = "exec_search";
-  spec["application"] = app.ToJson();
-  spec["system"] = sys.ToJson();
-  spec["space"] = space.ToJson();
-  json::Value cfg;
-  cfg["batch_size"] = static_cast<std::int64_t>(config.batch_size);
-  cfg["top_k"] = static_cast<std::int64_t>(config.top_k);
-  cfg["keep_all_rates"] = config.keep_all_rates;
-  cfg["keep_pareto"] = config.keep_pareto;
-  spec["config"] = cfg;
   // The shipped entries' Stats, re-evaluated in this one thread through
   // one table for the whole search.
   StageTable stages(app, sys);
   // A stopped search keeps every triple that was swept, as in-process.
   RunInItemOrder<TripleSweep>(
-      spec, 0, dist, search.ctx(), /*past_gaps=*/true,
+      *MakeExecSearchJob(app, sys, space, config), 0, dist, search.ctx(),
+      /*past_gaps=*/true,
       [&](std::string_view line) {
         return TripleSweepFromJson(json::Parse(line), config.top_k, stages);
       },
@@ -183,29 +171,6 @@ void RunAuditSupervised(const std::vector<AuditPairSpec>& pairs,
     return;
   }
   CALC_TRACE_SPAN("dist", "audit");
-  json::Value spec;
-  spec["job"] = "audit";
-  json::Value opts;
-  json::Array proc_counts;
-  proc_counts.reserve(options.proc_counts.size());
-  for (std::int64_t n : options.proc_counts) proc_counts.emplace_back(n);
-  opts["proc_counts"] = json::Value(std::move(proc_counts));
-  opts["max_splits"] = static_cast<std::int64_t>(options.max_splits);
-  opts["rel_tol"] = options.rel_tol;
-  opts["max_violations"] = static_cast<std::int64_t>(options.max_violations);
-  spec["options"] = opts;
-  json::Array pair_specs;
-  pair_specs.reserve(pairs.size());
-  for (const AuditPairSpec& pair : pairs) {
-    json::Value p;
-    p["application"] = pair.app.ToJson();
-    p["system"] = pair.sys.ToJson();
-    p["context_label"] = pair.context_label;
-    p["fault_key_base"] = static_cast<std::int64_t>(pair.fault_key_base);
-    pair_specs.push_back(std::move(p));
-  }
-  spec["pairs"] = json::Value(std::move(pair_specs));
-
   // The journal is keyed by pair, so pairs commit as they arrive.
   SupervisorCallbacks callbacks;
   callbacks.on_item = [&](std::uint64_t item, std::string_view line) {
@@ -227,7 +192,7 @@ void RunAuditSupervised(const std::vector<AuditPairSpec>& pairs,
     scoped.fingerprint = pairs[record.item].context_label;
     ctx.RecordFailure(std::move(scoped));
   };
-  RunSupervised(spec, dist, callbacks, 0, &ctx);
+  RunSupervised(*MakeAuditJob(pairs, options), dist, callbacks, 0, &ctx);
 }
 
 }  // namespace calculon::dist

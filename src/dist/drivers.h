@@ -1,7 +1,7 @@
 // Supervised front ends for the three sweep engines: the parent-side
-// drivers that describe the sweep as a job spec for a worker pool
-// (dist/supervisor.h builds the job from it once and forks the workers
-// with it) and feed the streamed results to the engine's own commit.
+// drivers that build the engine's job (dist/jobs.h) from their inputs,
+// run it on a worker pool (dist/supervisor.h forks the workers with it)
+// and feed the streamed results to the engine's own commit.
 //
 // Contract: for items untouched by process-level faults, a supervised run
 // produces bit-identical output to the in-process engine. Each engine has

@@ -58,9 +58,8 @@ std::vector<SearchEntry> EntriesFromJson(const json::Value& v,
 // StageTable, which the parent, never running an item, leaves empty.
 class StudyJob : public Job {
  public:
-  explicit StudyJob(const json::Value& spec)
-      : study_(Study::FromJson(spec.at("spec"))),
-        execs_(study_.Enumerate()) {}
+  explicit StudyJob(Study study)
+      : study_(std::move(study)), execs_(study_.Enumerate()) {}
 
   [[nodiscard]] std::uint64_t num_items() const override {
     return execs_.size();
@@ -82,13 +81,7 @@ class StudyJob : public Job {
   const std::vector<Execution> execs_;
 };
 
-SearchConfig SearchConfigFromJson(const json::Value& v, RunContext* ctx) {
-  SearchConfig config;
-  config.batch_size = v.GetInt("batch_size", 0);
-  config.top_k = static_cast<int>(json::CountIn(
-      v.GetInt("top_k", 10), "top_k", std::numeric_limits<int>::max()));
-  config.keep_all_rates = v.GetBool("keep_all_rates", false);
-  config.keep_pareto = v.GetBool("keep_pareto", false);
+SearchConfig WithContext(SearchConfig config, RunContext* ctx) {
   config.ctx = ctx;
   return config;
 }
@@ -99,12 +92,12 @@ SearchConfig SearchConfigFromJson(const json::Value& v, RunContext* ctx) {
 // Pareto executions, its sample rates, and its isolated hard failures.
 class ExecSearchJob : public Job {
  public:
-  explicit ExecSearchJob(const json::Value& spec)
-      : app_(Application::FromJson(spec.at("application"))),
-        sys_(System::FromJson(spec.at("system"))),
-        space_(SearchSpace::FromJson(spec.at("space"))),
-        config_(SearchConfigFromJson(spec.at("config"), &isolate_)),
-        search_(app_, sys_, space_, config_) {}
+  ExecSearchJob(const Application& app, const System& sys,
+                const SearchSpace& space, const SearchConfig& config)
+      : app_(app),
+        sys_(sys),
+        space_(space),
+        search_(app_, sys_, space_, WithContext(config, &isolate_)) {}
 
   [[nodiscard]] std::uint64_t num_items() const override {
     return search_.triples().size();
@@ -137,7 +130,7 @@ class ExecSearchJob : public Job {
   const System sys_;
   const SearchSpace space_;
   RunContext isolate_;
-  const SearchConfig config_;
+  // Copies its config; references the members above.
   const ExecSearch search_;
 };
 
@@ -146,23 +139,9 @@ class ExecSearchJob : public Job {
 // isolated failures.
 class AuditJob : public Job {
  public:
-  explicit AuditJob(const json::Value& spec) {
-    const json::Value& options = spec.at("options");
-    for (const json::Value& n : options.at("proc_counts").AsArray()) {
-      options_.proc_counts.push_back(n.AsInt());
-    }
-    options_.max_splits = static_cast<int>(options.GetInt("max_splits", 24));
-    options_.rel_tol = options.GetDouble("rel_tol", 1e-9);
-    options_.max_violations =
-        static_cast<int>(options.GetInt("max_violations", 16));
-    for (const json::Value& p : spec.at("pairs").AsArray()) {
-      pairs_.push_back(AuditPairSpec{
-          Application::FromJson(p.at("application")),
-          System::FromJson(p.at("system")),
-          p.at("context_label").AsString(),
-          static_cast<std::uint64_t>(p.at("fault_key_base").AsInt())});
-    }
-  }
+  AuditJob(const std::vector<AuditPairSpec>& pairs,
+           const analysis::AuditOptions& options)
+      : pairs_(pairs), options_(options) {}
 
   [[nodiscard]] std::uint64_t num_items() const override {
     return pairs_.size();
@@ -189,18 +168,34 @@ class AuditJob : public Job {
   }
 
  private:
-  analysis::AuditOptions options_;
-  std::vector<AuditPairSpec> pairs_;
+  const std::vector<AuditPairSpec> pairs_;
+  const analysis::AuditOptions options_;
 };
 
 }  // namespace
 
+std::unique_ptr<Job> MakeStudyJob(const Study& study) {
+  return std::make_unique<StudyJob>(study);
+}
+
 std::unique_ptr<Job> MakeJob(const json::Value& spec) {
   const std::string kind = spec.GetString("job", "");
-  if (kind == "study") return std::make_unique<StudyJob>(spec);
-  if (kind == "exec_search") return std::make_unique<ExecSearchJob>(spec);
-  if (kind == "audit") return std::make_unique<AuditJob>(spec);
-  throw ConfigError("dist: unknown job kind '" + kind + "'");
+  if (kind != "study") {
+    throw ConfigError("dist: unknown job kind '" + kind + "'");
+  }
+  return std::make_unique<StudyJob>(Study::FromJson(spec.at("spec")));
+}
+
+std::unique_ptr<Job> MakeExecSearchJob(const Application& app,
+                                       const System& sys,
+                                       const SearchSpace& space,
+                                       const SearchConfig& config) {
+  return std::make_unique<ExecSearchJob>(app, sys, space, config);
+}
+
+std::unique_ptr<Job> MakeAuditJob(const std::vector<AuditPairSpec>& pairs,
+                                  const analysis::AuditOptions& options) {
+  return std::make_unique<AuditJob>(pairs, options);
 }
 
 std::string StudyRowToLine(const StudyRowResult& row) {

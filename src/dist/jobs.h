@@ -1,11 +1,12 @@
 // Sweep jobs: the unit of work a supervised worker pool executes.
 //
 // A Job is a sweep expressed as an indexed list of independent items
-// (study rows, exec-search triples, audit pairs) that is fully described
-// by one JSON spec. The supervisor builds the job from the spec once,
-// before it forks any worker; each worker evaluates the items it is
-// assigned on its own copy with the engine's one item evaluator
-// (EvaluateStudyRow, ExecSearch::Sweep, AuditPair).
+// (study rows, exec-search triples, audit pairs). Each driver in
+// dist/drivers.h builds its engine's job from the inputs it holds (the
+// job owns copies of them), once, before the supervisor forks any
+// worker; each worker evaluates the items it is assigned on its own copy
+// with the engine's one item evaluator (EvaluateStudyRow,
+// ExecSearch::Sweep, AuditPair).
 // An item result is one line of text, with doubles written losslessly
 // (%.17g): a study row is the StudyRowToLine text below, an exec-search
 // triple or audit pair a compact JSON object. The parent decodes a line
@@ -22,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/audit.h"
 #include "core/perf_model.h"
 #include "hw/system.h"
 #include "json/json.h"
@@ -49,11 +51,20 @@ class Job {
   [[nodiscard]] virtual std::string RunItem(std::uint64_t item) = 0;
 };
 
-// Builds the job described by `spec`, a {"job": "<kind>", ...} object as
-// produced by the drivers in dist/drivers.h. Kinds: "study",
-// "exec_search", "audit". Throws ConfigError on an unknown kind or a
-// malformed spec.
+// One study row per item, evaluated by EvaluateStudyRow and shipped as
+// StudyRowToLine text.
+[[nodiscard]] std::unique_ptr<Job> MakeStudyJob(const Study& study);
+
+// The study job of `spec`, a {"job": "study", "spec": <Study::ToJson()>}
+// object. Throws ConfigError on any other "job" kind or a malformed spec.
 [[nodiscard]] std::unique_ptr<Job> MakeJob(const json::Value& spec);
+
+// One (t, p, d) triple of ExecSearch(app, sys, space, config) per item,
+// swept with fault isolation under a private RunContext that never stops
+// (config.ctx is not consulted: the supervisor owns cancellation).
+[[nodiscard]] std::unique_ptr<Job> MakeExecSearchJob(
+    const Application& app, const System& sys, const SearchSpace& space,
+    const SearchConfig& config);
 
 // One "audit" item: an (application, system) pair, as the caller labels it.
 struct AuditPairSpec {
@@ -62,6 +73,13 @@ struct AuditPairSpec {
   std::string context_label;
   std::uint64_t fault_key_base = 0;
 };
+
+// One pair per item, audited by AuditPair under `options` with the pair's
+// context label and fault-key base, and a private RunContext whose
+// failures the result line carries.
+[[nodiscard]] std::unique_ptr<Job> MakeAuditJob(
+    const std::vector<AuditPairSpec>& pairs,
+    const analysis::AuditOptions& options);
 
 // A "study" item result as one line of three tab-separated fields: the
 // exact sample rate (%.17g; empty for an infeasible row), the bad-config

@@ -637,7 +637,7 @@ enum class Drained {
 
 }  // namespace
 
-void RunSupervised(const json::Value& job_spec, const DistOptions& options,
+void RunSupervised(Job& job, const DistOptions& options,
                    const SupervisorCallbacks& callbacks,
                    std::uint64_t first_item, RunContext* ctx) {
   CALC_CHECK(options.workers >= 1, "need at least one worker");
@@ -646,10 +646,8 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
       "hang_timeout_s %g is outside (0, 1e9] s", options.hang_timeout_s);
   CALC_TRACE_SPAN("dist", "supervisor");
 
-  // Built once, before the first fork: every worker runs its own copy.
-  const std::unique_ptr<Job> job = MakeJob(job_spec);
-  // Also before the first fork: each worker opens its log in this
-  // directory, and could not create it after the fork.
+  // Before the first fork: each worker opens its log in this directory,
+  // and could not create it after the fork.
   if (!options.worker_log_dir.empty()) {
     std::error_code error;
     std::filesystem::create_directories(options.worker_log_dir, error);
@@ -659,7 +657,7 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
           options.worker_log_dir.c_str(), error.message().c_str()));
     }
   }
-  const std::uint64_t num_items = job->num_items();
+  const std::uint64_t num_items = job.num_items();
   ShardTrackerOptions tracker_options;
   tracker_options.num_items = num_items;
   tracker_options.first_item = first_item;
@@ -674,7 +672,7 @@ void RunSupervised(const json::Value& job_spec, const DistOptions& options,
 
   const json::Value init_frame = InitFrame(options.faults_spec);
   Pool pool;
-  pool.job = job.get();
+  pool.job = &job;
   pool.init_frame = &init_frame;
   pool.options = options;
   pool.callbacks = &callbacks;

@@ -2,7 +2,7 @@
 // hang detection, bounded-retry reassignment with exponential backoff,
 // and poison-candidate quarantine.
 //
-// The supervisor builds the job once, then forks N workers from it (same
+// The supervisor forks N workers from the job its driver built (same
 // binary, no exec — see dist/worker.h for the wire protocol), gives each
 // idle worker one contiguous range of items over its pipe — the next
 // kShardsPerDispatch shards while the run's shards take less than a
@@ -58,6 +58,8 @@
 
 namespace calculon::dist {
 
+class Job;  // dist/jobs.h
+
 // The shards a worker is given at once, as one range, while shards are
 // cheap. A constant, not an option: on perfbench's study_supervised
 // (8,640 rows of a few us, 3 workers, shard 16, 4 runs each on 4 vCPUs),
@@ -111,17 +113,16 @@ struct SupervisorCallbacks {
   // culprit or retried), and RunSupervised rethrows it.
 };
 
-// Builds the job `job_spec` describes (MakeJob, dist/jobs.h; a spec it
-// rejects throws its ConfigError here, before any fork), creates
-// options.worker_log_dir (a ConfigError, also before any fork, when it
-// cannot) and runs the job's items [first_item, job's item count) across
-// a supervised worker pool; items below `first_item` (a checkpoint-resume
-// watermark) count as already resolved. Blocks until every item is
-// resolved, `ctx` (optional cooperative stop: cancellation / deadline /
-// failure budget, polled every loop iteration; in-flight shards are
-// abandoned) stops the run, or worker startup fails repeatedly
+// Creates options.worker_log_dir (a ConfigError, before any fork, when it
+// cannot), forks the workers with `job` (dist/jobs.h; the parent never
+// runs an item of it) and runs the job's items [first_item, job's item
+// count) across a supervised worker pool; items below `first_item` (a
+// checkpoint-resume watermark) count as already resolved. Blocks until
+// every item is resolved, `ctx` (optional cooperative stop: cancellation /
+// deadline / failure budget, polled every loop iteration; in-flight shards
+// are abandoned) stops the run, or worker startup fails repeatedly
 // (ConfigError — workers that die before they are ready).
-void RunSupervised(const json::Value& job_spec, const DistOptions& options,
+void RunSupervised(Job& job, const DistOptions& options,
                    const SupervisorCallbacks& callbacks,
                    std::uint64_t first_item = 0, RunContext* ctx = nullptr);
 

@@ -1,12 +1,12 @@
 // The child-process side of the supervised worker pool.
 //
 // A worker is the same binary as the supervisor — fork() without exec():
-// the parent builds the job once (MakeJob, dist/jobs.h) before its first
+// the parent's driver builds the job once (dist/jobs.h) before the first
 // fork, and the child calls WorkerMain on its copy of that job and its two
-// pipe ends, and never returns to the caller's code. No worker parses a
-// job spec or re-enumerates the sweep; the parent never evaluates an item,
-// so every worker, respawns included, starts from the same clean job. The
-// protocol (NDJSON frames, see dist/wire.h):
+// pipe ends, and never returns to the caller's code. No worker
+// re-enumerates the sweep; the parent never evaluates an item, so every
+// worker, respawns included, starts from the same clean job. The protocol
+// (NDJSON frames, see dist/wire.h):
 //
 //   parent -> worker   {"type":"init", "faults":"seed=...",
 //                       "telemetry":{...}}

@@ -98,8 +98,8 @@ struct Study {
 
   // Canonical spec form (inline application/system/base_execution objects,
   // "auto" markers preserved). FromJson(ToJson()) reconstructs a study
-  // with the same Fingerprint() — which is how a supervised dist worker
-  // receives the exact study its parent is running.
+  // with the same Fingerprint(), so a study job spec (dist::MakeJob)
+  // carries the exact study.
   [[nodiscard]] json::Value ToJson() const;
 
   // Evaluates the full cross product (infeasible rows included, with their

@@ -58,101 +58,6 @@ SearchSpace SearchSpace::AllWithOffload() {
 
 namespace {
 
-json::Value BoolsToJson(const std::vector<bool>& bools) {
-  json::Array arr;
-  for (bool b : bools) arr.emplace_back(b);
-  return json::Value(std::move(arr));
-}
-
-std::vector<bool> BoolsFromJson(const json::Value& v) {
-  std::vector<bool> out;
-  for (const json::Value& b : v.AsArray()) out.push_back(b.AsBool());
-  return out;
-}
-
-}  // namespace
-
-json::Value SearchSpace::ToJson() const {
-  json::Object o;
-  json::Array rc;
-  for (Recompute r : recompute) rc.emplace_back(std::string(ToString(r)));
-  o["recompute"] = json::Value(std::move(rc));
-  json::Array tpc;
-  for (const TpCommVariant& v : tp_comm) {
-    json::Object t;
-    t["tp_rs_ag"] = v.tp_rs_ag;
-    t["seq_par"] = v.seq_par;
-    t["ag_redo"] = v.ag_redo;
-    tpc.emplace_back(std::move(t));
-  }
-  o["tp_comm"] = json::Value(std::move(tpc));
-  json::Array ov;
-  for (TpOverlap t : tp_overlap) ov.emplace_back(std::string(ToString(t)));
-  o["tp_overlap"] = json::Value(std::move(ov));
-  o["fused_activation"] = BoolsToJson(fused_activation);
-  o["dp_overlap"] = BoolsToJson(dp_overlap);
-  o["optimizer_sharding"] = BoolsToJson(optimizer_sharding);
-  o["pp_1f1b"] = BoolsToJson(pp_1f1b);
-  o["pp_rs_ag"] = BoolsToJson(pp_rs_ag);
-  o["sweep_interleaving"] = sweep_interleaving;
-  json::Array off;
-  for (const OffloadVariant& v : offload) {
-    json::Object t;
-    t["weights"] = v.weights;
-    t["activations"] = v.activations;
-    t["optimizer"] = v.optimizer;
-    off.emplace_back(std::move(t));
-  }
-  o["offload"] = json::Value(std::move(off));
-  o["min_tensor_par"] = min_tensor_par;
-  o["max_tensor_par"] = max_tensor_par;
-  o["min_pipeline_par"] = min_pipeline_par;
-  o["max_pipeline_par"] = max_pipeline_par;
-  o["min_data_par"] = min_data_par;
-  o["max_data_par"] = max_data_par;
-  o["max_microbatch"] = max_microbatch;
-  return json::Value(std::move(o));
-}
-
-SearchSpace SearchSpace::FromJson(const json::Value& v) {
-  SearchSpace s;
-  s.recompute.clear();
-  for (const json::Value& r : v.at("recompute").AsArray()) {
-    s.recompute.push_back(RecomputeFromString(r.AsString()));
-  }
-  s.tp_comm.clear();
-  for (const json::Value& t : v.at("tp_comm").AsArray()) {
-    s.tp_comm.push_back({t.at("tp_rs_ag").AsBool(), t.at("seq_par").AsBool(),
-                         t.at("ag_redo").AsBool()});
-  }
-  s.tp_overlap.clear();
-  for (const json::Value& t : v.at("tp_overlap").AsArray()) {
-    s.tp_overlap.push_back(TpOverlapFromString(t.AsString()));
-  }
-  s.fused_activation = BoolsFromJson(v.at("fused_activation"));
-  s.dp_overlap = BoolsFromJson(v.at("dp_overlap"));
-  s.optimizer_sharding = BoolsFromJson(v.at("optimizer_sharding"));
-  s.pp_1f1b = BoolsFromJson(v.at("pp_1f1b"));
-  s.pp_rs_ag = BoolsFromJson(v.at("pp_rs_ag"));
-  s.sweep_interleaving = v.at("sweep_interleaving").AsBool();
-  s.offload.clear();
-  for (const json::Value& t : v.at("offload").AsArray()) {
-    s.offload.push_back({t.at("weights").AsBool(),
-                         t.at("activations").AsBool(),
-                         t.at("optimizer").AsBool()});
-  }
-  s.min_tensor_par = v.at("min_tensor_par").AsInt();
-  s.max_tensor_par = v.at("max_tensor_par").AsInt();
-  s.min_pipeline_par = v.at("min_pipeline_par").AsInt();
-  s.max_pipeline_par = v.at("max_pipeline_par").AsInt();
-  s.min_data_par = v.at("min_data_par").AsInt();
-  s.max_data_par = v.at("max_data_par").AsInt();
-  s.max_microbatch = v.at("max_microbatch").AsInt();
-  return s;
-}
-
-namespace {
-
 // One slot per Infeasible enumerator (kNone..kBadConfig).
 constexpr std::size_t kNumInfeasible =
     static_cast<std::size_t>(Infeasible::kBadConfig) + 1;
@@ -644,7 +549,7 @@ void SweepTripleInto(const Application& app, const System& sys,
                           out.rates.push_back(r.value().sample_rate);
                         }
                         if (config.keep_pareto) {
-                          pareto.Insert({e, r.value()});
+                          pareto.Insert(e, r.value());
                         }
                         best.Offer(e, r.value());
                       }
@@ -696,6 +601,10 @@ ExecSearch::ExecSearch(const Application& app, const System& sys,
   if (config.top_k < 0) {
     throw ConfigError(StrFormat("exec search: top_k %d is negative",
                                 config.top_k));
+  }
+  if (config.batch_size < 0) {
+    throw ConfigError(StrFormat("exec search: batch_size %lld is negative",
+                                static_cast<long long>(config.batch_size)));
   }
 }
 
@@ -783,7 +692,7 @@ SearchResult ExecSearch::Finish() {
         ->Increment(FactorTriples(sys_.num_procs()).size() - triples_.size());
   }
   CALC_TRACE_COUNTER("exec_search.evaluated", result_.evaluated);
-  result_.pareto = ExtractParetoFront(std::move(result_.pareto));
+  result_.pareto = ExtractParetoFront(result_.pareto);
   result_.status = ctx_->Snapshot();
   return std::move(result_);
 }

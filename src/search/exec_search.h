@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/perf_model.h"
-#include "json/json.h"
 #include "util/mathutil.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
@@ -79,12 +78,6 @@ struct SearchSpace {
   [[nodiscard]] static SearchSpace AllOptimizations();
   // The full Table 1 space including offloading.
   [[nodiscard]] static SearchSpace AllWithOffload();
-
-  // Lossless JSON round-trip (FromJson(ToJson()) sweeps the identical
-  // space in the identical order) — how a supervised dist worker receives
-  // the space its parent is searching.
-  [[nodiscard]] json::Value ToJson() const;
-  [[nodiscard]] static SearchSpace FromJson(const json::Value& v);
 };
 
 struct SearchEntry {
@@ -155,7 +148,8 @@ struct SearchResult {
 };
 
 struct SearchConfig {
-  std::int64_t batch_size = 0;  // 0: default to num_procs samples
+  // 0: default to num_procs samples; a negative value is a ConfigError.
+  std::int64_t batch_size = 0;
   int top_k = 10;  // 0 keeps no entries; a negative value is a ConfigError
   bool keep_all_rates = false;
   bool keep_pareto = false;
@@ -238,7 +232,7 @@ class BlockLayerTable {
 // and collection therefore happen once, for both paths.
 class ExecSearch {
  public:
-  // Throws ConfigError when config.top_k is negative.
+  // Throws ConfigError when config.top_k or config.batch_size is negative.
   ExecSearch(const Application& app, const System& sys,
              const SearchSpace& space, const SearchConfig& config);
   // The search keeps references to `app`, `sys` and `space`, so none of

@@ -18,8 +18,8 @@ bool Dominates(const ParetoPoint& a, const ParetoPoint& b) {
   return no_worse && strictly_better;
 }
 
-bool ParetoFront::Insert(SearchEntry entry) {
-  const ParetoPoint p = MakeParetoPoint(entry.stats);
+bool ParetoFront::Insert(const Execution& exec, const Stats& stats) {
+  const ParetoPoint p = MakeParetoPoint(stats);
   for (const SearchEntry& existing : entries_) {
     const ParetoPoint q = MakeParetoPoint(existing.stats);
     // Reject dominated newcomers (duplicates count as dominated).
@@ -35,14 +35,8 @@ bool ParetoFront::Insert(SearchEntry entry) {
                                       p, MakeParetoPoint(existing.stats));
                                 }),
                  entries_.end());
-  entries_.push_back(std::move(entry));
+  entries_.push_back({exec, stats});
   return true;
-}
-
-void ParetoFront::Merge(ParetoFront other) {
-  for (SearchEntry& entry : other.entries_) {
-    Insert(std::move(entry));
-  }
 }
 
 std::vector<SearchEntry> ParetoFront::Sorted() const {
@@ -55,10 +49,10 @@ std::vector<SearchEntry> ParetoFront::Sorted() const {
 }
 
 std::vector<SearchEntry> ExtractParetoFront(
-    std::vector<SearchEntry> entries) {
+    const std::vector<SearchEntry>& entries) {
   ParetoFront front;
-  for (SearchEntry& entry : entries) {
-    front.Insert(std::move(entry));
+  for (const SearchEntry& entry : entries) {
+    front.Insert(entry.exec, entry.stats);
   }
   return front.Sorted();
 }

@@ -29,16 +29,13 @@ struct ParetoPoint {
 // Incrementally maintained non-dominated set.
 class ParetoFront {
  public:
-  // Inserts if non-dominated; evicts entries the newcomer dominates.
-  // Returns true when the entry was added.
-  bool Insert(SearchEntry entry);
-
-  // Merges another front (e.g. a worker-local one).
-  void Merge(ParetoFront other);
+  // Inserts (exec, stats) if non-dominated, copying it only then; evicts
+  // entries the newcomer dominates. Returns true when it was added.
+  bool Insert(const Execution& exec, const Stats& stats);
 
   // Entries sorted by ascending batch time.
   [[nodiscard]] std::vector<SearchEntry> Sorted() const;
-  // Moves the entries out in insertion order, the order Merge() replays.
+  // Moves the entries out in insertion order.
   [[nodiscard]] std::vector<SearchEntry> TakeEntries() && {
     return std::move(entries_);
   }
@@ -51,6 +48,6 @@ class ParetoFront {
 
 // Convenience: the front of an arbitrary strategy list.
 [[nodiscard]] std::vector<SearchEntry> ExtractParetoFront(
-    std::vector<SearchEntry> entries);
+    const std::vector<SearchEntry>& entries);
 
 }  // namespace calculon

@@ -134,21 +134,19 @@ void RecordRuns(dist::Job& job, std::uint64_t count,
 // An exec-search job: megatron_22b on 64 A100 over the Megatron baseline
 // space at batch 64, top 4, every collector on.
 constexpr int kSearchTopK = 4;
-json::Value ExecSearchJobSpec() {
+System SearchSystem() {
   presets::SystemOptions so;
   so.num_procs = 64;
-  json::Value search;
-  search["job"] = "exec_search";
-  search["application"] = presets::Megatron22B().ToJson();
-  search["system"] = presets::A100(so).ToJson();
-  search["space"] = SearchSpace::MegatronBaseline().ToJson();
-  json::Value config;
-  config["batch_size"] = 64;
-  config["top_k"] = kSearchTopK;
-  config["keep_all_rates"] = true;
-  config["keep_pareto"] = true;
-  search["config"] = config;
-  return search;
+  return presets::A100(so);
+}
+std::unique_ptr<dist::Job> MakeSearchJob() {
+  SearchConfig config;
+  config.batch_size = 64;
+  config.top_k = kSearchTopK;
+  config.keep_all_rates = true;
+  config.keep_pareto = true;
+  return dist::MakeExecSearchJob(presets::Megatron22B(), SearchSystem(),
+                                 SearchSpace::MegatronBaseline(), config);
 }
 
 // Study and exec-search runs, plus the frames around them.
@@ -160,19 +158,17 @@ Recording RecordedFrames() {
     recording.wire.emplace_back(frame);
     recording.documents.emplace_back(frame);
   }
-  json::Value study;
-  study["job"] = "study";
-  study["spec"] = Study::FromJson(json::Parse(R"({
+  const Study study = Study::FromJson(json::Parse(R"({
     "application": "megatron_22b",
     "system": "a100_80g",
     "num_procs": 64,
     "base_execution": {"batch_size": 64, "recompute": "full"},
     "sweep": {"tensor_par": [1, 8], "pipeline_par": [1, 64],
               "data_par": "auto", "microbatch": [1, 4]}
-  })")).ToJson();
-  RecordRuns(*dist::MakeJob(study), 8, &recording.study_lines, &recording);
-  RecordRuns(*dist::MakeJob(ExecSearchJobSpec()), 3, &recording.documents,
+  })"));
+  RecordRuns(*dist::MakeStudyJob(study), 8, &recording.study_lines,
              &recording);
+  RecordRuns(*MakeSearchJob(), 3, &recording.documents, &recording);
   return recording;
 }
 
@@ -965,27 +961,20 @@ TEST(CodecFuzz, MutatedStudyLinesDecodeOrThrowConfigError) {
 
 // --- Audit result lines -----------------------------------------------------
 
-// The lines an audit worker writes for megatron_22b on two systems, as
-// AuditJob writes them; the second pair runs under injected error faults,
-// so its line carries failures.
+// The lines an audit worker writes for megatron_22b on two systems; the
+// second pair runs under injected error faults, so its line carries
+// failures.
 std::vector<std::string> RecordedAuditLines() {
-  json::Value spec;
-  spec["job"] = "audit";
-  json::Value options;
-  options["proc_counts"] = json::Value(json::Array{8, 16});
-  options["max_splits"] = 4;
-  spec["options"] = options;
-  json::Array pairs;
+  analysis::AuditOptions options;
+  options.proc_counts = {8, 16};
+  options.max_splits = 4;
+  std::vector<dist::AuditPairSpec> pairs;
   for (const char* system : {"a100_80g", "h100_80g"}) {
-    json::Value pair;
-    pair["application"] = presets::Megatron22B().ToJson();
-    pair["system"] = presets::SystemByName(system).ToJson();
-    pair["context_label"] = system;
-    pair["fault_key_base"] = static_cast<std::int64_t>(pairs.size()) << 32;
-    pairs.push_back(std::move(pair));
+    pairs.push_back(dist::AuditPairSpec{
+        presets::Megatron22B(), presets::SystemByName(system), system,
+        static_cast<std::uint64_t>(pairs.size()) << 32});
   }
-  spec["pairs"] = json::Value(std::move(pairs));
-  const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
+  const std::unique_ptr<dist::Job> job = dist::MakeAuditJob(pairs, options);
   std::vector<std::string> lines = {job->RunItem(0)};
   testing::FaultInjector& faults = testing::FaultInjector::Global();
   faults.Configure(testing::FaultPlan::FromSpec("seed=3,error=0.2"));
@@ -1071,10 +1060,10 @@ TEST(CodecFuzz, MutatedAuditLinesDecodeOrThrowConfigError) {
 
 // --- Exec-search result lines -----------------------------------------------
 
-// The result lines of every triple of ExecSearchJobSpec(), as its worker
+// The result lines of every triple of MakeSearchJob(), as its worker
 // writes them.
 std::vector<std::string> RecordedSearchLines() {
-  const std::unique_ptr<dist::Job> job = dist::MakeJob(ExecSearchJobSpec());
+  const std::unique_ptr<dist::Job> job = MakeSearchJob();
   std::vector<std::string> lines;
   for (std::uint64_t i = 0; i < job->num_items(); ++i) {
     lines.push_back(job->RunItem(i));
@@ -1098,9 +1087,8 @@ TripleSweep DecodeSearchLine(const std::string& line, StageTable& stages) {
 // decoder refuses the two ways a worker's list can break that: entries
 // out of order, and more of them than top_k.
 TEST(CodecFuzz, ExecSearchBestListsOutOfOrderOrPastTopKAreRefused) {
-  const json::Value spec = ExecSearchJobSpec();
-  const Application app = Application::FromJson(spec.at("application"));
-  const System sys = System::FromJson(spec.at("system"));
+  const Application app = presets::Megatron22B();
+  const System sys = SearchSystem();
   StageTable stages(app, sys);
   int refused_long = 0;
   int refused_order = 0;
@@ -1153,9 +1141,8 @@ TEST(CodecFuzz, ExecSearchBestListsOutOfOrderOrPastTopKAreRefused) {
 TEST(CodecFuzz, MutatedExecSearchLinesDecodeOrThrowConfigError) {
   const std::vector<std::string> corpus = RecordedSearchLines();
   ASSERT_FALSE(corpus.empty());
-  const json::Value spec = ExecSearchJobSpec();
-  const Application app = Application::FromJson(spec.at("application"));
-  const System sys = System::FromJson(spec.at("system"));
+  const Application app = presets::Megatron22B();
+  const System sys = SearchSystem();
   StageTable stages(app, sys);
   // Each seed's decoded best list, to tell which swaps break the order.
   std::vector<std::vector<SearchEntry>> seed_best;
@@ -1218,23 +1205,6 @@ TEST(CodecFuzz, MutatedExecSearchLinesDecodeOrThrowConfigError) {
   }
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
-}
-
-// top_k travels to a worker as a JSON number; one outside [0, 2^31 - 1]
-// is refused, not truncated (2^32 used to read as 0).
-TEST(CodecFuzz, ExecSearchJobRefusesATopKOutsideInt) {
-  json::Value spec = ExecSearchJobSpec();
-  for (const std::int64_t top_k :
-       {std::int64_t{-1}, std::int64_t{1} << 31, std::int64_t{1} << 32,
-        std::int64_t{1} << 53}) {
-    spec["config"]["top_k"] = top_k;
-    EXPECT_THROW((void)dist::MakeJob(spec), ConfigError) << top_k;
-  }
-  for (const std::int64_t top_k :
-       {std::int64_t{0}, (std::int64_t{1} << 31) - 1}) {
-    spec["config"]["top_k"] = top_k;
-    EXPECT_NO_THROW((void)dist::MakeJob(spec)) << top_k;
-  }
 }
 
 }  // namespace

@@ -72,14 +72,6 @@ dist::DistOptions FastDist(int workers) {
   return d;
 }
 
-// The job spec RunSupervised takes for `study`.
-json::Value StudyJobSpec(const Study& study) {
-  json::Value spec;
-  spec["job"] = "study";
-  spec["spec"] = study.ToJson();
-  return spec;
-}
-
 // The items whose seeded fault decision is a process-level kind — the
 // exact set the supervised run must quarantine. A worker consults key
 // item << shift: 0 for study rows, 32 for an exec search's triples.
@@ -354,26 +346,6 @@ TEST(DistSupervisor, HungWorkerIsKilledByTheActivityTimeout) {
       << status.failure_samples[0].reason;
 }
 
-TEST(DistSupervisor, BrokenJobSpecFailsLoudlyInsteadOfRespawningForever) {
-  // The supervisor builds the job before it forks, so a spec MakeJob
-  // rejects fails there with MakeJob's own ConfigError, not the
-  // startup-failure cap's, and no worker is forked for it.
-  json::Value bad;
-  bad["job"] = "no-such-job";
-  dist::DistOptions options;
-  options.workers = 2;
-  options.backoff_base_ms = 1;
-  options.backoff_max_ms = 4;
-  std::string what = "no ConfigError";
-  try {
-    dist::RunSupervised(bad, options, dist::SupervisorCallbacks{});
-  } catch (const ConfigError& e) {
-    what = e.what();
-  }
-  EXPECT_NE(what.find("unknown job kind"), std::string::npos) << what;
-  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
-}
-
 TEST(DistSupervisor, WorkersThatCannotStartHitTheStartupCap) {
   // Each worker parses the fault spec of its init frame and dies on one it
   // rejects, before it is ready. The supervisor gives up after a bounded
@@ -386,8 +358,9 @@ TEST(DistSupervisor, WorkersThatCannotStartHitTheStartupCap) {
   options.worker_log_dir = log_dir;  // keeps their stderr out of the test's
   std::string what = "no ConfigError";
   try {
-    dist::RunSupervised(StudyJobSpec(Study::FromJson(SmallStudySpec())),
-                        options, dist::SupervisorCallbacks{});
+    dist::RunSupervised(
+        *dist::MakeStudyJob(Study::FromJson(SmallStudySpec())), options,
+        dist::SupervisorCallbacks{});
   } catch (const ConfigError& e) {
     what = e.what();
   }
@@ -409,10 +382,11 @@ TEST(DistSupervisor, WorkerLogsGoToADirectoryTheSupervisorCreates) {
   dist::DistOptions options = FastDist(2);
   options.faults_spec = "bogus=1";
   options.worker_log_dir = log_dir;
-  EXPECT_THROW(dist::RunSupervised(StudyJobSpec(Study::FromJson(
-                                       SmallStudySpec())),
-                                   options, dist::SupervisorCallbacks{}),
-               ConfigError);
+  EXPECT_THROW(
+      dist::RunSupervised(
+          *dist::MakeStudyJob(Study::FromJson(SmallStudySpec())), options,
+          dist::SupervisorCallbacks{}),
+      ConfigError);
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   std::ifstream log(log_dir + "/worker-0.log");
   std::stringstream text;
@@ -439,8 +413,9 @@ TEST(DistSupervisor, AWorkerLogDirectoryThatCannotBeMadeFailsBeforeAnyFork) {
   };
   std::string what = "no ConfigError";
   try {
-    dist::RunSupervised(StudyJobSpec(Study::FromJson(SmallStudySpec())),
-                        options, callbacks);
+    dist::RunSupervised(
+        *dist::MakeStudyJob(Study::FromJson(SmallStudySpec())), options,
+        callbacks);
   } catch (const ConfigError& e) {
     what = e.what();
   }
@@ -916,7 +891,7 @@ std::vector<WireFrame> ParseWorkerStream(std::string_view stream) {
 // order, each as the job evaluates it in this process, then shard_done.
 // Returns the run sizes.
 std::vector<std::size_t> ExpectRunsCoverTheShard(
-    const json::Value& spec, const std::vector<WireFrame>& frames,
+    const Study& study, const std::vector<WireFrame>& frames,
     std::uint64_t n) {
   std::vector<std::size_t> runs;
   EXPECT_GE(frames.size(), 2u);
@@ -926,7 +901,7 @@ std::vector<std::size_t> ExpectRunsCoverTheShard(
   EXPECT_EQ(done.GetString("type", ""), "shard_done");
   EXPECT_EQ(done.GetInt("begin", -1), 0);
   EXPECT_EQ(done.GetInt("end", -1), static_cast<std::int64_t>(n));
-  const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
+  const std::unique_ptr<dist::Job> job = dist::MakeStudyJob(study);
   std::uint64_t next = 0;
   for (std::size_t f = 1; f + 1 < frames.size(); ++f) {
     const WireFrame& run = frames[f];
@@ -945,12 +920,12 @@ std::vector<std::size_t> ExpectRunsCoverTheShard(
   return runs;
 }
 
-// Forks a worker for the job `spec` on the command pipe `cmd` and the
+// Forks a worker for the job of `study` on the command pipe `cmd` and the
 // result channel `res`, sends it init, the shard [0, n) and exit, and
 // closes every end but res[0]. Returns the fork's result.
-pid_t ForkShardWorker(const json::Value& spec, std::uint64_t n,
-                      bool ack_each, const int cmd[2], const int res[2]) {
-  const std::unique_ptr<dist::Job> job = dist::MakeJob(spec);
+pid_t ForkShardWorker(const Study& study, std::uint64_t n, bool ack_each,
+                      const int cmd[2], const int res[2]) {
+  const std::unique_ptr<dist::Job> job = dist::MakeStudyJob(study);
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(cmd[1]);
@@ -979,13 +954,12 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
   ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t n = study.Enumerate().size();
-  const json::Value spec = StudyJobSpec(study);
 
   int cmd[2];  // test writes commands, worker reads
   int res[2];  // worker writes frames, test reads
   ASSERT_EQ(::pipe(cmd), 0);
   ASSERT_EQ(::pipe(res), 0);
-  const pid_t pid = ForkShardWorker(spec, n, false, cmd, res);
+  const pid_t pid = ForkShardWorker(study, n, false, cmd, res);
   ASSERT_NE(pid, -1);
 
   std::string stream;
@@ -1000,20 +974,20 @@ TEST(DistSupervisor, WorkerAnswersAShardWithOneFramePerFlush) {
 
   // With metrics and trace off, the result stream is all there is: one
   // run per flush, then shard_done.
-  ExpectRunsCoverTheShard(spec, ParseWorkerStream(stream), n);
+  ExpectRunsCoverTheShard(study, ParseWorkerStream(stream), n);
 }
 
 // Runs a study worker over the shard [0, n) and counts the write()s that
 // reach the reader for it: the result socket keeps message boundaries, so
 // each write() arrives as one record. Returns the record count after the
 // ready frame; `frames` receives every frame.
-std::size_t ShardWrites(const json::Value& spec, std::uint64_t n,
-                        bool ack_each, std::vector<WireFrame>* frames) {
+std::size_t ShardWrites(const Study& study, std::uint64_t n, bool ack_each,
+                        std::vector<WireFrame>* frames) {
   int cmd[2];  // test writes commands, worker reads
   int res[2];  // worker writes records, test reads
   EXPECT_EQ(::pipe(cmd), 0);
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, res), 0);
-  const pid_t pid = ForkShardWorker(spec, n, ack_each, cmd, res);
+  const pid_t pid = ForkShardWorker(study, n, ack_each, cmd, res);
   EXPECT_NE(pid, -1);
 
   std::vector<char> record(1 << 20);
@@ -1038,14 +1012,13 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
   ASSERT_FALSE(obs::TraceRecorder::Global().enabled());
   const Study study = Study::FromJson(SmallStudySpec());
   const std::uint64_t n = study.Enumerate().size();
-  const json::Value spec = StudyJobSpec(study);
 
   // A fresh shard: each write (one per 1 ms at most) carries one run of
   // the results finished since the last, and shard_done rides the last.
   std::vector<WireFrame> frames;
-  const std::size_t coalesced = ShardWrites(spec, n, false, &frames);
+  const std::size_t coalesced = ShardWrites(study, n, false, &frames);
   const std::vector<std::size_t> runs =
-      ExpectRunsCoverTheShard(spec, frames, n);
+      ExpectRunsCoverTheShard(study, frames, n);
   EXPECT_GE(coalesced, 1u);
   EXPECT_LT(coalesced, n);
   EXPECT_LE(runs.size(), coalesced);
@@ -1054,8 +1027,8 @@ TEST(DistSupervisor, WorkerWritesAShardOfCheapItemsInFewerWritesThanItems) {
   // A retried shard: one write per item, each a run of one result, then
   // one for shard_done.
   frames.clear();
-  EXPECT_EQ(ShardWrites(spec, n, true, &frames), n + 1);
-  EXPECT_EQ(ExpectRunsCoverTheShard(spec, frames, n),
+  EXPECT_EQ(ShardWrites(study, n, true, &frames), n + 1);
+  EXPECT_EQ(ExpectRunsCoverTheShard(study, frames, n),
             std::vector<std::size_t>(n, 1));
 }
 
@@ -1083,8 +1056,9 @@ TEST(DistSupervisor, ADueRetryGoesOutBeforeTheLastShards) {
   // retries (at once, then after each backoff) wait for the worker to
   // finish the range it holds, and then go out before any fresh range:
   // the row resolves long before the sweep's tail.
-  const json::Value spec = StudyJobSpec(Study::FromJson(WideStudySpec()));
-  const std::uint64_t rows = dist::MakeJob(spec)->num_items();
+  const std::unique_ptr<dist::Job> job =
+      dist::MakeStudyJob(Study::FromJson(WideStudySpec()));
+  const std::uint64_t rows = job->num_items();
   ASSERT_EQ(rows, 256u);
   testing::FaultPlan plan;
   plan.seed = 152;
@@ -1111,7 +1085,7 @@ TEST(DistSupervisor, ADueRetryGoesOutBeforeTheLastShards) {
     quarantined.push_back(record.item);
     arrived_at_quarantine.push_back(arrived.size());
   };
-  dist::RunSupervised(spec, d, callbacks);
+  dist::RunSupervised(*job, d, callbacks);
 
   EXPECT_EQ(arrived.size(), rows - 1);
   ASSERT_EQ(quarantined, std::vector<std::uint64_t>(expected.begin(),

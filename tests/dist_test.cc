@@ -1,6 +1,7 @@
 // Unit tests for the non-forking pieces of the supervised fan-out layer:
-// NDJSON wire framing, the deterministic backoff schedule, and the shard
-// tracker's retry/quarantine accounting.
+// NDJSON wire framing, the deterministic backoff schedule, the shard
+// tracker's retry/quarantine accounting, and the one job MakeJob builds
+// from a spec.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,8 +14,11 @@
 #include <vector>
 
 #include "dist/backoff.h"
+#include "dist/jobs.h"
 #include "dist/shard_tracker.h"
 #include "dist/wire.h"
+#include "json/json.h"
+#include "runner/study.h"
 #include "util/error.h"
 
 namespace calculon::dist {
@@ -327,6 +331,34 @@ TEST(ShardTracker, DeathBetweenShardsBlamesNobody) {
   EXPECT_FALSE(outcome.quarantined);
   EXPECT_TRUE(outcome.retry.empty());
   EXPECT_TRUE(tracker.AllResolved());
+}
+
+// Drivers build their jobs from the inputs they hold; a spec describes
+// only a study's job, and every other kind is refused.
+TEST(DistJobs, MakeJobBuildsOnlyStudyJobs) {
+  const Study study = Study::FromJson(json::Parse(R"({
+    "application": "megatron_22b",
+    "system": "a100_80g",
+    "num_procs": 64,
+    "base_execution": {"batch_size": 64},
+    "sweep": {"tensor_par": [1, 8], "pipeline_par": [1, 2],
+              "data_par": "auto"}
+  })"));
+  json::Value spec;
+  spec["job"] = "study";
+  spec["spec"] = study.ToJson();
+  EXPECT_EQ(MakeJob(spec)->num_items(), study.Enumerate().size());
+  for (const char* kind : {"exec_search", "audit", "no-such-job", ""}) {
+    spec["job"] = kind;
+    std::string what = "no ConfigError";
+    try {
+      (void)MakeJob(spec);
+    } catch (const ConfigError& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("unknown job kind"), std::string::npos)
+        << kind << ": " << what;
+  }
 }
 
 }  // namespace

@@ -207,6 +207,16 @@ TEST(ExecSearch, NegativeTopKIsAConfigError) {
   ThreadPool pool(1);
   EXPECT_THROW((void)FindOptimalExecution(app, sys, space, config, pool),
                ConfigError);
+  // So is a negative batch: 0 alone means "num_procs samples".
+  config.top_k = 1;
+  config.batch_size = -64;
+  EXPECT_THROW(ExecSearch(app, sys, space, config), ConfigError);
+  EXPECT_THROW((void)FindOptimalExecution(app, sys, space, config, pool),
+               ConfigError);
+  config.batch_size = 0;
+  const SearchResult r = FindOptimalExecution(app, sys, space, config, pool);
+  ASSERT_FALSE(r.best.empty());
+  EXPECT_EQ(r.best.front().exec.batch_size, 32);
 }
 
 // The rejection counters are functions of the workload, not the machine:

@@ -354,7 +354,7 @@ TripleSweep NaiveSweep(const Application& app, const System& sys,
                         if (config.keep_all_rates) {
                           out.rates.push_back(r.value().sample_rate);
                         }
-                        if (config.keep_pareto) pareto.Insert({e, r.value()});
+                        if (config.keep_pareto) pareto.Insert(e, r.value());
                         InsertTopK(out.best, config.top_k, e, r.value());
                       }
                     }
@@ -433,7 +433,7 @@ TEST(SearchBruteForce, SweepTripleMatchesOneShotReferenceOnRandomDraws) {
         "draw " + std::to_string(draws) + ": " + app.name + " on " +
         std::to_string(sys.num_procs()) + " procs, t=" +
         std::to_string(tr.t) + " p=" + std::to_string(tr.p) +
-        " d=" + std::to_string(tr.d) + ", space " + space.ToJson().Dump();
+        " d=" + std::to_string(tr.d);
 
     // The same candidates through one StageTable, in a shuffled order, so
     // its entries are reused across loop levels in every direction. The
@@ -573,9 +573,12 @@ TEST(SearchBruteForce, SweepTripleKeepsTheReferencesTop100) {
     const TripleSweep naive = NaiveSweep(app, sys, space, config,
                                          triples[index], digest, &oneshots);
     const TripleSweep fast = SweepTriple(app, sys, space, config, index);
+    const Triple& tr = triples[index];
     const std::string where = "draw " + std::to_string(draws) + ": " +
                               app.name + ", triple " + std::to_string(index) +
-                              ", space " + space.ToJson().Dump();
+                              " (t=" + std::to_string(tr.t) +
+                              " p=" + std::to_string(tr.p) +
+                              " d=" + std::to_string(tr.d) + ")";
     ASSERT_EQ(fast.feasible, naive.feasible) << where;
     ASSERT_EQ(DumpEntries(fast.best), DumpEntries(naive.best)) << where;
     full += naive.best.size() == 100;

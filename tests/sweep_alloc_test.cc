@@ -110,5 +110,43 @@ TEST(SweepAllocations, Fig6SweepAllocatesPerBlockStageAndPerTripleOnly) {
   EXPECT_LT(bound, counters["model.stage.candidate.calls"]);
 }
 
+// The sweep above runs pp_rs_ag = {false} only. A layer half is keyed
+// without pipeline_par and pp_rs_ag, so once one execution's half is in
+// the table, the same execution at any pipeline depth, with or without
+// pp_rs_ag, finds it: no allocation, and the same bits.
+TEST(SweepAllocations, OneLayerHalfServesEveryPipelineDepthAndPpRsAg) {
+  presets::SystemOptions o;
+  o.num_procs = 4096;
+  const Application app = presets::Gpt3_175B();
+  const System sys = presets::H100(o);
+  Execution e;
+  e.num_procs = o.num_procs;
+  e.tensor_par = 8;
+  e.pipeline_par = 1;
+  e.data_par = 512;
+  e.batch_size = 4096;
+  e.microbatch = 2;
+  e.tp_rs_ag = true;
+  const Network& tp_net = *sys.NetworkForSpan(e.tensor_par);
+  BlockLayerTable table;
+  const BlockCosts first = table.Get(app, e, sys.proc(), tp_net);
+  for (const std::int64_t p : {1, 2, 8, 32}) {
+    for (const bool pp_rs_ag : {false, true}) {
+      e.pipeline_par = p;
+      e.data_par = o.num_procs / (e.tensor_par * p);
+      e.pp_rs_ag = pp_rs_ag;
+      allocations.store(0);
+      counting.store(true);
+      const BlockCosts again = table.Get(app, e, sys.proc(), tp_net);
+      counting.store(false);
+      const std::string where =
+          "p=" + std::to_string(p) + " pp_rs_ag=" + std::to_string(pp_rs_ag);
+      EXPECT_EQ(allocations.load(), 0u) << where;
+      EXPECT_EQ(again.fw.raw(), first.fw.raw()) << where;
+      EXPECT_EQ(again.tp_bw.raw(), first.tp_bw.raw()) << where;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace calculon
